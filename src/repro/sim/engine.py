@@ -29,7 +29,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
 )
 
 import numpy as np
@@ -154,6 +153,7 @@ class Simulation:
         "_payload_needed",
         "_chunks",
         "_outstanding_tbl",
+        "_expiry_floor",
         "_cache_tbl",
         "_is_server_tbl",
         "_mandates_tbl",
@@ -354,6 +354,12 @@ class Simulation:
         self._outstanding_tbl: List[Dict[int, List[Request]]] = [
             node.outstanding for node in self.nodes
         ]
+        # Expiry floor: a lower bound on the creation time of each
+        # node's outstanding requests.  Requests enter in time order and
+        # fulfilment, crashes and hooks only remove them, so the bound
+        # survives every insertion site untouched; a scan is due only
+        # when ``floor < t - timeout`` (see _expire_requests).
+        self._expiry_floor: List[float] = [-math.inf] * n_nodes
         empty: AbstractSet[int] = frozenset()
         self._cache_tbl: List[AbstractSet[int]] = [
             node.cache.live_view() if node.cache is not None else empty
@@ -1061,8 +1067,11 @@ class Simulation:
         if not outstanding:
             return
         timeout = self._timeout
-        if timeout is not None:
-            self._traced_expire(requester, t - timeout)
+        if (
+            timeout is not None
+            and self._expiry_floor[requester.node_id] < t - timeout
+        ):
+            self._expire_requests(requester, t - timeout)
             if not outstanding:
                 return
         provider_cache = provider.cache  # non-None: provider is a server
@@ -1119,42 +1128,6 @@ class Simulation:
                     on_fulfill(
                         self, t, requester, provider, item, request.counter
                     )
-
-    def _traced_expire(self, node: NodeState, deadline: float) -> None:
-        abandoned_gain = self._abandoned_gain
-        credit = self._credit_abandoned
-        stale_items = None
-        for item, request_list in node.outstanding.items():
-            if any(r.created_at < deadline for r in request_list):
-                if stale_items is None:
-                    stale_items = [item]
-                else:
-                    stale_items.append(item)
-        if stale_items is None:
-            return
-        tracer = self.tracer
-        assert tracer is not None
-        for item in stale_items:
-            request_list = node.outstanding[item]
-            kept = [r for r in request_list if r.created_at >= deadline]
-            expired = len(request_list) - len(kept)
-            if credit:
-                for _ in range(expired):
-                    self.metrics.record_abandonment(deadline, abandoned_gain)
-            self.metrics.n_expired += expired
-            for request in request_list:
-                if request.created_at < deadline:
-                    tracer.emit(
-                        trace_events.ABANDON,
-                        deadline,
-                        item=item,
-                        node=node.node_id,
-                        created_at=request.created_at,
-                    )
-            if kept:
-                node.outstanding[item] = kept
-            else:
-                del node.outstanding[item]
 
     def _traced_fault(self, t: float, event: FaultEvent) -> None:
         self._now = t
@@ -1222,13 +1195,15 @@ class Simulation:
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire_requests = self._expire_requests
+        floor_tbl = self._expiry_floor
         mand_count = sum(1 for mand in mandates_tbl if mand)
         after_contact = self.protocol.after_contact
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timed = self._timeout is not None
+        timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
         # Single-item step-utility fulfills — the dominant fulfill shape
         # — are inlined below with ``record_fulfillment``'s exact
@@ -1282,141 +1257,125 @@ class Simulation:
                             pre = 0
                         hit = False
                         if out_a and (x_always or mx[p] >= 0):
-                            if not no_timeout:
-                                hit = True
-                                fulfill_direction(mt[p], a, b, mx[p])
-                                if len(out_a) == 1:
-                                    for item in out_a:
-                                        break
-                                    sole_tbl[a] = item
-                                else:
+                            if timed and floor_tbl[a] < mt[p] - timeout:
+                                expire_requests(nodes[a], mt[p] - timeout)
+                                sole_tbl[a] = (
+                                    next(iter(out_a))
+                                    if len(out_a) == 1
+                                    else -1
+                                )
+                            item = sole_tbl[a]
+                            if item >= 0:
+                                if item in cache_tbl[b]:
+                                    hit = True
                                     sole_tbl[a] = -1
-                            else:
-                                item = sole_tbl[a]
-                                if item >= 0:
-                                    if item in cache_tbl[b]:
-                                        hit = True
-                                        sole_tbl[a] = -1
-                                        if step_fast:
-                                            t_ev = mt[p]
-                                            meet = mx[p]
-                                            window = min(
-                                                int(t_ev / window_length),
-                                                last_window,
-                                            )
-                                            for request in out_a.pop(item):
-                                                delay = (
-                                                    t_ev - request.created_at
-                                                )
-                                                if delay > 0:
-                                                    gain = (
-                                                        1.0
-                                                        if delay <= step_tau
-                                                        else 0.0
-                                                    )
-                                                else:
-                                                    gain = tie_gain
-                                                metrics.total_gain += gain
-                                                metrics.n_fulfilled += 1
-                                                delays_append(delay)
-                                                window_gains[window] += gain
-                                                window_fulfillments[
-                                                    window
-                                                ] += 1
-                                                if notify:
-                                                    on_fulfill(
-                                                        self,
-                                                        t_ev,
-                                                        nodes[a],
-                                                        nodes[b],
-                                                        item,
-                                                        meet
-                                                        - request.counter,
-                                                    )
-                                        else:
-                                            fulfill_hits(
-                                                mt[p], a, b, mx[p],
-                                                out_a, (item,),
-                                            )
-                                else:
-                                    hits = out_a.keys() & cache_tbl[b]
-                                    if hits:
-                                        hit = True
-                                        fulfill_hits(
-                                            mt[p], a, b, mx[p], out_a, hits
+                                    if step_fast:
+                                        t_ev = mt[p]
+                                        meet = mx[p]
+                                        window = min(
+                                            int(t_ev / window_length),
+                                            last_window,
                                         )
-                                        if len(out_a) == 1:
-                                            for item in out_a:
-                                                break
-                                            sole_tbl[a] = item
+                                        for request in out_a.pop(item):
+                                            delay = t_ev - request.created_at
+                                            if delay > 0:
+                                                gain = (
+                                                    1.0
+                                                    if delay <= step_tau
+                                                    else 0.0
+                                                )
+                                            else:
+                                                gain = tie_gain
+                                            metrics.total_gain += gain
+                                            metrics.n_fulfilled += 1
+                                            delays_append(delay)
+                                            window_gains[window] += gain
+                                            window_fulfillments[window] += 1
+                                            if notify:
+                                                on_fulfill(
+                                                    self,
+                                                    t_ev,
+                                                    nodes[a],
+                                                    nodes[b],
+                                                    item,
+                                                    meet - request.counter,
+                                                )
+                                    else:
+                                        fulfill_hits(
+                                            mt[p], a, b, mx[p],
+                                            out_a, (item,),
+                                        )
+                            else:
+                                hits = out_a.keys() & cache_tbl[b]
+                                if hits:
+                                    hit = True
+                                    fulfill_hits(
+                                        mt[p], a, b, mx[p], out_a, hits
+                                    )
+                                    if len(out_a) == 1:
+                                        for item in out_a:
+                                            break
+                                        sole_tbl[a] = item
                         if out_b and (x_always or my[p] >= 0):
-                            if not no_timeout:
-                                hit = True
-                                fulfill_direction(mt[p], b, a, my[p])
-                                if len(out_b) == 1:
-                                    for item in out_b:
-                                        break
-                                    sole_tbl[b] = item
-                                else:
+                            if timed and floor_tbl[b] < mt[p] - timeout:
+                                expire_requests(nodes[b], mt[p] - timeout)
+                                sole_tbl[b] = (
+                                    next(iter(out_b))
+                                    if len(out_b) == 1
+                                    else -1
+                                )
+                            item = sole_tbl[b]
+                            if item >= 0:
+                                if item in cache_tbl[a]:
+                                    hit = True
                                     sole_tbl[b] = -1
-                            else:
-                                item = sole_tbl[b]
-                                if item >= 0:
-                                    if item in cache_tbl[a]:
-                                        hit = True
-                                        sole_tbl[b] = -1
-                                        if step_fast:
-                                            t_ev = mt[p]
-                                            meet = my[p]
-                                            window = min(
-                                                int(t_ev / window_length),
-                                                last_window,
-                                            )
-                                            for request in out_b.pop(item):
-                                                delay = (
-                                                    t_ev - request.created_at
-                                                )
-                                                if delay > 0:
-                                                    gain = (
-                                                        1.0
-                                                        if delay <= step_tau
-                                                        else 0.0
-                                                    )
-                                                else:
-                                                    gain = tie_gain
-                                                metrics.total_gain += gain
-                                                metrics.n_fulfilled += 1
-                                                delays_append(delay)
-                                                window_gains[window] += gain
-                                                window_fulfillments[
-                                                    window
-                                                ] += 1
-                                                if notify:
-                                                    on_fulfill(
-                                                        self,
-                                                        t_ev,
-                                                        nodes[b],
-                                                        nodes[a],
-                                                        item,
-                                                        meet
-                                                        - request.counter,
-                                                    )
-                                        else:
-                                            fulfill_hits(
-                                                mt[p], b, a, my[p],
-                                                out_b, (item,),
-                                            )
-                                else:
-                                    hits = out_b.keys() & cache_tbl[a]
-                                    if hits:
-                                        hit = True
-                                        fulfill_hits(
-                                            mt[p], b, a, my[p], out_b, hits
+                                    if step_fast:
+                                        t_ev = mt[p]
+                                        meet = my[p]
+                                        window = min(
+                                            int(t_ev / window_length),
+                                            last_window,
                                         )
-                                        if len(out_b) == 1:
-                                            for item in out_b:
-                                                break
-                                            sole_tbl[b] = item
+                                        for request in out_b.pop(item):
+                                            delay = t_ev - request.created_at
+                                            if delay > 0:
+                                                gain = (
+                                                    1.0
+                                                    if delay <= step_tau
+                                                    else 0.0
+                                                )
+                                            else:
+                                                gain = tie_gain
+                                            metrics.total_gain += gain
+                                            metrics.n_fulfilled += 1
+                                            delays_append(delay)
+                                            window_gains[window] += gain
+                                            window_fulfillments[window] += 1
+                                            if notify:
+                                                on_fulfill(
+                                                    self,
+                                                    t_ev,
+                                                    nodes[b],
+                                                    nodes[a],
+                                                    item,
+                                                    meet - request.counter,
+                                                )
+                                    else:
+                                        fulfill_hits(
+                                            mt[p], b, a, my[p],
+                                            out_b, (item,),
+                                        )
+                            else:
+                                hits = out_b.keys() & cache_tbl[a]
+                                if hits:
+                                    hit = True
+                                    fulfill_hits(
+                                        mt[p], b, a, my[p], out_b, hits
+                                    )
+                                    if len(out_b) == 1:
+                                        for item in out_b:
+                                            break
+                                        sole_tbl[b] = item
                         if hit or pre:
                             if mandates_tbl[a] or mandates_tbl[b]:
                                 after_contact(
@@ -1466,11 +1425,13 @@ class Simulation:
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire_requests = self._expire_requests
+        floor_tbl = self._expiry_floor
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timed = self._timeout is not None
+        timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
         # Single-item step-utility fulfills — the dominant fulfill shape
         # — are inlined below with ``record_fulfillment``'s exact
@@ -1509,124 +1470,112 @@ class Simulation:
                     b = mb[p]
                     out = outstanding_tbl[a]
                     if out and (x_always or mx[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], a, b, mx[p])
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                sole_tbl[a] = item
-                            else:
+                        if timed and floor_tbl[a] < mt[p] - timeout:
+                            expire_requests(nodes[a], mt[p] - timeout)
+                            sole_tbl[a] = (
+                                next(iter(out)) if len(out) == 1 else -1
+                            )
+                        item = sole_tbl[a]
+                        if item >= 0:
+                            if item in cache_tbl[b]:
                                 sole_tbl[a] = -1
-                        else:
-                            item = sole_tbl[a]
-                            if item >= 0:
-                                if item in cache_tbl[b]:
-                                    sole_tbl[a] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = mx[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[a],
-                                                    nodes[b],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], a, b, mx[p], out, (item,)
-                                        )
-                            else:
-                                hits = out.keys() & cache_tbl[b]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[p], a, b, mx[p], out, hits
+                                if step_fast:
+                                    t_ev = mt[p]
+                                    meet = mx[p]
+                                    window = min(
+                                        int(t_ev / window_length),
+                                        last_window,
                                     )
-                                    if len(out) == 1:
-                                        for item in out:
-                                            break
-                                        sole_tbl[a] = item
+                                    for request in out.pop(item):
+                                        delay = t_ev - request.created_at
+                                        if delay > 0:
+                                            gain = (
+                                                1.0
+                                                if delay <= step_tau
+                                                else 0.0
+                                            )
+                                        else:
+                                            gain = tie_gain
+                                        metrics.total_gain += gain
+                                        metrics.n_fulfilled += 1
+                                        delays_append(delay)
+                                        window_gains[window] += gain
+                                        window_fulfillments[window] += 1
+                                        if notify:
+                                            on_fulfill(
+                                                self,
+                                                t_ev,
+                                                nodes[a],
+                                                nodes[b],
+                                                item,
+                                                meet - request.counter,
+                                            )
+                                else:
+                                    fulfill_hits(
+                                        mt[p], a, b, mx[p], out, (item,)
+                                    )
+                        else:
+                            hits = out.keys() & cache_tbl[b]
+                            if hits:
+                                fulfill_hits(mt[p], a, b, mx[p], out, hits)
+                                if len(out) == 1:
+                                    for item in out:
+                                        break
+                                    sole_tbl[a] = item
                     out = outstanding_tbl[b]
                     if out and (x_always or my[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], b, a, my[p])
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                sole_tbl[b] = item
-                            else:
+                        if timed and floor_tbl[b] < mt[p] - timeout:
+                            expire_requests(nodes[b], mt[p] - timeout)
+                            sole_tbl[b] = (
+                                next(iter(out)) if len(out) == 1 else -1
+                            )
+                        item = sole_tbl[b]
+                        if item >= 0:
+                            if item in cache_tbl[a]:
                                 sole_tbl[b] = -1
-                        else:
-                            item = sole_tbl[b]
-                            if item >= 0:
-                                if item in cache_tbl[a]:
-                                    sole_tbl[b] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = my[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[b],
-                                                    nodes[a],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], b, a, my[p], out, (item,)
-                                        )
-                            else:
-                                hits = out.keys() & cache_tbl[a]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[p], b, a, my[p], out, hits
+                                if step_fast:
+                                    t_ev = mt[p]
+                                    meet = my[p]
+                                    window = min(
+                                        int(t_ev / window_length),
+                                        last_window,
                                     )
-                                    if len(out) == 1:
-                                        for item in out:
-                                            break
-                                        sole_tbl[b] = item
+                                    for request in out.pop(item):
+                                        delay = t_ev - request.created_at
+                                        if delay > 0:
+                                            gain = (
+                                                1.0
+                                                if delay <= step_tau
+                                                else 0.0
+                                            )
+                                        else:
+                                            gain = tie_gain
+                                        metrics.total_gain += gain
+                                        metrics.n_fulfilled += 1
+                                        delays_append(delay)
+                                        window_gains[window] += gain
+                                        window_fulfillments[window] += 1
+                                        if notify:
+                                            on_fulfill(
+                                                self,
+                                                t_ev,
+                                                nodes[b],
+                                                nodes[a],
+                                                item,
+                                                meet - request.counter,
+                                            )
+                                else:
+                                    fulfill_hits(
+                                        mt[p], b, a, my[p], out, (item,)
+                                    )
+                        else:
+                            hits = out.keys() & cache_tbl[a]
+                            if hits:
+                                fulfill_hits(mt[p], b, a, my[p], out, hits)
+                                if len(out) == 1:
+                                    for item in out:
+                                        break
+                                    sole_tbl[b] = item
                 if rp < n:  # the request splitting this segment
                     item = ma[rp]
                     node_id = mb[rp]
@@ -1667,13 +1616,15 @@ class Simulation:
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire_requests = self._expire_requests
+        floor_tbl = self._expiry_floor
         idle_hook = self._contact_hook_idle
         after_contact = self.protocol.after_contact
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timed = self._timeout is not None
+        timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
         for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
             self._iter_chunks()
@@ -1692,9 +1643,9 @@ class Simulation:
                     b = mb[p]
                     out = outstanding_tbl[a]
                     if out and (x_always or mx[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], a, b, mx[p])
-                        elif len(out) == 1:
+                        if timed and floor_tbl[a] < mt[p] - timeout:
+                            expire_requests(nodes[a], mt[p] - timeout)
+                        if len(out) == 1:
                             for item in out:
                                 break
                             if item in cache_tbl[b]:
@@ -1707,9 +1658,9 @@ class Simulation:
                                 fulfill_hits(mt[p], a, b, mx[p], out, hits)
                     out = outstanding_tbl[b]
                     if out and (x_always or my[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], b, a, my[p])
-                        elif len(out) == 1:
+                        if timed and floor_tbl[b] < mt[p] - timeout:
+                            expire_requests(nodes[b], mt[p] - timeout)
+                        if len(out) == 1:
                             for item in out:
                                 break
                             if item in cache_tbl[a]:
@@ -1818,17 +1769,20 @@ class Simulation:
         contacts plus all requests; masked-out events are skipped
         without materializing a single per-event Python object.
         """
+        nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
         cache_tbl = self._cache_tbl
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire_requests = self._expire_requests
+        floor_tbl = self._expiry_floor
         candidate_positions = self._candidate_positions
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timed = self._timeout is not None
+        timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
         # Hook-free implies no fulfill notification, so the single-item
         # step-utility fast path inlines ``record_fulfillment`` directly.
@@ -1869,9 +1823,9 @@ class Simulation:
                         b = mb[gp]
                         out = outstanding_tbl[a]
                         if out and (x_always or mx[gp] >= 0):
-                            if not no_timeout:
-                                fulfill_direction(mt[gp], a, b, mx[gp])
-                            elif len(out) == 1:
+                            if timed and floor_tbl[a] < mt[gp] - timeout:
+                                expire_requests(nodes[a], mt[gp] - timeout)
+                            if len(out) == 1:
                                 for item in out:
                                     break
                                 if item in cache_tbl[b]:
@@ -1913,9 +1867,9 @@ class Simulation:
                                 active[a] = False
                         out = outstanding_tbl[b]
                         if out and (x_always or my[gp] >= 0):
-                            if not no_timeout:
-                                fulfill_direction(mt[gp], b, a, my[gp])
-                            elif len(out) == 1:
+                            if timed and floor_tbl[b] < mt[gp] - timeout:
+                                expire_requests(nodes[b], mt[gp] - timeout)
+                            if len(out) == 1:
                                 for item in out:
                                     break
                                 if item in cache_tbl[a]:
@@ -1997,7 +1951,11 @@ class Simulation:
         mandates_tbl = self._mandates_tbl
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
-        fulfill_direction = self._fulfill_direction
+        fulfill_hits = self._fulfill_hits
+        expire_requests = self._expire_requests
+        floor_tbl = self._expiry_floor
+        timed = self._timeout is not None
+        timeout = self._timeout if self._timeout is not None else 0.0
         hooked = not self._hook_free_contact
         idle_hook = self._contact_hook_idle
         after_contact = self.protocol.after_contact
@@ -2033,13 +1991,23 @@ class Simulation:
                     if is_server_tbl[b]:
                         count = meet_counts[a] + 1
                         meet_counts[a] = count
-                        if outstanding_tbl[a]:
-                            fulfill_direction(t, a, b, count)
+                        out = outstanding_tbl[a]
+                        if out:
+                            if timed and floor_tbl[a] < t - timeout:
+                                expire_requests(node_a, t - timeout)
+                            hits = out.keys() & cache_tbl[b]
+                            if hits:
+                                fulfill_hits(t, a, b, count, out, hits)
                     if is_server_tbl[a]:
                         count = meet_counts[b] + 1
                         meet_counts[b] = count
-                        if outstanding_tbl[b]:
-                            fulfill_direction(t, b, a, count)
+                        out = outstanding_tbl[b]
+                        if out:
+                            if timed and floor_tbl[b] < t - timeout:
+                                expire_requests(node_b, t - timeout)
+                            hits = out.keys() & cache_tbl[a]
+                            if hits:
+                                fulfill_hits(t, b, a, count, out, hits)
                     if hooked and (
                         not idle_hook or mandates_tbl[a] or mandates_tbl[b]
                     ):
@@ -2107,27 +2075,6 @@ class Simulation:
             "use self_request_policy='skip' or a dedicated-node "
             "scenario"
         )
-
-    def _fulfill_direction(
-        self, t: float, requester_id: int, provider_id: int, meet_count: int
-    ) -> None:
-        """One direction of the metadata exchange: expire, query, fulfill.
-
-        *meet_count* is the requester's server-meeting count including
-        this contact; a pending request's final query counter is
-        ``meet_count - request.counter`` (its count at creation).
-        """
-        outstanding = self._outstanding_tbl[requester_id]
-        timeout = self._timeout
-        if timeout is not None:
-            self._expire_requests(self.nodes[requester_id], t - timeout)
-            if not outstanding:
-                return
-        hits = outstanding.keys() & self._cache_tbl[provider_id]
-        if hits:
-            self._fulfill_hits(
-                t, requester_id, provider_id, meet_count, outstanding, hits
-            )
 
     def _fulfill_hits(
         self,
@@ -2215,30 +2162,51 @@ class Simulation:
                     )
 
     def _expire_requests(self, node: NodeState, deadline: float) -> None:
-        """Drop outstanding requests created before *deadline*."""
-        abandoned_gain = self._abandoned_gain
-        credit = self._credit_abandoned
-        stale_items = None
-        for item, request_list in node.outstanding.items():
-            if any(r.created_at < deadline for r in request_list):
-                if stale_items is None:
-                    stale_items = [item]
-                else:
-                    stale_items.append(item)
-        if stale_items is None:
-            return
+        """Drop outstanding requests created before *deadline*.
+
+        Callers scan only when the node's expiry floor is below
+        *deadline*: every outstanding request was created at or after
+        the floor, so a skipped scan is exactly one that would expire
+        nothing.  Each item's list is in creation order, so its head is
+        its oldest request; the scan resets the floor to the oldest
+        survivor, or to *deadline* when none survives (every later
+        request is created at or after this contact, hence after
+        *deadline*).  Traced runs emit one ``ABANDON`` per expired
+        request, after its item's metrics update.
+        """
+        outstanding = node.outstanding
+        stale_items = [
+            item
+            for item, request_list in outstanding.items()
+            if request_list[0].created_at < deadline
+        ]
+        metrics = self.metrics
+        tracer = self.tracer
         for item in stale_items:
-            request_list = node.outstanding[item]
+            request_list = outstanding[item]
             kept = [r for r in request_list if r.created_at >= deadline]
             expired = len(request_list) - len(kept)
-            if credit:
+            if self._credit_abandoned:
                 for _ in range(expired):
-                    self.metrics.record_abandonment(deadline, abandoned_gain)
-            self.metrics.n_expired += expired
+                    metrics.record_abandonment(deadline, self._abandoned_gain)
+            metrics.n_expired += expired
+            if tracer is not None:
+                for request in request_list[:expired]:
+                    tracer.emit(
+                        trace_events.ABANDON,
+                        deadline,
+                        item=item,
+                        node=node.node_id,
+                        created_at=request.created_at,
+                    )
             if kept:
-                node.outstanding[item] = kept
+                outstanding[item] = kept
             else:
-                del node.outstanding[item]
+                del outstanding[item]
+        self._expiry_floor[node.node_id] = min(
+            (reqs[0].created_at for reqs in outstanding.values()),
+            default=deadline,
+        )
 
     # ------------------------------------------------------------------
     # fault injection

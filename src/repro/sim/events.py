@@ -215,9 +215,11 @@ def compute_plain_payloads(
     # accordingly, which only drops contacts that are provable
     # no-ops: a non-requester endpoint can never fulfill.)
     contact_mask = kinds == EVENT_CONTACT
+    # arg_a holds item ids on request rows, which may exceed the
+    # node-id range: clip the gathers (contact_mask drops those rows).
     count_a_valid = contact_mask & is_server[arg_b]
-    count_a_valid &= requester[arg_a]
-    count_b_valid = contact_mask & is_server[arg_a]
+    count_a_valid &= requester.take(arg_a, mode="clip")
+    count_b_valid = contact_mask & is_server.take(arg_a, mode="clip")
     count_b_valid &= requester[arg_b]
     idx_a = np.flatnonzero(count_a_valid)
     idx_b = np.flatnonzero(count_b_valid)

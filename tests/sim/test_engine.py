@@ -6,16 +6,24 @@ schedules so every gain and counter value can be verified by hand.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.contacts import ContactTrace
-from repro.demand import RequestSchedule
+from repro.contacts import ContactTrace, homogeneous_poisson_trace
+from repro.demand import DemandModel, RequestSchedule, generate_requests
 from repro.errors import ConfigurationError, SimulationError
-from repro.protocols import StaticAllocation
+from repro.faults import FaultEvent, FaultSchedule
+from repro.obs import Tracer
+from repro.obs import events as trace_events
+from repro.protocols import StaticAllocation, dom_protocol
 from repro.protocols.base import ReplicationProtocol
 from repro.sim import Simulation, SimulationConfig, simulate
-from repro.utility import PowerUtility, StepUtility
+from repro.sim._reference import ReferenceSimulation
+from repro.utility import PowerUtility, ShiftedUtility, StepUtility
+
+from ._bitwise import assert_bit_identical
 
 
 def trace_of(events, n_nodes=3, duration=100.0):
@@ -133,6 +141,27 @@ class TestFulfillment:
         assert result.window_gains[3] == pytest.approx(1.0)
         assert result.window_gains[:3].sum() == 0.0
 
+    def test_catalog_larger_than_node_set(self):
+        # Request rows of the merged stream carry an item id where
+        # contacts carry a node id; ids past the node range must not
+        # break the meeting-count pass.
+        allocation = [[0, 0, 0]] * 4 + [[0, 1, 0]]
+        trace = trace_of([(4.0, 0, 1), (6.0, 2, 0)])
+        requests = requests_of([(1.0, 4, 0), (2.0, 3, 2)])
+        results = [
+            cls(
+                trace,
+                requests,
+                base_config(n_items=5),
+                static_protocol(allocation),
+                seed=1,
+            ).run()
+            for cls in (ReferenceSimulation, Simulation)
+        ]
+        assert_bit_identical(*results)
+        assert results[1].n_fulfilled == 1
+        assert results[1].n_unfulfilled == 1
+
 
 class TestSelfRequests:
     def test_immediate_policy(self):
@@ -198,6 +227,95 @@ class TestEndOfRun:
         assert result.total_gain == 0.0
 
 
+class _RecordingReference(ReferenceSimulation):
+    """The reference engine, logging each expiry as an ABANDON record."""
+
+    def __init__(self, *args, **kwargs):
+        self.abandoned = []
+        super().__init__(*args, **kwargs)
+
+    def _expire_requests(self, node, deadline):
+        before = [
+            (item, request)
+            for item, request_list in node.outstanding.items()
+            for request in request_list
+        ]
+        super()._expire_requests(node, deadline)
+        for item, request in before:
+            if request not in node.outstanding.get(item, ()):
+                self.abandoned.append(
+                    (deadline, item, node.node_id, request.created_at)
+                )
+
+
+# Expiry-floor edge cases: (contacts, requests, faults, expected
+# n_expired, expected n_fulfilled).  Timeout 20, item 0 cached at node
+# 1 and item 1 at node 2; node 0 caches nothing and issues every
+# request.
+FLOOR_CASES = {
+    # The oldest request (item 0, t=1) is fulfilled at t=8 after a scan
+    # set the floor to 1, leaving the floor stale.  The next-oldest
+    # (item 1, t=5) survives the t=22 scan (deadline 2) and must still
+    # expire at t=26 (deadline 6), before node 2 could serve it.
+    "stale_floor_after_fulfilment": (
+        [(8.0, 0, 1), (22.0, 0, 1), (26.0, 0, 2)],
+        [(1.0, 0, 0), (5.0, 1, 0)],
+        None,
+        1,
+        1,
+    ),
+    # Expiry empties the backlog at t=30.  A request created at the
+    # exact instant of the t=35 contact (requests precede contacts at
+    # equal times) survives the t=55 contact, whose deadline equals its
+    # creation time, and expires at t=56 before node 1 can serve it.
+    "request_at_contact_after_emptied_backlog": (
+        [(30.0, 0, 2), (35.0, 0, 2), (55.0, 0, 2), (56.0, 0, 1)],
+        [(1.0, 0, 0), (35.0, 0, 0)],
+        None,
+        2,
+        0,
+    ),
+    # A scan sets the floor to 1, a crash clears the backlog at t=10,
+    # and a request arrives after recovery.  It must survive the t=30
+    # scan (deadline 10) and expire at t=36 (deadline 16).
+    "crash_then_request_after_recovery": (
+        [(5.0, 0, 2), (30.0, 0, 2), (36.0, 0, 2), (40.0, 0, 1)],
+        [(1.0, 0, 0), (15.0, 0, 0)],
+        FaultSchedule(
+            events=(
+                FaultEvent(time=10.0, kind="crash", node=0),
+                FaultEvent(time=12.0, kind="recover", node=0),
+            )
+        ),
+        1,
+        0,
+    ),
+}
+
+
+#: A bare step takes the inlined step-utility fulfil path; a shifted
+#: one takes the generic path and credits every expiry, so its instant
+#: shows in the window series and the total gain.
+FLOOR_UTILITIES = {
+    "step": StepUtility(10.0),
+    "shifted_step": ShiftedUtility(StepUtility(10.0), -0.5),
+}
+
+
+def run_floor_case(cls, name, utility, tracer=None):
+    contacts, requests, faults, _, _ = FLOOR_CASES[name]
+    sim = cls(
+        trace_of(contacts),
+        requests_of(requests),
+        base_config(request_timeout=20.0, utility=utility),
+        static_protocol([[0, 1, 0], [0, 0, 1]]),
+        seed=1,
+        faults=faults,
+        tracer=tracer,
+    )
+    return sim, sim.run()
+
+
 class TestTimeout:
     def test_expired_requests_dropped(self):
         # Request at t=1; node 1 (with the item) met only at t=50,
@@ -223,6 +341,79 @@ class TestTimeout:
         )
         assert result.n_expired == 0
         assert result.n_fulfilled == 1
+
+    @pytest.mark.parametrize("utility", sorted(FLOOR_UTILITIES))
+    @pytest.mark.parametrize("name", sorted(FLOOR_CASES))
+    def test_expiry_floor_edge_cases(self, name, utility):
+        *_, n_expired, n_fulfilled = FLOOR_CASES[name]
+        utility = FLOOR_UTILITIES[utility]
+        _, expected = run_floor_case(ReferenceSimulation, name, utility)
+        _, actual = run_floor_case(Simulation, name, utility)
+        assert_bit_identical(expected, actual)
+        assert actual.n_expired == n_expired
+        assert actual.n_fulfilled == n_fulfilled
+
+    @pytest.mark.parametrize("utility", sorted(FLOOR_UTILITIES))
+    @pytest.mark.parametrize("name", sorted(FLOOR_CASES))
+    def test_expiry_floor_edge_cases_traced(self, name, utility, tmp_path):
+        utility = FLOOR_UTILITIES[utility]
+        reference, expected = run_floor_case(
+            _RecordingReference, name, utility
+        )
+        path = tmp_path / "trace.jsonl"
+        with Tracer.to_jsonl(str(path)) as tracer:
+            _, actual = run_floor_case(Simulation, name, utility, tracer)
+        assert_bit_identical(expected, actual)
+        with open(path, "r", encoding="utf-8") as handle:
+            abandoned = [
+                (e["t"], e["item"], e["node"], e["created_at"])
+                for e in map(json.loads, handle)
+                if e["kind"] == trace_events.ABANDON
+            ]
+        assert abandoned == reference.abandoned
+        assert len(abandoned) == FLOOR_CASES[name][3]
+
+    @pytest.mark.parametrize("mode", ["plain", "faulted", "traced"])
+    def test_scan_count_bounded_by_requests(self, mode, monkeypatch):
+        """Expiry scans scale with requests, not with contacts.
+
+        Each scan either expires a request or follows one event that
+        left the node's expiry floor stale: the initial ``-inf``, a
+        fulfilment of its oldest request, or an emptied backlog.
+        Rescanning the backlog on every server contact takes about 10k
+        scans on this run, four times the bound.
+        """
+        n_nodes, n_items, rho, tau = 16, 16, 2, 5.0
+        demand = DemandModel.pareto(n_items, omega=1.0, total_rate=1.0)
+        trace = homogeneous_poisson_trace(n_nodes, 0.05, 1000.0, seed=1)
+        requests = generate_requests(demand, n_nodes, 1000.0, seed=2)
+        config = SimulationConfig(
+            n_items=n_items,
+            rho=rho,
+            utility=StepUtility(tau),
+            request_timeout=10 * tau,
+        )
+        scans = []
+        expire = Simulation._expire_requests
+
+        def counting(sim, node, deadline):
+            scans.append(node.node_id)
+            expire(sim, node, deadline)
+
+        monkeypatch.setattr(Simulation, "_expire_requests", counting)
+        result = Simulation(
+            trace,
+            requests,
+            config,
+            dom_protocol(demand, n_nodes, rho),
+            seed=3,
+            faults=FaultSchedule(events=()) if mode == "faulted" else None,
+            tracer=Tracer.in_memory() if mode == "traced" else None,
+        ).run()
+        assert result.n_expired > 0
+        assert len(scans) <= (
+            2 * result.n_generated + result.n_fulfilled + n_nodes
+        )
 
 
 class TestSnapshotsAndCounts:

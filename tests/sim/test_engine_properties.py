@@ -4,16 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.protocols import QCR, PassiveReplication, QCRConfig, uni_protocol
+from repro.protocols import (
+    QCR,
+    PassiveReplication,
+    QCRConfig,
+    dom_protocol,
+    uni_protocol,
+)
 from repro.sim import Simulation, SimulationConfig, simulate
-from repro.utility import StepUtility
+from repro.sim._reference import ReferenceSimulation
+from repro.utility import ShiftedUtility, StepUtility
+
+from ._bitwise import assert_bit_identical
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2
+DURATION, TAU = 120.0, 8.0
 
 
 @st.composite
@@ -23,19 +33,62 @@ def workloads(draw):
     sim_seed = draw(st.integers(min_value=0, max_value=10_000))
     rate = draw(st.floats(min_value=0.02, max_value=0.3))
     demand_rate = draw(st.floats(min_value=0.1, max_value=2.0))
-    protocol_kind = draw(st.sampled_from(["qcr", "qcrwom", "passive", "uni"]))
-    return trace_seed, request_seed, sim_seed, rate, demand_rate, protocol_kind
+    protocol_kind = draw(
+        st.sampled_from(["qcr", "qcrwom", "passive", "uni", "dom"])
+    )
+    # No timeout, a timeout shorter than the deadline (most requests
+    # for uncached items expire), or one past the horizon (the expiry
+    # floor is consulted but nothing can expire).
+    timeout = draw(
+        st.one_of(
+            st.none(),
+            st.floats(min_value=0.5, max_value=TAU - 0.5),
+            st.floats(min_value=DURATION, max_value=4 * DURATION),
+        )
+    )
+    # A negative never-fulfilled gain credits every expiry, through the
+    # generic (non-step) fulfil path.
+    abandon_gain = draw(st.sampled_from([0.0, -0.5]))
+    return (
+        trace_seed,
+        request_seed,
+        sim_seed,
+        rate,
+        demand_rate,
+        protocol_kind,
+        timeout,
+        abandon_gain,
+    )
 
 
-def build(workload):
-    trace_seed, request_seed, sim_seed, rate, demand_rate, kind = workload
-    duration = 120.0
-    utility = StepUtility(8.0)
+#: A short-timeout DOM workload with credited expiries, pinned so every
+#: run of the suite covers expiry whatever hypothesis draws.
+EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5)
+
+
+def build(workload, cls=Simulation):
+    (
+        trace_seed,
+        request_seed,
+        sim_seed,
+        rate,
+        demand_rate,
+        kind,
+        timeout,
+        abandon_gain,
+    ) = workload
+    utility = StepUtility(TAU)
+    if abandon_gain:
+        utility = ShiftedUtility(utility, abandon_gain)
     demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=demand_rate)
-    trace = homogeneous_poisson_trace(N_NODES, rate, duration, seed=trace_seed)
-    requests = generate_requests(demand, N_NODES, duration, seed=request_seed)
+    trace = homogeneous_poisson_trace(N_NODES, rate, DURATION, seed=trace_seed)
+    requests = generate_requests(demand, N_NODES, DURATION, seed=request_seed)
     config = SimulationConfig(
-        n_items=N_ITEMS, rho=RHO, utility=utility, record_interval=30.0
+        n_items=N_ITEMS,
+        rho=RHO,
+        utility=utility,
+        record_interval=30.0,
+        request_timeout=timeout,
     )
     if kind == "qcr":
         protocol = QCR(utility, rate)
@@ -43,9 +96,28 @@ def build(workload):
         protocol = QCR(utility, rate, QCRConfig(mandate_routing=False))
     elif kind == "passive":
         protocol = PassiveReplication()
+    elif kind == "dom":
+        protocol = dom_protocol(demand, N_NODES, RHO)
     else:
         protocol = uni_protocol(demand, N_NODES, RHO)
-    return Simulation(trace, requests, config, protocol, seed=sim_seed)
+    return cls(trace, requests, config, protocol, seed=sim_seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(workload=workloads())
+@example(workload=EXPIRING)
+def test_matches_reference(workload):
+    """The optimized loops reproduce the frozen reference engine."""
+    expected = build(workload, ReferenceSimulation).run()
+    actual = build(workload).run()
+    assert_bit_identical(expected, actual)
+
+
+def test_expiring_example_expires():
+    """The pinned example really expires (and fulfils) requests."""
+    result = build(EXPIRING).run()
+    assert result.n_expired > 0
+    assert result.n_fulfilled > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,6 +138,7 @@ def test_replica_accounting_consistent(workload):
 
 @settings(max_examples=40, deadline=None)
 @given(workload=workloads())
+@example(workload=EXPIRING)
 def test_bookkeeping_identities(workload):
     """Generated = fulfilled(non-immediate) + expired + outstanding +
     skipped; gains decompose over windows."""
