@@ -41,13 +41,10 @@ _ENGINE_METHODS = (
     "_install_side_state",
     "_iter_chunks",
     "_iter_counted_chunks",
+    "_iter_streamed_chunks",
     "_run_dispatch",
     "_run_plain",
-    "_run_plain_counted",
-    "_run_plain_generic",
     "_run_plain_masked",
-    "_run_plain_nohook",
-    "_run_traced",
     "_run_with_faults",
     "_settle_unfulfilled",
 )

@@ -5,6 +5,10 @@ and the reaction to simulation events (request fulfillments and node
 contacts).  The engine calls the hooks below; protocols mutate caches only
 through :meth:`repro.sim.engine.Simulation.insert_copy`, which keeps the
 engine's replica accounting consistent.
+
+Hooks must never mutate ``NodeState.outstanding``: requests are the
+engine's state, and its plain loop keeps a per-node table of each
+node's single outstanding item that only its own mutations update.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ class ReplicationProtocol(ABC):
     #: pending mandates.  Only set this if the hook is a guaranteed no-op
     #: (no state updates, no RNG draws) in that situation.
     contact_hook_idle_without_mandates: bool = False
+
+    #: Opt-in engine fast path, used together with
+    #: :attr:`contact_hook_idle_without_mandates`: when ``True`` both
+    #: hooks change mandate tables only on the nodes they are handed
+    #: (:meth:`on_fulfill`: requester and provider; :meth:`after_contact`:
+    #: the two endpoints), so the engine may track which nodes hold
+    #: mandates with a running count instead of reading the tables on
+    #: every contact.
+    mandates_touch_only_hook_nodes: bool = False
 
     @abstractmethod
     def initialize(self, sim: "Simulation") -> None:

@@ -148,6 +148,11 @@ class QCR(ReplicationProtocol):
         Protocol tunables; defaults reproduce the paper's setup.
     """
 
+    # Both hooks only ever touch the mandate tables of the nodes they
+    # are handed (on_fulfill: the requester; after_contact: the two
+    # endpoints — routing moves mandates strictly between them).
+    mandates_touch_only_hook_nodes = True
+
     def __init__(
         self,
         utility: DelayUtility,
@@ -175,13 +180,6 @@ class QCR(ReplicationProtocol):
         # Without adaptive_mu the hook needs no per-contact bookkeeping,
         # so the engine may skip it entirely on mandate-free contacts.
         self.contact_hook_idle_without_mandates = not config.adaptive_mu
-        # Both hooks only ever touch the mandate tables of the nodes
-        # they are handed (on_fulfill: the requester; after_contact:
-        # the two endpoints — routing moves mandates strictly between
-        # them), so the engine may track mandate presence with a
-        # running per-node count instead of reading the tables on
-        # every contact.
-        self.mandates_touch_only_hook_nodes = True
         #: Final-counter -> capped reaction target.  Valid because without
         #: adaptive_mu the reaction depends only on the counter and on
         #: per-run constants (``mu``, ``n_servers``, the pure correction);

@@ -248,11 +248,10 @@ class Simulation:
         self.sticky_owner: Optional[IntArray] = None
         self._initialized = False
         # Tracing: an inactive tracer (NullSink) resolves to None, and
-        # run() then selects the bare event handlers — the untraced hot
-        # path is byte-identical to the pre-telemetry engine.  Traced
-        # runs use the _traced_* duplicates, which interleave emission
-        # with the same logic.  Emission sites outside the hot loop
-        # (replication, faults, settlement) stay guarded inline.
+        # run() then selects a plain loop with no emission sites at
+        # all.  Traced runs take the instrumented loop, whose emission
+        # sites — like those outside the loops (replication, faults,
+        # settlement) — are guarded inline.
         self.tracer: Optional[Tracer] = (
             tracer if tracer is not None and tracer.active else None
         )
@@ -290,8 +289,8 @@ class Simulation:
             int(seed) if isinstance(seed, (int, np.integer)) else None
         )
         #: Simulated time of the event being processed; maintained by the
-        #: traced handler wrappers so replication events emitted from
-        #: inside protocol hooks carry the right timestamp.
+        #: instrumented loop on traced runs so replication events
+        #: emitted from inside protocol hooks carry the right timestamp.
         self._now = 0.0
         if self.tracer is not None:
             self.tracer.emit(
@@ -374,9 +373,7 @@ class Simulation:
         # Protocols promising an idle after_contact() without mandates
         # (QCR family) let the engine skip the hook dispatch entirely on
         # mandate-free contacts — by far the common case.
-        self._contact_hook_idle = bool(
-            getattr(protocol, "contact_hook_idle_without_mandates", False)
-        )
+        self._contact_hook_idle = protocol.contact_hook_idle_without_mandates
         if self._phase_timer is not None:
             with self._phase_timer.section("merge"):
                 self._build_event_stream()
@@ -545,7 +542,7 @@ class Simulation:
         """The pre-cut chunks (eager) or a block-merging generator.
 
         With metrics enabled the stream is wrapped in the counting
-        generator; the inner specialized loops are byte-identical in
+        generator; the event loops themselves are byte-identical in
         both modes — aggregation happens per *chunk*, never per event.
         """
         base: Iterator[_Chunk] = (
@@ -851,12 +848,12 @@ class Simulation:
         timer = Stopwatch() if self._collect_manifest else None
         phases = self._phase_timer
         # Loop specialization instead of per-event branching: untraced
-        # fault-free runs take the fully inlined plain loop (no tracer,
-        # online, or drop-probability tests at all), untraced runs with
-        # fault injection add exactly those tests back, and traced runs
-        # use the _traced_* handler duplicates.  All three consume the
-        # same pre-chunked event stream, so snapshot instants and event
-        # order are identical by construction.
+        # fault-free runs take a fully inlined plain loop (no tracer,
+        # online, or drop-probability tests at all); fault injection or
+        # tracing takes the instrumented loop, which adds exactly those
+        # tests back.  Every loop consumes the same pre-chunked event
+        # stream, so snapshot instants and event order are identical by
+        # construction.
         if phases is None:
             self._run_dispatch()
             n_unfulfilled = self._settle_unfulfilled()
@@ -896,13 +893,24 @@ class Simulation:
         return result
 
     def _run_dispatch(self) -> None:
-        """Select and run the specialized loop for this (tracing, faults)."""
-        if self.tracer is not None:
-            self._run_traced()
-        elif self.faults is None:
-            self._run_plain()
-        else:
+        """Select and run the event loop for this run.
+
+        Faults or tracing take the instrumented loop.  Otherwise, fully
+        hook-free protocols on large node sets take the vectorized
+        masked loop, whose per-block activity mask only stays selective
+        when few nodes request within one block; everything else takes
+        the segmented plain loop.
+        """
+        if self.tracer is not None or self.faults is not None:
             self._run_with_faults()
+        elif (
+            self._hook_free_contact
+            and self._hook_free_fulfill
+            and len(self.nodes) >= _MASK_MIN_NODES
+        ):
+            self._run_plain_masked()
+        else:
+            self._run_plain()
 
     def _metrics_snapshot(self, n_unfulfilled: int) -> Dict[str, object]:
         """The manifest's embedded metrics snapshot (counters only).
@@ -991,159 +999,18 @@ class Simulation:
             ).observe(timer.wall)
 
     # ------------------------------------------------------------------
-    # traced handlers (selected in run() when tracing is on)
+    # event loops
     #
-    # These duplicate the bare handlers below plus emission sites, so
-    # the untraced hot path carries no tracer loads or is-None tests at
-    # all.  Keep both copies in sync: the tracing-equivalence tests in
-    # tests/sim/test_tracing.py assert traced and untraced runs produce
-    # bit-identical results.
-    # ------------------------------------------------------------------
-    def _traced_request(self, t: float, item: int, node_id: int) -> None:
-        self._now = t
-        tracer = self.tracer
-        assert tracer is not None  # selected only when tracing is active
-        node = self.nodes[node_id]
-        if not node.online:
-            # The device is down; its user generates no request.
-            self.metrics.n_requests_offline += 1
-            tracer.emit(trace_events.OFFLINE, t, item=item, node=node_id)
-            return
-        self.metrics.record_generated()
-        if node.is_server and node.cache is not None and item in node.cache:
-            if self._skip_self:
-                self.metrics.record_skipped_self()
-                tracer.emit(trace_events.SKIPPED, t, item=item, node=node_id)
-                return
-            h0 = self._h0
-            if not math.isfinite(h0):
-                raise SimulationError(
-                    f"{self.config.utility.name} has h(0+) = inf and node "
-                    f"{node_id} requested item {item} it already caches; "
-                    "use self_request_policy='skip' or a dedicated-node "
-                    "scenario"
-                )
-            self.metrics.record_fulfillment(t, 0.0, h0, immediate=True)
-            tracer.emit(
-                trace_events.IMMEDIATE, t, item=item, node=node_id, gain=h0
-            )
-            return
-        node.add_request(Request(item, node_id, t))
-        tracer.emit(trace_events.REQUEST, t, item=item, node=node_id)
-
-    def _traced_contact(self, t: float, a: int, b: int) -> None:
-        self._now = t
-        nodes = self.nodes
-        node_a = nodes[a]
-        node_b = nodes[b]
-        if not (node_a.online and node_b.online):
-            self.metrics.n_contacts_blocked += 1
-            return
-        if self._drop_prob > 0.0 and self._fault_rng is not None:
-            if self._fault_rng.random() < self._drop_prob:
-                self.metrics.n_contacts_dropped += 1
-                assert self.tracer is not None
-                self.tracer.emit(trace_events.CONTACT_DROP, t, a=a, b=b)
-                return
-        if (
-            self._hook_free_contact
-            and not node_a.outstanding
-            and not node_b.outstanding
-        ):
-            # Nothing to query in either direction and the protocol has
-            # no contact hook: the meeting is a no-op.
-            return
-        self._traced_exchange(t, node_a, node_b)
-        self._traced_exchange(t, node_b, node_a)
-        if not self._hook_free_contact:
-            self.protocol.after_contact(self, t, node_a, node_b)
-
-    def _traced_exchange(
-        self, t: float, requester: NodeState, provider: NodeState
-    ) -> None:
-        if not provider.is_server:
-            return
-        outstanding = requester.outstanding
-        if not outstanding:
-            return
-        timeout = self._timeout
-        if (
-            timeout is not None
-            and self._expiry_floor[requester.node_id] < t - timeout
-        ):
-            self._expire_requests(requester, t - timeout)
-            if not outstanding:
-                return
-        provider_cache = provider.cache  # non-None: provider is a server
-        tracer = self.tracer
-        assert tracer is not None
-        fulfilled = None
-        for item, request_list in outstanding.items():
-            for request in request_list:
-                request.counter += 1
-            # One SEEN event per (item, requester) query edge — the
-            # Lemma-1 meeting process — covering all n same-item
-            # requests at this node.
-            tracer.emit(
-                trace_events.SEEN,
-                t,
-                item=item,
-                node=requester.node_id,
-                server=provider.node_id,
-                n=len(request_list),
-            )
-            if item in provider_cache:
-                if fulfilled is None:
-                    fulfilled = [item]
-                else:
-                    fulfilled.append(item)
-        if fulfilled is None:
-            return
-        utility = self._utility
-        h0 = self._h0
-        isfinite = math.isfinite
-        record_fulfillment = self.metrics.record_fulfillment
-        notify = not self._hook_free_fulfill
-        on_fulfill = self.protocol.on_fulfill
-        for item in fulfilled:
-            for request in outstanding.pop(item):
-                delay = t - request.created_at
-                gain = float(utility(delay)) if delay > 0 else h0
-                if not isfinite(gain):
-                    # Measure-zero tie between a request and a contact at
-                    # the same instant under an unbounded utility.
-                    gain = 0.0
-                record_fulfillment(t, delay, gain)
-                tracer.emit(
-                    trace_events.FULFILL,
-                    t,
-                    item=item,
-                    node=requester.node_id,
-                    server=provider.node_id,
-                    delay=delay,
-                    gain=gain,
-                    counter=request.counter,
-                )
-                if notify:
-                    on_fulfill(
-                        self, t, requester, provider, item, request.counter
-                    )
-
-    def _traced_fault(self, t: float, event: FaultEvent) -> None:
-        self._now = t
-        self._apply_fault(t, event)
-
-    # ------------------------------------------------------------------
-    # specialized event loops
-    #
-    # Three copies of the event loop over the pre-chunked stream, one
-    # per (tracing, faults) mode.  The plain loop inlines request
-    # bookkeeping and skips exchange calls whose early-return guards
-    # (non-server provider, empty outstanding table) are visible from
-    # the flat state tables — those guards touch no state and no RNG,
-    # so eliding the call is bit-identical.  Keep the copies in sync:
-    # the equivalence tests in tests/sim/ compare all of them against
-    # sim/_reference.py.
+    # Three loops over the pre-chunked stream, selected once per run by
+    # _run_dispatch: the segmented plain loop (untraced, fault-free),
+    # its vectorized masked variant for fully hook-free protocols on
+    # large node sets, and the instrumented loop (fault injection,
+    # tracing, or both).  The plain loops inline request bookkeeping
+    # and skip exchanges whose early-return guards (non-server
+    # provider, empty outstanding table) are visible from the flat
+    # state tables — those guards touch no state and no RNG, so eliding
+    # the exchange is bit-identical.  The equivalence tests in
+    # tests/sim/ compare every loop against sim/_reference.py.
     # ------------------------------------------------------------------
     def _run_plain(self) -> None:
         """Untraced, fault-free: every node is permanently online.
@@ -1153,40 +1020,27 @@ class Simulation:
         when that direction's provider is not a server), requests carry
         the node's count at creation (stashed in ``Request.counter``
         and turned into the final query counter by subtraction at
-        fulfillment — see ``_fulfill_hits``).  Fully hook-free
-        protocols on large node sets take the vectorized masked loop;
-        everything else takes a specialized segmented per-index loop.
-        The segmented loops precompute each chunk's request positions,
-        so the inner contact runs carry no per-event kind test and
-        read the time and payload columns only when a direction can
-        actually matter.  Keep the loop copies in sync: they differ
-        only in hook dispatch.
-        """
-        if self._hook_free_contact:
-            if self._hook_free_fulfill and len(self.nodes) >= _MASK_MIN_NODES:
-                self._run_plain_masked()
-            else:
-                self._run_plain_nohook()
-        elif self._contact_hook_idle and bool(
-            getattr(self.protocol, "mandates_touch_only_hook_nodes", False)
-        ):
-            self._run_plain_counted()
-        else:
-            self._run_plain_generic()
+        fulfillment — see ``_fulfill_hits``).  Each chunk's request
+        positions are precomputed, so the inner contact runs carry no
+        per-event kind test and read the time and payload columns only
+        when a direction can actually matter.
 
-    def _run_plain_counted(self) -> None:
-        """Segmented plain loop with mandate-presence counting.
+        The contact-hook mode is fixed once per run:
 
-        For protocols promising both an idle mandate-free contact hook
-        and hook mutations confined to the hook's own nodes
-        (``mandates_touch_only_hook_nodes``, the QCR family), a running
-        count of mandate-holding nodes replaces the per-contact mandate
-        table reads: while the count is zero and neither endpoint has
-        outstanding requests — QCR's common steady state — the contact
-        provably touches no state at all and the loop skips it without
-        further reads.  The count is re-derived from the two endpoint
-        entries around every call that may mutate them, so it stays
-        exact.
+        * no contact hook (static allocations, passive replication):
+          the after-contact block is never entered;
+        * an idle mandate-free hook whose mutations stay on the hook's
+          own nodes (``mandates_touch_only_hook_nodes``, QCR without
+          ``adaptive_mu``): a running count of mandate-holding nodes
+          gates the block.  While the count is zero and neither
+          endpoint has outstanding requests — QCR's common steady
+          state — the contact provably touches no state and is skipped
+          without further reads.  The count is re-derived from the two
+          endpoint entries around every call that may mutate them, so
+          it stays exact;
+        * any other hook: the gate is pinned open, and ``after_contact``
+          runs on every contact — or, for an idle hook, on every
+          contact where an endpoint holds mandates.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1197,8 +1051,21 @@ class Simulation:
         fulfill_hits = self._fulfill_hits
         expire_requests = self._expire_requests
         floor_tbl = self._expiry_floor
-        mand_count = sum(1 for mand in mandates_tbl if mand)
         after_contact = self.protocol.after_contact
+        hooked = not self._hook_free_contact
+        counting = (
+            hooked
+            and self._contact_hook_idle
+            and self.protocol.mandates_touch_only_hook_nodes
+        )
+        every_contact = hooked and not self._contact_hook_idle
+        # The after-contact gate: the number of mandate-holding nodes
+        # when counting, otherwise pinned — open with a hook, shut
+        # without one.
+        if counting:
+            mand_count = sum(1 for mand in mandates_tbl if mand)
+        else:
+            mand_count = 1 if hooked else 0
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
@@ -1242,8 +1109,8 @@ class Simulation:
             for rp in (*req_pos, n):
                 for p in range(seg, rp):
                     # A contact: skip without further reads unless an
-                    # endpoint has outstanding requests or any node
-                    # holds mandates.
+                    # endpoint has outstanding requests or the
+                    # after-contact gate is open.
                     a = ma[p]
                     b = mb[p]
                     out_a = outstanding_tbl[a]
@@ -1376,16 +1243,21 @@ class Simulation:
                                         for item in out_b:
                                             break
                                         sole_tbl[b] = item
-                        if hit or pre:
-                            if mandates_tbl[a] or mandates_tbl[b]:
-                                after_contact(
-                                    self, mt[p], nodes[a], nodes[b]
+                        if counting:
+                            if hit or pre:
+                                if mandates_tbl[a] or mandates_tbl[b]:
+                                    after_contact(
+                                        self, mt[p], nodes[a], nodes[b]
+                                    )
+                                mand_count += (
+                                    (1 if mandates_tbl[a] else 0)
+                                    + (1 if mandates_tbl[b] else 0)
+                                    - pre
                                 )
-                            mand_count += (
-                                (1 if mandates_tbl[a] else 0)
-                                + (1 if mandates_tbl[b] else 0)
-                                - pre
-                            )
+                        elif hooked and (
+                            every_contact or mandates_tbl[a] or mandates_tbl[b]
+                        ):
+                            after_contact(self, mt[p], nodes[a], nodes[b])
                 if rp < n:  # the request splitting this segment
                     item = ma[rp]
                     node_id = mb[rp]
@@ -1409,290 +1281,6 @@ class Simulation:
                             sole_tbl[node_id] = (
                                 item if len(out) == 1 else -1
                             )
-                        else:
-                            request_list.append(
-                                Request(item, node_id, mt[rp], mx[rp])
-                            )
-                seg = rp + 1
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_plain_nohook(self) -> None:
-        """Segmented plain loop, no contact hook (static protocols)."""
-        nodes = self.nodes
-        outstanding_tbl = self._outstanding_tbl
-        cache_tbl = self._cache_tbl
-        metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
-        fulfill_hits = self._fulfill_hits
-        expire_requests = self._expire_requests
-        floor_tbl = self._expiry_floor
-        skip_self = self._skip_self
-        h0 = self._h0
-        h0_finite = self._h0_finite
-        timed = self._timeout is not None
-        timeout = self._timeout if self._timeout is not None else 0.0
-        x_always = self._all_servers
-        # Single-item step-utility fulfills — the dominant fulfill shape
-        # — are inlined below with ``record_fulfillment``'s exact
-        # statement order; everything else routes through
-        # ``_fulfill_hits``.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
-        notify = not self._hook_free_fulfill
-        on_fulfill = self.protocol.on_fulfill
-        # sole_tbl[u]: the single outstanding item id, or -1 when the
-        # node has zero or several (see _run_plain_counted).
-        sole_tbl = [
-            next(iter(out)) if len(out) == 1 else -1
-            for out in outstanding_tbl
-        ]
-        for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
-            self._iter_chunks()
-        ):
-            n = len(kinds_b)
-            assert px is not None and py is not None and req_pos is not None
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            mx = memoryview(px)
-            my = memoryview(py)
-            seg = 0
-            for rp in (*req_pos, n):
-                for p in range(seg, rp):
-                    a = ma[p]
-                    b = mb[p]
-                    out = outstanding_tbl[a]
-                    if out and (x_always or mx[p] >= 0):
-                        if timed and floor_tbl[a] < mt[p] - timeout:
-                            expire_requests(nodes[a], mt[p] - timeout)
-                            sole_tbl[a] = (
-                                next(iter(out)) if len(out) == 1 else -1
-                            )
-                        item = sole_tbl[a]
-                        if item >= 0:
-                            if item in cache_tbl[b]:
-                                sole_tbl[a] = -1
-                                if step_fast:
-                                    t_ev = mt[p]
-                                    meet = mx[p]
-                                    window = min(
-                                        int(t_ev / window_length),
-                                        last_window,
-                                    )
-                                    for request in out.pop(item):
-                                        delay = t_ev - request.created_at
-                                        if delay > 0:
-                                            gain = (
-                                                1.0
-                                                if delay <= step_tau
-                                                else 0.0
-                                            )
-                                        else:
-                                            gain = tie_gain
-                                        metrics.total_gain += gain
-                                        metrics.n_fulfilled += 1
-                                        delays_append(delay)
-                                        window_gains[window] += gain
-                                        window_fulfillments[window] += 1
-                                        if notify:
-                                            on_fulfill(
-                                                self,
-                                                t_ev,
-                                                nodes[a],
-                                                nodes[b],
-                                                item,
-                                                meet - request.counter,
-                                            )
-                                else:
-                                    fulfill_hits(
-                                        mt[p], a, b, mx[p], out, (item,)
-                                    )
-                        else:
-                            hits = out.keys() & cache_tbl[b]
-                            if hits:
-                                fulfill_hits(mt[p], a, b, mx[p], out, hits)
-                                if len(out) == 1:
-                                    for item in out:
-                                        break
-                                    sole_tbl[a] = item
-                    out = outstanding_tbl[b]
-                    if out and (x_always or my[p] >= 0):
-                        if timed and floor_tbl[b] < mt[p] - timeout:
-                            expire_requests(nodes[b], mt[p] - timeout)
-                            sole_tbl[b] = (
-                                next(iter(out)) if len(out) == 1 else -1
-                            )
-                        item = sole_tbl[b]
-                        if item >= 0:
-                            if item in cache_tbl[a]:
-                                sole_tbl[b] = -1
-                                if step_fast:
-                                    t_ev = mt[p]
-                                    meet = my[p]
-                                    window = min(
-                                        int(t_ev / window_length),
-                                        last_window,
-                                    )
-                                    for request in out.pop(item):
-                                        delay = t_ev - request.created_at
-                                        if delay > 0:
-                                            gain = (
-                                                1.0
-                                                if delay <= step_tau
-                                                else 0.0
-                                            )
-                                        else:
-                                            gain = tie_gain
-                                        metrics.total_gain += gain
-                                        metrics.n_fulfilled += 1
-                                        delays_append(delay)
-                                        window_gains[window] += gain
-                                        window_fulfillments[window] += 1
-                                        if notify:
-                                            on_fulfill(
-                                                self,
-                                                t_ev,
-                                                nodes[b],
-                                                nodes[a],
-                                                item,
-                                                meet - request.counter,
-                                            )
-                                else:
-                                    fulfill_hits(
-                                        mt[p], b, a, my[p], out, (item,)
-                                    )
-                        else:
-                            hits = out.keys() & cache_tbl[a]
-                            if hits:
-                                fulfill_hits(mt[p], b, a, my[p], out, hits)
-                                if len(out) == 1:
-                                    for item in out:
-                                        break
-                                    sole_tbl[b] = item
-                if rp < n:  # the request splitting this segment
-                    item = ma[rp]
-                    node_id = mb[rp]
-                    metrics.n_generated += 1
-                    if item in cache_tbl[node_id]:
-                        if skip_self:
-                            metrics.n_skipped_self += 1
-                        elif h0_finite:
-                            record_fulfillment(
-                                mt[rp], 0.0, h0, immediate=True
-                            )
-                        else:
-                            self._raise_infinite_h0(item, node_id)
-                    else:
-                        out = outstanding_tbl[node_id]
-                        request_list = out.get(item)
-                        if request_list is None:
-                            out[item] = [
-                                Request(item, node_id, mt[rp], mx[rp])
-                            ]
-                            sole_tbl[node_id] = (
-                                item if len(out) == 1 else -1
-                            )
-                        else:
-                            request_list.append(
-                                Request(item, node_id, mt[rp], mx[rp])
-                            )
-                seg = rp + 1
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_plain_generic(self) -> None:
-        """Segmented plain loop, generic hook dispatch (fallback)."""
-        nodes = self.nodes
-        outstanding_tbl = self._outstanding_tbl
-        cache_tbl = self._cache_tbl
-        mandates_tbl = self._mandates_tbl
-        metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
-        fulfill_hits = self._fulfill_hits
-        expire_requests = self._expire_requests
-        floor_tbl = self._expiry_floor
-        idle_hook = self._contact_hook_idle
-        after_contact = self.protocol.after_contact
-        skip_self = self._skip_self
-        h0 = self._h0
-        h0_finite = self._h0_finite
-        timed = self._timeout is not None
-        timeout = self._timeout if self._timeout is not None else 0.0
-        x_always = self._all_servers
-        for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
-            self._iter_chunks()
-        ):
-            n = len(kinds_b)
-            assert px is not None and py is not None and req_pos is not None
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            mx = memoryview(px)
-            my = memoryview(py)
-            seg = 0
-            for rp in (*req_pos, n):
-                for p in range(seg, rp):
-                    a = ma[p]
-                    b = mb[p]
-                    out = outstanding_tbl[a]
-                    if out and (x_always or mx[p] >= 0):
-                        if timed and floor_tbl[a] < mt[p] - timeout:
-                            expire_requests(nodes[a], mt[p] - timeout)
-                        if len(out) == 1:
-                            for item in out:
-                                break
-                            if item in cache_tbl[b]:
-                                fulfill_hits(
-                                    mt[p], a, b, mx[p], out, (item,)
-                                )
-                        else:
-                            hits = out.keys() & cache_tbl[b]
-                            if hits:
-                                fulfill_hits(mt[p], a, b, mx[p], out, hits)
-                    out = outstanding_tbl[b]
-                    if out and (x_always or my[p] >= 0):
-                        if timed and floor_tbl[b] < mt[p] - timeout:
-                            expire_requests(nodes[b], mt[p] - timeout)
-                        if len(out) == 1:
-                            for item in out:
-                                break
-                            if item in cache_tbl[a]:
-                                fulfill_hits(
-                                    mt[p], b, a, my[p], out, (item,)
-                                )
-                        else:
-                            hits = out.keys() & cache_tbl[a]
-                            if hits:
-                                fulfill_hits(mt[p], b, a, my[p], out, hits)
-                    if not idle_hook or mandates_tbl[a] or mandates_tbl[b]:
-                        after_contact(self, mt[p], nodes[a], nodes[b])
-                if rp < n:  # the request splitting this segment
-                    item = ma[rp]
-                    node_id = mb[rp]
-                    metrics.n_generated += 1
-                    if item in cache_tbl[node_id]:
-                        if skip_self:
-                            metrics.n_skipped_self += 1
-                        elif h0_finite:
-                            record_fulfillment(
-                                mt[rp], 0.0, h0, immediate=True
-                            )
-                        else:
-                            self._raise_infinite_h0(item, node_id)
-                    else:
-                        out = outstanding_tbl[node_id]
-                        request_list = out.get(item)
-                        if request_list is None:
-                            out[item] = [
-                                Request(item, node_id, mt[rp], mx[rp])
-                            ]
                         else:
                             request_list.append(
                                 Request(item, node_id, mt[rp], mx[rp])
@@ -1938,11 +1526,17 @@ class Simulation:
                 self._take_snapshot(snap)
 
     def _run_with_faults(self) -> None:
-        """Untraced with fault injection: online/drop tests restored.
+        """The instrumented loop: fault injection, tracing, or both.
 
-        Blocked and dropped contacts must not advance query counters,
-        so the per-node server-meeting counts are maintained here
-        dynamically instead of precomputed from the trace.
+        Online and drop tests are restored, and blocked or dropped
+        contacts must not advance query counters, so the per-node
+        server-meeting counts are maintained here dynamically instead
+        of precomputed from the trace.  With a tracer, each emission
+        site sits right after the state change it reports: ``SEEN``
+        once per (item, requester) query edge after expiry, ``FULFILL``
+        inside ``_fulfill_hits``, and ``self._now`` tracks the event
+        time so replication events emitted from protocol hooks and
+        faults carry the right timestamp.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1965,6 +1559,7 @@ class Simulation:
         drop_prob = self._drop_prob
         fault_rng = self._fault_rng
         fault_events = self._fault_events
+        tracer = self.tracer
         meet_counts = [0] * len(nodes)
         for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
             self._iter_chunks()
@@ -1987,7 +1582,13 @@ class Simulation:
                     if drop_prob > 0.0 and fault_rng is not None:
                         if fault_rng.random() < drop_prob:
                             metrics.n_contacts_dropped += 1
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.CONTACT_DROP, t, a=a, b=b
+                                )
                             continue
+                    if tracer is not None:
+                        self._now = t
                     if is_server_tbl[b]:
                         count = meet_counts[a] + 1
                         meet_counts[a] = count
@@ -1995,6 +1596,12 @@ class Simulation:
                         if out:
                             if timed and floor_tbl[a] < t - timeout:
                                 expire_requests(node_a, t - timeout)
+                            if tracer is not None:
+                                for item, request_list in out.items():
+                                    tracer.emit(
+                                        trace_events.SEEN, t, item=item,
+                                        node=a, server=b, n=len(request_list),
+                                    )
                             hits = out.keys() & cache_tbl[b]
                             if hits:
                                 fulfill_hits(t, a, b, count, out, hits)
@@ -2005,6 +1612,12 @@ class Simulation:
                         if out:
                             if timed and floor_tbl[b] < t - timeout:
                                 expire_requests(node_b, t - timeout)
+                            if tracer is not None:
+                                for item, request_list in out.items():
+                                    tracer.emit(
+                                        trace_events.SEEN, t, item=item,
+                                        node=b, server=a, n=len(request_list),
+                                    )
                             hits = out.keys() & cache_tbl[a]
                             if hits:
                                 fulfill_hits(t, b, a, count, out, hits)
@@ -2015,17 +1628,32 @@ class Simulation:
                 elif kind == 1:  # EVENT_REQUEST: a = item, b = node
                     item = ma[p]
                     node_id = mb[p]
+                    t = mt[p]
                     if not nodes[node_id].online:
                         # The device is down; no request is generated.
                         metrics.n_requests_offline += 1
+                        if tracer is not None:
+                            tracer.emit(
+                                trace_events.OFFLINE, t, item=item,
+                                node=node_id,
+                            )
                         continue
-                    t = mt[p]
                     metrics.n_generated += 1
                     if item in cache_tbl[node_id]:
                         if skip_self:
                             metrics.n_skipped_self += 1
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.SKIPPED, t, item=item,
+                                    node=node_id,
+                                )
                         elif h0_finite:
                             record_fulfillment(t, 0.0, h0, immediate=True)
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.IMMEDIATE, t, item=item,
+                                    node=node_id, gain=h0,
+                                )
                         else:
                             self._raise_infinite_h0(item, node_id)
                     else:
@@ -2039,32 +1667,15 @@ class Simulation:
                             request_list.append(
                                 Request(item, node_id, t, meet_counts[node_id])
                             )
+                        if tracer is not None:
+                            tracer.emit(
+                                trace_events.REQUEST, t, item=item,
+                                node=node_id,
+                            )
                 else:  # EVENT_FAULT: arg_a = fault index
-                    self._apply_fault(mt[p], fault_events[ma[p]])
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_traced(self) -> None:
-        """Traced: per-event handlers that interleave emission."""
-        fault_events = self._fault_events
-        handle_contact = self._traced_contact
-        handle_request = self._traced_request
-        handle_fault = self._traced_fault
-        for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
-            self._iter_chunks()
-        ):
-            mk = memoryview(kinds_b)
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            for p in range(len(kinds_b)):
-                kind = mk[p]
-                if kind == EVENT_CONTACT:
-                    handle_contact(mt[p], ma[p], mb[p])
-                elif kind == EVENT_REQUEST:
-                    handle_request(mt[p], ma[p], mb[p])
-                else:
-                    handle_fault(mt[p], fault_events[ma[p]])
+                    t = mt[p]
+                    self._now = t
+                    self._apply_fault(t, fault_events[ma[p]])
             if snap is not None:
                 self._take_snapshot(snap)
 
@@ -2089,13 +1700,16 @@ class Simulation:
 
         *hits* is any collection supporting ``len`` and membership —
         the hot loops pass a one-element tuple when the requester has a
-        single outstanding item, sparing the set intersection.
+        single outstanding item, sparing the set intersection.  Traced
+        runs emit one ``FULFILL`` per request, after its metrics update
+        and before ``on_fulfill``.
         """
         if len(hits) < len(outstanding):
             fulfilled = [item for item in outstanding if item in hits]
         else:
             fulfilled = list(outstanding)
         metrics = self.metrics
+        tracer = self.tracer
         notify = not self._hook_free_fulfill
         on_fulfill = self.protocol.on_fulfill
         requester = self.nodes[requester_id]
@@ -2128,6 +1742,13 @@ class Simulation:
                     delays_append(delay)
                     window_gains[window] += gain
                     window_fulfillments[window] += 1
+                    if tracer is not None:
+                        tracer.emit(
+                            trace_events.FULFILL, t, item=item,
+                            node=requester_id, server=provider_id,
+                            delay=delay, gain=gain,
+                            counter=meet_count - request.counter,
+                        )
                     if notify:
                         on_fulfill(
                             self,
@@ -2151,6 +1772,13 @@ class Simulation:
                     # the same instant under an unbounded utility.
                     gain = 0.0
                 record_fulfillment(t, delay, gain)
+                if tracer is not None:
+                    tracer.emit(
+                        trace_events.FULFILL, t, item=item,
+                        node=requester_id, server=provider_id,
+                        delay=delay, gain=gain,
+                        counter=meet_count - request.counter,
+                    )
                 if notify:
                     on_fulfill(
                         self,

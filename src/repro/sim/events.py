@@ -412,8 +412,8 @@ class EventStream:
     faults: Optional[FaultSchedule]
     config_fingerprint: str
     #: Whether the plain-mode payload columns were materialized.  A
-    #: payload-bearing stream also serves traced runs (the traced loop
-    #: ignores payloads); a fault schedule forbids payloads entirely.
+    #: payload-bearing stream also serves traced runs (the instrumented
+    #: loop ignores payloads); a fault schedule forbids payloads entirely.
     payload_mode: bool
     n_events: int
     fault_events: List[FaultEvent]

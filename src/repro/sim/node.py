@@ -21,10 +21,10 @@ class Request:
         self.node = node
         self.created_at = created_at
         #: Number of (server) meetings since creation — the QCR query count.
-        #: The fast engine loops instead stash the node's server-meeting
-        #: count *at creation* here and recover the final counter by
-        #: subtraction at fulfillment time; the traced path keeps the
-        #: eager per-meeting increments.
+        #: The engine loops instead stash the node's server-meeting count
+        #: *at creation* here and recover the final counter by
+        #: subtraction at fulfillment time; only the frozen reference
+        #: engine keeps the eager per-meeting increments.
         self.counter = counter
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

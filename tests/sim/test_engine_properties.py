@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
+from repro.faults import FaultSchedule
+from repro.obs import Tracer
 from repro.protocols import (
     QCR,
     PassiveReplication,
@@ -34,7 +36,9 @@ def workloads(draw):
     rate = draw(st.floats(min_value=0.02, max_value=0.3))
     demand_rate = draw(st.floats(min_value=0.1, max_value=2.0))
     protocol_kind = draw(
-        st.sampled_from(["qcr", "qcrwom", "passive", "uni", "dom"])
+        st.sampled_from(
+            ["qcr", "qcrwom", "qcr-adaptive", "passive", "uni", "dom"]
+        )
     )
     # No timeout, a timeout shorter than the deadline (most requests
     # for uncached items expire), or one past the horizon (the expiry
@@ -49,6 +53,11 @@ def workloads(draw):
     # A negative never-fulfilled gain credits every expiry, through the
     # generic (non-step) fulfil path.
     abandon_gain = draw(st.sampled_from([0.0, -0.5]))
+    # Which engine loop runs: the plain loops (fault-free, untraced) or
+    # the instrumented loop, entered by fault injection, tracing, or both.
+    mode = draw(
+        st.sampled_from(["plain", "faulted", "traced", "traced-faulted"])
+    )
     return (
         trace_seed,
         request_seed,
@@ -58,12 +67,32 @@ def workloads(draw):
         protocol_kind,
         timeout,
         abandon_gain,
+        mode,
     )
 
 
 #: A short-timeout DOM workload with credited expiries, pinned so every
 #: run of the suite covers expiry whatever hypothesis draws.
-EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5)
+EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5, "plain")
+#: Adaptive QCR (a contact hook that is never idle) under faults and
+#: tracing, pinned so the instrumented loop always meets that hook mode.
+ADAPTIVE_FAULTED = (4, 5, 6, 0.2, 1.5, "qcr-adaptive", 5.0, 0.0,
+                    "traced-faulted")
+
+
+def fault_schedule(seed):
+    """Churn, random replica losses and contact drops over the run."""
+    churn = FaultSchedule.node_churn(
+        N_NODES,
+        crash_rate=0.01,
+        mean_downtime=15.0,
+        duration=DURATION,
+        seed=seed,
+        drop_prob=0.2,
+    )
+    return churn + FaultSchedule.replica_loss(
+        rate=0.03, duration=DURATION, seed=seed + 1
+    )
 
 
 def build(workload, cls=Simulation):
@@ -76,6 +105,7 @@ def build(workload, cls=Simulation):
         kind,
         timeout,
         abandon_gain,
+        mode,
     ) = workload
     utility = StepUtility(TAU)
     if abandon_gain:
@@ -94,18 +124,35 @@ def build(workload, cls=Simulation):
         protocol = QCR(utility, rate)
     elif kind == "qcrwom":
         protocol = QCR(utility, rate, QCRConfig(mandate_routing=False))
+    elif kind == "qcr-adaptive":
+        protocol = QCR(utility, rate, QCRConfig(adaptive_mu=True))
     elif kind == "passive":
         protocol = PassiveReplication()
     elif kind == "dom":
         protocol = dom_protocol(demand, N_NODES, RHO)
     else:
         protocol = uni_protocol(demand, N_NODES, RHO)
-    return cls(trace, requests, config, protocol, seed=sim_seed)
+    faults = fault_schedule(sim_seed) if mode.endswith("faulted") else None
+    tracer = (
+        Tracer.in_memory()
+        if mode.startswith("traced") and cls is Simulation
+        else None
+    )
+    return cls(
+        trace,
+        requests,
+        config,
+        protocol,
+        seed=sim_seed,
+        faults=faults,
+        tracer=tracer,
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(workload=workloads())
 @example(workload=EXPIRING)
+@example(workload=ADAPTIVE_FAULTED)
 def test_matches_reference(workload):
     """The optimized loops reproduce the frozen reference engine."""
     expected = build(workload, ReferenceSimulation).run()
@@ -141,7 +188,7 @@ def test_replica_accounting_consistent(workload):
 @example(workload=EXPIRING)
 def test_bookkeeping_identities(workload):
     """Generated = fulfilled(non-immediate) + expired + outstanding +
-    skipped; gains decompose over windows."""
+    skipped + lost to crashes; gains decompose over windows."""
     sim = build(workload)
     result = sim.run()
     outstanding = sum(node.n_outstanding() for node in sim.nodes)
@@ -149,6 +196,7 @@ def test_bookkeeping_identities(workload):
         result.n_fulfilled
         + result.n_skipped_self
         + result.n_expired
+        + result.n_requests_lost
         + outstanding
     )
     assert result.n_unfulfilled == outstanding
