@@ -13,7 +13,7 @@ the inferred summaries:
   the simcache run-key, allocation solvers).  Findings print the full
   inter-procedural propagation path, ``file:line`` by ``file:line``.
 * **RPA002 durability** — every raw write primitive reachable from
-  ``repro.dist`` or ``repro.experiments.checkpoint`` must flow through
+  ``repro.dist`` or ``repro.simcache`` must flow through
   :mod:`repro.durable` (the invariant the lease protocol depends on).
 * **RPA003/RPA004 schema drift** — every event kind emitted through
   :class:`repro.obs.Tracer` / ``WorkQueue.log_event`` must exist in the

@@ -2,7 +2,8 @@
 
 The sweep queue's crash-safety story (atomic rename + fsync, torn-write
 recovery, lease lockfiles) only holds if *every* write under
-``repro.dist`` and the experiment checkpointer uses the
+``repro.dist`` and the run cache (``repro.simcache``, whose entry
+format the queue's published results share) uses the
 :mod:`repro.durable` primitives.  One raw ``json.dump`` in a helper
 three calls deep reintroduces the torn-file window the whole subsystem
 was built to close — and review rarely catches it, because the write
@@ -38,7 +39,7 @@ CODE = "RPA002"
 
 def _root_modules(program: Program) -> Tuple[str, ...]:
     pkg = program.package
-    return (f"{pkg}.dist", f"{pkg}.experiments.checkpoint")
+    return (f"{pkg}.dist", f"{pkg}.simcache")
 
 
 def _is_root_module(module: str, roots: Tuple[str, ...]) -> bool:

@@ -36,7 +36,7 @@ CHECKS: Dict[str, Tuple[str, str]] = {
     "RPA002": (
         "durability",
         "raw filesystem writes reachable from repro.dist or the "
-        "experiment checkpointer must go through repro.durable",
+        "run cache (repro.simcache) must go through repro.durable",
     ),
     "RPA003": (
         "schema-unknown-kind",

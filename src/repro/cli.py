@@ -694,8 +694,6 @@ def _sweep_spec_from_payload(payload: dict, cache_setting) -> "SweepSpec":
         faults=None,
         on_error="skip",
         attempts_per_run=1,
-        retry_backoff=0.1,
-        max_backoff=5.0,
         profile_dir=None,
         cache=resolve_run_cache(cache_setting),
         base_seed=int(payload["base_seed"]),
@@ -736,7 +734,6 @@ def _run_queue_sweep(
         progress=args.progress or None,
         run_cache=_cache_setting(args),
         executor=executor,
-        share_event_streams=not getattr(args, "no_share_streams", False),
         trial_spill_dir=getattr(args, "spill_dir", None),
     )
     print(result.render(title=f"distributed sweep ({queue_root})"))
@@ -1235,15 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
             "spill each realized trial trace to a .ctb file under this "
             "directory so workers memory-map it instead of regenerating "
             "(zero-copy trial handoff; results are bit-identical)"
-        ),
-    )
-    sweep_start.add_argument(
-        "--no-share-streams",
-        action="store_true",
-        help=(
-            "disable per-trial event-stream sharing (merge the event "
-            "stream once per protocol instead of once per trial; "
-            "debugging aid — results are bit-identical either way)"
         ),
     )
     _add_cache_arguments(sweep_start)

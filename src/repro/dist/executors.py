@@ -70,7 +70,9 @@ class SweepSpec:
     list: factories, config, failure policy, cache, and the sweep's
     identity (seed walk + trial count + protocol names), which the
     work-queue backend persists so a resumed or multi-host sweep can
-    refuse mismatched state.
+    refuse mismatched state.  *trial_spills* maps a trial index to the
+    parent's spilled ``.ctb`` copy of its trace (the zero-copy worker
+    handoff); a trial without one is regenerated from its seed.
     """
 
     trace_factory: Callable[[int], "ContactTrace"]
@@ -81,13 +83,11 @@ class SweepSpec:
     faults: Optional["FaultsLike"]
     on_error: str
     attempts_per_run: int
-    retry_backoff: float
-    max_backoff: float
     profile_dir: Optional[str]
     cache: Optional["SimulationRunCache"]
     base_seed: int
     n_trials: int
-    extra: Dict[str, Any] = field(default_factory=dict)
+    trial_spills: Dict[int, str] = field(default_factory=dict)
 
     def identity(self) -> Dict[str, Any]:
         """What makes two sweeps "the same sweep" for queue reuse."""
@@ -105,7 +105,7 @@ class SweepExecutor(abc.ABC):
     ``execute`` runs every unit, reporting each completed or failed one
     through ``record`` — a callback with signature
     ``record(trial, protocol, result, error, timing)`` owned by the
-    parent (checkpointing, telemetry, progress).  The optional return
+    parent (results, telemetry, progress).  The optional return
     value is merged into the sweep manifest (the work-queue backend
     reports worker attribution and lifecycle counts there).
     """

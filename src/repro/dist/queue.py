@@ -9,7 +9,8 @@ failure records, quarantine markers, and a lifecycle event log::
       manifest.json         sweep identity + policy (max_claims, ttl)
       units/<id>.json       unit spec: trial, protocol, seed triple
       leases/<id>.json      live claims (see repro.dist.leases)
-      results/<id>.json     published results, atomic + fsync
+      results/<id>.json     published results: run-cache entries
+                            (repro.simcache.store), atomic + fsync
       failures/<id>.<k>.json one record per failed claim
       quarantine/<id>.json  poison units parked after the claim budget
       metrics/<worker>.json per-worker progress frames (atomic, advisory;
@@ -41,6 +42,12 @@ from ..durable import append_line, atomic_write_json, truncate_error_text
 from ..errors import ConfigurationError
 from ..obs import events as ev
 from ..obs.log import get_logger
+from ..simcache.store import (
+    CorruptEntryError,
+    StoredRun,
+    read_entry,
+    write_entry,
+)
 from .clock import Clock, SystemClock
 from .leases import LeaseManager
 
@@ -50,7 +57,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 _FORMAT = "repro-sweep-queue"
 _VERSION = 1
-_RESULT_FORMAT = "repro-sweep-result"
 
 
 def unit_id(trial: int, protocol_index: int) -> str:
@@ -134,7 +140,7 @@ class WorkQueue:
         max_claims: int = 3,
         ttl: float = 30.0,
         scenario: Optional[Dict[str, Any]] = None,
-        handoff: Optional[Dict[str, Any]] = None,
+        trial_spills: Optional[Dict[int, str]] = None,
         clock: Optional[Clock] = None,
     ) -> "WorkQueue":
         """Create a queue at *root*, or attach to a matching existing one.
@@ -144,13 +150,12 @@ class WorkQueue:
         never silently reused for a different sweep.  Already-published
         results survive; that is the whole point.
 
-        *handoff*, when given, is persisted in the manifest for workers
-        joining from any process: the sweep-amortization record naming
-        the parent's spilled ``.ctb`` trial traces (``"trial_spills"``,
-        unit-trial -> path) and whether per-trial event-stream sharing
-        is on (``"share_event_streams"``).  Purely an optimization
-        channel — a worker that ignores it regenerates inputs from the
-        unit seeds and produces bit-identical results.
+        *trial_spills* (trial -> path of the parent's spilled ``.ctb``
+        trace) is persisted in the manifest, with string trial keys, so
+        workers joining from any process memory-map the spill instead
+        of regenerating the trace.  Purely an optimization channel — a
+        worker that ignores it regenerates inputs from the unit seeds
+        and produces bit-identical results.
         """
         if max_claims < 1:
             raise ConfigurationError(
@@ -184,8 +189,10 @@ class WorkQueue:
         }
         if scenario is not None:
             manifest["scenario"] = scenario
-        if handoff is not None:
-            manifest["handoff"] = handoff
+        if trial_spills:
+            manifest["trial_spills"] = {
+                str(trial): path for trial, path in trial_spills.items()
+            }
         # The manifest lands last (durably), so a half-created queue
         # directory is simply not a queue yet and create() retries are
         # idempotent.
@@ -300,24 +307,25 @@ class WorkQueue:
     ) -> None:
         """Atomically + durably publish one completed unit.
 
+        The file is a run-cache entry keyed by the unit id, with the
+        executing worker, claim, timing and run key in its ``meta``.
         A SIGKILL at any point leaves either no result file or a
         complete one; last (identical) writer wins on races.
         """
-        from ..experiments.checkpoint import result_to_dict
+        write_entry(
+            self._result_path(unit),
+            unit,
+            result,
+            meta={
+                "worker": worker,
+                "claim": int(claim),
+                "timing": dict(timing),
+                "run_key": run_key,
+            },
+        )
 
-        payload: Dict[str, Any] = {
-            "format": _RESULT_FORMAT,
-            "unit": unit,
-            "worker": worker,
-            "claim": int(claim),
-            "timing": dict(timing),
-            "run_key": run_key,
-            "result": result_to_dict(result),
-        }
-        atomic_write_json(self._result_path(unit), payload, fsync=True)
-
-    def read_result(self, unit: str) -> Optional[Dict[str, Any]]:
-        """The published payload, or ``None`` (corrupt files warn+miss).
+    def read_result(self, unit: str) -> Optional[StoredRun]:
+        """The published entry, or ``None`` (corrupt files warn+discard).
 
         A corrupt result entry — possible only if durability was
         degraded (filesystem without fsync) — is deleted and treated as
@@ -325,11 +333,10 @@ class WorkQueue:
         """
         path = self._result_path(unit)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            return read_entry(path)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as error:
+        except CorruptEntryError as error:
             self._logger.warning(
                 "discarding corrupt result entry", path=path, error=str(error)
             )
@@ -338,20 +345,6 @@ class WorkQueue:
             except OSError:  # pragma: no cover - race
                 pass
             return None
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != _RESULT_FORMAT
-            or not isinstance(data.get("result"), dict)
-        ):
-            self._logger.warning(
-                "discarding invalid result entry", path=path
-            )
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - race
-                pass
-            return None
-        return data
 
     # ------------------------------------------------------------------
     # quarantine

@@ -206,7 +206,7 @@ class QueueWorker:
     ) -> Any:
         """Realize (once per trial per process) the shared randomness.
 
-        The queue manifest's ``handoff`` record (written by the
+        The queue manifest's ``trial_spills`` record (written by the
         parent's sweep when trial spilling is on) redirects the trace
         to the parent's memory-mapped ``.ctb`` copy with its
         travelling fingerprint — workers joining from any host skip
@@ -217,8 +217,7 @@ class QueueWorker:
         inputs = self._inputs_by_trial.get(record.trial)
         if inputs is not None:
             return inputs, 0.0
-        handoff = self.queue.manifest.get("handoff") or {}
-        spills = handoff.get("trial_spills") or {}
+        spills = self.queue.manifest.get("trial_spills") or {}
         timer = Stopwatch()
         inputs = runner._build_trial_inputs(
             self.spec.trace_factory,
@@ -227,9 +226,6 @@ class QueueWorker:
             record.seeds,
             faults=trial_faults,
             spill_path=spills.get(str(record.trial)),
-            share_event_stream=bool(
-                handoff.get("share_event_streams", True)
-            ),
         )
         timer.stop()
         # Workers live across many units; keep only the latest trial's
@@ -267,8 +263,6 @@ class QueueWorker:
                 trial_faults,
                 attempts_per_run=spec.attempts_per_run,
                 on_error=worker_on_error,
-                retry_backoff=spec.retry_backoff,
-                max_backoff=spec.max_backoff,
                 cache=spec.cache,
             )
         finally:
@@ -694,21 +688,8 @@ class WorkQueueExecutor(SweepExecutor):
         records: List[UnitRecord] = make_unit_records(
             units, list(spec.protocols)
         )
-        # The sweep-amortization handoff crosses the executor seam via
-        # the durable manifest (JSON keys are strings), so external
-        # `repro sweep worker` processes see it too.
-        handoff: Optional[Dict[str, Any]] = None
-        if spec.extra:
-            handoff = {
-                "share_event_streams": bool(
-                    spec.extra.get("share_event_streams", True)
-                ),
-            }
-            spills = spec.extra.get("trial_spills")
-            if spills:
-                handoff["trial_spills"] = {
-                    str(trial): path for trial, path in spills.items()
-                }
+        # The trial spills cross the executor seam via the durable
+        # manifest, so external `repro sweep worker` processes see them.
         queue = WorkQueue.create(
             root,
             records,
@@ -716,7 +697,7 @@ class WorkQueueExecutor(SweepExecutor):
             max_claims=self.max_claims,
             ttl=self.ttl,
             scenario=self.scenario,
-            handoff=handoff,
+            trial_spills=spec.trial_spills,
             clock=self.clock,
         )
         supervisor = Supervisor(
@@ -755,24 +736,28 @@ class WorkQueueExecutor(SweepExecutor):
         record: Callable[..., None],
         supervisor: Supervisor,
     ) -> Dict[str, Any]:
-        """Feed published results back in deterministic unit order."""
-        from ..experiments.checkpoint import result_from_dict
+        """Feed published results back in deterministic unit order.
 
+        A unit whose result file is missing or was discarded as corrupt
+        and that is not quarantined is reported lost; it runs again when
+        the sweep is resumed on the same queue.
+        """
         unit_attribution: Dict[str, Dict[str, Any]] = {}
         workers_seen = set()
         for item in records:
             requeues = queue.requeues(item.unit)
-            payload = queue.read_result(item.unit)
-            if payload is not None:
+            entry = queue.read_result(item.unit)
+            if entry is not None:
+                meta = entry.meta
                 timing = {
                     key: float(value)
-                    for key, value in payload.get("timing", {}).items()
+                    for key, value in meta.get("timing", {}).items()
                 }
-                worker = payload.get("worker")
+                worker = meta.get("worker")
                 record(
                     item.trial,
                     item.protocol,
-                    result_from_dict(payload["result"]),
+                    entry.result,
                     None,
                     timing,
                     worker=worker,
@@ -780,10 +765,10 @@ class WorkQueueExecutor(SweepExecutor):
                 unit_attribution[item.unit] = {
                     "status": "published",
                     "worker": worker,
-                    "claim": payload.get("claim"),
+                    "claim": meta.get("claim"),
                     "requeues": requeues,
                     "failures": queue.failure_count(item.unit),
-                    "run_key": payload.get("run_key"),
+                    "run_key": meta.get("run_key"),
                 }
             else:
                 info = queue.read_quarantine(item.unit) or {}
@@ -803,7 +788,7 @@ class WorkQueueExecutor(SweepExecutor):
                     attempts=claims,
                 )
                 unit_attribution[item.unit] = {
-                    "status": "quarantined",
+                    "status": "quarantined" if info else "lost",
                     "worker": worker,
                     "claim": None,
                     "requeues": requeues,

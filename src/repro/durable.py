@@ -2,8 +2,8 @@
 
 Every on-disk artifact that must survive a worker being SIGKILLed — or
 the host losing power — mid-write goes through this module: simulation
-run-cache entries, comparison checkpoints, and the distributed sweep
-queue's unit/lease/result files.  The contract is:
+run-cache entries (also the format of the distributed sweep queue's
+published results) and the queue's unit/lease/failure files.  The contract is:
 
 * *atomicity* — readers only ever observe the old file or the complete
   new file, never a partial write (temp file in the same directory +
@@ -39,8 +39,8 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 #: Byte budget for persisted error strings (tracebacks, exception
 #: messages).  A recursive repr or a deeply nested traceback can reach
-#: megabytes; anything persisted (checkpoints, queue failure records,
-#: telemetry) is truncated to this budget at the source.
+#: megabytes; anything persisted (queue failure records, quarantine
+#: markers, telemetry) is truncated to this budget at the source.
 MAX_ERROR_BYTES = 4096
 
 _TRUNCATION_MARKER = "... [truncated {dropped} bytes]"

@@ -19,7 +19,6 @@ from .figures import (
 )
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 from .benchmark import BENCH_FILENAME, render_speed_report, run_speed_benchmark
-from .checkpoint import ComparisonCheckpoint, result_from_dict, result_to_dict
 from .profiles import EffortProfile, current_profile
 from .reporting import render_loss_sweep, render_table
 from .runner import (
@@ -53,9 +52,6 @@ __all__ = [
     "run_scenario",
     "run_comparison",
     "ComparisonResult",
-    "ComparisonCheckpoint",
-    "result_to_dict",
-    "result_from_dict",
     "AlgorithmStats",
     "TrialFailure",
     "TrialInputs",

@@ -31,11 +31,12 @@ engine's streamed mode then reads them lazily, also bit-identically.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from ..contacts import ContactTrace
 from ..contacts.binary import binary_trace_metadata, load_binary, save_binary
 from ..demand import RequestSchedule
+from ..durable import PathLike
 from ..faults import FaultSchedule
 from ..sim.config import SimulationConfig
 from ..sim.events import EventStream, build_event_stream, memmap_backed
@@ -51,8 +52,6 @@ __all__ = [
     "load_spilled_trace",
     "spill_trial_trace",
 ]
-
-PathLike = Union[str, "os.PathLike[str]"]
 
 #: Header-metadata key under which a spilled trial trace carries its
 #: precomputed simcache fingerprint.
@@ -81,7 +80,6 @@ class TrialArtifacts:
         "requests",
         "sim_seed",
         "faults",
-        "share_event_stream",
         "_trace_fp",
         "_requests_fp",
         "_faults_fp",
@@ -96,13 +94,11 @@ class TrialArtifacts:
         *,
         faults: Optional[FaultSchedule] = None,
         trace_fingerprint: Optional[str] = None,
-        share_event_stream: bool = True,
     ) -> None:
         self.trace = trace
         self.requests = requests
         self.sim_seed = sim_seed
         self.faults = faults
-        self.share_event_stream = share_event_stream
         self._trace_fp = trace_fingerprint
         self._requests_fp: Optional[str] = None
         self._faults_fp: Optional[str] = None
@@ -130,18 +126,16 @@ class TrialArtifacts:
         """The trial's merged event stream, built lazily at most once.
 
         Returns ``None`` — and the caller falls back to the engine's
-        own merge — when stream sharing is disabled or the trace is
-        memory-mapped: a memmapped trace selects the engine's streamed
-        mode precisely so the merge never materializes, and an eager
-        prebuilt stream would defeat that memory bound.
+        own merge — when the trace is memory-mapped: a memmapped trace
+        selects the engine's streamed mode precisely so the merge never
+        materializes, and an eager prebuilt stream would defeat that
+        memory bound.
 
         The memo is keyed implicitly by the config fingerprint: a
         second call with an equivalent config reuses the stream, a
         different config rebuilds it (sweeps use one config, so this
         never triggers there).
         """
-        if not self.share_event_stream:
-            return None
         if memmap_backed(self.trace.times):
             return None
         stream = self._stream

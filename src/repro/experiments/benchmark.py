@@ -39,13 +39,15 @@ should fail on *crashes or identity violations*, never on timings.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import os
 import platform
 import tempfile
 import time
 import tracemalloc
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,8 +65,7 @@ from ..sim.engine import Simulation, simulate
 from ..sim.events import build_event_stream
 from ..simcache import fingerprint_trace, run_key
 from ..utility import StepUtility
-from .artifacts import load_spilled_trace, spill_trial_trace
-from .checkpoint import result_to_dict
+from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 from .reporting import render_table
 from .runner import run_comparison
 from .scenarios import (
@@ -93,10 +94,36 @@ def _results_identical(a, b) -> bool:
     Manifests are provenance (they carry host timings that differ on
     every run) and are excluded from the comparison.
     """
-    da, db = result_to_dict(a), result_to_dict(b)
-    da.pop("manifest", None)
-    db.pop("manifest", None)
-    return da == db
+
+    def bits(value: Any) -> Any:
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, float):
+            return value.hex()
+        return value
+
+    return all(
+        bits(getattr(a, spec.name)) == bits(getattr(b, spec.name))
+        for spec in dataclasses.fields(a)
+        if spec.name != "manifest"
+    )
+
+
+@contextlib.contextmanager
+def _merge_per_protocol() -> Iterator[None]:
+    """Sweeps inside build one event stream per run, not per trial.
+
+    The sweep-amortization baseline: with the trial's shared stream
+    withheld, every protocol's run merges its own stream, which is what
+    sweeps did before per-trial sharing.  Results are bit-identical
+    either way; only the merge count differs.
+    """
+    shared = TrialArtifacts.event_stream
+    setattr(TrialArtifacts, "event_stream", lambda self, config: None)
+    try:
+        yield
+    finally:
+        setattr(TrialArtifacts, "event_stream", shared)
 
 
 def _time_run(build: Callable[[], Simulation], repeats: int) -> Tuple[float, Any]:
@@ -346,10 +373,11 @@ def _bench_sweep_amortization(
 
     Four sub-cases, every one gated on exact result equality:
 
-    * **sweep** — a 3-protocol sweep with event-stream sharing off
-      (merge + payload pass per protocol, the pre-amortization
-      behaviour) versus on (one merge per trial, reused read-only);
-      interleaved best-of-*repeats* like the engine timer.
+    * **sweep** — a 3-protocol sweep merging per protocol (merge +
+      payload pass per run under :func:`_merge_per_protocol`, the
+      pre-amortization behaviour) versus once per trial (the default,
+      reused read-only); interleaved best-of-*repeats* like the engine
+      timer.
     * **faulted_sweep** — the same comparison with node-churn faults,
       where payload columns are forbidden and the shared stream carries
       the fault events.
@@ -377,12 +405,13 @@ def _bench_sweep_amortization(
     per_protocol = merged = None
     for _ in range(repeats):
         start = time.perf_counter()
-        per_protocol = run_comparison(**kwargs, share_event_streams=False)
+        with _merge_per_protocol():
+            per_protocol = run_comparison(**kwargs)
         per_protocol_seconds = min(
             per_protocol_seconds, time.perf_counter() - start
         )
         start = time.perf_counter()
-        merged = run_comparison(**kwargs, share_event_streams=True)
+        merged = run_comparison(**kwargs)
         merge_once_seconds = min(
             merge_once_seconds, time.perf_counter() - start
         )
@@ -415,16 +444,13 @@ def _bench_sweep_amortization(
     fault_plain = fault_shared = None
     for _ in range(repeats):
         start = time.perf_counter()
-        fault_plain = run_comparison(
-            **fault_kwargs, share_event_streams=False
-        )
+        with _merge_per_protocol():
+            fault_plain = run_comparison(**fault_kwargs)
         fault_plain_seconds = min(
             fault_plain_seconds, time.perf_counter() - start
         )
         start = time.perf_counter()
-        fault_shared = run_comparison(
-            **fault_kwargs, share_event_streams=True
-        )
+        fault_shared = run_comparison(**fault_kwargs)
         fault_shared_seconds = min(
             fault_shared_seconds, time.perf_counter() - start
         )

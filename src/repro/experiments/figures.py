@@ -40,6 +40,7 @@ from ..allocation import (
     solve_relaxed,
 )
 from ..demand import DemandModel
+from ..durable import PathLike
 from ..protocols import QCRConfig
 from ..sim import SimulationResult
 from ..types import FloatArray
@@ -51,7 +52,6 @@ from ..utility import (
     power_family,
 )
 from ..obs.log import get_logger
-from .checkpoint import PathLike
 from .profiles import EffortProfile, current_profile
 from .reporting import render_loss_sweep, render_table
 from .runner import ProgressLike, RunCacheLike, run_comparison

@@ -15,21 +15,22 @@ behavior):
 * *per-trial fault isolation* — ``on_error`` decides what a failing
   protocol factory or simulation does to the sweep: ``"raise"``
   (propagate, the historical behavior), ``"skip"`` (record the failure
-  and keep going), or ``"retry"`` (re-attempt with capped exponential
-  backoff, then skip);
+  and keep going), or ``"retry"`` (re-attempt up to
+  :data:`MAX_RETRIES` times with capped exponential backoff, then
+  skip);
 * *partial results* — :class:`ComparisonResult` reports per-run
   :class:`TrialFailure` records alongside the statistics of whatever
   succeeded;
-* *checkpoint/resume* — ``checkpoint_path`` persists every completed
-  run to JSON (atomically, see :mod:`repro.experiments.checkpoint`), so
-  an interrupted sweep resumes instead of restarting;
+* *resume* — with ``run_cache`` every completed run is stored by
+  content key (atomically and durably, see :mod:`repro.simcache`), so
+  an interrupted sweep resumes by running it again with the same
+  ``run_cache`` root: finished runs come back as cache hits;
 * *parallel execution* — ``n_workers`` fans the ``(trial, protocol)``
   work units out over a process pool.  Per-run seeds are derived from
   the same :class:`numpy.random.SeedSequence` walk as the serial path,
   so parallel results are **bit-identical** to serial ones; workers
-  return completed runs and the parent process owns the checkpoint
-  file, so checkpoint/resume and the ``on_error`` policies compose
-  unchanged;
+  return completed runs to the parent, so the run cache and the
+  ``on_error`` policies compose unchanged;
 * *telemetry* — every run yields a :class:`RunTelemetry` record (stage
   timings, attempts, outcome, executing worker) merged into
   ``ComparisonResult.telemetry`` in deterministic trial-major order
@@ -71,7 +72,7 @@ import numpy as np
 from ..contacts import ContactTrace
 from ..contacts.binary import is_binary_trace
 from ..demand import DemandModel, RequestSchedule, generate_requests
-from ..durable import truncate_error_text
+from ..durable import PathLike, truncate_error_text
 from ..errors import ConfigurationError, SimulationError
 from ..faults import FaultSchedule
 from ..obs.log import get_logger
@@ -89,7 +90,6 @@ from ..simcache import (
 )
 from ..types import FloatArray
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
-from .checkpoint import ComparisonCheckpoint, PathLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (dist imports us lazily)
     from ..dist.executors import ExecutorLike, SweepSpec
@@ -124,6 +124,13 @@ RunCacheLike = Union[None, bool, str, "os.PathLike[str]", SimulationRunCache]
 #: inputs-not-fingerprintable.
 _CACHE_HIT, _CACHE_MISS, _CACHE_UNCACHEABLE = 1.0, 0.0, -1.0
 
+#: ``on_error="retry"`` re-attempts a failed run this many times, the
+#: first retry after :data:`RETRY_BACKOFF_S` seconds, doubling per
+#: attempt up to :data:`MAX_BACKOFF_S`.
+MAX_RETRIES = 2
+RETRY_BACKOFF_S = 0.1
+MAX_BACKOFF_S = 5.0
+
 
 @dataclass(frozen=True)
 class RunTelemetry:
@@ -132,8 +139,8 @@ class RunTelemetry:
     ``setup_wall_s`` is the trial-input realization cost *paid by this
     run* — the first run of a trial in a given process carries it, later
     runs reuse the cached inputs and report 0.  ``status`` is ``"ok"``,
-    ``"failed"`` (all attempts exhausted), or ``"cached"`` (restored
-    from a checkpoint, so no timing was observed).
+    ``"failed"`` (all attempts exhausted), or ``"cached"`` (a run-cache
+    hit, so no simulation ran and no timing was observed).
 
     Timings are host measurements and vary run to run; only the
     *ordering* of telemetry in :attr:`ComparisonResult.telemetry` is
@@ -298,8 +305,7 @@ class ComparisonResult:
     #: completion order).  Values are host timings — metadata only.
     telemetry: Tuple[RunTelemetry, ...] = ()
     #: Sweep-level provenance (config fingerprint, seed walk identity,
-    #: environment, total timings); also persisted into the checkpoint
-    #: file when one is in use.
+    #: environment, total timings, run-cache hit/miss counts).
     manifest: Optional[Dict[str, Any]] = None
 
     @property
@@ -379,7 +385,6 @@ def _build_trial_inputs(
     *,
     faults: Optional[FaultSchedule] = None,
     spill_path: Optional[str] = None,
-    share_event_stream: bool = True,
 ) -> TrialArtifacts:
     """Realize one trial's shared trace and request schedule.
 
@@ -408,7 +413,6 @@ def _build_trial_inputs(
         sim_seed,
         faults=faults,
         trace_fingerprint=trace_fingerprint,
-        share_event_stream=share_event_stream,
     )
 
 
@@ -434,8 +438,6 @@ def _execute_run(
     *,
     attempts_per_run: int,
     on_error: str,
-    retry_backoff: float,
-    max_backoff: float,
     cache: Optional[SimulationRunCache] = None,
 ) -> Tuple[
     Optional[SimulationResult],
@@ -536,7 +538,9 @@ def _execute_run(
     )
     for attempt in range(attempts_per_run):
         if attempt:
-            delay = min(retry_backoff * (2.0 ** (attempt - 1)), max_backoff)
+            delay = min(
+                RETRY_BACKOFF_S * (2.0 ** (attempt - 1)), MAX_BACKOFF_S
+            )
             if delay > 0:
                 time.sleep(delay)
         attempts_made = attempt + 1
@@ -591,8 +595,7 @@ def _run_status(
 ) -> str:
     """Telemetry status of one executed unit.
 
-    ``"cached"`` marks a run-cache hit — the same status checkpoint
-    resume uses, since in both cases no simulation was performed.
+    ``"cached"`` marks a run-cache hit: no simulation was performed.
     """
     if result is None:
         return "failed"
@@ -663,10 +666,10 @@ def _pool_run(
             "worker context missing; the pool must be created with the "
             "fork start method by run_comparison"
         )
+    spec: "SweepSpec" = context["spec"]
     trial, name, trace_seed, request_seed, sim_seed = unit
     inputs_by_trial: Dict[int, TrialArtifacts] = context["inputs_by_trial"]
-    faults = context["faults"]
-    trial_faults = faults(trial) if callable(faults) else faults
+    trial_faults = spec.faults(trial) if callable(spec.faults) else spec.faults
     setup_wall = 0.0
     inputs = inputs_by_trial.get(trial)
     if inputs is None:
@@ -675,15 +678,13 @@ def _pool_run(
         # A spilled trial memory-maps the parent's .ctb copy (with its
         # travelling fingerprint) instead of regenerating the trace.
         setup_timer = Stopwatch()
-        spills: Dict[int, str] = context.get("trial_spills") or {}
         inputs = _build_trial_inputs(
-            context["trace_factory"],
-            context["demand"],
-            context["n_clients"],
+            spec.trace_factory,
+            spec.demand,
+            spec.n_clients,
             (trace_seed, request_seed, sim_seed),
             faults=trial_faults,
-            spill_path=spills.get(trial),
-            share_event_stream=context.get("share_event_streams", True),
+            spill_path=spec.trial_spills.get(trial),
         )
         setup_timer.stop()
         setup_wall = setup_timer.wall
@@ -693,26 +694,24 @@ def _pool_run(
         for other in inputs_by_trial.values():
             other.drop_event_stream()
         inputs_by_trial[trial] = inputs
-    profile_dir = context["profile_dir"]
-    profiler = _process_profiler(profile_dir)
+    profiler = _process_profiler(spec.profile_dir)
     if profiler is not None:
         profiler.enable()
     try:
         result, error, timing, _ = _execute_run(
-            context["protocols"][name],
+            spec.protocols[name],
             inputs,
-            context["config"],
+            spec.config,
             trial_faults,
-            attempts_per_run=context["attempts_per_run"],
-            on_error=context["on_error"],
-            retry_backoff=context["retry_backoff"],
-            max_backoff=context["max_backoff"],
-            cache=context["cache"],
+            attempts_per_run=spec.attempts_per_run,
+            on_error=spec.on_error,
+            cache=spec.cache,
         )
     finally:
         if profiler is not None:
             profiler.disable()
-            _dump_profile(profiler, profile_dir, "worker")
+            assert spec.profile_dir is not None
+            _dump_profile(profiler, spec.profile_dir, "worker")
     timing["setup_wall_s"] = setup_wall
     return trial, name, result, error, timing
 
@@ -721,15 +720,14 @@ class _SweepAccounting:
     """Per-unit bookkeeping shared by every executor.
 
     Executors report each finished unit through :meth:`record`; the
-    parent owns the outcome maps, the checkpoint file, live progress,
-    the cache hit/miss counters, and the failure-text byte bound — so
-    all of those behave identically whichever backend ran the unit.
+    parent owns the outcome maps, live progress, the cache hit/miss
+    counters, and the failure-text byte bound — so all of those behave
+    identically whichever backend ran the unit.
     """
 
     def __init__(
         self,
         *,
-        checkpoint: Optional[ComparisonCheckpoint],
         reporter: Optional[_ProgressReporter],
         cache_counts: Dict[str, int],
         attempts_per_run: int,
@@ -737,7 +735,6 @@ class _SweepAccounting:
         self.results_map: Dict[Tuple[int, str], SimulationResult] = {}
         self.failures_map: Dict[Tuple[int, str], TrialFailure] = {}
         self.telemetry_map: Dict[Tuple[int, str], RunTelemetry] = {}
-        self.checkpoint = checkpoint
         self.reporter = reporter
         self.cache_counts = cache_counts
         self.attempts_per_run = attempts_per_run
@@ -786,8 +783,6 @@ class _SweepAccounting:
             )
             return
         self.results_map[(trial, name)] = result
-        if self.checkpoint is not None:
-            self.checkpoint.record(trial, name, result)
 
 
 def _run_units_serial(
@@ -804,7 +799,6 @@ def _run_units_serial(
     """
     inputs: Optional[TrialArtifacts] = None
     current_trial = -1
-    share_streams = bool(spec.extra.get("share_event_streams", True))
     profiler = _process_profiler(spec.profile_dir)
     for unit in units:
         trial, name = unit[0], unit[1]
@@ -820,7 +814,6 @@ def _run_units_serial(
                 spec.n_clients,
                 unit[2:],
                 faults=trial_faults,
-                share_event_stream=share_streams,
             )
             setup_timer.stop()
             setup_wall = setup_timer.wall
@@ -836,8 +829,6 @@ def _run_units_serial(
                 trial_faults,
                 attempts_per_run=spec.attempts_per_run,
                 on_error=spec.on_error,
-                retry_backoff=spec.retry_backoff,
-                max_backoff=spec.max_backoff,
                 cache=spec.cache,
             )
         finally:
@@ -862,27 +853,11 @@ def _run_units_parallel(
     closures); only the small work-unit tuples and the completed
     :class:`~repro.sim.metrics.SimulationResult` objects cross the
     process boundary.  Completed runs are reported to *record* by the
-    parent as they arrive, so checkpointing and the ``on_error``
+    parent as they arrive, so the run cache and the ``on_error``
     policies compose exactly like the serial walk.
     """
     global _WORKER_CONTEXT
-    context = {
-        "trace_factory": spec.trace_factory,
-        "demand": spec.demand,
-        "config": spec.config,
-        "protocols": spec.protocols,
-        "n_clients": spec.n_clients,
-        "faults": spec.faults,
-        "on_error": spec.on_error,
-        "attempts_per_run": spec.attempts_per_run,
-        "retry_backoff": spec.retry_backoff,
-        "max_backoff": spec.max_backoff,
-        "profile_dir": spec.profile_dir,
-        "cache": spec.cache,
-        "trial_spills": spec.extra.get("trial_spills"),
-        "share_event_streams": spec.extra.get("share_event_streams", True),
-        "inputs_by_trial": {},
-    }
+    context: Dict[str, Any] = {"spec": spec, "inputs_by_trial": {}}
     mp_context = multiprocessing.get_context("fork")
     _WORKER_CONTEXT = context
     try:
@@ -921,16 +896,11 @@ def run_comparison(
     n_clients: Optional[int] = None,
     faults: Optional[FaultsLike] = None,
     on_error: str = "raise",
-    max_retries: int = 2,
-    retry_backoff: float = 0.1,
-    max_backoff: float = 5.0,
-    checkpoint_path: Optional[PathLike] = None,
     n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
     executor: "ExecutorLike" = None,
-    share_event_streams: bool = True,
     trial_spill_dir: Optional[PathLike] = None,
 ) -> ComparisonResult:
     """Run every protocol on *n_trials* shared trace/request realizations.
@@ -954,13 +924,9 @@ def run_comparison(
     on_error:
         ``"raise"`` propagates the first failure (historical behavior);
         ``"skip"`` records it and continues; ``"retry"`` re-attempts up
-        to *max_retries* times with exponential backoff (*retry_backoff*
-        doubling per attempt, capped at *max_backoff* seconds), then
-        records the failure and continues.
-    checkpoint_path:
-        When given, every completed run is persisted there as JSON and
-        already-completed runs are loaded instead of re-simulated, so an
-        interrupted sweep resumes with identical statistics.
+        to :data:`MAX_RETRIES` times with exponential backoff
+        (:data:`RETRY_BACKOFF_S` doubling per attempt, capped at
+        :data:`MAX_BACKOFF_S`), then records the failure and continues.
     n_workers:
         ``None``/``1`` runs serially (the historical behavior).  With
         ``k > 1`` the pending ``(trial, protocol)`` runs execute on a
@@ -988,9 +954,11 @@ def run_comparison(
         (unset disables); ``True``/``False`` force it on/off; a path or
         :class:`~repro.simcache.SimulationRunCache` enables it at that
         root.  Cache hits return the stored result without simulating,
-        are reported with ``status="cached"`` (like checkpoint resume),
-        and hit/miss counters land in the sweep manifest under
-        ``"run_cache"``.
+        are reported with ``status="cached"``, and hit/miss counters
+        land in the sweep manifest under ``"run_cache"``.  Every
+        completed run is stored as it finishes, so an interrupted sweep
+        resumes by running it again with the same ``run_cache`` root —
+        with statistics bit-identical to an uninterrupted sweep.
     executor:
         Which backend runs the pending units (see :mod:`repro.dist`).
         ``None`` (default) consults the ``REPRO_SWEEP_EXECUTOR``
@@ -1005,14 +973,6 @@ def run_comparison(
         Under ``on_error="raise"`` the work-queue backend raises
         :class:`~repro.errors.SimulationError` (the original exception
         type does not cross the process boundary).
-    share_event_streams:
-        Per-trial event-stream sharing (default on): the merged
-        fault/request/contact stream is built once per trial and
-        reused by every protocol via ``Simulation(prebuilt_events=)``
-        — bit-identical to the per-protocol merge it replaces.
-        ``False`` restores merge-per-protocol (the benchmark baseline;
-        results are identical either way).  Sharing is skipped
-        automatically for memory-mapped traces, which stream instead.
     trial_spill_dir:
         Zero-copy trial handoff for parallel and distributed sweeps:
         the parent realizes each pending trial's trace once, spills it
@@ -1036,10 +996,6 @@ def run_comparison(
         raise ConfigurationError(
             f"on_error must be 'raise', 'skip', or 'retry', got {on_error!r}"
         )
-    if max_retries < 0:
-        raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-    if retry_backoff < 0 or max_backoff < 0:
-        raise ConfigurationError("backoff delays must be >= 0")
     if n_workers is not None and n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     profile_path: Optional[str] = None
@@ -1049,18 +1005,7 @@ def run_comparison(
     cache = resolve_run_cache(run_cache)
     cache_counts: Dict[str, int] = {"hits": 0, "misses": 0, "uncacheable": 0}
     sweep_timer = Stopwatch()
-
-    checkpoint = (
-        ComparisonCheckpoint.open(
-            checkpoint_path,
-            base_seed=base_seed,
-            n_trials=n_trials,
-            protocols=list(protocols),
-        )
-        if checkpoint_path is not None
-        else None
-    )
-    attempts_per_run = 1 + (max_retries if on_error == "retry" else 0)
+    attempts_per_run = 1 + (MAX_RETRIES if on_error == "retry" else 0)
     trial_seeds = _derive_trial_seeds(base_seed, n_trials)
 
     # The dist import happens lazily: repro.dist builds on this module,
@@ -1082,39 +1027,20 @@ def run_comparison(
         )
         parallel = False
 
+    units: List[_WorkUnit] = [
+        (trial, name, *trial_seeds[trial])
+        for trial in range(n_trials)
+        for name in protocols
+    ]
+    reporter = _ProgressReporter(len(units), progress) if progress else None
     #: (trial, protocol) -> completed result / failure / telemetry,
     #: assembled into trial-major order at the end (identical to the
     #: serial walk) by the executor-agnostic accounting.
     accounting = _SweepAccounting(
-        checkpoint=checkpoint,
-        reporter=None,
+        reporter=reporter,
         cache_counts=cache_counts,
         attempts_per_run=attempts_per_run,
     )
-    if checkpoint is not None:
-        for trial in range(n_trials):
-            for name in protocols:
-                if checkpoint.has(trial, name):
-                    result = checkpoint.get(trial, name)
-                    accounting.results_map[(trial, name)] = result
-                    accounting.telemetry_map[(trial, name)] = RunTelemetry(
-                        trial=trial,
-                        protocol=name,
-                        status="cached",
-                        gain_rate=result.gain_rate,
-                    )
-    pending_units: List[_WorkUnit] = [
-        (trial, name, *trial_seeds[trial])
-        for trial in range(n_trials)
-        for name in protocols
-        if (trial, name) not in accounting.results_map
-    ]
-    reporter = (
-        _ProgressReporter(len(pending_units), progress)
-        if progress
-        else None
-    )
-    accounting.reporter = reporter
 
     # Cap the pool at the machine and the workload: more workers than
     # cores (or than pending units) only add fork and IPC overhead —
@@ -1123,44 +1049,39 @@ def run_comparison(
     effective_workers = n_workers if n_workers is not None else 1
     if parallel:
         available_cpus = os.cpu_count() or 1
-        capped = min(
-            effective_workers, available_cpus, max(len(pending_units), 1)
-        )
+        capped = min(effective_workers, available_cpus, len(units))
         if capped < effective_workers:
             get_logger("repro.experiments.sweep").info(
                 "capping sweep workers",
                 requested=effective_workers,
                 effective=capped,
                 cpu_count=available_cpus,
-                pending_units=len(pending_units),
+                units=len(units),
             )
         effective_workers = capped
         if effective_workers <= 1:
             parallel = False
 
     if executor_obj is None:
-        if parallel and pending_units:
+        if parallel:
             executor_obj = dist_executors.ProcessPoolExecutor(
                 effective_workers
             )
         else:
             executor_obj = dist_executors.SerialExecutor()
 
-    # Zero-copy trial handoff: realize each pending trial's trace once
-    # in the parent, spill it to .ctb, and let every worker memory-map
-    # that copy.  The serial walk realizes each trial exactly once
-    # anyway, so it skips the spill (and keeps the faster eager mode).
-    trial_spills: Optional[Dict[int, str]] = None
-    if (
-        trial_spill_dir is not None
-        and pending_units
-        and not isinstance(executor_obj, dist_executors.SerialExecutor)
+    # Zero-copy trial handoff: realize each trial's trace once in the
+    # parent, spill it to .ctb, and let every worker memory-map that
+    # copy.  The serial walk realizes each trial exactly once anyway,
+    # so it skips the spill (and keeps the faster eager mode).
+    trial_spills: Dict[int, str] = {}
+    if trial_spill_dir is not None and not isinstance(
+        executor_obj, dist_executors.SerialExecutor
     ):
         spill_root = os.fspath(trial_spill_dir)
         os.makedirs(spill_root, exist_ok=True)
         spill_timer = Stopwatch()
-        trial_spills = {}
-        for trial in sorted({unit[0] for unit in pending_units}):
+        for trial in range(n_trials):
             spill_trace = trace_factory(trial_seeds[trial][0])
             trial_spills[trial] = spill_trial_trace(
                 spill_trace,
@@ -1180,33 +1101,22 @@ def run_comparison(
             wall_s=f"{spill_timer.wall:.2f}",
         )
 
-    executor_extras: Optional[Dict[str, Any]] = None
-    if pending_units:
-        spec_extra: Dict[str, Any] = {
-            "share_event_streams": share_event_streams,
-        }
-        if trial_spills:
-            spec_extra["trial_spills"] = trial_spills
-        spec = dist_executors.SweepSpec(
-            trace_factory=trace_factory,
-            demand=demand,
-            config=config,
-            protocols=dict(protocols),
-            n_clients=n_clients,
-            faults=faults,
-            on_error=on_error,
-            attempts_per_run=attempts_per_run,
-            retry_backoff=retry_backoff,
-            max_backoff=max_backoff,
-            profile_dir=profile_path,
-            cache=cache,
-            base_seed=base_seed,
-            n_trials=n_trials,
-            extra=spec_extra,
-        )
-        executor_extras = executor_obj.execute(
-            pending_units, spec, accounting.record
-        )
+    spec = dist_executors.SweepSpec(
+        trace_factory=trace_factory,
+        demand=demand,
+        config=config,
+        protocols=dict(protocols),
+        n_clients=n_clients,
+        faults=faults,
+        on_error=on_error,
+        attempts_per_run=attempts_per_run,
+        profile_dir=profile_path,
+        cache=cache,
+        base_seed=base_seed,
+        n_trials=n_trials,
+        trial_spills=trial_spills,
+    )
+    executor_extras = executor_obj.execute(units, spec, accounting.record)
 
     results_map = accounting.results_map
     failures_map = accounting.failures_map
@@ -1249,9 +1159,8 @@ def run_comparison(
         "protocols": sorted(protocols),
         "executor": executor_obj.name or type(executor_obj).__name__,
         "n_workers": getattr(executor_obj, "n_workers", 1),
-        "share_event_streams": share_event_streams,
-        "n_spilled_trials": len(trial_spills) if trial_spills else 0,
-        "n_runs_executed": len(pending_units),
+        "n_spilled_trials": len(trial_spills),
+        "n_runs_executed": len(units),
         "n_failures": len(failures),
         "wall_s": sweep_timer.wall,
         "cpu_s": sweep_timer.cpu,
@@ -1269,8 +1178,6 @@ def run_comparison(
         }
     if executor_extras:
         sweep_manifest.update(executor_extras)
-    if checkpoint is not None:
-        checkpoint.set_manifest(sweep_manifest)
     return ComparisonResult(
         stats=stats,
         baseline=baseline,

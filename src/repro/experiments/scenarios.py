@@ -35,6 +35,7 @@ from ..contacts.synthetic import (
     vehicular_trace,
 )
 from ..demand import DemandModel, RequestSchedule
+from ..durable import PathLike
 from ..errors import ConfigurationError
 from ..protocols import (
     QCR,
@@ -48,7 +49,6 @@ from ..protocols import (
 )
 from ..sim import SimulationConfig
 from ..utility import DelayUtility
-from .checkpoint import PathLike
 from .runner import (
     ComparisonResult,
     ProgressLike,

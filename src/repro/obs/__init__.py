@@ -13,7 +13,7 @@ observability layer without touching simulation semantics:
   the hook-free contact fast path and adds no per-event allocations.
 * :class:`RunManifest` — provenance of one run (config hash, seed,
   git revision, package versions, wall/CPU timings) attached to
-  :class:`~repro.sim.metrics.SimulationResult` and checkpoint files.
+  :class:`~repro.sim.metrics.SimulationResult` and run-cache entries.
 * :mod:`repro.obs.log` — a small structured logger for experiment
   progress/status output (CLI-facing ``render()`` prints stay prints).
 * :mod:`repro.obs.timing` — the wall/CPU timing shim (the one place

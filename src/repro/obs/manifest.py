@@ -4,11 +4,11 @@ A manifest answers "what exactly produced this result?" — the config
 fingerprint, the seed, the code revision, the package versions, and
 how long the run took.  It is attached to
 :class:`~repro.sim.metrics.SimulationResult` (as a plain dict, so
-results stay JSON-serializable) and to checkpoint files.
+results stay JSON-serializable), so it travels into run-cache entries.
 
 Manifests are *metadata*: they carry host timings and therefore differ
 between otherwise bit-identical runs.  Equality checks on results
-(reference-engine equivalence, parallel determinism, checkpoint
+(reference-engine equivalence, parallel determinism, run-cache
 round-trips) must compare everything *except* the manifest.
 """
 
@@ -113,7 +113,7 @@ class RunManifest:
     extra: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready plain dict (the form results/checkpoints store)."""
+        """A JSON-ready plain dict (the form stored results carry)."""
         return dataclasses.asdict(self)
 
     @classmethod

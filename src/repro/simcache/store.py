@@ -9,6 +9,14 @@ key without ever exposing a half-written entry, and a host power loss
 cannot leave a truncated-but-renamed file behind.  Unreadable or
 malformed entries are logged as warnings and treated as misses; the
 cache never turns a corrupted file into a crash or a wrong result.
+
+This module owns the one on-disk format of a completed
+:class:`~repro.sim.metrics.SimulationResult`: the versioned
+``repro-simcache-entry`` envelope written by :func:`write_entry` and
+validated by :func:`read_entry`.  The run cache stores entries under
+content keys; the distributed work queue publishes its
+``results/<unit>.json`` through the same pair, with the executing
+worker, claim, timing and run key in the envelope's ``meta``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, NamedTuple, Optional, Union
+
+import numpy as np
 
 from ..durable import atomic_write_json
 from ..obs import metrics as obs_metrics
@@ -26,9 +36,15 @@ from ..sim.metrics import SimulationResult
 __all__ = [
     "DEFAULT_CACHE_ROOT",
     "ENV_VAR",
+    "CorruptEntryError",
     "RunCacheStats",
     "SimulationRunCache",
+    "StoredRun",
+    "read_entry",
     "resolve_run_cache",
+    "result_from_dict",
+    "result_to_dict",
+    "write_entry",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -49,6 +65,131 @@ _VERSION = 1
 
 _OFF_VALUES = frozenset({"0", "off", "false", "no"})
 _ON_VALUES = frozenset({"1", "on", "true", "yes"})
+
+#: SimulationResult fields holding integer arrays (the rest are float).
+_INT_ARRAY_FIELDS = frozenset(
+    {
+        "window_fulfillments",
+        "snapshot_counts",
+        "snapshot_mandates",
+        "snapshot_tracked",
+        "final_counts",
+    }
+)
+
+
+def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
+    """Convert a :class:`SimulationResult` to a JSON-serializable dict.
+
+    Every float round-trips through JSON exactly, so a result rebuilt by
+    :func:`result_from_dict` is bit-identical to the stored one.
+    """
+    payload: Dict[str, Any] = {}
+    for spec in dataclasses.fields(SimulationResult):
+        value = getattr(result, spec.name)
+        payload[spec.name] = (
+            value.tolist() if isinstance(value, np.ndarray) else value
+        )
+    return payload
+
+
+def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict`.
+
+    Unknown keys are ignored (forward compatibility); missing keys fall
+    back to the dataclass defaults where they exist.
+    """
+    kwargs: Dict[str, Any] = {}
+    n_items: Optional[int] = None
+    final = payload.get("final_counts")
+    if isinstance(final, list):
+        n_items = len(final)
+    for spec in dataclasses.fields(SimulationResult):
+        if spec.name not in payload:
+            continue
+        value = payload[spec.name]
+        if isinstance(value, list):
+            dtype = np.int64 if spec.name in _INT_ARRAY_FIELDS else float
+            array = np.asarray(value, dtype=dtype)
+            if (
+                spec.name == "snapshot_counts"
+                and array.size == 0
+                and n_items is not None
+            ):
+                array = array.reshape(0, n_items)
+            value = array
+        kwargs[spec.name] = value
+    return SimulationResult(**kwargs)
+
+
+class CorruptEntryError(ValueError):
+    """A stored run exists but cannot be trusted (torn, foreign, stale)."""
+
+
+class StoredRun(NamedTuple):
+    """One entry read back by :func:`read_entry`."""
+
+    result: SimulationResult
+    meta: Dict[str, Any]
+
+
+def write_entry(
+    path: PathLike,
+    key: str,
+    result: SimulationResult,
+    *,
+    meta: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Store *result* at *path* as one entry (atomic + fsync).
+
+    *key* is the address the entry is stored under (a content key in
+    the run cache, a unit id in the work queue); *meta* is free-form
+    JSON provenance carried alongside.  Raises :class:`OSError` when
+    the write fails.
+    """
+    payload: Dict[str, Any] = {
+        "format": _FORMAT,
+        "version": _VERSION,
+        "key": key,
+        "result": result_to_dict(result),
+    }
+    if meta:
+        payload["meta"] = meta
+    atomic_write_json(path, payload, fsync=True)
+
+
+def read_entry(path: PathLike) -> StoredRun:
+    """Load and validate the entry at *path*.
+
+    Raises :class:`FileNotFoundError` when there is no entry, and
+    :class:`CorruptEntryError` (with the reason) when the file is
+    unreadable, is not valid UTF-8 JSON, is not a version-1 entry, or
+    holds a result that no longer rebuilds.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as error:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError.
+        raise CorruptEntryError(f"unreadable entry: {error}") from error
+    meta = data.get("meta", {}) if isinstance(data, dict) else None
+    if (
+        not isinstance(data, dict)
+        or data.get("format") != _FORMAT
+        or data.get("version") != _VERSION
+        or not isinstance(data.get("result"), dict)
+        or not isinstance(meta, dict)
+    ):
+        raise CorruptEntryError("not a valid cache entry")
+    try:
+        result = result_from_dict(data["result"])
+    # Any malformed payload must surface as a corrupt entry, whatever
+    # the rebuild raises.  # repro-lint: ignore[RPL007]
+    except Exception as error:
+        raise CorruptEntryError(f"entry does not rebuild: {error}") from error
+    return StoredRun(result, meta)
 
 
 @dataclasses.dataclass
@@ -106,33 +247,15 @@ class SimulationRunCache:
         payload that no longer rebuilds) counts as a miss and logs a
         warning — it is never allowed to crash the sweep.
         """
-        from ..experiments.checkpoint import result_from_dict
-
         path = self._entry_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            result = read_entry(path).result
         except FileNotFoundError:
             self.stats.misses += 1
             self._count("miss")
             return None
-        except (OSError, json.JSONDecodeError, ValueError) as error:
-            self._warn_corrupt(path, f"unreadable entry: {error}")
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != _FORMAT
-            or data.get("version") != _VERSION
-            or not isinstance(data.get("result"), dict)
-        ):
-            self._warn_corrupt(path, "not a valid cache entry")
-            return None
-        try:
-            result = result_from_dict(data["result"])
-        # Any malformed payload must degrade to a miss, whatever the
-        # rebuild raises.  # repro-lint: ignore[RPL007]
-        except Exception as error:
-            self._warn_corrupt(path, f"entry does not rebuild: {error}")
+        except CorruptEntryError as error:
+            self._warn_corrupt(path, str(error))
             return None
         self.stats.hits += 1
         self._count("hit")
@@ -146,20 +269,10 @@ class SimulationRunCache:
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Store *result* under *key* (atomic + fsync, last writer wins)."""
-        from ..experiments.checkpoint import result_to_dict
-
-        payload: Dict[str, Any] = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "key": key,
-            "result": result_to_dict(result),
-        }
-        if meta:
-            payload["meta"] = meta
         path = self._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         try:
-            atomic_write_json(path, payload, fsync=True)
+            write_entry(path, key, result, meta=meta)
         except OSError as error:
             self.stats.errors += 1
             self._count("write_error")

@@ -106,6 +106,20 @@ def test_rpa002_raw_write_in_dist():
     assert "raw filesystem write" in finding.message
 
 
+def test_rpa002_raw_write_in_simcache_store():
+    """The run cache is the one persistence path: its store is a root."""
+    store_py = SRC / "simcache" / "store.py"
+    spliced = store_py.read_text(encoding="utf-8") + "\n\n" + _RAW_SINK
+    report = analyze({"repro.simcache.store": spliced}, "RPA002")
+    assert len(report.findings) == 1, [
+        f.render() for f in report.findings
+    ]
+    finding = report.findings[0]
+    assert finding.code == "RPA002"
+    assert finding.path.endswith("store.py")
+    assert "raw filesystem write" in finding.message
+
+
 def test_rpa003_unknown_event_kind():
     report = analyze({"repro.sim._fx_emit": _BOGUS_EMIT}, "RPA003")
     assert len(report.findings) == 1, [

@@ -48,8 +48,6 @@ def make_spec(demand, config, protocols, **overrides) -> SweepSpec:
         faults=None,
         on_error="skip",
         attempts_per_run=1,
-        retry_backoff=0.0,
-        max_backoff=0.0,
         profile_dir=None,
         cache=None,
         base_seed=7,

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
-from repro.dist import FakeClock, QueueWorker, WorkQueue
+from repro.demand import generate_requests
+from repro.dist import FakeClock, QueueWorker, WorkQueue, WorkQueueExecutor
 from repro.dist.executors import make_unit_records
 from repro.errors import ConfigurationError
+from repro.obs.log import set_log_stream
+from repro.protocols import uni_protocol
+from repro.sim import simulate
+from repro.simcache import SimulationRunCache
 
-from .conftest import make_spec, make_units
+from ..experiments.test_run_cache import CORRUPTIONS
+from .conftest import RHO, make_spec, make_units, trace_factory
 
 IDENTITY = {"base_seed": 7, "n_trials": 2, "protocols": ["OPT", "UNI"]}
 
@@ -99,29 +106,96 @@ class TestResults:
         worker = QueueWorker(queue, spec, "w0")
         assert worker.run_one() is True
         unit = queue.unit_ids[0]
-        payload = queue.read_result(unit)
-        assert payload is not None
-        assert payload["worker"] == "w0"
-        assert payload["claim"] == 1
-        assert payload["result"]["total_gain"] >= 0.0
+        entry = queue.read_result(unit)
+        assert entry is not None
+        assert entry.meta["worker"] == "w0"
+        assert entry.meta["claim"] == 1
+        assert entry.meta["run_key"] is None  # no run cache in this spec
+        assert entry.result.total_gain >= 0.0
         assert queue.is_done(unit)
         assert queue.leases.read(unit) is None  # released after publish
 
-    def test_corrupt_result_is_discarded(self, tmp_path, protocols):
+    def test_result_file_is_a_run_cache_entry(
+        self, tmp_path, demand, config, protocols
+    ):
+        """A published result is a run-cache entry: same envelope, same
+        result payload, with the unit id as its key."""
         queue = make_queue(tmp_path / "q", protocols)
         unit = queue.unit_ids[0]
-        path = tmp_path / "q" / "results" / f"{unit}.json"
-        path.write_text("{torn")
-        assert queue.read_result(unit) is None
-        assert not path.exists()
-        assert not queue.is_done(unit)
+        result = tiny_result(demand, config)
+        queue.publish_result(unit, result, worker="w0", claim=1, timing={})
+        with open(queue._result_path(unit), encoding="utf-8") as handle:
+            data = json.load(handle)
+        assert (data["format"], data["version"]) == ("repro-simcache-entry", 1)
+        assert data["key"] == unit
+        cache = SimulationRunCache(tmp_path / "cache")
+        cache.put(unit, result)
+        with open(cache._entry_path(unit), encoding="utf-8") as handle:
+            cached = json.load(handle)
+        assert cached["result"] == data["result"]
 
-    def test_wrong_format_result_is_discarded(self, tmp_path, protocols):
-        queue = make_queue(tmp_path / "q", protocols)
-        unit = queue.unit_ids[0]
+
+def tiny_result(demand, config):
+    trace = trace_factory(3)
+    requests = generate_requests(demand, trace.n_nodes, trace.duration, seed=4)
+    protocol = uni_protocol(demand, trace.n_nodes, RHO)
+    return simulate(trace, requests, config, protocol, seed=5)
+
+
+def failing_spawn(index):
+    raise OSError("fork: resource temporarily unavailable")
+
+
+class TestCorruptResultInSweep:
+    @pytest.mark.parametrize("corruption", ["non-utf8", "does-not-rebuild"])
+    def test_corrupt_result_is_reported_lost_then_reruns(
+        self, tmp_path, demand, config, protocols, corruption
+    ):
+        """Regression: these two corruptions used to crash the collector.
+
+        A non-UTF-8 results file raised ``UnicodeDecodeError`` out of
+        ``read_result``; an envelope whose result does not rebuild
+        raised ``TypeError`` while collecting.  Now the unit is reported
+        lost, and resuming the sweep on the same queue runs it again.
+        """
+        spec = make_spec(demand, config, protocols)
+        units = make_units(protocols)
+
+        def execute():
+            records = []
+            executor = WorkQueueExecutor(
+                tmp_path / "q",
+                n_workers=1,
+                clock=FakeClock(start=1000.0),
+                spawn=failing_spawn,
+            )
+            extras = executor.execute(
+                units, spec, lambda *args, **kw: records.append(args)
+            )
+            return records, extras["dist"]["units"]
+
+        first, _ = execute()
+        assert all(result is not None for _, _, result, _, _ in first)
+        unit = make_unit_records(units, list(protocols))[0].unit
         path = tmp_path / "q" / "results" / f"{unit}.json"
-        path.write_text(json.dumps({"format": "other", "result": {}}))
-        assert queue.read_result(unit) is None
+        CORRUPTIONS[corruption](path)
+
+        stream = io.StringIO()
+        set_log_stream(stream)
+        try:
+            second, attribution = execute()
+        finally:
+            set_log_stream(None)
+        assert "discarding corrupt result entry" in stream.getvalue()
+        lost = [r for r in second if r[2] is None]
+        assert [(trial, name) for trial, name, *_ in lost] == [(0, "OPT")]
+        assert attribution[unit]["status"] == "lost"
+        assert not path.exists()
+
+        third, attribution = execute()
+        assert all(result is not None for _, _, result, _, _ in third)
+        assert attribution[unit]["status"] == "published"
+        assert third[0][2].total_gain == first[0][2].total_gain
 
 
 class TestQuarantine:

@@ -152,7 +152,8 @@ class TestDegradation:
         assert supervisor.spawn_failures >= 1
         assert supervisor.inline_units == len(queue.unit_ids)
         workers = {
-            queue.read_result(unit)["worker"] for unit in queue.unit_ids
+            queue.read_result(unit).meta["worker"]
+            for unit in queue.unit_ids
         }
         assert workers == {"supervisor-inline"}
 

@@ -18,6 +18,7 @@ from repro.contacts import homogeneous_poisson_trace
 from repro.contacts.binary import binary_trace_metadata
 from repro.demand import DemandModel, generate_requests
 from repro.experiments import TrialArtifacts, run_comparison
+from repro.experiments.benchmark import _merge_per_protocol
 from repro.experiments.artifacts import (
     SPILL_FINGERPRINT_KEY,
     load_spilled_trace,
@@ -159,11 +160,13 @@ class TestEventStreamMemo:
         assert inputs.event_stream(config) is first
 
     def test_sharing_disabled_returns_none(self, workload, config):
+        """The benchmark's merge-per-protocol baseline withholds the
+        shared stream, and only while it is active."""
         trace, requests = workload
-        inputs = TrialArtifacts(
-            trace, requests, 17, share_event_stream=False
-        )
-        assert inputs.event_stream(config) is None
+        inputs = TrialArtifacts(trace, requests, 17)
+        with _merge_per_protocol():
+            assert inputs.event_stream(config) is None
+        assert inputs.event_stream(config) is not None
 
     def test_memmapped_trace_never_materializes(
         self, workload, config, tmp_path
@@ -243,14 +246,25 @@ def assert_identical(a, b):
 
 
 class TestSweepSharing:
-    def test_shared_vs_unshared_serial(self, demand, config, protocols):
-        shared = sweep(demand, config, protocols, share_event_streams=True)
-        unshared = sweep(
-            demand, config, protocols, share_event_streams=False
-        )
+    def test_shared_vs_unshared_serial(
+        self, demand, config, protocols, monkeypatch
+    ):
+        from repro.experiments import artifacts
+
+        builds = []
+        build = artifacts.build_event_stream
+
+        def counting_build(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(artifacts, "build_event_stream", counting_build)
+        shared = sweep(demand, config, protocols)
+        assert len(builds) == 2  # one merge per trial, not per protocol
+        with _merge_per_protocol():
+            unshared = sweep(demand, config, protocols)
+        assert len(builds) == 2  # every run merged inline instead
         assert_identical(shared, unshared)
-        assert shared.manifest["share_event_streams"] is True
-        assert unshared.manifest["share_event_streams"] is False
 
     def test_shared_with_faults(self, demand, config, protocols):
         def faults(trial):
@@ -262,14 +276,9 @@ class TestSweepSharing:
                 seed=100 + trial,
             )
 
-        shared = sweep(
-            demand, config, protocols, faults=faults,
-            share_event_streams=True,
-        )
-        unshared = sweep(
-            demand, config, protocols, faults=faults,
-            share_event_streams=False,
-        )
+        shared = sweep(demand, config, protocols, faults=faults)
+        with _merge_per_protocol():
+            unshared = sweep(demand, config, protocols, faults=faults)
         assert_identical(shared, unshared)
 
 

@@ -3,7 +3,7 @@
 The process pool is purely a wall-clock optimization; every test here
 asserts *bit-identical* statistics between ``n_workers=4`` and the
 serial path, including under per-trial fault schedules, skip-on-error
-sweeps, and checkpoint/resume.
+sweeps, and resume through the run cache.
 """
 
 from __future__ import annotations
@@ -160,11 +160,13 @@ class TestParallelErrorPolicies:
 
 
 class TestParallelCheckpoint:
+    """Resume through the run cache with a process pool."""
+
     def test_parallel_resume_of_interrupted_serial_sweep(
         self, setup, tmp_path
     ):
         demand, config = setup
-        path = tmp_path / "sweep.json"
+        cache = tmp_path / "cache"
         uninterrupted = sweep(demand, config, make_protocols(demand))
 
         calls = {"n": 0}
@@ -178,33 +180,38 @@ class TestParallelCheckpoint:
         protocols = make_protocols(demand)
         protocols["UNI"] = dying_uni
         with pytest.raises(KeyboardInterrupt):
-            sweep(demand, config, protocols, checkpoint_path=path)
-        assert path.exists()
+            sweep(demand, config, protocols, run_cache=cache)
 
         resumed = sweep(
             demand,
             config,
             make_protocols(demand),
-            checkpoint_path=path,
+            run_cache=cache,
             n_workers=4,
         )
         assert_identical(uninterrupted, resumed)
+        assert resumed.manifest["executor"] == "process"
+        restored = {
+            (r.trial, r.protocol)
+            for r in resumed.telemetry
+            if r.status == "cached"
+        }
+        assert restored == {(0, "OPT"), (0, "UNI"), (1, "OPT")}
+        assert resumed.manifest["run_cache"]["hits"] == len(restored)
 
     def test_parallel_sweep_writes_complete_checkpoint(self, setup, tmp_path):
+        """Every unit a pooled sweep runs lands in the run cache."""
         demand, config = setup
-        path = tmp_path / "sweep.json"
+        cache = tmp_path / "cache"
         first = sweep(
             demand, config, make_protocols(demand),
-            checkpoint_path=path, n_workers=4,
+            run_cache=cache, n_workers=4,
         )
-
-        def exploding(tr, rq):
-            raise AssertionError("should have been loaded from checkpoint")
+        assert first.manifest["run_cache"]["misses"] == 6
 
         reloaded = sweep(
-            demand,
-            config,
-            {"OPT": exploding, "UNI": exploding},
-            checkpoint_path=path,
+            demand, config, make_protocols(demand), run_cache=cache
         )
         assert_identical(first, reloaded)
+        assert reloaded.manifest["run_cache"]["hits"] == 6
+        assert all(r.status == "cached" for r in reloaded.telemetry)

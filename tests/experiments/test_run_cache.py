@@ -9,20 +9,34 @@ The cache contract has three legs:
   fingerprint, the seed, and the trace/request/fault content, so
   changing any of them is a miss;
 * **robustness** — a corrupted entry is a logged miss, never a crash or
-  a wrong result.
+  a wrong result; the same cases run against the work queue's published
+  results, which share the entry format.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.experiments import result_to_dict, run_comparison
+from repro.dist import UnitRecord, WorkQueue
+from repro.contacts.synthetic import (
+    ConferenceTraceConfig,
+    VehicularTraceConfig,
+)
+from repro.experiments import (
+    conference_scenario,
+    homogeneous_scenario,
+    run_comparison,
+    standard_protocols,
+    vehicular_scenario,
+)
 from repro.experiments import runner as runner_mod
 from repro.faults import FaultSchedule
 from repro.obs.log import set_log_stream
@@ -35,6 +49,7 @@ from repro.simcache import (
     resolve_run_cache,
     run_key,
 )
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 N, I, RHO = 8, 6, 2
@@ -111,6 +126,67 @@ class TestRunKey:
         after = run_key(config(), protocol, 5, trace, requests)
         assert before != after
 
+    @pytest.mark.parametrize(
+        "kind", ["homogeneous", "conference", "vehicular"]
+    )
+    def test_every_production_sweep_is_cacheable(self, kind):
+        """Resume is the run cache, so every sweep the CLI, figures and
+        scenarios run must key without ``UncacheableRunError``."""
+        utility = StepUtility(5.0)
+        scenario = {
+            "homogeneous": lambda: homogeneous_scenario(
+                utility, n_nodes=N, n_items=I, duration=DURATION
+            ),
+            "conference": lambda: conference_scenario(
+                utility,
+                trace_config=ConferenceTraceConfig(n_nodes=N, n_days=1),
+            ),
+            "vehicular": lambda: vehicular_scenario(
+                utility,
+                trace_config=VehicularTraceConfig(
+                    n_nodes=N, duration_hours=2.0, sample_interval_s=60.0
+                ),
+            ),
+        }[kind]()
+        trace = scenario.trace_factory(1)
+        requests = generate_requests(
+            scenario.demand, trace.n_nodes, trace.duration, seed=2
+        )
+        factories = standard_protocols(
+            scenario,
+            include=("OPT", "QCR", "SQRT", "PROP", "UNI", "DOM", "QCRWOM",
+                     "PASSIVE"),
+        )
+        # The fault schedules `repro churn` builds, across its flags.
+        churn = [None] + [
+            FaultSchedule.crash_wave(
+                trace.duration / 4,
+                range(2),
+                recover_at=recover_at,
+                wipe_cache=wipe,
+                sticky_survives=sticky,
+                drop_prob=drop_prob,
+            )
+            for recover_at, wipe, sticky, drop_prob in [
+                (None, True, True, 0.0),
+                (trace.duration / 2, False, False, 0.2),
+            ]
+        ]
+        keys = set()
+        for name, factory in factories.items():
+            for faults in churn:
+                keys.add(
+                    run_key(
+                        scenario.config,
+                        factory(trace, requests),
+                        7,
+                        trace,
+                        requests,
+                        faults,
+                    )
+                )
+        assert len(keys) == len(factories) * len(churn)
+
     def test_callable_input_is_uncacheable(self):
         demand, trace, requests = workload()
         protocol = prop_protocol(demand, N, RHO)
@@ -136,26 +212,6 @@ class TestStore:
         cache = SimulationRunCache(tmp_path / "cache")
         assert cache.get("ff" + "0" * 62) is None
         assert cache.stats.misses == 1 and cache.stats.errors == 0
-
-    def test_corrupted_entry_warns_and_misses(self, tmp_path):
-        demand, trace, requests = workload()
-        result = simulate(
-            trace, requests, config(), prop_protocol(demand, N, RHO), seed=5
-        )
-        cache = SimulationRunCache(tmp_path / "cache")
-        key = "cd" + "0" * 62
-        cache.put(key, result)
-        path = cache._entry_path(key)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{ this is not json")
-        stream = io.StringIO()
-        set_log_stream(stream)
-        try:
-            assert cache.get(key) is None
-        finally:
-            set_log_stream(None)
-        assert cache.stats.errors == 1
-        assert "corrupted cache entry" in stream.getvalue()
 
     def test_metrics_counters_mirror_stats(self, tmp_path):
         from repro.obs import metrics as obs_metrics
@@ -217,6 +273,120 @@ class TestStore:
         assert cache.info()["n_entries"] == 2
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+def _rewrite(path, edit):
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    edit(data)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+
+
+def _drop_required_field(data):
+    del data["result"]["total_gain"]
+
+
+#: One way each to damage a stored run; every one must warn and miss.
+CORRUPTIONS = {
+    "truncated-json": lambda path: path.write_bytes(
+        path.read_bytes()[: len(path.read_bytes()) // 2]
+    ),
+    "non-utf8": lambda path: path.write_bytes(
+        b"\xff\xfe" + path.read_bytes()
+    ),
+    "wrong-format": lambda path: _rewrite(
+        path, lambda d: d.update(format="repro-sweep-result")
+    ),
+    "wrong-version": lambda path: _rewrite(
+        path, lambda d: d.update(version=2)
+    ),
+    "non-dict-result": lambda path: _rewrite(
+        path, lambda d: d.update(result=[1, 2, 3])
+    ),
+    "does-not-rebuild": lambda path: _rewrite(path, _drop_required_field),
+}
+
+
+class CacheStore:
+    """The run cache: a corrupt entry is a logged miss."""
+
+    def __init__(self, tmp_path):
+        self.cache = SimulationRunCache(tmp_path / "cache")
+        self.key = "cd" + "0" * 62
+
+    def put(self, result):
+        self.cache.put(self.key, result)
+        return self.cache._entry_path(self.key)
+
+    def read(self):
+        return self.cache.get(self.key)
+
+    def check_discarded(self, path):
+        assert self.cache.stats.errors == 1
+        assert self.cache.stats.hits == 1  # only the intact read
+
+
+class QueueStore:
+    """The work queue: a corrupt result is deleted, the unit re-runs."""
+
+    def __init__(self, tmp_path):
+        unit = UnitRecord(
+            unit="t00000-p000", trial=0, protocol="OPT", seeds=(1, 2, 3)
+        )
+        self.queue = WorkQueue.create(
+            tmp_path / "q", [unit], identity={"base_seed": 0}
+        )
+        self.unit = unit.unit
+
+    def put(self, result):
+        self.queue.publish_result(
+            self.unit, result, worker="w0", claim=1, timing={"wall_s": 1.0}
+        )
+        return self.queue._result_path(self.unit)
+
+    def read(self):
+        entry = self.queue.read_result(self.unit)
+        return entry.result if entry is not None else None
+
+    def check_discarded(self, path):
+        assert not path.exists()
+        assert not self.queue.is_done(self.unit)
+        assert self.unit in self.queue.claimable_units()
+
+
+class TestCorruptEntries:
+    """Both stores read through one reader: corrupt means warn + miss.
+
+    The run cache's entries and the work queue's published results are
+    the same format (``repro.simcache.store``), so one suite covers both.
+    """
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize(
+        "store_type", [CacheStore, QueueStore], ids=["cache", "queue"]
+    )
+    def test_corrupt_entry_warns_and_misses(
+        self, tmp_path, store_type, corruption
+    ):
+        store = store_type(tmp_path)
+        demand, trace, requests = workload()
+        result = simulate(
+            trace, requests, config(), prop_protocol(demand, N, RHO), seed=5
+        )
+        path = Path(store.put(result))
+        intact = store.read()
+        assert intact is not None
+        assert intact.total_gain == result.total_gain
+        CORRUPTIONS[corruption](path)
+        stream = io.StringIO()
+        set_log_stream(stream)
+        try:
+            assert store.read() is None
+        finally:
+            set_log_stream(None)
+        assert "corrupt" in stream.getvalue()
+        store.check_discarded(path)
 
 
 class TestResolve:

@@ -1,9 +1,8 @@
-"""Fault-tolerant sweeps: on_error policies, checkpoints, stat guards."""
+"""Fault-tolerant sweeps: on_error policies, resume, stat guards."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -13,16 +12,17 @@ from repro.demand import DemandModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import (
     AlgorithmStats,
-    ComparisonCheckpoint,
     percentile_interval,
-    result_from_dict,
-    result_to_dict,
     run_comparison,
 )
+from repro.experiments import runner as runner_mod
 from repro.faults import FaultSchedule
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
+from repro.simcache.store import result_from_dict, result_to_dict
 from repro.utility import StepUtility
+
+from ..sim._bitwise import assert_bit_identical
 
 N, I, RHO = 8, 6, 2
 DURATION = 150.0
@@ -102,7 +102,8 @@ class TestOnErrorPolicies:
         assert result.n_failures == 3
         assert np.isnan(result.normalized_loss("BAD"))
 
-    def test_retry_recovers_transient_failures(self, setup):
+    def test_retry_recovers_transient_failures(self, setup, monkeypatch):
+        monkeypatch.setattr(runner_mod, "RETRY_BACKOFF_S", 0.0)
         demand, config = setup
         attempts = {"n": 0}
 
@@ -113,24 +114,22 @@ class TestOnErrorPolicies:
             return uni_protocol(demand, tr.n_nodes, RHO)
 
         protocols = {"OPT": make_protocols(demand)["OPT"], "FLAKY": flaky}
-        result = sweep(
-            demand, config, protocols,
-            on_error="retry", retry_backoff=0.0,
-        )
+        result = sweep(demand, config, protocols, on_error="retry")
         assert not result.failures
         assert result.stats["FLAKY"].n_trials == 3
 
-    def test_retry_gives_up_after_max_retries(self, setup):
+    def test_retry_gives_up_after_max_retries(self, setup, monkeypatch):
+        monkeypatch.setattr(runner_mod, "RETRY_BACKOFF_S", 0.0)
         demand, config = setup
         protocols = make_protocols(demand)
         protocols["BAD"] = lambda tr, rq: (_ for _ in ()).throw(
             RuntimeError("persistent")
         )
         result = sweep(
-            demand, config, protocols,
-            n_trials=1, on_error="retry", max_retries=2, retry_backoff=0.0,
+            demand, config, protocols, n_trials=1, on_error="retry"
         )
         (failure,) = result.failures
+        assert runner_mod.MAX_RETRIES == 2
         assert failure.attempts == 3  # 1 initial + 2 retries
 
     def test_every_run_failing_raises(self, setup):
@@ -150,8 +149,8 @@ class TestOnErrorPolicies:
         """A pathological exception message must not bloat the records.
 
         Recursive reprs and deeply nested tracebacks can reach
-        megabytes; everything persisted (checkpoints, queue failure
-        files, telemetry) stores the TrialFailure error, so it is
+        megabytes; everything persisted (queue failure files, quarantine
+        markers, telemetry) stores the TrialFailure error, so it is
         truncated to MAX_ERROR_BYTES at the source.
         """
         from repro.durable import MAX_ERROR_BYTES
@@ -195,6 +194,8 @@ class TestFaultsThreading:
 
 
 class TestCheckpoint:
+    """Resume through the run cache, the sweep's one persistence path."""
+
     def test_result_round_trips_exactly(self, setup):
         demand, config = setup
         result = sweep(
@@ -217,8 +218,9 @@ class TestCheckpoint:
                 assert x == y, spec.name
 
     def test_interrupted_sweep_resumes_identically(self, setup, tmp_path):
+        """Rerunning a killed sweep with the same run cache resumes it."""
         demand, config = setup
-        path = tmp_path / "sweep.json"
+        cache = tmp_path / "cache"
         uninterrupted = sweep(demand, config, make_protocols(demand))
 
         calls = {"n": 0}
@@ -232,65 +234,44 @@ class TestCheckpoint:
         protocols = make_protocols(demand)
         protocols["UNI"] = dying_uni
         with pytest.raises(KeyboardInterrupt):
-            sweep(demand, config, protocols, checkpoint_path=path)
-        assert path.exists()
+            sweep(demand, config, protocols, run_cache=cache)
 
         resumed = sweep(
-            demand, config, make_protocols(demand), checkpoint_path=path
+            demand, config, make_protocols(demand), run_cache=cache
         )
         for name in ("OPT", "UNI"):
-            assert np.array_equal(
-                resumed.stats[name].gain_rates,
-                uninterrupted.stats[name].gain_rates,
-            )
+            for x, y in zip(
+                resumed.stats[name].results,
+                uninterrupted.stats[name].results,
+            ):
+                assert_bit_identical(x, y)
+        restored = {
+            (r.trial, r.protocol)
+            for r in resumed.telemetry
+            if r.status == "cached"
+        }
+        assert restored == {(0, "OPT"), (0, "UNI"), (1, "OPT")}
+        assert resumed.manifest["run_cache"]["hits"] == len(restored)
+        assert resumed.manifest["run_cache"]["misses"] == 3
 
-    def test_completed_sweep_is_not_resimulated(self, setup, tmp_path):
+    def test_completed_sweep_is_not_resimulated(
+        self, setup, tmp_path, monkeypatch
+    ):
         demand, config = setup
-        path = tmp_path / "sweep.json"
-        first = sweep(demand, config, make_protocols(demand),
-                      checkpoint_path=path)
+        cache = tmp_path / "cache"
+        first = sweep(demand, config, make_protocols(demand), run_cache=cache)
 
-        def exploding(tr, rq):
-            raise AssertionError("should have been loaded from checkpoint")
+        def exploding(*args, **kwargs):
+            raise AssertionError("should have been loaded from the cache")
 
-        protocols = {"OPT": exploding, "UNI": exploding}
-        reloaded = sweep(demand, config, protocols, checkpoint_path=path)
+        monkeypatch.setattr(runner_mod, "simulate", exploding)
+        reloaded = sweep(
+            demand, config, make_protocols(demand), run_cache=cache
+        )
         assert np.array_equal(
             reloaded.stats["UNI"].gain_rates, first.stats["UNI"].gain_rates
         )
-
-    def test_mismatched_sweep_identity_rejected(self, setup, tmp_path):
-        demand, config = setup
-        path = tmp_path / "sweep.json"
-        sweep(demand, config, make_protocols(demand), checkpoint_path=path)
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            sweep(
-                demand, config, make_protocols(demand),
-                base_seed=99, checkpoint_path=path,
-            )
-
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            ComparisonCheckpoint.open(
-                path, base_seed=0, n_trials=1, protocols=["OPT"]
-            )
-
-    def test_corrupt_checkpoint_entry_rejected(self, tmp_path):
-        """A damaged per-run entry fails at open(), not later in get()."""
-        path = tmp_path / "entries.json"
-        good = ComparisonCheckpoint(
-            path, base_seed=0, n_trials=1, protocols=["OPT"]
-        )
-        good.save()
-        data = json.loads(path.read_text())
-        data["completed"] = {"0:OPT": "truncated garbage"}
-        path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match="corrupt checkpoint entry"):
-            ComparisonCheckpoint.open(
-                path, base_seed=0, n_trials=1, protocols=["OPT"]
-            )
+        assert all(r.status == "cached" for r in reloaded.telemetry)
 
 
 class TestStatGuards:

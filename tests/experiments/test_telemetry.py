@@ -9,7 +9,6 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel
 from repro.experiments import run_comparison
-from repro.experiments.checkpoint import ComparisonCheckpoint
 from repro.experiments.runner import RunTelemetry
 from repro.obs.log import set_log_stream
 from repro.protocols import prop_protocol, uni_protocol
@@ -140,26 +139,19 @@ class TestSweepManifest:
         assert manifest["wall_s"] >= 0.0
         assert "python" in manifest["environment"]
 
-    def test_checkpoint_carries_manifest_and_resume_is_cached(
-        self, setup, tmp_path
-    ):
+    def test_cache_resume_is_cached(self, setup, tmp_path):
         demand, config = setup
-        path = tmp_path / "sweep.ckpt"
-        first = sweep(demand, config, checkpoint_path=str(path))
-        stored = ComparisonCheckpoint.open(
-            str(path),
-            base_seed=11,
-            n_trials=N_TRIALS,
-            protocols=("OPT", "UNI"),
-        )
-        assert stored.manifest is not None
+        cache = str(tmp_path / "cache")
+        first = sweep(demand, config, run_cache=cache)
+        assert first.manifest["run_cache"]["misses"] == N_TRIALS * 2
+        resumed = sweep(demand, config, run_cache=cache)
+        assert all(r.status == "cached" for r in resumed.telemetry)
+        assert all(r.attempts == 0 for r in resumed.telemetry)
+        assert resumed.manifest["run_cache"]["hits"] == N_TRIALS * 2
         assert (
-            stored.manifest["config_fingerprint"]
+            resumed.manifest["config_fingerprint"]
             == first.manifest["config_fingerprint"]
         )
-        resumed = sweep(demand, config, checkpoint_path=str(path))
-        assert all(r.status == "cached" for r in resumed.telemetry)
-        assert resumed.manifest["n_runs_executed"] == 0
         for name in first.stats:
             assert (
                 first.stats[name].gain_rates.tolist()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.contacts import ContactTrace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
-from repro.experiments import result_to_dict
 from repro.faults import FaultEvent, FaultSchedule
 from repro.protocols import (
     QCR,
@@ -21,6 +20,7 @@ from repro.protocols import (
 from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
 from repro.sim.engine import EVENT_CONTACT, EVENT_FAULT, EVENT_REQUEST
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2

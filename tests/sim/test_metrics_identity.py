@@ -14,12 +14,12 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.experiments import result_to_dict
 from repro.faults import FaultSchedule
 from repro.obs import Tracer
 from repro.obs import metrics as obs_metrics
 from repro.protocols import QCR, uni_protocol
 from repro.sim import Simulation, SimulationConfig
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 N_NODES, N_ITEMS, RHO = 10, 6, 2

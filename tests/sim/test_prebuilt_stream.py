@@ -19,17 +19,14 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace, load_binary, save_binary
 from repro.demand import DemandModel, generate_requests
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    homogeneous_scenario,
-    result_to_dict,
-    standard_protocols,
-)
+from repro.experiments import homogeneous_scenario, standard_protocols
 from repro.faults import FaultSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.tracer import Tracer
 from repro.sim import SimulationConfig, build_event_stream, simulate
 from repro.sim.engine import Simulation
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 PROTOCOL_NAMES = ("OPT", "QCR", "SQRT", "PROP", "UNI")

@@ -20,11 +20,11 @@ from repro.contacts import (
     save_binary,
 )
 from repro.demand import DemandModel, generate_requests
-from repro.experiments import result_to_dict
 from repro.faults import FaultSchedule
 from repro.obs import Tracer
 from repro.protocols import QCR, PassiveReplication, uni_protocol
 from repro.sim import Simulation, SimulationConfig
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 N_NODES, N_ITEMS, RHO = 8, 6, 2

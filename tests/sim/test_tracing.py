@@ -18,12 +18,12 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.experiments import result_to_dict
 from repro.faults import FaultSchedule
 from repro.obs import MemorySink, NullSink, Tracer, events
 from repro.protocols import QCR, uni_protocol
 from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
+from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
 N_NODES, N_ITEMS, RHO = 8, 5, 2
