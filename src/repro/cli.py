@@ -235,6 +235,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for name, case in sorted(amort.items())
             if not case["bit_identical"]
         )
+        if not report["allocation"]["identical_allocation"]:
+            unfaithful.append("allocation")
         if unfaithful:
             print(
                 "FAIL: non-bit-identical cases: " + ", ".join(unfaithful),

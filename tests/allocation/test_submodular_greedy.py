@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation import (
     HeterogeneousProblem,
@@ -15,7 +17,13 @@ from repro.allocation import (
 )
 from repro.demand import DemandModel
 from repro.errors import ConfigurationError
-from repro.utility import PowerUtility, StepUtility
+from repro.utility import (
+    ExponentialUtility,
+    MixtureUtility,
+    NegLogUtility,
+    PowerUtility,
+    StepUtility,
+)
 
 
 def homogeneous_matrix(n, mu, *, zero_diag=False):
@@ -179,3 +187,91 @@ class TestBehaviour:
                 rho=1,
                 server_of_client=np.arange(2),
             )
+
+    def test_unbounded_cost_zero_rate_needs_floor(self):
+        """-inf - (-inf) marginals are NaN, which the heap orders
+        arbitrarily: refuse the instance instead of returning a
+        corrupted allocation."""
+        rates = np.zeros((3, 3))
+        rates[0, 0] = 0.5
+        with pytest.raises(ConfigurationError, match="rate_floor"):
+            HeterogeneousProblem(
+                demand=DemandModel.pareto(3),
+                utility=PowerUtility(0.0),
+                rate_matrix=rates,
+                rho=1,
+            )
+
+    def test_unbounded_cost_zero_weight_needs_floor(self):
+        """A client that never asks for an item turns its +inf first-copy
+        gain into 0 * inf = NaN."""
+        pi = np.full((2, 3), 0.5)
+        pi[:, 2] = 0.0
+        with pytest.raises(ConfigurationError, match="rate_floor"):
+            HeterogeneousProblem(
+                demand=DemandModel.pareto(2),
+                utility=NegLogUtility(),
+                rate_matrix=np.full((2, 3), 0.1),
+                rho=1,
+                pi=pi,
+            )
+
+
+#: (utility, rate_floor); unbounded costs without a floor need positive
+#: rates and weights, which the strategy below then draws.
+ORACLE_UTILITIES = [
+    (StepUtility(2.0), 0.0),
+    (StepUtility(300.0), 0.0),
+    (ExponentialUtility(0.5), 0.0),
+    (PowerUtility(0.5), 0.0),
+    (PowerUtility(0.5), 1e-3),
+    (PowerUtility(1.5), 1e-3),
+    (NegLogUtility(), 1e-3),
+    (MixtureUtility([(0.5, StepUtility(4.0)), (0.5, StepUtility(40.0))]), 0.0),
+]
+
+
+@st.composite
+def oracle_instances(draw):
+    utility, floor = draw(st.sampled_from(ORACLE_UTILITIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_items = draw(st.integers(1, 6))
+    n_servers = draw(st.integers(1, 7))
+    colocated = utility.finite_at_zero and draw(st.booleans())
+    # Past 128 columns a row sum is split into pairwise blocks.
+    n_clients = (
+        n_servers if colocated else draw(st.sampled_from([1, 4, 9, 150]))
+    )
+    rates = rng.gamma(0.7, 0.05, size=(n_servers, n_clients))
+    if floor > 0:
+        # A floor that binds (0 < rate < ~floor) breaks submodularity, and
+        # with it the lazy walk's equivalence to the textbook greedy.
+        rates = np.maximum(rates, 4 * floor)
+    unbounded = floor == 0 and utility.gain_never == -np.inf
+    if not unbounded and draw(st.booleans()):
+        rates[rng.random(rates.shape) < 0.3] = 0.0
+    pi = None
+    if draw(st.booleans()):
+        pi = rng.dirichlet(np.ones(n_clients), size=n_items)
+    return HeterogeneousProblem(
+        demand=DemandModel.from_weights(rng.uniform(0.1, 3.0, n_items)),
+        utility=utility,
+        rate_matrix=rates,
+        rho=draw(st.integers(1, 3)),
+        pi=pi,
+        server_of_client=np.arange(n_clients) if colocated else None,
+        rate_floor=floor,
+    )
+
+
+class TestLazyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=oracle_instances())
+    def test_lazy_matches_textbook_greedy(self, problem):
+        """The lazy heap with per-item batched marginals makes exactly the
+        decisions of the per-pair textbook greedy."""
+        lazy = greedy_heterogeneous(problem)
+        naive = greedy_heterogeneous(problem, lazy=False)
+        assert np.array_equal(lazy.allocation, naive.allocation)
+        assert float(lazy.welfare).hex() == float(naive.welfare).hex()
+        assert lazy.evaluations <= naive.evaluations

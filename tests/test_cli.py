@@ -211,6 +211,35 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    @pytest.mark.parametrize("identical", [True, False])
+    def test_bench_gate_checks_allocation_identity(
+        self, capsys, monkeypatch, tmp_path, identical
+    ):
+        """--min-speedup fails when lazy and textbook greedy disagree."""
+        import repro.cli as cli
+
+        report = {
+            "engine": {
+                "min_speedup": 3.0,
+                "cases": [{"protocol": "OPT", "bit_identical": True}],
+            },
+            "streamed": {
+                "bit_identical": True,
+                "streamed_events_per_sec": 1e6,
+            },
+            "sweep_amortization": {
+                "sweep": {"bit_identical": True, "speedup": 1.3}
+            },
+            "allocation": {"identical_allocation": identical},
+        }
+        monkeypatch.setattr(cli, "run_speed_benchmark", lambda **_: report)
+        monkeypatch.setattr(cli, "render_speed_report", lambda _: "report")
+        output = str(tmp_path / "bench.json")
+        status = main(["bench", "--output", output, "--min-speedup", "1.5"])
+        err = capsys.readouterr().err
+        assert status == (0 if identical else 1)
+        assert ("non-bit-identical cases: allocation" in err) != identical
+
 
 class TestSweepCli:
     def sweep_args(self, queue):
