@@ -1,16 +1,11 @@
-"""Shared AST helpers for rule implementations."""
+"""AST helpers shared by the call graph, the checkers and the rules."""
 
 from __future__ import annotations
 
 import ast
 from typing import Iterator, Optional, Tuple
 
-__all__ = [
-    "dotted_name",
-    "call_name",
-    "iter_calls",
-    "is_name_constant",
-]
+__all__ = ["dotted_name", "iter_calls", "is_name_constant"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -26,16 +21,11 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def call_name(call: ast.Call) -> Optional[str]:
-    """The dotted name of a call's callee, when statically resolvable."""
-    return dotted_name(call.func)
-
-
 def iter_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
     """Every call in *tree* paired with its dotted callee name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            yield node, call_name(node)
+            yield node, dotted_name(node.func)
 
 
 def is_name_constant(node: ast.AST, *names: str) -> bool:

@@ -44,6 +44,7 @@ from typing import (
     Tuple,
 )
 
+from .astutil import dotted_name
 from .program import ModuleInfo, Program
 
 __all__ = [
@@ -202,18 +203,6 @@ class _ModuleSymbols:
         return name
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 def _collect_imports(symbols: _ModuleSymbols) -> None:
     """Record every import in the module, wherever it appears.
 
@@ -261,7 +250,7 @@ def _collect_definitions(
                 node=stmt,
                 base_names=tuple(
                     name
-                    for name in (_dotted(base) for base in stmt.bases)
+                    for name in (dotted_name(base) for base in stmt.bases)
                     if name is not None
                 ),
             )
@@ -286,7 +275,7 @@ def _collect_definitions(
             ):
                 symbols.constants[target.id] = stmt.value.value
             else:
-                source = _dotted(stmt.value)
+                source = dotted_name(stmt.value)
                 if source is not None:
                     symbols.aliases[target.id] = source
     return functions
@@ -310,7 +299,7 @@ def _function_info(
     surface = False
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _dotted(target)
+        name = dotted_name(target)
         if name is None:
             continue
         decorators.append(name)
@@ -571,7 +560,7 @@ def _annotation_classes(
             for name in _annotation_classes(graph, module, inner):
                 if name not in classes:
                     classes.append(name)
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             continue
         kind, value = _resolve_dotted(graph, module, dotted)
@@ -643,7 +632,7 @@ def _value_types(
     if isinstance(value, ast.Name):
         return locals_types.get(value.id, ())
     if isinstance(value, ast.Call):
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         if dotted is not None:
             kind, resolved = _resolve_dotted(graph, module, dotted)
             if kind == "class" and resolved is not None:
@@ -802,7 +791,7 @@ class _FunctionScanner:
         if resolved[0] in ("function", "callable"):
             return resolved[1]
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None and dotted.rsplit(".", 1)[-1] == "partial":
                 if value.args:
                     inner = self._resolve_value(value.args[0])

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ...lint.findings import Finding
 from ..callgraph import CallGraph
 from ..effects import DICT_ORDER, DYNAMIC, UNSEEDED_RNG, WALL_CLOCK
-from ..findings import AnalysisFinding
+from ..findings import Finding
 from ..inference import EffectSummary, witness_trace
 from ..program import Program
 from ..surfaces import collect_surfaces
-from .common import path_suppressed
 
 __all__ = ["CODE", "check_determinism"]
 
@@ -55,17 +53,12 @@ def check_determinism(
             if effect not in summary.effects:
                 continue
             trace = witness_trace(graph, summaries, surface.qname, effect)
-            if path_suppressed(
-                program,
-                CODE,
-                root_path=info.path,
-                root_line=info.lineno,
-                trace=trace,
-            ):
+            leaf = [(step.path, step.line) for step in trace[-1:]]
+            if program.suppresses(CODE, (info.path, info.lineno), *leaf):
                 continue
             leaf_note = trace[-1].note if trace else effect
             findings.append(
-                AnalysisFinding(
+                Finding(
                     path=info.path,
                     line=info.lineno,
                     col=0,

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ...lint.findings import Finding
 from ..callgraph import CallGraph
 from ..effects import FS_WRITE
-from ..findings import AnalysisFinding
+from ..findings import Finding
 from ..inference import EffectSummary, witness_trace
 from ..program import Program
-from .common import path_suppressed
 
 __all__ = ["CODE", "check_durability"]
 
@@ -72,16 +70,12 @@ def check_durability(
         if key in reported:
             continue
         reported.add(key)
-        if path_suppressed(
-            program,
-            CODE,
-            root_path=info.path,
-            root_line=info.lineno,
-            trace=trace,
+        if program.suppresses(
+            CODE, (info.path, info.lineno), (leaf.path, leaf.line)
         ):
             continue
         findings.append(
-            AnalysisFinding(
+            Finding(
                 path=leaf.path,
                 line=leaf.line,
                 col=0,

@@ -27,12 +27,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...lint.findings import Finding
+from ..astutil import dotted_name
 from ..callgraph import CallGraph
-from ..findings import AnalysisFinding, PathStep
+from ..findings import Finding, PathStep
 from ..inference import EffectSummary
 from ..program import Program
-from .common import path_suppressed
 
 __all__ = ["CODE_UNKNOWN", "CODE_DEAD", "check_schema"]
 
@@ -105,24 +104,12 @@ def _emitted_kinds(
             ):
                 kind = first.value
             else:
-                dotted = _expr_dotted(first)
+                dotted = dotted_name(first)
                 if dotted is not None:
                     kind = graph.resolve_constant(info.module, dotted)
             if kind is not None:
                 emitted.append((kind, info.qname, site.line))
     return emitted
-
-
-def _expr_dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
 
 
 def check_schema(
@@ -149,16 +136,10 @@ def check_schema(
                 note=f"emits kind '{kind}'",
             ),
         )
-        if path_suppressed(
-            program,
-            CODE_UNKNOWN,
-            root_path=info.path,
-            root_line=line,
-            trace=trace,
-        ):
+        if program.suppresses(CODE_UNKNOWN, (info.path, line)):
             continue
         findings.append(
-            AnalysisFinding(
+            Finding(
                 path=info.path,
                 line=line,
                 col=0,
@@ -185,16 +166,10 @@ def check_schema(
                 note=f"declares kind '{kind}'",
             ),
         )
-        if path_suppressed(
-            program,
-            CODE_DEAD,
-            root_path=registry_path,
-            root_line=line,
-            trace=trace,
-        ):
+        if program.suppresses(CODE_DEAD, (registry_path, line)):
             continue
         findings.append(
-            AnalysisFinding(
+            Finding(
                 path=registry_path,
                 line=line,
                 col=0,

@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE_PATH, update_baseline
 from .runner import CHECKS, run_analysis
 
 __all__ = ["add_analyze_arguments", "cmd_analyze"]
 
-DEFAULT_ROOT = "src/repro"
+DEFAULT_PATHS = ("src/repro",)
 
 
 def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "root",
-        nargs="?",
-        default=DEFAULT_ROOT,
-        help="package directory to analyze (default: src/repro)",
+        "paths",
+        nargs="*",
+        default=list(DEFAULT_PATHS),
+        help=(
+            "one package directory (every rule and whole-program check) "
+            "plus loose files or directories (per-file rules only); "
+            "default: src/repro"
+        ),
     )
     parser.add_argument(
         "--format",
@@ -30,29 +32,12 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated check codes to run (default: all)",
+        help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_PATH,
-        help=(
-            "ratchet file of accepted finding fingerprints "
-            f"(default: {DEFAULT_BASELINE_PATH}; pass an empty string "
-            "to disable)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
+        "--list-rules",
         action="store_true",
-        help=(
-            "rewrite the baseline file; it can only shrink (stale "
-            "entries drop out, new findings are never added)"
-        ),
-    )
-    parser.add_argument(
-        "--list-checks",
-        action="store_true",
-        help="print the check catalog and exit",
+        help="print the rule catalog and exit",
     )
 
 
@@ -67,10 +52,10 @@ def _render_catalog() -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Entry point wired into :func:`repro.cli.main`.
 
-    Exit codes: 0 clean (or every error baselined), 1 new errors or
-    parse errors.  RPA004 warnings never affect the exit code.
+    Exit codes: 0 clean, 1 errors or parse errors.  RPA004 warnings
+    never affect the exit code.
     """
-    if args.list_checks:
+    if args.list_rules:
         print(_render_catalog())
         return 0
     select: Optional[Sequence[str]] = None
@@ -78,23 +63,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         select = [
             code.strip() for code in args.select.split(",") if code.strip()
         ]
-    baseline_path = Path(args.baseline) if args.baseline else None
-    report = run_analysis(
-        args.root,
-        select=select,
-        baseline_path=baseline_path,
-    )
-    if args.update_baseline:
-        if baseline_path is None:
-            print("--update-baseline requires --baseline")
-            return 2
-        kept = update_baseline(
-            baseline_path, report.findings + report.baselined
-        )
-        print(
-            f"baseline {baseline_path}: {len(kept)} fingerprint(s) kept"
-        )
-        return 0
+    report = run_analysis(args.paths, select=select)
     if args.format == "json":
         print(report.render_json())
     elif args.format == "sarif":

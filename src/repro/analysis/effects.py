@@ -10,7 +10,7 @@ what lets :mod:`repro.analysis.inference` run a fixed point.
 * ``UNSEEDED_RNG`` — global/OS entropy (``random.random``, the
   ``numpy.random.*`` module-level globals, argless ``default_rng()``,
   ``secrets``, ``uuid.uuid4``, ``os.urandom``).
-* ``WALL_CLOCK`` — host-clock reads; mirrors the per-file RPL002 table.
+* ``WALL_CLOCK`` — host-clock reads (:data:`CLOCK_CALLS`, shared with RPL002).
 * ``DICT_ORDER`` — observable iteration order of a ``set`` (string
   hashing is randomized per process) or an unsorted directory listing.
 * ``FS_WRITE`` — raw filesystem mutation: ``open`` with a writing (or
@@ -42,6 +42,7 @@ from .callgraph import CallGraph, FunctionInfo, own_body_nodes
 
 __all__ = [
     "ALL_EFFECTS",
+    "CLOCK_CALLS",
     "DICT_ORDER",
     "DYNAMIC",
     "ENV_READ",
@@ -97,10 +98,10 @@ class Leaf:
 # external-callee tables
 # ---------------------------------------------------------------------------
 
-#: Host-clock reads — the same table RPL002 checks per file (kept in
-#: lock-step so a clock call flagged by lint taints the same functions
-#: here).
-_CLOCK_CALLS = frozenset(
+#: Host-clock reads.  RPL002 checks the same table per file, so a clock
+#: call it flags taints the same functions here.  ``time.sleep`` is
+#: absent on purpose: a backoff waits, it never *reads* time.
+CLOCK_CALLS = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -331,7 +332,7 @@ def classify_external_call(
     import.
     """
     tail = dotted.rsplit(".", 1)[-1]
-    if dotted in _CLOCK_CALLS:
+    if dotted in CLOCK_CALLS:
         return (WALL_CLOCK, f"'{dotted}' reads the host clock")
     if dotted in _UNSEEDED_CALLS:
         return (UNSEEDED_RNG, f"'{dotted}' draws unseeded randomness")

@@ -1,21 +1,20 @@
-"""Whole-program findings: a lint finding plus a propagation path.
+"""The one finding record every rule and checker produces.
 
-An :class:`AnalysisFinding` extends the per-file
-:class:`repro.lint.findings.Finding` with the inter-procedural
-*trace* — the chain of call sites from the checked root down to the
-leaf operation that introduced the effect.  Rendering prints the chain
-``file:line`` by ``file:line`` so a reader can follow the taint without
-opening the analyzer.
+A finding pins one violation to a source location and carries the rule
+code (``RPL001``…, ``RPA001``…), a human-readable message, a fix hint
+and, for whole-program checks, the inter-procedural *trace* — the chain
+of call sites from the checked root down to the leaf operation that
+introduced the effect.  Per-file rules leave the trace empty.  Findings
+sort by (file, line, column, code) so reports are stable across runs —
+the analyzer itself must be deterministic, for obvious reasons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from ..lint.findings import Finding
-
-__all__ = ["AnalysisFinding", "PathStep"]
+__all__ = ["Finding", "PathStep"]
 
 
 @dataclass(frozen=True, order=True)
@@ -40,18 +39,27 @@ class PathStep:
 
 
 @dataclass(frozen=True, order=True)
-class AnalysisFinding(Finding):
-    """One checker violation, with its inter-procedural trace.
+class Finding:
+    """One violation at a source location.
 
-    ``trace[0]`` is the declared root (surface / durability root /
-    emission site); the last step is the leaf operation.  Single-step
-    findings (schema drift) carry a one-element trace.
+    ``col`` is 1-based; whole-program findings anchor a line and use 0.
+    ``trace[0]`` is the checked root (surface / durability root /
+    emission site) and the last step is the leaf operation.
     """
 
-    trace: Tuple[PathStep, ...] = field(default=())
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+    hint: str = ""
+    trace: Tuple[PathStep, ...] = ()
 
     def render(self) -> str:
-        text = super().render()
+        """``path:line:col: CODE message``, then the hint and the path."""
+        text = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        if self.hint:
+            text += f"\n    hint: {self.hint}"
         if len(self.trace) > 1:
             lines = [text, "    propagation path:"]
             lines.extend(f"      {step.render()}" for step in self.trace)
@@ -59,12 +67,19 @@ class AnalysisFinding(Finding):
         return text
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["trace"] = [step.to_dict() for step in self.trace]
-        return payload
+        """JSON-serializable form used by ``--format json``."""
+        return {
+            "file": self.path,
+            "line": self.line,
+            "col": self.col,
+            "code": self.code,
+            "message": self.message,
+            "hint": self.hint,
+            "trace": [step.to_dict() for step in self.trace],
+        }
 
     def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline ratchet.
+        """Line-number-free identity (SARIF ``partialFingerprints``).
 
         Stable across unrelated edits to the same files: built from the
         rule code, the anchor file, and the message (which names the

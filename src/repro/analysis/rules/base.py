@@ -1,30 +1,28 @@
-"""Rule plugin registry.
+"""Per-file rule base: :class:`Rule` and its :class:`FileContext`.
 
-A rule is a subclass of :class:`Rule` registered with the
-:func:`register` decorator.  The runner instantiates every registered
-rule once per process and calls :meth:`Rule.check` per file with the
-parsed module and a :class:`FileContext`.
+The runner calls :meth:`Rule.check` once per parsed module (package
+modules and loose files alike) with the module's AST and a
+:class:`FileContext`.
 
 Rules scope themselves by *logical path* — the path parts below the
 package root (``src/repro/sim/engine.py`` → ``("sim", "engine.py")``).
-Test fixtures mirror the package layout under ``tests/lint/fixtures/``,
-so a fixture at ``fixtures/protocols/bad.py`` exercises the same scoping
-as real code in ``src/repro/protocols/``.
+Test fixtures mirror the package layout under ``tests/analysis/fixtures/``,
+so a fixture at ``fixtures/rules/protocols/bad.py`` exercises the same
+scoping as real code in ``src/repro/protocols/``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Type
+from typing import Iterator, Tuple
 
-from ..errors import ConfigurationError
-from .findings import Finding
+from ..findings import Finding
 
-__all__ = ["FileContext", "Rule", "register", "all_rules", "rules_by_code"]
+__all__ = ["FileContext", "Rule"]
 
 #: Anchors below which the logical path starts; ``repro`` covers the real
-#: package, ``fixtures`` covers the lint test corpus.
+#: package, ``fixtures`` covers the analyzer's test corpus.
 _PATH_ANCHORS = ("repro", "fixtures")
 
 
@@ -49,9 +47,8 @@ def logical_parts(path: Path) -> Tuple[str, ...]:
 class FileContext:
     """Everything a rule may know about the file under analysis."""
 
-    def __init__(self, path: Path, source: str) -> None:
+    def __init__(self, path: Path) -> None:
         self.path = path
-        self.source = source
         self.display_path = str(path)
         self.parts = logical_parts(path)
 
@@ -65,7 +62,7 @@ class FileContext:
 
 
 class Rule:
-    """Base class for lint rules."""
+    """Base class for per-file rules."""
 
     #: Stable rule code, e.g. ``"RPL001"``.
     code: str = ""
@@ -99,40 +96,3 @@ class Rule:
             hint=hint or self.hint,
         )
 
-
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding *rule_cls* to the global registry."""
-    if not rule_cls.code:
-        raise ConfigurationError(
-            f"rule {rule_cls.__name__} must define a code"
-        )
-    existing = _REGISTRY.get(rule_cls.code)
-    if existing is not None and existing is not rule_cls:
-        raise ConfigurationError(
-            f"duplicate rule code {rule_cls.code}: "
-            f"{existing.__name__} vs {rule_cls.__name__}"
-        )
-    _REGISTRY[rule_cls.code] = rule_cls
-    return rule_cls
-
-
-def all_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, in code order."""
-    from . import rules as _rules  # noqa: F401  (imports register plugins)
-
-    return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
-
-
-def rules_by_code(select: Sequence[str]) -> List[Rule]:
-    """Instances for the requested codes; unknown codes raise."""
-    available = {rule.code: rule for rule in all_rules()}
-    unknown = [code for code in select if code not in available]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown rule code(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(available))}"
-        )
-    return [available[code] for code in select]

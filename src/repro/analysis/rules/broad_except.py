@@ -13,9 +13,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import is_name_constant
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import is_name_constant
+from .base import FileContext, Rule
 
 __all__ = ["BroadExceptRule"]
 
@@ -36,7 +36,6 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register
 class BroadExceptRule(Rule):
     code = "RPL007"
     name = "no-swallowed-errors"

@@ -14,9 +14,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import iter_calls
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from .base import FileContext, Rule
 
 __all__ = ["DeterminismRule"]
 
@@ -48,7 +48,6 @@ _LEGACY_GLOBAL = frozenset(
 )
 
 
-@register
 class DeterminismRule(Rule):
     code = "RPL001"
     name = "no-unseeded-rng"

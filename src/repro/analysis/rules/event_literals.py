@@ -21,9 +21,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import iter_calls
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from .base import FileContext, Rule
 
 __all__ = ["EventLiteralRule"]
 
@@ -31,7 +31,6 @@ __all__ = ["EventLiteralRule"]
 _EMIT_TAILS = ("emit", "log_event")
 
 
-@register
 class EventLiteralRule(Rule):
     code = "RPL011"
     name = "event-kind-literals"

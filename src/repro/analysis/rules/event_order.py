@@ -17,9 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import iter_calls
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from .base import FileContext, Rule
 
 __all__ = ["EventOrderRule"]
 
@@ -33,7 +33,6 @@ def _kind_keyword(call: ast.Call) -> object:
     return None
 
 
-@register
 class EventOrderRule(Rule):
     code = "RPL004"
     name = "stable-event-order"

@@ -15,9 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import dotted_name
+from .base import FileContext, Rule
 
 __all__ = ["FloatCompareRule"]
 
@@ -50,7 +50,6 @@ def _is_nan(node: ast.AST) -> bool:
     )
 
 
-@register
 class FloatCompareRule(Rule):
     code = "RPL005"
     name = "float-compare"

@@ -21,9 +21,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import dotted_name
+from .base import FileContext, Rule
 
 __all__ = ["ForkSafetyRule"]
 
@@ -53,7 +53,6 @@ def _is_rng_like(node: ast.AST) -> bool:
     return False
 
 
-@register
 class ForkSafetyRule(Rule):
     code = "RPL008"
     name = "fork-safe-work-units"

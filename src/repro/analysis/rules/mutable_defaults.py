@@ -18,9 +18,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import dotted_name
+from .base import FileContext, Rule
 
 __all__ = ["MutableDefaultRule"]
 
@@ -79,7 +79,6 @@ def _is_classvar(annotation: Optional[ast.AST]) -> bool:
     return "ClassVar" in text or "Final" in text
 
 
-@register
 class MutableDefaultRule(Rule):
     code = "RPL006"
     name = "no-shared-mutables"

@@ -20,12 +20,11 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
+from .base import FileContext, Rule
 
 __all__ = ["NoPrintRule"]
 
 
-@register
 class NoPrintRule(Rule):
     code = "RPL009"
     name = "no-print-in-experiments"

@@ -16,9 +16,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import dotted_name
+from .base import FileContext, Rule
 
 __all__ = ["ProtocolPurityRule"]
 
@@ -43,7 +43,6 @@ def _engine_owned_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register
 class ProtocolPurityRule(Rule):
     code = "RPL003"
     name = "protocol-purity"

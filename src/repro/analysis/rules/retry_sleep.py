@@ -23,9 +23,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import call_name
+from .base import FileContext, Rule
 
 __all__ = ["RetrySleepRule"]
 
@@ -45,12 +45,11 @@ def _sleeps_in(node: ast.AST) -> Iterator[ast.Call]:
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
         ):
             continue
-        if isinstance(child, ast.Call) and call_name(child) in _SLEEP_CALLS:
+        if isinstance(child, ast.Call) and dotted_name(child.func) in _SLEEP_CALLS:
             yield child
         yield from _sleeps_in(child)
 
 
-@register
 class RetrySleepRule(Rule):
     code = "RPL010"
     name = "no-unsupervised-retry-sleep"

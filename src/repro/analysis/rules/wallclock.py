@@ -18,37 +18,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..astutil import iter_calls
+from ..effects import CLOCK_CALLS
 from ..findings import Finding
-from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from .base import FileContext, Rule
 
 __all__ = ["WallClockRule"]
 
-#: Callee names that read the host clock.  ``time.sleep`` is absent on
-#: purpose: the retry backoff waits, it never *reads* time.
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "date.today",
-    }
-)
 
-
-@register
 class WallClockRule(Rule):
     code = "RPL002"
     name = "no-wall-clock"
@@ -75,7 +52,7 @@ class WallClockRule(Rule):
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         for call, name in iter_calls(tree):
-            if name in _CLOCK_CALLS:
+            if name in CLOCK_CALLS:
                 yield self.finding(
                     ctx,
                     call,

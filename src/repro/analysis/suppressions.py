@@ -26,7 +26,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 __all__ = ["SuppressionMap", "parse_suppressions"]
 
@@ -57,31 +57,12 @@ class SuppressionMap:
             return False
         return codes is _ALL or "*" in codes or code in codes
 
-    @property
-    def n_directives(self) -> int:
-        return len(self.by_line) + (1 if self.skip_file else 0)
-
-
-def _parse_directive(comment: str) -> Optional[FrozenSet[str]]:
-    """Return the code set for an ``ignore`` directive, or ``None``.
-
-    ``skip-file`` directives are handled separately and return ``None``
-    here.
-    """
-    match = _DIRECTIVE.search(comment)
-    if match is None or match.group("kind") != "ignore":
-        return None
-    codes = match.group("codes")
-    if not codes:
-        return _ALL
-    return frozenset(
-        code.strip() for code in codes.split(",") if code.strip()
-    )
-
 
 def parse_suppressions(source: str) -> SuppressionMap:
     """Extract every suppression directive from *source*."""
     suppressions = SuppressionMap()
+    if "repro-lint" not in source:
+        return suppressions  # no directive: skip the tokenizer
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -112,9 +93,12 @@ def parse_suppressions(source: str) -> SuppressionMap:
             if line <= _SKIP_FILE_SCAN_LINES:
                 suppressions.skip_file = True
             continue
-        codes = _parse_directive(token.string)
-        if codes is None:
-            continue
+        listed = match.group("codes")
+        codes = (
+            frozenset(code.strip() for code in listed.split(",") if code.strip())
+            if listed
+            else _ALL
+        )
         if line not in code_lines:
             # Standalone directive: applies to the next code line.
             following = [n for n in code_lines if n > line]

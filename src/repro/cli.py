@@ -38,13 +38,11 @@ Subcommands:
 ``repro cache``
     Inspect (``info``) or prune (``clear``) the content-addressed
     simulation run cache (see ``REPRO_SIM_CACHE`` and docs/performance.md).
-``repro lint``
-    Run the repo's custom static-analysis rules (determinism,
-    sim-invariants, fork safety — see docs/static_analysis.md).
 ``repro analyze``
-    Run the whole-program effect analyzer: inter-procedural
-    determinism-boundary, durability, and trace-schema-drift checks
-    over the full package (see docs/static_analysis.md).
+    Run the repo's static analysis: the per-file rules (seeded
+    determinism, sim invariants, fork safety, ...) and the
+    whole-program determinism-boundary, durability, and
+    trace-schema-drift checks (see docs/static_analysis.md).
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ from .demand import DemandModel, generate_requests
 from .errors import ConfigurationError, ReproError
 from .faults import FaultSchedule
 from .analysis.cli import add_analyze_arguments, cmd_analyze
-from .lint.cli import add_lint_arguments, cmd_lint
 from .obs import Tracer
 from .obs.analysis import (
     TraceFileError,
@@ -1368,17 +1365,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cache_action_parser.set_defaults(func=_cmd_cache)
 
-    lint = sub.add_parser(
-        "lint", help="run the repo-specific static-analysis rules"
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(func=cmd_lint)
-
     analyze = sub.add_parser(
         "analyze",
         help=(
-            "run the whole-program effect analyzer (determinism, "
-            "durability, schema drift)"
+            "run the repo's static analysis (per-file rules and "
+            "whole-program determinism, durability, schema drift)"
         ),
     )
     add_analyze_arguments(analyze)

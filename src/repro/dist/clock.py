@@ -1,7 +1,7 @@
 """The sweep-infrastructure clock.
 
 Lease TTLs and supervisor polls need *real* time — the one thing the
-rest of the library is forbidden to read (repro lint RPL002).  This
+rest of the library is forbidden to read (``repro analyze`` RPL002).  This
 module is the sanctioned channel for the :mod:`repro.dist` layer, the
 same way :mod:`repro.obs.timing` is for provenance stopwatches: every
 ``dist`` component takes a :class:`Clock` so tests drive lease expiry

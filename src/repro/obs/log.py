@@ -1,7 +1,7 @@
 """Structured experiment logging.
 
 Experiment progress/status output goes through :class:`ObsLogger`
-instead of bare ``print()`` (enforced by repro lint RPL009 on
+instead of bare ``print()`` (enforced by ``repro analyze`` RPL009 on
 ``src/repro/experiments/``).  The logger writes human-readable lines
 to a configurable stream *and* can mirror records into a trace sink,
 so a sweep's status history lands in the same JSONL artifact as its

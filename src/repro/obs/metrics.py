@@ -16,7 +16,7 @@ The discipline mirrors the tracer exactly:
   plain Python floats and lists; nothing here ever performs I/O, takes
   a lock, or reads a clock.  Exporters run on demand from a
   :meth:`MetricsRegistry.snapshot`, and the JSONL time-series writer
-  takes its timestamp from the *caller* (repro lint RPL002: only
+  takes its timestamp from the *caller* (``repro analyze`` RPL002: only
   :mod:`repro.obs.timing` and :mod:`repro.dist.clock` may read the
   host clock).
 * **metrics are metadata.**  Aggregates never feed back into

@@ -1,7 +1,7 @@
 """The sanctioned wall/CPU timing shim.
 
 Simulation and experiment code must never read the host clock directly
-(repro lint RPL002: wall-clock time breaks determinism and replay).
+(``repro analyze`` RPL002: wall-clock time breaks determinism and replay).
 Provenance timings are the exception the rule exists to channel: this
 module is the one place outside the benchmark harness allowed to call
 ``time.perf_counter``/``time.process_time``, and everything else that

@@ -1,13 +1,17 @@
 """Seeded regression tests: inject a defect, expect exactly one finding.
 
-Each test runs the whole-program analyzer over the *real* ``src/repro``
-tree with one synthetic defect spliced in via ``source_overrides`` —
-proof that each checker actually fires, with the full inter-procedural
-propagation path, and that everything it reports at HEAD (nothing) is
-because the tree is clean, not because the checker is blind.
+Each test runs the analyzer over the *real* ``src/repro`` tree with one
+synthetic defect spliced in via ``source_overrides`` — proof that each
+checker actually fires, with the full inter-procedural propagation
+path, and that everything it reports at HEAD (nothing) is because the
+tree is clean, not because the checker is blind.  The overlap tests at
+the end record why the per-file RPL001/RPL002/RPL011 rules are kept
+next to the whole-program RPA001/RPA003 checks.
 """
 
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.runner import run_analysis
 
@@ -57,9 +61,9 @@ def emit_bogus(tracer: Tracer, t: float) -> None:
 '''
 
 
-def analyze(overrides, code):
+def analyze(overrides, *codes):
     return run_analysis(
-        str(SRC), select=[code], source_overrides=overrides
+        [str(SRC)], select=list(codes), source_overrides=overrides
     )
 
 
@@ -132,16 +136,72 @@ def test_rpa003_unknown_event_kind():
 
 
 def test_injected_defects_do_not_leak_into_other_checks():
-    # The three injections are defect-specific: each trips exactly its
-    # own checker and nothing else.
+    # The injections are defect-specific: each trips exactly its own
+    # checks and nothing else.  The bogus emit passes its kind as a
+    # string literal, which is also the per-file RPL011 finding.
     report = run_analysis(
-        str(SRC),
+        [str(SRC)],
         source_overrides={
             "repro.dist._fx_sink": _RAW_SINK,
             "repro.sim._fx_emit": _BOGUS_EMIT,
         },
     )
     codes = sorted(f.code for f in report.findings)
-    assert codes == ["RPA002", "RPA003"], [
+    assert codes == ["RPA002", "RPA003", "RPL011"], [
         f.render() for f in report.findings
     ]
+
+
+# ----------------------------------------------------------------------
+# overlap: what only the per-file rules catch
+# ----------------------------------------------------------------------
+#: An unseeded RNG and a clock read in a helper no deterministic
+#: surface reaches: off-surface, so RPA001 is silent by design.
+_OFF_SURFACE = """
+
+def _fx_jitter():
+    import time
+
+    import numpy as np
+
+    return np.random.default_rng().random() + time.time()
+"""
+
+
+@pytest.fixture(scope="module")
+def overlap_report():
+    artifacts = (SRC / "experiments" / "artifacts.py").read_text("utf-8")
+    engine = (SRC / "sim" / "engine.py").read_text("utf-8")
+    # A kind the registry knows, spelled as a literal at an emit site.
+    literal = engine.replace("trace_events.RUN_START,", '"run_start",', 1)
+    assert literal != engine
+    return analyze(
+        {
+            "repro.experiments.artifacts": artifacts + _OFF_SURFACE,
+            "repro.sim.engine": literal,
+        },
+        "RPL001",
+        "RPL002",
+        "RPL011",
+        "RPA001",
+        "RPA003",
+    )
+
+
+def located(report, code):
+    return [(Path(f.path).name, f.code) for f in report.findings if f.code == code]
+
+
+def test_unseeded_rng_off_surface_is_rpl001_only(overlap_report):
+    assert located(overlap_report, "RPL001") == [("artifacts.py", "RPL001")]
+    assert located(overlap_report, "RPA001") == []
+
+
+def test_clock_read_off_surface_is_rpl002_only(overlap_report):
+    assert located(overlap_report, "RPL002") == [("artifacts.py", "RPL002")]
+    assert located(overlap_report, "RPA001") == []
+
+
+def test_registered_kind_literal_is_rpl011_only(overlap_report):
+    assert located(overlap_report, "RPL011") == [("engine.py", "RPL011")]
+    assert located(overlap_report, "RPA003") == []

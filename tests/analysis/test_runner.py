@@ -1,4 +1,4 @@
-"""Report rendering, the baseline ratchet, and CLI exit codes."""
+"""Report rendering, rule selection, and CLI exit codes."""
 
 import argparse
 import json
@@ -6,21 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import (
-    load_baseline,
-    split_by_baseline,
-    update_baseline,
-)
 from repro.analysis.cli import add_analyze_arguments, cmd_analyze
-from repro.analysis.findings import AnalysisFinding, PathStep
+from repro.analysis.findings import Finding, PathStep
+from repro.analysis.rules import RULES
 from repro.analysis.runner import CHECKS, run_analysis
+from repro.cli import main
 from repro.errors import ConfigurationError
 
 FIXPKG = Path(__file__).parent / "fixtures" / "fixpkg"
 
 
 def make_finding(message, path="pkg/mod.py", code="RPA001"):
-    return AnalysisFinding(
+    return Finding(
         path=path,
         line=3,
         col=0,
@@ -34,52 +31,12 @@ def make_finding(message, path="pkg/mod.py", code="RPA001"):
     )
 
 
-# ----------------------------------------------------------------------
-# baseline ratchet
-# ----------------------------------------------------------------------
-def test_first_adoption_writes_current_findings(tmp_path):
-    path = tmp_path / "baseline.json"
-    finding = make_finding("clock reaches surface f")
-    kept = update_baseline(path, [finding])
-    assert kept == {finding.fingerprint()}
-    assert load_baseline(path) == kept
-
-
-def test_baseline_only_shrinks(tmp_path):
-    path = tmp_path / "baseline.json"
-    old = make_finding("old finding, since fixed")
-    still = make_finding("still present")
-    update_baseline(path, [old, still])
-    # Next run: `old` fixed, a brand-new finding appeared.  The ratchet
-    # drops the fixed entry and refuses to admit the new one.
-    new = make_finding("new finding, must fail CI")
-    kept = update_baseline(path, [still, new])
-    assert kept == {still.fingerprint()}
-
-
-def test_split_by_baseline_partitions(tmp_path):
-    known = make_finding("known")
-    fresh = make_finding("fresh")
-    new, baselined = split_by_baseline(
-        [known, fresh], frozenset({known.fingerprint()})
-    )
-    assert new == [fresh]
-    assert baselined == [known]
-
-
 def test_fingerprint_is_line_free():
     a = make_finding("same message")
-    b = AnalysisFinding(
+    b = Finding(
         path=a.path, line=99, col=7, code=a.code, message=a.message
     )
     assert a.fingerprint() == b.fingerprint()
-
-
-def test_malformed_baseline_raises(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"fingerprints": "oops"}))
-    with pytest.raises(ConfigurationError):
-        load_baseline(path)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +44,7 @@ def test_malformed_baseline_raises(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fixpkg_report():
-    return run_analysis(str(FIXPKG))
+    return run_analysis([str(FIXPKG)])
 
 
 def test_render_json_shape(fixpkg_report):
@@ -119,22 +76,49 @@ def parse_args(argv):
 
 def test_cli_clean_run_exits_zero(capsys):
     # The fixture package has no surfaces, dist tree, or event
-    # registry, so every checker comes back clean.
-    code = cmd_analyze(parse_args([str(FIXPKG), "--baseline", ""]))
+    # registry, so every whole-program checker comes back clean (its
+    # deliberate clock reads are per-file RPL002 findings).
+    code = cmd_analyze(
+        parse_args([str(FIXPKG), "--select", "RPA001,RPA002,RPA003,RPA004"])
+    )
     assert code == 0
     assert "0 error(s)" in capsys.readouterr().out
 
 
 def test_cli_list_checks(capsys):
-    code = cmd_analyze(parse_args(["--list-checks"]))
+    code = cmd_analyze(parse_args(["--list-rules"]))
     assert code == 0
     out = capsys.readouterr().out
+    assert len(CHECKS) == 15
     for check in CHECKS:
         assert check in out
 
 
-def test_cli_update_baseline_requires_baseline_path(capsys):
-    code = cmd_analyze(
-        parse_args([str(FIXPKG), "--baseline", "", "--update-baseline"])
-    )
-    assert code == 2
+def test_cli_unknown_select_code_fails(capsys):
+    # A typo in a CI selector must not turn the gate into a no-op.
+    with pytest.raises(ConfigurationError, match="RPA999"):
+        run_analysis([str(FIXPKG)], select=["RPA999"])
+    assert main(["analyze", str(FIXPKG), "--select", "RPA999"]) == 1
+    assert "unknown rule code" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# selection decides what runs
+# ----------------------------------------------------------------------
+def test_rpl_only_selection_builds_no_call_graph():
+    report = run_analysis([str(FIXPKG)], select=["RPL001", "RPL002"])
+    assert report.graph is None and report.summaries is None
+    assert report.n_functions == 0
+    assert report.n_modules == len(list(FIXPKG.glob("*.py")))
+
+
+def test_unselected_rules_do_not_run(monkeypatch):
+    def boom(self, tree, ctx):
+        raise AssertionError(f"{self.code} ran unselected")
+
+    for rule in RULES:
+        if rule.code != "RPL002":
+            monkeypatch.setattr(type(rule), "check", boom)
+    report = run_analysis([str(FIXPKG)], select=["RPL002", "RPA003"])
+    assert report.graph is not None
+    assert {f.code for f in report.findings} <= {"RPL002", "RPA003"}

@@ -1,7 +1,9 @@
-"""The shipped tree must satisfy its own static analysis.
+"""Packaging and type-check gates for the shipped tree.
 
-This is the CI gate in miniature: ``repro lint src/repro`` clean, and
-(when mypy is installed) ``mypy`` clean under the pyproject config.
+``repro analyze`` cleanliness of ``src/repro`` + ``benchmarks`` is
+asserted in ``tests/analysis/test_clean_head.py``; here: the PEP 561
+marker ships and (when mypy is installed) ``mypy`` is clean under the
+pyproject config.
 """
 
 import shutil
@@ -11,24 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
-
-
-def test_src_repro_is_lint_clean() -> None:
-    report = run_lint([str(SRC)])
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert report.ok, f"repro lint found violations at HEAD:\n{rendered}"
-    # The three utility/ sentinel comparisons are documented suppressions.
-    assert report.n_suppressed >= 3
-
-
-def test_benchmarks_tree_is_lint_clean() -> None:
-    report = run_lint([str(REPO_ROOT / "benchmarks")])
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert report.ok, f"repro lint found violations at HEAD:\n{rendered}"
 
 
 def test_py_typed_marker_ships() -> None:

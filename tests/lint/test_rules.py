@@ -1,12 +1,14 @@
-"""Per-rule fixture tests: one true-positive and one clean-pass each."""
+"""Per-file ``RPL`` rules of ``repro analyze``: one true-positive and
+one clean-pass fixture each."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, run_lint
+from repro.analysis.rules import RULES
+from repro.analysis.runner import run_analysis
 
-FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURES = Path(__file__).parents[1] / "analysis" / "fixtures" / "rules"
 
 #: code -> (bad fixture, good fixture, minimum expected true positives).
 RULE_FIXTURES = {
@@ -37,13 +39,14 @@ RULE_FIXTURES = {
 
 
 def codes_in(path: Path) -> list:
-    report = run_lint([str(path)])
+    report = run_analysis([str(path)])
+    assert report.graph is None
     assert not report.parse_errors, report.parse_errors
     return [finding.code for finding in report.findings]
 
 
 def test_every_rule_has_fixtures() -> None:
-    registered = {rule.code for rule in all_rules()}
+    registered = {rule.code for rule in RULES}
     assert registered == set(RULE_FIXTURES)
 
 
@@ -90,7 +93,7 @@ def test_no_print_silent_outside_experiments() -> None:
 
 
 def test_findings_carry_location_and_hint() -> None:
-    report = run_lint([str(FIXTURES / "rpl002_bad.py")])
+    report = run_analysis([str(FIXTURES / "rpl002_bad.py")])
     finding = report.findings[0]
     assert finding.line > 1
     assert finding.col >= 1
