@@ -1,9 +1,10 @@
-"""Packaging and type-check gates for the shipped tree.
+"""Per-file rule, packaging and type-check gates for the shipped tree.
 
-``repro analyze`` cleanliness of ``src/repro`` + ``benchmarks`` is
-asserted in ``tests/analysis/test_clean_head.py``; here: the PEP 561
-marker ships and (when mypy is installed) ``mypy`` is clean under the
-pyproject config.
+The per-file ``RPL`` rules of ``repro analyze`` are clean on
+``src/repro`` and on ``benchmarks`` taken one tree at a time (the
+whole-program run over both is in ``tests/analysis/test_clean_head.py``),
+the PEP 561 marker ships, and (when mypy is installed) ``mypy`` is clean
+under the pyproject config.
 """
 
 import shutil
@@ -13,8 +14,29 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.rules import RULES
+from repro.analysis.runner import run_analysis
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
+RPL_CODES = [rule.code for rule in RULES]
+
+
+def test_src_repro_is_lint_clean() -> None:
+    report = run_analysis([str(SRC)], select=RPL_CODES)
+    rendered = "\n".join(f.render() for f in report.findings)
+    assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
+    assert not report.parse_errors
+    # The seven per-file suppressions (RPL004/005/007/008), among them
+    # the three utility/ sentinel comparisons.
+    assert report.n_suppressed == 7
+
+
+def test_benchmarks_tree_is_lint_clean() -> None:
+    report = run_analysis([str(REPO_ROOT / "benchmarks")], select=RPL_CODES)
+    rendered = "\n".join(f.render() for f in report.findings)
+    assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
+    assert report.n_modules == len(list((REPO_ROOT / "benchmarks").rglob("*.py")))
 
 
 def test_py_typed_marker_ships() -> None:
