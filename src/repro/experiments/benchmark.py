@@ -7,8 +7,10 @@ so the perf trajectory is tracked across PRs:
   second) on the optimized :class:`~repro.sim.engine.Simulation` versus
   the frozen pre-optimization baseline
   (:class:`~repro.sim._reference.ReferenceSimulation`), for a hook-free
-  static protocol and for QCR.  Both engines must produce bit-identical
-  results; the speedup is their wall-clock ratio.
+  static protocol (OPT), for QCR, and for DOM under the figure panels'
+  request timeout, whose never-servable requests take the plain loop's
+  parked path.  Both engines must produce bit-identical results; the
+  speedup is their wall-clock ratio.
 * **streamed large-scale case** — a sparse many-node trace generated
   chunk-by-chunk straight to the binary on-disk format, memory-mapped,
   and simulated through the streamed columnar pipeline; records
@@ -66,6 +68,7 @@ from ..sim.events import build_event_stream
 from ..simcache import fingerprint_trace, run_key
 from ..utility import StepUtility
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
+from .figures import recommended_timeout
 from .reporting import render_table
 from .runner import run_comparison
 from .scenarios import (
@@ -630,11 +633,22 @@ def run_speed_benchmark(
     engine_scenario = homogeneous_scenario(
         utility, duration=duration, record_interval=None
     )
+    # DOM runs under the figure panels' request timeout, the setting in
+    # which its never-servable requests are parked and expired at settle.
+    dom_scenario = dataclasses.replace(
+        engine_scenario,
+        config=dataclasses.replace(
+            engine_scenario.config,
+            request_timeout=recommended_timeout(utility, duration),
+        ),
+    )
     cases = [
-        _bench_engine_case(
-            engine_scenario, name, seed=11, repeats=repeats
+        _bench_engine_case(scenario, name, seed=11, repeats=repeats)
+        for scenario, name in (
+            (engine_scenario, "OPT"),
+            (engine_scenario, "QCR"),
+            (dom_scenario, "DOM"),
         )
-        for name in ("OPT", "QCR")
     ]
     streamed = _bench_streamed_case(
         n_nodes=10**4 if quick else 10**6,

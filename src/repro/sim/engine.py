@@ -22,6 +22,8 @@ machinery and identical randomness.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from typing import (
     AbstractSet,
     Collection,
@@ -29,6 +31,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
 )
 
 import numpy as np
@@ -53,6 +56,13 @@ _MASK_MIN_NODES = 512
 #: keep bit-identity (the contract enforced against ``sim/_reference``)
 #: do not require a bump.
 ENGINE_CODE_VERSION = "2026.08-array-core-1"
+
+#: One node's never-servable requests, parked outside ``outstanding``
+#: by the plain loop in creation order: their items, creation times,
+#: and the node's server-meeting counts then (the ``Request.counter``
+#: stash), as three flat arrays — 24 bytes a request.  Only survivors
+#: of the horizon are rebuilt into ``Request`` objects.
+_Parked = Tuple["array[int]", "array[float]", "array[int]"]
 
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
@@ -154,6 +164,7 @@ class Simulation:
         "_chunks",
         "_outstanding_tbl",
         "_expiry_floor",
+        "_dead_tbl",
         "_cache_tbl",
         "_is_server_tbl",
         "_mandates_tbl",
@@ -359,6 +370,9 @@ class Simulation:
         # survives every insertion site untouched; a scan is due only
         # when ``floor < t - timeout`` (see _expire_requests).
         self._expiry_floor: List[float] = [-math.inf] * n_nodes
+        # Never-servable requests parked by _run_plain (None when the
+        # run took another loop); _settle_unfulfilled resolves them.
+        self._dead_tbl: Optional[List[_Parked]] = None
         empty: AbstractSet[int] = frozenset()
         self._cache_tbl: List[AbstractSet[int]] = [
             node.cache.live_view() if node.cache is not None else empty
@@ -1041,6 +1055,13 @@ class Simulation:
         * any other hook: the gate is pinned open, and ``after_contact``
           runs on every contact — or, for an idle hook, on every
           contact where an endpoint holds mandates.
+
+        Under a static allocation (the gate is
+        :meth:`_parks_dead_requests`), a request for an item with no
+        copy anywhere can never be served.  It skips ``outstanding`` —
+        where it would open the contact guard and defeat the
+        single-item table on every server contact of its node — and is
+        parked in ``_dead_tbl`` until :meth:`_settle_dead_requests`.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1095,6 +1116,17 @@ class Simulation:
             next(iter(out)) if len(out) == 1 else -1
             for out in outstanding_tbl
         ]
+        # servable[item] is False only for never-servable items, and
+        # only when the run parks their requests (see the docstring).
+        if self._parks_dead_requests():
+            servable: List[bool] = (self.counts > 0).tolist()
+            dead_tbl: List[_Parked] = [
+                (array("q"), array("d"), array("q")) for _ in nodes
+            ]
+            self._dead_tbl = dead_tbl
+        else:
+            servable = [True] * self.config.n_items
+            dead_tbl = []
         for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
             self._iter_chunks()
         ):
@@ -1275,12 +1307,18 @@ class Simulation:
                         out = outstanding_tbl[node_id]
                         request_list = out.get(item)
                         if request_list is None:
-                            out[item] = [
-                                Request(item, node_id, mt[rp], mx[rp])
-                            ]
-                            sole_tbl[node_id] = (
-                                item if len(out) == 1 else -1
-                            )
+                            if servable[item]:
+                                out[item] = [
+                                    Request(item, node_id, mt[rp], mx[rp])
+                                ]
+                                sole_tbl[node_id] = (
+                                    item if len(out) == 1 else -1
+                                )
+                            else:
+                                parked = dead_tbl[node_id]
+                                parked[0].append(item)
+                                parked[1].append(mt[rp])
+                                parked[2].append(mx[rp])
                         else:
                             request_list.append(
                                 Request(item, node_id, mt[rp], mx[rp])
@@ -1958,8 +1996,147 @@ class Simulation:
         mandates = self.protocol.mandate_totals(self)
         self.metrics.record_snapshot(t, self.counts, mandates)
 
+    def _parks_dead_requests(self) -> bool:
+        """Whether the plain loop parks never-servable requests.
+
+        Fixed once per run.  Both hooks must be free, so caches stay
+        frozen and an item with no copy at the start never gains one;
+        abandonments must be uncredited, so expiry is a bare count with
+        no event-time metrics; and settle must be order-free whenever
+        :meth:`_settle_dead_requests` cannot rebuild a key's exact dict
+        slot — that is, with a timeout the ``truncate`` gains must be
+        exact (a step utility's 0/1) or absent (the ``ignore`` policy).
+        Non-step timed ``truncate`` runs (Fig. 6's exponential panel)
+        keep every request in ``outstanding``.
+        """
+        return (
+            self._hook_free_contact
+            and self._hook_free_fulfill
+            and not self._credit_abandoned
+            and (
+                self._timeout is None
+                or self._step_tau is not None
+                or self.config.unfulfilled_policy != "truncate"
+            )
+        )
+
+    def _last_server_contact(self, needed: List[int]) -> FloatArray:
+        """The last contact time of each *needed* node with a server
+        peer (``-inf`` if none), vectorized over blocks of the trace.
+
+        The time-sorted trace is read backwards, block by block, until
+        every needed node has been seen: a block's times bound every
+        earlier block's, so a node's first sighting is its maximum.
+        Other entries are meaningless.  The blocks are small, which
+        keeps the per-block gathers off the run's peak memory (the
+        run's event stream is still alive at settle), and they are
+        views, so a memory-mapped trace is read only where needed.
+        """
+        trace = self.trace
+        is_server = self._is_server_arr
+        t_last = np.full(len(self.nodes), -math.inf)
+        stop = len(trace.times)
+        while stop > 0 and np.isneginf(t_last[needed]).any():
+            start = max(0, stop - (1 << 12))
+            times = trace.times[start:stop]
+            node_a = trace.node_a[start:stop]
+            node_b = trace.node_b[start:stop]
+            for requester, peer in ((node_a, node_b), (node_b, node_a)):
+                served = is_server[peer]
+                np.maximum.at(t_last, requester[served], times[served])
+            stop = start
+        return t_last
+
+    def _request_rank(self, node_id: int, item: int, t: float) -> int:
+        """Schedule position of the first request ``(t, node_id, item)``.
+
+        Requests keep their schedule order in the merged stream (the
+        merge sort is stable), so this is a stream-order rank.
+        """
+        lo = int(np.searchsorted(self._req_times, t, side="left"))
+        hi = int(np.searchsorted(self._req_times, t, side="right"))
+        match = (self._req_nodes[lo:hi] == node_id) & (
+            self._req_items[lo:hi] == item
+        )
+        return lo + int(np.flatnonzero(match)[0])
+
+    def _settle_dead_requests(self, dead_tbl: List[_Parked]) -> None:
+        """Expire parked requests and merge survivors into ``outstanding``.
+
+        *Expiry.*  In the loop, each server contact of a node at time
+        ``t`` expires every request it holds created before
+        ``t - timeout`` (the floor gate only skips scans that would
+        expire nothing).  Float subtraction is monotone, so a parked
+        request expired iff it was created before ``t_last - timeout``
+        with ``t_last`` the node's last server contact
+        (:meth:`_last_server_contact`) — the same IEEE subtraction as
+        the loop's.  With abandonments uncredited the
+        count is all that is observable.  The live requests' scans are
+        exact whether or not parked ones share the node, so their floor
+        logic is untouched.
+
+        *Order.*  Survivors are merged into the node's dict so the
+        settle loop visits them where it would have.  Without a
+        timeout no key is ever partly expired, so a key's slot is the
+        stream position of its first request: a live key's head, a
+        parked key's first entry.  The merge compares creation times
+        and, on ties, schedule positions (:meth:`_request_rank`), and is
+        exact.  With a timeout a key's slot also depends on when its
+        backlog last emptied, which the merge does not rebuild: it
+        places a parked key by its first survivor instead.  The gate
+        (:meth:`_parks_dead_requests`) admits timed runs only where no
+        bit can depend on that order.
+        """
+        timeout = self._timeout
+        needed = [node for node, parked in enumerate(dead_tbl) if parked[0]]
+        deadlines = (
+            self._last_server_contact(needed) - timeout
+            if timeout is not None and needed
+            else None
+        )
+        metrics = self.metrics
+        for node_id, (items, times, counters) in enumerate(dead_tbl):
+            # Parked in creation order, so the expired ones are a prefix.
+            first = (
+                bisect_left(times, float(deadlines[node_id]))
+                if deadlines is not None
+                else 0
+            )
+            metrics.n_expired += first
+            if first == len(items):
+                continue
+            survivors: Dict[int, List[Request]] = {}
+            for pos in range(first, len(items)):
+                item = items[pos]
+                survivors.setdefault(item, []).append(
+                    Request(item, node_id, times[pos], counters[pos])
+                )
+            outstanding = self.nodes[node_id].outstanding
+            live = list(outstanding.items())
+            outstanding.clear()
+            i = 0
+            for item, parked in survivors.items():
+                t_dead = parked[0].created_at
+                while i < len(live):
+                    live_item, live_requests = live[i]
+                    t_live = live_requests[0].created_at
+                    if t_live > t_dead or (
+                        t_live == t_dead
+                        and self._request_rank(node_id, live_item, t_live)
+                        > self._request_rank(node_id, item, t_dead)
+                    ):
+                        break
+                    outstanding[live_item] = live_requests
+                    i += 1
+                outstanding[item] = parked
+            for live_item, live_requests in live[i:]:
+                outstanding[live_item] = live_requests
+
     def _settle_unfulfilled(self) -> int:
         """Apply the end-of-horizon policy to outstanding requests."""
+        if self._dead_tbl is not None:
+            self._settle_dead_requests(self._dead_tbl)
+            self._dead_tbl = None
         utility = self.config.utility
         horizon = self.trace.duration
         truncate = self.config.unfulfilled_policy == "truncate"

@@ -1,4 +1,4 @@
-"""Bit-for-bit comparison of two simulation results."""
+"""Comparing two simulations: results bit for bit, outstanding state in order."""
 
 from __future__ import annotations
 
@@ -20,3 +20,14 @@ def assert_bit_identical(a, b):
             assert x.hex() == y.hex(), f.name
         else:
             assert x == y, f.name
+
+
+def outstanding_order(sim):
+    """Per node, the ``(item, creation times)`` pairs in dict order."""
+    return [
+        [
+            (item, [request.created_at for request in request_list])
+            for item, request_list in node.outstanding.items()
+        ]
+        for node in sim.nodes
+    ]

@@ -23,7 +23,7 @@ from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
 from repro.utility import PowerUtility, ShiftedUtility, StepUtility
 
-from ._bitwise import assert_bit_identical
+from ._bitwise import assert_bit_identical, outstanding_order
 
 
 def trace_of(events, n_nodes=3, duration=100.0):
@@ -414,6 +414,95 @@ class TestTimeout:
         assert len(scans) <= (
             2 * result.n_generated + result.n_fulfilled + n_nodes
         )
+
+
+class TestParkedRequests:
+    """Requests for items with no copy anywhere, under a static
+    allocation, bypass ``outstanding`` in the plain loop and are
+    settled at the horizon exactly as if they had waited there."""
+
+    def run_both(self, trace, requests, config, allocation):
+        sims = [
+            cls(trace, requests, config, static_protocol(allocation), seed=1)
+            for cls in (ReferenceSimulation, Simulation)
+        ]
+        assert sims[1]._parks_dead_requests()
+        results = [sim.run() for sim in sims]
+        assert_bit_identical(*results)
+        return sims, results[1]
+
+    def test_settle_restores_dict_order_on_ties(self):
+        # Items 0 and 1 live at nodes 1 and 2; items 2 and 3 nowhere.
+        # Node 0's live item 0 is served at t=3 and re-requested at
+        # t=4, after parked item 2; at t=5 a parked and a live key are
+        # created at the same instant, as at node 2 at t=6 in the
+        # opposite schedule order.  Ties resolve by schedule position.
+        allocation = [[0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+        trace = trace_of([(3.0, 0, 1)])
+        requests = requests_of(
+            [
+                (1.0, 0, 0),
+                (2.0, 2, 0),
+                (4.0, 0, 0),
+                (5.0, 3, 0),
+                (5.0, 1, 0),
+                (6.0, 0, 2),
+                (6.0, 3, 2),
+            ]
+        )
+        config = base_config(n_items=4, utility=PowerUtility(0.0))
+        (reference, sim), result = self.run_both(
+            trace, requests, config, allocation
+        )
+        assert outstanding_order(sim) == outstanding_order(reference)
+        assert [list(node.outstanding) for node in sim.nodes] == [
+            [2, 0, 3, 1],
+            [],
+            [0, 3],
+        ]
+        assert result.n_unfulfilled == 6
+
+    def test_expiry_uses_last_server_contact(self):
+        # Node 0 is a pure client; its last server contact (t=16) sets
+        # the deadline 6.0: the t=5 request expires, the one created
+        # exactly at the deadline survives, and a later contact with
+        # the non-server node 3 expires nothing.  Node 3 never meets a
+        # server, so its parked request survives untouched.
+        allocation = [[1, 0], [0, 0]]
+        trace = trace_of([(16.0, 0, 1), (40.0, 0, 3)], n_nodes=4)
+        requests = requests_of(
+            [(1.0, 1, 3), (5.0, 1, 0), (6.0, 1, 0), (6.5, 1, 0)]
+        )
+        config = base_config(
+            servers=(1, 2), clients=(0, 3), request_timeout=10.0
+        )
+        (reference, sim), result = self.run_both(
+            trace, requests, config, allocation
+        )
+        assert outstanding_order(sim) == outstanding_order(reference)
+        assert outstanding_order(sim)[0] == [(1, [6.0, 6.5])]
+        assert outstanding_order(sim)[3] == [(1, [1.0])]
+        assert result.n_expired == 1
+        assert result.n_unfulfilled == 3
+
+    def test_last_server_contact_found_behind_many_blocks(self):
+        # Node 0's only server contact (t=1) precedes 6,000 contacts
+        # between the servers, so settle reads the trace back past many
+        # blocks to find it: the t=0.5 request expires, the t=1.5 one
+        # (created after that contact) survives.
+        allocation = [[1, 0], [0, 0]]
+        later = [(2.0 + 0.01 * k, 1, 2) for k in range(6000)]
+        trace = trace_of([(1.0, 0, 1)] + later, duration=100.0)
+        requests = requests_of([(0.5, 1, 0), (1.5, 1, 0)])
+        config = base_config(
+            servers=(1, 2), clients=(0,), request_timeout=0.4
+        )
+        (reference, sim), result = self.run_both(
+            trace, requests, config, allocation
+        )
+        assert outstanding_order(sim) == outstanding_order(reference)
+        assert outstanding_order(sim)[0] == [(1, [1.5])]
+        assert result.n_expired == 1
 
 
 class TestSnapshotsAndCounts:

@@ -15,14 +15,15 @@ from repro.protocols import (
     QCR,
     PassiveReplication,
     QCRConfig,
+    StaticAllocation,
     dom_protocol,
     uni_protocol,
 )
 from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
-from repro.utility import ShiftedUtility, StepUtility
+from repro.utility import ExponentialUtility, ShiftedUtility, StepUtility
 
-from ._bitwise import assert_bit_identical
+from ._bitwise import assert_bit_identical, outstanding_order
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2
 DURATION, TAU = 120.0, 8.0
@@ -37,7 +38,15 @@ def workloads(draw):
     demand_rate = draw(st.floats(min_value=0.1, max_value=2.0))
     protocol_kind = draw(
         st.sampled_from(
-            ["qcr", "qcrwom", "qcr-adaptive", "passive", "uni", "dom"]
+            [
+                "qcr",
+                "qcrwom",
+                "qcr-adaptive",
+                "passive",
+                "uni",
+                "dom",
+                "sparse",
+            ]
         )
     )
     # No timeout, a timeout shorter than the deadline (most requests
@@ -58,6 +67,9 @@ def workloads(draw):
     mode = draw(
         st.sampled_from(["plain", "faulted", "traced", "traced-faulted"])
     )
+    # Step gains are 0/1 and sum exactly in any order; exponential
+    # ``truncate`` gains do not, so only they make settle order visible.
+    utility_kind = draw(st.sampled_from(["step", "exp"]))
     return (
         trace_seed,
         request_seed,
@@ -68,16 +80,39 @@ def workloads(draw):
         timeout,
         abandon_gain,
         mode,
+        utility_kind,
     )
 
 
 #: A short-timeout DOM workload with credited expiries, pinned so every
 #: run of the suite covers expiry whatever hypothesis draws.
-EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5, "plain")
+EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5, "plain", "step")
 #: Adaptive QCR (a contact hook that is never idle) under faults and
 #: tracing, pinned so the instrumented loop always meets that hook mode.
 ADAPTIVE_FAULTED = (4, 5, 6, 0.2, 1.5, "qcr-adaptive", 5.0, 0.0,
-                    "traced-faulted")
+                    "traced-faulted", "step")
+#: Uncredited plain DOM runs: requests for the items DOM does not cache
+#: are parked outside ``outstanding`` and settled at the horizon.  One
+#: without a timeout (every parked request survives), one with a short
+#: timeout (parked requests expire at settle), and the same two on the
+#: exponential utility, whose ``truncate`` gains make settle order
+#: observable — the untimed one parks, the timed one keeps every
+#: request in ``outstanding`` (see ``Simulation._parks_dead_requests``).
+PARKED = (7, 8, 9, 0.2, 2.0, "dom", None, 0.0, "plain", "step")
+PARKED_EXPIRING = (7, 8, 9, 0.2, 2.0, "dom", 2.0, 0.0, "plain", "step")
+PARKED_EXP = (7, 8, 9, 0.2, 2.0, "dom", None, 0.0, "plain", "exp")
+DOM_EXP_EXPIRING = (7, 8, 9, 0.2, 2.0, "dom", 2.0, 0.0, "plain", "exp")
+#: Every node caches DOM's items, so DOM never leaves a live request
+#: outstanding next to a parked one.  A sparse static allocation (one
+#: holder for items 1 and 2, none for 3 and 4) does, so its settle
+#: merge has live and parked keys to interleave.
+SPARSE_COUNTS = (2, 1, 1, 0, 0)
+#: Settling the untimed one's parked keys after every live key changes
+#: the total gain's last bits.
+SPARSE_PARKED_EXP = (10, 11, 12, 0.1, 2.0, "sparse", None, 0.0, "plain",
+                     "exp")
+SPARSE_PARKED_EXPIRING = (10, 11, 12, 0.05, 2.0, "sparse", 6.0, 0.0,
+                          "plain", "step")
 
 
 def fault_schedule(seed):
@@ -106,8 +141,12 @@ def build(workload, cls=Simulation):
         timeout,
         abandon_gain,
         mode,
+        utility_kind,
     ) = workload
-    utility = StepUtility(TAU)
+    if utility_kind == "step":
+        utility = StepUtility(TAU)
+    else:
+        utility = ExponentialUtility(1.0 / TAU)
     if abandon_gain:
         utility = ShiftedUtility(utility, abandon_gain)
     demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=demand_rate)
@@ -130,6 +169,8 @@ def build(workload, cls=Simulation):
         protocol = PassiveReplication()
     elif kind == "dom":
         protocol = dom_protocol(demand, N_NODES, RHO)
+    elif kind == "sparse":
+        protocol = StaticAllocation(counts=SPARSE_COUNTS)
     else:
         protocol = uni_protocol(demand, N_NODES, RHO)
     faults = fault_schedule(sim_seed) if mode.endswith("faulted") else None
@@ -153,6 +194,12 @@ def build(workload, cls=Simulation):
 @given(workload=workloads())
 @example(workload=EXPIRING)
 @example(workload=ADAPTIVE_FAULTED)
+@example(workload=PARKED)
+@example(workload=PARKED_EXPIRING)
+@example(workload=PARKED_EXP)
+@example(workload=DOM_EXP_EXPIRING)
+@example(workload=SPARSE_PARKED_EXP)
+@example(workload=SPARSE_PARKED_EXPIRING)
 def test_matches_reference(workload):
     """The optimized loops reproduce the frozen reference engine."""
     expected = build(workload, ReferenceSimulation).run()
@@ -165,6 +212,88 @@ def test_expiring_example_expires():
     result = build(EXPIRING).run()
     assert result.n_expired > 0
     assert result.n_fulfilled > 0
+
+
+PARKING_EXAMPLES = [
+    PARKED,
+    PARKED_EXPIRING,
+    PARKED_EXP,
+    SPARSE_PARKED_EXP,
+    SPARSE_PARKED_EXPIRING,
+]
+
+
+@pytest.mark.parametrize("workload", PARKING_EXAMPLES, ids=str)
+def test_parked_examples_park_and_survive(workload):
+    """The pinned examples really take the parking path: they request
+    zero-copy items, and some of those requests reach the horizon.  In
+    the sparse ones live requests reach it too, on the same nodes."""
+    sim = build(workload)
+    assert sim._parks_dead_requests()
+    result = sim.run()
+    dead = np.flatnonzero(sim.counts == 0)
+    assert np.isin(sim.requests.items, dead).any()
+    survivors = [
+        item
+        for node in sim.nodes
+        for item in node.outstanding
+        if sim.counts[item] == 0
+    ]
+    assert survivors
+    if workload[6] is not None:
+        assert result.n_expired > 0
+    if workload[5] == "sparse":
+        assert any(
+            sim.counts[item] == 0
+            and any(sim.counts[other] > 0 for other in node.outstanding)
+            for node in sim.nodes
+            for item in node.outstanding
+        )
+
+
+def test_timed_exponential_dom_keeps_outstanding():
+    """Non-step timed ``truncate`` runs cannot be settled order-free, so
+    they keep every request in ``outstanding``."""
+    assert not build(DOM_EXP_EXPIRING)._parks_dead_requests()
+
+
+@pytest.mark.parametrize(
+    "workload", [*PARKING_EXAMPLES, DOM_EXP_EXPIRING], ids=str
+)
+def test_settled_state_matches_reference(workload):
+    """After the run every node holds the reference's outstanding
+    requests: in the same dict order without a timeout, as the same
+    dict with one.  Each survivor's stashed birth count plus the
+    reference's per-meeting count is the node's total number of server
+    meetings."""
+    sim = build(workload)
+    sim.run()
+    reference = build(workload, ReferenceSimulation)
+    reference.run()
+    actual, expected = outstanding_order(sim), outstanding_order(reference)
+    if workload[6] is None:
+        assert actual == expected
+    else:
+        assert [dict(node) for node in actual] == [
+            dict(node) for node in expected
+        ]
+    trace = sim.trace
+    is_server = np.zeros(trace.n_nodes, dtype=bool)
+    is_server[sim.server_ids] = True
+    meetings = np.bincount(
+        trace.node_a[is_server[trace.node_b]], minlength=trace.n_nodes
+    ) + np.bincount(
+        trace.node_b[is_server[trace.node_a]], minlength=trace.n_nodes
+    )
+    for node, ref_node in zip(sim.nodes, reference.nodes):
+        for item, request_list in node.outstanding.items():
+            for request, ref_request in zip(
+                request_list, ref_node.outstanding[item]
+            ):
+                assert (
+                    request.counter + ref_request.counter
+                    == meetings[node.node_id]
+                )
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,6 +315,11 @@ def test_replica_accounting_consistent(workload):
 @settings(max_examples=40, deadline=None)
 @given(workload=workloads())
 @example(workload=EXPIRING)
+@example(workload=PARKED)
+@example(workload=PARKED_EXPIRING)
+@example(workload=PARKED_EXP)
+@example(workload=SPARSE_PARKED_EXP)
+@example(workload=SPARSE_PARKED_EXPIRING)
 def test_bookkeeping_identities(workload):
     """Generated = fulfilled(non-immediate) + expired + outstanding +
     skipped + lost to crashes; gains decompose over windows."""

@@ -9,6 +9,7 @@ bounded by the merge chunk, not the trace length.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,12 @@ from repro.contacts import (
 from repro.demand import DemandModel, generate_requests
 from repro.faults import FaultSchedule
 from repro.obs import Tracer
-from repro.protocols import QCR, PassiveReplication, uni_protocol
+from repro.protocols import (
+    QCR,
+    PassiveReplication,
+    dom_protocol,
+    uni_protocol,
+)
 from repro.sim import Simulation, SimulationConfig
 from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
@@ -86,6 +92,23 @@ class TestChunkedIdentity:
         )
         assert sim._streamed
         assert comparable(eager) == comparable(streamed)
+
+    def test_memmap_trace_with_parked_requests(self, tmp_path):
+        """DOM with a timeout parks its never-servable requests and
+        expires them at settle from the memory-mapped trace's tail."""
+        demand, trace, requests, config = make_inputs()
+        config = dataclasses.replace(config, request_timeout=20.0)
+        save_binary(trace, tmp_path / "t.ctb")
+        mm = load_binary(tmp_path / "t.ctb")
+        _, eager = run_one(
+            trace, requests, config, dom_protocol(demand, N_NODES, RHO)
+        )
+        sim, streamed = run_one(
+            mm, requests, config, dom_protocol(demand, N_NODES, RHO)
+        )
+        assert sim._streamed and sim._parks_dead_requests()
+        assert comparable(eager) == comparable(streamed)
+        assert streamed.n_expired > 0
 
     def test_chunked_with_faults_and_tracing(self):
         """Faults + live tracing + chunking together change nothing."""
