@@ -220,7 +220,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             failed = True
         unfaithful = [
-            case["protocol"]
+            f"{case['protocol']} ({case['utility']})"
             for case in report["engine"]["cases"]
             if not case["bit_identical"]
         ]

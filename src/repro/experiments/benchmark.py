@@ -9,8 +9,11 @@ so the perf trajectory is tracked across PRs:
   (:class:`~repro.sim._reference.ReferenceSimulation`), for a hook-free
   static protocol (OPT), for QCR, and for DOM under the figure panels'
   request timeout, whose never-servable requests take the plain loop's
-  parked path.  Both engines must produce bit-identical results; the
-  speedup is their wall-clock ratio.
+  parked path, all on a step utility; and for OPT on Fig. 4's
+  waiting-cost utility ``h(t) = -t`` (power, alpha = 0) without a
+  timeout, whose gains the engine evaluates and folds after the loop.
+  Both engines must produce bit-identical results; the speedup is
+  their wall-clock ratio.
 * **streamed large-scale case** — a sparse many-node trace generated
   chunk-by-chunk straight to the binary on-disk format, memory-mapped,
   and simulated through the streamed columnar pipeline; records
@@ -66,7 +69,7 @@ from ..sim._reference import ReferenceSimulation
 from ..sim.engine import Simulation, simulate
 from ..sim.events import build_event_stream
 from ..simcache import fingerprint_trace, run_key
-from ..utility import StepUtility
+from ..utility import PowerUtility, StepUtility
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 from .figures import recommended_timeout
 from .reporting import render_table
@@ -215,6 +218,7 @@ def _bench_engine_case(
     )
     return {
         "protocol": protocol_name,
+        "utility": scenario.config.utility.name,
         "n_events": n_events,
         "reference_seconds": ref_seconds,
         "optimized_seconds": opt_seconds,
@@ -642,12 +646,18 @@ def run_speed_benchmark(
             request_timeout=recommended_timeout(utility, duration),
         ),
     )
+    # Fig. 4's alpha panel: a waiting cost and no timeout, so every
+    # gain is evaluated and folded after the loop.
+    power_scenario = homogeneous_scenario(
+        PowerUtility(0.0), duration=duration, record_interval=None
+    )
     cases = [
         _bench_engine_case(scenario, name, seed=11, repeats=repeats)
         for scenario, name in (
             (engine_scenario, "OPT"),
             (engine_scenario, "QCR"),
             (dom_scenario, "DOM"),
+            (power_scenario, "OPT"),
         )
     ]
     streamed = _bench_streamed_case(
@@ -708,6 +718,7 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     engine_rows = [
         [
             case["protocol"],
+            case["utility"],
             f"{case['reference_events_per_sec']:,.0f}",
             f"{case['optimized_events_per_sec']:,.0f}",
             f"{case['speedup']:.2f}x",
@@ -719,6 +730,7 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     engine_table = render_table(
         [
             "protocol",
+            "utility",
             "ref ev/s",
             "opt ev/s",
             "speedup",

@@ -136,7 +136,6 @@ class Simulation:
         "_utility",
         "_h0",
         "_h0_finite",
-        "_step_tau",
         "_timeout",
         "_skip_self",
         "_abandoned_gain",
@@ -330,12 +329,6 @@ class Simulation:
         self._utility = utility
         self._h0 = utility.h0
         self._h0_finite = math.isfinite(utility.h0)
-        # Step utilities admit a branch-only gain computation; resolving
-        # tau here lets ``_fulfill_hits`` skip the utility call (and the
-        # finiteness guard — a step gain is always 0 or 1) per fulfill.
-        self._step_tau = (
-            utility.tau if isinstance(utility, StepUtility) else None
-        )
         self._timeout = config.request_timeout
         self._skip_self = config.self_request_policy == "skip"
         gain_never = utility.gain_never
@@ -907,13 +900,17 @@ class Simulation:
         return result
 
     def _run_dispatch(self) -> None:
-        """Select and run the event loop for this run.
+        """Select and run the event loop for this run, then credit its
+        gains.
 
         Faults or tracing take the instrumented loop.  Otherwise, fully
         hook-free protocols on large node sets take the vectorized
         masked loop, whose per-block activity mask only stays selective
         when few nodes request within one block; everything else takes
-        the segmented plain loop.
+        the segmented plain loop.  Every loop only logs fulfilments and
+        credited abandonments: the gains are evaluated in one
+        vectorized utility call after the loop and folded in log order
+        (see :meth:`MetricsCollector.fold_fulfillments`).
         """
         if self.tracer is not None or self.faults is not None:
             self._run_with_faults()
@@ -925,6 +922,25 @@ class Simulation:
             self._run_plain_masked()
         else:
             self._run_plain()
+        metrics = self.metrics
+        metrics.fold_fulfillments(
+            self._gains(np.asarray(metrics.delays, dtype=float))
+        )
+
+    def _gains(self, delays: FloatArray) -> FloatArray:
+        """The gain of a fulfilment after each of *delays*: ``h(delay)``,
+        ``h(0+)`` at delay zero (an immediate fulfilment or a request
+        and a contact at the same instant), and 0 where not finite.
+
+        One array evaluation stands for the per-fulfilment scalar calls
+        it replaces: every :class:`~repro.utility.DelayUtility` gives
+        bit-identical results either way (its ``__call__`` contract).
+        """
+        gains = np.full(len(delays), self._h0)
+        positive = delays > 0
+        gains[positive] = self._utility(delays[positive])
+        gains[~np.isfinite(gains)] = 0.0
+        return gains
 
     def _metrics_snapshot(self, n_unfulfilled: int) -> Dict[str, object]:
         """The manifest's embedded metrics snapshot (counters only).
@@ -1068,7 +1084,6 @@ class Simulation:
         cache_tbl = self._cache_tbl
         mandates_tbl = self._mandates_tbl
         metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
         expire_requests = self._expire_requests
         floor_tbl = self._expiry_floor
@@ -1088,23 +1103,16 @@ class Simulation:
         else:
             mand_count = 1 if hooked else 0
         skip_self = self._skip_self
-        h0 = self._h0
         h0_finite = self._h0_finite
         timed = self._timeout is not None
         timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
-        # Single-item step-utility fulfills — the dominant fulfill shape
-        # — are inlined below with ``record_fulfillment``'s exact
-        # statement order; everything else routes through
-        # ``_fulfill_hits``.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
+        # Immediate and single-item fulfils — the dominant fulfil
+        # shapes — are inlined below as ``_fulfill_hits`` does them: log
+        # each delay and time, gains come after the loop.  Several items
+        # route through ``_fulfill_hits``.
+        log_delay = metrics.delays.append
+        log_time = metrics.fulfill_times.append
         notify = not self._hook_free_fulfill
         on_fulfill = self.protocol.on_fulfill
         # sole_tbl[u] is the node's single outstanding item id, or -1
@@ -1168,42 +1176,20 @@ class Simulation:
                                 if item in cache_tbl[b]:
                                     hit = True
                                     sole_tbl[a] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = mx[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out_a.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[a],
-                                                    nodes[b],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], a, b, mx[p],
-                                            out_a, (item,),
-                                        )
+                                    t_ev = mt[p]
+                                    meet = mx[p]
+                                    for request in out_a.pop(item):
+                                        log_delay(t_ev - request.created_at)
+                                        log_time(t_ev)
+                                        if notify:
+                                            on_fulfill(
+                                                self,
+                                                t_ev,
+                                                nodes[a],
+                                                nodes[b],
+                                                item,
+                                                meet - request.counter,
+                                            )
                             else:
                                 hits = out_a.keys() & cache_tbl[b]
                                 if hits:
@@ -1228,42 +1214,20 @@ class Simulation:
                                 if item in cache_tbl[a]:
                                     hit = True
                                     sole_tbl[b] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = my[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out_b.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[b],
-                                                    nodes[a],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], b, a, my[p],
-                                            out_b, (item,),
-                                        )
+                                    t_ev = mt[p]
+                                    meet = my[p]
+                                    for request in out_b.pop(item):
+                                        log_delay(t_ev - request.created_at)
+                                        log_time(t_ev)
+                                        if notify:
+                                            on_fulfill(
+                                                self,
+                                                t_ev,
+                                                nodes[b],
+                                                nodes[a],
+                                                item,
+                                                meet - request.counter,
+                                            )
                             else:
                                 hits = out_b.keys() & cache_tbl[a]
                                 if hits:
@@ -1298,9 +1262,9 @@ class Simulation:
                         if skip_self:
                             metrics.n_skipped_self += 1
                         elif h0_finite:
-                            record_fulfillment(
-                                mt[rp], 0.0, h0, immediate=True
-                            )
+                            metrics.n_immediate += 1
+                            log_delay(0.0)
+                            log_time(mt[rp])
                         else:
                             self._raise_infinite_h0(item, node_id)
                     else:
@@ -1399,27 +1363,15 @@ class Simulation:
         outstanding_tbl = self._outstanding_tbl
         cache_tbl = self._cache_tbl
         metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
         expire_requests = self._expire_requests
         floor_tbl = self._expiry_floor
         candidate_positions = self._candidate_positions
         skip_self = self._skip_self
-        h0 = self._h0
         h0_finite = self._h0_finite
         timed = self._timeout is not None
         timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._all_servers
-        # Hook-free implies no fulfill notification, so the single-item
-        # step-utility fast path inlines ``record_fulfillment`` directly.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
         active = np.zeros(len(self.nodes), dtype=bool)
         for node_id, out in enumerate(outstanding_tbl):
             if out:
@@ -1455,34 +1407,9 @@ class Simulation:
                                 for item in out:
                                     break
                                 if item in cache_tbl[b]:
-                                    if step_fast:
-                                        t_ev = mt[gp]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = (
-                                                t_ev - request.created_at
-                                            )
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                    else:
-                                        fulfill_hits(
-                                            mt[gp], a, b, mx[gp], out,
-                                            (item,),
-                                        )
+                                    fulfill_hits(
+                                        mt[gp], a, b, mx[gp], out, (item,)
+                                    )
                             else:
                                 hits = out.keys() & cache_tbl[b]
                                 if hits:
@@ -1499,34 +1426,9 @@ class Simulation:
                                 for item in out:
                                     break
                                 if item in cache_tbl[a]:
-                                    if step_fast:
-                                        t_ev = mt[gp]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = (
-                                                t_ev - request.created_at
-                                            )
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                    else:
-                                        fulfill_hits(
-                                            mt[gp], b, a, my[gp], out,
-                                            (item,),
-                                        )
+                                    fulfill_hits(
+                                        mt[gp], b, a, my[gp], out, (item,)
+                                    )
                             else:
                                 hits = out.keys() & cache_tbl[a]
                                 if hits:
@@ -1543,9 +1445,7 @@ class Simulation:
                             if skip_self:
                                 metrics.n_skipped_self += 1
                             elif h0_finite:
-                                record_fulfillment(
-                                    mt[gp], 0.0, h0, immediate=True
-                                )
+                                metrics.log_immediate(mt[gp])
                             else:
                                 self._raise_infinite_h0(item, node_id)
                         else:
@@ -1582,7 +1482,6 @@ class Simulation:
         is_server_tbl = self._is_server_tbl
         mandates_tbl = self._mandates_tbl
         metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
         expire_requests = self._expire_requests
         floor_tbl = self._expiry_floor
@@ -1686,7 +1585,7 @@ class Simulation:
                                     node=node_id,
                                 )
                         elif h0_finite:
-                            record_fulfillment(t, 0.0, h0, immediate=True)
+                            metrics.log_immediate(t)
                             if tracer is not None:
                                 tracer.emit(
                                     trace_events.IMMEDIATE, t, item=item,
@@ -1738,9 +1637,10 @@ class Simulation:
 
         *hits* is any collection supporting ``len`` and membership —
         the hot loops pass a one-element tuple when the requester has a
-        single outstanding item, sparing the set intersection.  Traced
-        runs emit one ``FULFILL`` per request, after its metrics update
-        and before ``on_fulfill``.
+        single outstanding item, sparing the set intersection.  Each
+        request's delay is logged (its gain is credited after the loop);
+        traced runs evaluate that gain now for the ``FULFILL`` event,
+        emitted after the log entry and before ``on_fulfill``.
         """
         if len(hits) < len(outstanding):
             fulfilled = [item for item in outstanding if item in hits]
@@ -1753,64 +1653,15 @@ class Simulation:
         requester = self.nodes[requester_id]
         provider = self.nodes[provider_id]
         pop = outstanding.pop
-        step_tau = self._step_tau
-        if step_tau is not None:
-            # Step utility: the gain is a bare comparison (always 0 or
-            # 1, so provably finite) and the metrics update is inlined
-            # in ``record_fulfillment``'s exact statement order.  The
-            # window index depends only on *t*, so it is computed once.
-            tie_gain = self._h0 if self._h0_finite else 0.0
-            delays_append = metrics.delays.append
-            window_gains = metrics.window_gains
-            window_fulfillments = metrics.window_fulfillments
-            window = min(
-                int(t / metrics.window_length), len(window_gains) - 1
-            )
-            for item in fulfilled:
-                for request in pop(item):
-                    delay = t - request.created_at
-                    if delay > 0:
-                        gain = 1.0 if delay <= step_tau else 0.0
-                    else:
-                        # Measure-zero tie between a request and a
-                        # contact at the same instant.
-                        gain = tie_gain
-                    metrics.total_gain += gain
-                    metrics.n_fulfilled += 1
-                    delays_append(delay)
-                    window_gains[window] += gain
-                    window_fulfillments[window] += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            trace_events.FULFILL, t, item=item,
-                            node=requester_id, server=provider_id,
-                            delay=delay, gain=gain,
-                            counter=meet_count - request.counter,
-                        )
-                    if notify:
-                        on_fulfill(
-                            self,
-                            t,
-                            requester,
-                            provider,
-                            item,
-                            meet_count - request.counter,
-                        )
-            return
-        utility = self._utility
-        h0 = self._h0
-        isfinite = math.isfinite
-        record_fulfillment = metrics.record_fulfillment
+        log_delay = metrics.delays.append
+        log_time = metrics.fulfill_times.append
         for item in fulfilled:
             for request in pop(item):
                 delay = t - request.created_at
-                gain = float(utility(delay)) if delay > 0 else h0
-                if not isfinite(gain):
-                    # Measure-zero tie between a request and a contact at
-                    # the same instant under an unbounded utility.
-                    gain = 0.0
-                record_fulfillment(t, delay, gain)
+                log_delay(delay)
+                log_time(t)
                 if tracer is not None:
+                    gain = float(self._gains(np.array([delay]))[0])
                     tracer.emit(
                         trace_events.FULFILL, t, item=item,
                         node=requester_id, server=provider_id,
@@ -1838,7 +1689,8 @@ class Simulation:
         survivor, or to *deadline* when none survives (every later
         request is created at or after this contact, hence after
         *deadline*).  Traced runs emit one ``ABANDON`` per expired
-        request, after its item's metrics update.
+        request, after its item's metrics update.  Credited
+        abandonments are logged for the run's gain fold.
         """
         outstanding = node.outstanding
         stale_items = [
@@ -1854,7 +1706,7 @@ class Simulation:
             expired = len(request_list) - len(kept)
             if self._credit_abandoned:
                 for _ in range(expired):
-                    metrics.record_abandonment(deadline, self._abandoned_gain)
+                    metrics.log_abandonment(deadline, self._abandoned_gain)
             metrics.n_expired += expired
             if tracer is not None:
                 for request in request_list[:expired]:
@@ -2015,7 +1867,7 @@ class Simulation:
             and not self._credit_abandoned
             and (
                 self._timeout is None
-                or self._step_tau is not None
+                or isinstance(self._utility, StepUtility)
                 or self.config.unfulfilled_policy != "truncate"
             )
         )
@@ -2133,15 +1985,15 @@ class Simulation:
                 outstanding[live_item] = live_requests
 
     def _settle_unfulfilled(self) -> int:
-        """Apply the end-of-horizon policy to outstanding requests."""
+        """Apply the end-of-horizon policy to outstanding requests: under
+        ``truncate``, their gains are evaluated in one array call and
+        folded after everything the run credited."""
         if self._dead_tbl is not None:
             self._settle_dead_requests(self._dead_tbl)
             self._dead_tbl = None
-        utility = self.config.utility
         horizon = self.trace.duration
-        truncate = self.config.unfulfilled_policy == "truncate"
         tracer = self.tracer
-        n_unfulfilled = 0
+        created: List[float] = []
         # Outstanding requests can only live on nodes that issued one,
         # so settle visits those — not every node, which at million-node
         # scale costs more than the whole streamed run loop.
@@ -2149,7 +2001,7 @@ class Simulation:
             node = self.nodes[node_id]
             for item, request_list in node.outstanding.items():
                 for request in request_list:
-                    n_unfulfilled += 1
+                    created.append(request.created_at)
                     if tracer is not None:
                         tracer.emit(
                             trace_events.UNFULFILLED,
@@ -2159,13 +2011,13 @@ class Simulation:
                             created_at=request.created_at,
                             age=horizon - request.created_at,
                         )
-                    if truncate:
-                        age = horizon - request.created_at
-                        if age > 0:
-                            gain = float(utility(age))
-                            if math.isfinite(gain):
-                                self.metrics.record_end_of_run_gain(gain)
-        return n_unfulfilled
+        if self.config.unfulfilled_policy == "truncate" and created:
+            ages = horizon - np.asarray(created, dtype=float)
+            gains = np.asarray(
+                self.config.utility(ages[ages > 0]), dtype=float
+            )
+            self.metrics.fold_end_of_run_gains(gains[np.isfinite(gains)])
+        return len(created)
 
 
 def simulate(

@@ -195,11 +195,14 @@ def compute_plain_payloads(
 
     Grouping by node uses no comparison sort: the two direction-slot
     lists are merged positionally with two ``searchsorted`` calls
-    (each list is already in stream order), and a stable — for int64
-    keys, radix — ``argsort`` on the node ids alone then groups slots
-    by node while preserving stream order within each node.  That is
-    order-identical to the packed ``(node << shift) | slot`` key sort
-    it replaces: an a-slot precedes the same event's b-slot in both.
+    (each list is already in stream order), and a stable ``argsort``
+    on the node ids alone then groups slots by node while preserving
+    stream order within each node.  That is order-identical to the
+    packed ``(node << shift) | slot`` key sort it replaces: an a-slot
+    precedes the same event's b-slot in both.  NumPy's stable argsort
+    is a radix sort only for integer keys of at most 16 bits, so up to
+    65,536 nodes the slot list holds its node ids as ``uint16``: a
+    stable sort's permutation is unique, so only the speed changes.
     """
     total = len(kinds)
     # Meeting counts are only ever read for a node with outstanding
@@ -240,7 +243,9 @@ def compute_plain_payloads(
         rank_b = np.arange(n_b, dtype=np.int64) + np.searchsorted(
             idx_a, idx_b, side="right"
         )
-        seq_nodes = np.empty(n_inc, dtype=np.int64)
+        seq_nodes = np.empty(
+            n_inc, dtype=np.uint16 if len(is_server) <= 1 << 16 else np.int64
+        )
         seq_idx = np.empty(n_inc, dtype=np.int64)
         seq_b_side = np.empty(n_inc, dtype=bool)
         seq_nodes[rank_a] = arg_a[idx_a]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -30,6 +31,8 @@ class MetricsCollector:
         "n_skipped_self",
         "n_expired",
         "delays",
+        "fulfill_times",
+        "_abandon_log",
         "window_gains",
         "window_fulfillments",
         "snapshot_times",
@@ -74,10 +77,15 @@ class MetricsCollector:
         self.n_skipped_self = 0
         self.n_expired = 0
         self.delays: List[float] = []
+        #: Time of each logged fulfilment, aligned with ``delays``.
+        self.fulfill_times: "array[float]" = array("d")
+        #: (fulfilments logged before it, time, gain) per logged
+        #: abandonment.
+        self._abandon_log: List[Tuple[int, float, float]] = []
         n_windows = max(int(np.ceil(duration / window_length)), 1)
         # Plain lists: per-fulfillment `arr[i] += g` on numpy scalars is
-        # several times slower than list item assignment on the hot path;
-        # build_result() converts to arrays once at the end.
+        # several times slower than list item assignment on the eager
+        # path; build_result() converts to arrays once at the end.
         self.window_gains: List[float] = [0.0] * n_windows
         self.window_fulfillments: List[int] = [0] * n_windows
 
@@ -142,6 +150,25 @@ class MetricsCollector:
     def record_skipped_self(self) -> None:
         self.n_skipped_self += 1
 
+    def _window_of(self, t: float) -> int:
+        """The window holding time *t* (the horizon joins the last)."""
+        return min(int(t / self.window_length), len(self.window_gains) - 1)
+
+    def _windows_of(self, times: FloatArray) -> IntArray:
+        """:meth:`_window_of` over an array: the same IEEE division and
+        truncation, so the same windows."""
+        return np.minimum(
+            (times / self.window_length).astype(np.int64),
+            len(self.window_gains) - 1,
+        )
+
+    # Two ways to credit fulfilments and abandonments, one per run.  The
+    # eager ``record_*`` methods add each gain as it happens (the frozen
+    # reference engine's way).  The engine's loops instead *log* each
+    # fulfilment's delay and time, and each credited abandonment's
+    # place among them; one ``fold_fulfillments`` after the loop then
+    # credits the whole log.  End-of-run gains follow either way
+    # (``fold_end_of_run_gains``).
     def record_fulfillment(
         self, t: float, delay: float, gain: float, *, immediate: bool = False
     ) -> None:
@@ -150,20 +177,65 @@ class MetricsCollector:
         if immediate:
             self.n_immediate += 1
         self.delays.append(delay)
-        window = min(int(t / self.window_length), len(self.window_gains) - 1)
+        window = self._window_of(t)
         self.window_gains[window] += gain
         self.window_fulfillments[window] += 1
-
-    def record_end_of_run_gain(self, gain: float) -> None:
-        """Gain credited to requests still outstanding at the horizon."""
-        self.total_gain += gain
-        self.window_gains[-1] += gain
 
     def record_abandonment(self, t: float, gain: float) -> None:
         """Gain credited to a request abandoned (timed out) at time *t*."""
         self.total_gain += gain
-        window = min(int(t / self.window_length), len(self.window_gains) - 1)
-        self.window_gains[window] += gain
+        self.window_gains[self._window_of(t)] += gain
+
+    def log_immediate(self, t: float) -> None:
+        """Log a request fulfilled from its node's own cache at *t*
+        (delay zero); :meth:`fold_fulfillments` credits it."""
+        self.n_immediate += 1
+        self.delays.append(0.0)
+        self.fulfill_times.append(t)
+
+    def log_abandonment(self, t: float, gain: float) -> None:
+        """Log an abandonment at *t*, between the fulfilments around it."""
+        self._abandon_log.append((len(self.delays), t, gain))
+
+    def fold_fulfillments(self, gains: FloatArray) -> None:
+        """Credit the logged fulfilments' *gains* (one per log entry),
+        with every logged abandonment merged in at its place."""
+        windows = self._windows_of(np.asarray(self.fulfill_times, dtype=float))
+        self.n_fulfilled += len(windows)
+        self.window_fulfillments = (
+            np.asarray(self.window_fulfillments, dtype=np.int64)
+            + np.bincount(windows, minlength=len(self.window_fulfillments))
+        ).tolist()
+        if self._abandon_log:
+            # np.insert is stable: abandonments at one place keep their
+            # order, ahead of the fulfilment logged there next.
+            at, times, abandon_gains = zip(*self._abandon_log)
+            gains = np.insert(gains, at, abandon_gains)
+            windows = np.insert(windows, at, self._windows_of(np.array(times)))
+        self._credit(gains, windows)
+
+    def fold_end_of_run_gains(self, gains: FloatArray) -> None:
+        """Credit *gains* of requests outstanding at the horizon, in
+        order, after everything credited so far."""
+        last = len(self.window_gains) - 1
+        self._credit(gains, np.full(len(gains), last))
+
+    def _credit(self, gains: FloatArray, windows: IntArray) -> None:
+        """Add *gains* to the totals term by term, in order.
+
+        ``np.add.accumulate`` and ``np.add.at`` both add one term after
+        another, so each total is bit-identical to the eager ``+=``
+        sequence.  ``np.sum``, ``np.add.reduce`` and ``reduceat`` sum
+        pairwise: they round differently and must not replace these.
+        """
+        if not len(gains):
+            return
+        self.total_gain = float(
+            np.add.accumulate(np.concatenate(([self.total_gain], gains)))[-1]
+        )
+        window_gains = np.array(self.window_gains)
+        np.add.at(window_gains, windows, gains)
+        self.window_gains = window_gains.tolist()
 
     @property
     def snapshot_counts(self) -> IntArray:

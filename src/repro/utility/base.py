@@ -54,7 +54,13 @@ class DelayUtility(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        """Evaluate ``h(t)`` for ``t > 0`` (vectorized over numpy arrays)."""
+        """Evaluate ``h(t)`` for ``t > 0`` (vectorized over numpy arrays).
+
+        Contract: on an array of delays the result equals, bit for bit,
+        the elementwise evaluation on each delay as a Python float.  The
+        simulation engine relies on it: it evaluates a run's gains in
+        one array call instead of one call per fulfilment.
+        """
 
     @property
     @abstractmethod

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,12 @@ from repro.protocols import (
 )
 from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
-from repro.utility import ExponentialUtility, ShiftedUtility, StepUtility
+from repro.utility import (
+    ExponentialUtility,
+    PowerUtility,
+    ShiftedUtility,
+    StepUtility,
+)
 
 from ._bitwise import assert_bit_identical, outstanding_order
 
@@ -67,9 +74,16 @@ def workloads(draw):
     mode = draw(
         st.sampled_from(["plain", "faulted", "traced", "traced-faulted"])
     )
-    # Step gains are 0/1 and sum exactly in any order; exponential
-    # ``truncate`` gains do not, so only they make settle order visible.
-    utility_kind = draw(st.sampled_from(["step", "exp"]))
+    # Step gains are 0/1 and sum exactly in any order; exponential and
+    # power ``truncate`` gains do not, so they make settle order
+    # visible.  Power gains are the paper's waiting costs (Fig. 4's
+    # alpha panel); alpha = 1.5 has h(0+) = inf, so its runs skip
+    # self-requests, and same-instant fulfilments meet the non-finite
+    # gain guard.
+    utility_kind = draw(st.sampled_from(["step", "exp", "power"]))
+    if utility_kind == "power":
+        alpha = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.5]))
+        utility_kind = ("power", alpha)
     return (
         trace_seed,
         request_seed,
@@ -113,6 +127,11 @@ SPARSE_PARKED_EXP = (10, 11, 12, 0.1, 2.0, "sparse", None, 0.0, "plain",
                      "exp")
 SPARSE_PARKED_EXPIRING = (10, 11, 12, 0.05, 2.0, "sparse", 6.0, 0.0,
                           "plain", "step")
+#: The shape of Fig. 4's alpha panel: plain loop, h(t) = -t (alpha = 0),
+#: no timeout, ``truncate``.  Every gain is folded after the loop, and
+#: DOM parks its never-servable requests for settle.
+FIG4_ALPHA = (13, 14, 15, 0.2, 2.0, "dom", None, 0.0, "plain",
+              ("power", 0.0))
 
 
 def fault_schedule(seed):
@@ -145,8 +164,10 @@ def build(workload, cls=Simulation):
     ) = workload
     if utility_kind == "step":
         utility = StepUtility(TAU)
-    else:
+    elif utility_kind == "exp":
         utility = ExponentialUtility(1.0 / TAU)
+    else:
+        utility = PowerUtility(utility_kind[1])
     if abandon_gain:
         utility = ShiftedUtility(utility, abandon_gain)
     demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=demand_rate)
@@ -158,6 +179,9 @@ def build(workload, cls=Simulation):
         utility=utility,
         record_interval=30.0,
         request_timeout=timeout,
+        self_request_policy=(
+            "immediate" if math.isfinite(utility.h0) else "skip"
+        ),
     )
     if kind == "qcr":
         protocol = QCR(utility, rate)
@@ -200,6 +224,7 @@ def build(workload, cls=Simulation):
 @example(workload=DOM_EXP_EXPIRING)
 @example(workload=SPARSE_PARKED_EXP)
 @example(workload=SPARSE_PARKED_EXPIRING)
+@example(workload=FIG4_ALPHA)
 def test_matches_reference(workload):
     """The optimized loops reproduce the frozen reference engine."""
     expected = build(workload, ReferenceSimulation).run()
@@ -208,10 +233,24 @@ def test_matches_reference(workload):
 
 
 def test_expiring_example_expires():
-    """The pinned example really expires (and fulfils) requests."""
-    result = build(EXPIRING).run()
+    """The pinned example really expires (and fulfils) requests, and
+    its credited expiries are logged and folded by the plain loop."""
+    sim = build(EXPIRING)
+    result = sim.run()
     assert result.n_expired > 0
     assert result.n_fulfilled > 0
+    assert sim.metrics._abandon_log
+
+
+def test_fig4_alpha_example_folds_power_gains():
+    """The pinned alpha-panel example fulfils requests at waiting-cost
+    gains and settles parked ones at the horizon."""
+    sim = build(FIG4_ALPHA)
+    assert sim._parks_dead_requests()
+    result = sim.run()
+    assert result.n_fulfilled > 0
+    assert result.n_unfulfilled > 0
+    assert result.total_gain < 0
 
 
 PARKING_EXAMPLES = [

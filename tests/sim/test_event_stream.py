@@ -20,6 +20,7 @@ from repro.protocols import (
 from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
 from repro.sim.engine import EVENT_CONTACT, EVENT_FAULT, EVENT_REQUEST
+from repro.sim.events import compute_plain_payloads
 from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
@@ -189,3 +190,71 @@ def test_reference_engine_equivalence_with_timeout_and_faults():
         lambda d: QCR(UTILITY, 0.15), request_timeout=25.0, faults=faults
     )
     assert result_to_dict(optimized) == result_to_dict(reference)
+
+
+# ----------------------------------------------------------------------
+# compute_plain_payloads against a per-event meeting counter
+# ----------------------------------------------------------------------
+def brute_force_payloads(kinds, arg_a, arg_b, meet_base, is_server, requester):
+    """Walk the block event by event: a requester's meeting count rises
+    by one per contact with a server; a contact carries each side's new
+    count (``-1`` when that side does not count), a request its node's
+    count at creation."""
+    counts = meet_base.copy()
+    payload_x = np.full(len(kinds), -1, dtype=np.int64)
+    payload_y = np.full(len(kinds), -1, dtype=np.int64)
+    for p, (kind, a, b) in enumerate(zip(kinds, arg_a, arg_b)):
+        if kind == EVENT_REQUEST:
+            payload_x[p] = counts[b]
+        elif kind == EVENT_CONTACT:
+            if is_server[b] and requester[a]:
+                counts[a] += 1
+                payload_x[p] = counts[a]
+            if is_server[a] and requester[b]:
+                counts[b] += 1
+                payload_y[p] = counts[b]
+    return payload_x, payload_y, counts
+
+
+@pytest.mark.parametrize("n_nodes", [7, 70_000])
+def test_plain_payloads_match_brute_force(n_nodes):
+    """Up to 65,536 nodes the grouping sorts 16-bit keys; above, the
+    int64 ids themselves (70,000 nodes pins that fallback: a 16-bit
+    key would alias node ids 65,536 apart)."""
+    rng = np.random.default_rng(n_nodes)
+    n_events = 4000
+    if n_nodes > 1 << 16:
+        # Pairs of node ids 65,536 apart: a 16-bit key would merge each.
+        low = rng.choice(n_nodes - (1 << 16), size=20, replace=False)
+        pool = np.concatenate([low, low + (1 << 16)])
+    else:
+        pool = np.arange(n_nodes)
+    kinds = rng.choice(
+        [EVENT_FAULT, EVENT_REQUEST, EVENT_CONTACT],
+        size=n_events,
+        p=[0.02, 0.18, 0.8],
+    ).astype(np.int64)
+    arg_a = rng.choice(pool, size=n_events)
+    arg_b = rng.choice(pool, size=n_events)
+    same = arg_a == arg_b
+    arg_b[same] = np.where(arg_a[same] == pool[0], pool[1], pool[0])
+    # Request rows carry an item id in arg_a, possibly past the node range.
+    is_request = kinds == EVENT_REQUEST
+    arg_a[is_request] = rng.integers(0, n_nodes + 50, size=is_request.sum())
+    is_server = rng.random(n_nodes) < 0.5
+    requester = np.zeros(n_nodes, dtype=bool)
+    requester[arg_b[is_request]] = True
+    requester[pool[::3]] = True
+    meet_base = rng.integers(0, 5, size=n_nodes)
+
+    expected_x, expected_y, expected_base = brute_force_payloads(
+        kinds, arg_a, arg_b, meet_base, is_server, requester
+    )
+    carry = meet_base.copy()
+    payload_x, payload_y = compute_plain_payloads(
+        kinds, arg_a, arg_b, carry, is_server=is_server, requester=requester
+    )
+    assert np.array_equal(payload_x, expected_x)
+    assert np.array_equal(payload_y, expected_y)
+    # The carry advances to each node's count at the end of the block.
+    assert np.array_equal(carry, expected_base)

@@ -153,3 +153,95 @@ class TestResult:
         result = collector.build_result(np.zeros(4, dtype=np.int64), 0)
         assert result.median_delay == pytest.approx(50.5)
         assert result.p95_delay == pytest.approx(95.05)
+
+
+class TestGainFold:
+    """The engine logs fulfilments and credits their gains in one fold
+    per run; the fold must reproduce the eager ``+=`` sums bit for bit."""
+
+    @staticmethod
+    def events():
+        """Fulfilments (with their gains; some immediate), credited
+        abandonments in event order, then end-of-run gains: magnitudes
+        1e16 and 1.0 mix (1e16 + 1.0 rounds back to 1e16), with ``-0.0``
+        and windows hit again and again."""
+        rng = np.random.default_rng(3)
+        magnitudes = np.array([1e16, 1.0, -0.0, 0.5, -1e16, 3.0])
+        events = []
+        t = 0.0
+        for _ in range(300):
+            t = min(t + float(rng.exponential(0.4)), 100.0)
+            gain = float(magnitudes[rng.integers(len(magnitudes))])
+            draw = rng.random()
+            if draw < 0.2:
+                events.append(("abandon", t, None, -0.5))
+            elif draw < 0.3:
+                events.append(("immediate", t, 0.0, gain))
+            else:
+                events.append(("fulfil", t, float(rng.exponential(2.0)), gain))
+        tail = [1.0, 1e16, -0.0, 1.0, 0.25]
+        return events, tail
+
+    @staticmethod
+    def log(collector, t, delay):
+        """Log a fulfilment the way the engine's loops do, inline."""
+        collector.delays.append(delay)
+        collector.fulfill_times.append(t)
+
+    @staticmethod
+    def bits(value):
+        return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+    def test_fold_matches_eager_sums(self):
+        events, tail = self.events()
+        eager = make_collector()
+        logged = make_collector()
+        gains = []
+        for kind, t, delay, gain in events:
+            if kind == "fulfil":
+                eager.record_fulfillment(t, delay, gain)
+                self.log(logged, t, delay)
+                gains.append(gain)
+            elif kind == "immediate":
+                eager.record_fulfillment(t, delay, gain, immediate=True)
+                logged.log_immediate(t)
+                gains.append(gain)
+            else:
+                eager.record_abandonment(t, gain)
+                logged.log_abandonment(t, gain)
+        for gain in tail:  # settle's eager credit, one request at a time
+            eager.total_gain += gain
+            eager.window_gains[-1] += gain
+        logged.fold_fulfillments(np.array(gains))
+        logged.fold_end_of_run_gains(np.array(tail))
+        assert self.bits(logged.total_gain) == self.bits(eager.total_gain)
+        assert self.bits(logged.window_gains) == self.bits(eager.window_gains)
+        assert logged.window_fulfillments == eager.window_fulfillments
+        assert logged.n_fulfilled == eager.n_fulfilled
+        assert logged.n_immediate == eager.n_immediate > 0
+        assert logged.delays == eager.delays
+
+    def test_pairwise_summation_would_differ(self):
+        """``np.sum`` sums pairwise: on this input it rounds differently
+        from the sequential sum, so a fold "simplified" to it fails."""
+        events, tail = self.events()
+        terms = [gain for _kind, _t, _delay, gain in events] + tail
+        sequential = 0.0
+        for gain in terms:
+            sequential += gain
+        assert float(np.sum(terms)) != sequential
+        assert float(np.add.accumulate([0.0, *terms])[-1]) == sequential
+
+    def test_abandonments_keep_their_place(self):
+        """Abandonments are folded in where they were logged: after the
+        fulfilments logged before them, before the ones logged after."""
+        collector = make_collector()
+        collector.log_abandonment(1.0, 1.0)
+        collector.log_abandonment(1.0, 1e16)
+        self.log(collector, 2.0, 1.0)
+        collector.log_abandonment(3.0, -1e16)
+        collector.fold_fulfillments(np.array([1.0]))
+        # In order: ((1.0 + 1e16) + 1.0) - 1e16 == 0.0.  The fulfilment
+        # first would give 2.0, the last abandonment before it 1.0.
+        assert collector.total_gain == 0.0
+        assert collector.n_fulfilled == 1

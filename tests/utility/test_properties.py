@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utility import (
+    DelayUtility,
     ExponentialUtility,
+    MixtureUtility,
+    NegLogUtility,
     PowerUtility,
+    ScaledUtility,
+    ShiftedUtility,
     StepUtility,
+    TabulatedUtility,
     power_family,
 )
 
@@ -127,3 +134,62 @@ def test_differential_mass_matches_h_drop(utility, t, dt):
     mass = measure.total_mass(upper=t + dt) - measure.total_mass(upper=t)
     drop = float(utility(t)) - float(utility(t + dt))
     assert mass == pytest.approx(drop, rel=1e-4, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the array contract: h(array) == [h(float(t)) for t in array], bit for
+# bit.  The engine logs delays in its event loop and evaluates every
+# gain in one array call after it, which is only exact under this.
+# ----------------------------------------------------------------------
+#: One instance or more of every DelayUtility class.
+ARRAY_CONTRACT_UTILITIES = [
+    StepUtility(8.0),
+    ExponentialUtility(0.05),
+    *(PowerUtility(a) for a in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 1.9)),
+    NegLogUtility(),
+    ScaledUtility(PowerUtility(0.5), 2.5),
+    ShiftedUtility(ExponentialUtility(0.1), -0.5),
+    MixtureUtility([(0.3, StepUtility(5.0)), (0.7, PowerUtility(-1.0))]),
+    TabulatedUtility([0.0, 1.0, 10.0, 100.0], [1.0, 0.5, 0.1, 0.0]),
+]
+
+delays = st.lists(
+    st.floats(min_value=1e-9, max_value=1e5), min_size=1, max_size=64
+)
+
+
+def test_array_contract_covers_every_class():
+    shipped = {
+        cls
+        for cls in DelayUtility.__subclasses__()
+        if cls.__module__.startswith("repro.")
+    }
+    assert len(shipped) == 8
+    assert {type(u) for u in ARRAY_CONTRACT_UTILITIES} == shipped
+
+
+def assert_array_matches_scalars(utility, ts):
+    ts = np.asarray(ts, dtype=float)
+    batched = np.asarray(utility(ts), dtype=float)
+    one_by_one = np.array([float(utility(float(t))) for t in ts])
+    assert batched.shape == ts.shape
+    # Compare bit patterns: -0.0 vs 0.0 or a last-bit difference fails.
+    assert np.array_equal(batched.view(np.int64), one_by_one.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "utility", ARRAY_CONTRACT_UTILITIES, ids=lambda u: u.name
+)
+@settings(max_examples=40, deadline=None)
+@given(ts=delays)
+def test_array_evaluation_is_elementwise_scalar(utility, ts):
+    assert_array_matches_scalars(utility, ts)
+
+
+@pytest.mark.parametrize(
+    "utility", ARRAY_CONTRACT_UTILITIES, ids=lambda u: u.name
+)
+def test_array_evaluation_over_the_delay_range(utility):
+    """Long arrays too: SIMD loops handle them in vector blocks."""
+    ts = np.geomspace(1e-9, 1e5, 4099)
+    assert_array_matches_scalars(utility, ts)
