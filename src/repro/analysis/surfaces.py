@@ -4,9 +4,10 @@ These are the functions whose behavior the repo *documents* as a pure
 function of their inputs plus the run seed — the bit-identity claim the
 reference-equivalence tests and the simcache rest on:
 
-* the engine's hot loops and event-stream construction (everything
-  ``Simulation.run()`` dispatches to after provenance capture; ``run``
-  itself legitimately reads the clock and environment for manifests);
+* the engine's hot loops, the static kernel that stands in for them,
+  and event-stream construction (everything ``Simulation.run()``
+  dispatches to after provenance capture; ``run`` itself legitimately
+  reads the clock and environment for manifests);
 * every protocol hook override — ``initialize`` / ``on_fulfill`` /
   ``after_contact`` / ``mandate_totals`` on any
   ``ReplicationProtocol`` subclass, because the engine replays them
@@ -44,7 +45,7 @@ _ENGINE_METHODS = (
     "_iter_streamed_chunks",
     "_run_dispatch",
     "_run_plain",
-    "_run_plain_masked",
+    "_run_static",
     "_run_with_faults",
     "_settle_unfulfilled",
 )
@@ -103,11 +104,17 @@ def collect_surfaces(graph: CallGraph) -> List[Surface]:
         "build_event_stream",
         "compute_plain_payloads",
         "cut_chunks",
+        "server_slot_payloads",
         "stream_side_state",
     ):
         add(
             f"{pkg}.sim.events:{name}",
             "trial-scoped event-stream builder — shared across protocols",
+        )
+    for name in ("run_static", "pair_index"):
+        add(
+            f"{pkg}.sim.static:{name}",
+            "static kernel — stands in for the engine loop bit for bit",
         )
     artifacts_cls = f"{pkg}.experiments.artifacts:TrialArtifacts"
     for method in (

@@ -8,10 +8,12 @@ so the perf trajectory is tracked across PRs:
   the frozen pre-optimization baseline
   (:class:`~repro.sim._reference.ReferenceSimulation`), for a hook-free
   static protocol (OPT), for QCR, and for DOM under the figure panels'
-  request timeout, whose never-servable requests take the plain loop's
-  parked path, all on a step utility; and for OPT on Fig. 4's
+  request timeout, all on a step utility; for OPT on Fig. 4's
   waiting-cost utility ``h(t) = -t`` (power, alpha = 0) without a
-  timeout, whose gains the engine evaluates and folds after the loop.
+  timeout, whose gains the engine evaluates and folds after the run;
+  and for UNI on an exponential utility shifted below zero, with a
+  timeout, so abandonments are credited.  The static protocols take the
+  closed-form kernel (:mod:`repro.sim.static`).
   Both engines must produce bit-identical results; the speedup is
   their wall-clock ratio.
 * **streamed large-scale case** — a sparse many-node trace generated
@@ -69,7 +71,12 @@ from ..sim._reference import ReferenceSimulation
 from ..sim.engine import Simulation, simulate
 from ..sim.events import build_event_stream
 from ..simcache import fingerprint_trace, run_key
-from ..utility import PowerUtility, StepUtility
+from ..utility import (
+    ExponentialUtility,
+    PowerUtility,
+    ShiftedUtility,
+    StepUtility,
+)
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 from .figures import recommended_timeout
 from .reporting import render_table
@@ -637,8 +644,8 @@ def run_speed_benchmark(
     engine_scenario = homogeneous_scenario(
         utility, duration=duration, record_interval=None
     )
-    # DOM runs under the figure panels' request timeout, the setting in
-    # which its never-servable requests are parked and expired at settle.
+    # DOM runs under the figure panels' request timeout, so its
+    # never-servable requests expire.
     dom_scenario = dataclasses.replace(
         engine_scenario,
         config=dataclasses.replace(
@@ -651,6 +658,20 @@ def run_speed_benchmark(
     power_scenario = homogeneous_scenario(
         PowerUtility(0.0), duration=duration, record_interval=None
     )
+    # A non-step utility with credited abandonments: a timeout of one
+    # mean-decay time abandons about a quarter of the requests, so the
+    # abandonment log, a non-step ``truncate`` settle and with it the
+    # post-run dict order all count.
+    decay = ExponentialUtility(0.2)
+    shifted_scenario = homogeneous_scenario(
+        ShiftedUtility(decay, -0.5), duration=duration, record_interval=None
+    )
+    shifted_scenario = dataclasses.replace(
+        shifted_scenario,
+        config=dataclasses.replace(
+            shifted_scenario.config, request_timeout=1.0 / decay.nu
+        ),
+    )
     cases = [
         _bench_engine_case(scenario, name, seed=11, repeats=repeats)
         for scenario, name in (
@@ -658,6 +679,7 @@ def run_speed_benchmark(
             (engine_scenario, "QCR"),
             (dom_scenario, "DOM"),
             (power_scenario, "OPT"),
+            (shifted_scenario, "UNI"),
         )
     ]
     streamed = _bench_streamed_case(

@@ -22,8 +22,6 @@ machinery and identical randomness.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from typing import (
     AbstractSet,
     Collection,
@@ -31,7 +29,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
 )
 
 import numpy as np
@@ -41,13 +38,6 @@ import numpy.typing as npt
 #: off the (possibly memory-mapped) trace in runs of about this many
 #: events, so peak heap scales with the chunk, not the trace.
 _DEFAULT_CHUNK_EVENTS = 1 << 18
-#: Sub-chunk granularity of the masked plain loop: the per-node activity
-#: snapshot used to skip no-op contacts is refreshed every block, so
-#: smaller blocks skip more but amortize less vectorized work.
-_MASK_BLOCK_EVENTS = 1 << 15
-#: Below this node count the activity mask cannot stay selective (every
-#: node requests within one block) and the segmented loop is used.
-_MASK_MIN_NODES = 512
 
 #: Version of the engine's observable semantics, keyed into the
 #: content-addressed run cache (:mod:`repro.simcache`).  Bump whenever a
@@ -56,13 +46,6 @@ _MASK_MIN_NODES = 512
 #: keep bit-identity (the contract enforced against ``sim/_reference``)
 #: do not require a bump.
 ENGINE_CODE_VERSION = "2026.08-array-core-1"
-
-#: One node's never-servable requests, parked outside ``outstanding``
-#: by the plain loop in creation order: their items, creation times,
-#: and the node's server-meeting counts then (the ``Request.counter``
-#: stash), as three flat arrays — 24 bytes a request.  Only survivors
-#: of the horizon are rebuilt into ``Request`` objects.
-_Parked = Tuple["array[int]", "array[float]", "array[int]"]
 
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
@@ -75,7 +58,6 @@ from ..obs.timing import Stopwatch
 from ..obs.tracer import Tracer
 from ..protocols.base import ReplicationProtocol
 from ..types import FloatArray, IntArray, SeedLike, as_rng
-from ..utility import StepUtility
 from .config import SimulationConfig
 from .events import (
     EVENT_CONTACT,
@@ -91,6 +73,7 @@ from .events import (
 )
 from .metrics import MetricsCollector, SimulationResult
 from .node import NodeState, Request
+from .static import run_static
 
 __all__ = ["Simulation", "simulate"]
 
@@ -142,10 +125,6 @@ class Simulation:
         "_credit_abandoned",
         "_hook_free_contact",
         "_hook_free_fulfill",
-        "_event_times",
-        "_event_kinds",
-        "_event_a",
-        "_event_b",
         "_fault_events",
         "_fault_times",
         "_req_times",
@@ -161,9 +140,9 @@ class Simulation:
         "_snap_times",
         "_payload_needed",
         "_chunks",
+        "_stream",
         "_outstanding_tbl",
         "_expiry_floor",
-        "_dead_tbl",
         "_cache_tbl",
         "_is_server_tbl",
         "_mandates_tbl",
@@ -363,9 +342,6 @@ class Simulation:
         # survives every insertion site untouched; a scan is due only
         # when ``floor < t - timeout`` (see _expire_requests).
         self._expiry_floor: List[float] = [-math.inf] * n_nodes
-        # Never-servable requests parked by _run_plain (None when the
-        # run took another loop); _settle_unfulfilled resolves them.
-        self._dead_tbl: Optional[List[_Parked]] = None
         empty: AbstractSet[int] = frozenset()
         self._cache_tbl: List[AbstractSet[int]] = [
             node.cache.live_view() if node.cache is not None else empty
@@ -413,11 +389,11 @@ class Simulation:
         prebuilt stream is byte-for-byte the eager builder's output.
         """
         self._payload_needed = self.tracer is None and self.faults is None
-        self._event_times: Optional[FloatArray] = None
-        self._event_kinds: Optional[IntArray] = None
-        self._event_a: Optional[IntArray] = None
-        self._event_b: Optional[IntArray] = None
         self._chunks: Optional[List[_Chunk]] = None
+        #: The eager or prebuilt stream (None when streamed, unless
+        #: :meth:`_run_static` builds it), whose indexes the static
+        #: kernel builds once and reuses.
+        self._stream: Optional[EventStream] = None
         prebuilt = self._prebuilt_events
         if prebuilt is not None:
             self._check_prebuilt(prebuilt)
@@ -434,11 +410,8 @@ class Simulation:
                 prebuilt.snap_times,
             )
             self._n_events = prebuilt.n_events
-            self._event_times = prebuilt.event_times
-            self._event_kinds = prebuilt.event_kinds
-            self._event_a = prebuilt.event_a
-            self._event_b = prebuilt.event_b
             self._chunks = prebuilt.chunks
+            self._stream = prebuilt
             return
         trace = self.trace
         requests = self.requests
@@ -485,11 +458,8 @@ class Simulation:
             stream.snap_times,
         )
         self._n_events = stream.n_events
-        self._event_times = stream.event_times
-        self._event_kinds = stream.event_kinds
-        self._event_a = stream.event_a
-        self._event_b = stream.event_b
         self._chunks = stream.chunks
+        self._stream = stream
 
     def _install_side_state(
         self,
@@ -903,29 +873,46 @@ class Simulation:
         """Select and run the event loop for this run, then credit its
         gains.
 
-        Faults or tracing take the instrumented loop.  Otherwise, fully
-        hook-free protocols on large node sets take the vectorized
-        masked loop, whose per-block activity mask only stays selective
-        when few nodes request within one block; everything else takes
-        the segmented plain loop.  Every loop only logs fulfilments and
-        credited abandonments: the gains are evaluated in one
-        vectorized utility call after the loop and folded in log order
-        (see :meth:`MetricsCollector.fold_fulfillments`).
+        Faults or tracing take the instrumented loop.  Otherwise a
+        protocol with neither contact nor fulfil hooks keeps its caches
+        static, and :meth:`_run_static` resolves the run in closed form
+        where it can; everything else takes the segmented plain loop.
+        Every path only logs fulfilments and credited abandonments: the
+        gains are evaluated in one vectorized utility call afterwards
+        and folded in log order (see
+        :meth:`MetricsCollector.fold_fulfillments`).
         """
         if self.tracer is not None or self.faults is not None:
             self._run_with_faults()
-        elif (
-            self._hook_free_contact
-            and self._hook_free_fulfill
-            and len(self.nodes) >= _MASK_MIN_NODES
-        ):
-            self._run_plain_masked()
-        else:
+        elif not self._run_static():
             self._run_plain()
         metrics = self.metrics
         metrics.fold_fulfillments(
             self._gains(np.asarray(metrics.delays, dtype=float))
         )
+
+    def _run_static(self) -> bool:
+        """The closed-form static kernel
+        (:func:`repro.sim.static.run_static`), where it applies and pays.
+
+        It needs the whole stream: eager, prebuilt, or built here for a
+        memory-mapped trace (no explicit ``chunk_events``) whose
+        contacts fit one streamed block, which the streamed merge would
+        hold at once anyway (a spilled sweep trial, say).
+        """
+        if not (self._hook_free_contact and self._hook_free_fulfill):
+            return False
+        if self._stream is None:
+            if (
+                self._chunk_events is not None
+                or len(self.trace.times) > _DEFAULT_CHUNK_EVENTS
+            ):
+                return False
+            self._stream = build_event_stream(
+                self.trace, self.requests, self.config
+            )
+            self._chunks = self._stream.chunks
+        return run_static(self, self._stream)
 
     def _gains(self, delays: FloatArray) -> FloatArray:
         """The gain of a fulfilment after each of *delays*: ``h(delay)``,
@@ -1031,16 +1018,15 @@ class Simulation:
     # ------------------------------------------------------------------
     # event loops
     #
-    # Three loops over the pre-chunked stream, selected once per run by
-    # _run_dispatch: the segmented plain loop (untraced, fault-free),
-    # its vectorized masked variant for fully hook-free protocols on
-    # large node sets, and the instrumented loop (fault injection,
-    # tracing, or both).  The plain loops inline request bookkeeping
-    # and skip exchanges whose early-return guards (non-server
-    # provider, empty outstanding table) are visible from the flat
-    # state tables — those guards touch no state and no RNG, so eliding
-    # the exchange is bit-identical.  The equivalence tests in
-    # tests/sim/ compare every loop against sim/_reference.py.
+    # Two loops over the pre-chunked stream, selected once per run by
+    # _run_dispatch when the static kernel does not apply: the
+    # segmented plain loop (untraced, fault-free) and the instrumented
+    # loop (fault injection, tracing, or both).  The plain loop inlines
+    # request bookkeeping and skips exchanges whose early-return guards
+    # (non-server provider, empty outstanding table) are visible from
+    # the flat state tables — those guards touch no state and no RNG,
+    # so eliding the exchange is bit-identical.  The equivalence tests
+    # in tests/sim/ compare every path against sim/_reference.py.
     # ------------------------------------------------------------------
     def _run_plain(self) -> None:
         """Untraced, fault-free: every node is permanently online.
@@ -1071,13 +1057,6 @@ class Simulation:
         * any other hook: the gate is pinned open, and ``after_contact``
           runs on every contact — or, for an idle hook, on every
           contact where an endpoint holds mandates.
-
-        Under a static allocation (the gate is
-        :meth:`_parks_dead_requests`), a request for an item with no
-        copy anywhere can never be served.  It skips ``outstanding`` —
-        where it would open the contact guard and defeat the
-        single-item table on every server contact of its node — and is
-        parked in ``_dead_tbl`` until :meth:`_settle_dead_requests`.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1124,17 +1103,6 @@ class Simulation:
             next(iter(out)) if len(out) == 1 else -1
             for out in outstanding_tbl
         ]
-        # servable[item] is False only for never-servable items, and
-        # only when the run parks their requests (see the docstring).
-        if self._parks_dead_requests():
-            servable: List[bool] = (self.counts > 0).tolist()
-            dead_tbl: List[_Parked] = [
-                (array("q"), array("d"), array("q")) for _ in nodes
-            ]
-            self._dead_tbl = dead_tbl
-        else:
-            servable = [True] * self.config.n_items
-            dead_tbl = []
         for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
             self._iter_chunks()
         ):
@@ -1271,195 +1239,15 @@ class Simulation:
                         out = outstanding_tbl[node_id]
                         request_list = out.get(item)
                         if request_list is None:
-                            if servable[item]:
-                                out[item] = [
-                                    Request(item, node_id, mt[rp], mx[rp])
-                                ]
-                                sole_tbl[node_id] = (
-                                    item if len(out) == 1 else -1
-                                )
-                            else:
-                                parked = dead_tbl[node_id]
-                                parked[0].append(item)
-                                parked[1].append(mt[rp])
-                                parked[2].append(mx[rp])
+                            out[item] = [
+                                Request(item, node_id, mt[rp], mx[rp])
+                            ]
+                            sole_tbl[node_id] = item if len(out) == 1 else -1
                         else:
                             request_list.append(
                                 Request(item, node_id, mt[rp], mx[rp])
                             )
                 seg = rp + 1
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _candidate_positions(
-        self,
-        active: npt.NDArray[np.bool_],
-        first_req: IntArray,
-        offsets: IntArray,
-        kinds_b: IntArray,
-        arg_a: IntArray,
-        arg_b: IntArray,
-        px: IntArray,
-        py: IntArray,
-        pos0: int,
-        pos1: int,
-    ) -> List[int]:
-        """Global positions in ``[pos0, pos1)`` that can touch state.
-
-        A contact is a candidate iff an endpoint was active (had
-        outstanding requests) when the block started, or issued a
-        request *earlier in the same block* — the latter resolved
-        exactly per position via a first-request-position scatter, so
-        a burst of requests does not smear activity across the whole
-        block.  Requests are always candidates.  ``active`` may only
-        err conservative (stale ``True`` after a mid-block
-        fulfillment), so a skipped contact provably matches the dense
-        loop's no-op.  ``first_req`` must arrive holding the sentinel
-        everywhere and is restored before returning.
-        """
-        blk = pos1 - pos0
-        kb = kinds_b[pos0:pos1]
-        bb = arg_b[pos0:pos1]
-        req_sel = kb == EVENT_REQUEST
-        rpos = np.flatnonzero(req_sel)
-        if len(rpos):
-            # arg_a holds item ids on request rows — they may exceed
-            # the node-id range, so blank them before gathering.
-            ab = np.where(req_sel, 0, arg_a[pos0:pos1])
-            req_nodes = bb[rpos]
-            # Reversed scatter: earliest position wins on duplicates.
-            first_req[req_nodes[::-1]] = rpos[::-1]
-            cand = active[ab]
-            cand |= active[bb]
-            offs = offsets[:blk]
-            cand |= first_req[ab] < offs
-            cand |= first_req[bb] < offs
-            first_req[req_nodes] = _MASK_BLOCK_EVENTS
-        else:
-            ab = arg_a[pos0:pos1]
-            cand = active[ab]
-            cand |= active[bb]
-        if not self._all_servers:
-            # Neither endpoint meets a server: provably a no-op
-            # regardless of outstanding state.
-            served = px[pos0:pos1] >= 0
-            served |= py[pos0:pos1] >= 0
-            cand &= served
-        cand |= req_sel
-        positions: List[int] = (np.flatnonzero(cand) + pos0).tolist()
-        return positions
-
-    def _run_plain_masked(self) -> None:
-        """Vectorized plain loop for fully hook-free protocols.
-
-        With default (no-op) contact and fulfill hooks a contact can
-        only matter when an endpoint has outstanding requests and the
-        opposite endpoint is a server — both visible columnarly.  Per
-        sub-block, ``_candidate_positions`` selects exactly those
-        contacts plus all requests; masked-out events are skipped
-        without materializing a single per-event Python object.
-        """
-        nodes = self.nodes
-        outstanding_tbl = self._outstanding_tbl
-        cache_tbl = self._cache_tbl
-        metrics = self.metrics
-        fulfill_hits = self._fulfill_hits
-        expire_requests = self._expire_requests
-        floor_tbl = self._expiry_floor
-        candidate_positions = self._candidate_positions
-        skip_self = self._skip_self
-        h0_finite = self._h0_finite
-        timed = self._timeout is not None
-        timeout = self._timeout if self._timeout is not None else 0.0
-        x_always = self._all_servers
-        active = np.zeros(len(self.nodes), dtype=bool)
-        for node_id, out in enumerate(outstanding_tbl):
-            if out:
-                active[node_id] = True
-        block = _MASK_BLOCK_EVENTS
-        first_req = np.full(len(self.nodes), block, dtype=np.int64)
-        offsets = np.arange(block, dtype=np.int64)
-        for kinds_b, times_b, arg_a, arg_b, px, py, _req_pos, snap in (
-            self._iter_chunks()
-        ):
-            n = len(kinds_b)
-            assert px is not None and py is not None
-            mk = memoryview(kinds_b)
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            mx = memoryview(px)
-            my = memoryview(py)
-            for pos0 in range(0, n, block):
-                pos1 = min(pos0 + block, n)
-                for gp in candidate_positions(
-                    active, first_req, offsets,
-                    kinds_b, arg_a, arg_b, px, py, pos0, pos1,
-                ):
-                    if mk[gp] == 2:  # EVENT_CONTACT
-                        a = ma[gp]
-                        b = mb[gp]
-                        out = outstanding_tbl[a]
-                        if out and (x_always or mx[gp] >= 0):
-                            if timed and floor_tbl[a] < mt[gp] - timeout:
-                                expire_requests(nodes[a], mt[gp] - timeout)
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                if item in cache_tbl[b]:
-                                    fulfill_hits(
-                                        mt[gp], a, b, mx[gp], out, (item,)
-                                    )
-                            else:
-                                hits = out.keys() & cache_tbl[b]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[gp], a, b, mx[gp], out, hits
-                                    )
-                            if not out:
-                                active[a] = False
-                        out = outstanding_tbl[b]
-                        if out and (x_always or my[gp] >= 0):
-                            if timed and floor_tbl[b] < mt[gp] - timeout:
-                                expire_requests(nodes[b], mt[gp] - timeout)
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                if item in cache_tbl[a]:
-                                    fulfill_hits(
-                                        mt[gp], b, a, my[gp], out, (item,)
-                                    )
-                            else:
-                                hits = out.keys() & cache_tbl[a]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[gp], b, a, my[gp], out, hits
-                                    )
-                            if not out:
-                                active[b] = False
-                    else:  # EVENT_REQUEST
-                        item = ma[gp]
-                        node_id = mb[gp]
-                        metrics.n_generated += 1
-                        if item in cache_tbl[node_id]:
-                            if skip_self:
-                                metrics.n_skipped_self += 1
-                            elif h0_finite:
-                                metrics.log_immediate(mt[gp])
-                            else:
-                                self._raise_infinite_h0(item, node_id)
-                        else:
-                            out = outstanding_tbl[node_id]
-                            request_list = out.get(item)
-                            if request_list is None:
-                                out[item] = [
-                                    Request(item, node_id, mt[gp], mx[gp])
-                                ]
-                            else:
-                                request_list.append(
-                                    Request(item, node_id, mt[gp], mx[gp])
-                                )
-                            active[node_id] = True
             if snap is not None:
                 self._take_snapshot(snap)
 
@@ -1848,149 +1636,10 @@ class Simulation:
         mandates = self.protocol.mandate_totals(self)
         self.metrics.record_snapshot(t, self.counts, mandates)
 
-    def _parks_dead_requests(self) -> bool:
-        """Whether the plain loop parks never-servable requests.
-
-        Fixed once per run.  Both hooks must be free, so caches stay
-        frozen and an item with no copy at the start never gains one;
-        abandonments must be uncredited, so expiry is a bare count with
-        no event-time metrics; and settle must be order-free whenever
-        :meth:`_settle_dead_requests` cannot rebuild a key's exact dict
-        slot — that is, with a timeout the ``truncate`` gains must be
-        exact (a step utility's 0/1) or absent (the ``ignore`` policy).
-        Non-step timed ``truncate`` runs (Fig. 6's exponential panel)
-        keep every request in ``outstanding``.
-        """
-        return (
-            self._hook_free_contact
-            and self._hook_free_fulfill
-            and not self._credit_abandoned
-            and (
-                self._timeout is None
-                or isinstance(self._utility, StepUtility)
-                or self.config.unfulfilled_policy != "truncate"
-            )
-        )
-
-    def _last_server_contact(self, needed: List[int]) -> FloatArray:
-        """The last contact time of each *needed* node with a server
-        peer (``-inf`` if none), vectorized over blocks of the trace.
-
-        The time-sorted trace is read backwards, block by block, until
-        every needed node has been seen: a block's times bound every
-        earlier block's, so a node's first sighting is its maximum.
-        Other entries are meaningless.  The blocks are small, which
-        keeps the per-block gathers off the run's peak memory (the
-        run's event stream is still alive at settle), and they are
-        views, so a memory-mapped trace is read only where needed.
-        """
-        trace = self.trace
-        is_server = self._is_server_arr
-        t_last = np.full(len(self.nodes), -math.inf)
-        stop = len(trace.times)
-        while stop > 0 and np.isneginf(t_last[needed]).any():
-            start = max(0, stop - (1 << 12))
-            times = trace.times[start:stop]
-            node_a = trace.node_a[start:stop]
-            node_b = trace.node_b[start:stop]
-            for requester, peer in ((node_a, node_b), (node_b, node_a)):
-                served = is_server[peer]
-                np.maximum.at(t_last, requester[served], times[served])
-            stop = start
-        return t_last
-
-    def _request_rank(self, node_id: int, item: int, t: float) -> int:
-        """Schedule position of the first request ``(t, node_id, item)``.
-
-        Requests keep their schedule order in the merged stream (the
-        merge sort is stable), so this is a stream-order rank.
-        """
-        lo = int(np.searchsorted(self._req_times, t, side="left"))
-        hi = int(np.searchsorted(self._req_times, t, side="right"))
-        match = (self._req_nodes[lo:hi] == node_id) & (
-            self._req_items[lo:hi] == item
-        )
-        return lo + int(np.flatnonzero(match)[0])
-
-    def _settle_dead_requests(self, dead_tbl: List[_Parked]) -> None:
-        """Expire parked requests and merge survivors into ``outstanding``.
-
-        *Expiry.*  In the loop, each server contact of a node at time
-        ``t`` expires every request it holds created before
-        ``t - timeout`` (the floor gate only skips scans that would
-        expire nothing).  Float subtraction is monotone, so a parked
-        request expired iff it was created before ``t_last - timeout``
-        with ``t_last`` the node's last server contact
-        (:meth:`_last_server_contact`) — the same IEEE subtraction as
-        the loop's.  With abandonments uncredited the
-        count is all that is observable.  The live requests' scans are
-        exact whether or not parked ones share the node, so their floor
-        logic is untouched.
-
-        *Order.*  Survivors are merged into the node's dict so the
-        settle loop visits them where it would have.  Without a
-        timeout no key is ever partly expired, so a key's slot is the
-        stream position of its first request: a live key's head, a
-        parked key's first entry.  The merge compares creation times
-        and, on ties, schedule positions (:meth:`_request_rank`), and is
-        exact.  With a timeout a key's slot also depends on when its
-        backlog last emptied, which the merge does not rebuild: it
-        places a parked key by its first survivor instead.  The gate
-        (:meth:`_parks_dead_requests`) admits timed runs only where no
-        bit can depend on that order.
-        """
-        timeout = self._timeout
-        needed = [node for node, parked in enumerate(dead_tbl) if parked[0]]
-        deadlines = (
-            self._last_server_contact(needed) - timeout
-            if timeout is not None and needed
-            else None
-        )
-        metrics = self.metrics
-        for node_id, (items, times, counters) in enumerate(dead_tbl):
-            # Parked in creation order, so the expired ones are a prefix.
-            first = (
-                bisect_left(times, float(deadlines[node_id]))
-                if deadlines is not None
-                else 0
-            )
-            metrics.n_expired += first
-            if first == len(items):
-                continue
-            survivors: Dict[int, List[Request]] = {}
-            for pos in range(first, len(items)):
-                item = items[pos]
-                survivors.setdefault(item, []).append(
-                    Request(item, node_id, times[pos], counters[pos])
-                )
-            outstanding = self.nodes[node_id].outstanding
-            live = list(outstanding.items())
-            outstanding.clear()
-            i = 0
-            for item, parked in survivors.items():
-                t_dead = parked[0].created_at
-                while i < len(live):
-                    live_item, live_requests = live[i]
-                    t_live = live_requests[0].created_at
-                    if t_live > t_dead or (
-                        t_live == t_dead
-                        and self._request_rank(node_id, live_item, t_live)
-                        > self._request_rank(node_id, item, t_dead)
-                    ):
-                        break
-                    outstanding[live_item] = live_requests
-                    i += 1
-                outstanding[item] = parked
-            for live_item, live_requests in live[i:]:
-                outstanding[live_item] = live_requests
-
     def _settle_unfulfilled(self) -> int:
         """Apply the end-of-horizon policy to outstanding requests: under
         ``truncate``, their gains are evaluated in one array call and
         folded after everything the run credited."""
-        if self._dead_tbl is not None:
-            self._settle_dead_requests(self._dead_tbl)
-            self._dead_tbl = None
         horizon = self.trace.duration
         tracer = self.tracer
         created: List[float] = []

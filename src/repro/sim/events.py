@@ -18,8 +18,8 @@ faults, and config before trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -41,6 +41,7 @@ __all__ = [
     "build_event_stream",
     "compute_plain_payloads",
     "cut_chunks",
+    "server_slot_payloads",
     "stream_side_state",
 ]
 
@@ -192,6 +193,51 @@ def compute_plain_payloads(
     *meet_base* holds each node's running meeting counter entering the
     block and is advanced in place for the following block — the
     streamed pipeline's carry (all zeros and discarded in eager mode).
+    """
+    payload_x, payload_y, _ = server_slot_payloads(
+        kinds, arg_a, arg_b, meet_base,
+        is_server=is_server, requester=requester,
+    )
+    return payload_x, payload_y
+
+
+def grouped_searchsorted(
+    haystack: IntArray, queries: IntArray, groups: IntArray, n_groups: int
+) -> IntArray:
+    """``np.searchsorted(haystack, queries)`` for group-major queries.
+
+    *queries* must ascend within each of the *groups* (ids below
+    *n_groups*), with the group as the key's major part.  A stable sort
+    by group — a radix sort up to 65,536 groups — then orders them
+    overall, and sorted queries search several times faster than
+    scattered ones.
+    """
+    order = np.argsort(
+        groups.astype(np.uint16) if n_groups <= 1 << 16 else groups,
+        kind="stable",
+    )
+    found = np.empty(len(queries), dtype=np.int64)
+    found[order] = np.searchsorted(haystack, queries[order])
+    return found
+
+
+def server_slot_payloads(
+    kinds: IntArray,
+    arg_a: IntArray,
+    arg_b: IntArray,
+    meet_base: IntArray,
+    *,
+    is_server: npt.NDArray[np.bool_],
+    requester: npt.NDArray[np.bool_],
+) -> Tuple[IntArray, IntArray, IntArray]:
+    """:func:`compute_plain_payloads` plus the block's server-slot key.
+
+    The key lists every counted direction slot — a requesting node
+    meeting a server — as ``node * len(kinds) + position``, sorted: by
+    node, then stream position.  Request births are one global
+    ``searchsorted`` of ``(node, position)`` into it, and the static
+    kernel (:mod:`repro.sim.static`) finds a request's expiring
+    contact in the same key.
 
     Grouping by node uses no comparison sort: the two direction-slot
     lists are merged positionally with two ``searchsorted`` calls
@@ -206,17 +252,14 @@ def compute_plain_payloads(
     """
     total = len(kinds)
     # Meeting counts are only ever read for a node with outstanding
-    # requests (every ``mx``/``my`` read in the run loops sits
-    # behind an ``out``/``out_a``/``out_b`` guard), and outstanding
-    # requests can only exist on nodes that appear in the request
-    # schedule.  Restricting the counted slots to those nodes keeps
-    # every consumed value exact while shrinking the grouping pass
-    # from O(contacts) to O(contacts involving requesters) — at
-    # million-node scale that is the difference between the payload
-    # pass dominating the run and it vanishing.  (In the
-    # non-all-server candidate filter the ``served`` mask weakens
-    # accordingly, which only drops contacts that are provable
-    # no-ops: a non-requester endpoint can never fulfill.)
+    # requests (every ``mx``/``my`` read in the run loop sits behind
+    # an ``out_a``/``out_b`` guard), and outstanding requests can only
+    # exist on nodes that appear in the request schedule.  Restricting
+    # the counted slots to those nodes keeps every consumed value
+    # exact while shrinking the grouping pass from O(contacts) to
+    # O(contacts involving requesters) — at million-node scale that is
+    # the difference between the payload pass dominating the run and
+    # it vanishing.
     contact_mask = kinds == EVENT_CONTACT
     # arg_a holds item ids on request rows, which may exceed the
     # node-id range: clip the gathers (contact_mask drops those rows).
@@ -231,6 +274,7 @@ def compute_plain_payloads(
     n_inc = n_a + n_b
     payload_x = np.full(total, -1, dtype=np.int64)
     payload_y = np.full(total, -1, dtype=np.int64)
+    slot_key = np.zeros(0, dtype=np.int64)
     if n_inc:
         # Positional merge of the two stream-ordered slot lists.  The
         # merged order is by (event, direction) with a before b, so an
@@ -255,7 +299,7 @@ def compute_plain_payloads(
         seq_idx[rank_b] = idx_b
         seq_b_side[rank_b] = True
         order = np.argsort(seq_nodes, kind="stable")
-        g_nodes = seq_nodes[order]
+        g_nodes = seq_nodes[order].astype(np.int64)
         g_idx = seq_idx[order]
         b_side = seq_b_side[order]
         new_group = np.empty(n_inc, dtype=bool)
@@ -273,52 +317,32 @@ def compute_plain_payloads(
         )
         payload_x[g_idx[~b_side]] = counts_g[~b_side]
         payload_y[g_idx[b_side]] = counts_g[b_side]
-    else:
-        g_nodes = np.zeros(0, dtype=np.int64)
-        g_idx = np.zeros(0, dtype=np.int64)
-        starts = np.zeros(0, dtype=np.int64)
-        sizes = np.zeros(0, dtype=np.int64)
+        slot_key = g_nodes * total + g_idx
     # Request births: the node's meeting count just before the
-    # request's position in the stream.
-    request_mask = kinds == EVENT_REQUEST
-    if request_mask.any():
-        req_positions = np.flatnonzero(request_mask)
+    # request's position — its slots before that key, less the index
+    # where the node's keys start (the next node's start when it has
+    # none).
+    req_positions = np.flatnonzero(kinds == EVENT_REQUEST)
+    if len(req_positions):
         req_nodes = arg_b[req_positions]
-        births = meet_base[req_nodes]
+        before = grouped_searchsorted(
+            slot_key, req_nodes * total + req_positions, req_nodes,
+            len(is_server),
+        )
         if n_inc:
-            # Group the requests by node as well, then rank each
-            # run against its node's increment segment with one
-            # searchsorted per node — no per-node dict and no
-            # O(requests) mask per node, which dominated
-            # million-node streamed blocks.
-            req_order = np.lexsort(  # repro-lint: ignore[RPL004]
-                (req_positions, req_nodes)
-            )
-            rn = req_nodes[req_order]
-            rp = req_positions[req_order]
-            run_starts = np.flatnonzero(
-                np.concatenate(([True], rn[1:] != rn[:-1]))
-            )
-            run_ends = np.append(run_starts[1:], len(rn))
-            group_heads = g_nodes[starts]
-            group_idx = np.searchsorted(group_heads, rn[run_starts])
-            for head, lo_r, hi_r in zip(group_idx, run_starts, run_ends):
-                if (
-                    head >= len(group_heads)
-                    or group_heads[head] != rn[lo_r]
-                ):
-                    continue
-                lo = starts[head]
-                hi = lo + sizes[head]
-                births[req_order[lo_r:hi_r]] += np.searchsorted(
-                    g_idx[lo:hi], rp[lo_r:hi_r], side="left"
-                )
-        payload_x[req_positions] = births
+            group_start = np.append(starts, n_inc)[
+                np.searchsorted(g_nodes[starts], req_nodes)
+            ]
+        else:
+            group_start = 0
+        payload_x[req_positions] = (
+            meet_base[req_nodes] + before - group_start
+        )
     if n_inc:
         # Advance the carry.  ``g_nodes[starts]`` lists each node at
         # most once, so the fancy-index add never collapses writes.
         meet_base[g_nodes[starts]] += sizes
-    return payload_x, payload_y
+    return payload_x, payload_y, slot_key
 
 
 def _chunk_tuple(
@@ -435,6 +459,14 @@ class EventStream:
     event_a: IntArray
     event_b: IntArray
     chunks: List[Chunk]
+    #: The server-slot key of :func:`server_slot_payloads` (``None``
+    #: without payloads).
+    server_slots: Optional[IntArray] = None
+    #: Protocol-independent indexes derived from the stream on first
+    #: use (see :mod:`repro.sim.static`), so they live and die with it.
+    memo: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def nbytes(self) -> int:
@@ -515,8 +547,9 @@ def build_event_stream(
     sorted_b = arg_b[order]
     payload_x: Optional[IntArray]
     payload_y: Optional[IntArray]
+    server_slots: Optional[IntArray]
     if payloads:
-        payload_x, payload_y = compute_plain_payloads(
+        payload_x, payload_y, server_slots = server_slot_payloads(
             sorted_kinds,
             sorted_a,
             sorted_b,
@@ -525,7 +558,7 @@ def build_event_stream(
             requester=side.requester,
         )
     else:
-        payload_x = payload_y = None
+        payload_x = payload_y = server_slots = None
     chunks, _ = cut_chunks(
         sorted_kinds,
         sorted_times,
@@ -559,4 +592,5 @@ def build_event_stream(
         event_a=sorted_a,
         event_b=sorted_b,
         chunks=chunks,
+        server_slots=server_slots,
     )

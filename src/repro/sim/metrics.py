@@ -197,6 +197,16 @@ class MetricsCollector:
         """Log an abandonment at *t*, between the fulfilments around it."""
         self._abandon_log.append((len(self.delays), t, gain))
 
+    def log_abandonments(
+        self, places: IntArray, times: FloatArray, gain: float
+    ) -> None:
+        """Log abandonments at *times*, each after the number of
+        fulfilments given by *places* (nondecreasing)."""
+        self._abandon_log.extend(
+            (place, t, gain)
+            for place, t in zip(places.tolist(), times.tolist())
+        )
+
     def fold_fulfillments(self, gains: FloatArray) -> None:
         """Credit the logged fulfilments' *gains* (one per log entry),
         with every logged abandonment merged in at its place."""

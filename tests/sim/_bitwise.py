@@ -1,10 +1,13 @@
-"""Comparing two simulations: results bit for bit, outstanding state in order."""
+"""Comparing two simulations: results bit for bit, outstanding state in
+order, and which path resolved a run."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
+
+from repro.sim import engine
 
 
 def assert_bit_identical(a, b):
@@ -31,3 +34,17 @@ def outstanding_order(sim):
         ]
         for node in sim.nodes
     ]
+
+
+def spy_static_kernel(monkeypatch):
+    """Record, per engine run, whether the static kernel resolved it
+    (``True``) or declined, leaving the run to the plain loop."""
+    verdicts = []
+    kernel = engine.run_static
+
+    def spy(sim, stream):
+        verdicts.append(kernel(sim, stream))
+        return verdicts[-1]
+
+    monkeypatch.setattr(engine, "run_static", spy)
+    return verdicts

@@ -23,7 +23,11 @@ from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
 from repro.utility import PowerUtility, ShiftedUtility, StepUtility
 
-from ._bitwise import assert_bit_identical, outstanding_order
+from ._bitwise import (
+    assert_bit_identical,
+    outstanding_order,
+    spy_static_kernel,
+)
 
 
 def trace_of(events, n_nodes=3, duration=100.0):
@@ -418,25 +422,27 @@ class TestTimeout:
 
 class TestParkedRequests:
     """Requests for items with no copy anywhere, under a static
-    allocation, bypass ``outstanding`` in the plain loop and are
-    settled at the horizon exactly as if they had waited there."""
+    allocation, are resolved in closed form by the static kernel: they
+    wait in ``outstanding`` until they expire or the horizon, in the
+    dict order the plain loop leaves."""
 
-    def run_both(self, trace, requests, config, allocation):
+    def run_both(self, monkeypatch, trace, requests, config, allocation):
+        verdicts = spy_static_kernel(monkeypatch)
         sims = [
             cls(trace, requests, config, static_protocol(allocation), seed=1)
             for cls in (ReferenceSimulation, Simulation)
         ]
-        assert sims[1]._parks_dead_requests()
         results = [sim.run() for sim in sims]
+        assert verdicts == [True]
         assert_bit_identical(*results)
         return sims, results[1]
 
-    def test_settle_restores_dict_order_on_ties(self):
+    def test_settle_restores_dict_order_on_ties(self, monkeypatch):
         # Items 0 and 1 live at nodes 1 and 2; items 2 and 3 nowhere.
         # Node 0's live item 0 is served at t=3 and re-requested at
         # t=4, after parked item 2; at t=5 a parked and a live key are
         # created at the same instant, as at node 2 at t=6 in the
-        # opposite schedule order.  Ties resolve by schedule position.
+        # opposite schedule order.  Ties keep schedule position.
         allocation = [[0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
         trace = trace_of([(3.0, 0, 1)])
         requests = requests_of(
@@ -452,7 +458,7 @@ class TestParkedRequests:
         )
         config = base_config(n_items=4, utility=PowerUtility(0.0))
         (reference, sim), result = self.run_both(
-            trace, requests, config, allocation
+            monkeypatch, trace, requests, config, allocation
         )
         assert outstanding_order(sim) == outstanding_order(reference)
         assert [list(node.outstanding) for node in sim.nodes] == [
@@ -462,12 +468,12 @@ class TestParkedRequests:
         ]
         assert result.n_unfulfilled == 6
 
-    def test_expiry_uses_last_server_contact(self):
+    def test_expiry_uses_last_server_contact(self, monkeypatch):
         # Node 0 is a pure client; its last server contact (t=16) sets
         # the deadline 6.0: the t=5 request expires, the one created
         # exactly at the deadline survives, and a later contact with
         # the non-server node 3 expires nothing.  Node 3 never meets a
-        # server, so its parked request survives untouched.
+        # server, so its request survives untouched.
         allocation = [[1, 0], [0, 0]]
         trace = trace_of([(16.0, 0, 1), (40.0, 0, 3)], n_nodes=4)
         requests = requests_of(
@@ -477,7 +483,7 @@ class TestParkedRequests:
             servers=(1, 2), clients=(0, 3), request_timeout=10.0
         )
         (reference, sim), result = self.run_both(
-            trace, requests, config, allocation
+            monkeypatch, trace, requests, config, allocation
         )
         assert outstanding_order(sim) == outstanding_order(reference)
         assert outstanding_order(sim)[0] == [(1, [6.0, 6.5])]
@@ -485,11 +491,13 @@ class TestParkedRequests:
         assert result.n_expired == 1
         assert result.n_unfulfilled == 3
 
-    def test_last_server_contact_found_behind_many_blocks(self):
+    def test_last_server_contact_found_behind_many_blocks(
+        self, monkeypatch
+    ):
         # Node 0's only server contact (t=1) precedes 6,000 contacts
-        # between the servers, so settle reads the trace back past many
-        # blocks to find it: the t=0.5 request expires, the t=1.5 one
-        # (created after that contact) survives.
+        # between the servers, none of which expires anything at node 0:
+        # the t=0.5 request expires at t=1, the t=1.5 one (created after
+        # that contact) survives.
         allocation = [[1, 0], [0, 0]]
         later = [(2.0 + 0.01 * k, 1, 2) for k in range(6000)]
         trace = trace_of([(1.0, 0, 1)] + later, duration=100.0)
@@ -498,7 +506,7 @@ class TestParkedRequests:
             servers=(1, 2), clients=(0,), request_timeout=0.4
         )
         (reference, sim), result = self.run_both(
-            trace, requests, config, allocation
+            monkeypatch, trace, requests, config, allocation
         )
         assert outstanding_order(sim) == outstanding_order(reference)
         assert outstanding_order(sim)[0] == [(1, [1.5])]

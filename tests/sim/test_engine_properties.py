@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
-from repro.demand import DemandModel, generate_requests
+from repro.demand import DemandModel, RequestSchedule, generate_requests
 from repro.faults import FaultSchedule
 from repro.obs import Tracer
 from repro.protocols import (
@@ -23,6 +23,7 @@ from repro.protocols import (
 )
 from repro.sim import Simulation, SimulationConfig, simulate
 from repro.sim._reference import ReferenceSimulation
+from repro.sim.events import build_event_stream
 from repro.utility import (
     ExponentialUtility,
     PowerUtility,
@@ -30,10 +31,16 @@ from repro.utility import (
     StepUtility,
 )
 
-from ._bitwise import assert_bit_identical, outstanding_order
+from ._bitwise import (
+    assert_bit_identical,
+    outstanding_order,
+    spy_static_kernel,
+)
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2
 DURATION, TAU = 120.0, 8.0
+#: The dedicated-node layout: servers and clients are disjoint.
+SERVERS, CLIENTS = (0, 1, 2), (3, 4, 5)
 
 
 @st.composite
@@ -84,6 +91,13 @@ def workloads(draw):
     if utility_kind == "power":
         alpha = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.5]))
         utility_kind = ("power", alpha)
+    # Every node both serves and requests, or the populations are
+    # disjoint (servers never request, clients never hold a copy).
+    nodes = draw(st.sampled_from(["shared", "dedicated"]))
+    # Poisson contacts, or slotted ones stamped on the integer instants
+    # that the requests are floored onto, so requests and contacts
+    # share instants (a request sorts before a contact at its time).
+    trace_kind = draw(st.sampled_from(["poisson", "slotted"]))
     return (
         trace_seed,
         request_seed,
@@ -95,6 +109,8 @@ def workloads(draw):
         abandon_gain,
         mode,
         utility_kind,
+        nodes,
+        trace_kind,
     )
 
 
@@ -105,31 +121,30 @@ EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5, "plain", "step")
 #: tracing, pinned so the instrumented loop always meets that hook mode.
 ADAPTIVE_FAULTED = (4, 5, 6, 0.2, 1.5, "qcr-adaptive", 5.0, 0.0,
                     "traced-faulted", "step")
-#: Uncredited plain DOM runs: requests for the items DOM does not cache
-#: are parked outside ``outstanding`` and settled at the horizon.  One
-#: without a timeout (every parked request survives), one with a short
-#: timeout (parked requests expire at settle), and the same two on the
-#: exponential utility, whose ``truncate`` gains make settle order
-#: observable — the untimed one parks, the timed one keeps every
-#: request in ``outstanding`` (see ``Simulation._parks_dead_requests``).
+#: Uncredited plain DOM runs, which the static kernel resolves: the
+#: requests for items DOM does not cache can never be served.  One
+#: without a timeout (every such request survives), one with a short
+#: timeout (they expire), and the same two on the exponential utility,
+#: whose ``truncate`` gains make the settle order — the post-run dict
+#: order — observable.
 PARKED = (7, 8, 9, 0.2, 2.0, "dom", None, 0.0, "plain", "step")
 PARKED_EXPIRING = (7, 8, 9, 0.2, 2.0, "dom", 2.0, 0.0, "plain", "step")
 PARKED_EXP = (7, 8, 9, 0.2, 2.0, "dom", None, 0.0, "plain", "exp")
 DOM_EXP_EXPIRING = (7, 8, 9, 0.2, 2.0, "dom", 2.0, 0.0, "plain", "exp")
-#: Every node caches DOM's items, so DOM never leaves a live request
-#: outstanding next to a parked one.  A sparse static allocation (one
-#: holder for items 1 and 2, none for 3 and 4) does, so its settle
-#: merge has live and parked keys to interleave.
+#: Every node caches DOM's items, so DOM never leaves a servable request
+#: outstanding next to a never-servable one.  A sparse static
+#: allocation (one holder for items 1 and 2, none for 3 and 4) does, so
+#: its post-run dicts interleave both kinds of keys.
 SPARSE_COUNTS = (2, 1, 1, 0, 0)
-#: Settling the untimed one's parked keys after every live key changes
-#: the total gain's last bits.
+#: Settling the untimed one's never-servable keys after every other key
+#: changes the total gain's last bits.
 SPARSE_PARKED_EXP = (10, 11, 12, 0.1, 2.0, "sparse", None, 0.0, "plain",
                      "exp")
 SPARSE_PARKED_EXPIRING = (10, 11, 12, 0.05, 2.0, "sparse", 6.0, 0.0,
                           "plain", "step")
 #: The shape of Fig. 4's alpha panel: plain loop, h(t) = -t (alpha = 0),
-#: no timeout, ``truncate``.  Every gain is folded after the loop, and
-#: DOM parks its never-servable requests for settle.
+#: no timeout, ``truncate``.  Every gain is folded after the run, and
+#: DOM's never-servable requests wait for settle.
 FIG4_ALPHA = (13, 14, 15, 0.2, 2.0, "dom", None, 0.0, "plain",
               ("power", 0.0))
 
@@ -149,7 +164,10 @@ def fault_schedule(seed):
     )
 
 
-def build(workload, cls=Simulation):
+def build(workload, cls=Simulation, stream=None):
+    """The workload's simulation; on *stream*'s trace and requests, with
+    the stream prebuilt, when given.  Workloads without the two layout
+    axes (the pinned examples) run shared nodes on Poisson contacts."""
     (
         trace_seed,
         request_seed,
@@ -161,7 +179,9 @@ def build(workload, cls=Simulation):
         abandon_gain,
         mode,
         utility_kind,
+        *layout,
     ) = workload
+    nodes, trace_kind = layout or ("shared", "poisson")
     if utility_kind == "step":
         utility = StepUtility(TAU)
     elif utility_kind == "exp":
@@ -171,8 +191,33 @@ def build(workload, cls=Simulation):
     if abandon_gain:
         utility = ShiftedUtility(utility, abandon_gain)
     demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=demand_rate)
-    trace = homogeneous_poisson_trace(N_NODES, rate, DURATION, seed=trace_seed)
-    requests = generate_requests(demand, N_NODES, DURATION, seed=request_seed)
+    dedicated = nodes == "dedicated"
+    if stream is not None:
+        trace, requests = stream.trace, stream.requests
+    else:
+        if trace_kind == "slotted":
+            trace = bernoulli_slot_trace(
+                N_NODES, rate, delta=1.0, n_slots=int(DURATION),
+                seed=trace_seed,
+            )
+        else:
+            trace = homogeneous_poisson_trace(
+                N_NODES, rate, DURATION, seed=trace_seed
+            )
+        raw = generate_requests(demand, N_NODES, DURATION, seed=request_seed)
+        requests = RequestSchedule(
+            times=(
+                np.floor(raw.times) if trace_kind == "slotted" else raw.times
+            ),
+            items=raw.items,
+            nodes=(
+                raw.nodes % len(CLIENTS) + CLIENTS[0]
+                if dedicated
+                else raw.nodes
+            ),
+            duration=raw.duration,
+        )
+    n_servers = len(SERVERS) if dedicated else N_NODES
     config = SimulationConfig(
         n_items=N_ITEMS,
         rho=RHO,
@@ -182,6 +227,8 @@ def build(workload, cls=Simulation):
         self_request_policy=(
             "immediate" if math.isfinite(utility.h0) else "skip"
         ),
+        servers=SERVERS if dedicated else None,
+        clients=CLIENTS if dedicated else None,
     )
     if kind == "qcr":
         protocol = QCR(utility, rate)
@@ -192,11 +239,11 @@ def build(workload, cls=Simulation):
     elif kind == "passive":
         protocol = PassiveReplication()
     elif kind == "dom":
-        protocol = dom_protocol(demand, N_NODES, RHO)
+        protocol = dom_protocol(demand, n_servers, RHO)
     elif kind == "sparse":
         protocol = StaticAllocation(counts=SPARSE_COUNTS)
     else:
-        protocol = uni_protocol(demand, N_NODES, RHO)
+        protocol = uni_protocol(demand, n_servers, RHO)
     faults = fault_schedule(sim_seed) if mode.endswith("faulted") else None
     tracer = (
         Tracer.in_memory()
@@ -211,6 +258,7 @@ def build(workload, cls=Simulation):
         seed=sim_seed,
         faults=faults,
         tracer=tracer,
+        prebuilt_events=stream,
     )
 
 
@@ -232,6 +280,24 @@ def test_matches_reference(workload):
     assert_bit_identical(expected, actual)
 
 
+@settings(max_examples=25, deadline=None)
+@given(workload=workloads())
+def test_static_protocols_share_one_stream(workload):
+    """Two static protocols on one prebuilt stream each match the
+    reference: the kernel's per-trial indexes, built on the first run,
+    carry nothing of its allocation into the second."""
+    workload = (*workload[:8], "plain", *workload[9:])
+    first = build(workload)
+    stream = build_event_stream(first.trace, first.requests, first.config)
+    for kind in ("dom", "sparse"):
+        run = (*workload[:5], kind, *workload[6:])
+        sim = build(run, stream=stream)
+        reference = build(run, ReferenceSimulation, stream=stream)
+        assert_bit_identical(reference.run(), sim.run())
+        assert outstanding_order(sim) == outstanding_order(reference)
+    assert "pairs" in stream.memo
+
+
 def test_expiring_example_expires():
     """The pinned example really expires (and fulfils) requests, and
     its credited expiries are logged and folded by the plain loop."""
@@ -242,12 +308,14 @@ def test_expiring_example_expires():
     assert sim.metrics._abandon_log
 
 
-def test_fig4_alpha_example_folds_power_gains():
+def test_fig4_alpha_example_folds_power_gains(monkeypatch):
     """The pinned alpha-panel example fulfils requests at waiting-cost
-    gains and settles parked ones at the horizon."""
+    gains and settles never-servable ones at the horizon, all in
+    closed form."""
+    verdicts = spy_static_kernel(monkeypatch)
     sim = build(FIG4_ALPHA)
-    assert sim._parks_dead_requests()
     result = sim.run()
+    assert verdicts == [True]
     assert result.n_fulfilled > 0
     assert result.n_unfulfilled > 0
     assert result.total_gain < 0
@@ -263,13 +331,14 @@ PARKING_EXAMPLES = [
 
 
 @pytest.mark.parametrize("workload", PARKING_EXAMPLES, ids=str)
-def test_parked_examples_park_and_survive(workload):
-    """The pinned examples really take the parking path: they request
+def test_parked_examples_park_and_survive(workload, monkeypatch):
+    """The pinned examples really take the static kernel: they request
     zero-copy items, and some of those requests reach the horizon.  In
-    the sparse ones live requests reach it too, on the same nodes."""
+    the sparse ones servable requests reach it too, on the same nodes."""
+    verdicts = spy_static_kernel(monkeypatch)
     sim = build(workload)
-    assert sim._parks_dead_requests()
     result = sim.run()
+    assert verdicts == [True]
     dead = np.flatnonzero(sim.counts == 0)
     assert np.isin(sim.requests.items, dead).any()
     survivors = [
@@ -290,10 +359,17 @@ def test_parked_examples_park_and_survive(workload):
         )
 
 
-def test_timed_exponential_dom_keeps_outstanding():
-    """Non-step timed ``truncate`` runs cannot be settled order-free, so
-    they keep every request in ``outstanding``."""
-    assert not build(DOM_EXP_EXPIRING)._parks_dead_requests()
+def test_timed_exponential_dom_keeps_outstanding(monkeypatch):
+    """A non-step timed ``truncate`` run makes the post-run dict order
+    observable; the static kernel resolves it all the same, leaving
+    survivors in ``outstanding`` in the reference's order."""
+    verdicts = spy_static_kernel(monkeypatch)
+    sim = build(DOM_EXP_EXPIRING)
+    reference = build(DOM_EXP_EXPIRING, ReferenceSimulation)
+    assert_bit_identical(reference.run(), sim.run())
+    assert verdicts == [True]
+    assert any(node.outstanding for node in sim.nodes)
+    assert outstanding_order(sim) == outstanding_order(reference)
 
 
 @pytest.mark.parametrize(
@@ -301,21 +377,14 @@ def test_timed_exponential_dom_keeps_outstanding():
 )
 def test_settled_state_matches_reference(workload):
     """After the run every node holds the reference's outstanding
-    requests: in the same dict order without a timeout, as the same
-    dict with one.  Each survivor's stashed birth count plus the
-    reference's per-meeting count is the node's total number of server
-    meetings."""
+    requests, in the same dict order, with a timeout or without.  Each
+    survivor's stashed birth count plus the reference's per-meeting
+    count is the node's total number of server meetings."""
     sim = build(workload)
     sim.run()
     reference = build(workload, ReferenceSimulation)
     reference.run()
-    actual, expected = outstanding_order(sim), outstanding_order(reference)
-    if workload[6] is None:
-        assert actual == expected
-    else:
-        assert [dict(node) for node in actual] == [
-            dict(node) for node in expected
-        ]
+    assert outstanding_order(sim) == outstanding_order(reference)
     trace = sim.trace
     is_server = np.zeros(trace.n_nodes, dtype=bool)
     is_server[sim.server_ids] = True

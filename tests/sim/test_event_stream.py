@@ -79,8 +79,8 @@ def build_sim(contact_times, request_times, fault_times):
 def test_merged_stream_ordering(workload):
     contact_times, request_times, fault_times = workload
     sim = build_sim(*workload)
-    times = sim._event_times
-    kinds = sim._event_kinds
+    times = sim._stream.event_times
+    kinds = sim._stream.event_kinds
 
     # Complete: every source event appears exactly once.
     assert len(times) == len(contact_times) + len(request_times) + len(

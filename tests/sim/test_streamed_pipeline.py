@@ -29,9 +29,11 @@ from repro.protocols import (
     dom_protocol,
     uni_protocol,
 )
-from repro.sim import Simulation, SimulationConfig
+from repro.sim import Simulation, SimulationConfig, engine
 from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
+
+from ._bitwise import spy_static_kernel
 
 N_NODES, N_ITEMS, RHO = 8, 6, 2
 UTILITY = StepUtility(8.0)
@@ -93,22 +95,39 @@ class TestChunkedIdentity:
         assert sim._streamed
         assert comparable(eager) == comparable(streamed)
 
-    def test_memmap_trace_with_parked_requests(self, tmp_path):
-        """DOM with a timeout parks its never-servable requests and
-        expires them at settle from the memory-mapped trace's tail."""
+    def test_memmap_trace_with_parked_requests(self, tmp_path, monkeypatch):
+        """DOM with a timeout: its never-servable requests wait and
+        expire on the streamed plain loop as in the static kernel.  A
+        memory-mapped trace that fits one streamed block takes the
+        kernel on its own eager stream; an explicit ``chunk_events``
+        or a trace past one block keeps the streamed loop."""
         demand, trace, requests, config = make_inputs()
         config = dataclasses.replace(config, request_timeout=20.0)
         save_binary(trace, tmp_path / "t.ctb")
         mm = load_binary(tmp_path / "t.ctb")
-        _, eager = run_one(
-            trace, requests, config, dom_protocol(demand, N_NODES, RHO)
-        )
-        sim, streamed = run_one(
-            mm, requests, config, dom_protocol(demand, N_NODES, RHO)
-        )
-        assert sim._streamed and sim._parks_dead_requests()
-        assert comparable(eager) == comparable(streamed)
-        assert streamed.n_expired > 0
+        verdicts = spy_static_kernel(monkeypatch)
+
+        def dom(trace, **kwargs):
+            return run_one(
+                trace,
+                requests,
+                config,
+                dom_protocol(demand, N_NODES, RHO),
+                **kwargs,
+            )
+
+        _, eager = dom(trace)
+        sim, one_block = dom(mm)
+        assert sim._streamed and sim._chunks is not None
+        assert verdicts == [True, True]
+        sim, chunked = dom(mm, chunk_events=64)
+        assert sim._chunks is None
+        monkeypatch.setattr(engine, "_DEFAULT_CHUNK_EVENTS", 64)
+        sim, blocks = dom(mm)
+        assert sim._chunks is None and verdicts == [True, True]
+        for streamed in (one_block, chunked, blocks):
+            assert comparable(eager) == comparable(streamed)
+        assert eager.n_expired > 0
 
     def test_chunked_with_faults_and_tracing(self):
         """Faults + live tracing + chunking together change nothing."""
