@@ -45,7 +45,6 @@ def run_ablation(profile):
             n_trials=profile.n_trials,
             base_seed=1201,
             include=("OPT", "QCR", "SQRT", "PROP", "DOM"),
-            n_workers=profile.n_workers,
         )
         losses[variant] = comparison.losses()
     return losses

@@ -28,7 +28,6 @@ def run_ablation(profile):
             n_trials=profile.n_trials,
             base_seed=881 + rho,
             include=("OPT", "QCR", "UNI"),
-            n_workers=profile.n_workers,
         )
         losses = comparison.losses()
         rows.append(
@@ -43,7 +42,6 @@ def run_ablation(profile):
             n_trials=profile.n_trials,
             base_seed=891 + int(10 * omega),
             include=("OPT", "QCR", "UNI"),
-            n_workers=profile.n_workers,
         )
         losses = comparison.losses()
         rows.append(

@@ -54,7 +54,6 @@ def run_ablation(profile):
         n_trials=profile.n_trials,
         base_seed=777,
         baseline="OPT",
-        n_workers=profile.n_workers,
     )
     return comparison
 

@@ -54,7 +54,6 @@ def run_extension(profile):
             n_trials=profile.n_trials,
             base_seed=909,
             baseline="OPT",
-            n_workers=profile.n_workers,
         )
         losses = comparison.losses()
         summary[label] = losses

@@ -2,8 +2,8 @@
 
 Runs the same harness as ``repro bench`` and writes ``BENCH_speed.json``
 at the repo root so the performance trajectory is tracked alongside the
-figure artifacts.  Scale follows ``REPRO_BENCH_SCALE`` (quick/full) and
-the pool width follows ``REPRO_BENCH_WORKERS`` (default 4).
+figure artifacts.  Scale follows ``REPRO_BENCH_SCALE`` (quick/full); the
+parallel sweep asks for 4 workers, capped at the CPU count.
 
 Assertions cover *correctness only* (optimized engine and parallel
 runner must be bit-identical to their baselines); timings are recorded,
@@ -30,7 +30,6 @@ def test_speed_benchmark(emit):
     output = REPO_ROOT / BENCH_FILENAME
     report = run_speed_benchmark(
         quick=profile.label == "quick",
-        n_workers=profile.n_workers or 4,
         output=output,
     )
     emit("BENCH_speed", render_speed_report(report))

@@ -6,8 +6,8 @@ has three structural preconditions:
 
 * the pool's start method is pinned explicitly (``mp_context=``) — the
   platform default flipped to ``spawn`` on macOS and is changing on
-  Linux, and the fork-inherited ``_WORKER_CONTEXT`` pattern silently
-  breaks under ``spawn``;
+  Linux, and the fork-inherited ``_POOL_SPEC`` pattern silently breaks
+  under ``spawn``;
 * submitted callables are module-level functions, not lambdas/closures
   (unpicklable under spawn, and closure captures are exactly the state
   that diverges between parent and child);

@@ -180,9 +180,8 @@ def _cache_setting(args: argparse.Namespace):
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     profile = current_profile()
-    workers = args.workers if args.workers is not None else profile.n_workers
     sweep_kwargs = {
-        "n_workers": workers,
+        "executor": args.workers,
         "progress": args.progress or None,
         "profile_dir": args.profile,
         "run_cache": _cache_setting(args),
@@ -961,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "process-pool width for simulation sweeps (default: "
-            "REPRO_BENCH_WORKERS or serial); results are bit-identical"
+            "REPRO_SWEEP_EXECUTOR or serial); results are bit-identical"
         ),
     )
     fig.add_argument(

@@ -1,27 +1,35 @@
 """The pluggable sweep-executor seam.
 
 :func:`repro.experiments.run_comparison` delegates the execution of its
-pending ``(trial, protocol)`` units to a :class:`SweepExecutor`:
+``(trial, protocol)`` units to a :class:`SweepExecutor`:
 
-* :class:`SerialExecutor` — the historical in-process walk;
-* :class:`ProcessPoolExecutor` — a single-host fork pool (the
-  ``n_workers`` fast path);
+* :class:`SerialExecutor` — the in-process walk;
+* :class:`ProcessPoolExecutor` — a single-host fork pool, capped at the
+  CPU count and the number of units;
 * :class:`~repro.dist.supervisor.WorkQueueExecutor` — independent
   worker processes coordinating through an on-disk
   :class:`~repro.dist.queue.WorkQueue` with leases, crash-absorbing
   supervision, and poison-unit quarantine.
 
+``run_comparison(executor=...)`` is the one execution selector;
+:func:`resolve_executor` maps it to an instance.
+
 Whatever the executor, crash pattern, or retry count, the statistics a
 sweep reports are bit-identical: executors only decide *where and when*
-units run, never *what* they compute — per-unit seeds come from the
-same :class:`numpy.random.SeedSequence` walk, and all accounting is
-assembled by the parent in deterministic trial-major order.
+units run, never *what* they compute — every backend runs each unit
+through :func:`repro.experiments.runner.run_unit`, per-unit seeds come
+from the same :class:`numpy.random.SeedSequence` walk, and all
+accounting is assembled by the parent in deterministic trial-major
+order.
 """
 
 from __future__ import annotations
 
 import abc
+import multiprocessing
 import os
+import warnings
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -36,12 +44,14 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
+from ..obs.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..contacts import ContactTrace
     from ..demand import DemandModel
+    from ..experiments.artifacts import TrialArtifacts
     from ..experiments.runner import FaultsLike, ProtocolFactory
-    from ..sim import SimulationConfig
+    from ..sim import SimulationConfig, SimulationResult
     from ..simcache import SimulationRunCache
 
 __all__ = [
@@ -53,9 +63,8 @@ __all__ = [
     "resolve_executor",
 ]
 
-#: Environment variable selecting the default executor by name
-#: (``serial`` / ``process`` / ``workqueue``); unset defers to the
-#: historical ``n_workers`` behavior.
+#: Environment variable read by ``executor=None``: ``serial`` or a
+#: worker count such as ``4``; unset runs serially.
 ENV_VAR = "REPRO_SWEEP_EXECUTOR"
 
 #: One (trial, protocol, trace seed, request seed, sim seed) work unit.
@@ -73,6 +82,9 @@ class SweepSpec:
     refuse mismatched state.  *trial_spills* maps a trial index to the
     parent's spilled ``.ctb`` copy of its trace (the zero-copy worker
     handoff); a trial without one is regenerated from its seed.
+    *latest_trial* is the executing process's cache of the last
+    ``(trial, artifacts)`` pair :func:`~repro.experiments.runner.run_unit`
+    built; it is never copied by :func:`dataclasses.replace`.
     """
 
     trace_factory: Callable[[int], "ContactTrace"]
@@ -88,6 +100,9 @@ class SweepSpec:
     base_seed: int
     n_trials: int
     trial_spills: Dict[int, str] = field(default_factory=dict)
+    latest_trial: Optional[Tuple[int, "TrialArtifacts"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def identity(self) -> Dict[str, Any]:
         """What makes two sweeps "the same sweep" for queue reuse."""
@@ -124,7 +139,7 @@ class SweepExecutor(abc.ABC):
 
 
 class SerialExecutor(SweepExecutor):
-    """Run every unit in-process, in order (the historical walk)."""
+    """Run every unit in-process, in order."""
 
     name = "serial"
 
@@ -134,18 +149,48 @@ class SerialExecutor(SweepExecutor):
         spec: SweepSpec,
         record: Callable[..., None],
     ) -> Optional[Dict[str, Any]]:
-        from ..experiments import runner
+        from ..experiments.runner import run_unit
 
-        runner._run_units_serial(list(units), spec, record)
+        for unit in units:
+            result, error, timing, _ = run_unit(
+                unit, spec, profile_as="serial"
+            )
+            record(unit[0], unit[1], result, error, timing)
         return None
+
+
+#: The pool's sweep, inherited by the forked workers through memory
+#: copy, so trace and protocol factories (typically closures) are never
+#: pickled.  Set by :meth:`ProcessPoolExecutor.execute` right before the
+#: pool forks and cleared afterwards.
+_POOL_SPEC: Optional[SweepSpec] = None
+
+
+def _pool_unit(
+    unit: WorkUnit,
+) -> Tuple[
+    WorkUnit, Optional["SimulationResult"], Optional[str], Dict[str, float]
+]:
+    """Execute one unit inside a pooled worker process."""
+    from ..experiments.runner import run_unit
+
+    assert _POOL_SPEC is not None, "pool workers must be forked by execute"
+    result, error, timing, _ = run_unit(unit, _POOL_SPEC)
+    return unit, result, error, timing
 
 
 class ProcessPoolExecutor(SweepExecutor):
     """Fan units over a single-host fork pool (bit-identical to serial).
 
-    This is the ``repro.dist`` executor wrapping the runner's pool path,
-    not :class:`concurrent.futures.ProcessPoolExecutor` (which it uses
-    underneath, with an explicitly pinned ``fork`` start method).
+    This is the ``repro.dist`` executor, not
+    :class:`concurrent.futures.ProcessPoolExecutor` (which it uses
+    underneath, with an explicitly pinned ``fork`` start method).  The
+    pool is capped at the CPU count and the number of units: more
+    workers than cores only add fork and IPC overhead
+    (``BENCH_speed.json`` showed 4 workers on one CPU running slower
+    than serial).  A cap of 1, or a platform without ``fork``, runs the
+    serial walk instead, and the sweep manifest records the executor
+    and worker count that actually ran.
     """
 
     name = "process"
@@ -163,57 +208,93 @@ class ProcessPoolExecutor(SweepExecutor):
         spec: SweepSpec,
         record: Callable[..., None],
     ) -> Optional[Dict[str, Any]]:
-        from ..experiments import runner
+        global _POOL_SPEC
+        cpus = os.cpu_count() or 1
+        workers = min(self.n_workers, cpus, len(units))
+        if workers < self.n_workers:
+            get_logger("repro.experiments.sweep").info(
+                "capping sweep workers",
+                requested=self.n_workers,
+                effective=workers,
+                cpu_count=cpus,
+                units=len(units),
+            )
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        if workers > 1 and not fork:
+            warnings.warn(
+                "a process pool needs the 'fork' start method; running "
+                "serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            workers = 1
+        if workers <= 1:
+            SerialExecutor().execute(units, spec, record)
+            return {"executor": SerialExecutor.name, "n_workers": 1}
+        _POOL_SPEC = spec
+        try:
+            with futures.ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                remaining = {pool.submit(_pool_unit, unit) for unit in units}
+                while remaining:
+                    done, remaining = futures.wait(
+                        remaining, return_when=futures.FIRST_EXCEPTION
+                    )
+                    for future in done:
+                        # Worker exceptions only escape run_unit under
+                        # on_error="raise"; propagate the first one
+                        # observed and drop the rest of the sweep, like
+                        # the serial walk aborting mid-sweep.
+                        try:
+                            unit, result, error, timing = future.result()
+                        except BaseException:
+                            for pending in remaining:
+                                pending.cancel()
+                            raise
+                        record(unit[0], unit[1], result, error, timing)
+        finally:
+            _POOL_SPEC = None
+        return {"n_workers": workers}
 
-        runner._run_units_parallel(
-            list(units), spec, record, n_workers=self.n_workers
-        )
-        return None
+
+#: What ``run_comparison(executor=...)`` accepts: ``None`` (read
+#: :data:`ENV_VAR`, serial when unset), ``"serial"``, a worker count, or
+#: an executor instance.
+ExecutorLike = Union[None, int, str, SweepExecutor]
 
 
-#: What ``run_comparison(executor=...)`` accepts: an executor instance,
-#: a name (``"serial"`` / ``"process"`` / ``"workqueue"``), or ``None``
-#: (defer to :data:`ENV_VAR`, then to the ``n_workers`` behavior).
-ExecutorLike = Union[None, str, SweepExecutor]
+def resolve_executor(setting: ExecutorLike) -> SweepExecutor:
+    """Resolve an ``executor=`` argument to an instance.
 
-
-def resolve_executor(
-    setting: ExecutorLike,
-    *,
-    n_workers: Optional[int] = None,
-) -> Optional[SweepExecutor]:
-    """Resolve an ``executor=`` argument to an instance (or ``None``).
-
-    ``None`` consults :data:`ENV_VAR`; an unset/empty variable returns
-    ``None``, which tells :func:`~repro.experiments.run_comparison` to
-    apply its historical ``n_workers`` selection (serial below 2
-    effective workers, fork pool otherwise).
+    ``None`` reads :data:`ENV_VAR` (unset or empty: serial), which takes
+    the same strings as the argument: ``"serial"`` or the decimal
+    string of a worker count.  A count ``K >= 1`` is a
+    :class:`ProcessPoolExecutor` of ``K`` workers; an instance is used
+    as-is.  Anything else raises
+    :class:`~repro.errors.ConfigurationError` naming the accepted forms.
     """
     if setting is None:
-        env = os.environ.get(ENV_VAR, "").strip()
-        if not env:
-            return None
-        setting = env
+        setting = os.environ.get(ENV_VAR, "").strip() or "serial"
     if isinstance(setting, SweepExecutor):
         return setting
-    if not isinstance(setting, str):
-        raise ConfigurationError(
-            f"executor must be None, a name, or a SweepExecutor; "
-            f"got {setting!r}"
-        )
-    name = setting.strip().lower()
-    if name == "serial":
-        return SerialExecutor()
-    if name == "process":
+    count: Optional[int] = None
+    if isinstance(setting, str):
+        text = setting.strip().lower()
+        if text == "serial":
+            return SerialExecutor()
+        if text.isascii() and text.isdigit():
+            count = int(text)
+    elif isinstance(setting, int) and not isinstance(setting, bool):
+        count = setting
+    if count is not None and count >= 1:
         # repro-lint: ignore[RPL008] our executor wrapper, not a raw pool
-        return ProcessPoolExecutor(max(n_workers or 1, 1))
-    if name == "workqueue":
-        from .supervisor import WorkQueueExecutor
-
-        return WorkQueueExecutor(n_workers=max(n_workers or 2, 1))
+        return ProcessPoolExecutor(count)
     raise ConfigurationError(
-        f"unknown executor {setting!r}; expected 'serial', 'process', "
-        "or 'workqueue'"
+        f"executor must be None, 'serial', a worker count >= 1 (an int, "
+        f"or its decimal string in {ENV_VAR}), or a SweepExecutor "
+        f"instance; got {setting!r}"
     )
 
 

@@ -3,17 +3,17 @@
 Three roles cooperate around one :class:`~repro.dist.queue.WorkQueue`:
 
 * :class:`QueueWorker` — claims units via lease files, executes them
-  with the exact same :func:`repro.experiments.runner._execute_run`
-  policy as every other backend, renews its lease from a heartbeat
-  thread, and publishes results (or failure records) durably;
+  through :func:`repro.experiments.runner.run_unit` like every other
+  backend, renews its lease from a heartbeat thread, and publishes
+  results (or failure records) durably;
 * :class:`Supervisor` — the one *requeue authority*: reaps stale
   leases (crashed or hung workers), bumps requeue counters, quarantines
   poison units once their claim budget is spent, respawns dead workers,
   and — when spawning keeps failing — degrades to executing units
   inline so the sweep always makes progress;
 * :class:`WorkQueueExecutor` — the :class:`~repro.dist.executors.SweepExecutor`
-  gluing both into ``run_comparison(executor="workqueue")``: create or
-  attach the queue, supervise until every unit is published or
+  gluing both into ``run_comparison(executor=WorkQueueExecutor(...))``:
+  create or attach the queue, supervise until every unit is published or
   quarantined, then feed results back to the parent's accounting in
   deterministic unit order with per-worker attribution.
 
@@ -26,6 +26,7 @@ recovery is just "reap the lease and let someone else run it".
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import shutil
@@ -39,7 +40,6 @@ from ..obs import events as ev
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..obs.manifest import worker_provenance
-from ..obs.timing import Stopwatch
 from .clock import Clock, SystemClock
 from .executors import SweepExecutor, SweepSpec, WorkUnit, make_unit_records
 from .leases import Lease
@@ -105,7 +105,19 @@ class QueueWorker:
         clock: Optional[Clock] = None,
     ) -> None:
         self.queue = queue
-        self.spec = spec
+        # The worker's own copy of the recipe: the queue manifest's
+        # trial spills (written by the parent's sweep when spilling is
+        # on) redirect traces to the parent's memory-mapped ``.ctb``
+        # copies with their travelling fingerprints, so workers joining
+        # from any host skip both regeneration and re-hashing.  Failures
+        # must never unwind a worker: under on_error="raise" the worker
+        # records the failure and the supervisor raises.
+        spills = queue.manifest.get("trial_spills") or {}
+        self.spec = dataclasses.replace(
+            spec,
+            trial_spills={int(trial): path for trial, path in spills.items()},
+            on_error="skip" if spec.on_error == "raise" else spec.on_error,
+        )
         self.worker_id = worker_id
         self.offset = int(offset)
         self.clock: Clock = clock if clock is not None else queue.clock
@@ -114,7 +126,6 @@ class QueueWorker:
             if poll_interval is not None
             else _default_poll(queue.ttl)
         )
-        self._inputs_by_trial: Dict[int, Any] = {}
         self._logger = get_logger("repro.dist.worker")
         self.units_done = 0
         self.units_failed = 0
@@ -201,78 +212,20 @@ class QueueWorker:
             labels={"worker": self.worker_id, "outcome": outcome},
         ).inc()
 
-    def _trial_inputs(
-        self, record: UnitRecord, trial_faults: Any
-    ) -> Any:
-        """Realize (once per trial per process) the shared randomness.
-
-        The queue manifest's ``trial_spills`` record (written by the
-        parent's sweep when trial spilling is on) redirects the trace
-        to the parent's memory-mapped ``.ctb`` copy with its
-        travelling fingerprint — workers joining from any host skip
-        both the regeneration and the re-hash, bit-identically.
-        """
-        from ..experiments import runner
-
-        inputs = self._inputs_by_trial.get(record.trial)
-        if inputs is not None:
-            return inputs, 0.0
-        spills = self.queue.manifest.get("trial_spills") or {}
-        timer = Stopwatch()
-        inputs = runner._build_trial_inputs(
-            self.spec.trace_factory,
-            self.spec.demand,
-            self.spec.n_clients,
-            record.seeds,
-            faults=trial_faults,
-            spill_path=spills.get(str(record.trial)),
-        )
-        timer.stop()
-        # Workers live across many units; keep only the latest trial's
-        # inputs (units of one trial cluster together in scan order).
-        self._inputs_by_trial = {record.trial: inputs}
-        return inputs, timer.wall
-
     def _execute_unit(
         self, record: UnitRecord, lease: Lease, claim_no: int
     ) -> None:
-        from ..experiments import runner
+        from ..experiments.runner import run_unit
 
-        spec = self.spec
-        trial_faults = (
-            spec.faults(record.trial)
-            if callable(spec.faults)
-            else spec.faults
-        )
-        inputs, setup_wall = self._trial_inputs(record, trial_faults)
-        # Failures must never unwind a worker: under on_error="raise"
-        # the worker records the failure and the supervisor raises.
-        worker_on_error = (
-            "skip" if spec.on_error == "raise" else spec.on_error
-        )
-        profiler = runner._process_profiler(spec.profile_dir)
         heartbeat = _Heartbeat(self.queue, lease, self.queue.ttl / 3.0)
         heartbeat.start()
-        if profiler is not None:
-            profiler.enable()
         try:
-            result, error, timing, cache_key = runner._execute_run(
-                spec.protocols[record.protocol],
-                inputs,
-                spec.config,
-                trial_faults,
-                attempts_per_run=spec.attempts_per_run,
-                on_error=worker_on_error,
-                cache=spec.cache,
+            result, error, timing, cache_key = run_unit(
+                (record.trial, record.protocol, *record.seeds), self.spec
             )
         finally:
-            if profiler is not None:
-                profiler.disable()
-                assert spec.profile_dir is not None
-                runner._dump_profile(profiler, spec.profile_dir, "worker")
             heartbeat.stop()
             self.lease_renewals += heartbeat.renewals
-        timing["setup_wall_s"] = setup_wall
         if result is not None:
             self.units_done += 1
             self._count_unit("done")

@@ -25,7 +25,6 @@ from .runner import (
     AlgorithmStats,
     ComparisonResult,
     TrialFailure,
-    TrialInputs,
     percentile_interval,
     run_comparison,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ComparisonResult",
     "AlgorithmStats",
     "TrialFailure",
-    "TrialInputs",
     "TrialArtifacts",
     "load_spilled_trace",
     "spill_trial_trace",

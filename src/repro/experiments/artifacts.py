@@ -61,12 +61,11 @@ SPILL_FINGERPRINT_KEY = "trace_fingerprint"
 class TrialArtifacts:
     """One trial's shared inputs plus memoized derived artifacts.
 
-    The attribute surface is a superset of the frozen ``TrialInputs``
-    triple (*trace*, *requests*, *sim_seed*) the runner historically
-    passed around, so every consumer keeps working; *faults* is the
-    trial's resolved fault schedule (``None`` for fault-free trials)
-    and must be the exact object later passed to the engine — the
-    prebuilt event stream is built from it and validated by identity.
+    *trace*, *requests* and *sim_seed* are the trial's shared
+    randomness; *faults* is the trial's resolved fault schedule
+    (``None`` for fault-free trials) and must be the exact object later
+    passed to the engine — the prebuilt event stream is built from it
+    and validated by identity.
 
     Memoization is per-instance and lazy: nothing is computed until a
     consumer asks, and each artifact is computed at most once.  A

@@ -23,10 +23,10 @@ so the perf trajectory is tracked across PRs:
   (tracemalloc), and asserts the streamed run is bit-identical to the
   same columns processed in RAM.
 * **parallel sweep** — a small :func:`~repro.experiments.run_comparison`
-  sweep run serially and with ``n_workers`` processes; the statistics
-  must be bit-identical and the speedup is the wall-clock ratio.  On a
-  single-core container the parallel run cannot beat serial — the
-  recorded ``cpu_count`` says how to read the number.
+  sweep run serially and on a pool of ``n_workers`` processes; the
+  statistics must be bit-identical and the speedup is the wall-clock
+  ratio.  On a single-core container the parallel run cannot beat
+  serial — the recorded ``cpu_count`` says how to read the number.
 * **sweep amortization** — the trial-scoped sharing layer: a
   3-protocol sweep with the merged event stream built once per trial
   versus once per protocol (plain and faulted), a traced run on a
@@ -341,9 +341,10 @@ def _bench_parallel_sweep(
 ) -> Dict[str, Any]:
     """Time a run_comparison sweep serially vs. on a worker pool.
 
-    ``effective_workers`` clamps the requested pool to the container's
-    CPU count: on a single-core host the pool cannot beat serial, the
-    measured ratio is pure scheduling noise, and the report says so
+    ``effective_workers`` is the pool width the sweep actually ran with
+    (capped at the CPU count): on a single-core host the pool cannot
+    beat serial, the measured ratio is pure scheduling noise, and the
+    report says so
     (``speedup_meaningful: false``) instead of publishing it as a win.
     """
     protocols = standard_protocols(scenario, include=("OPT", "QCR", "SQRT"))
@@ -357,12 +358,14 @@ def _bench_parallel_sweep(
         baseline="OPT",
     )
     start = time.perf_counter()
-    serial = run_comparison(**kwargs)
+    # Pinned, so REPRO_SWEEP_EXECUTOR cannot turn the baseline into a pool.
+    serial = run_comparison(**kwargs, executor="serial")
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = run_comparison(**kwargs, n_workers=n_workers)
+    parallel = run_comparison(**kwargs, executor=n_workers)
     parallel_seconds = time.perf_counter() - start
-    effective_workers = min(n_workers, os.cpu_count() or 1)
+    assert parallel.manifest is not None
+    effective_workers = int(parallel.manifest["n_workers"])
     return {
         "n_trials": n_trials,
         "n_workers": n_workers,

@@ -158,7 +158,6 @@ def _sweep(
     include: Sequence[str] = _STANDARD_SUITE,
     title: str,
     x_label: str,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -180,7 +179,6 @@ def _sweep(
             n_trials=n_trials,
             base_seed=base_seed + index,
             include=include,
-            n_workers=n_workers,
             progress=progress,
             profile_dir=profile_dir,
             run_cache=run_cache,
@@ -331,7 +329,6 @@ def figure3(
     alpha: float = 0.0,
     total_demand: float = 8.0,
     base_seed: int = 303,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -344,8 +341,6 @@ def figure3(
     divergence — are clearly visible within the horizon.
     """
     profile = profile or current_profile()
-    if n_workers is None:
-        n_workers = profile.n_workers
     utility = power_family(alpha)
     scenario = homogeneous_scenario(
         utility,
@@ -366,7 +361,6 @@ def figure3(
         n_trials=profile.n_trials,
         base_seed=base_seed,
         baseline="OPT",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -474,7 +468,6 @@ def figure4(
     profile: Optional[EffortProfile] = None,
     *,
     base_seed: int = 404,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -482,8 +475,6 @@ def figure4(
 ) -> Figure4Result:
     """Reproduce Figure 4 (homogeneous contacts)."""
     profile = profile or current_profile()
-    if n_workers is None:
-        n_workers = profile.n_workers
 
     def power_scenario(alpha: float) -> Scenario:
         return homogeneous_scenario(
@@ -508,7 +499,6 @@ def figure4(
         base_seed=base_seed,
         title="Figure 4 (left) — homogeneous, power delay-utility",
         x_label="alpha",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -521,7 +511,6 @@ def figure4(
         base_seed=base_seed + 1000,
         title="Figure 4 (right) — homogeneous, step delay-utility",
         x_label="tau",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -554,7 +543,6 @@ def figure5(
     *,
     time_panel_tau: float = 60.0,
     base_seed: int = 505,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -566,8 +554,6 @@ def figure5(
     visible; the sweeps use the profile's ``tau`` grid.
     """
     profile = profile or current_profile()
-    if n_workers is None:
-        n_workers = profile.n_workers
 
     def scenario_for(variant: str, tau: float) -> Scenario:
         scenario = conference_scenario(
@@ -593,7 +579,6 @@ def figure5(
         n_trials=profile.n_trials,
         base_seed=base_seed,
         baseline="OPT",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -625,7 +610,6 @@ def figure5(
         base_seed=base_seed + 1000,
         title="Figure 5(b) — loss vs tau (actual trace)",
         x_label="tau",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -638,7 +622,6 @@ def figure5(
         base_seed=base_seed + 2000,
         title="Figure 5(c) — loss vs tau (synthesized memoryless trace)",
         x_label="tau",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -674,7 +657,6 @@ def figure6(
     profile: Optional[EffortProfile] = None,
     *,
     base_seed: int = 606,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -682,8 +664,6 @@ def figure6(
 ) -> Figure6Result:
     """Reproduce Figure 6 (vehicular trace, three utility families)."""
     profile = profile or current_profile()
-    if n_workers is None:
-        n_workers = profile.n_workers
 
     def scenario_for(utility: DelayUtility) -> Scenario:
         scenario = vehicular_scenario(utility, record_interval=None)
@@ -700,7 +680,6 @@ def figure6(
         base_seed=base_seed,
         title="Figure 6(a) — vehicular, power delay-utility",
         x_label="alpha",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -713,7 +692,6 @@ def figure6(
         base_seed=base_seed + 1000,
         title="Figure 6(b) — vehicular, step delay-utility",
         x_label="tau",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,
@@ -726,7 +704,6 @@ def figure6(
         base_seed=base_seed + 2000,
         title="Figure 6(c) — vehicular, exponential delay-utility",
         x_label="nu",
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,

@@ -10,15 +10,14 @@ across profiles; only confidence intervals tighten.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
 __all__ = ["EffortProfile", "current_profile"]
 
 _ENV_VAR = "REPRO_BENCH_SCALE"
-_WORKERS_ENV_VAR = "REPRO_BENCH_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class EffortProfile:
     step_taus: Tuple[float, ...]
     #: Exponential-impatience sweep (Figure 6-right), 1/minutes.
     exp_nus: Tuple[float, ...]
-    #: Process-pool width for run_comparison sweeps (None = serial).
-    #: Results are bit-identical either way; this is purely wall-clock.
-    n_workers: Optional[int] = None
 
     @classmethod
     def quick(cls) -> "EffortProfile":
@@ -64,27 +60,12 @@ class EffortProfile:
     def from_env(cls) -> "EffortProfile":
         value = os.environ.get(_ENV_VAR, "quick").strip().lower()
         if value == "quick":
-            profile = cls.quick()
-        elif value == "full":
-            profile = cls.full()
-        else:
-            raise ConfigurationError(
-                f"{_ENV_VAR} must be 'quick' or 'full', got {value!r}"
-            )
-        workers = os.environ.get(_WORKERS_ENV_VAR, "").strip()
-        if workers:
-            try:
-                n_workers = int(workers)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{_WORKERS_ENV_VAR} must be an integer, got {workers!r}"
-                ) from None
-            if n_workers < 1:
-                raise ConfigurationError(
-                    f"{_WORKERS_ENV_VAR} must be >= 1, got {n_workers}"
-                )
-            profile = replace(profile, n_workers=n_workers)
-        return profile
+            return cls.quick()
+        if value == "full":
+            return cls.full()
+        raise ConfigurationError(
+            f"{_ENV_VAR} must be 'quick' or 'full', got {value!r}"
+        )
 
 
 def current_profile() -> EffortProfile:

@@ -25,35 +25,30 @@ behavior):
   content key (atomically and durably, see :mod:`repro.simcache`), so
   an interrupted sweep resumes by running it again with the same
   ``run_cache`` root: finished runs come back as cache hits;
-* *parallel execution* — ``n_workers`` fans the ``(trial, protocol)``
-  work units out over a process pool.  Per-run seeds are derived from
-  the same :class:`numpy.random.SeedSequence` walk as the serial path,
-  so parallel results are **bit-identical** to serial ones; workers
-  return completed runs to the parent, so the run cache and the
-  ``on_error`` policies compose unchanged;
+* *pluggable executors* — ``executor`` is the one execution selector
+  (see :mod:`repro.dist.executors`): the in-process serial walk, a
+  fork pool of ``K`` workers (capped at the machine's CPUs), or the
+  fault-tolerant work-queue backend whose independent workers
+  coordinate through leases on a (possibly shared) filesystem and
+  survive SIGKILL at any instruction.  Every backend runs each unit
+  through :func:`run_unit`, per-run seeds come from the same
+  :class:`numpy.random.SeedSequence` walk, and completed runs return to
+  the parent, so the run cache and the ``on_error`` policies compose
+  unchanged and all backends produce bit-identical statistics;
 * *telemetry* — every run yields a :class:`RunTelemetry` record (stage
   timings, attempts, outcome, executing worker) merged into
   ``ComparisonResult.telemetry`` in deterministic trial-major order
   regardless of worker completion order; ``progress`` enables a live
   reporter (structured log lines or a user callback) and
-  ``profile_dir`` dumps per-worker cProfile stats;
-* *pluggable executors* — ``executor`` selects the backend that runs
-  the pending units (see :mod:`repro.dist`): the in-process serial
-  walk, the fork pool, or the fault-tolerant work-queue backend whose
-  independent workers coordinate through leases on a (possibly shared)
-  filesystem and survive SIGKILL at any instruction.  All backends
-  produce bit-identical statistics.
+  ``profile_dir`` dumps per-process cProfile stats.
 """
 
 from __future__ import annotations
 
 import cProfile
 import dataclasses
-import multiprocessing
 import os
 import time
-import warnings
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -92,15 +87,15 @@ from ..types import FloatArray
 from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (dist imports us lazily)
-    from ..dist.executors import ExecutorLike, SweepSpec
+    from ..dist.executors import ExecutorLike, SweepSpec, WorkUnit
 
 __all__ = [
-    "TrialInputs",
     "TrialFailure",
     "AlgorithmStats",
     "ComparisonResult",
     "RunTelemetry",
     "run_comparison",
+    "run_unit",
     "percentile_interval",
 ]
 
@@ -214,15 +209,6 @@ class _ProgressReporter:
                 failures=n_failures,
                 elapsed_s=f"{self._timer.wall:.1f}",
             )
-
-
-@dataclass(frozen=True)
-class TrialInputs:
-    """The shared randomness of one trial."""
-
-    trace: ContactTrace
-    requests: RequestSchedule
-    sim_seed: int
 
 
 @dataclass(frozen=True)
@@ -377,64 +363,10 @@ def _derive_trial_seeds(
     ]
 
 
-def _build_trial_inputs(
-    trace_factory: Callable[[int], ContactTrace],
-    demand: DemandModel,
-    n_clients: Optional[int],
-    seeds: Tuple[int, int, int],
-    *,
-    faults: Optional[FaultSchedule] = None,
-    spill_path: Optional[str] = None,
-) -> TrialArtifacts:
-    """Realize one trial's shared trace and request schedule.
-
-    With *spill_path* the trace is memory-mapped from the parent's
-    ``.ctb`` spill instead of regenerated from the trial seed — the
-    zero-copy worker handoff — and the fingerprint memo is pre-seeded
-    from the spill header when the parent recorded one.  *faults* is
-    the trial's already-resolved fault schedule; it rides along so the
-    shared event stream is built from the very objects the runs use.
-    """
-    trace_seed, request_seed, sim_seed = seeds
-    trace_fingerprint: Optional[str] = None
-    if spill_path is not None and is_binary_trace(spill_path):
-        trace, trace_fingerprint = load_spilled_trace(spill_path)
-    else:
-        # No spill for this trial (or a stale path from a resumed
-        # queue manifest): regenerate from the trial seed as always.
-        trace = trace_factory(trace_seed)
-    clients = n_clients or trace.n_nodes
-    requests = generate_requests(
-        demand, clients, trace.duration, seed=request_seed
-    )
-    return TrialArtifacts(
-        trace,
-        requests,
-        sim_seed,
-        faults=faults,
-        trace_fingerprint=trace_fingerprint,
-    )
-
-
-def _memo_fingerprint(inputs: object, method: str) -> Optional[str]:
-    """A memoized fingerprint off *inputs*, or ``None`` to hash inline.
-
-    ``None`` (plain :class:`TrialInputs`, external callers) makes
-    :func:`~repro.simcache.run_key` fall back to the full hash pass —
-    the memo is an amortization, never a requirement.
-    """
-    getter = getattr(inputs, method, None)
-    if callable(getter):
-        value = getter()
-        return value if isinstance(value, str) else None
-    return None
-
-
 def _execute_run(
     factory: ProtocolFactory,
     inputs: TrialArtifacts,
     config: SimulationConfig,
-    trial_faults: Optional[FaultSchedule],
     *,
     attempts_per_run: int,
     on_error: str,
@@ -449,30 +381,27 @@ def _execute_run(
 
     Returns ``(result, None, timing, run_key)`` on success and
     ``(None, error string, timing, run_key)`` after all attempts failed;
-    with ``on_error="raise"`` the first failure propagates (identical in
-    workers and in the serial loop).  *timing* reports the simulate
-    stage's wall/CPU seconds (backoff sleeps excluded) and the number
-    of attempts actually made; with a *cache* it also carries a
-    ``"cache"`` marker (hit / miss / uncacheable).  *run_key* is the
-    run's content-address when a cache is in use and the inputs were
-    fingerprintable (``None`` otherwise) — the distributed backend
-    records it with every published result.
+    with ``on_error="raise"`` the first failure propagates.  *timing*
+    reports the simulate stage's wall/CPU seconds (backoff sleeps
+    excluded) and the number of attempts actually made; with a *cache*
+    it also carries a ``"cache"`` marker (hit / miss / uncacheable).
+    *run_key* is the run's content-address when a cache is in use and
+    the inputs were fingerprintable (``None`` otherwise) — the
+    distributed backend records it with every published result.
 
     With a run cache, a content-key hit returns the stored result with
     zero attempts — no simulation happens; a completed miss is stored
     for next time.  Runs whose inputs cannot be fingerprinted execute
     uncached.
 
-    Two trial-scoped amortizations apply when *inputs* is a
-    :class:`~repro.experiments.artifacts.TrialArtifacts` (the runner
-    always passes one): the cache key reuses the trial's memoized
-    content fingerprints instead of re-hashing the arrays per
-    protocol, and the simulation reuses the trial's prebuilt event
-    stream instead of re-merging — both substitutions are
-    byte-identical.  The protocol instance built to fingerprint the
-    cache key is reused for the first simulation attempt rather than
-    discarded and rebuilt (it is factory-fresh either way; retries
-    still rebuild).
+    The run uses the trial's shared artifacts: the cache key reuses
+    their memoized content fingerprints instead of re-hashing the
+    arrays per protocol, and the simulation reuses the trial's prebuilt
+    event stream (built from ``inputs.faults``) instead of re-merging —
+    both substitutions are byte-identical.  The protocol instance built
+    to fingerprint the cache key is reused for the first simulation
+    attempt rather than discarded and rebuilt (it is factory-fresh
+    either way; retries still rebuild).
     """
     cache_key: Optional[str] = None
     cache_marker: Optional[float] = None
@@ -494,18 +423,10 @@ def _execute_run(
                     inputs.sim_seed,
                     inputs.trace,
                     inputs.requests,
-                    trial_faults,
-                    trace_fingerprint=_memo_fingerprint(
-                        inputs, "trace_fingerprint"
-                    ),
-                    requests_fingerprint=_memo_fingerprint(
-                        inputs, "requests_fingerprint"
-                    ),
-                    faults_fingerprint=(
-                        _memo_fingerprint(inputs, "faults_fingerprint")
-                        if getattr(inputs, "faults", None) is trial_faults
-                        else None
-                    ),
+                    inputs.faults,
+                    trace_fingerprint=inputs.trace_fingerprint(),
+                    requests_fingerprint=inputs.requests_fingerprint(),
+                    faults_fingerprint=inputs.faults_fingerprint(),
                 )
                 cache_marker = _CACHE_MISS
             except UncacheableRunError as error:
@@ -528,14 +449,6 @@ def _execute_run(
     wall_s = 0.0
     cpu_s = 0.0
     attempts_made = 0
-    # The trial's shared premerged stream, when inputs carry one built
-    # from this very fault schedule (None otherwise — the engine then
-    # merges inline, exactly as before).
-    stream_getter = getattr(inputs, "event_stream", None)
-    use_stream = (
-        callable(stream_getter)
-        and getattr(inputs, "faults", None) is trial_faults
-    )
     for attempt in range(attempts_per_run):
         if attempt:
             delay = min(
@@ -554,15 +467,14 @@ def _execute_run(
                 protocol = probe
             else:
                 protocol = factory(inputs.trace, inputs.requests)
-            prebuilt = stream_getter(config) if use_stream else None
             result = simulate(
                 inputs.trace,
                 inputs.requests,
                 config,
                 protocol,
                 seed=inputs.sim_seed,
-                faults=trial_faults,
-                prebuilt_events=prebuilt,
+                faults=inputs.faults,
+                prebuilt_events=inputs.event_stream(config),
             )
             timer.stop()
             wall_s += timer.wall
@@ -618,18 +530,9 @@ def _count_cache_marker(
         counts["uncacheable"] += 1
 
 
-#: Fork-inherited state for pooled workers.  Set by ``run_comparison``
-#: immediately before the pool is created and cleared afterwards; the
-#: forked children inherit it by memory copy, so the trace factories and
-#: protocol factories (typically closures) never need to be pickled.
-_WORKER_CONTEXT: Optional[Dict[str, Any]] = None
-
-#: One (trial, protocol, trace seed, request seed, sim seed) work unit.
-_WorkUnit = Tuple[int, str, int, int, int]
-
 #: Per-process cumulative profiler (lazily created when profiling is
-#: requested); shared across all units a worker executes so one
-#: ``.pstats`` file per worker accumulates its whole share of the sweep.
+#: requested); shared across all units a process executes so one
+#: ``.pstats`` file per process accumulates its whole share of the sweep.
 _PROCESS_PROFILER: Optional[cProfile.Profile] = None
 
 
@@ -644,65 +547,78 @@ def _process_profiler(
     return _PROCESS_PROFILER
 
 
-def _dump_profile(
-    profiler: cProfile.Profile, profile_dir: str, prefix: str
-) -> None:
-    """Write the cumulative stats, overwriting after every unit so a
-    crashed worker still leaves its latest snapshot behind."""
-    profiler.dump_stats(
-        os.path.join(profile_dir, f"{prefix}-{os.getpid()}.pstats")
+def _trial_artifacts(
+    spec: "SweepSpec", unit: "WorkUnit"
+) -> Tuple[TrialArtifacts, float]:
+    """The unit's trial artifacts, and the wall time spent building them.
+
+    Only the latest trial's artifacts are kept (on *spec*, so they are
+    freed with it): units arrive trial-major, so the trial's other
+    protocols reuse its trace, requests, fault schedule, memoized
+    fingerprints and premerged event stream, and a process never holds
+    two trials' streams.  A spilled trial memory-maps the parent's
+    ``.ctb`` copy (with its travelling fingerprint) instead of
+    regenerating the trace; a missing spill (a stale path from a
+    resumed queue manifest) regenerates from the trial seed.
+    """
+    trial, _, trace_seed, request_seed, sim_seed = unit
+    if spec.latest_trial is not None and spec.latest_trial[0] == trial:
+        return spec.latest_trial[1], 0.0
+    spec.latest_trial = None  # release the previous trial's stream first
+    timer = Stopwatch()
+    faults = spec.faults(trial) if callable(spec.faults) else spec.faults
+    spill_path = spec.trial_spills.get(trial)
+    trace_fingerprint: Optional[str] = None
+    if spill_path is not None and is_binary_trace(spill_path):
+        trace, trace_fingerprint = load_spilled_trace(spill_path)
+    else:
+        trace = spec.trace_factory(trace_seed)
+    requests = generate_requests(
+        spec.demand,
+        spec.n_clients or trace.n_nodes,
+        trace.duration,
+        seed=request_seed,
     )
+    artifacts = TrialArtifacts(
+        trace,
+        requests,
+        sim_seed,
+        faults=faults,
+        trace_fingerprint=trace_fingerprint,
+    )
+    timer.stop()
+    spec.latest_trial = (trial, artifacts)
+    return artifacts, timer.wall
 
 
-def _pool_run(
-    unit: _WorkUnit,
+def run_unit(
+    unit: "WorkUnit", spec: "SweepSpec", *, profile_as: str = "worker"
 ) -> Tuple[
-    int, str, Optional[SimulationResult], Optional[str], Dict[str, float]
+    Optional[SimulationResult],
+    Optional[str],
+    Dict[str, float],
+    Optional[str],
 ]:
-    """Execute one work unit inside a pooled worker process."""
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive
-        raise SimulationError(
-            "worker context missing; the pool must be created with the "
-            "fork start method by run_comparison"
-        )
-    spec: "SweepSpec" = context["spec"]
-    trial, name, trace_seed, request_seed, sim_seed = unit
-    inputs_by_trial: Dict[int, TrialArtifacts] = context["inputs_by_trial"]
-    trial_faults = spec.faults(trial) if callable(spec.faults) else spec.faults
-    setup_wall = 0.0
-    inputs = inputs_by_trial.get(trial)
-    if inputs is None:
-        # First unit of this trial in this worker: realize the shared
-        # randomness once and reuse it for the trial's other protocols.
-        # A spilled trial memory-maps the parent's .ctb copy (with its
-        # travelling fingerprint) instead of regenerating the trace.
-        setup_timer = Stopwatch()
-        inputs = _build_trial_inputs(
-            spec.trace_factory,
-            spec.demand,
-            spec.n_clients,
-            (trace_seed, request_seed, sim_seed),
-            faults=trial_faults,
-            spill_path=spec.trial_spills.get(trial),
-        )
-        setup_timer.stop()
-        setup_wall = setup_timer.wall
-        # Keep every trial's (possibly memmapped) inputs for reuse but
-        # only the newest trial's materialized event stream — the
-        # stream is the big per-trial allocation.
-        for other in inputs_by_trial.values():
-            other.drop_event_stream()
-        inputs_by_trial[trial] = inputs
+    """Execute one ``(trial, protocol)`` work unit of *spec*'s sweep.
+
+    Every executor runs its units through here.  The trial's shared
+    inputs are built once per trial and process (a per-trial fault
+    factory is called once per trial); the unit that builds them
+    reports the cost as ``timing["setup_wall_s"]``, later units 0.
+    With ``spec.profile_dir`` the run is added to the process's
+    cProfile, dumped to ``<profile_as>-<pid>.pstats`` after every unit
+    so a crashed worker still leaves its latest snapshot behind.
+    Returns :func:`_execute_run`'s ``(result, error, timing, run_key)``.
+    """
+    inputs, setup_wall = _trial_artifacts(spec, unit)
     profiler = _process_profiler(spec.profile_dir)
     if profiler is not None:
         profiler.enable()
     try:
-        result, error, timing, _ = _execute_run(
-            spec.protocols[name],
+        result, error, timing, key = _execute_run(
+            spec.protocols[unit[1]],
             inputs,
             spec.config,
-            trial_faults,
             attempts_per_run=spec.attempts_per_run,
             on_error=spec.on_error,
             cache=spec.cache,
@@ -711,9 +627,13 @@ def _pool_run(
         if profiler is not None:
             profiler.disable()
             assert spec.profile_dir is not None
-            _dump_profile(profiler, spec.profile_dir, "worker")
+            profiler.dump_stats(
+                os.path.join(
+                    spec.profile_dir, f"{profile_as}-{os.getpid()}.pstats"
+                )
+            )
     timing["setup_wall_s"] = setup_wall
-    return trial, name, result, error, timing
+    return result, error, timing, key
 
 
 class _SweepAccounting:
@@ -785,105 +705,6 @@ class _SweepAccounting:
         self.results_map[(trial, name)] = result
 
 
-def _run_units_serial(
-    units: List[_WorkUnit],
-    spec: "SweepSpec",
-    record: Callable[..., None],
-) -> None:
-    """The historical in-order walk, reported through *record*.
-
-    Trial inputs are realized once per trial and reused across the
-    trial's protocols (units arrive trial-major) — including the
-    trial's memoized fingerprints and premerged event stream, so every
-    protocol after the first skips the hash and merge passes too.
-    """
-    inputs: Optional[TrialArtifacts] = None
-    current_trial = -1
-    profiler = _process_profiler(spec.profile_dir)
-    for unit in units:
-        trial, name = unit[0], unit[1]
-        setup_wall = 0.0
-        trial_faults = (
-            spec.faults(trial) if callable(spec.faults) else spec.faults
-        )
-        if trial != current_trial:
-            setup_timer = Stopwatch()
-            inputs = _build_trial_inputs(
-                spec.trace_factory,
-                spec.demand,
-                spec.n_clients,
-                unit[2:],
-                faults=trial_faults,
-            )
-            setup_timer.stop()
-            setup_wall = setup_timer.wall
-            current_trial = trial
-        assert inputs is not None
-        if profiler is not None:
-            profiler.enable()
-        try:
-            result, error, timing, _ = _execute_run(
-                spec.protocols[name],
-                inputs,
-                spec.config,
-                trial_faults,
-                attempts_per_run=spec.attempts_per_run,
-                on_error=spec.on_error,
-                cache=spec.cache,
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                assert spec.profile_dir is not None
-                _dump_profile(profiler, spec.profile_dir, "serial")
-        timing["setup_wall_s"] = setup_wall
-        record(trial, name, result, error, timing)
-
-
-def _run_units_parallel(
-    units: List[_WorkUnit],
-    spec: "SweepSpec",
-    record: Callable[..., None],
-    *,
-    n_workers: int,
-) -> None:
-    """Fan *units* out over a fork pool; the parent owns the accounting.
-
-    Workers inherit the factories through fork (no pickling of
-    closures); only the small work-unit tuples and the completed
-    :class:`~repro.sim.metrics.SimulationResult` objects cross the
-    process boundary.  Completed runs are reported to *record* by the
-    parent as they arrive, so the run cache and the ``on_error``
-    policies compose exactly like the serial walk.
-    """
-    global _WORKER_CONTEXT
-    context: Dict[str, Any] = {"spec": spec, "inputs_by_trial": {}}
-    mp_context = multiprocessing.get_context("fork")
-    _WORKER_CONTEXT = context
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(units)), mp_context=mp_context
-        ) as pool:
-            futures = {pool.submit(_pool_run, unit): unit for unit in units}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    # Worker exceptions only escape _execute_run under
-                    # on_error="raise"; propagate the first one observed
-                    # and drop the rest of the sweep, like the serial
-                    # path aborting mid-walk.
-                    try:
-                        trial, name, result, error, timing = future.result()
-                    except BaseException:
-                        for pending in remaining:
-                            pending.cancel()
-                        raise
-                    record(trial, name, result, error, timing)
-    finally:
-        _WORKER_CONTEXT = None
-
-
 def run_comparison(
     *,
     trace_factory: Callable[[int], ContactTrace],
@@ -896,7 +717,6 @@ def run_comparison(
     n_clients: Optional[int] = None,
     faults: Optional[FaultsLike] = None,
     on_error: str = "raise",
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -927,16 +747,6 @@ def run_comparison(
         to :data:`MAX_RETRIES` times with exponential backoff
         (:data:`RETRY_BACKOFF_S` doubling per attempt, capped at
         :data:`MAX_BACKOFF_S`), then records the failure and continues.
-    n_workers:
-        ``None``/``1`` runs serially (the historical behavior).  With
-        ``k > 1`` the pending ``(trial, protocol)`` runs execute on a
-        ``k``-process pool (fork start method); per-run seeds come from
-        the identical seed walk, so the resulting statistics are
-        bit-identical to a serial sweep.  Requires a platform with the
-        ``fork`` start method (falls back to serial with a warning
-        otherwise).  With ``on_error="raise"`` the first observed worker
-        failure propagates, which — unlike the serial path — is not
-        necessarily the earliest failing trial.
     progress:
         ``True`` logs one structured line per completed run (and a
         final summary) through ``repro.obs.log``; a callable receives a
@@ -960,19 +770,21 @@ def run_comparison(
         resumes by running it again with the same ``run_cache`` root —
         with statistics bit-identical to an uninterrupted sweep.
     executor:
-        Which backend runs the pending units (see :mod:`repro.dist`).
-        ``None`` (default) consults the ``REPRO_SWEEP_EXECUTOR``
-        environment variable, then falls back to the historical
-        ``n_workers`` selection.  ``"serial"``, ``"process"``, or
-        ``"workqueue"`` pick a backend by name (``n_workers`` sizes it);
-        a :class:`~repro.dist.SweepExecutor` instance is used as-is.
-        The fault-tolerant ``"workqueue"`` backend coordinates
-        independent worker processes through an on-disk queue with
-        leases, crash-absorbing supervision, and poison-unit
-        quarantine; all backends produce bit-identical statistics.
-        Under ``on_error="raise"`` the work-queue backend raises
-        :class:`~repro.errors.SimulationError` (the original exception
-        type does not cross the process boundary).
+        Which backend runs the ``(trial, protocol)`` units (see
+        :mod:`repro.dist.executors`): ``None`` (default) reads the
+        ``REPRO_SWEEP_EXECUTOR`` environment variable and runs serially
+        when it is unset; ``"serial"`` is the in-process walk; a worker
+        count ``K`` (or its decimal string in the variable) is a
+        ``fork`` pool, capped at the CPU count and the number of units,
+        that runs serially when the cap is 1 or ``fork`` is missing; a
+        :class:`~repro.dist.SweepExecutor` instance, such as the
+        fault-tolerant :class:`~repro.dist.WorkQueueExecutor`, is used
+        as-is.  Per-run seeds come from one seed walk, so every backend
+        produces bit-identical statistics.  With ``on_error="raise"`` a
+        pool propagates the first *observed* failure, which is not
+        necessarily the earliest failing trial, and the work-queue
+        backend raises :class:`~repro.errors.SimulationError` (the
+        original exception type does not cross the process boundary).
     trial_spill_dir:
         Zero-copy trial handoff for parallel and distributed sweeps:
         the parent realizes each pending trial's trace once, spills it
@@ -996,8 +808,6 @@ def run_comparison(
         raise ConfigurationError(
             f"on_error must be 'raise', 'skip', or 'retry', got {on_error!r}"
         )
-    if n_workers is not None and n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     profile_path: Optional[str] = None
     if profile_dir is not None:
         profile_path = os.fspath(profile_dir)
@@ -1012,22 +822,8 @@ def run_comparison(
     # and by execution time this module is fully initialized.
     from ..dist import executors as dist_executors
 
-    executor_obj = dist_executors.resolve_executor(
-        executor, n_workers=n_workers
-    )
-
-    parallel = (
-        executor_obj is None and n_workers is not None and n_workers > 1
-    )
-    if parallel and "fork" not in multiprocessing.get_all_start_methods():
-        warnings.warn(
-            "n_workers > 1 needs the 'fork' start method; running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        parallel = False
-
-    units: List[_WorkUnit] = [
+    executor_obj = dist_executors.resolve_executor(executor)
+    units: List["WorkUnit"] = [
         (trial, name, *trial_seeds[trial])
         for trial in range(n_trials)
         for name in protocols
@@ -1041,34 +837,6 @@ def run_comparison(
         cache_counts=cache_counts,
         attempts_per_run=attempts_per_run,
     )
-
-    # Cap the pool at the machine and the workload: more workers than
-    # cores (or than pending units) only add fork and IPC overhead —
-    # BENCH_speed.json showed n_workers=4 on cpu_count=1 running slower
-    # than serial.  An effective count of 1 bypasses the pool entirely.
-    effective_workers = n_workers if n_workers is not None else 1
-    if parallel:
-        available_cpus = os.cpu_count() or 1
-        capped = min(effective_workers, available_cpus, len(units))
-        if capped < effective_workers:
-            get_logger("repro.experiments.sweep").info(
-                "capping sweep workers",
-                requested=effective_workers,
-                effective=capped,
-                cpu_count=available_cpus,
-                units=len(units),
-            )
-        effective_workers = capped
-        if effective_workers <= 1:
-            parallel = False
-
-    if executor_obj is None:
-        if parallel:
-            executor_obj = dist_executors.ProcessPoolExecutor(
-                effective_workers
-            )
-        else:
-            executor_obj = dist_executors.SerialExecutor()
 
     # Zero-copy trial handoff: realize each trial's trace once in the
     # parent, spill it to .ctb, and let every worker memory-map that

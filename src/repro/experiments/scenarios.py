@@ -428,7 +428,6 @@ def run_scenario(
     base_seed: int = 0,
     include: Sequence[str] = ("OPT", "QCR", "SQRT", "PROP", "UNI", "DOM"),
     qcr_config: Optional[QCRConfig] = None,
-    n_workers: Optional[int] = None,
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -436,12 +435,11 @@ def run_scenario(
 ) -> ComparisonResult:
     """Run the standard comparison on *scenario*.
 
-    *n_workers* > 1 distributes the (trial, protocol) runs over a
-    process pool with bit-identical statistics; *progress* and
-    *profile_dir* enable the live reporter and per-worker cProfile
-    dumps; *run_cache* reuses previously computed runs by content key;
-    *executor* selects the execution backend, including the
-    fault-tolerant distributed work queue (see
+    *executor* selects the execution backend — serial, a fork pool of
+    ``K`` workers, or the fault-tolerant distributed work queue — with
+    bit-identical statistics; *progress* and *profile_dir* enable the
+    live reporter and per-process cProfile dumps; *run_cache* reuses
+    previously computed runs by content key (see
     :func:`repro.experiments.runner.run_comparison` and
     :mod:`repro.dist`).
     """
@@ -455,7 +453,6 @@ def run_scenario(
         n_trials=n_trials,
         base_seed=base_seed,
         baseline="OPT" if "OPT" in include else include[0],
-        n_workers=n_workers,
         progress=progress,
         profile_dir=profile_dir,
         run_cache=run_cache,

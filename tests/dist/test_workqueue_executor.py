@@ -57,13 +57,19 @@ class TestBitIdentity:
     def test_workqueue_matches_serial(self, demand, config, protocols):
         serial = sweep(demand, config, protocols, executor="serial")
         queued = sweep(
-            demand, config, protocols, executor="workqueue", n_workers=2
+            demand,
+            config,
+            protocols,
+            executor=WorkQueueExecutor(n_workers=2),
         )
         assert_identical(serial, queued)
 
     def test_manifest_attributes_every_unit(self, demand, config, protocols):
         result = sweep(
-            demand, config, protocols, executor="workqueue", n_workers=2
+            demand,
+            config,
+            protocols,
+            executor=WorkQueueExecutor(n_workers=2),
         )
         dist = result.manifest["dist"]
         assert dist["backend"] == "workqueue"

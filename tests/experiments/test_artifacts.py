@@ -17,6 +17,7 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.contacts.binary import binary_trace_metadata
 from repro.demand import DemandModel, generate_requests
+from repro.dist import WorkQueueExecutor
 from repro.experiments import TrialArtifacts, run_comparison
 from repro.experiments.benchmark import _merge_per_protocol
 from repro.experiments.artifacts import (
@@ -266,8 +267,15 @@ class TestSweepSharing:
         assert len(builds) == 2  # every run merged inline instead
         assert_identical(shared, unshared)
 
-    def test_shared_with_faults(self, demand, config, protocols):
+    def test_shared_with_faults(
+        self, demand, config, protocols, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        factory_calls = []
+
         def faults(trial):
+            factory_calls.append(trial)
             return FaultSchedule.node_churn(
                 N,
                 crash_rate=0.01,
@@ -276,7 +284,19 @@ class TestSweepSharing:
                 seed=100 + trial,
             )
 
+        prebuilt = []
+        simulate = runner.simulate
+
+        def recording_simulate(*args, **kwargs):
+            prebuilt.append(kwargs["prebuilt_events"] is not None)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", recording_simulate)
         shared = sweep(demand, config, protocols, faults=faults)
+        # One fault schedule per trial, so every protocol of the trial
+        # runs on the trial's prebuilt stream.
+        assert factory_calls == [0, 1]
+        assert prebuilt == [True] * (2 * len(protocols))
         with _merge_per_protocol():
             unshared = sweep(demand, config, protocols, faults=faults)
         assert_identical(shared, unshared)
@@ -293,7 +313,7 @@ class TestSpillHandoff:
             demand,
             config,
             protocols,
-            n_workers=2,
+            executor=2,
             trial_spill_dir=tmp_path / "spills",
         )
         assert_identical(serial, spilled)
@@ -313,7 +333,7 @@ class TestSpillHandoff:
             demand,
             config,
             protocols,
-            n_workers=2,
+            executor=2,
             run_cache=tmp_path / "cache",
             trial_spill_dir=tmp_path / "spills",
         )
@@ -330,8 +350,7 @@ class TestSpillHandoff:
             demand,
             config,
             protocols,
-            executor="workqueue",
-            n_workers=2,
+            executor=WorkQueueExecutor(n_workers=2),
             trial_spill_dir=tmp_path / "spills",
         )
         assert_identical(serial, spilled)

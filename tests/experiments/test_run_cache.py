@@ -26,6 +26,7 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
 from repro.dist import UnitRecord, WorkQueue
+from repro.dist import executors as dist_executors
 from repro.contacts.synthetic import (
     ConferenceTraceConfig,
     VehicularTraceConfig,
@@ -480,7 +481,7 @@ class TestWorkerCap:
         stream = io.StringIO()
         set_log_stream(stream)
         try:
-            result = sweep(demand, config(), None, n_workers=4)
+            result = sweep(demand, config(), None, executor=4)
         finally:
             set_log_stream(None)
         assert result.manifest["n_workers"] == 2
@@ -492,7 +493,10 @@ class TestWorkerCap:
         def no_pool(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("pool must not be used with 1 worker")
 
-        monkeypatch.setattr(runner_mod, "_run_units_parallel", no_pool)
+        monkeypatch.setattr(
+            dist_executors.futures, "ProcessPoolExecutor", no_pool
+        )
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
-        result = sweep(demand, config(), None, n_workers=4)
+        result = sweep(demand, config(), None, executor=4)
+        assert result.manifest["executor"] == "serial"
         assert result.manifest["n_workers"] == 1

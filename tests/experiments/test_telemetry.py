@@ -21,8 +21,8 @@ N_TRIALS = 3
 
 @pytest.fixture(autouse=True)
 def _many_cpus(monkeypatch):
-    """Pretend the machine has 8 cores so ``n_workers=2`` tests stay
-    on the pool path (the runner caps workers at ``os.cpu_count()``)."""
+    """Pretend the machine has 8 cores so ``executor=2`` tests stay on
+    the pool path (pools are capped at ``os.cpu_count()``)."""
     import os
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -77,7 +77,7 @@ class TestTelemetryRecords:
     def test_parallel_telemetry_matches_serial_shape(self, setup):
         demand, config = setup
         serial = sweep(demand, config)
-        parallel = sweep(demand, config, n_workers=2)
+        parallel = sweep(demand, config, executor=2)
         assert [
             (r.trial, r.protocol, r.status) for r in serial.telemetry
         ] == [(r.trial, r.protocol, r.status) for r in parallel.telemetry]
@@ -174,6 +174,6 @@ class TestProfiling:
     def test_parallel_profile_dump(self, setup, tmp_path):
         demand, config = setup
         profile_dir = tmp_path / "profiles"
-        sweep(demand, config, n_workers=2, profile_dir=str(profile_dir))
+        sweep(demand, config, executor=2, profile_dir=str(profile_dir))
         dumps = list(profile_dir.glob("worker-*.pstats"))
         assert dumps, "expected at least one worker profile"
