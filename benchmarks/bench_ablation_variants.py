@@ -11,8 +11,6 @@ welfare.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments import homogeneous_scenario, run_comparison, standard_protocols
 from repro.experiments.reporting import render_table
 from repro.protocols import QCR, QCRConfig

@@ -18,7 +18,7 @@ from repro.experiments import run_comparison, standard_protocols, vehicular_scen
 from repro.experiments.figures import recommended_timeout
 from repro.experiments.reporting import render_table
 from repro.experiments.scenarios import default_qcr_config
-from repro.protocols import QCR, QCRConfig
+from repro.protocols import QCR
 from repro.utility import ExponentialUtility, StepUtility
 
 from dataclasses import replace

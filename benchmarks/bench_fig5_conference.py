@@ -12,8 +12,6 @@ bursty actual trace.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import figure5
 
 

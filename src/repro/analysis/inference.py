@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .callgraph import CallGraph, FunctionInfo
+from .callgraph import CallGraph
 from .effects import Leaf, function_leaf_effects
 from .findings import PathStep
 

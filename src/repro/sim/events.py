@@ -239,16 +239,18 @@ def server_slot_payloads(
     kernel (:mod:`repro.sim.static`) finds a request's expiring
     contact in the same key.
 
-    Grouping by node uses no comparison sort: the two direction-slot
-    lists are merged positionally with two ``searchsorted`` calls
-    (each list is already in stream order), and a stable ``argsort``
-    on the node ids alone then groups slots by node while preserving
-    stream order within each node.  That is order-identical to the
-    packed ``(node << shift) | slot`` key sort it replaces: an a-slot
-    precedes the same event's b-slot in both.  NumPy's stable argsort
-    is a radix sort only for integer keys of at most 16 bits, so up to
-    65,536 nodes the slot list holds its node ids as ``uint16``: a
-    stable sort's permutation is unique, so only the speed changes.
+    Grouping by node uses no comparison sort.  The slots are listed in
+    stream order, an event's a-slot before its b-slot: a running count
+    of the per-event a/b flags ranks each slot in one linear pass.  A
+    stable ``argsort`` on the node ids alone then groups slots by node
+    while preserving stream order within each node.  That is
+    order-identical to the packed ``(node << shift) | slot`` key sort
+    it replaces.  NumPy's stable argsort is a radix sort only for
+    integer keys of at most 16 bits, so up to 65,536 nodes the slot
+    list holds its node ids as ``uint16``: a stable sort's permutation
+    is unique, so only the speed changes.  The per-node counts are
+    carried back to stream order through the inverse permutation and
+    written to both payload columns by rank.
     """
     total = len(kinds)
     # Meeting counts are only ever read for a node with outstanding
@@ -269,39 +271,34 @@ def server_slot_payloads(
     count_b_valid &= requester[arg_b]
     idx_a = np.flatnonzero(count_a_valid)
     idx_b = np.flatnonzero(count_b_valid)
-    n_a = len(idx_a)
-    n_b = len(idx_b)
-    n_inc = n_a + n_b
+    n_inc = len(idx_a) + len(idx_b)
     payload_x = np.full(total, -1, dtype=np.int64)
     payload_y = np.full(total, -1, dtype=np.int64)
     slot_key = np.zeros(0, dtype=np.int64)
     if n_inc:
-        # Positional merge of the two stream-ordered slot lists.  The
-        # merged order is by (event, direction) with a before b, so an
-        # a-slot at event e lands after every b-slot at an earlier
-        # event (side='left') and a b-slot lands after every a-slot at
-        # its own event or earlier (side='right').
-        rank_a = np.arange(n_a, dtype=np.int64) + np.searchsorted(
-            idx_b, idx_a, side="left"
+        # Stream-order rank of each slot: the slots of earlier events,
+        # plus one for a b-slot whose event also has an a-slot.
+        slots_through = np.cumsum(
+            count_a_valid.view(np.uint8) + count_b_valid.view(np.uint8),
+            dtype=np.int64,
         )
-        rank_b = np.arange(n_b, dtype=np.int64) + np.searchsorted(
-            idx_a, idx_b, side="right"
-        )
+        rank_a = slots_through[idx_a] - 1 - count_b_valid[idx_a]
+        rank_b = slots_through[idx_b] - 1
+        # Arrays are freed once spent: this pass sits near a quick
+        # sweep's peak memory.
+        del slots_through
         seq_nodes = np.empty(
             n_inc, dtype=np.uint16 if len(is_server) <= 1 << 16 else np.int64
         )
         seq_idx = np.empty(n_inc, dtype=np.int64)
-        seq_b_side = np.empty(n_inc, dtype=bool)
         seq_nodes[rank_a] = arg_a[idx_a]
         seq_idx[rank_a] = idx_a
-        seq_b_side[rank_a] = False
         seq_nodes[rank_b] = arg_b[idx_b]
         seq_idx[rank_b] = idx_b
-        seq_b_side[rank_b] = True
         order = np.argsort(seq_nodes, kind="stable")
         g_nodes = seq_nodes[order].astype(np.int64)
-        g_idx = seq_idx[order]
-        b_side = seq_b_side[order]
+        slot_key = g_nodes * total + seq_idx[order]
+        del seq_nodes, seq_idx
         new_group = np.empty(n_inc, dtype=bool)
         new_group[0] = True
         np.not_equal(g_nodes[1:], g_nodes[:-1], out=new_group[1:])
@@ -315,9 +312,11 @@ def server_slot_payloads(
             + 1
             + meet_base[g_nodes]
         )
-        payload_x[g_idx[~b_side]] = counts_g[~b_side]
-        payload_y[g_idx[b_side]] = counts_g[b_side]
-        slot_key = g_nodes * total + g_idx
+        counts = np.empty(n_inc, dtype=np.int64)
+        counts[order] = counts_g
+        del counts_g, order
+        payload_x[idx_a] = counts[rank_a]
+        payload_y[idx_b] = counts[rank_b]
     # Request births: the node's meeting count just before the
     # request's position — its slots before that key, less the index
     # where the node's keys start (the next node's start when it has

@@ -75,7 +75,13 @@ def pair_index(stream: EventStream) -> Tuple[IntArray, IntArray, IntArray]:
         a = stream.event_a[positions]
         b = stream.event_b[positions]
         code = np.minimum(a, b) * n_nodes + np.maximum(a, b)
-        order = np.argsort(code, kind="stable")
+        # A stable argsort is a radix sort on 16-bit keys, and its
+        # permutation is unique, so narrowing the codes changes only
+        # the speed (as in ``events.grouped_searchsorted``).
+        order = np.argsort(
+            code.astype(np.uint16) if n_nodes * n_nodes <= 1 << 16 else code,
+            kind="stable",
+        )
         code = code[order]
         new_pair = np.ones(len(code), dtype=bool)
         np.not_equal(code[1:], code[:-1], out=new_pair[1:])

@@ -22,7 +22,6 @@ from repro.contacts import (
     save_jsonl,
 )
 from repro.errors import TraceFormatError
-from repro.simcache import run_key  # noqa: F401 - import check only
 from repro.simcache.fingerprint import fingerprint_trace
 
 

@@ -15,12 +15,11 @@ import signal
 import numpy as np
 import pytest
 
-from repro.contacts import homogeneous_poisson_trace
 from repro.experiments import run_comparison
 from repro.dist import WorkQueueExecutor
 from repro.protocols import uni_protocol
 
-from .conftest import DURATION, N, RHO, trace_factory
+from .conftest import RHO, trace_factory
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),

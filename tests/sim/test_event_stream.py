@@ -20,7 +20,7 @@ from repro.protocols import (
 from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
 from repro.sim.engine import EVENT_CONTACT, EVENT_FAULT, EVENT_REQUEST
-from repro.sim.events import compute_plain_payloads
+from repro.sim.events import compute_plain_payloads, server_slot_payloads
 from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
@@ -199,10 +199,12 @@ def brute_force_payloads(kinds, arg_a, arg_b, meet_base, is_server, requester):
     """Walk the block event by event: a requester's meeting count rises
     by one per contact with a server; a contact carries each side's new
     count (``-1`` when that side does not count), a request its node's
-    count at creation."""
+    count at creation.  Every counted direction slot is listed as
+    ``node * len(kinds) + position``, sorted."""
     counts = meet_base.copy()
     payload_x = np.full(len(kinds), -1, dtype=np.int64)
     payload_y = np.full(len(kinds), -1, dtype=np.int64)
+    slots = []
     for p, (kind, a, b) in enumerate(zip(kinds, arg_a, arg_b)):
         if kind == EVENT_REQUEST:
             payload_x[p] = counts[b]
@@ -210,51 +212,94 @@ def brute_force_payloads(kinds, arg_a, arg_b, meet_base, is_server, requester):
             if is_server[b] and requester[a]:
                 counts[a] += 1
                 payload_x[p] = counts[a]
+                slots.append(int(a) * len(kinds) + p)
             if is_server[a] and requester[b]:
                 counts[b] += 1
                 payload_y[p] = counts[b]
-    return payload_x, payload_y, counts
+                slots.append(int(b) * len(kinds) + p)
+    slot_key = np.array(sorted(slots), dtype=np.int64)
+    return payload_x, payload_y, counts, slot_key
+
+
+def random_block(rng, n_nodes, pool, shape, n_events=4000):
+    """A random sorted-stream block of the given *shape*: ``mixed``
+    (random servers, requesters and kinds), ``dedicated`` (a few servers
+    that never request, clients that never serve, and only some clients
+    requesting), ``contacts`` (no request rows) or ``requests`` (no
+    contact rows)."""
+    probs = {
+        "mixed": [0.02, 0.18, 0.8],
+        "dedicated": [0.02, 0.18, 0.8],
+        "contacts": [0.0, 0.0, 1.0],
+        "requests": [0.0, 1.0, 0.0],
+    }[shape]
+    kinds = rng.choice(
+        [EVENT_FAULT, EVENT_REQUEST, EVENT_CONTACT], size=n_events, p=probs
+    ).astype(np.int64)
+    arg_a = rng.choice(pool, size=n_events)
+    arg_b = rng.choice(pool, size=n_events)
+    same = arg_a == arg_b
+    arg_b[same] = np.where(arg_a[same] == pool[0], pool[1], pool[0])
+    is_request = kinds == EVENT_REQUEST
+    is_server = np.zeros(n_nodes, dtype=bool)
+    requester = np.zeros(n_nodes, dtype=bool)
+    if shape == "dedicated":
+        servers = pool[: max(2, len(pool) // 4)]
+        clients = pool[len(servers):]
+        is_server[servers] = True
+        askers = rng.choice(
+            clients, size=max(1, len(clients) // 2), replace=False
+        )
+        arg_b[is_request] = rng.choice(askers, size=is_request.sum())
+    else:
+        is_server[pool] = rng.random(len(pool)) < 0.5
+        requester[rng.choice(pool, size=max(1, len(pool) // 3))] = True
+    # Request rows carry an item id in arg_a, possibly past the node range.
+    arg_a[is_request] = rng.integers(0, n_nodes + 50, size=is_request.sum())
+    requester[arg_b[is_request]] = True
+    meet_base = rng.integers(0, 5, size=n_nodes)
+    return kinds, arg_a, arg_b, meet_base, is_server, requester
 
 
 @pytest.mark.parametrize("n_nodes", [7, 70_000])
 def test_plain_payloads_match_brute_force(n_nodes):
-    """Up to 65,536 nodes the grouping sorts 16-bit keys; above, the
-    int64 ids themselves (70,000 nodes pins that fallback: a 16-bit
-    key would alias node ids 65,536 apart)."""
+    """Both payload columns, the server-slot key and the advanced carry
+    equal a per-event walk, on random blocks of every shape with a
+    nonzero carried base.  Up to 65,536 nodes the grouping sorts 16-bit
+    keys; above, the int64 ids themselves (70,000 nodes pins that
+    fallback: a 16-bit key would alias node ids 65,536 apart)."""
     rng = np.random.default_rng(n_nodes)
-    n_events = 4000
     if n_nodes > 1 << 16:
         # Pairs of node ids 65,536 apart: a 16-bit key would merge each.
         low = rng.choice(n_nodes - (1 << 16), size=20, replace=False)
         pool = np.concatenate([low, low + (1 << 16)])
     else:
         pool = np.arange(n_nodes)
-    kinds = rng.choice(
-        [EVENT_FAULT, EVENT_REQUEST, EVENT_CONTACT],
-        size=n_events,
-        p=[0.02, 0.18, 0.8],
-    ).astype(np.int64)
-    arg_a = rng.choice(pool, size=n_events)
-    arg_b = rng.choice(pool, size=n_events)
-    same = arg_a == arg_b
-    arg_b[same] = np.where(arg_a[same] == pool[0], pool[1], pool[0])
-    # Request rows carry an item id in arg_a, possibly past the node range.
-    is_request = kinds == EVENT_REQUEST
-    arg_a[is_request] = rng.integers(0, n_nodes + 50, size=is_request.sum())
-    is_server = rng.random(n_nodes) < 0.5
-    requester = np.zeros(n_nodes, dtype=bool)
-    requester[arg_b[is_request]] = True
-    requester[pool[::3]] = True
-    meet_base = rng.integers(0, 5, size=n_nodes)
-
-    expected_x, expected_y, expected_base = brute_force_payloads(
-        kinds, arg_a, arg_b, meet_base, is_server, requester
-    )
-    carry = meet_base.copy()
-    payload_x, payload_y = compute_plain_payloads(
-        kinds, arg_a, arg_b, carry, is_server=is_server, requester=requester
-    )
-    assert np.array_equal(payload_x, expected_x)
-    assert np.array_equal(payload_y, expected_y)
-    # The carry advances to each node's count at the end of the block.
-    assert np.array_equal(carry, expected_base)
+    for shape in ("mixed", "dedicated", "contacts", "requests"):
+        for _ in range(3):
+            kinds, arg_a, arg_b, meet_base, is_server, requester = (
+                random_block(rng, n_nodes, rng.permutation(pool), shape)
+            )
+            expected_x, expected_y, expected_base, expected_slots = (
+                brute_force_payloads(
+                    kinds, arg_a, arg_b, meet_base, is_server, requester
+                )
+            )
+            carry = meet_base.copy()
+            payload_x, payload_y, server_slots = server_slot_payloads(
+                kinds, arg_a, arg_b, carry,
+                is_server=is_server, requester=requester,
+            )
+            assert np.array_equal(payload_x, expected_x)
+            assert np.array_equal(payload_y, expected_y)
+            assert np.array_equal(server_slots, expected_slots)
+            # The carry advances to each node's count at the end of the
+            # block.
+            assert np.array_equal(carry, expected_base)
+            # The public wrapper returns the same columns.
+            wrapped_x, wrapped_y = compute_plain_payloads(
+                kinds, arg_a, arg_b, meet_base.copy(),
+                is_server=is_server, requester=requester,
+            )
+            assert np.array_equal(wrapped_x, expected_x)
+            assert np.array_equal(wrapped_y, expected_y)

@@ -16,8 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.contacts import homogeneous_poisson_trace, load_binary, save_binary
-from repro.demand import DemandModel, generate_requests
+from repro.contacts import load_binary, save_binary
+from repro.demand import generate_requests
 from repro.errors import ConfigurationError
 from repro.experiments import homogeneous_scenario, standard_protocols
 from repro.faults import FaultSchedule

@@ -1,5 +1,6 @@
 """The static kernel's own edges: its guard, both pair-rank lookups,
-blocked expansion, and the int64 key range at a million nodes.
+blocked expansion, the 16-bit pair sort, and the int64 key range at a
+million nodes.
 
 Everything else about it — bit-identity with the reference engine and
 the plain loop's dict order — is pinned by ``test_engine_properties``
@@ -105,6 +106,45 @@ def test_both_pair_rank_lookups(rate, monkeypatch):
     dense = n_nodes * n_nodes <= len(trace.times)
     assert bool(len(ranks)) == dense
     assert result.n_fulfilled > 0
+
+
+@pytest.mark.parametrize("n_nodes", [256, 257])
+def test_pair_index_sorts_16_bit_codes_exactly(n_nodes):
+    """Up to 256 nodes every pair code fits 16 bits and the index sorts
+    them by radix.  At 257 the pair (255, 256) has code 65,791, which 16
+    bits would alias to pair (0, 255)'s 255.  Both sides of the bound
+    give the index an int64 sort gives."""
+    rng = np.random.default_rng(n_nodes)
+    top = n_nodes - 1
+    pairs = np.array([(0, 255), (top - 1, top), (1, 2), (0, top)])
+    pick = pairs[rng.integers(0, len(pairs), 400)]
+    flip = rng.random(400) < 0.5
+    trace = ContactTrace(
+        times=np.sort(rng.uniform(0.0, 100.0, 400)),
+        node_a=np.where(flip, pick[:, 1], pick[:, 0]),
+        node_b=np.where(flip, pick[:, 0], pick[:, 1]),
+        n_nodes=n_nodes,
+        duration=100.0,
+    )
+    requests = RequestSchedule(
+        times=np.array([50.0]),
+        items=np.array([0]),
+        nodes=np.array([0]),
+        duration=100.0,
+    )
+    config = SimulationConfig(n_items=1, rho=1, utility=UTILITY)
+    stream = build_event_stream(trace, requests, config)
+    codes, _, keys = static.pair_index(stream)
+    positions = np.flatnonzero(stream.event_kinds == 2)
+    a = stream.event_a[positions]
+    b = stream.event_b[positions]
+    code = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    expected_codes, rank = np.unique(code, return_inverse=True)
+    order = np.lexsort((positions, code))
+    assert np.array_equal(codes, expected_codes)
+    assert np.array_equal(
+        keys, rank[order] * stream.n_events + positions[order]
+    )
 
 
 def test_pair_keys_fit_int64_at_a_million_nodes():
