@@ -206,12 +206,18 @@ class Simulation:
         self.client_ids = config.client_ids(n_nodes)
         server_set = set(int(m) for m in self.server_ids)
         client_set = set(int(n) for n in self.client_ids)
-        if len(requests.nodes) and not set(
-            int(n) for n in np.unique(requests.nodes)
-        ) <= client_set:
-            raise ConfigurationError(
-                "request schedule contains non-client node ids"
-            )
+        request_nodes = requests.nodes
+        if len(request_nodes):
+            is_client = np.zeros(n_nodes, dtype=bool)
+            is_client[self.client_ids] = True
+            if (
+                request_nodes.min() < 0
+                or request_nodes.max() >= n_nodes
+                or not is_client[request_nodes].all()
+            ):
+                raise ConfigurationError(
+                    "request schedule contains non-client node ids"
+                )
 
         self.nodes: List[NodeState] = [
             NodeState(

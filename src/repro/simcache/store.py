@@ -17,12 +17,24 @@ validated by :func:`read_entry`.  The run cache stores entries under
 content keys; the distributed work queue publishes its
 ``results/<unit>.json`` through the same pair, with the executing
 worker, claim, timing and run key in the envelope's ``meta``.
+
+In a version-2 entry every array field of the result is an object
+``{"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}``: the
+array's C-contiguous little-endian bytes, base64-encoded so the entry
+stays one JSON file (one atomic write, no sidecar) and loads without
+parsing thousands of float reprs.  The bytes round-trip exactly,
+including ``-0.0``, NaN payloads and subnormals.  Scalars, ``manifest``
+and ``meta`` stay plain JSON.  Entries of any other version (the
+version-1 entries stored arrays as JSON lists) are warned misses, which
+the next store rewrites.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 import os
 from typing import Any, Dict, NamedTuple, Optional, Union
 
@@ -61,34 +73,86 @@ DEFAULT_CACHE_ROOT = os.path.join(
 )
 
 _FORMAT = "repro-simcache-entry"
-_VERSION = 1
+_VERSION = 2
 
 _OFF_VALUES = frozenset({"0", "off", "false", "no"})
 _ON_VALUES = frozenset({"1", "on", "true", "yes"})
 
-#: SimulationResult fields holding integer arrays (the rest are float).
-_INT_ARRAY_FIELDS = frozenset(
-    {
-        "window_fulfillments",
-        "snapshot_counts",
-        "snapshot_mandates",
-        "snapshot_tracked",
-        "final_counts",
+#: Stored dtype of every SimulationResult array field: little-endian
+#: int64 for the count arrays, float64 for the rest.
+_ARRAY_DTYPES = {
+    **dict.fromkeys(
+        (
+            "window_fulfillments",
+            "snapshot_counts",
+            "snapshot_mandates",
+            "snapshot_tracked",
+            "final_counts",
+        ),
+        np.dtype("<i8"),
+    ),
+    **dict.fromkeys(
+        (
+            "delays",
+            "window_gains",
+            "snapshot_times",
+            "fault_times",
+            "recovery_times",
+        ),
+        np.dtype("<f8"),
+    ),
+}
+
+
+def _encode_array(name: str, value: np.ndarray) -> Dict[str, Any]:
+    array = np.ascontiguousarray(value, dtype=_ARRAY_DTYPES[name])
+    return {
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),
     }
-)
+
+
+def _decode_array(name: str, value: Any) -> np.ndarray:
+    """Rebuild one array stored by :func:`_encode_array` as a writeable,
+    C-contiguous native int64/float64 array; raises ``ValueError`` on a
+    payload that does not describe exactly one such array."""
+    dtype = _ARRAY_DTYPES[name]
+    if not isinstance(value, dict) or value.get("dtype") != dtype.str:
+        raise ValueError(f"{name}: not a {dtype.str} array payload")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(
+        type(n) is int and n >= 0 for n in shape
+    ):
+        raise ValueError(f"{name}: bad shape {shape!r}")
+    data = value.get("data")
+    if not isinstance(data, str):
+        raise ValueError(f"{name}: array data is not a string")
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != math.prod(shape) * dtype.itemsize:
+        raise ValueError(
+            f"{name}: {len(raw)} bytes do not hold shape {tuple(shape)}"
+        )
+    # A bytearray, because frombuffer over immutable bytes is read-only.
+    array = np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+    return array.astype(dtype.type, copy=False)
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     """Convert a :class:`SimulationResult` to a JSON-serializable dict.
 
-    Every float round-trips through JSON exactly, so a result rebuilt by
-    :func:`result_from_dict` is bit-identical to the stored one.
+    Arrays are stored as their raw bytes (see the module docstring), so
+    a result rebuilt by :func:`result_from_dict` is bit-identical to the
+    stored one, and two results convert to equal dicts only when their
+    arrays are equal byte for byte.
     """
     payload: Dict[str, Any] = {}
     for spec in dataclasses.fields(SimulationResult):
         value = getattr(result, spec.name)
         payload[spec.name] = (
-            value.tolist() if isinstance(value, np.ndarray) else value
+            _encode_array(spec.name, value)
+            if isinstance(value, np.ndarray)
+            else value
         )
     return payload
 
@@ -97,27 +161,16 @@ def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict`.
 
     Unknown keys are ignored (forward compatibility); missing keys fall
-    back to the dataclass defaults where they exist.
+    back to the dataclass defaults where they exist.  A malformed array
+    payload raises ``ValueError``.
     """
     kwargs: Dict[str, Any] = {}
-    n_items: Optional[int] = None
-    final = payload.get("final_counts")
-    if isinstance(final, list):
-        n_items = len(final)
     for spec in dataclasses.fields(SimulationResult):
         if spec.name not in payload:
             continue
         value = payload[spec.name]
-        if isinstance(value, list):
-            dtype = np.int64 if spec.name in _INT_ARRAY_FIELDS else float
-            array = np.asarray(value, dtype=dtype)
-            if (
-                spec.name == "snapshot_counts"
-                and array.size == 0
-                and n_items is not None
-            ):
-                array = array.reshape(0, n_items)
-            value = array
+        if value is not None and spec.name in _ARRAY_DTYPES:
+            value = _decode_array(spec.name, value)
         kwargs[spec.name] = value
     return SimulationResult(**kwargs)
 
@@ -163,8 +216,8 @@ def read_entry(path: PathLike) -> StoredRun:
 
     Raises :class:`FileNotFoundError` when there is no entry, and
     :class:`CorruptEntryError` (with the reason) when the file is
-    unreadable, is not valid UTF-8 JSON, is not a version-1 entry, or
-    holds a result that no longer rebuilds.
+    unreadable, is not valid UTF-8 JSON, is not an entry of this
+    build's version, or holds a result that no longer rebuilds.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -178,11 +231,15 @@ def read_entry(path: PathLike) -> StoredRun:
     if (
         not isinstance(data, dict)
         or data.get("format") != _FORMAT
-        or data.get("version") != _VERSION
         or not isinstance(data.get("result"), dict)
         or not isinstance(meta, dict)
     ):
         raise CorruptEntryError("not a valid cache entry")
+    if data.get("version") != _VERSION:
+        raise CorruptEntryError(
+            f"entry version {data.get('version')!r}, this build reads "
+            f"version {_VERSION}"
+        )
     try:
         result = result_from_dict(data["result"])
     # Any malformed payload must surface as a corrupt entry, whatever

@@ -126,7 +126,7 @@ class TestResults:
         queue.publish_result(unit, result, worker="w0", claim=1, timing={})
         with open(queue._result_path(unit), encoding="utf-8") as handle:
             data = json.load(handle)
-        assert (data["format"], data["version"]) == ("repro-simcache-entry", 1)
+        assert (data["format"], data["version"]) == ("repro-simcache-entry", 2)
         assert data["key"] == unit
         cache = SimulationRunCache(tmp_path / "cache")
         cache.put(unit, result)

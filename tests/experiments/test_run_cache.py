@@ -15,6 +15,7 @@ The cache contract has three legs:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -50,7 +51,8 @@ from repro.simcache import (
     resolve_run_cache,
     run_key,
 )
-from repro.simcache.store import result_to_dict
+from repro.sim.metrics import SimulationResult
+from repro.simcache.store import read_entry, result_to_dict, write_entry
 from repro.utility import StepUtility
 
 N, I, RHO = 8, 6, 2
@@ -276,6 +278,94 @@ class TestStore:
         assert len(cache) == 0
 
 
+#: Floats a text encoding could lose: both zeros, NaN, infinities,
+#: subnormals, a value with no short decimal, and a negative NaN whose
+#: payload bits are not the default quiet NaN's.
+SPECIAL_FLOATS = np.concatenate(
+    [
+        [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.0 / 3.0],
+        np.array([0xFFF8_0000_0000_0BAD], dtype=np.uint64).view(np.float64),
+    ]
+)
+INT64 = np.iinfo(np.int64)
+
+
+def special_result():
+    """A hand-built result with every hard case in its arrays."""
+    strided = np.repeat(SPECIAL_FLOATS, 2)[::2]
+    assert not strided.flags.c_contiguous
+    return SimulationResult(
+        duration=10.0,
+        total_gain=-0.0,
+        n_generated=3,
+        n_fulfilled=2,
+        n_immediate=1,
+        n_skipped_self=0,
+        n_expired=0,
+        n_unfulfilled=1,
+        delays=strided,
+        mean_delay=float("nan"),
+        median_delay=5e-324,
+        p95_delay=float("inf"),
+        window_length=1.0,
+        window_gains=SPECIAL_FLOATS[::-1],
+        window_fulfillments=np.array([0, 2**62, -1]),
+        snapshot_times=np.zeros(0),
+        snapshot_counts=np.zeros((0, 4), dtype=np.int64),
+        snapshot_mandates=np.asfortranarray(np.arange(8).reshape(2, 4)),
+        snapshot_tracked=None,
+        final_counts=np.array([INT64.min, INT64.max, 0, -1]),
+        recovery_times=np.array([1.5, -0.0]),
+    )
+
+
+def _entry_round_trip(result, tmp_path):
+    path = tmp_path / "entry.json"
+    write_entry(path, "k", result)
+    return read_entry(path).result
+
+
+def _cache_round_trip(result, tmp_path):
+    cache = SimulationRunCache(tmp_path / "cache")
+    cache.put("ef" + "0" * 62, result)
+    return cache.get("ef" + "0" * 62)
+
+
+class TestEntryFormat:
+    """Arrays are stored as raw bytes: every bit comes back."""
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [_entry_round_trip, _cache_round_trip],
+        ids=["entry", "cache"],
+    )
+    def test_every_field_round_trips_bit_exactly(self, tmp_path, round_trip):
+        original = special_result()
+        rebuilt = round_trip(original, tmp_path)
+        assert rebuilt is not None
+        for spec in dataclasses.fields(SimulationResult):
+            x, y = getattr(original, spec.name), getattr(rebuilt, spec.name)
+            if isinstance(x, np.ndarray):
+                dtype = np.int64 if x.dtype.kind == "i" else np.float64
+                assert y.dtype == dtype, spec.name
+                assert y.shape == x.shape, spec.name
+                assert y.tobytes() == np.ascontiguousarray(x).tobytes()
+                assert y.flags.writeable and y.flags.c_contiguous, spec.name
+            elif isinstance(x, float):
+                assert float.hex(y) == float.hex(x), spec.name
+            else:
+                assert y == x, spec.name
+
+    def test_arrays_are_base64_of_little_endian_bytes(self):
+        payload = result_to_dict(special_result())
+        assert payload["final_counts"]["dtype"] == "<i8"
+        assert payload["final_counts"]["shape"] == [4]
+        assert payload["snapshot_counts"]["shape"] == [0, 4]
+        assert payload["delays"]["dtype"] == "<f8"
+        assert payload["snapshot_tracked"] is None
+        json.dumps(payload)  # still one plain JSON document
+
+
 def _rewrite(path, edit):
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -286,6 +376,10 @@ def _rewrite(path, edit):
 
 def _drop_required_field(data):
     del data["result"]["total_gain"]
+
+
+def _edit_delays(edit):
+    return lambda path: _rewrite(path, lambda d: edit(d["result"]["delays"]))
 
 
 #: One way each to damage a stored run; every one must warn and miss.
@@ -300,12 +394,20 @@ CORRUPTIONS = {
         path, lambda d: d.update(format="repro-sweep-result")
     ),
     "wrong-version": lambda path: _rewrite(
-        path, lambda d: d.update(version=2)
+        path, lambda d: d.update(version=99)
     ),
     "non-dict-result": lambda path: _rewrite(
         path, lambda d: d.update(result=[1, 2, 3])
     ),
     "does-not-rebuild": lambda path: _rewrite(path, _drop_required_field),
+    # Three ways an array payload can lie about its bytes.
+    "bad-array-payload-base64": _edit_delays(
+        lambda a: a.update(data=a["data"][:-3])
+    ),
+    "bad-array-payload-length": _edit_delays(
+        lambda a: a.update(shape=[a["shape"][0] + 1])
+    ),
+    "bad-array-payload-dtype": _edit_delays(lambda a: a.update(dtype=">f8")),
 }
 
 
@@ -472,6 +574,53 @@ class TestSweepCaching:
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
         result = sweep(demand, config(), None)
         assert "run_cache" not in result.manifest
+
+    def test_version_1_entry_is_rewritten_on_the_next_sweep(self, tmp_path):
+        """A list-encoded (version-1) entry is a warned miss; the rerun
+        stores it again as the current version, which then hits."""
+        demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
+        cache = SimulationRunCache(tmp_path / "cache")
+        first = sweep(demand, config(), cache)
+        paths = [Path(p) for p in cache._entry_files()]
+        assert len(paths) == 4
+        for path in paths:
+            _downgrade_to_version_1(path)
+
+        stream = io.StringIO()
+        set_log_stream(stream)
+        try:
+            sweep(demand, config(), cache)
+        finally:
+            set_log_stream(None)
+        assert stream.getvalue().count("skipping corrupted cache entry") == 4
+        assert "entry version 1" in stream.getvalue()
+        assert cache.stats.hits == 0 and cache.stats.errors == 4
+        assert cache.stats.stores == 8
+        for path in paths:
+            assert json.loads(path.read_text())["version"] == 2
+
+        third = sweep(demand, config(), cache)
+        assert cache.stats.hits == 4
+        assert all(t.status == "cached" for t in third.telemetry)
+        for name in first.stats:
+            assert np.array_equal(
+                first.stats[name].gain_rates, third.stats[name].gain_rates
+            )
+
+
+def _downgrade_to_version_1(path):
+    """Rewrite *path* as the version-1 format stored it: every array as
+    a JSON list of its values."""
+    result = read_entry(path).result
+    data = json.loads(path.read_text())
+    data["version"] = 1
+    data["result"] = {}
+    for spec in dataclasses.fields(SimulationResult):
+        value = getattr(result, spec.name)
+        data["result"][spec.name] = (
+            value.tolist() if isinstance(value, np.ndarray) else value
+        )
+    path.write_text(json.dumps(data))
 
 
 class TestWorkerCap:

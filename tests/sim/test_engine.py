@@ -571,11 +571,21 @@ class TestValidation:
 
     def test_non_client_requests_rejected(self):
         config = base_config(clients=(0,))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="non-client node ids"):
             simulate(
                 trace_of([]),
-                requests_of([(1.0, 0, 2)]),
+                requests_of([(1.0, 0, 0), (1.0, 0, 2)]),
                 config,
+                static_protocol([[0, 0, 0], [0, 0, 0]]),
+            )
+
+    @pytest.mark.parametrize("node", [-1, 3], ids=["negative", "past-last"])
+    def test_out_of_range_request_nodes_rejected(self, node):
+        with pytest.raises(ConfigurationError, match="non-client node ids"):
+            simulate(
+                trace_of([]),  # 3 nodes, every one a client
+                requests_of([(1.0, 0, 1), (2.0, 1, node)]),
+                base_config(),
                 static_protocol([[0, 0, 0], [0, 0, 0]]),
             )
 
