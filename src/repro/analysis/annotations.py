@@ -7,12 +7,13 @@ this one imports nothing outside the stdlib ``typing``.
 ``@declared_effects(...)`` replaces a function's inferred effect set
 with the declared one.  It is the structured escape hatch for
 primitives whose correctness argument lives outside the type of
-syntactic analysis we do — e.g. the lease claim's ``os.link`` lockfile
-dance is a *raw* filesystem mutation, but the whole point of the
-pattern is that it is atomic, so it declares ``FS_WRITE_ATOMIC``:
+syntactic analysis we do — e.g. a quadrature routine that calls
+caller-supplied callbacks is pure whenever those callbacks are
+closed-form math, which no call graph can see, so it declares no
+effects at all:
 
-    @declared_effects("FS_WRITE_ATOMIC")
-    def try_claim(self, unit, worker, claim): ...
+    @declared_effects()
+    def integrate(self, weight, upper=math.inf): ...
 
 ``@deterministic_surface`` adds a function to the declared-
 deterministic surface checked by RPA001, alongside the built-in

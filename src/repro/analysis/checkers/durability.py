@@ -1,17 +1,16 @@
-"""RPA002 — distributed-state writes must go through ``repro.durable``.
+"""RPA002 — sweep-state writes must go through ``repro.durable``.
 
-The sweep queue's crash-safety story (atomic rename + fsync, torn-write
-recovery, lease lockfiles) only holds if *every* write under
-``repro.dist`` and the run cache (``repro.simcache``, whose entry
-format the queue's published results share) uses the
-:mod:`repro.durable` primitives.  One raw ``json.dump`` in a helper
-three calls deep reintroduces the torn-file window the whole subsystem
-was built to close — and review rarely catches it, because the write
-looks innocuous where it sits.  This checker walks the inferred
-summaries from every function defined in those modules and flags any
-reachable raw ``FS_WRITE`` that did not come from the durable channel
-(whose own primitives are relabeled ``FS_WRITE_ATOMIC`` by the effect
-pass).
+The run cache's crash-safety story (atomic rename + fsync, so a killed
+sweep never leaves a torn entry behind) only holds if *every* write
+under the run cache (``repro.simcache``) and the sweep executors
+(``repro.dist``) uses the :mod:`repro.durable` primitives.  One raw
+``json.dump`` in a helper three calls deep reintroduces the torn-file
+window that resuming a sweep from its cache depends on being closed —
+and review rarely catches it, because the write looks innocuous where
+it sits.  This checker walks the inferred summaries from every
+function defined in those modules and flags any reachable raw
+``FS_WRITE`` that did not come from the durable channel (whose own
+primitives are relabeled ``FS_WRITE_ATOMIC`` by the effect pass).
 
 ``DYNAMIC`` is deliberately *not* an error here: raw write primitives
 (``open(..., "w")``, ``json.dump``, ``os.replace``) are syntactically

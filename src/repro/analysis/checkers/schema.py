@@ -1,7 +1,7 @@
 """RPA003/RPA004 — trace-event schema drift.
 
 The ``repro.obs.events`` registry is the contract between the emitters
-(engine, fault injector, distributed queue) and every consumer (trace
+(engine, fault injector) and every consumer (trace
 CLI, replay comparators, the columnar pipeline's codecs).  Drift in
 either direction is a real bug that nothing catches at runtime until a
 trace is read back:
@@ -15,11 +15,11 @@ trace is read back:
   longer occur, and reviewers can't tell intentional reserves from
   leftovers.
 
-Emission sites are call-graph-resolved calls to ``Tracer.emit`` and
-``WorkQueue.log_event`` whose first argument is a string literal or a
-name resolvable to a module-level string constant.  Forwarded kinds
-(``emit(kind, ...)`` where ``kind`` is a parameter) are skipped — the
-concrete kinds appear at the forwarding call's own call sites.
+Emission sites are call-graph-resolved calls to ``Tracer.emit`` whose
+first argument is a string literal or a name resolvable to a
+module-level string constant.  Forwarded kinds (``emit(kind, ...)``
+where ``kind`` is a parameter) are skipped — the concrete kinds appear
+at the forwarding call's own call sites.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ __all__ = ["CODE_UNKNOWN", "CODE_DEAD", "check_schema"]
 CODE_UNKNOWN = "RPA003"
 CODE_DEAD = "RPA004"
 
-#: Method qname tails that emit one event per call, kind-first.
-_EMIT_TAILS = ("Tracer.emit", "WorkQueue.log_event")
+#: Method qname tail that emits one event per call, kind-first.
+_EMIT_TAIL = "Tracer.emit"
 
 
 def _registry(
@@ -89,11 +89,7 @@ def _emitted_kinds(
         for site in graph.calls.get(info.qname, ()):
             if site.via_argument or not site.targets:
                 continue
-            if not any(
-                target.endswith(tail)
-                for target in site.targets
-                for tail in _EMIT_TAILS
-            ):
+            if not any(target.endswith(_EMIT_TAIL) for target in site.targets):
                 continue
             if not site.node.args:
                 continue

@@ -201,9 +201,9 @@ _FS_WRITE_CALLS = frozenset(
 )
 
 #: Single-syscall atomic metadata mutations.  ``os.link`` is here on
-#: purpose: the lease lockfile protocol *depends* on link's atomicity,
-#: and classifying it raw would force a suppression onto the one
-#: pattern that is correct by design.
+#: purpose: a hard link either appears whole or not at all, so a
+#: link-based lockfile is atomic by design and classifying it raw would
+#: force a suppression onto a correct pattern.
 _FS_ATOMIC_CALLS = frozenset(
     {
         "os.remove",

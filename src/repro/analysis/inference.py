@@ -10,7 +10,7 @@ union — monotone, so the fixed point exists and is reached in at most
 ``@declared_effects(...)`` pins a function's summary: its body is not
 scanned and callee effects are not joined in.  That is the structured
 escape hatch for code whose correctness argument is not syntactic
-(e.g. the lease lockfile dance).
+(e.g. a quadrature routine that is pure whenever its callbacks are).
 
 For every effect in every summary the pass records one *witness
 origin* — either the leaf operation that introduced it or the call

@@ -3,7 +3,7 @@
 Every trace event kind lives in the :mod:`repro.obs.events` registry
 (``EVENT_FIELDS``) next to its field schema; call sites name kinds
 through the registry's constants (``trace_events.DELIVER``,
-``ev.UNIT_CLAIM``, ...).  A string literal at an emit site bypasses
+``ev.REPLICA_ADD``, ...).  A string literal at an emit site bypasses
 that single source of truth: a typo mints a kind the registry has never
 heard of, readers silently skip it, and the whole-program schema-drift
 checker (``repro analyze`` RPA003/RPA004) is the only thing left to

@@ -1,21 +1,11 @@
 """RPL010 — no unsupervised sleep-based retry loops.
 
 A ``while`` loop that waits with ``time.sleep`` has no a-priori bound:
-when the condition never flips (a worker that died without releasing
-its lease, a file that never appears) the process spins forever with
-no one watching.  The repository has two sanctioned shapes for
-waiting:
-
-* bounded retries — a ``for attempt in range(attempts)`` loop with
-  capped exponential backoff (the runner's attempt loop);
-* supervised polling — the ``repro.dist`` package, where every wait
-  happens under a lease TTL and a supervisor that reaps, requeues,
-  and quarantines, and where sleeping goes through the injectable
-  :class:`repro.dist.clock.Clock` so tests can fake time.
-
-Everything else that finds itself writing ``while ...: time.sleep``
-should either bound the loop or move the wait behind the distributed
-backend's supervision.
+when the condition never flips (a process that died, a file that never
+appears) the process spins forever with no one watching.  The one
+sanctioned shape for waiting is a bounded retry — a ``for attempt in
+range(attempts)`` loop with capped exponential backoff (the runner's
+attempt loop).  Only the ``benchmarks/`` harness is exempt.
 """
 
 from __future__ import annotations
@@ -54,18 +44,14 @@ class RetrySleepRule(Rule):
     code = "RPL010"
     name = "no-unsupervised-retry-sleep"
     summary = (
-        "while-loops must not wait with time.sleep outside the "
-        "supervised dist/ backend (exempt: benchmarks/)"
+        "while-loops must not wait with time.sleep (exempt: "
+        "benchmarks/)"
     )
     hint = (
-        "bound the loop (for attempt in range(n) with capped backoff) "
-        "or run the wait under repro.dist supervision via the "
-        "injectable Clock"
+        "bound the loop (for attempt in range(n) with capped backoff)"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.in_directory("dist") or ctx.parts[:1] == ("dist",):
-            return False
         return not (
             ctx.in_directory("benchmarks")
             or ctx.parts[:1] == ("benchmarks",)

@@ -6,11 +6,8 @@ equivalence tests compare event-by-event).  Timing is legitimate only in
 the benchmark harness and the provenance shim: the ``benchmarks/`` tree,
 the runner's timing shim ``experiments/benchmark.py``, and the telemetry
 stopwatch ``obs/timing.py`` (whose measurements land in manifests, never
-in simulation state) are exempt by path, as is the distributed
-backend's clock seam ``dist/clock.py`` — the one sanctioned place the
-host clock enters lease deadlines, and injectable precisely so tests
-never touch it.  Everything else that wants a duration goes through
-:class:`repro.obs.timing.Stopwatch`.
+in simulation state) are exempt by path.  Everything else that wants a
+duration goes through :class:`repro.obs.timing.Stopwatch`.
 """
 
 from __future__ import annotations
@@ -32,21 +29,18 @@ class WallClockRule(Rule):
     summary = (
         "simulation logic must be driven by event time, never the host "
         "clock (exempt: benchmarks/, experiments/benchmark.py, "
-        "obs/timing.py, dist/clock.py)"
+        "obs/timing.py)"
     )
     hint = (
         "use the simulation's event time; wall-clock timing belongs in "
-        "benchmarks/, the experiments/benchmark.py shim, the "
-        "obs/timing.py provenance stopwatch, or the dist/clock.py "
-        "lease-clock seam"
+        "benchmarks/, the experiments/benchmark.py shim, or the "
+        "obs/timing.py provenance stopwatch"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
         if ctx.in_directory("benchmarks") or ctx.parts[:1] == ("benchmarks",):
             return False
         if ctx.matches("experiments", "benchmark.py"):
-            return False
-        if ctx.matches("dist", "clock.py"):
             return False
         return not ctx.matches("obs", "timing.py")
 

@@ -50,8 +50,9 @@ CHECKS: Dict[str, Tuple[str, str]] = {
     ),
     "RPA002": (
         "durability",
-        "raw filesystem writes reachable from repro.dist or the "
-        "run cache (repro.simcache) must go through repro.durable",
+        "raw filesystem writes reachable from the sweep executors "
+        "(repro.dist) or the run cache (repro.simcache) must go "
+        "through repro.durable",
     ),
     "RPA003": (
         "schema-unknown-kind",

@@ -19,19 +19,10 @@ Subcommands:
 ``repro churn``
     Run a crash-wave robustness scenario (QCR vs static OPT under fault
     injection) and print recovery metrics plus a replica-count timeline.
-``repro sweep``
-    Fault-tolerant distributed sweeps over an on-disk work queue:
-    ``start`` creates a queue and supervises local workers to
-    completion, ``worker`` joins an existing queue from any host (over
-    a shared filesystem), ``status`` inspects progress/leases/
-    quarantine, ``watch`` renders a live plain-text fleet dashboard
-    (worker liveness, throughput, ETA), ``resume`` re-supervises an
-    interrupted sweep (see docs/distributed_sweeps.md).
 ``repro metrics``
-    Dump or convert a metrics snapshot — a ``--metrics-out`` JSONL
-    series, a run/sweep manifest, or a raw registry snapshot — to
-    Prometheus text exposition or pretty JSON (see
-    docs/observability.md).
+    Dump or convert a metrics snapshot — a run/sweep manifest or a raw
+    registry snapshot — to Prometheus text exposition or pretty JSON
+    (see docs/observability.md).
 ``repro bench``
     Time the simulation engine against its frozen pre-optimization
     baseline and a serial vs. parallel sweep; write ``BENCH_speed.json``.
@@ -51,7 +42,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from . import __version__
 from .allocation import greedy_homogeneous, solve_relaxed
@@ -119,9 +110,6 @@ from .utility import (
     StepUtility,
     power_family,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .dist.executors import SweepSpec
 
 __all__ = ["main"]
 
@@ -624,278 +612,18 @@ def _cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_scenario_payload(args: argparse.Namespace) -> dict:
-    """The sweep's scenario recipe, persisted in the queue manifest.
-
-    Everything a worker on another host needs to rebuild the exact
-    factories (closures never cross the filesystem): the homogeneous
-    scenario's parameters, the protocol suite, and the seed walk.
-    """
-    return {
-        "kind": "homogeneous",
-        "utility": args.utility,
-        "param": args.param,
-        "n_nodes": args.nodes,
-        "n_items": args.items,
-        "rho": args.rho,
-        "mu": args.mu,
-        "duration": args.duration,
-        "total_demand": args.demand,
-        "include": list(args.protocols),
-        "n_trials": args.trials,
-        "base_seed": args.seed,
-    }
-
-
-def _sweep_factories_from_payload(payload: dict):
-    """Rebuild (scenario, protocols, baseline) from a stored recipe."""
-    if payload.get("kind") != "homogeneous":
-        raise ConfigurationError(
-            f"unsupported sweep scenario kind {payload.get('kind')!r}"
-        )
-    family = {
-        "step": StepUtility,
-        "exp": ExponentialUtility,
-        "power": power_family,
-    }.get(payload["utility"])
-    if family is None:
-        raise ConfigurationError(
-            f"unknown utility family {payload['utility']!r}"
-        )
-    scenario = homogeneous_scenario(
-        family(payload["param"]),
-        n_nodes=int(payload["n_nodes"]),
-        n_items=int(payload["n_items"]),
-        rho=int(payload["rho"]),
-        mu=float(payload["mu"]),
-        duration=float(payload["duration"]),
-        total_demand=float(payload["total_demand"]),
-        record_interval=None,
-    )
-    include = tuple(payload["include"])
-    protocols = standard_protocols(scenario, include=include)
-    baseline = "OPT" if "OPT" in include else include[0]
-    return scenario, protocols, baseline
-
-
-def _sweep_spec_from_payload(payload: dict, cache_setting) -> "SweepSpec":
-    """A worker-side :class:`~repro.dist.SweepSpec` from a stored recipe."""
-    from .dist.executors import SweepSpec
-
-    scenario, protocols, _ = _sweep_factories_from_payload(payload)
-    return SweepSpec(
-        trace_factory=scenario.trace_factory,
-        demand=scenario.demand,
-        config=scenario.config,
-        protocols=protocols,
-        n_clients=None,
-        faults=None,
-        on_error="skip",
-        attempts_per_run=1,
-        profile_dir=None,
-        cache=resolve_run_cache(cache_setting),
-        base_seed=int(payload["base_seed"]),
-        n_trials=int(payload["n_trials"]),
-    )
-
-
-def _run_queue_sweep(
-    queue_root: str, payload: dict, args: argparse.Namespace
-) -> int:
-    """Create-or-attach the queue and run a supervised sweep to the end."""
-    from .dist import WorkQueueExecutor
-    from .experiments import run_comparison
-    from .obs import metrics as obs_metrics
-
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        # Asking for a metrics artifact implies wanting collection on;
-        # forked workers inherit the flag.
-        obs_metrics.set_enabled(True)
-    scenario, protocols, baseline = _sweep_factories_from_payload(payload)
-    executor = WorkQueueExecutor(
-        queue_root,
-        n_workers=args.workers,
-        ttl=args.ttl,
-        max_claims=args.max_claims,
-        scenario=payload,
-    )
-    result = run_comparison(
-        trace_factory=scenario.trace_factory,
-        demand=scenario.demand,
-        config=scenario.config,
-        protocols=protocols,
-        n_trials=int(payload["n_trials"]),
-        base_seed=int(payload["base_seed"]),
-        baseline=baseline,
-        on_error="skip",
-        progress=args.progress or None,
-        run_cache=_cache_setting(args),
-        executor=executor,
-        trial_spill_dir=getattr(args, "spill_dir", None),
-    )
-    print(result.render(title=f"distributed sweep ({queue_root})"))
-    dist_info = (result.manifest or {}).get("dist", {})
-    units = dist_info.get("units", {})
-    if units:
-        rows = [
-            [
-                unit,
-                info.get("status", "?"),
-                info.get("worker") or "-",
-                info.get("claim") if info.get("claim") is not None else "-",
-                info.get("requeues", 0),
-                info.get("failures", 0),
-            ]
-            for unit, info in sorted(units.items())
-        ]
-        print()
-        print(
-            render_table(
-                ["unit", "status", "worker", "claim", "requeues", "failures"],
-                rows,
-                title="work-unit attribution",
-            )
-        )
-    if metrics_out:
-        from .dist.clock import SystemClock
-
-        obs_metrics.write_snapshot_jsonl(
-            metrics_out,
-            obs_metrics.registry().snapshot(),
-            t=SystemClock().now(),
-            meta={"queue": queue_root},
-        )
-        print(f"metrics snapshot appended to {metrics_out}")
-    return 0
-
-
-def _cmd_sweep_start(args: argparse.Namespace) -> int:
-    return _run_queue_sweep(args.queue, _sweep_scenario_payload(args), args)
-
-
-def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    from .dist import WorkQueue
-
-    queue = WorkQueue.open(args.queue)
-    payload = queue.manifest.get("scenario")
-    if payload is None:
-        raise ConfigurationError(
-            f"queue {args.queue} has no stored scenario; it was created "
-            "programmatically — resume it from the owning script instead"
-        )
-    args.ttl = queue.ttl
-    args.max_claims = queue.max_claims
-    return _run_queue_sweep(args.queue, payload, args)
-
-
-def _cmd_sweep_worker(args: argparse.Namespace) -> int:
-    import os as _os
-    import platform as _platform
-
-    from .dist import QueueWorker, WorkQueue
-
-    queue = WorkQueue.open(args.queue)
-    payload = queue.manifest.get("scenario")
-    if payload is None:
-        raise ConfigurationError(
-            f"queue {args.queue} has no stored scenario; external workers "
-            "can only join CLI-started sweeps"
-        )
-    worker_id = args.worker_id or (
-        f"cli-{_platform.node()}-{_os.getpid()}"
-    )
-    spec = _sweep_spec_from_payload(payload, _cache_setting(args))
-    QueueWorker(queue, spec, worker_id, offset=args.offset).run()
-    status = queue.status()
-    print(
-        f"worker {worker_id} done: {status['published']} published, "
-        f"{status['quarantined']} quarantined, "
-        f"{status['pending']} pending"
-    )
-    return 0
-
-
-def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    from .dist import WorkQueue
-    from .obs.events import SWEEP_KINDS
-
-    queue = WorkQueue.open(args.queue)
-    status = queue.status()
-    print(
-        f"queue {status['root']}: {status['n_units']} units, "
-        f"{status['published']} published, "
-        f"{status['quarantined']} quarantined, "
-        f"{status['pending']} pending"
-    )
-    for lease in status["live_leases"]:
-        print(
-            f"  lease {lease['unit']} held by {lease['worker']} "
-            f"(host={lease['host']} pid={lease['pid']} "
-            f"claim={lease['claim']})"
-        )
-    counts: dict = {}
-    for event in queue.read_events():
-        kind = event.get("kind", "?")
-        counts[kind] = counts.get(kind, 0) + 1
-    if counts:
-        summary = ", ".join(
-            f"{kind}={counts[kind]}"
-            for kind in SWEEP_KINDS
-            if kind in counts
-        )
-        print(f"  events: {summary}")
-    quarantined = [
-        unit for unit in queue.unit_ids if queue.is_quarantined(unit)
-    ]
-    for unit in quarantined:
-        info = queue.read_quarantine(unit) or {}
-        print(
-            f"  quarantined {unit}: {info.get('reason', '?')} "
-            f"({info.get('claims_used', '?')} claims)"
-        )
-    return 0
-
-
-def _cmd_sweep_watch(args: argparse.Namespace) -> int:
-    from .dist import WorkQueue
-    from .dist.watch import watch
-
-    queue = WorkQueue.open(args.queue)
-    watch(
-        queue,
-        once=args.once,
-        interval=args.interval,
-        window_s=args.window,
-    )
-    return 0
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import metrics as obs_metrics
 
     with open(args.source, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    data = None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        # JSONL time series: the last record carrying metrics wins.
-        for line in reversed(text.splitlines()):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                candidate = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(candidate, dict) and "metrics" in candidate:
-                data = candidate
-                break
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError:
+            data = None
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"{args.source} holds no metrics snapshot (expected a "
-            "registry snapshot, a manifest, or a metrics JSONL series)"
+            "registry snapshot or a manifest)"
         )
     try:
         snapshot = obs_metrics.coerce_snapshot(data)
@@ -1163,150 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     churn.set_defaults(func=_cmd_churn)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help=(
-            "fault-tolerant distributed sweeps over an on-disk work "
-            "queue (see docs/distributed_sweeps.md)"
-        ),
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    sweep_start = sweep_sub.add_parser(
-        "start",
-        help="create a work queue and run a supervised sweep to completion",
-    )
-    sweep_start.add_argument(
-        "queue", help="queue directory (shared filesystem for multi-host)"
-    )
-    _add_utility_arguments(sweep_start)
-    sweep_start.add_argument("--nodes", type=int, default=N_NODES)
-    sweep_start.add_argument("--items", type=int, default=N_ITEMS)
-    sweep_start.add_argument("--rho", type=int, default=RHO)
-    sweep_start.add_argument("--mu", type=float, default=MU)
-    sweep_start.add_argument("--duration", type=float, default=2000.0)
-    sweep_start.add_argument("--demand", type=float, default=TOTAL_DEMAND)
-    sweep_start.add_argument("--trials", type=int, default=5)
-    sweep_start.add_argument("--seed", type=int, default=0)
-    sweep_start.add_argument(
-        "--protocols",
-        nargs="+",
-        default=("OPT", "QCR", "SQRT", "PROP", "UNI"),
-        help="protocol suite (default: OPT QCR SQRT PROP UNI)",
-    )
-    sweep_start.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to supervise (default: 2)",
-    )
-    sweep_start.add_argument(
-        "--ttl",
-        type=float,
-        default=30.0,
-        help="lease time-to-live in seconds (default: 30)",
-    )
-    sweep_start.add_argument(
-        "--max-claims",
-        type=int,
-        default=3,
-        help="claim budget before a unit is quarantined (default: 3)",
-    )
-    sweep_start.add_argument(
-        "--progress", action="store_true", help="log each completed run"
-    )
-    sweep_start.add_argument(
-        "--metrics-out",
-        default=None,
-        help=(
-            "append the supervisor's final metrics snapshot to this "
-            "JSONL file (implies metrics collection on)"
-        ),
-    )
-    sweep_start.add_argument(
-        "--spill-dir",
-        default=None,
-        help=(
-            "spill each realized trial trace to a .ctb file under this "
-            "directory so workers memory-map it instead of regenerating "
-            "(zero-copy trial handoff; results are bit-identical)"
-        ),
-    )
-    _add_cache_arguments(sweep_start)
-    sweep_start.set_defaults(func=_cmd_sweep_start)
-
-    sweep_worker = sweep_sub.add_parser(
-        "worker",
-        help="join an existing queue as an extra worker (any host)",
-    )
-    sweep_worker.add_argument("queue", help="queue directory to join")
-    sweep_worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable worker name (default: cli-<host>-<pid>)",
-    )
-    sweep_worker.add_argument(
-        "--offset",
-        type=int,
-        default=0,
-        help="claim-scan rotation offset (spread contention; default: 0)",
-    )
-    _add_cache_arguments(sweep_worker)
-    sweep_worker.set_defaults(func=_cmd_sweep_worker)
-
-    sweep_status = sweep_sub.add_parser(
-        "status", help="print queue progress, live leases, and quarantine"
-    )
-    sweep_status.add_argument("queue", help="queue directory to inspect")
-    sweep_status.set_defaults(func=_cmd_sweep_status)
-
-    sweep_watch = sweep_sub.add_parser(
-        "watch",
-        help=(
-            "live fleet dashboard over a queue directory (workers, "
-            "throughput, ETA) — read-side, attachable from any host"
-        ),
-    )
-    sweep_watch.add_argument("queue", help="queue directory to watch")
-    sweep_watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (CI artifact mode)",
-    )
-    sweep_watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between frames in loop mode (default: 2)",
-    )
-    sweep_watch.add_argument(
-        "--window",
-        type=float,
-        default=120.0,
-        help="throughput/ETA averaging window in seconds (default: 120)",
-    )
-    sweep_watch.set_defaults(func=_cmd_sweep_watch)
-
-    sweep_resume = sweep_sub.add_parser(
-        "resume",
-        help=(
-            "re-supervise an interrupted queue sweep (published results "
-            "survive; only pending units run)"
-        ),
-    )
-    sweep_resume.add_argument("queue", help="queue directory to resume")
-    sweep_resume.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to supervise (default: 2)",
-    )
-    sweep_resume.add_argument(
-        "--progress", action="store_true", help="log each completed run"
-    )
-    _add_cache_arguments(sweep_resume)
-    sweep_resume.set_defaults(func=_cmd_sweep_resume)
-
     bench = sub.add_parser(
         "bench", help="time the engine and the parallel runner"
     )
@@ -1377,15 +961,15 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_cmd = sub.add_parser(
         "metrics",
         help=(
-            "dump or convert a metrics snapshot (registry JSON, "
-            "manifest, or JSONL series) to Prometheus text or JSON"
+            "dump or convert a metrics snapshot (registry JSON or "
+            "manifest) to Prometheus text or JSON"
         ),
     )
     metrics_cmd.add_argument(
         "source",
         help=(
-            "snapshot file: a metrics JSONL series, a run/sweep "
-            "manifest JSON, or a raw registry snapshot JSON"
+            "snapshot file: a run/sweep manifest JSON or a raw "
+            "registry snapshot JSON"
         ),
     )
     metrics_cmd.add_argument(

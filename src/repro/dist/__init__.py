@@ -1,37 +1,17 @@
-"""Distributed, fault-tolerant sweep execution.
+"""Sweep execution backends.
 
-This package turns :func:`repro.experiments.run_comparison` sweeps into
-work that survives worker death as the *normal* case, not the
-exception.  The pieces:
+:mod:`~repro.dist.executors` holds the executor seam behind
+``run_comparison(executor=...)``: :class:`SerialExecutor` (the
+in-process walk) and :class:`ProcessPoolExecutor` (a single-host fork
+pool), resolved from the ``executor=`` argument by
+:func:`resolve_executor`.
 
-* :mod:`~repro.dist.executors` — the pluggable executor seam
-  (:class:`SerialExecutor`, :class:`ProcessPoolExecutor`,
-  :class:`WorkQueueExecutor`) behind ``run_comparison(executor=...)``;
-* :mod:`~repro.dist.queue` — an on-disk work queue of
-  ``(trial, protocol)`` units shared by independent worker processes
-  (potentially on multiple hosts over a shared filesystem), with
-  results published by atomic durable writes;
-* :mod:`~repro.dist.leases` — atomic claim files with heartbeat
-  renewal and TTL expiry, so a SIGKILLed or hung worker's units return
-  to the queue;
-* :mod:`~repro.dist.supervisor` — crash-absorbing supervision: stale
-  leases are reaped and requeued, poison units are quarantined after a
-  retry budget, failed worker spawns degrade the sweep to fewer
-  workers (down to inline execution) instead of wedging it;
-* :mod:`~repro.dist.watch` — the read-side fleet dashboard behind
-  ``repro sweep watch``: liveness, throughput, ETA, and per-worker
-  attribution assembled purely from the queue directory's worker
-  metrics frames and event log.
-
-The hard invariant across all executors, crash patterns, and retry
-counts: a sweep's statistics are **bit-identical** to serial execution.
-Work units are deterministic functions of their seeds, results
-round-trip JSON exactly, and duplicated execution (two workers racing
-one unit) publishes identical bytes — so every failure-handling policy
-is free to be aggressive.
+The hard invariant across every executor: a sweep's statistics are
+**bit-identical** to serial execution.  Work units are deterministic
+functions of their seeds and the parent assembles all accounting in
+trial-major order, so executors only decide *where and when* units run.
 """
 
-from .clock import Clock, FakeClock, SystemClock
 from .executors import (
     ExecutorLike,
     ProcessPoolExecutor,
@@ -40,31 +20,12 @@ from .executors import (
     SweepSpec,
     resolve_executor,
 )
-from .leases import Lease, LeaseManager
-from .queue import UnitRecord, WorkQueue
-from .supervisor import QueueWorker, Supervisor, WorkQueueExecutor
-from .watch import FleetSnapshot, WorkerView, fleet_snapshot, render_fleet, watch
 
 __all__ = [
-    "Clock",
     "ExecutorLike",
-    "FakeClock",
-    "FleetSnapshot",
-    "Lease",
-    "LeaseManager",
     "ProcessPoolExecutor",
-    "QueueWorker",
     "SerialExecutor",
-    "Supervisor",
     "SweepExecutor",
     "SweepSpec",
-    "SystemClock",
-    "UnitRecord",
-    "WorkQueue",
-    "WorkQueueExecutor",
-    "WorkerView",
-    "fleet_snapshot",
-    "render_fleet",
     "resolve_executor",
-    "watch",
 ]

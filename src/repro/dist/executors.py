@@ -5,22 +5,17 @@
 
 * :class:`SerialExecutor` — the in-process walk;
 * :class:`ProcessPoolExecutor` — a single-host fork pool, capped at the
-  CPU count and the number of units;
-* :class:`~repro.dist.supervisor.WorkQueueExecutor` — independent
-  worker processes coordinating through an on-disk
-  :class:`~repro.dist.queue.WorkQueue` with leases, crash-absorbing
-  supervision, and poison-unit quarantine.
+  CPU count and the number of units.
 
 ``run_comparison(executor=...)`` is the one execution selector;
 :func:`resolve_executor` maps it to an instance.
 
-Whatever the executor, crash pattern, or retry count, the statistics a
-sweep reports are bit-identical: executors only decide *where and when*
-units run, never *what* they compute — every backend runs each unit
-through :func:`repro.experiments.runner.run_unit`, per-unit seeds come
-from the same :class:`numpy.random.SeedSequence` walk, and all
-accounting is assembled by the parent in deterministic trial-major
-order.
+Whatever the executor or retry count, the statistics a sweep reports
+are bit-identical: executors only decide *where and when* units run,
+never *what* they compute — every backend runs each unit through
+:func:`repro.experiments.runner.run_unit`, per-unit seeds come from
+the same :class:`numpy.random.SeedSequence` walk, and all accounting
+is assembled by the parent in deterministic trial-major order.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -73,15 +67,13 @@ WorkUnit = Tuple[int, str, int, int, int]
 
 @dataclass
 class SweepSpec:
-    """Everything an executor (or a remote worker) needs to run units.
+    """Everything an executor needs to run units.
 
     This is the full execution recipe of one sweep *minus* the unit
-    list: factories, config, failure policy, cache, and the sweep's
-    identity (seed walk + trial count + protocol names), which the
-    work-queue backend persists so a resumed or multi-host sweep can
-    refuse mismatched state.  *trial_spills* maps a trial index to the
-    parent's spilled ``.ctb`` copy of its trace (the zero-copy worker
-    handoff); a trial without one is regenerated from its seed.
+    list: factories, config, failure policy, and cache.  *trial_spills*
+    maps a trial index to the parent's spilled ``.ctb`` copy of its
+    trace (the zero-copy worker handoff); a trial without one is
+    regenerated from its seed.
     *latest_trial* is the executing process's cache of the last
     ``(trial, artifacts)`` pair :func:`~repro.experiments.runner.run_unit`
     built; it is never copied by :func:`dataclasses.replace`.
@@ -97,21 +89,10 @@ class SweepSpec:
     attempts_per_run: int
     profile_dir: Optional[str]
     cache: Optional["SimulationRunCache"]
-    base_seed: int
-    n_trials: int
     trial_spills: Dict[int, str] = field(default_factory=dict)
     latest_trial: Optional[Tuple[int, "TrialArtifacts"]] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def identity(self) -> Dict[str, Any]:
-        """What makes two sweeps "the same sweep" for queue reuse."""
-        return {
-            "base_seed": int(self.base_seed),
-            "n_trials": int(self.n_trials),
-            "protocols": sorted(self.protocols),
-            "config_fingerprint": self.config.fingerprint(),
-        }
 
 
 class SweepExecutor(abc.ABC):
@@ -121,8 +102,8 @@ class SweepExecutor(abc.ABC):
     through ``record`` — a callback with signature
     ``record(trial, protocol, result, error, timing)`` owned by the
     parent (results, telemetry, progress).  The optional return
-    value is merged into the sweep manifest (the work-queue backend
-    reports worker attribution and lifecycle counts there).
+    value is merged into the sweep manifest (the pool reports the
+    worker count that actually ran there).
     """
 
     #: Short name recorded in sweep manifests.
@@ -152,7 +133,7 @@ class SerialExecutor(SweepExecutor):
         from ..experiments.runner import run_unit
 
         for unit in units:
-            result, error, timing, _ = run_unit(
+            result, error, timing = run_unit(
                 unit, spec, profile_as="serial"
             )
             record(unit[0], unit[1], result, error, timing)
@@ -175,7 +156,7 @@ def _pool_unit(
     from ..experiments.runner import run_unit
 
     assert _POOL_SPEC is not None, "pool workers must be forked by execute"
-    result, error, timing, _ = run_unit(unit, _POOL_SPEC)
+    result, error, timing = run_unit(unit, _POOL_SPEC)
     return unit, result, error, timing
 
 
@@ -297,25 +278,3 @@ def resolve_executor(setting: ExecutorLike) -> SweepExecutor:
         f"instance; got {setting!r}"
     )
 
-
-def make_unit_records(
-    units: Sequence[WorkUnit], protocol_order: Sequence[str]
-) -> List[Any]:
-    """Map runner work units to :class:`~repro.dist.queue.UnitRecord`.
-
-    Unit ids are derived from the trial index and the protocol's
-    position in the sweep's insertion order, so ids are stable across
-    resumes regardless of which units are still pending.
-    """
-    from .queue import UnitRecord, unit_id
-
-    index = {name: k for k, name in enumerate(protocol_order)}
-    return [
-        UnitRecord(
-            unit=unit_id(trial, index[name]),
-            trial=trial,
-            protocol=name,
-            seeds=(trace_seed, request_seed, sim_seed),
-        )
-        for trial, name, trace_seed, request_seed, sim_seed in units
-    ]

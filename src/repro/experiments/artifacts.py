@@ -10,8 +10,8 @@ recomputed once per protocol:
   probe cost);
 * the **merged event stream** (the stable lexsort interleaving of
   contacts, requests, and faults, plus the plain-mode payload columns);
-* the **realized trace itself**, which parallel and distributed workers
-  each regenerated from the trial seed.
+* the **realized trace itself**, which parallel workers each
+  regenerated from the trial seed.
 
 :class:`TrialArtifacts` carries all three with memoization: build it
 once per trial, hand it to every protocol's run, and each quantity is

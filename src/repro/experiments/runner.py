@@ -26,21 +26,19 @@ behavior):
   an interrupted sweep resumes by running it again with the same
   ``run_cache`` root: finished runs come back as cache hits;
 * *pluggable executors* — ``executor`` is the one execution selector
-  (see :mod:`repro.dist.executors`): the in-process serial walk, a
-  fork pool of ``K`` workers (capped at the machine's CPUs), or the
-  fault-tolerant work-queue backend whose independent workers
-  coordinate through leases on a (possibly shared) filesystem and
-  survive SIGKILL at any instruction.  Every backend runs each unit
-  through :func:`run_unit`, per-run seeds come from the same
-  :class:`numpy.random.SeedSequence` walk, and completed runs return to
-  the parent, so the run cache and the ``on_error`` policies compose
-  unchanged and all backends produce bit-identical statistics;
+  (see :mod:`repro.dist.executors`): the in-process serial walk or a
+  fork pool of ``K`` workers (capped at the machine's CPUs).  Every
+  backend runs each unit through :func:`run_unit`, per-run seeds come
+  from the same :class:`numpy.random.SeedSequence` walk, and completed
+  runs return to the parent, so the run cache and the ``on_error``
+  policies compose unchanged and all backends produce bit-identical
+  statistics;
 * *telemetry* — every run yields a :class:`RunTelemetry` record (stage
-  timings, attempts, outcome, executing worker) merged into
-  ``ComparisonResult.telemetry`` in deterministic trial-major order
-  regardless of worker completion order; ``progress`` enables a live
-  reporter (structured log lines or a user callback) and
-  ``profile_dir`` dumps per-process cProfile stats.
+  timings, attempts, outcome) merged into ``ComparisonResult.telemetry``
+  in deterministic trial-major order regardless of worker completion
+  order; ``progress`` enables a live reporter (structured log lines or
+  a user callback) and ``profile_dir`` dumps per-process cProfile
+  stats.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from typing import (
 import numpy as np
 
 from ..contacts import ContactTrace
-from ..contacts.binary import is_binary_trace
 from ..demand import DemandModel, RequestSchedule, generate_requests
 from ..durable import PathLike, truncate_error_text
 from ..errors import ConfigurationError, SimulationError
@@ -152,9 +149,6 @@ class RunTelemetry:
     setup_wall_s: float = 0.0
     attempts: int = 0
     gain_rate: Optional[float] = None
-    #: Which worker executed the run — ``None`` for in-process execution,
-    #: a work-queue worker id (``"w0"``, …) under the distributed backend.
-    worker: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -371,23 +365,15 @@ def _execute_run(
     attempts_per_run: int,
     on_error: str,
     cache: Optional[SimulationRunCache] = None,
-) -> Tuple[
-    Optional[SimulationResult],
-    Optional[str],
-    Dict[str, float],
-    Optional[str],
-]:
+) -> Tuple[Optional[SimulationResult], Optional[str], Dict[str, float]]:
     """One (trial, protocol) run with the retry/skip policy applied.
 
-    Returns ``(result, None, timing, run_key)`` on success and
-    ``(None, error string, timing, run_key)`` after all attempts failed;
-    with ``on_error="raise"`` the first failure propagates.  *timing*
-    reports the simulate stage's wall/CPU seconds (backoff sleeps
-    excluded) and the number of attempts actually made; with a *cache*
-    it also carries a ``"cache"`` marker (hit / miss / uncacheable).
-    *run_key* is the run's content-address when a cache is in use and
-    the inputs were fingerprintable (``None`` otherwise) — the
-    distributed backend records it with every published result.
+    Returns ``(result, None, timing)`` on success and ``(None, error
+    string, timing)`` after all attempts failed; with
+    ``on_error="raise"`` the first failure propagates.  *timing* reports
+    the simulate stage's wall/CPU seconds (backoff sleeps excluded) and
+    the number of attempts actually made; with a *cache* it also
+    carries a ``"cache"`` marker (hit / miss / uncacheable).
 
     With a run cache, a content-key hit returns the stored result with
     zero attempts — no simulation happens; a completed miss is stored
@@ -443,7 +429,7 @@ def _execute_run(
                     "attempts": 0.0,
                     "cache": _CACHE_HIT,
                 }
-                return cached, None, hit_timing, cache_key
+                return cached, None, hit_timing
     result: Optional[SimulationResult] = None
     last_error: Optional[BaseException] = None
     wall_s = 0.0
@@ -497,9 +483,9 @@ def _execute_run(
     if result is not None:
         if cache is not None and cache_key is not None:
             cache.put(cache_key, result)
-        return result, None, timing, cache_key
+        return result, None, timing
     error_text = f"{type(last_error).__name__}: {last_error}"
-    return None, error_text, timing, cache_key
+    return None, error_text, timing
 
 
 def _run_status(
@@ -558,8 +544,7 @@ def _trial_artifacts(
     fingerprints and premerged event stream, and a process never holds
     two trials' streams.  A spilled trial memory-maps the parent's
     ``.ctb`` copy (with its travelling fingerprint) instead of
-    regenerating the trace; a missing spill (a stale path from a
-    resumed queue manifest) regenerates from the trial seed.
+    regenerating the trace; any other trial regenerates from its seed.
     """
     trial, _, trace_seed, request_seed, sim_seed = unit
     if spec.latest_trial is not None and spec.latest_trial[0] == trial:
@@ -569,7 +554,7 @@ def _trial_artifacts(
     faults = spec.faults(trial) if callable(spec.faults) else spec.faults
     spill_path = spec.trial_spills.get(trial)
     trace_fingerprint: Optional[str] = None
-    if spill_path is not None and is_binary_trace(spill_path):
+    if spill_path is not None:
         trace, trace_fingerprint = load_spilled_trace(spill_path)
     else:
         trace = spec.trace_factory(trace_seed)
@@ -593,12 +578,7 @@ def _trial_artifacts(
 
 def run_unit(
     unit: "WorkUnit", spec: "SweepSpec", *, profile_as: str = "worker"
-) -> Tuple[
-    Optional[SimulationResult],
-    Optional[str],
-    Dict[str, float],
-    Optional[str],
-]:
+) -> Tuple[Optional[SimulationResult], Optional[str], Dict[str, float]]:
     """Execute one ``(trial, protocol)`` work unit of *spec*'s sweep.
 
     Every executor runs its units through here.  The trial's shared
@@ -608,14 +588,14 @@ def run_unit(
     With ``spec.profile_dir`` the run is added to the process's
     cProfile, dumped to ``<profile_as>-<pid>.pstats`` after every unit
     so a crashed worker still leaves its latest snapshot behind.
-    Returns :func:`_execute_run`'s ``(result, error, timing, run_key)``.
+    Returns :func:`_execute_run`'s ``(result, error, timing)``.
     """
     inputs, setup_wall = _trial_artifacts(spec, unit)
     profiler = _process_profiler(spec.profile_dir)
     if profiler is not None:
         profiler.enable()
     try:
-        result, error, timing, key = _execute_run(
+        result, error, timing = _execute_run(
             spec.protocols[unit[1]],
             inputs,
             spec.config,
@@ -633,7 +613,7 @@ def run_unit(
                 )
             )
     timing["setup_wall_s"] = setup_wall
-    return result, error, timing, key
+    return result, error, timing
 
 
 class _SweepAccounting:
@@ -666,15 +646,8 @@ class _SweepAccounting:
         result: Optional[SimulationResult],
         error: Optional[str],
         timing: Dict[str, float],
-        *,
-        worker: Optional[str] = None,
-        attempts: Optional[int] = None,
     ) -> None:
-        """One finished ``(trial, protocol)`` unit, success or failure.
-
-        *worker*/*attempts* are distributed-backend attribution: which
-        worker ran the unit and how many claims its failure consumed.
-        """
+        """One finished ``(trial, protocol)`` unit, success or failure."""
         _count_cache_marker(self.cache_counts, timing.get("cache"))
         telemetry = RunTelemetry(
             trial=trial,
@@ -685,7 +658,6 @@ class _SweepAccounting:
             setup_wall_s=timing.get("setup_wall_s", 0.0),
             attempts=int(timing.get("attempts", 0)),
             gain_rate=result.gain_rate if result is not None else None,
-            worker=worker,
         )
         self.telemetry_map[(trial, name)] = telemetry
         if self.reporter is not None:
@@ -695,11 +667,7 @@ class _SweepAccounting:
                 trial=trial,
                 protocol=name,
                 error=truncate_error_text(error or "unknown error"),
-                attempts=(
-                    attempts
-                    if attempts is not None
-                    else self.attempts_per_run
-                ),
+                attempts=self.attempts_per_run,
             )
             return
         self.results_map[(trial, name)] = result
@@ -777,16 +745,13 @@ def run_comparison(
         count ``K`` (or its decimal string in the variable) is a
         ``fork`` pool, capped at the CPU count and the number of units,
         that runs serially when the cap is 1 or ``fork`` is missing; a
-        :class:`~repro.dist.SweepExecutor` instance, such as the
-        fault-tolerant :class:`~repro.dist.WorkQueueExecutor`, is used
-        as-is.  Per-run seeds come from one seed walk, so every backend
+        :class:`~repro.dist.SweepExecutor` instance is used as-is.
+        Per-run seeds come from one seed walk, so every backend
         produces bit-identical statistics.  With ``on_error="raise"`` a
         pool propagates the first *observed* failure, which is not
-        necessarily the earliest failing trial, and the work-queue
-        backend raises :class:`~repro.errors.SimulationError` (the
-        original exception type does not cross the process boundary).
+        necessarily the earliest failing trial.
     trial_spill_dir:
-        Zero-copy trial handoff for parallel and distributed sweeps:
+        Zero-copy trial handoff for parallel sweeps:
         the parent realizes each pending trial's trace once, spills it
         to ``<dir>/trial-<k>.ctb``, and workers memory-map that copy
         (sharing the page cache) instead of each regenerating it from
@@ -880,8 +845,6 @@ def run_comparison(
         attempts_per_run=attempts_per_run,
         profile_dir=profile_path,
         cache=cache,
-        base_seed=base_seed,
-        n_trials=n_trials,
         trial_spills=trial_spills,
     )
     executor_extras = executor_obj.execute(units, spec, accounting.record)

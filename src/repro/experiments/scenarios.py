@@ -435,11 +435,11 @@ def run_scenario(
 ) -> ComparisonResult:
     """Run the standard comparison on *scenario*.
 
-    *executor* selects the execution backend — serial, a fork pool of
-    ``K`` workers, or the fault-tolerant distributed work queue — with
-    bit-identical statistics; *progress* and *profile_dir* enable the
-    live reporter and per-process cProfile dumps; *run_cache* reuses
-    previously computed runs by content key (see
+    *executor* selects the execution backend — serial or a fork pool of
+    ``K`` workers — with bit-identical statistics; *progress* and
+    *profile_dir* enable the live reporter and per-process cProfile
+    dumps; *run_cache* reuses previously computed runs by content key
+    (see
     :func:`repro.experiments.runner.run_comparison` and
     :mod:`repro.dist`).
     """

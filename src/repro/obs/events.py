@@ -26,19 +26,6 @@ engine's hook-free contact fast path.
 Replication and fault events (``REPLICA_ADD`` .. ``CONTACT_DROP``)
 record every cache mutation and fault-injection action, so a trace
 replays the full replica-count trajectory between snapshots.
-
-Distributed-sweep lifecycle events (``UNIT_CLAIM`` .. ``WORKER_EXIT``)
-are emitted by the :mod:`repro.dist` work-queue backend into the
-queue's ``events.jsonl``; their ``t`` is wall-clock seconds (sweep
-infrastructure time, never simulated time) and their ``seq`` is
-per-writer, so a multi-worker log orders by ``(t, worker, seq)``::
-
-    UNIT_CLAIM ──► UNIT_PUBLISH              (worker completed the unit)
-        │
-        ├──► UNIT_FAIL ──► UNIT_REQUEUE      (retry budget remaining)
-        │                  UNIT_QUARANTINE   (budget exhausted: poison)
-        └──► UNIT_EXPIRE ──► UNIT_REQUEUE    (lease TTL passed: the
-                                              worker crashed or hung)
 """
 
 from __future__ import annotations
@@ -63,19 +50,8 @@ __all__ = [
     "RECOVER",
     "CONTACT_DROP",
     "RUN_END",
-    "UNIT_CLAIM",
-    "UNIT_PUBLISH",
-    "UNIT_FAIL",
-    "UNIT_EXPIRE",
-    "UNIT_REQUEUE",
-    "UNIT_QUARANTINE",
-    "WORKER_SPAWN",
-    "WORKER_EXIT",
-    "METRICS_SNAPSHOT",
-    "WATCH_REFRESH",
     "EVENT_FIELDS",
     "LIFECYCLE_KINDS",
-    "SWEEP_KINDS",
     "validate_event",
 ]
 
@@ -102,22 +78,6 @@ CRASH = "crash"
 RECOVER = "recover"
 CONTACT_DROP = "contact_drop"
 
-#: Distributed-sweep work-unit lifecycle (see :mod:`repro.dist`).
-UNIT_CLAIM = "unit_claim"
-UNIT_PUBLISH = "unit_publish"
-UNIT_FAIL = "unit_fail"
-UNIT_EXPIRE = "unit_expire"
-UNIT_REQUEUE = "unit_requeue"
-UNIT_QUARANTINE = "unit_quarantine"
-WORKER_SPAWN = "worker_spawn"
-WORKER_EXIT = "worker_exit"
-
-#: Metrics plane (see :mod:`repro.obs.metrics` and ``repro sweep
-#: watch``): a worker published its atomic ``metrics.json``, or a watch
-#: client rendered one dashboard frame from the queue directory.
-METRICS_SNAPSHOT = "metrics_snapshot"
-WATCH_REFRESH = "watch_refresh"
-
 #: kind -> required payload fields (beyond ``seq``/``kind``/``t``).
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     RUN_START: ("n_nodes", "n_items", "duration", "protocol"),
@@ -137,32 +97,7 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     RECOVER: ("node",),
     CONTACT_DROP: ("a", "b"),
     RUN_END: ("summary",),
-    UNIT_CLAIM: ("unit", "worker", "claim"),
-    UNIT_PUBLISH: ("unit", "worker"),
-    UNIT_FAIL: ("unit", "worker", "error"),
-    UNIT_EXPIRE: ("unit", "worker"),
-    UNIT_REQUEUE: ("unit", "claims"),
-    UNIT_QUARANTINE: ("unit", "reason"),
-    WORKER_SPAWN: ("worker",),
-    WORKER_EXIT: ("worker", "reason"),
-    METRICS_SNAPSHOT: ("worker", "units_done", "units_failed"),
-    WATCH_REFRESH: ("watcher", "published", "pending"),
 }
-
-#: The distributed-sweep infrastructure kinds (``events.jsonl`` of a
-#: work queue; never present in a simulation telemetry trace).
-SWEEP_KINDS: Tuple[str, ...] = (
-    UNIT_CLAIM,
-    UNIT_PUBLISH,
-    UNIT_FAIL,
-    UNIT_EXPIRE,
-    UNIT_REQUEUE,
-    UNIT_QUARANTINE,
-    WORKER_SPAWN,
-    WORKER_EXIT,
-    METRICS_SNAPSHOT,
-    WATCH_REFRESH,
-)
 
 #: The kinds a request passes through (used by summaries and filters).
 LIFECYCLE_KINDS: Tuple[str, ...] = (

@@ -15,13 +15,12 @@ round-trips) must compare everything *except* the manifest.
 from __future__ import annotations
 
 import dataclasses
-import os
 import platform
 import subprocess
 import sys
 from typing import Any, Dict, Optional
 
-__all__ = ["RunManifest", "environment_provenance", "worker_provenance"]
+__all__ = ["RunManifest", "environment_provenance"]
 
 _ENV_CACHE: Optional[Dict[str, Any]] = None
 
@@ -70,20 +69,6 @@ def environment_provenance() -> Dict[str, Any]:
             "packages": _package_versions(),
         }
     return dict(_ENV_CACHE)
-
-
-def worker_provenance(worker_id: str) -> Dict[str, Any]:
-    """Identity of one sweep worker process, for lease files and manifests.
-
-    ``worker_id`` is the sweep-assigned logical name; host and PID pin
-    the physical process so a multi-host work queue can attribute every
-    unit (and every expired lease) to the process that held it.
-    """
-    return {
-        "worker": worker_id,
-        "host": platform.node(),
-        "pid": os.getpid(),
-    }
 
 
 @dataclasses.dataclass

@@ -2,7 +2,7 @@
 
 The tracer (:mod:`repro.obs.tracer`) answers *what happened to one
 request*; this module answers *how the process is doing right now* —
-events processed per chunk, cache hit rates, queue depth, lease churn —
+events processed per chunk, replica churn, runs per protocol —
 as cheap in-memory aggregates that can be snapshotted at any time.
 
 The discipline mirrors the tracer exactly:
@@ -15,31 +15,26 @@ The discipline mirrors the tracer exactly:
 * **enabled ⇒ aggregation only.**  ``inc``/``set``/``observe`` mutate
   plain Python floats and lists; nothing here ever performs I/O, takes
   a lock, or reads a clock.  Exporters run on demand from a
-  :meth:`MetricsRegistry.snapshot`, and the JSONL time-series writer
-  takes its timestamp from the *caller* (``repro analyze`` RPL002: only
-  :mod:`repro.obs.timing` and :mod:`repro.dist.clock` may read the
-  host clock).
+  :meth:`MetricsRegistry.snapshot` (``repro analyze`` RPL002: only
+  :mod:`repro.obs.timing` may read the host clock).
 * **metrics are metadata.**  Aggregates never feed back into
   simulation state, so metrics-enabled runs stay bit-identical to
   disabled ones — enforced by ``tests/sim/test_metrics_identity.py``.
 
-Exporters: :func:`render_prometheus` (text exposition format 0.0.4),
-:func:`write_snapshot_jsonl` (one snapshot per line, timestamped by the
-caller), and the snapshot dict itself (embedded in run manifests).
+Exporters: :func:`render_prometheus` (text exposition format 0.0.4)
+and the snapshot dict itself (embedded in run and sweep manifests).
 :func:`parse_prometheus` reads the exposition format back for
 round-trip tests and the ``repro metrics`` CLI.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
 from typing import (
     Any,
     Dict,
-    IO,
     List,
     Mapping,
     Optional,
@@ -63,7 +58,6 @@ __all__ = [
     "reset_registry",
     "render_prometheus",
     "parse_prometheus",
-    "write_snapshot_jsonl",
     "coerce_snapshot",
 ]
 
@@ -113,7 +107,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, live workers)."""
+    """A value that can go up and down (e.g. replicas held at the end)."""
 
     kind = "gauge"
     __slots__ = ("_value",)
@@ -565,8 +559,8 @@ def coerce_snapshot(data: Mapping[str, Any]) -> Dict[str, Any]:
     Accepts, in order of preference:
 
     * a registry snapshot itself (:meth:`MetricsRegistry.snapshot`);
-    * any dict with a ``"metrics"`` key holding one (JSONL time-series
-      records, sweep manifests) — applied recursively;
+    * any dict with a ``"metrics"`` key holding one (run and sweep
+      manifests) — applied recursively;
     * a flat numeric mapping (the per-run summary embedded in a
       :class:`~repro.obs.manifest.RunManifest`), which is synthesized
       into gauges named ``repro_manifest_<key>``.
@@ -596,27 +590,3 @@ def coerce_snapshot(data: Mapping[str, Any]) -> Dict[str, Any]:
         return out
     raise ValueError("payload holds no recognizable metrics snapshot")
 
-
-def write_snapshot_jsonl(
-    target: Union[str, IO[str]],
-    snapshot: Mapping[str, Any],
-    *,
-    t: float,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> None:
-    """Append one timestamped snapshot as a JSON line.
-
-    *t* comes from the caller (a :class:`~repro.dist.clock.Clock` or a
-    :class:`~repro.obs.timing.Stopwatch` reading) — this module never
-    reads the host clock.
-    """
-    record: Dict[str, Any] = {"t": t}
-    if meta:
-        record.update(meta)
-    record["metrics"] = dict(snapshot)
-    line = json.dumps(record, separators=(",", ":")) + "\n"
-    if isinstance(target, str):
-        with open(target, "a", encoding="utf-8") as handle:
-            handle.write(line)
-    else:
-        target.write(line)

@@ -14,17 +14,15 @@ This module owns the one on-disk format of a completed
 :class:`~repro.sim.metrics.SimulationResult`: the versioned
 ``repro-simcache-entry`` envelope written by :func:`write_entry` and
 validated by :func:`read_entry`.  The run cache stores entries under
-content keys; the distributed work queue publishes its
-``results/<unit>.json`` through the same pair, with the executing
-worker, claim, timing and run key in the envelope's ``meta``.
+content keys.
 
 In a version-2 entry every array field of the result is an object
 ``{"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}``: the
 array's C-contiguous little-endian bytes, base64-encoded so the entry
 stays one JSON file (one atomic write, no sidecar) and loads without
 parsing thousands of float reprs.  The bytes round-trip exactly,
-including ``-0.0``, NaN payloads and subnormals.  Scalars, ``manifest``
-and ``meta`` stay plain JSON.  Entries of any other version (the
+including ``-0.0``, NaN payloads and subnormals.  Scalars and
+``manifest`` stay plain JSON.  Entries of any other version (the
 version-1 entries stored arrays as JSON lists) are warned misses, which
 the next store rewrites.
 """
@@ -36,7 +34,7 @@ import dataclasses
 import json
 import math
 import os
-from typing import Any, Dict, NamedTuple, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -51,7 +49,6 @@ __all__ = [
     "CorruptEntryError",
     "RunCacheStats",
     "SimulationRunCache",
-    "StoredRun",
     "read_entry",
     "resolve_run_cache",
     "result_from_dict",
@@ -179,26 +176,15 @@ class CorruptEntryError(ValueError):
     """A stored run exists but cannot be trusted (torn, foreign, stale)."""
 
 
-class StoredRun(NamedTuple):
-    """One entry read back by :func:`read_entry`."""
-
-    result: SimulationResult
-    meta: Dict[str, Any]
-
-
 def write_entry(
     path: PathLike,
     key: str,
     result: SimulationResult,
-    *,
-    meta: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Store *result* at *path* as one entry (atomic + fsync).
+    """Store *result* at *path* as the entry for content key *key*.
 
-    *key* is the address the entry is stored under (a content key in
-    the run cache, a unit id in the work queue); *meta* is free-form
-    JSON provenance carried alongside.  Raises :class:`OSError` when
-    the write fails.
+    The write is atomic and fsynced.  Raises :class:`OSError` when the
+    write fails.
     """
     payload: Dict[str, Any] = {
         "format": _FORMAT,
@@ -206,12 +192,10 @@ def write_entry(
         "key": key,
         "result": result_to_dict(result),
     }
-    if meta:
-        payload["meta"] = meta
     atomic_write_json(path, payload, fsync=True)
 
 
-def read_entry(path: PathLike) -> StoredRun:
+def read_entry(path: PathLike) -> SimulationResult:
     """Load and validate the entry at *path*.
 
     Raises :class:`FileNotFoundError` when there is no entry, and
@@ -227,12 +211,10 @@ def read_entry(path: PathLike) -> StoredRun:
     except (OSError, ValueError) as error:
         # ValueError covers json.JSONDecodeError and UnicodeDecodeError.
         raise CorruptEntryError(f"unreadable entry: {error}") from error
-    meta = data.get("meta", {}) if isinstance(data, dict) else None
     if (
         not isinstance(data, dict)
         or data.get("format") != _FORMAT
         or not isinstance(data.get("result"), dict)
-        or not isinstance(meta, dict)
     ):
         raise CorruptEntryError("not a valid cache entry")
     if data.get("version") != _VERSION:
@@ -241,12 +223,11 @@ def read_entry(path: PathLike) -> StoredRun:
             f"version {_VERSION}"
         )
     try:
-        result = result_from_dict(data["result"])
+        return result_from_dict(data["result"])
     # Any malformed payload must surface as a corrupt entry, whatever
     # the rebuild raises.  # repro-lint: ignore[RPL007]
     except Exception as error:
         raise CorruptEntryError(f"entry does not rebuild: {error}") from error
-    return StoredRun(result, meta)
 
 
 @dataclasses.dataclass
@@ -306,7 +287,7 @@ class SimulationRunCache:
         """
         path = self._entry_path(key)
         try:
-            result = read_entry(path).result
+            result = read_entry(path)
         except FileNotFoundError:
             self.stats.misses += 1
             self._count("miss")
@@ -322,14 +303,12 @@ class SimulationRunCache:
         self,
         key: str,
         result: SimulationResult,
-        *,
-        meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Store *result* under *key* (atomic + fsync, last writer wins)."""
         path = self._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         try:
-            write_entry(path, key, result, meta=meta)
+            write_entry(path, key, result)
         except OSError as error:
             self.stats.errors += 1
             self._count("write_error")

@@ -1,10 +1,10 @@
 """RPL011 true positives: literal event kinds at emit sites."""
 
 
-def run_step(tracer, queue, t, item, node):
+def run_step(tracer, t, item, node):
     tracer.emit("deliver", t, item=item, node=node)  # literal kind
     tracer.emit("contact_drop", t, a=node, b=node)  # literal kind
-    queue.log_event("unit_claim", unit=item, worker=node)  # literal kind
+    tracer.emit("replica_add", t, node=node, item=item)  # literal kind
 
 
 def settle(self, t):

@@ -6,10 +6,10 @@ from repro.obs import events as ev
 DELIVER = trace_events.DELIVER
 
 
-def run_step(tracer, queue, t, item, node):
+def run_step(tracer, t, item, node):
     tracer.emit(trace_events.DELIVER, t, item=item, node=node)
     tracer.emit(DELIVER, t, item=item, node=node)
-    queue.log_event(ev.UNIT_CLAIM, unit=item, worker=node)
+    tracer.emit(ev.REPLICA_ADD, t, node=node, item=item, evicted=None)
 
 
 def emit_unrelated(channel, payload):

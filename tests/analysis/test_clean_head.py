@@ -29,11 +29,9 @@ def test_src_repro_is_analysis_clean(report):
     # Clean means *clean*: no errors, no dead-registry warnings either.
     assert not report.findings, rendered
     assert not report.parse_errors
-    # Six per-file (RPL005/007/008) suppressions — the seven from
-    # before the per-file rules joined this tool, less the RPL004 one
-    # on the request-birth lexsort that a searchsorted replaced — plus
-    # the one RPA002 directive in dist/supervisor.py.
-    assert report.n_suppressed == 6 + 1
+    # Five per-file (RPL005/007/008) suppressions and no whole-program
+    # one.
+    assert report.n_suppressed == 5
 
 
 def test_analysis_is_not_vacuous(report):

@@ -1,19 +1,12 @@
-"""The executor seam: resolution rules, identity, unit mapping."""
+"""The executor seam: resolution rules and construction."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dist import (
-    ProcessPoolExecutor,
-    SerialExecutor,
-    WorkQueueExecutor,
-    resolve_executor,
-)
-from repro.dist.executors import ENV_VAR, make_unit_records
+from repro.dist import ProcessPoolExecutor, SerialExecutor, resolve_executor
+from repro.dist.executors import ENV_VAR
 from repro.errors import ConfigurationError
-
-from .conftest import make_spec, make_units
 
 #: The accepted forms every rejection names.
 ACCEPTED = "None, 'serial', a worker count >= 1 .* or a SweepExecutor"
@@ -46,11 +39,7 @@ class TestResolveExecutor:
             assert pool.n_workers == int(setting)
 
     def test_instances_pass_through(self):
-        for executor in (
-            SerialExecutor(),
-            ProcessPoolExecutor(2),
-            WorkQueueExecutor(n_workers=2),
-        ):
+        for executor in (SerialExecutor(), ProcessPoolExecutor(2)):
             assert resolve_executor(executor) is executor
 
     def test_unknown_name_rejected(self):
@@ -73,31 +62,3 @@ class TestConstruction:
     def test_pool_rejects_invalid_worker_count(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
             ProcessPoolExecutor(0)
-
-    def test_workqueue_rejects_invalid_worker_count(self):
-        with pytest.raises(ConfigurationError, match="n_workers"):
-            WorkQueueExecutor(n_workers=0)
-
-
-class TestSweepSpec:
-    def test_identity_is_the_sweeps_fingerprint(self, demand, config, protocols):
-        spec = make_spec(demand, config, protocols)
-        identity = spec.identity()
-        assert identity["base_seed"] == 7
-        assert identity["n_trials"] == 2
-        assert identity["protocols"] == ["OPT", "UNI"]
-        assert identity["config_fingerprint"] == config.fingerprint()
-
-    def test_identity_ignores_execution_policy(self, demand, config, protocols):
-        a = make_spec(demand, config, protocols, on_error="skip")
-        b = make_spec(demand, config, protocols, on_error="raise")
-        assert a.identity() == b.identity()
-
-
-def test_make_unit_records_maps_trial_major(protocols):
-    records = make_unit_records(make_units(protocols), list(protocols))
-    assert [r.unit for r in records] == [
-        "t00000-p000", "t00000-p001", "t00001-p000", "t00001-p001",
-    ]
-    assert [r.protocol for r in records] == ["OPT", "UNI", "OPT", "UNI"]
-    assert records[2].seeds == (101, 201, 301)

@@ -17,7 +17,6 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.contacts.binary import binary_trace_metadata
 from repro.demand import DemandModel, generate_requests
-from repro.dist import WorkQueueExecutor
 from repro.experiments import TrialArtifacts, run_comparison
 from repro.experiments.benchmark import _merge_per_protocol
 from repro.experiments.artifacts import (
@@ -341,19 +340,6 @@ class TestSpillHandoff:
         for name in sorted(os.listdir(tmp_path / "spills")):
             meta = binary_trace_metadata(tmp_path / "spills" / name)
             assert SPILL_FINGERPRINT_KEY in meta
-
-    def test_workqueue_spill_matches_serial(
-        self, demand, config, protocols, tmp_path
-    ):
-        serial = sweep(demand, config, protocols)
-        spilled = sweep(
-            demand,
-            config,
-            protocols,
-            executor=WorkQueueExecutor(n_workers=2),
-            trial_spill_dir=tmp_path / "spills",
-        )
-        assert_identical(serial, spilled)
 
     def test_serial_executor_never_spills(
         self, demand, config, protocols, tmp_path

@@ -1,9 +1,9 @@
 """Executor determinism: the executor spec must never change results.
 
 Every backend is purely a wall-clock choice; every test here asserts
-*bit-identical* statistics between a pool (or the work queue) and the
-serial path, including under per-trial fault schedules, skip-on-error
-sweeps, and resume through the run cache.
+*bit-identical* statistics between a pool and the serial path,
+including under per-trial fault schedules, skip-on-error sweeps, and
+resume through the run cache.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel
-from repro.dist import ProcessPoolExecutor, WorkQueueExecutor
+from repro.dist import ProcessPoolExecutor
 from repro.dist import executors as dist_executors
 from repro.errors import ConfigurationError
 from repro.experiments import run_comparison
@@ -119,9 +119,6 @@ class TestExecutorEquivalence:
             (1, "serial", 1),
             (2, "process", 2),
             (ProcessPoolExecutor(2), "process", 2),
-            # One claim per unit, so a failing unit is quarantined after
-            # one attempt, as the serial walk records it.
-            (WorkQueueExecutor(n_workers=2, max_claims=1), "workqueue", 2),
         ]
         results = []
         for executor, name, workers in specs:

@@ -26,7 +26,6 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.dist import UnitRecord, WorkQueue
 from repro.dist import executors as dist_executors
 from repro.contacts.synthetic import (
     ConferenceTraceConfig,
@@ -322,7 +321,7 @@ def special_result():
 def _entry_round_trip(result, tmp_path):
     path = tmp_path / "entry.json"
     write_entry(path, "k", result)
-    return read_entry(path).result
+    return read_entry(path)
 
 
 def _cache_round_trip(result, tmp_path):
@@ -430,44 +429,12 @@ class CacheStore:
         assert self.cache.stats.hits == 1  # only the intact read
 
 
-class QueueStore:
-    """The work queue: a corrupt result is deleted, the unit re-runs."""
-
-    def __init__(self, tmp_path):
-        unit = UnitRecord(
-            unit="t00000-p000", trial=0, protocol="OPT", seeds=(1, 2, 3)
-        )
-        self.queue = WorkQueue.create(
-            tmp_path / "q", [unit], identity={"base_seed": 0}
-        )
-        self.unit = unit.unit
-
-    def put(self, result):
-        self.queue.publish_result(
-            self.unit, result, worker="w0", claim=1, timing={"wall_s": 1.0}
-        )
-        return self.queue._result_path(self.unit)
-
-    def read(self):
-        entry = self.queue.read_result(self.unit)
-        return entry.result if entry is not None else None
-
-    def check_discarded(self, path):
-        assert not path.exists()
-        assert not self.queue.is_done(self.unit)
-        assert self.unit in self.queue.claimable_units()
-
-
 class TestCorruptEntries:
-    """Both stores read through one reader: corrupt means warn + miss.
-
-    The run cache's entries and the work queue's published results are
-    the same format (``repro.simcache.store``), so one suite covers both.
-    """
+    """A corrupt run-cache entry is a warned miss."""
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize(
-        "store_type", [CacheStore, QueueStore], ids=["cache", "queue"]
+        "store_type", [CacheStore], ids=["cache"]
     )
     def test_corrupt_entry_warns_and_misses(
         self, tmp_path, store_type, corruption
@@ -611,7 +578,7 @@ class TestSweepCaching:
 def _downgrade_to_version_1(path):
     """Rewrite *path* as the version-1 format stored it: every array as
     a JSON list of its values."""
-    result = read_entry(path).result
+    result = read_entry(path)
     data = json.loads(path.read_text())
     data["version"] = 1
     data["result"] = {}

@@ -27,10 +27,9 @@ def test_src_repro_is_lint_clean() -> None:
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
     assert not report.parse_errors
-    # The six per-file suppressions (RPL005/007/008), among them the
-    # three utility/ sentinel comparisons.  (The seventh, RPL004 on the
-    # request-birth lexsort in sim/events.py, left with that lexsort.)
-    assert report.n_suppressed == 6
+    # The five per-file suppressions (RPL005/007/008), among them the
+    # three utility/ sentinel comparisons.
+    assert report.n_suppressed == 5
 
 
 def test_benchmarks_tree_is_lint_clean() -> None:

@@ -76,9 +76,9 @@ def test_wallclock_exempt_paths() -> None:
     assert codes_in(FIXTURES / "experiments" / "benchmark.py") == []
 
 
-def test_retry_sleep_exempt_under_dist() -> None:
-    """Supervised polling in the dist/ backend is RPL010's one carve-out."""
-    assert codes_in(FIXTURES / "dist" / "rpl010_exempt.py") == []
+def test_retry_sleep_checked_under_dist() -> None:
+    """dist/ has no RPL010 carve-out: a sleep-polling loop there is flagged."""
+    assert codes_in(FIXTURES / "dist" / "rpl010_polling.py") == ["RPL010"]
 
 
 def test_no_print_silent_outside_experiments() -> None:

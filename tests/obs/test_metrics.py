@@ -1,15 +1,13 @@
 """The metrics registry and its exporters.
 
-Covers the tentpole's exporter guarantees: Prometheus text exposition
+Covers the exporters' guarantees: Prometheus text exposition
 with correct label escaping and monotone cumulative buckets, a
-``# HELP``/``# TYPE`` round trip through :func:`parse_prometheus`, the
-caller-timestamped JSONL writer, and the tracer-style enable/disable
-resolution.
+``# HELP``/``# TYPE`` round trip through :func:`parse_prometheus`,
+snapshot coercion, and the tracer-style enable/disable resolution.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 
@@ -223,40 +221,14 @@ def test_parse_prometheus_rejects_malformed_lines():
 
 
 # ----------------------------------------------------------------------
-# JSONL snapshots + coercion
+# snapshot coercion
 # ----------------------------------------------------------------------
-def test_write_snapshot_jsonl_appends_timestamped_records(tmp_path):
-    reg = m.MetricsRegistry()
-    reg.counter("repro_runs_total").inc()
-    path = str(tmp_path / "metrics.jsonl")
-    m.write_snapshot_jsonl(path, reg.snapshot(), t=1.0, meta={"phase": "a"})
-    reg.counter("repro_runs_total").inc()
-    m.write_snapshot_jsonl(path, reg.snapshot(), t=2.0)
-    lines = [
-        json.loads(line)
-        for line in open(path, encoding="utf-8").read().splitlines()
-    ]
-    assert [record["t"] for record in lines] == [1.0, 2.0]
-    assert lines[0]["phase"] == "a"
-    values = [
-        record["metrics"]["repro_runs_total"]["series"][0]["value"]
-        for record in lines
-    ]
-    assert values == [1.0, 2.0]
-
-
-def test_write_snapshot_jsonl_accepts_streams():
-    buf = io.StringIO()
-    m.write_snapshot_jsonl(buf, {}, t=5.0)
-    assert json.loads(buf.getvalue())["t"] == 5.0
-
-
 def test_coerce_snapshot_passthrough_and_unwrap():
     reg = m.MetricsRegistry()
     reg.counter("repro_runs_total").inc()
     snap = reg.snapshot()
     assert m.coerce_snapshot(snap) == snap
-    assert m.coerce_snapshot({"t": 1.0, "metrics": snap}) == snap
+    assert m.coerce_snapshot({"executor": "serial", "metrics": snap}) == snap
 
 
 def test_coerce_snapshot_synthesizes_manifest_gauges():

@@ -242,92 +242,49 @@ class TestCli:
 
 
 class TestSweepCli:
-    def sweep_args(self, queue):
-        return [
-            "sweep", "start", queue,
-            "--utility", "step", "--param", "5",
-            "--nodes", "6", "--items", "4", "--rho", "2",
-            "--duration", "60",
-            "--trials", "1", "--seed", "3",
-            "--protocols", "OPT", "UNI",
-            "--workers", "1", "--ttl", "5", "--no-cache",
-        ]
-
-    def test_start_then_status_then_resume(self, capsys, tmp_path):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("workqueue spawner needs fork")
-        queue = str(tmp_path / "queue")
-        assert main(self.sweep_args(queue)) == 0
-        out = capsys.readouterr().out
-        assert "distributed sweep" in out
-        assert "work-unit attribution" in out
-        assert "published" in out
-
-        assert main(["sweep", "status", queue]) == 0
-        out = capsys.readouterr().out
-        assert "2 units, 2 published, 0 quarantined, 0 pending" in out
-        assert "unit_publish=2" in out
-
-        # A lost result file is the only thing re-executed on resume.
-        import os
-
-        results = os.path.join(queue, "results")
-        victim = sorted(os.listdir(results))[0]
-        os.remove(os.path.join(results, victim))
-        assert main(
-            ["sweep", "resume", queue, "--workers", "1", "--no-cache"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "work-unit attribution" in out
-        assert main(["sweep", "status", queue]) == 0
-        assert "2 published" in capsys.readouterr().out
-
-    def test_resume_of_non_queue_directory_fails(self, capsys, tmp_path):
-        assert main(["sweep", "resume", str(tmp_path)]) == 1
-        assert "not a sweep queue" in capsys.readouterr().err
-
-    def test_start_with_metrics_out_then_watch_and_convert(
-        self, capsys, tmp_path
+    def test_sweep_manifest_metrics_convert(
+        self, capsys, tmp_path, monkeypatch
     ):
-        import multiprocessing
-
+        """``repro metrics`` converts a sweep manifest's embedded snapshot."""
+        from repro.experiments import homogeneous_scenario, run_scenario
         from repro.obs import metrics as obs_metrics
+        from repro.utility import StepUtility
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("workqueue spawner needs fork")
-        queue = str(tmp_path / "queue")
-        series = str(tmp_path / "metrics.jsonl")
+        scenario = homogeneous_scenario(
+            StepUtility(5.0),
+            n_nodes=6,
+            n_items=4,
+            rho=2,
+            duration=60.0,
+            record_interval=None,
+        )
+        monkeypatch.setenv(obs_metrics.ENV_VAR, "1")
+        obs_metrics.reset_registry()
         try:
-            assert main(
-                self.sweep_args(queue) + ["--metrics-out", series]
-            ) == 0
+            result = run_scenario(
+                scenario,
+                n_trials=1,
+                base_seed=3,
+                include=("OPT", "UNI"),
+                run_cache=False,
+            )
         finally:
-            obs_metrics.set_enabled(None)
             obs_metrics.reset_registry()
-        out = capsys.readouterr().out
-        assert "metrics snapshot appended" in out
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(result.manifest))
 
-        assert main(["sweep", "watch", queue, "--once"]) == 0
+        assert main(["metrics", str(manifest)]) == 0
         out = capsys.readouterr().out
-        assert "2 published" in out
-        assert "workers (" in out
-        assert "published by worker:" in out
+        assert "# TYPE repro_sim_runs_total counter" in out
+        assert 'repro_sim_runs_total{protocol="UNI"} 1' in out
 
-        assert main(["metrics", series]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_dist_queue_units gauge" in out
-        assert 'repro_dist_queue_units{state="published"} 2' in out
-
-        converted = str(tmp_path / "snap.prom")
-        assert main(["metrics", series, "-o", converted]) == 0
+        converted = tmp_path / "snap.prom"
+        assert main(["metrics", str(manifest), "-o", str(converted)]) == 0
         assert "wrote prometheus snapshot" in capsys.readouterr().out
-        with open(converted, encoding="utf-8") as handle:
-            assert "# TYPE" in handle.read()
-        assert main(["metrics", series, "--format", "json"]) == 0
+        assert "# TYPE repro_sim_runs_total counter" in converted.read_text()
+        assert main(["metrics", str(manifest), "--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
-        assert "repro_dist_queue_units" in parsed
+        assert parsed["repro_sim_runs_total"]["kind"] == "counter"
 
     def test_metrics_on_non_snapshot_fails(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
