@@ -39,7 +39,22 @@ from ..types import FloatArray, IntArray
 from ..utility import DelayUtility
 from .welfare import heterogeneous_welfare
 
-__all__ = ["HeterogeneousProblem", "HeterogeneousResult", "greedy_heterogeneous"]
+__all__ = [
+    "GREEDY_CODE_VERSION",
+    "HeterogeneousProblem",
+    "HeterogeneousResult",
+    "greedy_heterogeneous",
+]
+
+#: Version of :func:`greedy_heterogeneous`'s output, keyed into the run
+#: cache (:mod:`repro.simcache`) for trace OPT runs, which are keyed by
+#: their :class:`HeterogeneousProblem` instead of the allocation solved
+#: from it.  Bump whenever a change could alter the returned
+#: *allocation* on some problem (``tests/allocation/
+#: test_greedy_code_version.py`` pins it on seeded problems); cached
+#: OPT runs from older versions then stop matching and are recomputed.
+#: Speedups that return the same allocation bits do not require a bump.
+GREEDY_CODE_VERSION = "2026.10-celf-rows-1"
 
 
 @dataclass(frozen=True)

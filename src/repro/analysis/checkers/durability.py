@@ -86,7 +86,7 @@ def check_durability(
                 hint=(
                     "distributed state must survive torn writes; use "
                     "repro.durable.atomic_write_json / "
-                    "atomic_write_text / append_line, or suppress "
+                    "atomic_write_text, or suppress "
                     f"with # repro-lint: ignore[{CODE}] <why a torn "
                     "file is acceptable here>"
                 ),

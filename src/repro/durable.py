@@ -14,11 +14,6 @@ is:
   truncated-but-renamed JSON file behind.  Filesystems that do not
   support directory fsync (some network mounts) degrade gracefully —
   durability weakens, atomicity does not.
-
-Appends (:func:`append_line`) are single ``write`` calls on an
-``O_APPEND`` descriptor: concurrent writers from multiple processes
-interleave at line granularity, and a reader tolerating one torn final
-line sees a consistent log.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import os
 from typing import Any, Union
 
 __all__ = [
-    "append_line",
     "atomic_write_json",
     "atomic_write_text",
     "fsync_directory",
@@ -115,21 +109,3 @@ def atomic_write_json(
     """Atomically serialize *payload* as JSON to *path* (see above)."""
     atomic_write_text(path, json.dumps(payload), fsync=fsync)
 
-
-def append_line(path: PathLike, line: str, *, fsync: bool = False) -> None:
-    """Append one newline-terminated line with a single ``write``.
-
-    ``O_APPEND`` makes concurrent appends from multiple processes land
-    whole (at ordinary line sizes) on POSIX filesystems; readers must
-    still tolerate a torn final line after a crash.
-    """
-    data = (line.rstrip("\n") + "\n").encode("utf-8")
-    fd = os.open(
-        os.fspath(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-    )
-    try:
-        os.write(fd, data)
-        if fsync:
-            os.fsync(fd)
-    finally:
-        os.close(fd)

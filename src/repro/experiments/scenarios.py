@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..allocation import HeterogeneousProblem, greedy_heterogeneous
+from ..allocation import HeterogeneousProblem, greedy_heterogeneous, submodular
 from ..contacts import ContactTrace, homogeneous_poisson_trace, pair_rate_matrix
 from ..contacts.synthetic import (
     ConferenceTraceConfig,
@@ -59,6 +59,7 @@ from .runner import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dist.executors import ExecutorLike
+    from ..sim import Simulation
 
 __all__ = [
     "Scenario",
@@ -327,6 +328,27 @@ def default_qcr_config(
     return QCRConfig(psi_scale=scale, max_mandates_per_request=25)
 
 
+class _TraceOPT(StaticAllocation):
+    """OPT on a trace: the lazy greedy (Theorem 1) on its pair rates.
+
+    The instance holds the problem, not its solution, and solves it in
+    :meth:`initialize`.  So the run cache keys the run by the problem
+    plus :data:`~repro.allocation.submodular.GREEDY_CODE_VERSION`, and
+    a cache hit never solves.
+    """
+
+    def __init__(self, problem: HeterogeneousProblem) -> None:
+        self.problem = problem
+        self.solver_version = submodular.GREEDY_CODE_VERSION
+        self.name = "OPT"
+
+    def initialize(self, sim: "Simulation") -> None:
+        # The module global, looked up per call, so a probe that patches
+        # ``scenarios.greedy_heterogeneous`` sees every solve.
+        result = greedy_heterogeneous(self.problem)
+        sim.set_initial_allocation(result.allocation)
+
+
 def standard_protocols(
     scenario: Scenario,
     *,
@@ -379,8 +401,7 @@ def standard_protocols(
             ),
             rate_floor=floor,
         )
-        result = greedy_heterogeneous(problem)
-        return StaticAllocation(allocation=result.allocation, name="OPT")
+        return _TraceOPT(problem)
 
     factories: Dict[str, ProtocolFactory] = {}
     for name in include:

@@ -44,7 +44,11 @@ _DEFAULT_CHUNK_EVENTS = 1 << 18
 #: change could alter simulation *results* — cached entries from older
 #: versions then stop matching and are recomputed.  Pure speedups that
 #: keep bit-identity (the contract enforced against ``sim/_reference``)
-#: do not require a bump.
+#: do not require a bump.  Trace OPT runs are keyed by their allocation
+#: problem, not the solved allocation, so the solver has its own version
+#: under the same rule: bump
+#: :data:`repro.allocation.submodular.GREEDY_CODE_VERSION` whenever a
+#: change could alter an allocation ``greedy_heterogeneous`` returns.
 ENGINE_CODE_VERSION = "2026.08-array-core-1"
 
 from ..contacts import ContactTrace

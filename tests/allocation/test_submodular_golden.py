@@ -1,13 +1,13 @@
 """Golden digests of the heterogeneous greedy's output.
 
-The lazy greedy (CELF) is the paper's OPT baseline on traces, and the
-run cache keys every OPT run on the allocation it returns.  These tests
+The lazy greedy (CELF) is the paper's OPT baseline on traces.  These tests
 pin, for a few seeded 50 x 50 instances shaped like the quick Fig. 5
 sweep (50 items, rho = 5, sparse pair rates), a sha256 over the
 returned ``allocation`` bytes, ``float.hex`` of the ``welfare`` and the
 ``evaluations`` count.  Any change to a decision, to the bits of the
 welfare or to how many marginal gains the heap walk consumes moves the
-digest.
+digest.  (A moved allocation also needs a ``GREEDY_CODE_VERSION`` bump;
+``test_greedy_code_version.py`` pins that.)
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Crash-durable file primitives: atomicity, budgets, append semantics."""
+"""Crash-durable file primitives: atomicity and error-text budgets."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.durable import (
     MAX_ERROR_BYTES,
-    append_line,
     atomic_write_json,
     atomic_write_text,
     fsync_directory,
@@ -73,15 +72,3 @@ class TestTruncateErrorText:
         assert len(bounded.encode("utf-8")) <= 128
         assert "truncated" in bounded
 
-
-class TestAppendLine:
-    def test_appends_newline_terminated_lines(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_line(path, "one")
-        append_line(path, "two\n")  # trailing newline not doubled
-        assert path.read_text() == "one\ntwo\n"
-
-    def test_creates_missing_file(self, tmp_path):
-        path = tmp_path / "fresh.jsonl"
-        append_line(path, "first", fsync=True)
-        assert path.read_text() == "first\n"

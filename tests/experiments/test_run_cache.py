@@ -7,7 +7,8 @@ The cache contract has three legs:
   simulations;
 * **invalidation** — the key covers the engine code version, the config
   fingerprint, the seed, and the trace/request/fault content, so
-  changing any of them is a miss;
+  changing any of them is a miss; trace OPT adds its allocation problem
+  and the solver version, and solves only when its run simulates;
 * **robustness** — a corrupted entry is a logged miss, never a crash or
   a wrong result; the same cases run against the work queue's published
   results, which share the entry format.
@@ -19,11 +20,14 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.allocation import submodular
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
 from repro.dist import executors as dist_executors
@@ -35,10 +39,12 @@ from repro.experiments import (
     conference_scenario,
     homogeneous_scenario,
     run_comparison,
+    run_scenario,
     standard_protocols,
     vehicular_scenario,
 )
 from repro.experiments import runner as runner_mod
+from repro.experiments import scenarios as scenarios_mod
 from repro.faults import FaultSchedule
 from repro.obs.log import set_log_stream
 from repro.protocols import prop_protocol, uni_protocol
@@ -52,7 +58,12 @@ from repro.simcache import (
 )
 from repro.sim.metrics import SimulationResult
 from repro.simcache.store import read_entry, result_to_dict, write_entry
-from repro.utility import StepUtility
+from repro.utility import (
+    ExponentialUtility,
+    NegLogUtility,
+    PowerUtility,
+    StepUtility,
+)
 
 N, I, RHO = 8, 6, 2
 DURATION = 120.0
@@ -195,6 +206,138 @@ class TestRunKey:
         protocol.hook = lambda: None  # plain lambdas have no stable key
         with pytest.raises(UncacheableRunError):
             run_key(config(), protocol, 5, trace, requests)
+
+
+#: Builds a small conference trial and prints its trace OPT run key; run
+#: in a fresh interpreter, it must print what ``trace_opt_key()`` returns.
+_TRACE_OPT_KEY_PROBE = """
+from repro.contacts.synthetic import ConferenceTraceConfig
+from repro.demand import generate_requests
+from repro.experiments import conference_scenario, standard_protocols
+from repro.simcache import run_key
+from repro.utility import StepUtility
+
+scenario = conference_scenario(
+    StepUtility(5.0), trace_config=ConferenceTraceConfig(n_nodes=8, n_days=1)
+)
+trace = scenario.trace_factory(1)
+requests = generate_requests(
+    scenario.demand, trace.n_nodes, trace.duration, seed=2
+)
+opt = standard_protocols(scenario, include=("OPT",))["OPT"](trace, requests)
+print(run_key(scenario.config, opt, 7, trace, requests))
+"""
+
+
+def small_conference(utility=StepUtility(5.0), **kwargs):
+    return conference_scenario(
+        utility,
+        trace_config=ConferenceTraceConfig(n_nodes=N, n_days=1),
+        **kwargs,
+    )
+
+
+def trace_opt_key(scenario=None, trace_seed=1, rate_floor=None):
+    """The run key of a trace OPT run whose inputs other than the
+    protocol stay those of ``small_conference()`` on trace seed 1, so
+    the key moves only with the protocol's own state."""
+    base = small_conference()
+    trace = base.trace_factory(1)
+    requests = generate_requests(
+        base.demand, trace.n_nodes, trace.duration, seed=2
+    )
+    scenario = scenario or base
+    protocol_trace = scenario.trace_factory(trace_seed)
+    opt = standard_protocols(
+        scenario, include=("OPT",), rate_floor=rate_floor
+    )["OPT"](protocol_trace, requests)
+    return run_key(base.config, opt, 7, trace, requests)
+
+
+class TestTraceOptKey:
+    """Trace OPT is keyed by its problem plus ``GREEDY_CODE_VERSION``."""
+
+    def test_equal_across_factory_calls_and_processes(self):
+        scenario = small_conference()
+        trace = scenario.trace_factory(1)
+        requests = generate_requests(
+            scenario.demand, trace.n_nodes, trace.duration, seed=2
+        )
+        factory = standard_protocols(scenario, include=("OPT",))["OPT"]
+        keys = {
+            run_key(scenario.config, factory(trace, requests), 7, trace,
+                    requests)
+            for _ in range(2)
+        }
+        assert keys == {trace_opt_key()}
+        src = Path(__file__).resolve().parents[2] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", _TRACE_OPT_KEY_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert child.stdout.split() == [trace_opt_key()]
+
+    def test_key_follows_every_problem_input(self, monkeypatch):
+        base = trace_opt_key()
+        changed = {
+            "trace seed": trace_opt_key(trace_seed=3),
+            "rho": trace_opt_key(small_conference(rho=3)),
+            "rate_floor": trace_opt_key(rate_floor=1e-3),
+            "utility": trace_opt_key(small_conference(StepUtility(6.0))),
+            "demand": trace_opt_key(small_conference(omega=0.5)),
+        }
+        monkeypatch.setattr(
+            submodular, "GREEDY_CODE_VERSION", "9999.99-test-bump"
+        )
+        changed["GREEDY_CODE_VERSION"] = trace_opt_key()
+        assert base not in changed.values()
+        assert len(set(changed.values())) == len(changed)
+
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            StepUtility(5.0),
+            ExponentialUtility(0.1),
+            PowerUtility(0.5),
+            PowerUtility(1.5),
+            NegLogUtility(),
+        ],
+        ids=lambda utility: utility.name,
+    )
+    @pytest.mark.parametrize("kind", ["conference", "vehicular"])
+    def test_keyed_without_solving_for_every_family(
+        self, kind, utility, monkeypatch
+    ):
+        scenario = {
+            "conference": lambda: small_conference(utility),
+            "vehicular": lambda: vehicular_scenario(
+                utility,
+                trace_config=VehicularTraceConfig(
+                    n_nodes=N, duration_hours=2.0, sample_interval_s=60.0
+                ),
+            ),
+        }[kind]()
+        trace = scenario.trace_factory(1)
+        requests = generate_requests(
+            scenario.demand, trace.n_nodes, trace.duration, seed=2
+        )
+        monkeypatch.setattr(
+            scenarios_mod, "greedy_heterogeneous", _never_called
+        )
+        factory = standard_protocols(scenario, include=("OPT",))["OPT"]
+        keys = {
+            run_key(scenario.config, factory(trace, requests), 7, trace,
+                    requests)
+            for _ in range(2)
+        }
+        assert len(keys) == 1
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("building or keying trace OPT must not solve")
 
 
 class TestStore:
@@ -573,6 +716,91 @@ class TestSweepCaching:
             assert np.array_equal(
                 first.stats[name].gain_rates, third.stats[name].gain_rates
             )
+
+
+def counted_solves(monkeypatch):
+    """Counts trace OPT solves through ``scenarios.greedy_heterogeneous``."""
+    solves = {"n": 0}
+    real_greedy = scenarios_mod.greedy_heterogeneous
+
+    def counting_greedy(*args, **kwargs):
+        solves["n"] += 1
+        return real_greedy(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios_mod, "greedy_heterogeneous", counting_greedy)
+    return solves
+
+
+def opt_result_bytes(comparison):
+    return [
+        json.dumps(comparable(result), sort_keys=True).encode()
+        for result in comparison.stats["OPT"].results
+    ]
+
+
+class TestTraceOptSolves:
+    """A trace OPT run solves once when it simulates and never on a hit."""
+
+    TRIALS = 2
+
+    def sweep(self, cache):
+        return run_scenario(
+            small_conference(),
+            n_trials=self.TRIALS,
+            base_seed=5,
+            include=("OPT", "UNI"),
+            run_cache=cache,
+        )
+
+    def test_cold_pass_solves_per_trial_and_warm_pass_never(
+        self, monkeypatch, tmp_path
+    ):
+        solves = counted_solves(monkeypatch)
+        cache = SimulationRunCache(tmp_path / "cache")
+        cold = self.sweep(cache)
+        assert solves["n"] == self.TRIALS
+        warm = self.sweep(cache)
+        assert solves["n"] == self.TRIALS
+        assert cache.stats.hits == 2 * self.TRIALS
+        assert opt_result_bytes(warm) == opt_result_bytes(cold)
+
+    def test_cache_off_solves_once_per_run(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        solves = counted_solves(monkeypatch)
+        self.sweep(False)
+        assert solves["n"] == self.TRIALS
+
+    def test_retry_rebuilds_and_solves_again(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(runner_mod, "RETRY_BACKOFF_S", 0.0)
+        clean = self.sweep(False)
+        solves = counted_solves(monkeypatch)
+        real_simulate = runner_mod.simulate
+        calls = {"n": 0}
+
+        def fails_after_first_run(*args, **kwargs):
+            # The first attempt initializes (and so solves), then fails.
+            calls["n"] += 1
+            result = real_simulate(*args, **kwargs)
+            if calls["n"] == 1:
+                raise RuntimeError("transient")
+            return result
+
+        monkeypatch.setattr(runner_mod, "simulate", fails_after_first_run)
+        scenario = small_conference()
+        retried = run_comparison(
+            trace_factory=scenario.trace_factory,
+            demand=scenario.demand,
+            config=scenario.config,
+            protocols=standard_protocols(scenario, include=("OPT",)),
+            n_trials=1,
+            base_seed=5,
+            on_error="retry",
+            run_cache=SimulationRunCache(tmp_path / "cache"),
+        )
+        assert not retried.failures
+        assert retried.telemetry[0].attempts == 2
+        assert solves["n"] == 2
+        assert opt_result_bytes(retried) == opt_result_bytes(clean)[:1]
 
 
 def _downgrade_to_version_1(path):
