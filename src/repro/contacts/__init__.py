@@ -28,7 +28,18 @@ from .stats import (
 )
 from .trace import ContactTrace
 
+#: Version of what the seeded trace generators realize, keyed into the
+#: run cache wherever a sweep keys a trial's trace by its recipe (the
+#: generator parameters plus the seed) instead of hashing the realized
+#: contacts.  Bump whenever a change could alter the trace a generator
+#: returns for given parameters and seed — cached runs of older versions
+#: then stop matching and are recomputed.  Refactors that keep every
+#: realized trace bit-identical do not require a bump
+#: (``tests/contacts/test_trace_code_version.py`` pins digests).
+TRACE_CODE_VERSION = "2026.10-generators-1"
+
 __all__ = [
+    "TRACE_CODE_VERSION",
     "ContactTrace",
     "homogeneous_poisson_trace",
     "heterogeneous_poisson_trace",

@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import os
 from types import TracebackType
-from typing import BinaryIO, Dict, Optional, Type, Union
+from typing import Dict, Optional, Type, Union
 
 import numpy as np
 
+from ..durable import StagedFile, atomic_write_text
 from ..errors import TraceFormatError
 from ..types import FloatArray, IntArray
 from .trace import ContactTrace
@@ -99,11 +100,16 @@ class BinaryTraceWriter:
         self.n_events = 0
         self._last_time = -np.inf
         os.makedirs(self.path, exist_ok=True)
-        self._handles: Dict[str, BinaryIO] = {}
+        # Overwriting a trace: drop its header first, so the directory
+        # reads as incomplete until close() writes the new one.
+        header_path = os.path.join(self.path, _HEADER_FILE)
+        if os.path.exists(header_path):
+            os.remove(header_path)
+        self._handles: Dict[str, StagedFile] = {}
         try:
             for column, (filename, _) in _COLUMN_FILES.items():
-                self._handles[column] = open(
-                    os.path.join(self.path, filename), "wb"
+                self._handles[column] = StagedFile(
+                    os.path.join(self.path, filename)
                 )
         except OSError:
             self._close_handles()
@@ -152,10 +158,19 @@ class BinaryTraceWriter:
         self._last_time = float(t[-1])
 
     def close(self) -> None:
-        """Flush the columns and write the header, completing the trace."""
+        """Commit the columns, then write the header, completing the trace.
+
+        Columns and header each appear atomically, and the header last,
+        so a writer killed at any point leaves a directory that does not
+        load rather than one that loads wrong contacts.
+        """
         if self._closed:
             return
-        self._close_handles()
+        # No fsync: a killed writer leaves no partial file behind, and
+        # after a power loss the loader's size check rejects a short
+        # column.
+        for handle in self._handles.values():
+            handle.commit()
         header = {
             "format": BINARY_FORMAT_NAME,
             "version": 1,
@@ -172,16 +187,17 @@ class BinaryTraceWriter:
             # fingerprint travelling with a spilled sweep trial); never
             # consulted when loading the columns themselves.
             header["metadata"] = dict(sorted(self.metadata.items()))
-        header_path = os.path.join(self.path, _HEADER_FILE)
-        with open(header_path, "w", encoding="utf-8") as handle:
-            json.dump(header, handle, indent=2)
-            handle.write("\n")
+        atomic_write_text(
+            os.path.join(self.path, _HEADER_FILE),
+            json.dumps(header, indent=2) + "\n",
+            fsync=False,
+        )
         self._closed = True
 
     def _close_handles(self) -> None:
         for handle in self._handles.values():
             try:
-                handle.close()
+                handle.discard()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
 

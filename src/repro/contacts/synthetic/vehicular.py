@@ -23,7 +23,7 @@ import numpy as np
 
 from ...errors import ConfigurationError
 from ...mobility import RandomWaypointModel, extract_contacts
-from ...types import SeedLike, as_rng
+from ...types import FloatArray, SeedLike, as_rng
 from ..trace import ContactTrace
 
 __all__ = ["VehicularTraceConfig", "vehicular_trace"]
@@ -67,6 +67,24 @@ class VehicularTraceConfig:
         """Trace length in minutes."""
         return self.duration_hours * 60.0
 
+    @property
+    def trace_duration(self) -> float:
+        """The ``duration`` of the trace :func:`vehicular_trace` returns.
+
+        That is the last position sample in minutes, which passes
+        :attr:`duration_minutes` when ``sample_interval_s`` does not
+        divide the horizon.
+        """
+        return float(_sample_times_s(self)[-1]) * (1.0 / 60.0)
+
+
+def _sample_times_s(config: VehicularTraceConfig) -> FloatArray:
+    """Position sample times in seconds, through the horizon."""
+    horizon_s = config.duration_hours * 3600.0
+    return np.arange(
+        0.0, horizon_s + config.sample_interval_s, config.sample_interval_s
+    )
+
 
 def vehicular_trace(
     config: VehicularTraceConfig = VehicularTraceConfig(),
@@ -83,8 +101,7 @@ def vehicular_trace(
         pause_max=config.pause_max_s,
         home_std=config.home_zone_std_m,
     )
-    horizon_s = config.duration_hours * 3600.0
-    times_s = np.arange(0.0, horizon_s + config.sample_interval_s, config.sample_interval_s)
+    times_s = _sample_times_s(config)
     positions = model.sample_positions(config.n_nodes, times_s, seed=rng)
     trace_seconds = extract_contacts(
         positions, times_s, radius=config.contact_radius_m

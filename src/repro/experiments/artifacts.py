@@ -26,17 +26,24 @@ realizes a trial's trace once, writes it to the ``.ctb`` binary format
 (content bytes identical to memory, so the fingerprint is preserved),
 and workers ``np.memmap`` the columns instead of regenerating — the
 engine's streamed mode then reads them lazily, also bit-identically.
+
+A trial whose trace comes from a :class:`TraceRecipe` goes one step
+further: its trace is keyed by the recipe and seed, and realized only
+when a run actually simulates, so a sweep whose every run hits the run
+cache never realizes a trace at all.
 """
 
 from __future__ import annotations
 
+import abc
 import os
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from ..contacts import ContactTrace
 from ..contacts.binary import binary_trace_metadata, load_binary, save_binary
 from ..demand import RequestSchedule
 from ..durable import PathLike
+from ..errors import ConfigurationError
 from ..faults import FaultSchedule
 from ..sim.config import SimulationConfig
 from ..sim.events import EventStream, build_event_stream, memmap_backed
@@ -44,10 +51,13 @@ from ..simcache import (
     fingerprint_faults,
     fingerprint_requests,
     fingerprint_trace,
+    fingerprint_trace_recipe,
 )
 
 __all__ = [
     "SPILL_FINGERPRINT_KEY",
+    "TraceRecipe",
+    "TraceShape",
     "TrialArtifacts",
     "load_spilled_trace",
     "spill_trial_trace",
@@ -56,6 +66,44 @@ __all__ = [
 #: Header-metadata key under which a spilled trial trace carries its
 #: precomputed simcache fingerprint.
 SPILL_FINGERPRINT_KEY = "trace_fingerprint"
+
+
+class TraceShape(Protocol):
+    """What protocol factories and request generation read of a trace.
+
+    A :class:`~repro.contacts.ContactTrace` satisfies it, and so does a
+    :class:`TraceRecipe`, which declares its shape without realizing.
+    """
+
+    @property
+    def n_nodes(self) -> int: ...
+
+    @property
+    def duration(self) -> float: ...
+
+
+class TraceRecipe(abc.ABC):
+    """A seeded trace generator described by value.
+
+    Subclasses are frozen, value-equal dataclasses of generator
+    parameters: ``recipe(seed)`` realizes the trace, and ``n_nodes`` /
+    ``duration`` declare its shape without realizing it.  A sweep keys
+    such a trial's trace by :func:`~repro.simcache.fingerprint_trace_recipe`
+    instead of the content hash, so two equal recipes share run-cache
+    entries across processes.
+    """
+
+    if TYPE_CHECKING:  # pragma: no cover - fields or properties of subclasses
+
+        @property
+        def n_nodes(self) -> int: ...
+
+        @property
+        def duration(self) -> float: ...
+
+    @abc.abstractmethod
+    def __call__(self, seed: int) -> ContactTrace:
+        """Realize the trace for *seed*."""
 
 
 class TrialArtifacts:
@@ -67,6 +115,13 @@ class TrialArtifacts:
     passed to the engine — the prebuilt event stream is built from it
     and validated by identity.
 
+    With a *recipe* and its *trace_seed*, the trial's trace fingerprint
+    is the recipe's rather than a content hash, so keying never needs
+    the trace, and *trace* may be ``None``: it is then
+    ``recipe(trace_seed)``, realized on first access of :attr:`trace`.
+    A trace that differs from the shape the recipe declares raises
+    :class:`~repro.errors.ConfigurationError`.
+
     Memoization is per-instance and lazy: nothing is computed until a
     consumer asks, and each artifact is computed at most once.  A
     *trace_fingerprint* passed at construction (recovered from a spill
@@ -75,7 +130,9 @@ class TrialArtifacts:
     """
 
     __slots__ = (
-        "trace",
+        "_trace",
+        "_recipe",
+        "_trace_seed",
         "requests",
         "sim_seed",
         "faults",
@@ -87,14 +144,20 @@ class TrialArtifacts:
 
     def __init__(
         self,
-        trace: ContactTrace,
+        trace: Optional[ContactTrace],
         requests: RequestSchedule,
         sim_seed: int,
         *,
         faults: Optional[FaultSchedule] = None,
         trace_fingerprint: Optional[str] = None,
+        recipe: Optional[TraceRecipe] = None,
+        trace_seed: int = 0,
     ) -> None:
-        self.trace = trace
+        if trace is None and recipe is None:
+            raise ConfigurationError("TrialArtifacts needs a trace or a recipe")
+        self._recipe = recipe
+        self._trace_seed = trace_seed
+        self._trace = None if trace is None else self._checked(trace)
         self.requests = requests
         self.sim_seed = sim_seed
         self.faults = faults
@@ -103,10 +166,45 @@ class TrialArtifacts:
         self._faults_fp: Optional[str] = None
         self._stream: Optional[EventStream] = None
 
+    @property
+    def trace(self) -> ContactTrace:
+        """The trial's contact trace, realized on first access."""
+        if self._trace is None:
+            assert self._recipe is not None
+            self._trace = self._checked(self._recipe(self._trace_seed))
+        return self._trace
+
+    @property
+    def shape(self) -> TraceShape:
+        """What protocol factories see: the recipe when there is one, so
+        building a protocol never realizes the trace."""
+        if self._recipe is not None:
+            return self._recipe
+        return self.trace
+
+    def _checked(self, trace: ContactTrace) -> ContactTrace:
+        recipe = self._recipe
+        if recipe is not None and (
+            trace.n_nodes != recipe.n_nodes
+            or trace.duration != recipe.duration
+        ):
+            raise ConfigurationError(
+                f"{recipe!r} declares {recipe.n_nodes} nodes over "
+                f"{recipe.duration!r} but realized {trace.n_nodes} nodes "
+                f"over {trace.duration!r} for seed {self._trace_seed}"
+            )
+        return trace
+
     def trace_fingerprint(self) -> str:
-        """Memoized :func:`~repro.simcache.fingerprint_trace`."""
+        """Memoized trace key: :func:`~repro.simcache.fingerprint_trace_recipe`
+        for a recipe, else :func:`~repro.simcache.fingerprint_trace`."""
         if self._trace_fp is None:
-            self._trace_fp = fingerprint_trace(self.trace)
+            if self._recipe is not None:
+                self._trace_fp = fingerprint_trace_recipe(
+                    self._recipe, self._trace_seed
+                )
+            else:
+                self._trace_fp = fingerprint_trace(self.trace)
         return self._trace_fp
 
     def requests_fingerprint(self) -> str:

@@ -81,7 +81,13 @@ from ..simcache import (
     run_key,
 )
 from ..types import FloatArray
-from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
+from .artifacts import (
+    TraceRecipe,
+    TraceShape,
+    TrialArtifacts,
+    load_spilled_trace,
+    spill_trial_trace,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (dist imports us lazily)
     from ..dist.executors import ExecutorLike, SweepSpec, WorkUnit
@@ -96,9 +102,12 @@ __all__ = [
     "percentile_interval",
 ]
 
-#: A protocol factory: given the trial's trace and request schedule,
-#: build a fresh protocol instance (heterogeneous OPT needs the trace).
-ProtocolFactory = Callable[[ContactTrace, RequestSchedule], ReplicationProtocol]
+#: A protocol factory: given the trial's trace shape (its ``n_nodes``
+#: and ``duration``) and request schedule, build a fresh protocol
+#: instance.  A sweep over a :class:`~repro.experiments.artifacts.TraceRecipe` passes the
+#: recipe, so building a protocol never realizes the trace; any other
+#: trace factory passes the realized :class:`ContactTrace`.
+ProtocolFactory = Callable[[TraceShape, RequestSchedule], ReplicationProtocol]
 
 #: Faults for a sweep: one shared schedule, or a per-trial factory.
 FaultsLike = Union[FaultSchedule, Callable[[int], FaultSchedule]]
@@ -381,10 +390,11 @@ def _execute_run(
     uncached.
 
     The run uses the trial's shared artifacts: the cache key reuses
-    their memoized content fingerprints instead of re-hashing the
-    arrays per protocol, and the simulation reuses the trial's prebuilt
-    event stream (built from ``inputs.faults``) instead of re-merging —
-    both substitutions are byte-identical.  The protocol instance built
+    their memoized fingerprints instead of re-hashing per protocol (a
+    trace recipe's needs no realized trace at all), and the simulation
+    reuses the trial's prebuilt event stream (built from
+    ``inputs.faults``) instead of re-merging — both substitutions are
+    byte-identical.  The protocol instance built
     to fingerprint the cache key is reused for the first simulation
     attempt rather than discarded and rebuilt (it is factory-fresh
     either way; retries still rebuild).
@@ -394,7 +404,7 @@ def _execute_run(
     probe: Optional[ReplicationProtocol] = None
     if cache is not None:
         try:
-            probe = factory(inputs.trace, inputs.requests)
+            probe = factory(inputs.shape, inputs.requests)
         # repro-lint: ignore[RPL007]
         except Exception:
             # A failing factory is the attempt loop's business (retry
@@ -407,7 +417,7 @@ def _execute_run(
                     config,
                     probe,
                     inputs.sim_seed,
-                    inputs.trace,
+                    None,
                     inputs.requests,
                     inputs.faults,
                     trace_fingerprint=inputs.trace_fingerprint(),
@@ -452,7 +462,7 @@ def _execute_run(
             if attempt == 0 and probe is not None:
                 protocol = probe
             else:
-                protocol = factory(inputs.trace, inputs.requests)
+                protocol = factory(inputs.shape, inputs.requests)
             result = simulate(
                 inputs.trace,
                 inputs.requests,
@@ -544,7 +554,9 @@ def _trial_artifacts(
     fingerprints and premerged event stream, and a process never holds
     two trials' streams.  A spilled trial memory-maps the parent's
     ``.ctb`` copy (with its travelling fingerprint) instead of
-    regenerating the trace; any other trial regenerates from its seed.
+    regenerating the trace.  A trace recipe declares the trace's shape,
+    so requests are generated without it and the trace is realized only
+    when a run simulates; any other factory realizes it here.
     """
     trial, _, trace_seed, request_seed, sim_seed = unit
     if spec.latest_trial is not None and spec.latest_trial[0] == trial:
@@ -553,15 +565,23 @@ def _trial_artifacts(
     timer = Stopwatch()
     faults = spec.faults(trial) if callable(spec.faults) else spec.faults
     spill_path = spec.trial_spills.get(trial)
+    recipe = (
+        spec.trace_factory
+        if isinstance(spec.trace_factory, TraceRecipe)
+        else None
+    )
+    trace: Optional[ContactTrace] = None
     trace_fingerprint: Optional[str] = None
     if spill_path is not None:
         trace, trace_fingerprint = load_spilled_trace(spill_path)
-    else:
+    elif recipe is None:
         trace = spec.trace_factory(trace_seed)
+    shape: Optional[TraceShape] = recipe if recipe is not None else trace
+    assert shape is not None
     requests = generate_requests(
         spec.demand,
-        spec.n_clients or trace.n_nodes,
-        trace.duration,
+        spec.n_clients or shape.n_nodes,
+        shape.duration,
         seed=request_seed,
     )
     artifacts = TrialArtifacts(
@@ -570,6 +590,8 @@ def _trial_artifacts(
         sim_seed,
         faults=faults,
         trace_fingerprint=trace_fingerprint,
+        recipe=recipe,
+        trace_seed=trace_seed,
     )
     timer.stop()
     spec.latest_trial = (trial, artifacts)
@@ -696,12 +718,15 @@ def run_comparison(
     Parameters
     ----------
     trace_factory:
-        Maps a trial seed to a contact trace (synthetic generators close
-        over their configuration here).
+        Maps a trial seed to a contact trace.  A
+        :class:`~repro.experiments.artifacts.TraceRecipe` (what the
+        scenario builders return) keys each trial's trace by the recipe
+        and seed and realizes it only when a run simulates; any other
+        callable is realized per trial and keyed by the trace content.
     protocols:
         Display name -> factory; the factory receives the trial's trace
-        and requests so trace-dependent baselines (heterogeneous OPT) can
-        be built per trial.
+        shape (see :data:`ProtocolFactory`) and requests, so per-trial
+        baselines can be sized to the trial.
     baseline:
         The protocol whose mean gain rate anchors normalized losses.
     faults:
@@ -814,6 +839,10 @@ def run_comparison(
         spill_root = os.fspath(trial_spill_dir)
         os.makedirs(spill_root, exist_ok=True)
         spill_timer = Stopwatch()
+        # A recipe's trace key needs no trace, so none travels with it.
+        keyed_by_content = cache is not None and not isinstance(
+            trace_factory, TraceRecipe
+        )
         for trial in range(n_trials):
             spill_trace = trace_factory(trial_seeds[trial][0])
             trial_spills[trial] = spill_trial_trace(
@@ -821,7 +850,7 @@ def run_comparison(
                 os.path.join(spill_root, f"trial-{trial}.ctb"),
                 trace_fingerprint=(
                     fingerprint_trace(spill_trace)
-                    if cache is not None
+                    if keyed_by_content
                     else None
                 ),
             )

@@ -9,18 +9,23 @@ Three scenario builders mirror the paper's three evaluation settings:
 * :func:`vehicular_scenario` — the Cabspotting-like synthetic trace
   (Section 6.3 / Figure 6).
 
-Each returns a :class:`Scenario` bundling the trace factory, demand, and
-simulation config; :func:`standard_protocols` attaches the paper's
-algorithm suite (OPT / QCR / QCRWOM / SQRT / PROP / UNI / DOM), with OPT
-switching automatically between the Theorem-2 greedy (homogeneous) and
-the submodular lazy greedy on trace-estimated rates (heterogeneous).
+Each returns a :class:`Scenario` bundling a trace recipe
+(:class:`PoissonTraces`, :class:`ConferenceTraces` or
+:class:`VehicularTraces`: value-equal generator parameters, realized per
+trial seed), demand, and simulation config; :func:`standard_protocols`
+attaches the paper's algorithm suite (OPT / QCR / QCRWOM / SQRT / PROP /
+UNI / DOM), with OPT switching automatically between the Theorem-2
+greedy (homogeneous) and the submodular lazy greedy on trace-estimated
+rates (heterogeneous).
 """
 
 from __future__ import annotations
 
+import abc
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from ..protocols import (
 )
 from ..sim import SimulationConfig
 from ..utility import DelayUtility
+from .artifacts import TraceRecipe, TraceShape
 from .runner import (
     ComparisonResult,
     ProgressLike,
@@ -62,7 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulation
 
 __all__ = [
+    "ConferenceTraces",
+    "PoissonTraces",
     "Scenario",
+    "VehicularTraces",
     "homogeneous_scenario",
     "large_scale_scenario",
     "conference_scenario",
@@ -81,6 +90,96 @@ PARETO_OMEGA = 1.0
 #: System-wide request rate (requests per minute); the paper does not
 #: state its value — this yields ~one request per node per 12 minutes.
 TOTAL_DEMAND = 4.0
+
+
+@dataclass(frozen=True)
+class PoissonTraces(TraceRecipe):
+    """Homogeneous Poisson contacts: every pair meets at rate ``mu``."""
+
+    n_nodes: int
+    mu: float
+    duration: float
+
+    def __call__(self, seed: int) -> ContactTrace:
+        # Generators are looked up as module globals per call, so a
+        # probe that patches them here sees every realization.
+        return homogeneous_poisson_trace(
+            self.n_nodes, self.mu, self.duration, seed=seed
+        )
+
+
+_VARIANTS = ("actual", "synthesized", "rate_matched")
+
+
+@dataclass(frozen=True)
+class _SyntheticTraces(TraceRecipe):
+    """A synthetic trace generator and its memoryless control variant.
+
+    ``"actual"`` is the generator's trace; ``"synthesized"`` (identical
+    pair rates, memoryless) and ``"rate_matched"`` (heterogeneous rates
+    kept, memoryless) are drawn from it on an independent child seed.
+    """
+
+    config: Union[ConferenceTraceConfig, VehicularTraceConfig]
+    variant: str = "actual"
+
+    def __post_init__(self) -> None:
+        if self.variant not in _VARIANTS:
+            raise ConfigurationError(
+                f"unknown {type(self).__name__} variant {self.variant!r}"
+            )
+
+    @abc.abstractmethod
+    def _generate(self, seed: int) -> ContactTrace:
+        """The generator's own trace for *seed*."""
+
+    def __call__(self, seed: int) -> ContactTrace:
+        seq = np.random.SeedSequence(seed)
+        gen_seed, control_seed = (
+            int(s.generate_state(1)[0]) for s in seq.spawn(2)
+        )
+        trace = self._generate(gen_seed)
+        if self.variant == "synthesized":
+            return homogenized_poisson(trace, seed=control_seed)
+        if self.variant == "rate_matched":
+            return rate_matched_poisson(trace, seed=control_seed)
+        return trace
+
+
+@dataclass(frozen=True)
+class ConferenceTraces(_SyntheticTraces):
+    """The Infocom'06-like conference trace (or a control of it)."""
+
+    config: ConferenceTraceConfig = ConferenceTraceConfig()
+
+    @property
+    def n_nodes(self) -> int:
+        return self.config.n_nodes
+
+    @property
+    def duration(self) -> float:
+        return self.config.duration
+
+    def _generate(self, seed: int) -> ContactTrace:
+        return conference_trace(self.config, seed=seed)
+
+
+@dataclass(frozen=True)
+class VehicularTraces(_SyntheticTraces):
+    """The Cabspotting-like vehicular trace (or a control of it)."""
+
+    config: VehicularTraceConfig = VehicularTraceConfig()
+
+    @property
+    def n_nodes(self) -> int:
+        return self.config.n_nodes
+
+    @property
+    def duration(self) -> float:
+        return self.config.trace_duration
+
+    def _generate(self, seed: int) -> ContactTrace:
+        return vehicular_trace(self.config, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -137,9 +236,7 @@ def homogeneous_scenario(
     demand = DemandModel.pareto(n_items, omega=omega, total_rate=total_demand)
     return Scenario(
         name="homogeneous",
-        trace_factory=lambda seed: homogeneous_poisson_trace(
-            n_nodes, mu, duration, seed=seed
-        ),
+        trace_factory=PoissonTraces(n_nodes, mu, duration),
         demand=demand,
         config=_base_config(
             utility,
@@ -216,26 +313,12 @@ def conference_scenario(
     pair rates, memoryless), or ``"rate_matched"`` (heterogeneous rates
     preserved, memoryless times).
     """
-    if variant not in ("actual", "synthesized", "rate_matched"):
-        raise ConfigurationError(f"unknown conference variant {variant!r}")
-
-    def factory(seed: int) -> ContactTrace:
-        seq = np.random.SeedSequence(seed)
-        gen_seed, control_seed = (
-            int(s.generate_state(1)[0]) for s in seq.spawn(2)
-        )
-        trace = conference_trace(trace_config, seed=gen_seed)
-        if variant == "synthesized":
-            return homogenized_poisson(trace, seed=control_seed)
-        if variant == "rate_matched":
-            return rate_matched_poisson(trace, seed=control_seed)
-        return trace
-
+    traces = ConferenceTraces(trace_config, variant)
     demand = DemandModel.pareto(n_items, omega=omega, total_rate=total_demand)
     mean_rate = trace_config.mean_pair_rate
     return Scenario(
         name=f"conference[{variant}]",
-        trace_factory=factory,
+        trace_factory=traces,
         demand=demand,
         config=_base_config(
             utility,
@@ -263,28 +346,11 @@ def vehicular_scenario(
     window_length: float = 60.0,
 ) -> Scenario:
     """The Cabspotting-like vehicular setting (Section 6.3, Figure 6)."""
-    if variant not in ("actual", "synthesized", "rate_matched"):
-        raise ConfigurationError(f"unknown vehicular variant {variant!r}")
-
-    def factory(seed: int) -> ContactTrace:
-        seq = np.random.SeedSequence(seed)
-        gen_seed, control_seed = (
-            int(s.generate_state(1)[0]) for s in seq.spawn(2)
-        )
-        trace = vehicular_trace(trace_config, seed=gen_seed)
-        if variant == "synthesized":
-            return homogenized_poisson(trace, seed=control_seed)
-        if variant == "rate_matched":
-            return rate_matched_poisson(trace, seed=control_seed)
-        return trace
-
+    traces = VehicularTraces(trace_config, variant)
     demand = DemandModel.pareto(n_items, omega=omega, total_rate=total_demand)
-    # A rough mean pair rate for QCR's constant: estimated from geometry
-    # (encounters per pair per minute); refined per-trace by OPT anyway.
-    probe = vehicular_trace(trace_config, seed=0)
     return Scenario(
         name=f"vehicular[{variant}]",
-        trace_factory=factory,
+        trace_factory=traces,
         demand=demand,
         config=_base_config(
             utility,
@@ -293,10 +359,20 @@ def vehicular_scenario(
             record_interval=record_interval,
             window_length=window_length,
         ),
-        mu_estimate=max(probe.mean_pair_rate, 1e-6),
+        mu_estimate=max(_vehicular_mean_rate(trace_config), 1e-6),
         heterogeneous=True,
         n_nodes=trace_config.n_nodes,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _vehicular_mean_rate(trace_config: VehicularTraceConfig) -> float:
+    """A rough mean pair rate for QCR's constant, from the seed-0 trace.
+
+    Memoized per (frozen) config: each Fig. 6 sweep point builds its
+    scenario anew, and the probe trace costs about a second.
+    """
+    return vehicular_trace(trace_config, seed=0).mean_pair_rate
 
 
 def default_qcr_config(
@@ -331,21 +407,43 @@ def default_qcr_config(
 class _TraceOPT(StaticAllocation):
     """OPT on a trace: the lazy greedy (Theorem 1) on its pair rates.
 
-    The instance holds the problem, not its solution, and solves it in
-    :meth:`initialize`.  So the run cache keys the run by the problem
-    plus :data:`~repro.allocation.submodular.GREEDY_CODE_VERSION`, and
-    a cache hit never solves.
+    The instance holds the allocation problem minus its rate matrix and,
+    in :meth:`initialize`, estimates the pair rates of the run's trace
+    and solves.  So the run cache keys the run by the problem's other
+    inputs plus :data:`~repro.allocation.submodular.GREEDY_CODE_VERSION`
+    (the trace leg of the key covers the rates), and a cache hit neither
+    realizes the trace nor solves.
     """
 
-    def __init__(self, problem: HeterogeneousProblem) -> None:
-        self.problem = problem
+    def __init__(
+        self,
+        demand: DemandModel,
+        utility: DelayUtility,
+        rho: int,
+        server_of_client: Optional[np.ndarray],
+        rate_floor: float,
+    ) -> None:
+        self.demand = demand
+        self.utility = utility
+        self.rho = rho
+        self.server_of_client = server_of_client
+        self.rate_floor = rate_floor
         self.solver_version = submodular.GREEDY_CODE_VERSION
         self.name = "OPT"
 
     def initialize(self, sim: "Simulation") -> None:
-        # The module global, looked up per call, so a probe that patches
-        # ``scenarios.greedy_heterogeneous`` sees every solve.
-        result = greedy_heterogeneous(self.problem)
+        # Module globals, looked up per call, so a probe that patches
+        # ``scenarios.pair_rate_matrix`` or ``greedy_heterogeneous``
+        # sees every call.
+        problem = HeterogeneousProblem(
+            demand=self.demand,
+            utility=self.utility,
+            rate_matrix=pair_rate_matrix(sim.trace),
+            rho=self.rho,
+            server_of_client=self.server_of_client,
+            rate_floor=self.rate_floor,
+        )
+        result = greedy_heterogeneous(problem)
         sim.set_initial_allocation(result.allocation)
 
 
@@ -370,7 +468,7 @@ def standard_protocols(
         utility, scenario.n_nodes, scenario.mu_estimate
     )
 
-    def make_opt(trace: ContactTrace, _req: RequestSchedule):
+    def make_opt(trace: TraceShape, _req: RequestSchedule):
         if not scenario.heterogeneous:
             return opt_protocol(
                 demand,
@@ -381,7 +479,6 @@ def standard_protocols(
                 pure_p2p=utility.finite_at_zero,
                 n_clients=trace.n_nodes,
             )
-        rates = pair_rate_matrix(trace)
         floor = rate_floor
         if floor is None:
             # A floor is needed whenever a zero fulfillment rate has
@@ -391,17 +488,13 @@ def standard_protocols(
                 utility.gain_never
             ) or not utility.finite_at_zero
             floor = 1.0 / trace.duration if unbounded else 0.0
-        problem = HeterogeneousProblem(
-            demand=demand,
-            utility=utility,
-            rate_matrix=rates,
-            rho=rho,
-            server_of_client=(
-                np.arange(trace.n_nodes) if utility.finite_at_zero else None
-            ),
-            rate_floor=floor,
+        return _TraceOPT(
+            demand,
+            utility,
+            rho,
+            np.arange(trace.n_nodes) if utility.finite_at_zero else None,
+            floor,
         )
-        return _TraceOPT(problem)
 
     factories: Dict[str, ProtocolFactory] = {}
     for name in include:

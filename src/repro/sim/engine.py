@@ -49,6 +49,10 @@ _DEFAULT_CHUNK_EVENTS = 1 << 18
 #: under the same rule: bump
 #: :data:`repro.allocation.submodular.GREEDY_CODE_VERSION` whenever a
 #: change could alter an allocation ``greedy_heterogeneous`` returns.
+#: Sweeps over the scenario trace recipes key each trial's trace by the
+#: recipe and seed, not the realized contacts, so the generators follow
+#: the same rule too: bump :data:`repro.contacts.TRACE_CODE_VERSION`
+#: whenever a change could alter a trace a generator realizes.
 ENGINE_CODE_VERSION = "2026.08-array-core-1"
 
 from ..contacts import ContactTrace

@@ -25,6 +25,7 @@ from .fingerprint import (
     fingerprint_protocol,
     fingerprint_requests,
     fingerprint_trace,
+    fingerprint_trace_recipe,
     run_key,
 )
 from .store import (
@@ -45,6 +46,7 @@ __all__ = [
     "fingerprint_protocol",
     "fingerprint_requests",
     "fingerprint_trace",
+    "fingerprint_trace_recipe",
     "resolve_run_cache",
     "run_key",
 ]

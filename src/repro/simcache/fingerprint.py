@@ -32,6 +32,7 @@ __all__ = [
     "fingerprint_protocol",
     "fingerprint_requests",
     "fingerprint_trace",
+    "fingerprint_trace_recipe",
     "run_key",
 ]
 
@@ -175,6 +176,32 @@ def fingerprint_trace(trace: ContactTrace) -> str:
     return digest.hexdigest()
 
 
+def fingerprint_trace_recipe(recipe: Any, seed: int) -> str:
+    """Key of the trace a value-equal *recipe* realizes from *seed*.
+
+    Stands in for :func:`fingerprint_trace` without realizing anything:
+    it hashes the recipe's structural description, the seed,
+    :data:`repro.contacts.TRACE_CODE_VERSION` and numpy's version (the
+    generators draw from numpy's random streams).  Raises
+    :class:`UncacheableRunError` when the recipe holds state the
+    structural walk cannot describe.
+    """
+    # Read dynamically so a version bump (or a test monkeypatching it)
+    # is picked up by every subsequent key.
+    from .. import contacts
+
+    payload = json.dumps(
+        {
+            "recipe": _describe(recipe),
+            "seed": int(seed),
+            "trace_version": str(contacts.TRACE_CODE_VERSION),
+            "numpy": np.__version__,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def fingerprint_requests(requests: RequestSchedule) -> str:
     """Content hash of a realized request schedule."""
     digest = hashlib.sha256()
@@ -218,7 +245,7 @@ def run_key(
     config: SimulationConfig,
     protocol: ReplicationProtocol,
     sim_seed: int,
-    trace: ContactTrace,
+    trace: Optional[ContactTrace],
     requests: RequestSchedule,
     faults: Optional[FaultSchedule] = None,
     *,
@@ -241,18 +268,20 @@ def run_key(
     otherwise be repeated per protocol.  Callers are responsible for
     the memo matching the passed objects; the sweep runner's
     trial-scoped :class:`~repro.experiments.artifacts.TrialArtifacts`
-    guarantees it by construction.
+    guarantees it by construction.  With a *trace_fingerprint* (the
+    content hash or :func:`fingerprint_trace_recipe`) *trace* may be
+    ``None``, so a trial keyed by its recipe never realizes its trace.
     """
+    if trace_fingerprint is None:
+        if trace is None:
+            raise ValueError("run_key needs a trace or a trace_fingerprint")
+        trace_fingerprint = fingerprint_trace(trace)
     payload = json.dumps(
         {
             "engine_version": _engine_code_version(),
             "config": config.fingerprint(),
             "sim_seed": int(sim_seed),
-            "trace": (
-                trace_fingerprint
-                if trace_fingerprint is not None
-                else fingerprint_trace(trace)
-            ),
+            "trace": trace_fingerprint,
             "requests": (
                 requests_fingerprint
                 if requests_fingerprint is not None

@@ -147,6 +147,25 @@ class TestWriter:
         with pytest.raises(TraceFormatError, match="header"):
             load_binary(path)
 
+    def test_aborted_overwrite_leaves_nothing_loadable(self, trace, tmp_path):
+        """Columns appear only on close and the old header goes first, so
+        a writer killed while overwriting a trace never leaves the old
+        header over new, partial columns."""
+        path = tmp_path / "w.ctb"
+        save_binary(trace, path)
+        writer = BinaryTraceWriter(path, n_nodes=4, duration=10.0)
+        writer.append(np.array([1.0]), np.array([0]), np.array([1]))
+        assert not is_binary_trace(path)
+        # The committed columns are still the old trace's, byte for byte.
+        old = np.fromfile(path / "times.f8", dtype="<f8")
+        assert np.array_equal(old, np.asarray(trace.times))
+        writer._close_handles()  # what __exit__ does on an exception
+        assert sorted(os.listdir(path)) == [
+            "node_a.i8", "node_b.i8", "times.f8"
+        ]
+        with pytest.raises(TraceFormatError, match="header"):
+            load_binary(path)
+
 
 class TestCorruption:
     @pytest.fixture

@@ -7,11 +7,14 @@ The cache contract has three legs:
   simulations;
 * **invalidation** — the key covers the engine code version, the config
   fingerprint, the seed, and the trace/request/fault content, so
-  changing any of them is a miss; trace OPT adds its allocation problem
-  and the solver version, and solves only when its run simulates;
+  changing any of them is a miss.  A scenario's trace is keyed by its
+  recipe (generator parameters, seed, ``TRACE_CODE_VERSION`` and the
+  numpy version) rather than its contacts, so a warm pass realizes no
+  trace; any other trace factory keeps the content hash.  Trace OPT adds
+  its allocation problem and the solver version, and estimates rates
+  and solves only when its run simulates;
 * **robustness** — a corrupted entry is a logged miss, never a crash or
-  a wrong result; the same cases run against the work queue's published
-  results, which share the entry format.
+  a wrong result.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.contacts as contacts_mod
 from repro.allocation import submodular
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
@@ -35,16 +39,25 @@ from repro.contacts.synthetic import (
     ConferenceTraceConfig,
     VehicularTraceConfig,
 )
+from repro.errors import ConfigurationError
 from repro.experiments import (
+    ConferenceTraces,
+    PoissonTraces,
+    TrialArtifacts,
+    VehicularTraces,
     conference_scenario,
+    figure4,
+    figure5,
     homogeneous_scenario,
     run_comparison,
     run_scenario,
     standard_protocols,
     vehicular_scenario,
 )
+from repro.experiments import figures as figures_mod
 from repro.experiments import runner as runner_mod
 from repro.experiments import scenarios as scenarios_mod
+from repro.experiments.profiles import EffortProfile
 from repro.faults import FaultSchedule
 from repro.obs.log import set_log_stream
 from repro.protocols import prop_protocol, uni_protocol
@@ -53,6 +66,8 @@ from repro.simcache import (
     ENV_VAR,
     SimulationRunCache,
     UncacheableRunError,
+    fingerprint_trace,
+    fingerprint_trace_recipe,
     resolve_run_cache,
     run_key,
 )
@@ -208,24 +223,28 @@ class TestRunKey:
             run_key(config(), protocol, 5, trace, requests)
 
 
-#: Builds a small conference trial and prints its trace OPT run key; run
-#: in a fresh interpreter, it must print what ``trace_opt_key()`` returns.
+#: Builds a small conference trial and prints its trace OPT run key as a
+#: sweep computes it (trace keyed by its recipe); run in a fresh
+#: interpreter, it must print what ``trace_opt_key()`` returns.
 _TRACE_OPT_KEY_PROBE = """
 from repro.contacts.synthetic import ConferenceTraceConfig
 from repro.demand import generate_requests
 from repro.experiments import conference_scenario, standard_protocols
-from repro.simcache import run_key
+from repro.simcache import fingerprint_trace_recipe, run_key
 from repro.utility import StepUtility
 
 scenario = conference_scenario(
     StepUtility(5.0), trace_config=ConferenceTraceConfig(n_nodes=8, n_days=1)
 )
-trace = scenario.trace_factory(1)
+recipe = scenario.trace_factory
 requests = generate_requests(
-    scenario.demand, trace.n_nodes, trace.duration, seed=2
+    scenario.demand, recipe.n_nodes, recipe.duration, seed=2
 )
-opt = standard_protocols(scenario, include=("OPT",))["OPT"](trace, requests)
-print(run_key(scenario.config, opt, 7, trace, requests))
+opt = standard_protocols(scenario, include=("OPT",))["OPT"](recipe, requests)
+print(run_key(
+    scenario.config, opt, 7, None, requests,
+    trace_fingerprint=fingerprint_trace_recipe(recipe, 1),
+))
 """
 
 
@@ -238,20 +257,27 @@ def small_conference(utility=StepUtility(5.0), **kwargs):
 
 
 def trace_opt_key(scenario=None, trace_seed=1, rate_floor=None):
-    """The run key of a trace OPT run whose inputs other than the
-    protocol stay those of ``small_conference()`` on trace seed 1, so
-    the key moves only with the protocol's own state."""
+    """The run key of a trace OPT run as a sweep computes it, whose
+    inputs other than the protocol stay those of ``small_conference()``,
+    so the key moves only with the protocol's own state, or with
+    *trace_seed* through the trace leg (the protocol holds no rates)."""
     base = small_conference()
-    trace = base.trace_factory(1)
+    recipe = base.trace_factory
     requests = generate_requests(
-        base.demand, trace.n_nodes, trace.duration, seed=2
+        base.demand, recipe.n_nodes, recipe.duration, seed=2
     )
     scenario = scenario or base
-    protocol_trace = scenario.trace_factory(trace_seed)
     opt = standard_protocols(
         scenario, include=("OPT",), rate_floor=rate_floor
-    )["OPT"](protocol_trace, requests)
-    return run_key(base.config, opt, 7, trace, requests)
+    )["OPT"](scenario.trace_factory, requests)
+    return run_key(
+        base.config,
+        opt,
+        7,
+        None,
+        requests,
+        trace_fingerprint=fingerprint_trace_recipe(recipe, trace_seed),
+    )
 
 
 class TestTraceOptKey:
@@ -264,10 +290,19 @@ class TestTraceOptKey:
             scenario.demand, trace.n_nodes, trace.duration, seed=2
         )
         factory = standard_protocols(scenario, include=("OPT",))["OPT"]
+        # The realized trace and the recipe build the same protocol.
         keys = {
-            run_key(scenario.config, factory(trace, requests), 7, trace,
-                    requests)
-            for _ in range(2)
+            run_key(
+                scenario.config,
+                factory(shape, requests),
+                7,
+                None,
+                requests,
+                trace_fingerprint=fingerprint_trace_recipe(
+                    scenario.trace_factory, 1
+                ),
+            )
+            for shape in (trace, scenario.trace_factory)
         }
         assert keys == {trace_opt_key()}
         src = Path(__file__).resolve().parents[2] / "src"
@@ -801,6 +836,290 @@ class TestTraceOptSolves:
         assert retried.telemetry[0].attempts == 2
         assert solves["n"] == 2
         assert opt_result_bytes(retried) == opt_result_bytes(clean)[:1]
+
+
+#: The small recipes of the recipe key tests, one per scenario builder.
+SMALL_RECIPES = {
+    "poisson": PoissonTraces(N, 0.1, DURATION),
+    "conference": ConferenceTraces(
+        ConferenceTraceConfig(n_nodes=N, n_days=1), "synthesized"
+    ),
+    "vehicular": VehicularTraces(
+        VehicularTraceConfig(
+            n_nodes=N, duration_hours=2.0, sample_interval_s=60.0
+        ),
+        "rate_matched",
+    ),
+}
+
+#: Prints the seed-1 key of every ``SMALL_RECIPES`` entry; run in a fresh
+#: interpreter, it must print what the parent computes.
+_RECIPE_KEY_PROBE = """
+from repro.contacts.synthetic import ConferenceTraceConfig, VehicularTraceConfig
+from repro.experiments import ConferenceTraces, PoissonTraces, VehicularTraces
+from repro.simcache import fingerprint_trace_recipe
+
+for recipe in (
+    PoissonTraces(8, 0.1, 120.0),
+    ConferenceTraces(ConferenceTraceConfig(n_nodes=8, n_days=1), "synthesized"),
+    VehicularTraces(
+        VehicularTraceConfig(n_nodes=8, duration_hours=2.0, sample_interval_s=60.0),
+        "rate_matched",
+    ),
+):
+    print(fingerprint_trace_recipe(recipe, 1))
+"""
+
+
+def trial_inputs(trace_factory, trace_seed=1):
+    """The trial artifacts a serial sweep builds for one unit."""
+    spec = dist_executors.SweepSpec(
+        trace_factory=trace_factory,
+        demand=DemandModel.pareto(I, omega=1.0, total_rate=2.0),
+        config=config(),
+        protocols={},
+        n_clients=None,
+        faults=None,
+        on_error="raise",
+        attempts_per_run=1,
+        profile_dir=None,
+        cache=None,
+    )
+    inputs, _ = runner_mod._trial_artifacts(spec, (0, "UNI", trace_seed, 2, 3))
+    return inputs
+
+
+def bumped(value):
+    """A valid neighbour of one numeric recipe parameter."""
+    return value + 1 if isinstance(value, int) else value + 0.5
+
+
+def one_field_changes(recipe):
+    """Copies of *recipe* that each differ from it in one numeric
+    parameter, its config's fields included (variants are tested on
+    their own)."""
+    changed = {}
+    for spec in dataclasses.fields(recipe):
+        value = getattr(recipe, spec.name)
+        if isinstance(value, str):
+            continue
+        if dataclasses.is_dataclass(value):
+            for inner in dataclasses.fields(value):
+                changed[f"{spec.name}.{inner.name}"] = dataclasses.replace(
+                    recipe,
+                    **{
+                        spec.name: dataclasses.replace(
+                            value,
+                            **{inner.name: bumped(getattr(value, inner.name))},
+                        )
+                    },
+                )
+        else:
+            changed[spec.name] = dataclasses.replace(
+                recipe, **{spec.name: bumped(value)}
+            )
+    return changed
+
+
+class TestRecipeKey:
+    """A scenario's trace is keyed by its recipe, never its contacts."""
+
+    def test_equal_across_rebuilds_and_processes(self, monkeypatch):
+        def no_realization(*args, **kwargs):
+            raise AssertionError("keying a recipe must not realize it")
+
+        for name in ("homogeneous_poisson_trace", "conference_trace",
+                     "vehicular_trace"):
+            monkeypatch.setattr(scenarios_mod, name, no_realization)
+        utility = StepUtility(5.0)
+        builds = {
+            "poisson": lambda: homogeneous_scenario(
+                utility, n_nodes=N, n_items=I, mu=0.1, duration=DURATION
+            ),
+            "conference": lambda: small_conference(variant="synthesized"),
+        }
+        expected = {
+            name: fingerprint_trace_recipe(recipe, 1)
+            for name, recipe in SMALL_RECIPES.items()
+        }
+        for name, build in builds.items():
+            first, second = build().trace_factory, build().trace_factory
+            assert first == second == SMALL_RECIPES[name]
+            assert hash(first) == hash(second)
+            assert trial_inputs(first).trace_fingerprint() == expected[name]
+            assert trial_inputs(second).trace_fingerprint() == expected[name]
+        src = Path(__file__).resolve().parents[2] / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", _RECIPE_KEY_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert child.stdout.split() == list(expected.values())
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_RECIPES))
+    def test_key_moves_with_every_input(self, kind, monkeypatch):
+        recipe = SMALL_RECIPES[kind]
+        base = fingerprint_trace_recipe(recipe, 1)
+        keys = {
+            field: fingerprint_trace_recipe(changed, 1)
+            for field, changed in one_field_changes(recipe).items()
+        }
+        keys["seed"] = fingerprint_trace_recipe(recipe, 2)
+        if kind != "poisson":
+            for variant in ("actual", "synthesized", "rate_matched"):
+                keys[f"variant={variant}"] = fingerprint_trace_recipe(
+                    dataclasses.replace(recipe, variant=variant), 1
+                )
+            keys.pop(f"variant={recipe.variant}")
+        monkeypatch.setattr(
+            contacts_mod, "TRACE_CODE_VERSION", "9999.99-test-bump"
+        )
+        keys["TRACE_CODE_VERSION"] = fingerprint_trace_recipe(recipe, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(np, "__version__", "0.0-test")
+        keys["numpy"] = fingerprint_trace_recipe(recipe, 1)
+        assert base not in keys.values()
+        assert len(set(keys.values())) == len(keys)
+
+    def test_plain_callable_keeps_the_content_hash(self):
+        recipe = SMALL_RECIPES["poisson"]
+        inputs = trial_inputs(lambda seed: recipe(seed))
+        assert inputs.trace_fingerprint() == fingerprint_trace(recipe(1))
+        assert trial_inputs(recipe).trace_fingerprint() == (
+            fingerprint_trace_recipe(recipe, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "realized", [(N - 1, DURATION), (N, DURATION / 2)],
+        ids=["n_nodes", "duration"],
+    )
+    def test_misdeclared_shape_raises(self, realized):
+        n_nodes, duration = realized
+
+        @dataclasses.dataclass(frozen=True)
+        class Misdeclared(PoissonTraces):
+            def __call__(self, seed):
+                return homogeneous_poisson_trace(
+                    n_nodes, self.mu, duration, seed=seed
+                )
+
+        with pytest.raises(ConfigurationError, match="declares"):
+            trial_inputs(Misdeclared(N, 0.1, DURATION)).trace
+        demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
+        with pytest.raises(ConfigurationError, match="declares"):
+            run_comparison(
+                trace_factory=Misdeclared(N, 0.1, DURATION),
+                demand=demand,
+                config=config(),
+                protocols={
+                    "UNI": lambda tr, rq: uni_protocol(demand, tr.n_nodes, RHO)
+                },
+                n_trials=1,
+                baseline="UNI",
+                run_cache=False,
+            )
+
+
+#: One trial, one sweep point per panel, a short homogeneous horizon.
+TINY = EffortProfile(
+    label="tiny",
+    n_trials=1,
+    duration=200.0,
+    power_alphas=(0.0,),
+    step_taus=(10.0,),
+    exp_nus=(0.1,),
+)
+
+#: The scenario module globals that realize a trace or estimate its
+#: rates; ``conference_trace`` and ``homogeneous_poisson_trace`` are each
+#: called exactly once per realized trial.
+TRACE_GLOBALS = (
+    "conference_trace",
+    "homogenized_poisson",
+    "homogeneous_poisson_trace",
+    "pair_rate_matrix",
+)
+
+
+class TestWarmPassRealizesNothing:
+    """A figure re-rendered over a filled cache realizes no trace."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """Every ComparisonResult the figure's sweeps return, in order."""
+        seen = []
+        for name in ("run_comparison", "run_scenario"):
+            real = getattr(figures_mod, name)
+
+            def keep(*args, _real=real, **kwargs):
+                seen.append(_real(*args, **kwargs))
+                return seen[-1]
+
+            monkeypatch.setattr(figures_mod, name, keep)
+        return seen
+
+    @staticmethod
+    def realizations(monkeypatch):
+        counts = {"n": 0}
+        for name in ("conference_trace", "homogeneous_poisson_trace"):
+            real = getattr(scenarios_mod, name)
+
+            def counted(*args, _real=real, **kwargs):
+                counts["n"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scenarios_mod, name, counted)
+        return counts
+
+    @staticmethod
+    def result_bytes(sweeps):
+        return [
+            json.dumps(comparable(result), sort_keys=True).encode()
+            for comparison in sweeps
+            for name in sorted(comparison.stats)
+            for result in comparison.stats[name].results
+        ]
+
+    @pytest.mark.parametrize("figure", [figure4, figure5])
+    def test_warm_pass_is_byte_identical_without_traces(
+        self, figure, sweeps, monkeypatch, tmp_path
+    ):
+        cache = SimulationRunCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            counts = self.realizations(patch)
+            cold = figure(TINY, run_cache=cache, executor="serial")
+        n_trials = sum(comparison.n_trials for comparison in sweeps)
+        assert counts["n"] == n_trials
+        n_runs = cache.stats.misses
+        cold_bytes = self.result_bytes(sweeps)
+        sweeps.clear()
+
+        def never(*args, **kwargs):
+            raise AssertionError("a warm pass must not realize or simulate")
+
+        for name in TRACE_GLOBALS:
+            monkeypatch.setattr(scenarios_mod, name, never)
+        monkeypatch.setattr(runner_mod, "simulate", never)
+        warm = figure(TINY, run_cache=cache, executor="serial")
+        assert cache.stats.hits == n_runs and cache.stats.misses == n_runs
+        assert all(
+            t.status == "cached"
+            for comparison in sweeps
+            for t in comparison.telemetry
+        )
+        assert self.result_bytes(sweeps) == cold_bytes
+        assert warm.render() == cold.render()
+
+    @pytest.mark.parametrize("figure", [figure4, figure5])
+    def test_cache_off_realizes_once_per_trial(
+        self, figure, sweeps, monkeypatch
+    ):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        counts = self.realizations(monkeypatch)
+        figure(TINY, run_cache=False, executor="serial")
+        assert counts["n"] == sum(c.n_trials for c in sweeps) > 0
 
 
 def _downgrade_to_version_1(path):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.contacts.synthetic import ConferenceTraceConfig, VehicularTraceConfig
+from repro.contacts.synthetic import (
+    ConferenceTraceConfig,
+    VehicularTraceConfig,
+    vehicular_trace,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import (
     default_qcr_config,
@@ -15,6 +19,7 @@ from repro.experiments import (
     standard_protocols,
     vehicular_scenario,
 )
+from repro.experiments import scenarios as scenarios_mod
 from repro.utility import ExponentialUtility, PowerUtility, StepUtility
 
 FAST_CONF = ConferenceTraceConfig(n_nodes=12, n_days=1)
@@ -54,6 +59,21 @@ class TestBuilders:
         )
         assert scenario.heterogeneous
         assert scenario.mu_estimate > 0
+
+    def test_vehicular_probe_is_memoized(self, monkeypatch):
+        scenarios_mod._vehicular_mean_rate.cache_clear()
+        first = vehicular_scenario(StepUtility(60.0), trace_config=FAST_VEH)
+        fresh = max(vehicular_trace(FAST_VEH, seed=0).mean_pair_rate, 1e-6)
+        assert first.mu_estimate == fresh
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a second build must not realize a trace")
+
+        monkeypatch.setattr(scenarios_mod, "vehicular_trace", no_trace)
+        second = vehicular_scenario(
+            ExponentialUtility(0.1), trace_config=FAST_VEH, variant="synthesized"
+        )
+        assert second.mu_estimate == fresh
 
     def test_trace_factories_deterministic(self):
         scenario = conference_scenario(
