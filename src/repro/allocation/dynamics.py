@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..demand import DemandModel
 from ..errors import ConfigurationError
@@ -98,6 +97,8 @@ def replica_dynamics(
         at_cap = x >= n_servers
         flow[at_cap] = np.minimum(flow[at_cap], 0.0)
         return flow
+
+    from scipy.integrate import solve_ivp
 
     solution = solve_ivp(
         rhs,

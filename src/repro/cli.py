@@ -20,9 +20,11 @@ Subcommands:
     Run a crash-wave robustness scenario (QCR vs static OPT under fault
     injection) and print recovery metrics plus a replica-count timeline.
 ``repro metrics``
-    Dump or convert a metrics snapshot — a run/sweep manifest or a raw
-    registry snapshot — to Prometheus text exposition or pretty JSON
-    (see docs/observability.md).
+    Dump or convert a metrics snapshot to Prometheus text exposition or
+    pretty JSON: a run manifest from ``repro simulate --manifest-out``, a
+    sweep manifest saved from Python (``ComparisonResult.manifest``, which
+    embeds the registry snapshot under ``REPRO_METRICS=1``), or a raw
+    registry snapshot (see docs/observability.md).
 ``repro bench``
     Time the simulation engine against its frozen pre-optimization
     baseline and a serial vs. parallel sweep; write ``BENCH_speed.json``.
@@ -968,8 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_cmd.add_argument(
         "source",
         help=(
-            "snapshot file: a run/sweep manifest JSON or a raw "
-            "registry snapshot JSON"
+            "snapshot file: a run manifest (repro simulate "
+            "--manifest-out), a sweep manifest saved from Python "
+            "(ComparisonResult.manifest, with REPRO_METRICS=1), or a "
+            "raw registry snapshot JSON"
         ),
     )
     metrics_cmd.add_argument(

@@ -37,7 +37,6 @@ from abc import ABC, abstractmethod
 from typing import Iterable
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import UtilityDomainError
 from ..types import ArrayLike, FloatArray
@@ -133,14 +132,14 @@ class DelayUtility(ABC):
         def integrand(t: float) -> float:
             return float(self(t)) * rate * math.exp(-rate * t)
 
+        from scipy.integrate import quad
+
         # quad does not accept break points together with an infinite bound,
         # so split at a few mean-multiples: the head panel isolates the
         # possible singularity of h at zero.
         split = 10.0 / rate
-        head, _ = integrate.quad(
-            integrand, 0.0, split, points=[0.0], limit=200
-        )
-        tail, _ = integrate.quad(integrand, split, math.inf, limit=200)
+        head, _ = quad(integrand, 0.0, split, points=[0.0], limit=200)
+        tail, _ = quad(integrand, split, math.inf, limit=200)
         return head + tail
 
     def expected_gains(self, rates: Iterable[float]) -> FloatArray:

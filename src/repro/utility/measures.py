@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from scipy import integrate
-
 from ..analysis.annotations import declared_effects
 
 __all__ = ["Atom", "DifferentialMeasure"]
@@ -114,6 +112,8 @@ class DifferentialMeasure:
     def _integrate_density(
         self, weight: Callable[[float], float], upper: float, rtol: float
     ) -> float:
+        from scipy.integrate import quad
+
         density = self.density
         assert density is not None
 
@@ -136,14 +136,12 @@ class DifferentialMeasure:
             if right <= left:
                 continue
             if math.isinf(right):
-                value, _ = integrate.quad(
-                    integrand, left, right, epsrel=rtol, limit=200
-                )
+                value, _ = quad(integrand, left, right, epsrel=rtol, limit=200)
             # repro-lint: ignore[RPL005] panel edges are constructed from
             # the literal 0.0 above, so the sentinel compare is exact.
             elif left == 0.0 and self.singular_at_zero:
                 # quad handles endpoint singularities if told where they are.
-                value, _ = integrate.quad(
+                value, _ = quad(
                     integrand,
                     left,
                     right,
@@ -152,9 +150,7 @@ class DifferentialMeasure:
                     points=[left],
                 )
             else:
-                value, _ = integrate.quad(
-                    integrand, left, right, epsrel=rtol, limit=200
-                )
+                value, _ = quad(integrand, left, right, epsrel=rtol, limit=200)
             total += value
         return total
 

@@ -245,7 +245,10 @@ class TestSweepCli:
     def test_sweep_manifest_metrics_convert(
         self, capsys, tmp_path, monkeypatch
     ):
-        """``repro metrics`` converts a sweep manifest's embedded snapshot."""
+        """``repro metrics`` converts a sweep manifest's embedded snapshot.
+
+        No command writes a sweep manifest: it is saved from Python as
+        ``ComparisonResult.manifest``, as here."""
         from repro.experiments import homogeneous_scenario, run_scenario
         from repro.obs import metrics as obs_metrics
         from repro.utility import StepUtility
@@ -263,7 +266,7 @@ class TestSweepCli:
         try:
             result = run_scenario(
                 scenario,
-                n_trials=1,
+                n_trials=2,
                 base_seed=3,
                 include=("OPT", "UNI"),
                 run_cache=False,
@@ -273,10 +276,14 @@ class TestSweepCli:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(result.manifest))
 
-        assert main(["metrics", str(manifest)]) == 0
+        assert main(["metrics", str(manifest), "--format", "prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_sim_runs_total counter" in out
-        assert 'repro_sim_runs_total{protocol="UNI"} 1' in out
+        assert 'repro_sim_runs_total{protocol="UNI"} 2' in out
+        # The export is the sweep's registry snapshot, sample for sample.
+        assert out == obs_metrics.render_prometheus(result.manifest["metrics"])
+        assert main(["metrics", str(manifest)]) == 0
+        assert capsys.readouterr().out == out
 
         converted = tmp_path / "snap.prom"
         assert main(["metrics", str(manifest), "-o", str(converted)]) == 0
