@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .runner import CHECKS, run_analysis
-
 __all__ = ["add_analyze_arguments", "cmd_analyze"]
 
 DEFAULT_PATHS = ("src/repro",)
@@ -42,6 +40,10 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _render_catalog() -> str:
+    # The analyzer loads only when asked for, so every other ``repro``
+    # command starts without its call graph and checkers.
+    from .runner import CHECKS
+
     lines = []
     for code, (name, text) in sorted(CHECKS.items()):
         lines.append(f"{code} {name}")
@@ -55,6 +57,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     Exit codes: 0 clean, 1 errors or parse errors.  RPA004 warnings
     never affect the exit code.
     """
+    from .runner import run_analysis
+
     if args.list_rules:
         print(_render_catalog())
         return 0

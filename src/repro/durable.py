@@ -11,7 +11,7 @@ is:
 * *durability* — with ``fsync=True`` (the default) the file's bytes are
   flushed to stable storage **before** the rename, and the parent
   directory entry is flushed after it, so a power loss cannot leave a
-  truncated-but-renamed JSON file behind.  Filesystems that do not
+  truncated-but-renamed file behind.  Filesystems that do not
   support directory fsync (some network mounts) degrade gracefully —
   durability weakens, atomicity does not.
 """
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 __all__ = [
     "StagedFile",
+    "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
     "fsync_directory",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: A bytes-like chunk: ``bytes``, ``bytearray`` or a ``memoryview``.
+Buffer = Union[bytes, bytearray, memoryview]
 
 #: Byte budget for persisted error strings (tracebacks, exception
 #: messages).  A recursive repr or a deeply nested traceback can reach
@@ -75,25 +79,28 @@ def fsync_directory(path: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
-    path: PathLike, text: str, *, fsync: bool = True
+def atomic_write_bytes(
+    path: PathLike, chunks: Iterable[Buffer], *, fsync: bool = True
 ) -> None:
-    """Atomically (and, by default, durably) replace *path* with *text*.
+    """Atomically (and, by default, durably) replace *path* with the
+    concatenation of *chunks*, written in order.
 
     The temp file lives in the target directory so the final
-    ``os.replace`` never crosses a filesystem boundary.  Errors
-    propagate as ``OSError`` after the temp file is cleaned up.
+    ``os.replace`` never crosses a filesystem boundary.  Errors (an
+    ``OSError``, or whatever producing a chunk raised) propagate after
+    the temp file is cleaned up, leaving any old *path* intact.
     """
     target = os.fspath(path)
     tmp_path = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(tmp_path, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(tmp_path, target)
-    except OSError:
+    except BaseException:
         if os.path.exists(tmp_path):
             try:
                 os.remove(tmp_path)
@@ -102,6 +109,13 @@ def atomic_write_text(
         raise
     if fsync:
         fsync_directory(os.path.dirname(target) or ".")
+
+
+def atomic_write_text(
+    path: PathLike, text: str, *, fsync: bool = True
+) -> None:
+    """Atomically write *text* to *path* as UTF-8 (see above)."""
+    atomic_write_bytes(path, (text.encode("utf-8"),), fsync=fsync)
 
 
 def atomic_write_json(

@@ -1,6 +1,6 @@
 """Disk storage for cached simulation runs.
 
-Entries live under ``<root>/<key[:2]>/<key>.json`` (two-level fan-out
+Entries live under ``<root>/<key[:2]>/<key>.entry`` (two-level fan-out
 keeps directories small) and are written atomically and durably
 (temp file + fsync + ``os.replace`` + parent-directory fsync, see
 :mod:`repro.durable`), so concurrent sweep workers — which share the
@@ -12,33 +12,46 @@ cache never turns a corrupted file into a crash or a wrong result.
 
 This module owns the one on-disk format of a completed
 :class:`~repro.sim.metrics.SimulationResult`: the versioned
-``repro-simcache-entry`` envelope written by :func:`write_entry` and
+``repro-simcache-entry`` file written by :func:`write_entry` and
 validated by :func:`read_entry`.  The run cache stores entries under
 content keys.
 
-In a version-2 entry every array field of the result is an object
-``{"dtype": "<f8" | "<i8", "shape": [...], "data": <base64>}``: the
-array's C-contiguous little-endian bytes, base64-encoded so the entry
-stays one JSON file (one atomic write, no sidecar) and loads without
-parsing thousands of float reprs.  The bytes round-trip exactly,
-including ``-0.0``, NaN payloads and subnormals.  Scalars and
-``manifest`` stay plain JSON.  Entries of any other version (the
-version-1 entries stored arrays as JSON lists) are warned misses, which
-the next store rewrites.
+A version-3 entry is one binary file:
+
+* an 8-byte magic, ``b"RPSIMC"`` followed by the version as a
+  little-endian u16;
+* the header's length in bytes, a little-endian u64;
+* the header, UTF-8 JSON: ``format``, ``version``, the ``key`` the entry
+  was stored under, and ``result``, which holds every scalar field,
+  ``manifest``, and for each array field ``{"dtype": "<f8" | "<i8",
+  "shape": [...], "offset": ..., "nbytes": ...}``.  Spaces pad it so
+  that the body starts 8-aligned;
+* the body: each array's C-contiguous little-endian bytes, in field
+  order, each starting at an 8-aligned ``offset`` from the body start.
+
+A read is one ``readinto`` of the whole file and one ``np.frombuffer``
+view per array, with no decoding, and every bit round-trips (``-0.0``,
+NaN payloads, subnormals).  The reader accepts only the layout the
+writer produces: a wrong magic, format, version or key, a header that
+is not JSON or overruns the file, a dtype other than the field's
+canonical one, a byte count that does not fill the shape, an array out
+of place, or bytes past the last array make the entry a warned miss.
+Version-2 entries (one JSON file with base64 arrays, ``<key>.json``)
+are never read: their runs miss once and are stored anew.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 import math
 import os
-from typing import Any, Dict, Optional, Union
+import struct
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..durable import atomic_write_json
+from ..durable import atomic_write_bytes
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..sim.metrics import SimulationResult
@@ -70,7 +83,16 @@ DEFAULT_CACHE_ROOT = os.path.join(
 )
 
 _FORMAT = "repro-simcache-entry"
-_VERSION = 2
+_VERSION = 3
+_MAGIC_PREFIX = b"RPSIMC"
+_MAGIC = _MAGIC_PREFIX + _VERSION.to_bytes(2, "little")
+#: Magic, then the header length.
+_PREAMBLE = struct.Struct("<8sQ")
+_ALIGN = 8
+
+_SUFFIX = ".entry"
+#: Version-2 entries, listed so ``repro cache info|clear`` see them.
+_LEGACY_SUFFIX = ".json"
 
 _OFF_VALUES = frozenset({"0", "off", "false", "no"})
 _ON_VALUES = frozenset({"1", "on", "true", "yes"})
@@ -100,20 +122,30 @@ _ARRAY_DTYPES = {
     ),
 }
 
+#: The array fields in dataclass order: the order of an entry's body.
+_ARRAY_FIELDS = tuple(
+    spec.name
+    for spec in dataclasses.fields(SimulationResult)
+    if spec.name in _ARRAY_DTYPES
+)
+
 
 def _encode_array(name: str, value: np.ndarray) -> Dict[str, Any]:
     array = np.ascontiguousarray(value, dtype=_ARRAY_DTYPES[name])
     return {
         "dtype": array.dtype.str,
         "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+        "data": array.tobytes(),
     }
 
 
 def _decode_array(name: str, value: Any) -> np.ndarray:
     """Rebuild one array stored by :func:`_encode_array` as a writeable,
     C-contiguous native int64/float64 array; raises ``ValueError`` on a
-    payload that does not describe exactly one such array."""
+    payload that does not describe exactly one such array.
+
+    A writeable buffer (an entry's ``bytearray``) is viewed, not copied.
+    """
     dtype = _ARRAY_DTYPES[name]
     if not isinstance(value, dict) or value.get("dtype") != dtype.str:
         raise ValueError(f"{name}: not a {dtype.str} array payload")
@@ -123,23 +155,26 @@ def _decode_array(name: str, value: Any) -> np.ndarray:
     ):
         raise ValueError(f"{name}: bad shape {shape!r}")
     data = value.get("data")
-    if not isinstance(data, str):
-        raise ValueError(f"{name}: array data is not a string")
-    raw = base64.b64decode(data, validate=True)
-    if len(raw) != math.prod(shape) * dtype.itemsize:
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError(f"{name}: array data is not bytes")
+    nbytes = memoryview(data).nbytes
+    if nbytes != math.prod(shape) * dtype.itemsize:
         raise ValueError(
-            f"{name}: {len(raw)} bytes do not hold shape {tuple(shape)}"
+            f"{name}: {nbytes} bytes do not hold shape {tuple(shape)}"
         )
-    # A bytearray, because frombuffer over immutable bytes is read-only.
-    array = np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+    array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    if not array.flags.writeable:
+        # frombuffer over immutable bytes is read-only.
+        array = array.copy()
     return array.astype(dtype.type, copy=False)
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    """Convert a :class:`SimulationResult` to a JSON-serializable dict.
+    """Convert a :class:`SimulationResult` to a dict of plain values.
 
-    Arrays are stored as their raw bytes (see the module docstring), so
-    a result rebuilt by :func:`result_from_dict` is bit-identical to the
+    Every array becomes ``{"dtype", "shape", "data"}`` with its raw
+    little-endian bytes as ``data`` (see the module docstring), so a
+    result rebuilt by :func:`result_from_dict` is bit-identical to the
     stored one, and two results convert to equal dicts only when their
     arrays are equal byte for byte.
     """
@@ -186,44 +221,127 @@ def write_entry(
     The write is atomic and fsynced.  Raises :class:`OSError` when the
     write fails.
     """
-    payload: Dict[str, Any] = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "key": key,
-        "result": result_to_dict(result),
-    }
-    atomic_write_json(path, payload, fsync=True)
+    fields = result_to_dict(result)
+    body: List[bytes] = []
+    offset = 0
+    for name in _ARRAY_FIELDS:
+        array = fields[name]
+        if array is None:
+            continue
+        # Every stored dtype is 8 bytes wide, so the next array starts
+        # 8-aligned with no padding.
+        data = array.pop("data")
+        array["offset"] = offset
+        array["nbytes"] = len(data)
+        body.append(data)
+        offset += len(data)
+    header = json.dumps(
+        {"format": _FORMAT, "version": _VERSION, "key": key, "result": fields}
+    ).encode("utf-8")
+    header += b" " * (-(_PREAMBLE.size + len(header)) % _ALIGN)
+    atomic_write_bytes(
+        path, [_PREAMBLE.pack(_MAGIC, len(header)), header, *body], fsync=True
+    )
 
 
-def read_entry(path: PathLike) -> SimulationResult:
-    """Load and validate the entry at *path*.
+def _parse_entry(buffer: bytearray, key: str) -> Dict[str, Any]:
+    """The ``result`` payload of the entry in *buffer*, its arrays as
+    writeable views of *buffer*; raises :class:`CorruptEntryError`."""
+    if len(buffer) < _PREAMBLE.size:
+        raise CorruptEntryError("not a cache entry: shorter than its preamble")
+    magic, header_length = _PREAMBLE.unpack_from(buffer)
+    if magic != _MAGIC:
+        if magic.startswith(_MAGIC_PREFIX):
+            raise CorruptEntryError(
+                f"entry version {int.from_bytes(magic[6:], 'little')}, "
+                f"this build reads version {_VERSION}"
+            )
+        raise CorruptEntryError("not a cache entry: bad magic")
+    body_start = _PREAMBLE.size + header_length
+    if body_start > len(buffer):
+        raise CorruptEntryError(
+            f"header of {header_length} bytes runs past the end of the entry"
+        )
+    if body_start % _ALIGN:
+        raise CorruptEntryError(f"body starts at {body_start}, not 8-aligned")
+    view = memoryview(buffer)
+    try:
+        header = json.loads(str(view[_PREAMBLE.size:body_start], "utf-8"))
+    except ValueError as error:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError.
+        raise CorruptEntryError(f"unreadable header: {error}") from error
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != _FORMAT
+        or not isinstance(header.get("result"), dict)
+    ):
+        raise CorruptEntryError("not a valid cache entry")
+    if header.get("version") != _VERSION:
+        raise CorruptEntryError(
+            f"entry version {header.get('version')!r}, this build reads "
+            f"version {_VERSION}"
+        )
+    if header.get("key") != key:
+        raise CorruptEntryError(
+            f"entry stored for key {header.get('key')!r}, read for {key!r}"
+        )
+    fields: Dict[str, Any] = header["result"]
+    body = view[body_start:]
+    cursor = 0
+    for name in _ARRAY_FIELDS:
+        array = fields.get(name)
+        if array is None:
+            continue
+        if not isinstance(array, dict):
+            raise CorruptEntryError(f"{name}: not an array descriptor")
+        offset, nbytes = array.pop("offset", None), array.pop("nbytes", None)
+        if type(offset) is not int or type(nbytes) is not int or nbytes < 0:
+            raise CorruptEntryError(f"{name}: bad offset or nbytes")
+        if offset % _ALIGN:
+            raise CorruptEntryError(f"{name}: offset {offset} not 8-aligned")
+        end = offset + nbytes
+        if end > len(body):
+            raise CorruptEntryError(
+                f"{name}: bytes {offset}..{end} past the end of a "
+                f"{len(body)}-byte body"
+            )
+        if offset != cursor:
+            raise CorruptEntryError(
+                f"{name}: offset {offset}, the previous array ends at {cursor}"
+            )
+        array["data"] = body[offset:end]
+        cursor = end
+    if cursor != len(body):
+        raise CorruptEntryError(
+            f"{len(body) - cursor} bytes past the last array"
+        )
+    return fields
+
+
+def read_entry(path: PathLike, key: str) -> SimulationResult:
+    """Load and validate the entry for content key *key* at *path*.
 
     Raises :class:`FileNotFoundError` when there is no entry, and
     :class:`CorruptEntryError` (with the reason) when the file is
-    unreadable, is not valid UTF-8 JSON, is not an entry of this
-    build's version, or holds a result that no longer rebuilds.
+    unreadable, is not an entry of this build's version laid out as
+    :func:`write_entry` lays it out, was stored under another key (a
+    copied or renamed file), or holds a result that no longer rebuilds.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            buffer = bytearray(os.fstat(handle.fileno()).st_size)
+            n_read = handle.readinto(buffer)
     except FileNotFoundError:
         raise
-    except (OSError, ValueError) as error:
-        # ValueError covers json.JSONDecodeError and UnicodeDecodeError.
+    except OSError as error:
         raise CorruptEntryError(f"unreadable entry: {error}") from error
-    if (
-        not isinstance(data, dict)
-        or data.get("format") != _FORMAT
-        or not isinstance(data.get("result"), dict)
-    ):
-        raise CorruptEntryError("not a valid cache entry")
-    if data.get("version") != _VERSION:
+    if n_read != len(buffer):
         raise CorruptEntryError(
-            f"entry version {data.get('version')!r}, this build reads "
-            f"version {_VERSION}"
+            f"read {n_read} of the entry's {len(buffer)} bytes"
         )
+    fields = _parse_entry(buffer, key)
     try:
-        return result_from_dict(data["result"])
+        return result_from_dict(fields)
     # Any malformed payload must surface as a corrupt entry, whatever
     # the rebuild raises.  # repro-lint: ignore[RPL007]
     except Exception as error:
@@ -273,7 +391,7 @@ class SimulationRunCache:
     # addressing
     # ------------------------------------------------------------------
     def _entry_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
+        return os.path.join(self.root, key[:2], key + _SUFFIX)
 
     # ------------------------------------------------------------------
     # access
@@ -281,13 +399,13 @@ class SimulationRunCache:
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for *key*, or ``None`` on a miss.
 
-        A corrupted entry (unreadable file, bad JSON, wrong format, or a
-        payload that no longer rebuilds) counts as a miss and logs a
-        warning — it is never allowed to crash the sweep.
+        A corrupted entry (unreadable file, wrong format or key, a
+        broken layout, or a payload that no longer rebuilds) counts as a
+        miss and logs a warning — it is never allowed to crash the sweep.
         """
         path = self._entry_path(key)
         try:
-            result = read_entry(path)
+            result = read_entry(path, key)
         except FileNotFoundError:
             self.stats.misses += 1
             self._count("miss")
@@ -331,7 +449,7 @@ class SimulationRunCache:
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
+                if name.endswith((_SUFFIX, _LEGACY_SUFFIX)):
                     entries.append(os.path.join(shard_dir, name))
         return entries
 

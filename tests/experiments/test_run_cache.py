@@ -19,10 +19,12 @@ The cache contract has three legs:
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +45,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ConferenceTraces,
     PoissonTraces,
-    TrialArtifacts,
     VehicularTraces,
     conference_scenario,
     figure4,
@@ -497,9 +498,9 @@ def special_result():
 
 
 def _entry_round_trip(result, tmp_path):
-    path = tmp_path / "entry.json"
+    path = tmp_path / "k.entry"
     write_entry(path, "k", result)
-    return read_entry(path)
+    return read_entry(path, "k")
 
 
 def _cache_round_trip(result, tmp_path):
@@ -528,27 +529,114 @@ class TestEntryFormat:
                 assert y.shape == x.shape, spec.name
                 assert y.tobytes() == np.ascontiguousarray(x).tobytes()
                 assert y.flags.writeable and y.flags.c_contiguous, spec.name
+                assert y.flags.aligned, spec.name
             elif isinstance(x, float):
                 assert float.hex(y) == float.hex(x), spec.name
             else:
                 assert y == x, spec.name
 
-    def test_arrays_are_base64_of_little_endian_bytes(self):
-        payload = result_to_dict(special_result())
+    def test_arrays_are_little_endian_bytes(self):
+        original = special_result()
+        payload = result_to_dict(original)
         assert payload["final_counts"]["dtype"] == "<i8"
         assert payload["final_counts"]["shape"] == [4]
+        assert payload["final_counts"]["data"] == (
+            original.final_counts.astype("<i8").tobytes()
+        )
         assert payload["snapshot_counts"]["shape"] == [0, 4]
+        assert payload["snapshot_counts"]["data"] == b""
         assert payload["delays"]["dtype"] == "<f8"
+        assert payload["delays"]["data"] == (
+            np.ascontiguousarray(original.delays, dtype="<f8").tobytes()
+        )
         assert payload["snapshot_tracked"] is None
-        json.dumps(payload)  # still one plain JSON document
+
+    def test_entry_is_magic_header_then_aligned_array_bytes(self, tmp_path):
+        original = special_result()
+        path = tmp_path / "k.entry"
+        write_entry(path, "k", original)
+        magic, header, body = _split_entry(path)
+        assert magic == b"RPSIMC\x03\x00"
+        # The body starts 8-aligned.
+        assert (path.stat().st_size - len(body)) % 8 == 0
+        assert header["format"] == "repro-simcache-entry"
+        assert header["version"] == 3 and header["key"] == "k"
+        cursor = 0
+        for name, value in result_to_dict(original).items():
+            if not (isinstance(value, dict) and "data" in value):
+                continue
+            spec = header["result"][name]
+            assert spec["offset"] == cursor and spec["offset"] % 8 == 0
+            assert spec["nbytes"] == len(value["data"])
+            assert body[cursor:cursor + spec["nbytes"]] == value["data"]
+            cursor += spec["nbytes"]
+        assert cursor == len(body)
+
+    def test_fresh_interpreter_reads_what_this_process_wrote(self, tmp_path):
+        cache = SimulationRunCache(tmp_path / "cache")
+        key = "ef" + "0" * 62
+        cache.put(key, special_result())
+        copy = tmp_path / "copy.entry"
+        src = Path(__file__).resolve().parents[2] / "src"
+        subprocess.run(
+            [sys.executable, "-c", _FRESH_READ_PROBE, cache.root, key,
+             str(copy)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        # The child rebuilt the result and stored it again: the writer
+        # is deterministic, so equal bytes mean an exact rebuild.
+        assert copy.read_bytes() == Path(cache._entry_path(key)).read_bytes()
+
+
+#: Reads an entry in a new interpreter and writes what it rebuilt.
+_FRESH_READ_PROBE = """
+import sys
+from repro.simcache import SimulationRunCache
+from repro.simcache.store import write_entry
+root, key, copy = sys.argv[1:]
+result = SimulationRunCache(root).get(key)
+assert result is not None, "the fresh interpreter missed"
+write_entry(copy, key, result)
+"""
+
+
+def _split_entry(path):
+    """The magic, JSON header and body of the entry at *path*."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:16], "little")
+    return raw[:8], json.loads(raw[16:16 + length]), raw[16 + length:]
+
+
+def _join_entry(path, magic, header, body):
+    """Write an entry from its parts, with a consistent header length."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    text += b" " * (-(16 + len(text)) % 8)
+    path.write_bytes(magic + len(text).to_bytes(8, "little") + text + body)
 
 
 def _rewrite(path, edit):
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    edit(data)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
+    magic, header, body = _split_entry(path)
+    edit(header)
+    _join_entry(path, magic, header, body)
+
+
+def _edit_raw(edit):
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _edit_header_bytes(text):
+    def damage(path):
+        magic, _, body = _split_entry(path)
+        _join_entry(path, magic, text, body)
+    return damage
+
+
+def _edit_magic(magic):
+    def damage(path):
+        _, header, body = _split_entry(path)
+        _join_entry(path, magic, header, body)
+    return damage
 
 
 def _drop_required_field(data):
@@ -559,32 +647,72 @@ def _edit_delays(edit):
     return lambda path: _rewrite(path, lambda d: edit(d["result"]["delays"]))
 
 
-#: One way each to damage a stored run; every one must warn and miss.
+#: One way each to damage a stored run, with the reason its warning
+#: names; every one must warn and miss.
 CORRUPTIONS = {
-    "truncated-json": lambda path: path.write_bytes(
-        path.read_bytes()[: len(path.read_bytes()) // 2]
+    "truncated-body": (
+        _edit_raw(lambda raw: raw[:-8]), "past the end"
     ),
-    "non-utf8": lambda path: path.write_bytes(
-        b"\xff\xfe" + path.read_bytes()
+    "trailing-bytes": (
+        _edit_raw(lambda raw: raw + bytes(8)), "bytes past the last array"
     ),
-    "wrong-format": lambda path: _rewrite(
-        path, lambda d: d.update(format="repro-sweep-result")
+    "bad-magic": (
+        _edit_raw(lambda raw: b"NOTANENT" + raw[8:]), "bad magic"
     ),
-    "wrong-version": lambda path: _rewrite(
-        path, lambda d: d.update(version=99)
+    "header-past-eof": (
+        _edit_raw(
+            lambda raw: raw[:8] + len(raw).to_bytes(8, "little") + raw[16:]
+        ),
+        "runs past the end",
     ),
-    "non-dict-result": lambda path: _rewrite(
-        path, lambda d: d.update(result=[1, 2, 3])
+    "header-not-json": (_edit_header_bytes(b"{ torn"), "unreadable header"),
+    "header-unpadded": (
+        _edit_raw(
+            lambda raw: raw[:8]
+            + (int.from_bytes(raw[8:16], "little") - 1).to_bytes(8, "little")
+            + raw[16:]
+        ),
+        "not 8-aligned",
     ),
-    "does-not-rebuild": lambda path: _rewrite(path, _drop_required_field),
-    # Three ways an array payload can lie about its bytes.
-    "bad-array-payload-base64": _edit_delays(
-        lambda a: a.update(data=a["data"][:-3])
+    "non-utf8-header": (
+        _edit_header_bytes(b'\xff\xfe{"format": 1}'), "unreadable header"
     ),
-    "bad-array-payload-length": _edit_delays(
-        lambda a: a.update(shape=[a["shape"][0] + 1])
+    "non-dict-result": (
+        lambda path: _rewrite(path, lambda d: d.update(result=[1, 2, 3])),
+        "not a valid cache entry",
     ),
-    "bad-array-payload-dtype": _edit_delays(lambda a: a.update(dtype=">f8")),
+    "wrong-format": (
+        lambda path: _rewrite(
+            path, lambda d: d.update(format="repro-sweep-result")
+        ),
+        "not a valid cache entry",
+    ),
+    "wrong-version": (
+        lambda path: _rewrite(path, lambda d: d.update(version=99)),
+        "entry version 99",
+    ),
+    "wrong-version-magic": (
+        _edit_magic(b"RPSIMC\x02\x00"), "entry version 2"
+    ),
+    "does-not-rebuild": (
+        lambda path: _rewrite(path, _drop_required_field),
+        "does not rebuild",
+    ),
+    # Four ways an array descriptor can lie about its bytes.
+    "bad-array-dtype": (
+        _edit_delays(lambda a: a.update(dtype=">f8")), "not a <f8 array"
+    ),
+    "bad-array-nbytes": (
+        _edit_delays(lambda a: a.update(shape=[a["shape"][0] + 1])),
+        "do not hold shape",
+    ),
+    "bad-array-offset-out-of-range": (
+        _edit_delays(lambda a: a.update(offset=1 << 40)), "past the end"
+    ),
+    "bad-array-offset-unaligned": (
+        _edit_delays(lambda a: a.update(offset=a["offset"] + 4)),
+        "not 8-aligned",
+    ),
 }
 
 
@@ -626,7 +754,8 @@ class TestCorruptEntries:
         intact = store.read()
         assert intact is not None
         assert intact.total_gain == result.total_gain
-        CORRUPTIONS[corruption](path)
+        damage, reason = CORRUPTIONS[corruption]
+        damage(path)
         stream = io.StringIO()
         set_log_stream(stream)
         try:
@@ -634,7 +763,31 @@ class TestCorruptEntries:
         finally:
             set_log_stream(None)
         assert "corrupt" in stream.getvalue()
+        assert reason in stream.getvalue()
         store.check_discarded(path)
+
+    def test_entry_under_another_key_warns_and_misses(self, tmp_path):
+        """A copied or renamed entry file is not the run its name says."""
+        demand, trace, requests = workload()
+        result = simulate(
+            trace, requests, config(), prop_protocol(demand, N, RHO), seed=5
+        )
+        cache = SimulationRunCache(tmp_path / "cache")
+        stored, other = "ab" + "0" * 62, "cd" + "1" * 62
+        cache.put(stored, result)
+        copy = Path(cache._entry_path(other))
+        copy.parent.mkdir(parents=True)
+        shutil.copyfile(cache._entry_path(stored), copy)
+        stream = io.StringIO()
+        set_log_stream(stream)
+        try:
+            assert cache.get(other) is None
+        finally:
+            set_log_stream(None)
+        assert "skipping corrupted cache entry" in stream.getvalue()
+        assert f"entry stored for key '{stored}'" in stream.getvalue()
+        assert cache.stats.errors == 1 and cache.stats.misses == 1
+        assert cache.get(stored) is not None
 
 
 class TestResolve:
@@ -720,16 +873,18 @@ class TestSweepCaching:
         result = sweep(demand, config(), None)
         assert "run_cache" not in result.manifest
 
-    def test_version_1_entry_is_rewritten_on_the_next_sweep(self, tmp_path):
-        """A list-encoded (version-1) entry is a warned miss; the rerun
-        stores it again as the current version, which then hits."""
+    def test_version_2_json_entry_is_stored_anew(self, tmp_path):
+        """A version-2 entry (``<key>.json``) is never read: its run is
+        a plain miss, stored again as the current version, which then
+        hits; ``clear`` removes both files."""
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
         cache = SimulationRunCache(tmp_path / "cache")
         first = sweep(demand, config(), cache)
         paths = [Path(p) for p in cache._entry_files()]
         assert len(paths) == 4
         for path in paths:
-            _downgrade_to_version_1(path)
+            _store_as_version_2(path)
+        assert len(cache) == 4  # legacy files are listed
 
         stream = io.StringIO()
         set_log_stream(stream)
@@ -737,12 +892,13 @@ class TestSweepCaching:
             sweep(demand, config(), cache)
         finally:
             set_log_stream(None)
-        assert stream.getvalue().count("skipping corrupted cache entry") == 4
-        assert "entry version 1" in stream.getvalue()
-        assert cache.stats.hits == 0 and cache.stats.errors == 4
-        assert cache.stats.stores == 8
+        assert "skipping corrupted cache entry" not in stream.getvalue()
+        assert cache.stats.hits == 0 and cache.stats.errors == 0
+        assert cache.stats.misses == 8 and cache.stats.stores == 8
         for path in paths:
-            assert json.loads(path.read_text())["version"] == 2
+            assert path.read_bytes()[:8] == b"RPSIMC\x03\x00"
+            assert path.with_suffix(".json").exists()
+        assert cache.info()["n_entries"] == 8
 
         third = sweep(demand, config(), cache)
         assert cache.stats.hits == 4
@@ -751,6 +907,10 @@ class TestSweepCaching:
             assert np.array_equal(
                 first.stats[name].gain_rates, third.stats[name].gain_rates
             )
+        assert cache.clear() == 8
+        assert not [
+            name for _, _, names in os.walk(cache.root) for name in names
+        ]
 
 
 def counted_solves(monkeypatch):
@@ -768,7 +928,7 @@ def counted_solves(monkeypatch):
 
 def opt_result_bytes(comparison):
     return [
-        json.dumps(comparable(result), sort_keys=True).encode()
+        repr(comparable(result)).encode()
         for result in comparison.stats["OPT"].results
     ]
 
@@ -1076,7 +1236,7 @@ class TestWarmPassRealizesNothing:
     @staticmethod
     def result_bytes(sweeps):
         return [
-            json.dumps(comparable(result), sort_keys=True).encode()
+            repr(comparable(result)).encode()
             for comparison in sweeps
             for name in sorted(comparison.stats)
             for result in comparison.stats[name].results
@@ -1122,19 +1282,22 @@ class TestWarmPassRealizesNothing:
         assert counts["n"] == sum(c.n_trials for c in sweeps) > 0
 
 
-def _downgrade_to_version_1(path):
-    """Rewrite *path* as the version-1 format stored it: every array as
-    a JSON list of its values."""
-    result = read_entry(path)
-    data = json.loads(path.read_text())
-    data["version"] = 1
-    data["result"] = {}
-    for spec in dataclasses.fields(SimulationResult):
-        value = getattr(result, spec.name)
-        data["result"][spec.name] = (
-            value.tolist() if isinstance(value, np.ndarray) else value
+def _store_as_version_2(path):
+    """Replace the entry at *path* with the file version 2 stored: one
+    JSON document at ``<key>.json`` holding every array as the base64 of
+    its bytes."""
+    key = path.stem
+    data = {"format": "repro-simcache-entry", "version": 2, "key": key}
+    data["result"] = {
+        name: (
+            {**value, "data": base64.b64encode(value["data"]).decode("ascii")}
+            if isinstance(value, dict) and "data" in value
+            else value
         )
-    path.write_text(json.dumps(data))
+        for name, value in result_to_dict(read_entry(path, key)).items()
+    }
+    path.with_suffix(".json").write_text(json.dumps(data))
+    path.unlink()
 
 
 class TestWorkerCap:
