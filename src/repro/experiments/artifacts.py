@@ -30,14 +30,16 @@ engine's streamed mode then reads them lazily, also bit-identically.
 A trial whose trace comes from a :class:`TraceRecipe` goes one step
 further: its trace is keyed by the recipe and seed, and realized only
 when a run actually simulates, so a sweep whose every run hits the run
-cache never realizes a trace at all.
+cache never realizes a trace at all.  A sweep trial's requests are
+handled the same way, keyed by their
+:class:`~repro.experiments.runner.RequestRecipe` and seed.
 """
 
 from __future__ import annotations
 
 import abc
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple
 
 from ..contacts import ContactTrace
 from ..contacts.binary import binary_trace_metadata, load_binary, save_binary
@@ -49,10 +51,14 @@ from ..sim.config import SimulationConfig
 from ..sim.events import EventStream, build_event_stream, memmap_backed
 from ..simcache import (
     fingerprint_faults,
+    fingerprint_request_recipe,
     fingerprint_requests,
     fingerprint_trace,
     fingerprint_trace_recipe,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (runner imports us)
+    from .runner import RequestRecipe, RequestSource
 
 __all__ = [
     "SPILL_FINGERPRINT_KEY",
@@ -120,7 +126,8 @@ class TrialArtifacts:
     the trace, and *trace* may be ``None``: it is then
     ``recipe(trace_seed)``, realized on first access of :attr:`trace`.
     A trace that differs from the shape the recipe declares raises
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`.  A *request_recipe* and
+    its *request_seed* do the same for *requests*.
 
     Memoization is per-instance and lazy: nothing is computed until a
     consumer asks, and each artifact is computed at most once.  A
@@ -133,37 +140,49 @@ class TrialArtifacts:
         "_trace",
         "_recipe",
         "_trace_seed",
-        "requests",
+        "_requests",
+        "_request_recipe",
+        "_request_seed",
         "sim_seed",
         "faults",
         "_trace_fp",
         "_requests_fp",
         "_faults_fp",
+        "_config_fp",
         "_stream",
     )
 
     def __init__(
         self,
         trace: Optional[ContactTrace],
-        requests: RequestSchedule,
+        requests: Optional[RequestSchedule],
         sim_seed: int,
         *,
         faults: Optional[FaultSchedule] = None,
         trace_fingerprint: Optional[str] = None,
         recipe: Optional[TraceRecipe] = None,
         trace_seed: int = 0,
+        request_recipe: Optional["RequestRecipe"] = None,
+        request_seed: int = 0,
     ) -> None:
         if trace is None and recipe is None:
             raise ConfigurationError("TrialArtifacts needs a trace or a recipe")
+        if requests is None and request_recipe is None:
+            raise ConfigurationError(
+                "TrialArtifacts needs requests or a request recipe"
+            )
         self._recipe = recipe
         self._trace_seed = trace_seed
         self._trace = None if trace is None else self._checked(trace)
-        self.requests = requests
+        self._request_recipe = request_recipe
+        self._request_seed = request_seed
+        self._requests = requests
         self.sim_seed = sim_seed
         self.faults = faults
         self._trace_fp = trace_fingerprint
         self._requests_fp: Optional[str] = None
         self._faults_fp: Optional[str] = None
+        self._config_fp: Optional[Tuple[SimulationConfig, str]] = None
         self._stream: Optional[EventStream] = None
 
     @property
@@ -175,12 +194,28 @@ class TrialArtifacts:
         return self._trace
 
     @property
+    def requests(self) -> RequestSchedule:
+        """The trial's request schedule, generated on first access."""
+        if self._requests is None:
+            assert self._request_recipe is not None
+            self._requests = self._request_recipe(self._request_seed)
+        return self._requests
+
+    @property
     def shape(self) -> TraceShape:
         """What protocol factories see: the recipe when there is one, so
         building a protocol never realizes the trace."""
         if self._recipe is not None:
             return self._recipe
         return self.trace
+
+    @property
+    def request_source(self) -> "RequestSource":
+        """What protocol factories get for the requests: the recipe when
+        there is one, so building a protocol never generates them."""
+        if self._request_recipe is not None:
+            return self._request_recipe
+        return self.requests
 
     def _checked(self, trace: ContactTrace) -> ContactTrace:
         recipe = self._recipe
@@ -208,9 +243,16 @@ class TrialArtifacts:
         return self._trace_fp
 
     def requests_fingerprint(self) -> str:
-        """Memoized :func:`~repro.simcache.fingerprint_requests`."""
+        """Memoized requests key:
+        :func:`~repro.simcache.fingerprint_request_recipe` for a recipe,
+        else :func:`~repro.simcache.fingerprint_requests`."""
         if self._requests_fp is None:
-            self._requests_fp = fingerprint_requests(self.requests)
+            if self._request_recipe is not None:
+                self._requests_fp = fingerprint_request_recipe(
+                    self._request_recipe, self._request_seed
+                )
+            else:
+                self._requests_fp = fingerprint_requests(self.requests)
         return self._requests_fp
 
     def faults_fingerprint(self) -> str:
@@ -218,6 +260,20 @@ class TrialArtifacts:
         if self._faults_fp is None:
             self._faults_fp = fingerprint_faults(self.faults)
         return self._faults_fp
+
+    def config_fingerprint(self, config: SimulationConfig) -> str:
+        """*config*'s :meth:`~repro.sim.SimulationConfig.fingerprint`,
+        memoized for this trial while the same config object is passed.
+
+        The memo lives here, not on the config: utilities are mutable
+        objects, and a trial's runs share one config that nothing
+        mutates while they key.
+        """
+        memo = self._config_fp
+        if memo is None or memo[0] is not config:
+            memo = (config, config.fingerprint())
+            self._config_fp = memo
+        return memo[1]
 
     def event_stream(self, config: SimulationConfig) -> Optional[EventStream]:
         """The trial's merged event stream, built lazily at most once.

@@ -39,7 +39,7 @@ from ..contacts.synthetic import (
     rate_matched_poisson,
     vehicular_trace,
 )
-from ..demand import DemandModel, RequestSchedule
+from ..demand import DemandModel
 from ..durable import PathLike
 from ..errors import ConfigurationError
 from ..protocols import (
@@ -59,6 +59,7 @@ from .runner import (
     ComparisonResult,
     ProgressLike,
     ProtocolFactory,
+    RequestSource,
     RunCacheLike,
     run_comparison,
 )
@@ -468,7 +469,7 @@ def standard_protocols(
         utility, scenario.n_nodes, scenario.mu_estimate
     )
 
-    def make_opt(trace: TraceShape, _req: RequestSchedule):
+    def make_opt(trace: TraceShape, _req: RequestSource):
         if not scenario.heterogeneous:
             return opt_protocol(
                 demand,

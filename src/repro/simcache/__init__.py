@@ -23,6 +23,7 @@ from .fingerprint import (
     UncacheableRunError,
     fingerprint_faults,
     fingerprint_protocol,
+    fingerprint_request_recipe,
     fingerprint_requests,
     fingerprint_trace,
     fingerprint_trace_recipe,
@@ -44,6 +45,7 @@ __all__ = [
     "UncacheableRunError",
     "fingerprint_faults",
     "fingerprint_protocol",
+    "fingerprint_request_recipe",
     "fingerprint_requests",
     "fingerprint_trace",
     "fingerprint_trace_recipe",
