@@ -39,10 +39,8 @@ __all__ = ["Surface", "collect_surfaces"]
 _ENGINE_METHODS = (
     "_build_event_stream",
     "_check_prebuilt",
-    "_install_side_state",
     "_iter_chunks",
     "_iter_counted_chunks",
-    "_iter_streamed_chunks",
     "_run_dispatch",
     "_run_plain",
     "_run_static",
@@ -102,10 +100,8 @@ def collect_surfaces(graph: CallGraph) -> List[Surface]:
     )
     for name in (
         "build_event_stream",
-        "compute_plain_payloads",
         "cut_chunks",
         "server_slot_payloads",
-        "stream_side_state",
     ):
         add(
             f"{pkg}.sim.events:{name}",

@@ -51,7 +51,6 @@ from .allocation import greedy_homogeneous, solve_relaxed
 from .contacts import (
     detect_trace_format,
     load_contact_trace,
-    save_binary,
     save_csv,
     save_jsonl,
     summarize,
@@ -213,8 +212,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for case in report["engine"]["cases"]
             if not case["bit_identical"]
         ]
-        if not report["streamed"]["bit_identical"]:
-            unfaithful.append("streamed")
         amort = report["sweep_amortization"]
         unfaithful.extend(
             f"sweep_amortization.{name}"
@@ -239,11 +236,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             failed = True
         if failed:
             return 1
-        streamed_rate = report["streamed"]["streamed_events_per_sec"]
         print(
             f"perf gate passed: engine min_speedup {observed:.3f}x >= "
             f"{args.min_speedup:.3f}x, all cases bit-identical, "
-            f"streamed {streamed_rate / 1e6:.2f}M events/s, "
             f"sweep amortization {amort_speedup:.2f}x"
         )
     return 0
@@ -366,11 +361,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
     print(summarize(trace))
     if args.output:
-        # Extension picks the format: .ctb -> binary columns,
-        # .jsonl -> JSONL, anything else -> CSV.
-        if args.output.endswith(".ctb"):
-            save_binary(trace, args.output)
-        elif args.output.endswith(".jsonl"):
+        # Extension picks the format: .jsonl -> JSONL, anything else
+        # -> CSV.
+        if args.output.endswith(".jsonl"):
             save_jsonl(trace, args.output)
         else:
             save_csv(trace, args.output)
@@ -379,7 +372,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
-    # Contact traces (CSV/JSONL/interval/binary) get contact statistics;
+    # Contact traces (CSV/JSONL/interval) get contact statistics;
     # anything else is summarized as a JSONL telemetry event log.
     detected = detect_trace_format(args.file)
     if detected is not None:
@@ -436,28 +429,21 @@ def _cmd_trace_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    # Contact traces (CSV/JSONL/interval/binary) are detected by content
-    # and round-trip between each other; anything else is treated as a
-    # JSONL telemetry trace, which has no binary representation.
+    # Contact traces (CSV/JSONL/interval) are detected by content and
+    # round-trip between each other; anything else is treated as a
+    # JSONL telemetry trace.
     detected = detect_trace_format(args.file)
     if detected is not None:
         trace = load_contact_trace(args.file, fmt=detected)
         if args.format == "csv":
             save_csv(trace, args.output)
-        elif args.format == "jsonl":
-            save_jsonl(trace, args.output)
         else:
-            save_binary(trace, args.output)
+            save_jsonl(trace, args.output)
         print(
             f"converted {len(trace)} contacts to {args.output} "
             f"({detected} -> {args.format})"
         )
         return 0
-    if args.format == "binary":
-        raise ConfigurationError(
-            f"{args.file} is not a contact trace; telemetry traces "
-            "cannot be converted to the binary contact format"
-        )
     events = iter_events(args.file)
     if args.format == "csv":
         n = write_events_csv(events, args.output)
@@ -754,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         gen.add_argument("--seed", type=int, default=0)
         gen.add_argument(
             "--output",
-            help="save the trace here (.ctb: binary, .jsonl: JSONL, else CSV)",
+            help="save the trace here (.jsonl: JSONL, else CSV)",
         )
         gen.set_defaults(func=_cmd_trace, kind=kind)
 
@@ -793,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     trc_convert = trc_sub.add_parser(
         "convert",
         help=(
-            "convert a contact trace between csv/jsonl/binary, or a "
+            "convert a contact trace between csv/jsonl, or a "
             "JSONL telemetry trace to CSV/JSONL"
         ),
     )
@@ -803,9 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     trc_convert.add_argument("output", help="destination path")
     trc_convert.add_argument(
         "--format",
-        choices=("csv", "jsonl", "binary"),
+        choices=("csv", "jsonl"),
         default="csv",
-        help="binary: memmap-ready column directory (contact traces only)",
     )
     trc_convert.set_defaults(func=_cmd_trace_convert)
 

@@ -1,12 +1,5 @@
 """Contact traces: containers, I/O, statistics, and generators."""
 
-from .binary import (
-    binary_trace_metadata,
-    BinaryTraceWriter,
-    is_binary_trace,
-    load_binary,
-    save_binary,
-)
 from .discrete import bernoulli_slot_trace
 from .io import (
     detect_trace_format,
@@ -57,9 +50,4 @@ __all__ = [
     "load_jsonl",
     "detect_trace_format",
     "load_contact_trace",
-    "BinaryTraceWriter",
-    "binary_trace_metadata",
-    "is_binary_trace",
-    "load_binary",
-    "save_binary",
 ]

@@ -348,16 +348,12 @@ def load_jsonl(path: PathLike) -> ContactTrace:
 def detect_trace_format(path: PathLike) -> Optional[str]:
     """Best-effort sniff of a contact-trace container at *path*.
 
-    Returns ``"binary"``, ``"csv"``, ``"jsonl"``, or ``"interval"`` when
-    *path* looks like one of the supported contact-trace formats, and
-    ``None`` when it does not (e.g. a telemetry event log).  A path
-    that does not exist at all raises :class:`TraceFormatError` rather
-    than being reported as merely unrecognized.
+    Returns ``"csv"``, ``"jsonl"``, or ``"interval"`` when *path* looks
+    like one of the supported contact-trace formats, and ``None`` when it
+    does not (e.g. a telemetry event log or a directory).  A path that
+    does not exist at all raises :class:`TraceFormatError` rather than
+    being reported as merely unrecognized.
     """
-    from .binary import is_binary_trace
-
-    if is_binary_trace(path):
-        return "binary"
     if not os.path.exists(path):
         raise TraceFormatError(f"{path}: no such file or directory")
     if os.path.isdir(path):
@@ -399,15 +395,11 @@ def load_contact_trace(
 ) -> ContactTrace:
     """Load a contact trace in any supported format.
 
-    *fmt* forces a format (``binary``/``csv``/``jsonl``/``interval``);
-    when omitted it is sniffed with :func:`detect_trace_format`.
+    *fmt* forces a format (``csv``/``jsonl``/``interval``); when omitted
+    it is sniffed with :func:`detect_trace_format`.
     """
-    from .binary import load_binary
-
     if fmt is None:
         fmt = detect_trace_format(path)
-    if fmt == "binary":
-        return load_binary(path)
     if fmt == "csv":
         return load_csv(path)
     if fmt == "jsonl":

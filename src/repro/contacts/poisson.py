@@ -4,44 +4,17 @@ Section 3.4: contacts between nodes ``m`` and ``n`` form independent
 Poisson processes of intensity ``mu_{m,n}``.  The *homogeneous* case
 (``mu_{m,n} = mu`` for all pairs) is the setting of Theorem 2 and the
 Section 6.2 experiments.
-
-Both generators can stream to disk: pass ``out=`` and the trace is
-sampled in bounded-memory chunks written through
-:class:`~repro.contacts.binary.BinaryTraceWriter`, then reopened as a
-read-only memory map — this is how 10^6-node / 10^8-event traces are
-produced without ever materializing the event set.  A Poisson process
-has independent increments, so sampling each sub-interval separately is
-an exact draw of the same joint process (the realization differs from
-the unchunked path because the RNG is consumed in a different order).
 """
 
 from __future__ import annotations
-
-import math
-import os
-from typing import Optional, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import FloatArray, SeedLike, as_rng
-from .binary import BinaryTraceWriter, load_binary
 from .trace import ContactTrace
 
 __all__ = ["homogeneous_poisson_trace", "heterogeneous_poisson_trace"]
-
-PathLike = Union[str, "os.PathLike[str]"]
-
-#: Target events per generation chunk when streaming to disk.
-DEFAULT_CHUNK_TARGET = 1 << 22
-
-
-def _chunk_edges(expected_events: float, duration: float, target: int) -> FloatArray:
-    """Sub-interval boundaries sized so each chunk expects ~*target* events."""
-    if target < 1:
-        raise ConfigurationError(f"chunk target must be >= 1, got {target}")
-    n_chunks = max(1, math.ceil(expected_events / target))
-    return np.linspace(0.0, duration, n_chunks + 1)
 
 
 def homogeneous_poisson_trace(
@@ -49,22 +22,12 @@ def homogeneous_poisson_trace(
     rate: float,
     duration: float,
     seed: SeedLike = None,
-    *,
-    out: Optional[PathLike] = None,
-    chunk_target: int = DEFAULT_CHUNK_TARGET,
 ) -> ContactTrace:
     """Sample a trace where every pair meets at Poisson rate *rate*.
 
     The superposition of all pair processes is Poisson with total rate
     ``rate * n_pairs``; we draw the total event count, uniform event times,
     and a uniform pair per event — an exact sample of the joint process.
-
-    With ``out=`` the trace is generated chunk by chunk (independent
-    Poisson increments over a partition of ``[0, duration]``), streamed
-    to a binary trace directory at *out*, and returned memory-mapped;
-    peak memory is one chunk of ~*chunk_target* events regardless of the
-    trace size.  Without ``out`` the in-memory draw is byte-identical to
-    what this function has always produced for a given seed.
     """
     if n_nodes < 2:
         raise ConfigurationError(f"need >= 2 nodes, got {n_nodes}")
@@ -75,45 +38,28 @@ def homogeneous_poisson_trace(
     rng = as_rng(seed)
 
     n_pairs = n_nodes * (n_nodes - 1) // 2
-    if out is None:
-        n_events = rng.poisson(rate * n_pairs * duration)
-        times = np.sort(rng.uniform(0.0, duration, size=n_events))
-        pair_index = rng.integers(0, n_pairs, size=n_events)
-        node_a, node_b = _pair_from_index(pair_index, n_nodes)
-        return ContactTrace(
-            times=times,
-            node_a=node_a,
-            node_b=node_b,
-            n_nodes=n_nodes,
-            duration=duration,
-        )
-
-    edges = _chunk_edges(rate * n_pairs * duration, duration, chunk_target)
-    with BinaryTraceWriter(out, n_nodes=n_nodes, duration=duration) as writer:
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            n_events = rng.poisson(rate * n_pairs * (t1 - t0))
-            times = np.sort(rng.uniform(t0, t1, size=n_events))
-            pair_index = rng.integers(0, n_pairs, size=n_events)
-            node_a, node_b = _pair_from_index(pair_index, n_nodes)
-            writer.append(times, node_a, node_b)
-    # Chunks were validated and canonicalized on write; skip the rescan.
-    return load_binary(out, validate=False)
+    n_events = rng.poisson(rate * n_pairs * duration)
+    times = np.sort(rng.uniform(0.0, duration, size=n_events))
+    pair_index = rng.integers(0, n_pairs, size=n_events)
+    node_a, node_b = _pair_from_index(pair_index, n_nodes)
+    return ContactTrace(
+        times=times,
+        node_a=node_a,
+        node_b=node_b,
+        n_nodes=n_nodes,
+        duration=duration,
+    )
 
 
 def heterogeneous_poisson_trace(
     rate_matrix: FloatArray,
     duration: float,
     seed: SeedLike = None,
-    *,
-    out: Optional[PathLike] = None,
-    chunk_target: int = DEFAULT_CHUNK_TARGET,
 ) -> ContactTrace:
     """Sample a trace with per-pair Poisson intensities *rate_matrix*.
 
     *rate_matrix* must be a symmetric non-negative ``(n, n)`` matrix with a
-    zero diagonal (``mu_{m,n}`` of Section 3.4).  ``out=`` streams the
-    trace to disk in bounded-memory chunks exactly as in
-    :func:`homogeneous_poisson_trace`.
+    zero diagonal (``mu_{m,n}`` of Section 3.4).
     """
     rates = np.asarray(rate_matrix, dtype=float)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
@@ -136,27 +82,16 @@ def heterogeneous_poisson_trace(
     total = pair_rates.sum()
     if total <= 0:
         raise ConfigurationError("at least one pair rate must be positive")
-    if out is None:
-        n_events = rng.poisson(total * duration)
-        times = np.sort(rng.uniform(0.0, duration, size=n_events))
-        chosen = rng.choice(len(pair_rates), size=n_events, p=pair_rates / total)
-        return ContactTrace(
-            times=times,
-            node_a=iu[0][chosen],
-            node_b=iu[1][chosen],
-            n_nodes=n_nodes,
-            duration=duration,
-        )
-
-    probabilities = pair_rates / total
-    edges = _chunk_edges(total * duration, duration, chunk_target)
-    with BinaryTraceWriter(out, n_nodes=n_nodes, duration=duration) as writer:
-        for t0, t1 in zip(edges[:-1], edges[1:]):
-            n_events = rng.poisson(total * (t1 - t0))
-            times = np.sort(rng.uniform(t0, t1, size=n_events))
-            chosen = rng.choice(len(pair_rates), size=n_events, p=probabilities)
-            writer.append(times, iu[0][chosen], iu[1][chosen])
-    return load_binary(out, validate=False)
+    n_events = rng.poisson(total * duration)
+    times = np.sort(rng.uniform(0.0, duration, size=n_events))
+    chosen = rng.choice(len(pair_rates), size=n_events, p=pair_rates / total)
+    return ContactTrace(
+        times=times,
+        node_a=iu[0][chosen],
+        node_b=iu[1][chosen],
+        n_nodes=n_nodes,
+        duration=duration,
+    )
 
 
 def _pair_from_index(index: np.ndarray, n_nodes: int) -> tuple:

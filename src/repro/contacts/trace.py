@@ -92,13 +92,12 @@ class ContactTrace:
         """Wrap already-validated columns without copying or checking.
 
         The normal constructor validates, canonicalizes, and (for the
-        node columns) copies via ``astype`` — prohibitive for a
-        memory-mapped 10^8-event trace.  Callers must guarantee the
+        node columns) copies via ``astype``.  Callers must guarantee the
         invariants themselves: float64/int64 dtypes, equal lengths,
         sorted times within ``[0, duration]``, canonical
-        ``node_a < node_b`` in ``[0, n_nodes)``.  The binary loader and
-        the chunk/slice views below qualify; arbitrary external data
-        does not.
+        ``node_a < node_b`` in ``[0, n_nodes)``.  The slice and
+        selection views below qualify; arbitrary external data does
+        not.
         """
         trace = object.__new__(cls)
         object.__setattr__(trace, "times", times)
@@ -132,28 +131,6 @@ class ContactTrace:
         """Average contacts per pair per unit time."""
         return len(self) / (self.n_pairs * self.duration)
 
-    def iter_chunks(self, n_events: int) -> Iterator["ContactTrace"]:
-        """Yield consecutive sub-traces of at most *n_events* contacts.
-
-        Chunks are zero-copy column views (slices share the backing
-        buffers, including a memory map) carrying the full ``duration``
-        and original (un-rebased) times, so a chunk is exactly "the
-        same trace, restricted to a contiguous run of events".
-        """
-        if n_events < 1:
-            raise TraceFormatError(
-                f"chunk size must be >= 1, got {n_events}"
-            )
-        for start in range(0, len(self.times), n_events):
-            stop = start + n_events
-            yield ContactTrace.from_trusted_columns(
-                self.times[start:stop],
-                self.node_a[start:stop],
-                self.node_b[start:stop],
-                n_nodes=self.n_nodes,
-                duration=self.duration,
-            )
-
     # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------
@@ -162,8 +139,7 @@ class ContactTrace:
 
         Times are sorted (a construction invariant), so the window is
         located with two binary searches and only the selected run is
-        materialized — slicing a memory-mapped trace never scans or
-        copies the full columns.
+        materialized.
         """
         if not 0 <= t_start < t_end <= self.duration:
             raise TraceFormatError(
@@ -171,10 +147,8 @@ class ContactTrace:
             )
         lo = int(np.searchsorted(self.times, t_start, side="left"))
         hi = int(np.searchsorted(self.times, t_end, side="left"))
-        # np.asarray drops the np.memmap subclass from the view (no
-        # copy) so the rebased times come out as a plain ndarray.
         return ContactTrace.from_trusted_columns(
-            np.asarray(self.times[lo:hi]) - t_start,
+            self.times[lo:hi] - t_start,
             self.node_a[lo:hi],
             self.node_b[lo:hi],
             n_nodes=self.n_nodes,
@@ -194,28 +168,15 @@ class ContactTrace:
             raise TraceFormatError("selected ids out of range")
         lookup = -np.ones(self.n_nodes, dtype=np.int64)
         lookup[ids] = np.arange(len(ids))
-        # Filter block-wise so temporaries stay bounded on huge
-        # (memory-mapped) traces; only the kept subset is materialized.
         # The id lookup is monotone, so relabeling preserves the
         # canonical node_a < node_b order.
-        kept_t, kept_a, kept_b = [], [], []
-        block = 1 << 22
-        for start in range(0, len(self.times), block):
-            stop = start + block
-            la = lookup[self.node_a[start:stop]]
-            lb = lookup[self.node_b[start:stop]]
-            keep = (la >= 0) & (lb >= 0)
-            kept_t.append(np.asarray(self.times[start:stop])[keep])
-            kept_a.append(la[keep])
-            kept_b.append(lb[keep])
+        la = lookup[self.node_a]
+        lb = lookup[self.node_b]
+        keep = (la >= 0) & (lb >= 0)
         return ContactTrace.from_trusted_columns(
-            np.concatenate(kept_t) if kept_t else np.empty(0, dtype=float),
-            np.concatenate(kept_a)
-            if kept_a
-            else np.empty(0, dtype=np.int64),
-            np.concatenate(kept_b)
-            if kept_b
-            else np.empty(0, dtype=np.int64),
+            self.times[keep],
+            la[keep],
+            lb[keep],
             n_nodes=len(ids),
             duration=self.duration,
         )
@@ -229,7 +190,7 @@ class ContactTrace:
         if factor <= 0:
             raise TraceFormatError(f"factor must be > 0, got {factor}")
         return ContactTrace.from_trusted_columns(
-            np.asarray(self.times) * factor,
+            self.times * factor,
             self.node_a,
             self.node_b,
             n_nodes=self.n_nodes,
@@ -266,7 +227,7 @@ class ContactTrace:
         # each, no extra astype copies.
         return ContactTrace.from_trusted_columns(
             np.concatenate(
-                [np.asarray(t.times) + off for t, off in zip(traces, offsets)]
+                [t.times + off for t, off in zip(traces, offsets)]
             ),
             np.concatenate([t.node_a for t in traces]),
             np.concatenate([t.node_b for t in traces]),

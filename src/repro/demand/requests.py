@@ -8,7 +8,6 @@ sorted by time, ready for merging with a contact trace in the simulator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -107,67 +106,22 @@ def generate_requests(
     *,
     profile: Optional[FloatArray] = None,
     seed: SeedLike = None,
-    chunk_target: Optional[int] = None,
 ) -> RequestSchedule:
     """Sample a :class:`RequestSchedule` over ``[0, duration]``.
 
     Arrivals form a Poisson process of total rate ``demand.total_rate``;
     each arrival independently picks an item by popularity and then a
     client from the item's profile row (uniform when *profile* is ``None``).
-
-    *chunk_target* bounds generation temporaries: the horizon is split
-    into sub-intervals of ~that many expected arrivals, per-interval
-    counts are drawn first (independent Poisson increments — an exact
-    sample of the same joint process), the final arrays are allocated
-    once at their exact total size, and each interval is sorted and
-    filled in place.  The default (``None``) keeps the historical
-    single-draw RNG stream byte-identical for a given seed.
     """
     if n_clients <= 0:
         raise ConfigurationError(f"n_clients must be > 0, got {n_clients}")
     if duration <= 0:
         raise ConfigurationError(f"duration must be > 0, got {duration}")
     rng = as_rng(seed)
-
-    if chunk_target is None:
-        n_events = rng.poisson(demand.total_rate * duration)
-        times = np.sort(rng.uniform(0.0, duration, size=n_events))
-        items = _draw_items(rng, demand, n_events)
-        nodes = _draw_nodes(rng, demand, n_clients, items, profile)
-        return RequestSchedule(
-            times=times, items=items, nodes=nodes, duration=duration
-        )
-
-    if chunk_target < 1:
-        raise ConfigurationError(
-            f"chunk target must be >= 1, got {chunk_target}"
-        )
-    n_chunks = max(
-        1, math.ceil(demand.total_rate * duration / chunk_target)
-    )
-    edges = np.linspace(0.0, duration, n_chunks + 1)
-    # Pass 1: per-interval arrival counts fix the exact total, so the
-    # output arrays are allocated once with no growth reallocation.
-    counts = [
-        int(rng.poisson(demand.total_rate * (t1 - t0)))
-        for t0, t1 in zip(edges[:-1], edges[1:])
-    ]
-    total = sum(counts)
-    times = np.empty(total, dtype=float)
-    items = np.empty(total, dtype=np.int64)
-    nodes = np.empty(total, dtype=np.int64)
-    # Pass 2: fill each interval; only one chunk of temporaries lives
-    # at a time (the per-chunk sort replaces one global sort).
-    start = 0
-    for (t0, t1), count in zip(zip(edges[:-1], edges[1:]), counts):
-        stop = start + count
-        times[start:stop] = np.sort(rng.uniform(t0, t1, size=count))
-        chunk_items = _draw_items(rng, demand, count)
-        items[start:stop] = chunk_items
-        nodes[start:stop] = _draw_nodes(
-            rng, demand, n_clients, chunk_items, profile
-        )
-        start = stop
+    n_events = rng.poisson(demand.total_rate * duration)
+    times = np.sort(rng.uniform(0.0, duration, size=n_events))
+    items = _draw_items(rng, demand, n_events)
+    nodes = _draw_nodes(rng, demand, n_clients, items, profile)
     return RequestSchedule(
         times=times, items=items, nodes=nodes, duration=duration
     )

@@ -70,10 +70,7 @@ class SweepSpec:
     """Everything an executor needs to run units.
 
     This is the full execution recipe of one sweep *minus* the unit
-    list: factories, config, failure policy, and cache.  *trial_spills*
-    maps a trial index to the parent's spilled ``.ctb`` copy of its
-    trace (the zero-copy worker handoff); a trial without one is
-    regenerated from its seed.
+    list: factories, config, failure policy, and cache.
     *latest_trial* is the executing process's cache of the last
     ``(trial, artifacts)`` pair :func:`~repro.experiments.runner.run_unit`
     built; it is never copied by :func:`dataclasses.replace`.
@@ -89,7 +86,6 @@ class SweepSpec:
     attempts_per_run: int
     profile_dir: Optional[str]
     cache: Optional["SimulationRunCache"]
-    trial_spills: Dict[int, str] = field(default_factory=dict)
     latest_trial: Optional[Tuple[int, "TrialArtifacts"]] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -23,7 +23,6 @@ import os
 from typing import Any, Iterable, Union
 
 __all__ = [
-    "StagedFile",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
@@ -123,34 +122,3 @@ def atomic_write_json(
 ) -> None:
     """Atomically serialize *payload* as JSON to *path* (see above)."""
     atomic_write_text(path, json.dumps(payload), fsync=fsync)
-
-
-class StagedFile:
-    """A binary file that appears at *path* only once committed.
-
-    Writes go to a temp file beside *path*; :meth:`commit` renames it
-    over *path*, so readers never observe a partial file, and
-    :meth:`discard` removes it.  For files written incrementally, which
-    :func:`atomic_write_text` cannot hold in one string.  Atomic only:
-    nothing is fsynced, so after a power loss a committed file may be
-    short, and its reader must be able to tell.
-    """
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = os.fspath(path)
-        self._tmp_path = f"{self.path}.{os.getpid()}.tmp"
-        self._handle = open(self._tmp_path, "wb")
-
-    def write(self, data: bytes) -> None:
-        self._handle.write(data)
-
-    def commit(self) -> None:
-        self._handle.close()
-        os.replace(self._tmp_path, self.path)
-
-    def discard(self) -> None:
-        self._handle.close()
-        try:
-            os.remove(self._tmp_path)
-        except OSError:  # pragma: no cover - best effort
-            pass

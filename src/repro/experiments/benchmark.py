@@ -1,6 +1,6 @@
 """The ``repro bench`` speed harness: measured, tracked performance.
 
-Two measurements, both written to ``BENCH_speed.json`` at the repo root
+Four measurements, all written to ``BENCH_speed.json`` at the repo root
 so the perf trajectory is tracked across PRs:
 
 * **engine throughput** — one simulation run (events processed per
@@ -16,12 +16,6 @@ so the perf trajectory is tracked across PRs:
   closed-form kernel (:mod:`repro.sim.static`).
   Both engines must produce bit-identical results; the speedup is
   their wall-clock ratio.
-* **streamed large-scale case** — a sparse many-node trace generated
-  chunk-by-chunk straight to the binary on-disk format, memory-mapped,
-  and simulated through the streamed columnar pipeline; records
-  generation time, events/s, and the run-phase Python-heap peak
-  (tracemalloc), and asserts the streamed run is bit-identical to the
-  same columns processed in RAM.
 * **parallel sweep** — a small :func:`~repro.experiments.run_comparison`
   sweep run serially and on a pool of ``n_workers`` processes; the
   statistics must be bit-identical and the speedup is the wall-clock
@@ -30,10 +24,9 @@ so the perf trajectory is tracked across PRs:
 * **sweep amortization** — the trial-scoped sharing layer: a
   3-protocol sweep with the merged event stream built once per trial
   versus once per protocol (plain and faulted), a traced run on a
-  prebuilt stream, the memoized-fingerprint cache probe, and the
-  spilled-trace worker handoff.  Every sub-case asserts exact result
-  equality; CI fails the quick run if merge-once is not faster or any
-  case diverges.
+  prebuilt stream, and the memoized-fingerprint cache probe.  Every
+  sub-case asserts exact result equality; CI fails the quick run if
+  merge-once is not faster or any case diverges.
 * **allocation solver** — the lazy (CELF) heterogeneous greedy of
   :func:`~repro.allocation.greedy_heterogeneous` versus the textbook
   non-lazy greedy on a trace-sized instance.  Both must return the
@@ -51,7 +44,6 @@ import dataclasses
 import json
 import os
 import platform
-import tempfile
 import time
 import tracemalloc
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
@@ -62,7 +54,6 @@ from ..allocation.submodular import (
     HeterogeneousProblem,
     greedy_heterogeneous,
 )
-from ..contacts import homogeneous_poisson_trace, load_binary
 from ..demand import DemandModel, generate_requests
 from ..faults import FaultSchedule
 from ..obs.sinks import MemorySink
@@ -77,16 +68,11 @@ from ..utility import (
     ShiftedUtility,
     StepUtility,
 )
-from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
+from .artifacts import TrialArtifacts
 from .figures import recommended_timeout
 from .reporting import render_table
 from .runner import run_comparison
-from .scenarios import (
-    Scenario,
-    homogeneous_scenario,
-    large_scale_scenario,
-    standard_protocols,
-)
+from .scenarios import Scenario, homogeneous_scenario, standard_protocols
 
 __all__ = [
     "run_speed_benchmark",
@@ -96,7 +82,7 @@ __all__ = [
 
 BENCH_FILENAME = "BENCH_speed.json"
 _FORMAT = "repro-speed-benchmark"
-_VERSION = 1
+_VERSION = 2
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -185,8 +171,7 @@ def _run_peak_mb(build: Callable[[], Simulation]) -> float:
 
     Setup happens before tracing starts, so the figure isolates what the
     event pipeline itself allocates — the quantity the columnar layout
-    is supposed to keep flat (and, for streamed runs, bounded by the
-    merge chunk size).  Tracemalloc slows execution, which is why this
+    is supposed to keep flat.  Tracemalloc slows execution, which is why this
     is a separate run and never shares a process phase with the timers.
     """
     sim = build()
@@ -234,93 +219,6 @@ def _bench_engine_case(
         "speedup": ref_seconds / opt_seconds,
         "bit_identical": _results_identical(ref_result, opt_result),
         "optimized_run_peak_mb": _run_peak_mb(lambda: build(Simulation)),
-    }
-
-
-def _bench_streamed_case(
-    *,
-    n_nodes: int,
-    target_events: int,
-    duration: float,
-    seed: int,
-    chunk_events: int,
-    protocol_name: str = "UNI",
-) -> Dict[str, Any]:
-    """The large-scale columnar case: binary trace, memmap, streamed run.
-
-    The trace is generated chunk-by-chunk straight to the binary format,
-    reopened as a read-only memory map, and simulated through the
-    streamed event pipeline.  One eager run on the same columns loaded
-    into RAM checks that streaming is bit-identical to the in-memory
-    path, and a tracemalloc run records the streamed run-phase heap peak
-    (which stays bounded by the merge chunk, not the trace size).
-    """
-    scenario = large_scale_scenario(
-        StepUtility(10.0),
-        n_nodes=n_nodes,
-        target_events=target_events,
-        duration=duration,
-    )
-    factories = standard_protocols(scenario, include=(protocol_name,))
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        path = os.path.join(tmp, "trace.ctb")
-        start = time.perf_counter()
-        streamed_trace = homogeneous_poisson_trace(
-            n_nodes,
-            scenario.mu_estimate,
-            duration,
-            seed=seed,
-            out=path,
-            chunk_target=chunk_events,
-        )
-        generation_seconds = time.perf_counter() - start
-        requests = generate_requests(
-            scenario.demand,
-            n_nodes,
-            duration,
-            seed=seed + 1,
-            chunk_target=chunk_events,
-        )
-        eager_trace = load_binary(path, mmap=False, validate=False)
-        n_events = len(streamed_trace.times) + len(requests.times)
-
-        def build(trace) -> Simulation:
-            protocol = factories[protocol_name](trace, requests)
-            return Simulation(
-                trace,
-                requests,
-                scenario.config,
-                protocol,
-                seed=seed + 2,
-                chunk_events=chunk_events,
-            )
-
-        def build_eager() -> Simulation:
-            protocol = factories[protocol_name](eager_trace, requests)
-            return Simulation(
-                eager_trace,
-                requests,
-                scenario.config,
-                protocol,
-                seed=seed + 2,
-            )
-
-        sim = build(streamed_trace)
-        start = time.perf_counter()
-        streamed_result = sim.run()
-        streamed_seconds = time.perf_counter() - start
-        eager_result = build_eager().run()
-        peak_mb = _run_peak_mb(lambda: build(streamed_trace))
-    return {
-        "protocol": protocol_name,
-        "n_nodes": n_nodes,
-        "n_events": n_events,
-        "chunk_events": chunk_events,
-        "generation_seconds": generation_seconds,
-        "streamed_seconds": streamed_seconds,
-        "streamed_events_per_sec": n_events / streamed_seconds,
-        "run_peak_mb": peak_mb,
-        "bit_identical": _results_identical(streamed_result, eager_result),
     }
 
 
@@ -401,11 +299,9 @@ def _bench_sweep_amortization(
     * **traced_run** — one faulted, fully traced run on a prebuilt
       stream versus a fresh inline merge; both the result and the
       emitted trace-event sequence must match exactly.
-    * **fingerprint_probe** / **worker_handoff** — microbenchmarks of
-      the two other amortized quantities: a cache-key probe with
-      memoized content fingerprints versus inline sha256 passes, and a
-      spilled-trace ``np.memmap`` open versus regenerating the trace
-      from its seed.
+    * **fingerprint_probe** — a microbenchmark of the other amortized
+      quantity: a cache-key probe with memoized content fingerprints
+      versus inline sha256 passes.
     """
     protocols = standard_protocols(scenario, include=("OPT", "SQRT", "UNI"))
     kwargs = dict(
@@ -537,49 +433,11 @@ def _bench_sweep_amortization(
         "bit_identical": fresh_key == memo_key,
     }
 
-    # Worker handoff: spill once + memmap open vs. regenerating.  The
-    # sweep scenario's quick trace is tiny (regeneration is sub-ms and
-    # beats even a memmap open), so this microbenchmark realizes a
-    # worker-handoff-sized trace of its own — the regime the spill
-    # exists for.
-    def make_handoff_trace():
-        return homogeneous_poisson_trace(
-            400, 0.01, 300.0, seed=base_seed + 104
-        )
-
-    handoff_trace = make_handoff_trace()
-    handoff_fp = fingerprint_trace(handoff_trace)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-spill-") as tmp:
-        path = os.path.join(tmp, "trial.ctb")
-        start = time.perf_counter()
-        spill_trial_trace(handoff_trace, path, trace_fingerprint=handoff_fp)
-        spill_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        regenerated = make_handoff_trace()
-        regenerate_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        loaded, loaded_fp = load_spilled_trace(path)
-        load_seconds = time.perf_counter() - start
-        handoff_case = {
-            "n_contacts": len(handoff_trace.times),
-            "spill_seconds": spill_seconds,
-            "regenerate_seconds": regenerate_seconds,
-            "memmap_load_seconds": load_seconds,
-            "speedup": regenerate_seconds / load_seconds,
-            "bit_identical": (
-                loaded_fp == handoff_fp
-                and np.array_equal(
-                    np.asarray(loaded.times), np.asarray(regenerated.times)
-                )
-            ),
-        }
-
     return {
         "sweep": sweep_case,
         "faulted_sweep": faulted_case,
         "traced_run": traced_case,
         "fingerprint_probe": probe_case,
-        "worker_handoff": handoff_case,
     }
 
 
@@ -685,13 +543,6 @@ def run_speed_benchmark(
             (shifted_scenario, "UNI"),
         )
     ]
-    streamed = _bench_streamed_case(
-        n_nodes=10**4 if quick else 10**6,
-        target_events=10**6 if quick else 10**7,
-        duration=duration,
-        seed=29,
-        chunk_events=1 << 18,
-    )
     sweep_scenario = homogeneous_scenario(
         utility, duration=sweep_duration, record_interval=None
     )
@@ -724,7 +575,6 @@ def run_speed_benchmark(
             "cases": cases,
             "min_speedup": min(case["speedup"] for case in cases),
         },
-        "streamed": streamed,
         "parallel": parallel,
         "sweep_amortization": amortization,
         "allocation": allocation,
@@ -765,28 +615,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
         engine_rows,
         title=f"engine throughput ({report['scale']} scale)",
     )
-    streamed = report["streamed"]
-    streamed_table = render_table(
-        ["metric", "value"],
-        [
-            ["nodes", f"{streamed['n_nodes']:,}"],
-            ["events", f"{streamed['n_events']:,}"],
-            ["protocol", streamed["protocol"]],
-            ["generation", f"{streamed['generation_seconds']:.2f}s"],
-            ["streamed run", f"{streamed['streamed_seconds']:.2f}s"],
-            [
-                "throughput",
-                f"{streamed['streamed_events_per_sec']:,.0f} ev/s",
-            ],
-            ["run peak heap", f"{streamed['run_peak_mb']:.1f} MB"],
-            ["chunk", f"{streamed['chunk_events']:,} events"],
-            [
-                "bit-identical",
-                "yes" if streamed["bit_identical"] else "NO",
-            ],
-        ],
-        title="streamed large-scale case (binary trace, memmap)",
-    )
     par = report["parallel"]
     par_speedup = f"{par['speedup']:.2f}x"
     if not par.get("speedup_meaningful", True):
@@ -810,7 +638,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     faulted = amort["faulted_sweep"]
     traced = amort["traced_run"]
     probe = amort["fingerprint_probe"]
-    handoff = amort["worker_handoff"]
     amort_table = render_table(
         ["metric", "value"],
         [
@@ -838,17 +665,11 @@ def render_speed_report(report: Dict[str, Any]) -> str:
                 f"= {probe['speedup']:.0f}x",
             ],
             [
-                "worker handoff",
-                f"{1e3 * handoff['regenerate_seconds']:.1f}ms regenerate / "
-                f"{1e3 * handoff['memmap_load_seconds']:.1f}ms memmap "
-                f"= {handoff['speedup']:.0f}x",
-            ],
-            [
                 "bit-identical",
                 "yes"
                 if all(
                     case["bit_identical"]
-                    for case in (sweep, faulted, traced, probe, handoff)
+                    for case in (sweep, faulted, traced, probe)
                 )
                 else "NO",
             ],
@@ -879,8 +700,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     )
     return (
         engine_table
-        + "\n\n"
-        + streamed_table
         + "\n\n"
         + parallel_table
         + "\n\n"

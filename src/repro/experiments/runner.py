@@ -76,18 +76,11 @@ from ..sim import SimulationConfig, SimulationResult, simulate
 from ..simcache import (
     SimulationRunCache,
     UncacheableRunError,
-    fingerprint_trace,
     resolve_run_cache,
     run_key,
 )
 from ..types import FloatArray
-from .artifacts import (
-    TraceRecipe,
-    TraceShape,
-    TrialArtifacts,
-    load_spilled_trace,
-    spill_trial_trace,
-)
+from .artifacts import TraceRecipe, TraceShape, TrialArtifacts
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (dist imports us lazily)
     from ..dist.executors import ExecutorLike, SweepSpec, WorkUnit
@@ -606,9 +599,7 @@ def _trial_artifacts(
     freed with it): units arrive trial-major, so the trial's other
     protocols reuse its trace, requests, fault schedule, memoized
     fingerprints and premerged event stream, and a process never holds
-    two trials' streams.  A spilled trial memory-maps the parent's
-    ``.ctb`` copy (with its travelling fingerprint) instead of
-    regenerating the trace.  A trace recipe declares the trace's shape,
+    two trials' streams.  A trace recipe declares the trace's shape,
     so the trace is realized only when a run simulates; any other
     factory realizes it here.  The requests are a :class:`RequestRecipe`
     over that shape, generated only when a run simulates.
@@ -619,17 +610,13 @@ def _trial_artifacts(
     spec.latest_trial = None  # release the previous trial's stream first
     timer = Stopwatch()
     faults = spec.faults(trial) if callable(spec.faults) else spec.faults
-    spill_path = spec.trial_spills.get(trial)
     recipe = (
         spec.trace_factory
         if isinstance(spec.trace_factory, TraceRecipe)
         else None
     )
     trace: Optional[ContactTrace] = None
-    trace_fingerprint: Optional[str] = None
-    if spill_path is not None:
-        trace, trace_fingerprint = load_spilled_trace(spill_path)
-    elif recipe is None:
+    if recipe is None:
         trace = spec.trace_factory(trace_seed)
     shape: Optional[TraceShape] = recipe if recipe is not None else trace
     assert shape is not None
@@ -643,7 +630,6 @@ def _trial_artifacts(
         None,
         sim_seed,
         faults=faults,
-        trace_fingerprint=trace_fingerprint,
         recipe=recipe,
         trace_seed=trace_seed,
         request_recipe=request_recipe,
@@ -768,7 +754,6 @@ def run_comparison(
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
     executor: "ExecutorLike" = None,
-    trial_spill_dir: Optional[PathLike] = None,
 ) -> ComparisonResult:
     """Run every protocol on *n_trials* shared trace/request realizations.
 
@@ -835,18 +820,6 @@ def run_comparison(
         produces bit-identical statistics.  With ``on_error="raise"`` a
         pool propagates the first *observed* failure, which is not
         necessarily the earliest failing trial.
-    trial_spill_dir:
-        Zero-copy trial handoff for parallel sweeps:
-        the parent realizes each pending trial's trace once, spills it
-        to ``<dir>/trial-<k>.ctb``, and workers memory-map that copy
-        (sharing the page cache) instead of each regenerating it from
-        the trial seed.  With a run cache the trace fingerprint is
-        computed once at spill time and travels in the spill header,
-        so workers never re-hash.  Spilled traces take the engine's
-        streamed mode — bit-identical to eager.  The directory is
-        created if needed; files are left behind for inspection and
-        reuse.  Ignored by the plain serial path, which realizes each
-        trial exactly once anyway.
     """
     if n_trials <= 0:
         raise ConfigurationError(f"n_trials must be > 0, got {n_trials}")
@@ -892,41 +865,6 @@ def run_comparison(
         attempts_per_run=attempts_per_run,
     )
 
-    # Zero-copy trial handoff: realize each trial's trace once in the
-    # parent, spill it to .ctb, and let every worker memory-map that
-    # copy.  The serial walk realizes each trial exactly once anyway,
-    # so it skips the spill (and keeps the faster eager mode).
-    trial_spills: Dict[int, str] = {}
-    if trial_spill_dir is not None and not isinstance(
-        executor_obj, dist_executors.SerialExecutor
-    ):
-        spill_root = os.fspath(trial_spill_dir)
-        os.makedirs(spill_root, exist_ok=True)
-        spill_timer = Stopwatch()
-        # A recipe's trace key needs no trace, so none travels with it.
-        keyed_by_content = cache is not None and not isinstance(
-            trace_factory, TraceRecipe
-        )
-        for trial in range(n_trials):
-            spill_trace = trace_factory(trial_seeds[trial][0])
-            trial_spills[trial] = spill_trial_trace(
-                spill_trace,
-                os.path.join(spill_root, f"trial-{trial}.ctb"),
-                trace_fingerprint=(
-                    fingerprint_trace(spill_trace)
-                    if keyed_by_content
-                    else None
-                ),
-            )
-            del spill_trace
-        spill_timer.stop()
-        get_logger("repro.experiments.sweep").info(
-            "spilled trial traces",
-            trials=len(trial_spills),
-            dir=spill_root,
-            wall_s=f"{spill_timer.wall:.2f}",
-        )
-
     spec = dist_executors.SweepSpec(
         trace_factory=trace_factory,
         demand=demand,
@@ -938,7 +876,6 @@ def run_comparison(
         attempts_per_run=attempts_per_run,
         profile_dir=profile_path,
         cache=cache,
-        trial_spills=trial_spills,
     )
     executor_extras = executor_obj.execute(units, spec, accounting.record)
 
@@ -983,7 +920,6 @@ def run_comparison(
         "protocols": sorted(protocols),
         "executor": executor_obj.name or type(executor_obj).__name__,
         "n_workers": getattr(executor_obj, "n_workers", 1),
-        "n_spilled_trials": len(trial_spills),
         "n_runs_executed": len(units),
         "n_failures": len(failures),
         "wall_s": sweep_timer.wall,

@@ -74,7 +74,6 @@ __all__ = [
     "Scenario",
     "VehicularTraces",
     "homogeneous_scenario",
-    "large_scale_scenario",
     "conference_scenario",
     "vehicular_scenario",
     "default_qcr_config",
@@ -250,49 +249,6 @@ def homogeneous_scenario(
         heterogeneous=False,
         n_nodes=n_nodes,
     )
-
-
-def large_scale_scenario(
-    utility: DelayUtility,
-    *,
-    n_nodes: int,
-    target_events: int,
-    duration: float = 2000.0,
-    n_items: int = N_ITEMS,
-    rho: int = RHO,
-    total_demand: float = TOTAL_DEMAND,
-    omega: float = PARETO_OMEGA,
-) -> Scenario:
-    """A homogeneous setting scaled to *n_nodes* / ~*target_events*.
-
-    The per-pair meeting rate is derived from the target contact count
-    (``mu = target / (n_pairs * duration)``), which keeps the expected
-    event volume fixed while the node population grows — the sparse
-    large-*n* regime the columnar pipeline targets.  The returned
-    scenario's ``trace_factory`` samples in RAM; callers at genuinely
-    large scales should instead stream with
-    ``homogeneous_poisson_trace(..., mu_estimate, out=path)``.
-    """
-    if n_nodes < 2:
-        raise ConfigurationError(f"need >= 2 nodes, got {n_nodes}")
-    if target_events < 1:
-        raise ConfigurationError(
-            f"target_events must be >= 1, got {target_events}"
-        )
-    n_pairs = n_nodes * (n_nodes - 1) // 2
-    mu = target_events / (n_pairs * duration)
-    scenario = homogeneous_scenario(
-        utility,
-        n_nodes=n_nodes,
-        n_items=n_items,
-        rho=rho,
-        mu=mu,
-        duration=duration,
-        total_demand=total_demand,
-        omega=omega,
-        record_interval=None,
-    )
-    return replace(scenario, name="large-scale")
 
 
 def conference_scenario(

@@ -32,12 +32,6 @@ from typing import (
 )
 
 import numpy as np
-import numpy.typing as npt
-
-#: Merge granularity of the streamed event pipeline: contacts are pulled
-#: off the (possibly memory-mapped) trace in runs of about this many
-#: events, so peak heap scales with the chunk, not the trace.
-_DEFAULT_CHUNK_EVENTS = 1 << 18
 
 #: Version of the engine's observable semantics, keyed into the
 #: content-addressed run cache (:mod:`repro.simcache`).  Bump whenever a
@@ -67,18 +61,7 @@ from ..obs.tracer import Tracer
 from ..protocols.base import ReplicationProtocol
 from ..types import FloatArray, IntArray, SeedLike, as_rng
 from .config import SimulationConfig
-from .events import (
-    EVENT_CONTACT,
-    EVENT_FAULT,
-    EVENT_REQUEST,
-    Chunk as _Chunk,
-    EventStream,
-    build_event_stream,
-    compute_plain_payloads,
-    cut_chunks,
-    memmap_backed as _memmap_backed,
-    stream_side_state,
-)
+from .events import Chunk as _Chunk, EventStream, build_event_stream
 from .metrics import MetricsCollector, SimulationResult
 from .node import NodeState, Request
 from .static import run_static
@@ -133,21 +116,7 @@ class Simulation:
         "_credit_abandoned",
         "_hook_free_contact",
         "_hook_free_fulfill",
-        "_fault_events",
-        "_fault_times",
-        "_req_times",
-        "_req_items",
-        "_req_nodes",
-        "_is_server_arr",
-        "_requester_arr",
-        "_all_servers",
-        "_n_events",
-        "_chunk_events",
-        "_prebuilt_events",
-        "_streamed",
-        "_snap_times",
         "_payload_needed",
-        "_chunks",
         "_stream",
         "_outstanding_tbl",
         "_expiry_floor",
@@ -167,20 +136,8 @@ class Simulation:
         faults: Optional[FaultSchedule] = None,
         tracer: Optional[Tracer] = None,
         collect_manifest: bool = False,
-        chunk_events: Optional[int] = None,
         prebuilt_events: Optional[EventStream] = None,
     ) -> None:
-        if chunk_events is not None and chunk_events < 1:
-            raise ConfigurationError(
-                f"chunk_events must be >= 1, got {chunk_events}"
-            )
-        if prebuilt_events is not None and chunk_events is not None:
-            raise ConfigurationError(
-                "prebuilt_events is incompatible with chunk_events: "
-                "prebuilt streams are eager by construction"
-            )
-        self._chunk_events = chunk_events
-        self._prebuilt_events = prebuilt_events
         if requests.duration > trace.duration + 1e-9:
             raise ConfigurationError(
                 "request schedule extends past the contact trace"
@@ -373,129 +330,40 @@ class Simulation:
         self._contact_hook_idle = protocol.contact_hook_idle_without_mandates
         if self._phase_timer is not None:
             with self._phase_timer.section("merge"):
-                self._build_event_stream()
+                self._build_event_stream(prebuilt_events)
         else:
-            self._build_event_stream()
+            self._build_event_stream(prebuilt_events)
 
-    def _build_event_stream(self) -> None:
+    def _build_event_stream(self, prebuilt: Optional[EventStream]) -> None:
         """Install this run's merged event stream.
 
         The stream — contacts, requests, and faults interleaved by one
         stable ``np.lexsort`` on ``(time, kind)``, preserving the
         fault -> request -> contact same-time tie rule — is a pure
         function of ``(trace, requests, faults, config)`` and lives in
-        :mod:`repro.sim.events`.  Three sources install it here:
-
-        * a *prebuilt* stream (``prebuilt_events=``), validated by
-          :meth:`_check_prebuilt` to belong to this very run's objects
-          before being trusted — this is how a sweep merges once per
-          trial instead of once per protocol;
-        * streamed mode (an explicit ``chunk_events`` or a
-          memory-mapped trace): nothing is materialized up front and
-          ``_iter_streamed_chunks`` merges block by block while the
-          run loops consume, so peak heap scales with the chunk, not
-          the trace;
-        * otherwise the eager builder materializes the stream now.
-
-        Both modes cut the stream at the same snapshot instants and
-        sort each block with the same stable key, so the concatenation
-        of streamed blocks reproduces the eager order exactly — and a
-        prebuilt stream is byte-for-byte the eager builder's output.
+        :mod:`repro.sim.events`.  A *prebuilt* stream
+        (``prebuilt_events=``) is validated by :meth:`_check_prebuilt`
+        to belong to this very run's objects before being trusted —
+        this is how a sweep merges once per trial instead of once per
+        protocol.  Otherwise the run builds its own, byte-for-byte the
+        same.
         """
         self._payload_needed = self.tracer is None and self.faults is None
-        self._chunks: Optional[List[_Chunk]] = None
-        #: The eager or prebuilt stream (None when streamed, unless
-        #: :meth:`_run_static` builds it), whose indexes the static
-        #: kernel builds once and reuses.
-        self._stream: Optional[EventStream] = None
-        prebuilt = self._prebuilt_events
         if prebuilt is not None:
             self._check_prebuilt(prebuilt)
-            self._streamed = False
-            self._install_side_state(
-                prebuilt.fault_events,
-                prebuilt.fault_times,
-                prebuilt.req_times,
-                prebuilt.req_items,
-                prebuilt.req_nodes,
-                prebuilt.is_server,
-                prebuilt.requester,
-                prebuilt.all_servers,
-                prebuilt.snap_times,
+            stream = prebuilt
+        else:
+            stream = build_event_stream(
+                self.trace,
+                self.requests,
+                self.config,
+                self.faults,
+                payloads=self._payload_needed,
             )
-            self._n_events = prebuilt.n_events
-            self._chunks = prebuilt.chunks
-            self._stream = prebuilt
-            return
-        trace = self.trace
-        requests = self.requests
-        self._streamed = self._chunk_events is not None or _memmap_backed(
-            trace.times
-        )
-        if self._streamed:
-            # Nothing is materialized up front: _iter_streamed_chunks
-            # merges block by block while the run loops consume.
-            side = stream_side_state(
-                trace, requests, self.config, self.faults
-            )
-            self._install_side_state(
-                side.fault_events,
-                side.fault_times,
-                side.req_times,
-                side.req_items,
-                side.req_nodes,
-                side.is_server,
-                side.requester,
-                side.all_servers,
-                side.snap_times,
-            )
-            self._n_events = (
-                len(side.fault_events) + len(requests.times) + len(trace.times)
-            )
-            return
-        stream = build_event_stream(
-            trace,
-            requests,
-            self.config,
-            self.faults,
-            payloads=self._payload_needed,
-        )
-        self._install_side_state(
-            stream.fault_events,
-            stream.fault_times,
-            stream.req_times,
-            stream.req_items,
-            stream.req_nodes,
-            stream.is_server,
-            stream.requester,
-            stream.all_servers,
-            stream.snap_times,
-        )
-        self._n_events = stream.n_events
-        self._chunks = stream.chunks
+        #: The stream and its side state (fault list, requesting nodes,
+        #: all-servers flag); the static kernel builds its indexes on it
+        #: once and reuses them.
         self._stream = stream
-
-    def _install_side_state(
-        self,
-        fault_events: List[FaultEvent],
-        fault_times: FloatArray,
-        req_times: FloatArray,
-        req_items: IntArray,
-        req_nodes: IntArray,
-        is_server: npt.NDArray[np.bool_],
-        requester: npt.NDArray[np.bool_],
-        all_servers: bool,
-        snap_times: List[float],
-    ) -> None:
-        self._fault_events = fault_events
-        self._fault_times = fault_times
-        self._req_times = req_times
-        self._req_items = req_items
-        self._req_nodes = req_nodes
-        self._is_server_arr = is_server
-        self._requester_arr = requester
-        self._all_servers = all_servers
-        self._snap_times = snap_times
 
     def _check_prebuilt(self, stream: EventStream) -> None:
         """A prebuilt stream is only trusted for this very run.
@@ -530,17 +398,13 @@ class Simulation:
             )
 
     def _iter_chunks(self) -> Iterator[_Chunk]:
-        """The pre-cut chunks (eager) or a block-merging generator.
+        """The pre-cut chunks of the stream.
 
         With metrics enabled the stream is wrapped in the counting
         generator; the event loops themselves are byte-identical in
         both modes — aggregation happens per *chunk*, never per event.
         """
-        base: Iterator[_Chunk] = (
-            iter(self._chunks)
-            if self._chunks is not None
-            else self._iter_streamed_chunks()
-        )
+        base: Iterator[_Chunk] = iter(self._stream.chunks)
         if self._metrics_reg is None:
             return base
         return self._iter_counted_chunks(base)
@@ -550,8 +414,8 @@ class Simulation:
 
         Counts chunks and events and observes the chunk-size histogram
         *between* chunks — pure arithmetic on registry state, no I/O,
-        no clock, no simulation-state reads — so streamed-chunk
-        progress is visible live (scrape the registry mid-run) without
+        no clock, no simulation-state reads — so chunk progress is
+        visible live (scrape the registry mid-run) without
         touching the hot loops' bit-identity.
         """
         reg = self._metrics_reg
@@ -575,129 +439,6 @@ class Simulation:
             events_total.inc(n)
             chunk_sizes.observe(float(n))
             yield chunk
-
-    def _iter_streamed_chunks(self) -> Iterator[_Chunk]:
-        """Merge the three event streams block by block.
-
-        Contacts are pulled off the (possibly memory-mapped) trace in
-        runs of about ``chunk_events``, extended to cover the whole
-        same-time run at the cut edge; the requests and faults up to
-        the block's last contact time then merge in with the same
-        stable lexsort the eager path uses.  Because each stream is
-        time-sorted and no same-time contact run is ever split, the
-        concatenation of the per-block sorts equals the global stable
-        sort — streamed runs are bit-identical to eager ones.
-        """
-        trace = self.trace
-        chunk = self._chunk_events or _DEFAULT_CHUNK_EVENTS
-        ct = trace.times
-        ca = trace.node_a
-        cb = trace.node_b
-        n_c = len(ct)
-        req_times = self._req_times
-        req_items = self._req_items
-        req_nodes = self._req_nodes
-        fault_times = self._fault_times
-        n_q = len(req_times)
-        n_f = len(fault_times)
-        payload_needed = self._payload_needed
-        meet_base = (
-            np.zeros(len(self.nodes), dtype=np.int64)
-            if payload_needed
-            else None
-        )
-        c0 = r0 = f0 = 0
-        snap_idx = 0
-        while c0 < n_c:
-            c1 = min(c0 + chunk, n_c)
-            if c1 < n_c:
-                # Never split a same-time contact run across blocks: a
-                # request or fault at that instant must lexsort before
-                # every one of those contacts, which requires them all
-                # in the same block.
-                c1 = int(np.searchsorted(ct, float(ct[c1 - 1]), side="right"))
-            t_hi = float(ct[c1 - 1])
-            last = c1 >= n_c
-            if last:
-                r1, f1 = n_q, n_f
-            else:
-                r1 = int(np.searchsorted(req_times, t_hi, side="right"))
-                f1 = int(np.searchsorted(fault_times, t_hi, side="right"))
-            n_fb, n_qb = f1 - f0, r1 - r0
-            total = n_fb + n_qb + (c1 - c0)
-            times = np.empty(total, dtype=np.float64)
-            times[:n_fb] = fault_times[f0:f1]
-            times[n_fb : n_fb + n_qb] = req_times[r0:r1]
-            times[n_fb + n_qb :] = ct[c0:c1]
-            kinds = np.empty(total, dtype=np.int64)
-            kinds[:n_fb] = EVENT_FAULT
-            kinds[n_fb : n_fb + n_qb] = EVENT_REQUEST
-            kinds[n_fb + n_qb :] = EVENT_CONTACT
-            arg_a = np.empty(total, dtype=np.int64)
-            arg_a[:n_fb] = np.arange(f0, f1)
-            arg_a[n_fb : n_fb + n_qb] = req_items[r0:r1]
-            arg_a[n_fb + n_qb :] = ca[c0:c1]
-            arg_b = np.zeros(total, dtype=np.int64)
-            arg_b[n_fb : n_fb + n_qb] = req_nodes[r0:r1]
-            arg_b[n_fb + n_qb :] = cb[c0:c1]
-            order = np.lexsort((kinds, times))
-            times = times[order]
-            kinds = kinds[order]
-            arg_a = arg_a[order]
-            arg_b = arg_b[order]
-            if payload_needed:
-                assert meet_base is not None
-                payload_x, payload_y = compute_plain_payloads(
-                    kinds, arg_a, arg_b, meet_base,
-                    is_server=self._is_server_arr,
-                    requester=self._requester_arr,
-                )
-            else:
-                payload_x = payload_y = None
-            chunks, snap_idx = cut_chunks(
-                kinds, times, arg_a, arg_b, payload_x, payload_y,
-                snap_times=self._snap_times, snap_idx=snap_idx,
-                last=last, payload_mode=payload_needed,
-            )
-            yield from chunks
-            c0, r0, f0 = c1, r1, f1
-        if r0 < n_q or f0 < n_f or snap_idx < len(self._snap_times):
-            # Contact-free tail: requests/faults past the last contact
-            # (or a contact-free trace) plus any still-pending
-            # snapshots flush in one final block.
-            n_fb, n_qb = n_f - f0, n_q - r0
-            total = n_fb + n_qb
-            times = np.empty(total, dtype=np.float64)
-            times[:n_fb] = fault_times[f0:]
-            times[n_fb:] = req_times[r0:]
-            kinds = np.empty(total, dtype=np.int64)
-            kinds[:n_fb] = EVENT_FAULT
-            kinds[n_fb:] = EVENT_REQUEST
-            arg_a = np.empty(total, dtype=np.int64)
-            arg_a[:n_fb] = np.arange(f0, n_f)
-            arg_a[n_fb:] = req_items[r0:]
-            arg_b = np.zeros(total, dtype=np.int64)
-            arg_b[n_fb:] = req_nodes[r0:]
-            order = np.lexsort((kinds, times))
-            times = times[order]
-            kinds = kinds[order]
-            arg_a = arg_a[order]
-            arg_b = arg_b[order]
-            if payload_needed:
-                assert meet_base is not None
-                payload_x, payload_y = compute_plain_payloads(
-                    kinds, arg_a, arg_b, meet_base,
-                    is_server=self._is_server_arr,
-                    requester=self._requester_arr,
-                )
-            else:
-                payload_x = payload_y = None
-            chunks, _ = cut_chunks(
-                kinds, times, arg_a, arg_b, payload_x, payload_y,
-                snap_times=self._snap_times, snap_idx=snap_idx,
-                last=True, payload_mode=payload_needed,
-            )
-            yield from chunks
 
     # ------------------------------------------------------------------
     # state manipulation (protocol-facing API)
@@ -863,7 +604,7 @@ class Simulation:
                 protocol=self.protocol.name,
                 wall_s=timer.wall,
                 cpu_s=timer.cpu,
-                n_events=self._n_events,
+                n_events=self._stream.n_events,
                 phases=dict(phases.sections),
                 metrics=self._metrics_snapshot(n_unfulfilled),
             ).to_dict()
@@ -908,24 +649,9 @@ class Simulation:
     def _run_static(self) -> bool:
         """The closed-form static kernel
         (:func:`repro.sim.static.run_static`), where it applies and pays.
-
-        It needs the whole stream: eager, prebuilt, or built here for a
-        memory-mapped trace (no explicit ``chunk_events``) whose
-        contacts fit one streamed block, which the streamed merge would
-        hold at once anyway (a spilled sweep trial, say).
         """
         if not (self._hook_free_contact and self._hook_free_fulfill):
             return False
-        if self._stream is None:
-            if (
-                self._chunk_events is not None
-                or len(self.trace.times) > _DEFAULT_CHUNK_EVENTS
-            ):
-                return False
-            self._stream = build_event_stream(
-                self.trace, self.requests, self.config
-            )
-            self._chunks = self._stream.chunks
         return run_static(self, self._stream)
 
     def _gains(self, delays: FloatArray) -> FloatArray:
@@ -953,7 +679,7 @@ class Simulation:
         """
         m = self.metrics
         return {
-            "n_events": self._n_events,
+            "n_events": self._stream.n_events,
             "n_generated": m.n_generated,
             "n_fulfilled": m.n_fulfilled,
             "n_immediate": m.n_immediate,
@@ -991,7 +717,7 @@ class Simulation:
             "repro_sim_events_total",
             help="merged events processed",
             labels=labels,
-        ).inc(float(self._n_events))
+        ).inc(float(self._stream.n_events))
         reg.counter(
             "repro_sim_requests_total",
             help="requests generated",
@@ -1099,7 +825,7 @@ class Simulation:
         h0_finite = self._h0_finite
         timed = self._timeout is not None
         timeout = self._timeout if self._timeout is not None else 0.0
-        x_always = self._all_servers
+        x_always = self._stream.all_servers
         # Immediate and single-item fulfils — the dominant fulfil
         # shapes — are inlined below as ``_fulfill_hits`` does them: log
         # each delay and time, gains come after the loop.  Several items
@@ -1297,7 +1023,7 @@ class Simulation:
         h0_finite = self._h0_finite
         drop_prob = self._drop_prob
         fault_rng = self._fault_rng
-        fault_events = self._fault_events
+        fault_events = self._stream.fault_events
         tracer = self.tracer
         meet_counts = [0] * len(nodes)
         for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
@@ -1658,9 +1384,8 @@ class Simulation:
         tracer = self.tracer
         created: List[float] = []
         # Outstanding requests can only live on nodes that issued one,
-        # so settle visits those — not every node, which at million-node
-        # scale costs more than the whole streamed run loop.
-        for node_id in np.unique(self._req_nodes):
+        # so settle visits those, not every node.
+        for node_id in np.unique(self._stream.req_nodes):
             node = self.nodes[node_id]
             for item, request_list in node.outstanding.items():
                 for request in request_list:
@@ -1692,17 +1417,14 @@ def simulate(
     faults: Optional[FaultSchedule] = None,
     tracer: Optional[Tracer] = None,
     manifest: bool = False,
-    chunk_events: Optional[int] = None,
     prebuilt_events: Optional[EventStream] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulation` and run it.
 
     *tracer*, when active, records the full request lifecycle (see
     :mod:`repro.obs`); *manifest* forces provenance collection even on
-    untraced runs (traced runs always collect it).  *chunk_events*
-    forces the streamed event pipeline with that merge block size;
-    memory-mapped traces stream automatically (see
-    :class:`Simulation`).  *prebuilt_events*, when given, reuses a
+    untraced runs (traced runs always collect it).  *prebuilt_events*,
+    when given, reuses a
     trial-scoped merged stream built once by
     :func:`repro.sim.events.build_event_stream` over the very same
     trace/requests/faults — validated on receipt, bit-identical to an
@@ -1717,6 +1439,5 @@ def simulate(
         faults=faults,
         tracer=tracer,
         collect_manifest=manifest,
-        chunk_events=chunk_events,
         prebuilt_events=prebuilt_events,
     ).run()

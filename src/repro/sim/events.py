@@ -37,12 +37,9 @@ __all__ = [
     "EVENT_REQUEST",
     "Chunk",
     "EventStream",
-    "StreamSideState",
     "build_event_stream",
-    "compute_plain_payloads",
     "cut_chunks",
     "server_slot_payloads",
-    "stream_side_state",
 ]
 
 #: Kind codes of the pre-merged event stream.  The numeric order *is*
@@ -70,16 +67,6 @@ Chunk = Tuple[
 ]
 
 
-def memmap_backed(array: np.ndarray) -> bool:
-    """True when *array* is (a view of) a memory-mapped file."""
-    seen: object = array
-    while isinstance(seen, np.ndarray):
-        if isinstance(seen, np.memmap):
-            return True
-        seen = seen.base
-    return False
-
-
 def snapshot_instants(
     record_interval: Optional[float], horizon: float
 ) -> List[float]:
@@ -95,110 +82,6 @@ def snapshot_instants(
             snap_times.append(s)
             s += record_interval
     return snap_times
-
-
-@dataclass(frozen=True)
-class StreamSideState:
-    """The merge's side arrays, shared by eager and streamed modes.
-
-    Everything here is derived from ``(trace, requests, faults,
-    config)`` before any event is merged: the horizon-filtered fault
-    list, contiguous request columns, the server/requester masks the
-    payload pass consumes, and the snapshot instants the stream is cut
-    at.
-    """
-
-    fault_events: List[FaultEvent]
-    fault_times: FloatArray
-    req_times: FloatArray
-    req_items: IntArray
-    req_nodes: IntArray
-    is_server: npt.NDArray[np.bool_]
-    requester: npt.NDArray[np.bool_]
-    all_servers: bool
-    snap_times: List[float]
-
-
-def stream_side_state(
-    trace: ContactTrace,
-    requests: RequestSchedule,
-    config: SimulationConfig,
-    faults: Optional[FaultSchedule] = None,
-) -> StreamSideState:
-    horizon = trace.duration
-    n_nodes = trace.n_nodes
-    fault_events: List[FaultEvent] = (
-        [e for e in faults.events if e.time <= horizon]
-        if faults is not None
-        else []
-    )
-    fault_times: FloatArray = np.asarray(
-        [e.time for e in fault_events], dtype=np.float64
-    )
-    # ascontiguousarray passes memory-mapped columns through
-    # untouched (no copy) when the dtype already matches, so the
-    # streamed merge reads request/fault columns lazily too.
-    req_times: FloatArray = np.ascontiguousarray(
-        requests.times, dtype=np.float64
-    )
-    req_items: IntArray = np.ascontiguousarray(requests.items, dtype=np.int64)
-    req_nodes: IntArray = np.ascontiguousarray(requests.nodes, dtype=np.int64)
-    is_server = np.zeros(n_nodes, dtype=bool)
-    server_ids = config.server_ids(n_nodes)
-    if len(server_ids):
-        is_server[np.asarray(server_ids, dtype=np.int64)] = True
-    # Nodes that ever issue a request.  Outstanding requests — the
-    # only consumers of precomputed meeting counts — can exist
-    # nowhere else, so payload slots are computed for these nodes
-    # only (see ``compute_plain_payloads``).
-    requester = np.zeros(n_nodes, dtype=bool)
-    requester[req_nodes] = True
-    return StreamSideState(
-        fault_events=fault_events,
-        fault_times=fault_times,
-        req_times=req_times,
-        req_items=req_items,
-        req_nodes=req_nodes,
-        is_server=is_server,
-        requester=requester,
-        all_servers=bool(is_server.all()),
-        snap_times=snapshot_instants(config.record_interval, horizon),
-    )
-
-
-def compute_plain_payloads(
-    kinds: IntArray,
-    arg_a: IntArray,
-    arg_b: IntArray,
-    meet_base: IntArray,
-    *,
-    is_server: npt.NDArray[np.bool_],
-    requester: npt.NDArray[np.bool_],
-) -> Tuple[IntArray, IntArray]:
-    """Widened payload columns for one sorted event block.
-
-    The plain (untraced, fault-free) loop consumes precomputed
-    query-counter state: a request's final query counter is the
-    number of direction slots in which its node met a server
-    between creation and fulfillment — in a fault-free run that is
-    a pure function of the contact trace, so per-event payloads
-    replace all per-request counter bookkeeping.  Contacts carry
-    each endpoint's inclusive server-meeting count (``-1`` when
-    the peer is not a server, i.e. the direction is a no-op),
-    requests carry the node's count at creation, and the counter
-    at fulfillment is the difference (see ``_fulfill_hits``).
-    With faults, blocked and dropped contacts must not count, so
-    the fault loop maintains the same counts dynamically instead.
-
-    *meet_base* holds each node's running meeting counter entering the
-    block and is advanced in place for the following block — the
-    streamed pipeline's carry (all zeros and discarded in eager mode).
-    """
-    payload_x, payload_y, _ = server_slot_payloads(
-        kinds, arg_a, arg_b, meet_base,
-        is_server=is_server, requester=requester,
-    )
-    return payload_x, payload_y
 
 
 def grouped_searchsorted(
@@ -225,12 +108,25 @@ def server_slot_payloads(
     kinds: IntArray,
     arg_a: IntArray,
     arg_b: IntArray,
-    meet_base: IntArray,
     *,
     is_server: npt.NDArray[np.bool_],
     requester: npt.NDArray[np.bool_],
 ) -> Tuple[IntArray, IntArray, IntArray]:
-    """:func:`compute_plain_payloads` plus the block's server-slot key.
+    """Widened payload columns for the sorted stream, plus its
+    server-slot key.
+
+    The plain (untraced, fault-free) loop consumes precomputed
+    query-counter state: a request's final query counter is the
+    number of direction slots in which its node met a server
+    between creation and fulfillment — in a fault-free run that is
+    a pure function of the contact trace, so per-event payloads
+    replace all per-request counter bookkeeping.  Contacts carry
+    each endpoint's inclusive server-meeting count (``-1`` when
+    the peer is not a server, i.e. the direction is a no-op),
+    requests carry the node's count at creation, and the counter
+    at fulfillment is the difference (see ``_fulfill_hits``).
+    With faults, blocked and dropped contacts must not count, so
+    the fault loop maintains the same counts dynamically instead.
 
     The key lists every counted direction slot — a requesting node
     meeting a server — as ``node * len(kinds) + position``, sorted: by
@@ -304,13 +200,10 @@ def server_slot_payloads(
         np.not_equal(g_nodes[1:], g_nodes[:-1], out=new_group[1:])
         starts = np.flatnonzero(new_group)
         sizes = np.diff(np.append(starts, n_inc))
-        # 1-based rank within each node's increment run plus the
-        # carried base: the inclusive meeting count at that slot.
+        # 1-based rank within each node's increment run: the
+        # inclusive meeting count at that slot.
         counts_g = (
-            np.arange(n_inc, dtype=np.int64)
-            - np.repeat(starts, sizes)
-            + 1
-            + meet_base[g_nodes]
+            np.arange(n_inc, dtype=np.int64) - np.repeat(starts, sizes) + 1
         )
         counts = np.empty(n_inc, dtype=np.int64)
         counts[order] = counts_g
@@ -334,13 +227,7 @@ def server_slot_payloads(
             ]
         else:
             group_start = 0
-        payload_x[req_positions] = (
-            meet_base[req_nodes] + before - group_start
-        )
-    if n_inc:
-        # Advance the carry.  ``g_nodes[starts]`` lists each node at
-        # most once, so the fancy-index add never collapses writes.
-        meet_base[g_nodes[starts]] += sizes
+        payload_x[req_positions] = before - group_start
     return payload_x, payload_y, slot_key
 
 
@@ -381,29 +268,19 @@ def cut_chunks(
     payload_y: Optional[IntArray],
     *,
     snap_times: List[float],
-    snap_idx: int,
-    last: bool,
     payload_mode: bool,
-) -> Tuple[List[Chunk], int]:
-    """Cut one sorted event block at pending snapshot instants.
+) -> List[Chunk]:
+    """Cut the sorted event stream at its snapshot instants.
 
-    Returns the chunks plus the advanced snapshot cursor.  Each
-    chunk is the run of events strictly before one snapshot fires,
-    so the hot loops carry no per-event snapshot comparison.  A
-    snapshot past the block's end is deferred to a later block —
-    unless *last*, in which case every remaining snapshot fires
-    (possibly on empty chunks) so eager and streamed runs record
-    the same instants.
+    Each chunk is the run of events strictly before one snapshot
+    fires, so the hot loops carry no per-event snapshot comparison.
+    A snapshot past the stream's end still fires, on an empty chunk.
     """
     n = len(kinds)
     chunks: List[Chunk] = []
     start = 0
-    while snap_idx < len(snap_times):
-        snap = snap_times[snap_idx]
+    for snap in snap_times:
         pos = int(np.searchsorted(times, snap, side="left"))
-        if pos >= n and not last:
-            break
-        pos = min(pos, n)
         chunks.append(
             _chunk_tuple(
                 kinds, times, arg_a, arg_b, payload_x, payload_y,
@@ -411,7 +288,6 @@ def cut_chunks(
             )
         )
         start = pos
-        snap_idx += 1
     if start < n:
         chunks.append(
             _chunk_tuple(
@@ -419,7 +295,7 @@ def cut_chunks(
                 start, n, None, payload_mode,
             )
         )
-    return chunks, snap_idx
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -444,15 +320,13 @@ class EventStream:
     #: loop ignores payloads); a fault schedule forbids payloads entirely.
     payload_mode: bool
     n_events: int
+    #: The faults at or before the horizon, indexed by fault rows'
+    #: ``event_a``.
     fault_events: List[FaultEvent]
-    fault_times: FloatArray
-    req_times: FloatArray
-    req_items: IntArray
+    #: The nodes of the requests, in schedule order.
     req_nodes: IntArray
-    is_server: npt.NDArray[np.bool_]
-    requester: npt.NDArray[np.bool_]
+    #: Whether every node is a server.
     all_servers: bool
-    snap_times: List[float]
     event_times: FloatArray
     event_kinds: IntArray
     event_a: IntArray
@@ -466,16 +340,6 @@ class EventStream:
     memo: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate heap footprint of the merged columns."""
-        return int(
-            self.event_times.nbytes
-            + self.event_kinds.nbytes
-            + self.event_a.nbytes
-            + self.event_b.nbytes
-        )
 
 
 def build_event_stream(
@@ -495,12 +359,9 @@ def build_event_stream(
     each stream.  The merged stream stays columnar — flat NumPy
     arrays the hot loops index directly.
 
-    This is the *eager* builder: the whole stream is materialized and
-    pre-cut at snapshot instants, exactly as ``Simulation`` does
-    inline for an in-memory trace.  Streamed mode (memory-mapped
-    traces, explicit ``chunk_events``) has no prebuilt form — the
-    engine merges block by block at run time and a prebuilt stream is
-    rejected there.
+    The whole stream is materialized and pre-cut at snapshot instants,
+    exactly as ``Simulation`` builds it for itself when no prebuilt
+    stream is given.
 
     *payloads* controls the plain-mode payload columns; the default
     (``faults is None``) materializes them whenever valid.  Payloads
@@ -517,13 +378,33 @@ def build_event_stream(
         raise ConfigurationError(
             "request schedule extends past the contact trace"
         )
+    horizon = trace.duration
     n_nodes = trace.n_nodes
-    side = stream_side_state(trace, requests, config, faults)
-    n_f = len(side.fault_events)
+    fault_events: List[FaultEvent] = (
+        [e for e in faults.events if e.time <= horizon]
+        if faults is not None
+        else []
+    )
+    fault_times: FloatArray = np.asarray(
+        [e.time for e in fault_events], dtype=np.float64
+    )
+    req_nodes: IntArray = np.ascontiguousarray(requests.nodes, dtype=np.int64)
+    is_server = np.zeros(n_nodes, dtype=bool)
+    server_ids = config.server_ids(n_nodes)
+    if len(server_ids):
+        is_server[np.asarray(server_ids, dtype=np.int64)] = True
+    # Nodes that ever issue a request.  Outstanding requests — the
+    # only consumers of precomputed meeting counts — can exist
+    # nowhere else, so payload slots are computed for these nodes
+    # only (see ``server_slot_payloads``).
+    requester = np.zeros(n_nodes, dtype=bool)
+    requester[req_nodes] = True
+    snap_times = snapshot_instants(config.record_interval, horizon)
+    n_f = len(fault_events)
     n_q, n_c = len(requests.times), len(trace.times)
     total = n_f + n_q + n_c
     times = np.empty(total, dtype=np.float64)
-    times[:n_f] = side.fault_times
+    times[:n_f] = fault_times
     times[n_f : n_f + n_q] = requests.times
     times[n_f + n_q :] = trace.times
     kinds = np.empty(total, dtype=np.int64)
@@ -552,22 +433,19 @@ def build_event_stream(
             sorted_kinds,
             sorted_a,
             sorted_b,
-            np.zeros(n_nodes, dtype=np.int64),
-            is_server=side.is_server,
-            requester=side.requester,
+            is_server=is_server,
+            requester=requester,
         )
     else:
         payload_x = payload_y = server_slots = None
-    chunks, _ = cut_chunks(
+    chunks = cut_chunks(
         sorted_kinds,
         sorted_times,
         sorted_a,
         sorted_b,
         payload_x,
         payload_y,
-        snap_times=side.snap_times,
-        snap_idx=0,
-        last=True,
+        snap_times=snap_times,
         payload_mode=payloads,
     )
     return EventStream(
@@ -577,15 +455,9 @@ def build_event_stream(
         config_fingerprint=config.fingerprint(),
         payload_mode=payloads,
         n_events=total,
-        fault_events=side.fault_events,
-        fault_times=side.fault_times,
-        req_times=side.req_times,
-        req_items=side.req_items,
-        req_nodes=side.req_nodes,
-        is_server=side.is_server,
-        requester=side.requester,
-        all_servers=side.all_servers,
-        snap_times=side.snap_times,
+        fault_events=fault_events,
+        req_nodes=req_nodes,
+        all_servers=bool(is_server.all()),
         event_times=sorted_times,
         event_kinds=sorted_kinds,
         event_a=sorted_a,

@@ -52,7 +52,7 @@ class UncacheableRunError(ReproError):
     """
 
 
-#: Elements hashed per block; bounds peak memory on memory-mapped columns.
+#: Elements hashed per block; bounds the temporary bytes copy of a column.
 _HASH_BLOCK = 1 << 22
 
 
@@ -63,7 +63,7 @@ def _hash_array(array: np.ndarray) -> str:
     if array.ndim == 1:
         # Feed the digest block-wise: sha256 over concatenated updates
         # equals sha256 over the whole buffer, so the hash is unchanged,
-        # but a memory-mapped column is never materialized at once.
+        # but no more than one block is ever copied at once.
         for start in range(0, len(array), _HASH_BLOCK):
             block = np.ascontiguousarray(array[start : start + _HASH_BLOCK])
             digest.update(block.tobytes())

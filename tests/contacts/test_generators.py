@@ -147,47 +147,3 @@ class TestPairIndexClosedForm:
     def test_scalar_index(self):
         a, b = _pair_from_index(np.int64(0), 5)
         assert (int(a), int(b)) == (0, 1)
-
-
-class TestStreamedGeneration:
-    def test_homogeneous_streamed_round_trip(self, tmp_path):
-        out = tmp_path / "h.ctb"
-        trace = homogeneous_poisson_trace(
-            15, 0.2, 80.0, seed=3, out=out, chunk_target=64
-        )
-        assert isinstance(trace.times, np.memmap)
-        assert trace.n_nodes == 15
-        assert trace.duration == 80.0
-        expected = 0.2 * 105 * 80
-        assert abs(len(trace) - expected) < 5 * np.sqrt(expected)
-        assert np.all(np.diff(np.asarray(trace.times)) >= 0)
-        assert np.all(np.asarray(trace.node_a) < np.asarray(trace.node_b))
-
-    def test_streamed_deterministic(self, tmp_path):
-        a = homogeneous_poisson_trace(
-            8, 0.3, 60.0, seed=5, out=tmp_path / "a.ctb", chunk_target=100
-        )
-        b = homogeneous_poisson_trace(
-            8, 0.3, 60.0, seed=5, out=tmp_path / "b.ctb", chunk_target=100
-        )
-        assert np.array_equal(np.asarray(a.times), np.asarray(b.times))
-        assert np.array_equal(np.asarray(a.node_a), np.asarray(b.node_a))
-        assert np.array_equal(np.asarray(a.node_b), np.asarray(b.node_b))
-
-    def test_heterogeneous_streamed_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        rates = rng.uniform(0.1, 0.7, size=(6, 6))
-        rates = np.triu(rates, k=1)
-        rates = rates + rates.T
-        eager = heterogeneous_poisson_trace(rates, duration=100.0, seed=9)
-        streamed = heterogeneous_poisson_trace(
-            rates,
-            duration=100.0,
-            seed=9,
-            out=tmp_path / "h.ctb",
-            chunk_target=50,
-        )
-        assert isinstance(streamed.times, np.memmap)
-        # chunked draws are a different realization of the same process
-        assert abs(len(streamed) - len(eager)) < 6 * np.sqrt(len(eager) + 1)
-        assert np.all(np.asarray(streamed.node_a) < np.asarray(streamed.node_b))

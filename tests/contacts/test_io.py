@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.contacts import (
     ContactTrace,
+    detect_trace_format,
+    load_contact_trace,
     load_csv,
     load_jsonl,
     save_csv,
@@ -205,3 +209,42 @@ class TestCorruptJsonl:
 
     def test_uncorrupted_fixture_still_loads(self, trace, path):
         assert_traces_equal(trace, load_jsonl(path))
+
+
+class TestDetection:
+    def test_detects_all_formats(self, trace, tmp_path):
+        save_csv(trace, tmp_path / "t.csv")
+        save_jsonl(trace, tmp_path / "t.jsonl")
+        assert detect_trace_format(tmp_path / "t.csv") == "csv"
+        assert detect_trace_format(tmp_path / "t.jsonl") == "jsonl"
+
+    def test_unknown_content_is_none(self, tmp_path):
+        blob = tmp_path / "x.bin"
+        blob.write_bytes(os.urandom(64))
+        assert detect_trace_format(blob) is None
+
+    def test_load_contact_trace_dispatches(self, trace, tmp_path):
+        save_csv(trace, tmp_path / "t.csv")
+        save_jsonl(trace, tmp_path / "t.jsonl")
+        assert_traces_equal(trace, load_contact_trace(tmp_path / "t.csv"))
+        assert_traces_equal(trace, load_contact_trace(tmp_path / "t.jsonl"))
+
+    def test_load_contact_trace_rejects_unknown(self, tmp_path):
+        blob = tmp_path / "x.bin"
+        blob.write_bytes(os.urandom(64))
+        with pytest.raises(TraceFormatError):
+            load_contact_trace(blob)
+
+    def test_missing_path_is_an_error_not_unrecognized(self, tmp_path):
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(TraceFormatError, match="no such file"):
+            detect_trace_format(missing)
+        with pytest.raises(TraceFormatError, match="no such file"):
+            load_contact_trace(missing)
+
+    def test_directory_is_not_a_contact_trace(self, tmp_path):
+        (tmp_path / "times.f8").write_bytes(b"\0" * 8)
+        assert detect_trace_format(tmp_path) is None
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_contact_trace(tmp_path)
+        assert str(tmp_path) in str(excinfo.value)

@@ -170,83 +170,61 @@ class TestSummaries:
         assert isinstance(b, int)
 
 
-class TestMemmapViews:
-    """Trace transformations on memory-mapped columns.
+class TestColumnViews:
+    """Which trace transformations share columns with their source.
 
-    ``sliced``/``iter_chunks`` must stay zero-copy views into the
-    backing file; relabeling/scaling transforms must materialize only
-    their (small) outputs; and none of them may write through to disk.
+    ``sliced`` keeps the node columns as views and materializes only
+    the re-based window times; relabeling, scaling and joining
+    materialize only their outputs; and none of them writes to the
+    source columns.
     """
 
     @pytest.fixture
-    def mapped(self, tmp_path):
-        from repro.contacts import (
-            homogeneous_poisson_trace,
-            load_binary,
-            save_binary,
-        )
+    def trace(self):
+        from repro.contacts import homogeneous_poisson_trace
 
-        trace = homogeneous_poisson_trace(10, 0.3, 60.0, seed=13)
-        save_binary(trace, tmp_path / "t.ctb")
-        return tmp_path / "t.ctb", load_binary(tmp_path / "t.ctb")
+        return homogeneous_poisson_trace(10, 0.3, 60.0, seed=13)
 
-    def test_sliced_views_node_columns(self, mapped):
+    def test_sliced_views_node_columns(self, trace):
         """Only the (re-based) window times are materialized."""
-        _, mm = mapped
-        window = mm.sliced(10.0, 40.0)
+        window = trace.sliced(10.0, 40.0)
         assert len(window) > 0
-        assert np.shares_memory(window.node_a, mm.node_a)
-        assert np.shares_memory(window.node_b, mm.node_b)
+        assert np.shares_memory(window.node_a, trace.node_a)
+        assert np.shares_memory(window.node_b, trace.node_b)
         # the time column is re-based to 0, so it is a fresh array of
-        # window length, never a copy of the full mapped column
-        assert not np.shares_memory(window.times, mm.times)
-        assert len(window.times) < len(mm.times)
+        # window length, never a copy of the full column
+        assert not np.shares_memory(window.times, trace.times)
+        assert len(window.times) < len(trace.times)
 
-    def test_select_nodes_copies_only_subset(self, mapped):
-        _, mm = mapped
-        sub = mm.select_nodes([0, 1, 2, 3])
+    def test_select_nodes_copies_only_subset(self, trace):
+        sub = trace.select_nodes([0, 1, 2, 3])
         assert sub.n_nodes == 4
-        assert len(sub) < len(mm)
-        assert not np.shares_memory(sub.times, mm.times)
+        assert len(sub) < len(trace)
+        assert not np.shares_memory(sub.times, trace.times)
+        assert not np.shares_memory(sub.node_a, trace.node_a)
 
-    def test_transforms_leave_backing_file_untouched(self, mapped):
-        path, mm = mapped
-        before = (path / "times.f8").read_bytes()
-        scaled = mm.time_scaled(2.0)
-        assert scaled.duration == 2.0 * mm.duration
-        mm.sliced(0.0, 30.0)
-        mm.select_nodes([0, 1, 2])
-        from repro.contacts import ContactTrace, load_binary
+    def test_transforms_leave_source_untouched(self, trace):
+        columns = [c.copy() for c in (trace.times, trace.node_a, trace.node_b)]
+        scaled = trace.time_scaled(2.0)
+        assert scaled.duration == 2.0 * trace.duration
+        trace.sliced(0.0, 30.0)
+        trace.select_nodes([0, 1, 2])
+        ContactTrace.concatenate([trace.sliced(0.0, 30.0), trace])
+        for before, after in zip(
+            columns, (trace.times, trace.node_a, trace.node_b)
+        ):
+            assert np.array_equal(before, after)
 
-        ContactTrace.concatenate([mm.sliced(0.0, 30.0)])
-        assert (path / "times.f8").read_bytes() == before
-        reread = load_binary(path)
-        assert np.array_equal(np.asarray(reread.times), np.asarray(mm.times))
-
-    def test_memmap_columns_are_read_only(self, mapped):
-        _, mm = mapped
-        with pytest.raises(ValueError):
-            mm.times[0] = -1.0
-
-    def test_concatenate_materializes_plain_arrays(self, mapped):
-        from repro.contacts import ContactTrace
-
-        _, mm = mapped
-        first = mm.sliced(0.0, 30.0)
-        second = mm.sliced(30.0, 60.0)
+    def test_concatenate_materializes_fresh_arrays(self, trace):
+        first = trace.sliced(0.0, 30.0)
+        second = trace.sliced(30.0, 60.0)
         joined = ContactTrace.concatenate([first, second])
         assert len(joined) == len(first) + len(second)
-        assert not isinstance(np.asarray(joined.times), np.memmap)
+        assert not np.shares_memory(joined.times, trace.times)
+        assert not np.shares_memory(joined.node_a, trace.node_a)
 
-    def test_time_scaled_matches_eager(self, mapped):
-        _, mm = mapped
-        eager = ContactTrace(
-            times=np.asarray(mm.times).copy(),
-            node_a=np.asarray(mm.node_a).copy(),
-            node_b=np.asarray(mm.node_b).copy(),
-            n_nodes=mm.n_nodes,
-            duration=mm.duration,
-        )
-        a = mm.time_scaled(1.5)
-        b = eager.time_scaled(1.5)
-        assert np.array_equal(np.asarray(a.times), np.asarray(b.times))
+    def test_time_scaled_scales_times_and_shares_nodes(self, trace):
+        scaled = trace.time_scaled(1.5)
+        assert np.array_equal(scaled.times, trace.times * 1.5)
+        assert scaled.node_a is trace.node_a
+        assert scaled.node_b is trace.node_b

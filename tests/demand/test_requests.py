@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,56 +128,15 @@ class TestSchedule:
             )
 
 
-class TestChunkedGeneration:
-    def test_default_path_unchanged(self):
-        """chunk_target=None must stay byte-identical to the old path."""
+class TestDefaultDraw:
+    def test_default_draw_is_pinned(self):
+        """The default draw stays byte-identical for a given seed."""
         demand = DemandModel.pareto(8, total_rate=1.5)
-        a = generate_requests(demand, 25, duration=200.0, seed=11)
-        b = generate_requests(
-            demand, 25, duration=200.0, seed=11, chunk_target=None
+        schedule = generate_requests(demand, 25, duration=200.0, seed=11)
+        digest = hashlib.sha256()
+        for column in (schedule.times, schedule.items, schedule.nodes):
+            digest.update(np.ascontiguousarray(column).tobytes())
+        assert len(schedule) == 277
+        assert digest.hexdigest() == (
+            "baf180687527afa150fd3abc7b68f18c4bc8236e2e449856fe206bebb6387ce5"
         )
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.items, b.items)
-        assert np.array_equal(a.nodes, b.nodes)
-
-    def test_chunked_is_valid_same_process(self):
-        demand = DemandModel.pareto(8, total_rate=2.0)
-        chunked = generate_requests(
-            demand, 25, duration=400.0, seed=11, chunk_target=50
-        )
-        assert np.all(np.diff(chunked.times) >= 0)
-        assert np.all((chunked.times >= 0) & (chunked.times <= 400.0))
-        assert np.all((chunked.items >= 0) & (chunked.items < 8))
-        assert np.all((chunked.nodes >= 0) & (chunked.nodes < 25))
-        # a different realization of the same Poisson volume
-        eager = generate_requests(demand, 25, duration=400.0, seed=11)
-        expected = len(eager)
-        assert abs(len(chunked) - expected) < 6 * np.sqrt(expected + 1)
-
-    def test_chunked_deterministic(self):
-        demand = DemandModel.pareto(5, total_rate=1.0)
-        a = generate_requests(
-            demand, 10, duration=100.0, seed=4, chunk_target=32
-        )
-        b = generate_requests(
-            demand, 10, duration=100.0, seed=4, chunk_target=32
-        )
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.items, b.items)
-        assert np.array_equal(a.nodes, b.nodes)
-
-    def test_chunked_respects_profile(self):
-        demand = DemandModel.pareto(6, total_rate=2.0)
-        profile = clustered_profile(
-            n_items=6, n_clients=30, n_groups=3, seed=8
-        )
-        schedule = generate_requests(
-            demand,
-            30,
-            duration=300.0,
-            seed=9,
-            profile=profile,
-            chunk_target=64,
-        )
-        assert len(schedule) > 0
-        assert np.all(schedule.nodes < 30)

@@ -1,29 +1,22 @@
-"""TrialArtifacts: memoized fingerprints, shared streams, spill handoff.
+"""TrialArtifacts: memoized fingerprints and shared streams.
 
 The amortization contract has two halves: each per-trial artifact is
 computed *at most once* (the memo tests count underlying hash passes),
 and reusing it never changes a single bit of any result (the sweep
-tests compare shared/unshared and spilled/regenerated runs exactly).
+tests compare shared and unshared runs exactly).  A pool sweep equals
+the serial walk bit for bit (``tests/dist/test_executors.py``,
+``tests/experiments/test_telemetry.py``).
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
 
 from repro.contacts import homogeneous_poisson_trace
-from repro.contacts.binary import binary_trace_metadata
 from repro.demand import DemandModel, generate_requests
 from repro.experiments import TrialArtifacts, run_comparison
 from repro.experiments.benchmark import _merge_per_protocol
-from repro.experiments.artifacts import (
-    SPILL_FINGERPRINT_KEY,
-    load_spilled_trace,
-    spill_trial_trace,
-)
 from repro.faults import FaultSchedule
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
@@ -37,12 +30,6 @@ from repro.utility import StepUtility
 
 N, I, RHO = 6, 4, 2
 DURATION = 80.0
-
-fork_only = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="executor backends need the fork start method",
-)
-
 
 def trace_factory(seed):
     return homogeneous_poisson_trace(N, 0.1, DURATION, seed=seed)
@@ -168,16 +155,6 @@ class TestEventStreamMemo:
             assert inputs.event_stream(config) is None
         assert inputs.event_stream(config) is not None
 
-    def test_memmapped_trace_never_materializes(
-        self, workload, config, tmp_path
-    ):
-        trace, requests = workload
-        path = tmp_path / "t.ctb"
-        spill_trial_trace(trace, path)
-        mapped, _fp = load_spilled_trace(path)
-        inputs = TrialArtifacts(mapped, requests, 17)
-        assert inputs.event_stream(config) is None
-
     def test_drop_releases_the_memo(self, workload, config):
         trace, requests = workload
         inputs = TrialArtifacts(trace, requests, 17)
@@ -188,37 +165,7 @@ class TestEventStreamMemo:
 
 
 # ----------------------------------------------------------------------
-# spill round trip
-# ----------------------------------------------------------------------
-class TestSpill:
-    def test_round_trip_preserves_columns_and_fingerprint(
-        self, workload, tmp_path
-    ):
-        trace, _ = workload
-        fp = fingerprint_trace(trace)
-        path = tmp_path / "trial-0.ctb"
-        returned = spill_trial_trace(trace, path, trace_fingerprint=fp)
-        assert returned == os.fspath(path)
-        assert binary_trace_metadata(path) == {SPILL_FINGERPRINT_KEY: fp}
-        loaded, loaded_fp = load_spilled_trace(path)
-        assert loaded_fp == fp
-        assert np.array_equal(np.asarray(loaded.times), trace.times)
-        assert np.array_equal(np.asarray(loaded.node_a), trace.node_a)
-        assert np.array_equal(np.asarray(loaded.node_b), trace.node_b)
-        # the spilled bytes hash to the same content fingerprint
-        assert fingerprint_trace(loaded) == fp
-
-    def test_spill_without_fingerprint(self, workload, tmp_path):
-        trace, _ = workload
-        path = tmp_path / "bare.ctb"
-        spill_trial_trace(trace, path)
-        loaded, loaded_fp = load_spilled_trace(path)
-        assert loaded_fp is None
-        assert np.array_equal(np.asarray(loaded.times), trace.times)
-
-
-# ----------------------------------------------------------------------
-# sweep-level bit-identity: shared vs. unshared, spilled vs. regenerated
+# sweep-level bit-identity: shared vs. unshared
 # ----------------------------------------------------------------------
 def sweep(demand, config, protocols, **kwargs):
     kwargs.setdefault("run_cache", False)
@@ -299,58 +246,3 @@ class TestSweepSharing:
         with _merge_per_protocol():
             unshared = sweep(demand, config, protocols, faults=faults)
         assert_identical(shared, unshared)
-
-
-@fork_only
-class TestSpillHandoff:
-    def test_pool_spill_matches_serial(
-        self, demand, config, protocols, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        serial = sweep(demand, config, protocols)
-        spilled = sweep(
-            demand,
-            config,
-            protocols,
-            executor=2,
-            trial_spill_dir=tmp_path / "spills",
-        )
-        assert_identical(serial, spilled)
-        assert spilled.manifest["n_spilled_trials"] == 2
-        spill_files = sorted(os.listdir(tmp_path / "spills"))
-        assert spill_files == ["trial-0.ctb", "trial-1.ctb"]
-        for name in spill_files:
-            meta = binary_trace_metadata(tmp_path / "spills" / name)
-            assert meta == {}  # no cache -> no fingerprint spilled
-
-    def test_pool_spill_carries_fingerprint_with_cache(
-        self, demand, config, protocols, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        serial = sweep(demand, config, protocols)
-        spilled = sweep(
-            demand,
-            config,
-            protocols,
-            executor=2,
-            run_cache=tmp_path / "cache",
-            trial_spill_dir=tmp_path / "spills",
-        )
-        assert_identical(serial, spilled)
-        for name in sorted(os.listdir(tmp_path / "spills")):
-            meta = binary_trace_metadata(tmp_path / "spills" / name)
-            assert SPILL_FINGERPRINT_KEY in meta
-
-    def test_serial_executor_never_spills(
-        self, demand, config, protocols, tmp_path
-    ):
-        result = sweep(
-            demand,
-            config,
-            protocols,
-            trial_spill_dir=tmp_path / "spills",
-        )
-        assert result.manifest["n_spilled_trials"] == 0
-        assert not (tmp_path / "spills").exists() or not os.listdir(
-            tmp_path / "spills"
-        )

@@ -19,8 +19,12 @@ from repro.protocols import (
 )
 from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
-from repro.sim.engine import EVENT_CONTACT, EVENT_FAULT, EVENT_REQUEST
-from repro.sim.events import compute_plain_payloads, server_slot_payloads
+from repro.sim.events import (
+    EVENT_CONTACT,
+    EVENT_FAULT,
+    EVENT_REQUEST,
+    server_slot_payloads,
+)
 from repro.simcache.store import result_to_dict
 from repro.utility import StepUtility
 
@@ -193,15 +197,15 @@ def test_reference_engine_equivalence_with_timeout_and_faults():
 
 
 # ----------------------------------------------------------------------
-# compute_plain_payloads against a per-event meeting counter
+# server_slot_payloads against a per-event meeting counter
 # ----------------------------------------------------------------------
-def brute_force_payloads(kinds, arg_a, arg_b, meet_base, is_server, requester):
-    """Walk the block event by event: a requester's meeting count rises
-    by one per contact with a server; a contact carries each side's new
-    count (``-1`` when that side does not count), a request its node's
-    count at creation.  Every counted direction slot is listed as
-    ``node * len(kinds) + position``, sorted."""
-    counts = meet_base.copy()
+def brute_force_payloads(kinds, arg_a, arg_b, is_server, requester):
+    """Walk the stream event by event: a requester's meeting count rises
+    by one per contact with a server (from zero); a contact carries each
+    side's new count (``-1`` when that side does not count), a request
+    its node's count at creation.  Every counted direction slot is
+    listed as ``node * len(kinds) + position``, sorted."""
+    counts = np.zeros(len(is_server), dtype=np.int64)
     payload_x = np.full(len(kinds), -1, dtype=np.int64)
     payload_y = np.full(len(kinds), -1, dtype=np.int64)
     slots = []
@@ -218,7 +222,7 @@ def brute_force_payloads(kinds, arg_a, arg_b, meet_base, is_server, requester):
                 payload_y[p] = counts[b]
                 slots.append(int(b) * len(kinds) + p)
     slot_key = np.array(sorted(slots), dtype=np.int64)
-    return payload_x, payload_y, counts, slot_key
+    return payload_x, payload_y, slot_key
 
 
 def random_block(rng, n_nodes, pool, shape, n_events=4000):
@@ -257,15 +261,13 @@ def random_block(rng, n_nodes, pool, shape, n_events=4000):
     # Request rows carry an item id in arg_a, possibly past the node range.
     arg_a[is_request] = rng.integers(0, n_nodes + 50, size=is_request.sum())
     requester[arg_b[is_request]] = True
-    meet_base = rng.integers(0, 5, size=n_nodes)
-    return kinds, arg_a, arg_b, meet_base, is_server, requester
+    return kinds, arg_a, arg_b, is_server, requester
 
 
 @pytest.mark.parametrize("n_nodes", [7, 70_000])
 def test_plain_payloads_match_brute_force(n_nodes):
-    """Both payload columns, the server-slot key and the advanced carry
-    equal a per-event walk, on random blocks of every shape with a
-    nonzero carried base.  Up to 65,536 nodes the grouping sorts 16-bit
+    """Both payload columns and the server-slot key equal a per-event
+    walk, on random blocks of every shape.  Up to 65,536 nodes the grouping sorts 16-bit
     keys; above, the int64 ids themselves (70,000 nodes pins that
     fallback: a 16-bit key would alias node ids 65,536 apart)."""
     rng = np.random.default_rng(n_nodes)
@@ -277,29 +279,16 @@ def test_plain_payloads_match_brute_force(n_nodes):
         pool = np.arange(n_nodes)
     for shape in ("mixed", "dedicated", "contacts", "requests"):
         for _ in range(3):
-            kinds, arg_a, arg_b, meet_base, is_server, requester = (
-                random_block(rng, n_nodes, rng.permutation(pool), shape)
+            kinds, arg_a, arg_b, is_server, requester = random_block(
+                rng, n_nodes, rng.permutation(pool), shape
             )
-            expected_x, expected_y, expected_base, expected_slots = (
-                brute_force_payloads(
-                    kinds, arg_a, arg_b, meet_base, is_server, requester
-                )
+            expected_x, expected_y, expected_slots = brute_force_payloads(
+                kinds, arg_a, arg_b, is_server, requester
             )
-            carry = meet_base.copy()
             payload_x, payload_y, server_slots = server_slot_payloads(
-                kinds, arg_a, arg_b, carry,
+                kinds, arg_a, arg_b,
                 is_server=is_server, requester=requester,
             )
             assert np.array_equal(payload_x, expected_x)
             assert np.array_equal(payload_y, expected_y)
             assert np.array_equal(server_slots, expected_slots)
-            # The carry advances to each node's count at the end of the
-            # block.
-            assert np.array_equal(carry, expected_base)
-            # The public wrapper returns the same columns.
-            wrapped_x, wrapped_y = compute_plain_payloads(
-                kinds, arg_a, arg_b, meet_base.copy(),
-                is_server=is_server, requester=requester,
-            )
-            assert np.array_equal(wrapped_x, expected_x)
-            assert np.array_equal(wrapped_y, expected_y)

@@ -5,8 +5,7 @@ events once and hands the read-only stream to every protocol's run.
 The engine treats a prebuilt stream as untrusted input — it validates
 object identity and config equivalence before using it — and the
 results must be bit-identical to an inline merge in every mode: plain,
-faulted, traced (JSONL), metrics-enabled, and against the streamed
-chunked pipeline.
+faulted, traced (JSONL) and metrics-enabled.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.contacts import load_binary, save_binary
 from repro.demand import generate_requests
 from repro.errors import ConfigurationError
 from repro.experiments import homogeneous_scenario, standard_protocols
@@ -137,30 +135,6 @@ def test_prebuilt_traced_jsonl_with_metrics(
         obs_metrics.set_enabled(None)
 
 
-def test_prebuilt_matches_streamed_chunked_path(scenario, workload):
-    """An eager prebuilt run equals the chunked streamed pipeline."""
-    trace, requests = workload
-    factory = standard_protocols(scenario, include=("UNI",))["UNI"]
-    stream = build_event_stream(trace, requests, scenario.config)
-    prebuilt = simulate(
-        trace,
-        requests,
-        scenario.config,
-        factory(trace, requests),
-        seed=7,
-        prebuilt_events=stream,
-    )
-    streamed = simulate(
-        trace,
-        requests,
-        scenario.config,
-        factory(trace, requests),
-        seed=7,
-        chunk_events=256,
-    )
-    assert_results_identical(prebuilt, streamed)
-
-
 def test_prebuilt_stream_is_reusable_and_read_only(scenario, workload):
     """One stream serves many runs; event columns are not mutated."""
     trace, requests = workload
@@ -270,39 +244,9 @@ def test_payloadless_stream_fine_for_traced_run(scenario, workload):
     assert sink.n_emitted > 0
 
 
-def test_prebuilt_with_chunk_events_is_an_error(scenario, workload):
-    trace, requests = workload
-    stream = build_event_stream(trace, requests, scenario.config)
-    with pytest.raises(ConfigurationError, match="chunk_events"):
-        make_sim(scenario, trace, requests, stream, chunk_events=256)
-
-
 def test_payload_stream_with_faults_is_an_error(scenario, workload, faults):
     trace, requests = workload
     with pytest.raises(ConfigurationError, match="payload"):
         build_event_stream(
             trace, requests, scenario.config, faults, payloads=True
-        )
-
-
-def test_memmap_trace_runs_streamed_with_prebuilt_rejected(
-    scenario, workload, tmp_path
-):
-    """A memory-mapped trace selects the streamed pipeline, which has
-    no eager prebuilt form — combining them must fail loudly rather
-    than silently materialize the merge."""
-    trace, requests = workload
-    path = tmp_path / "trace.ctb"
-    save_binary(trace, path)
-    mapped = load_binary(path, mmap=True)
-    stream = build_event_stream(trace, requests, scenario.config)
-    factory = standard_protocols(scenario, include=("UNI",))["UNI"]
-    with pytest.raises(ConfigurationError):
-        Simulation(
-            mapped,
-            requests,
-            scenario.config,
-            factory(mapped, requests),
-            seed=7,
-            prebuilt_events=stream,
         )

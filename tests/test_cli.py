@@ -176,6 +176,12 @@ class TestCli:
         assert main(["trace", "cdf", "no-such.jsonl", "--mu", "0.05"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_trace_summary_of_a_directory_is_an_error(self, capsys, tmp_path):
+        assert main(["trace", "summary", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(tmp_path) in err
+
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["trace"])
@@ -222,10 +228,6 @@ class TestCli:
             "engine": {
                 "min_speedup": 3.0,
                 "cases": [{"protocol": "OPT", "bit_identical": True}],
-            },
-            "streamed": {
-                "bit_identical": True,
-                "streamed_events_per_sec": 1e6,
             },
             "sweep_amortization": {
                 "sweep": {"bit_identical": True, "speedup": 1.3}
