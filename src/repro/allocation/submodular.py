@@ -41,6 +41,7 @@ from .welfare import heterogeneous_welfare
 
 __all__ = [
     "GREEDY_CODE_VERSION",
+    "STATIC_CODE_VERSION",
     "HeterogeneousProblem",
     "HeterogeneousResult",
     "greedy_heterogeneous",
@@ -55,6 +56,19 @@ __all__ = [
 #: OPT runs from older versions then stop matching and are recomputed.
 #: Speedups that return the same allocation bits do not require a bump.
 GREEDY_CODE_VERSION = "2026.10-celf-rows-1"
+
+#: Version of the fixed allocations the paper's static competitors
+#: (UNI, SQRT, PROP, DOM and homogeneous OPT) compute, keyed into the
+#: run cache for their runs, which are keyed by the builders' inputs
+#: (demand, server count, ``rho``; for OPT also the utility, meeting
+#: rate and client layout) instead of the allocation built from them.
+#: It covers :mod:`~repro.allocation.closed_form`,
+#: :func:`~repro.allocation.quantize.quantize_counts`,
+#: :func:`~repro.allocation.quantize.place_copies` and
+#: :func:`~repro.allocation.greedy.greedy_homogeneous`: bump it whenever
+#: a change could alter the counts or the seeded placement one of them
+#: returns (``tests/allocation/test_static_code_version.py`` pins them).
+STATIC_CODE_VERSION = "2026.10-static-1"
 
 
 @dataclass(frozen=True)

@@ -112,9 +112,7 @@ class TrialArtifacts:
     its *request_seed* do the same for *requests*.
 
     Memoization is per-instance and lazy: nothing is computed until a
-    consumer asks, and each artifact is computed at most once.  A
-    *trace_fingerprint* passed at construction pre-seeds the memo, so
-    the trace is never hashed.
+    consumer asks, and each artifact is computed at most once.
     """
 
     __slots__ = (
@@ -140,7 +138,6 @@ class TrialArtifacts:
         sim_seed: int,
         *,
         faults: Optional[FaultSchedule] = None,
-        trace_fingerprint: Optional[str] = None,
         recipe: Optional[TraceRecipe] = None,
         trace_seed: int = 0,
         request_recipe: Optional["RequestRecipe"] = None,
@@ -160,7 +157,7 @@ class TrialArtifacts:
         self._requests = requests
         self.sim_seed = sim_seed
         self.faults = faults
-        self._trace_fp = trace_fingerprint
+        self._trace_fp: Optional[str] = None
         self._requests_fp: Optional[str] = None
         self._faults_fp: Optional[str] = None
         self._config_fp: Optional[Tuple[SimulationConfig, str]] = None

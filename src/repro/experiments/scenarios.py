@@ -361,6 +361,86 @@ def default_qcr_config(
     return QCRConfig(psi_scale=scale, max_mandates_per_request=25)
 
 
+class _StaticBuild(StaticAllocation):
+    """A fixed-allocation competitor held as its builder's inputs.
+
+    UNI, SQRT, PROP and DOM depend only on demand, the server count and
+    ``rho``.  The instance holds the name of its
+    :mod:`repro.protocols.static` builder, those inputs and
+    :data:`~repro.allocation.submodular.STATIC_CODE_VERSION`, and calls
+    the builder in :meth:`initialize`.  So the run cache keys the run by
+    its inputs, a cache hit computes no allocation, and the fingerprint
+    is the same before and after the run (the computed counts never
+    land on the instance).  Inputs are plain attributes, which the key's
+    structural walk describes most cheaply.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        builder: str,
+        demand: DemandModel,
+        n_servers: int,
+        rho: int,
+    ) -> None:
+        self.name = name
+        self.builder = builder
+        self.demand = demand
+        self.n_servers = n_servers
+        self.rho = rho
+        self.allocation_version = submodular.STATIC_CODE_VERSION
+
+    def build(self) -> StaticAllocation:
+        """The builder's protocol.  Builders are module globals, looked
+        up per call, so a probe that patches one sees every build."""
+        args = (self.demand, self.n_servers, self.rho)
+        if self.builder == "uni_protocol":
+            return uni_protocol(*args)
+        if self.builder == "sqrt_protocol":
+            return sqrt_protocol(*args)
+        if self.builder == "prop_protocol":
+            return prop_protocol(*args)
+        if self.builder == "dom_protocol":
+            return dom_protocol(*args)
+        raise ConfigurationError(f"unknown builder {self.builder!r}")
+
+    def initialize(self, sim: "Simulation") -> None:
+        self.build().initialize(sim)
+
+
+class _HomogeneousOPT(_StaticBuild):
+    """OPT under homogeneous contacts: the Theorem-2 greedy, solved by
+    ``opt_protocol`` in :meth:`initialize` and keyed by its inputs."""
+
+    def __init__(
+        self,
+        demand: DemandModel,
+        utility: DelayUtility,
+        mu: float,
+        n_servers: int,
+        rho: int,
+        *,
+        pure_p2p: bool,
+        n_clients: int,
+    ) -> None:
+        super().__init__("OPT", "opt_protocol", demand, n_servers, rho)
+        self.utility = utility
+        self.mu = mu
+        self.pure_p2p = pure_p2p
+        self.n_clients = n_clients
+
+    def build(self) -> StaticAllocation:
+        return opt_protocol(
+            self.demand,
+            self.utility,
+            self.mu,
+            self.n_servers,
+            self.rho,
+            pure_p2p=self.pure_p2p,
+            n_clients=self.n_clients,
+        )
+
+
 class _TraceOPT(StaticAllocation):
     """OPT on a trace: the lazy greedy (Theorem 1) on its pair rates.
 
@@ -404,6 +484,16 @@ class _TraceOPT(StaticAllocation):
         sim.set_initial_allocation(result.allocation)
 
 
+#: The closed-form competitors' builders, by protocol name; each takes
+#: ``(demand, n_servers, rho)``.
+_FIXED_BUILDERS = {
+    "UNI": "uni_protocol",
+    "SQRT": "sqrt_protocol",
+    "PROP": "prop_protocol",
+    "DOM": "dom_protocol",
+}
+
+
 def standard_protocols(
     scenario: Scenario,
     *,
@@ -427,7 +517,7 @@ def standard_protocols(
 
     def make_opt(trace: TraceShape, _req: RequestSource):
         if not scenario.heterogeneous:
-            return opt_protocol(
+            return _HomogeneousOPT(
                 demand,
                 utility,
                 scenario.mu_estimate,
@@ -453,6 +543,12 @@ def standard_protocols(
             floor,
         )
 
+    def make_fixed(name: str) -> ProtocolFactory:
+        builder = _FIXED_BUILDERS[name]
+        return lambda tr, _rq: _StaticBuild(
+            name, builder, demand, tr.n_nodes, rho
+        )
+
     factories: Dict[str, ProtocolFactory] = {}
     for name in include:
         if name == "OPT":
@@ -471,22 +567,8 @@ def standard_protocols(
             from ..protocols import PassiveReplication
 
             factories[name] = lambda tr, _rq: PassiveReplication()
-        elif name == "UNI":
-            factories[name] = lambda tr, _rq: uni_protocol(
-                demand, tr.n_nodes, rho
-            )
-        elif name == "SQRT":
-            factories[name] = lambda tr, _rq: sqrt_protocol(
-                demand, tr.n_nodes, rho
-            )
-        elif name == "PROP":
-            factories[name] = lambda tr, _rq: prop_protocol(
-                demand, tr.n_nodes, rho
-            )
-        elif name == "DOM":
-            factories[name] = lambda tr, _rq: dom_protocol(
-                demand, tr.n_nodes, rho
-            )
+        elif name in _FIXED_BUILDERS:
+            factories[name] = make_fixed(name)
         else:
             raise ConfigurationError(f"unknown protocol {name!r}")
     return factories

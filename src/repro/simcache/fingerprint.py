@@ -249,6 +249,16 @@ def fingerprint_faults(faults: Optional[FaultSchedule]) -> str:
 def fingerprint_protocol(protocol: ReplicationProtocol) -> str:
     """Structural content hash of a freshly built protocol instance.
 
+    The hash covers the instance's attributes, so a protocol keyed by
+    its inputs must hold only those, never state it computes from them.
+    The paper's static competitors do: trace OPT holds its allocation
+    problem minus the rates, and UNI, SQRT, PROP, DOM and homogeneous
+    OPT their builder's name and inputs
+    (:func:`repro.experiments.standard_protocols`), each with the
+    version of the code that turns them into an allocation.  They
+    compute the allocation in ``initialize``, so a run-cache hit
+    computes none, and the hash is the same before and after the run.
+
     Raises :class:`UncacheableRunError` when the instance holds state
     with no stable representation.
     """

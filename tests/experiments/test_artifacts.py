@@ -106,19 +106,6 @@ class TestFingerprintMemo:
             inputs.faults_fingerprint()
         assert calls == {"trace": 1, "requests": 1, "faults": 1}
 
-    def test_preseeded_fingerprint_never_hashes(self, workload, monkeypatch):
-        trace, requests = workload
-        fp = fingerprint_trace(trace)
-
-        import repro.experiments.artifacts as artifacts_mod
-
-        def boom(_obj):
-            raise AssertionError("spilled fingerprint must be trusted")
-
-        monkeypatch.setattr(artifacts_mod, "fingerprint_trace", boom)
-        inputs = TrialArtifacts(trace, requests, 17, trace_fingerprint=fp)
-        assert inputs.trace_fingerprint() == fp
-
     def test_memoized_run_key_is_byte_identical(
         self, workload, config, demand
     ):

@@ -15,7 +15,9 @@ The cache contract has three legs:
   seed, ``REQUEST_CODE_VERSION`` and the numpy version) the same way, so
   a warm pass generates no request schedule either.  Trace OPT adds
   its allocation problem and the solver version, and estimates rates
-  and solves only when its run simulates;
+  and solves only when its run simulates; UNI, SQRT, PROP, DOM and
+  homogeneous OPT add their builder's inputs and
+  ``STATIC_CODE_VERSION``, and build their allocation only then too;
 * **robustness** — a corrupted entry is a logged miss, never a crash or
   a wrong result.
 """
@@ -70,11 +72,13 @@ from repro.experiments.profiles import EffortProfile
 from repro.faults import FaultSchedule
 from repro.obs.log import set_log_stream
 from repro.protocols import prop_protocol, uni_protocol
+from repro.protocols import static as static_mod
 from repro.sim import SimulationConfig, simulate
 from repro.simcache import (
     ENV_VAR,
     SimulationRunCache,
     UncacheableRunError,
+    fingerprint_protocol,
     fingerprint_request_recipe,
     fingerprint_requests,
     fingerprint_trace,
@@ -427,6 +431,77 @@ class TestTraceOptKey:
 
 def _never_called(*args, **kwargs):
     raise AssertionError("building or keying trace OPT must not solve")
+
+
+#: The protocols whose factories defer a closed-form or Theorem-2 build.
+STATIC_NAMES = ("OPT", "UNI", "SQRT", "PROP", "DOM")
+
+
+def small_homogeneous(utility=StepUtility(5.0), n_nodes=N, **kwargs):
+    return homogeneous_scenario(
+        utility, n_nodes=n_nodes, n_items=I, duration=DURATION, **kwargs
+    )
+
+
+def static_fingerprints(scenario):
+    """Each static protocol's fingerprint, built on the scenario's
+    trace recipe as a sweep builds it."""
+    factories = standard_protocols(scenario, include=STATIC_NAMES)
+    return {
+        name: fingerprint_protocol(factory(scenario.trace_factory, None))
+        for name, factory in factories.items()
+    }
+
+
+class TestStaticProtocolKey:
+    """UNI, SQRT, PROP, DOM and homogeneous OPT are keyed by their
+    builders' inputs plus ``STATIC_CODE_VERSION``."""
+
+    @pytest.mark.parametrize("name", STATIC_NAMES)
+    def test_fingerprint_stable_across_builds_and_runs(self, name):
+        scenario = small_homogeneous()
+        factory = standard_protocols(scenario, include=(name,))[name]
+        trace = scenario.trace_factory(1)
+        requests = generate_requests(
+            scenario.demand, trace.n_nodes, trace.duration, seed=2
+        )
+        protocol = factory(scenario.trace_factory, requests)
+        before = fingerprint_protocol(protocol)
+        assert fingerprint_protocol(factory(trace, requests)) == before
+        simulate(trace, requests, scenario.config, protocol, seed=3)
+        assert fingerprint_protocol(protocol) == before
+
+    def test_built_without_allocating(self, monkeypatch):
+        for module, name in ALLOCATION_GLOBALS:
+            monkeypatch.setattr(module, name, _never_allocates)
+        assert len(static_fingerprints(small_homogeneous())) == 5
+
+    def test_key_follows_every_builder_input(self, monkeypatch):
+        base = static_fingerprints(small_homogeneous())
+        changed = {
+            "demand": static_fingerprints(small_homogeneous(omega=0.5)),
+            "rho": static_fingerprints(small_homogeneous(rho=3)),
+            "nodes": static_fingerprints(small_homogeneous(n_nodes=N + 2)),
+        }
+        monkeypatch.setattr(
+            submodular, "STATIC_CODE_VERSION", "9999.99-test-bump"
+        )
+        changed["STATIC_CODE_VERSION"] = static_fingerprints(
+            small_homogeneous()
+        )
+        for what, prints in changed.items():
+            for name in STATIC_NAMES:
+                assert prints[name] != base[name], (what, name)
+        monkeypatch.undo()
+        # The closed forms ignore the utility; OPT's greedy does not.
+        other = static_fingerprints(small_homogeneous(StepUtility(6.0)))
+        assert {name for name in STATIC_NAMES if other[name] != base[name]} \
+            == {"OPT"}
+
+
+def _never_allocates(*args, **kwargs):
+    raise AssertionError("building or keying a static protocol must not "
+                         "compute its allocation")
 
 
 class TestStore:
@@ -1353,9 +1428,22 @@ TRACE_GLOBALS = (
 )
 
 
+#: The allocation routines a static protocol's build calls, as the
+#: builders (``static``) and trace OPT (``scenarios``) look them up.
+ALLOCATION_GLOBALS = (
+    (static_mod, "uniform_counts"),
+    (static_mod, "sqrt_counts"),
+    (static_mod, "proportional_counts"),
+    (static_mod, "dominant_counts"),
+    (static_mod, "quantize_counts"),
+    (static_mod, "greedy_homogeneous"),
+    (scenarios_mod, "greedy_heterogeneous"),
+)
+
+
 class TestWarmPassRealizesNothing:
-    """A figure re-rendered over a filled cache realizes no trace and
-    generates no request schedule."""
+    """A figure re-rendered over a filled cache realizes no trace,
+    generates no request schedule and computes no allocation."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -1408,10 +1496,14 @@ class TestWarmPassRealizesNothing:
         sweeps.clear()
 
         def never(*args, **kwargs):
-            raise AssertionError("a warm pass must not realize or simulate")
+            raise AssertionError(
+                "a warm pass must not realize, allocate or simulate"
+            )
 
         for name in TRACE_GLOBALS:
             monkeypatch.setattr(scenarios_mod, name, never)
+        for module, name in ALLOCATION_GLOBALS:
+            monkeypatch.setattr(module, name, never)
         monkeypatch.setattr(runner_mod, "simulate", never)
         monkeypatch.setattr(runner_mod, "generate_requests", never)
         for module in (artifacts_mod, fingerprint_mod):

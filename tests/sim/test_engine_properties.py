@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
+from repro.experiments import Scenario, standard_protocols
 from repro.faults import FaultSchedule
 from repro.obs import Tracer
+from repro.obs import metrics as obs_metrics
 from repro.protocols import (
     QCR,
     PassiveReplication,
@@ -38,6 +41,9 @@ from ._bitwise import (
 )
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2
+#: Protocol kinds built through ``standard_protocols``: SQRT, PROP and the
+#: Theorem-2 OPT, which compute their allocations in ``initialize``.
+SUITE_KINDS = ("sqrt", "prop", "opt")
 DURATION, TAU = 120.0, 8.0
 #: The dedicated-node layout: servers and clients are disjoint.
 SERVERS, CLIENTS = (0, 1, 2), (3, 4, 5)
@@ -58,7 +64,10 @@ def workloads(draw):
                 "qcr-adaptive",
                 "passive",
                 "uni",
+                "sqrt",
+                "prop",
                 "dom",
+                "opt",
                 "sparse",
             ]
         )
@@ -240,6 +249,23 @@ def build(workload, cls=Simulation, stream=None):
         protocol = PassiveReplication()
     elif kind == "dom":
         protocol = dom_protocol(demand, n_servers, RHO)
+    elif kind in SUITE_KINDS:
+        # The figure sweeps' protocols: the suite's factory, handed the
+        # server count as the trace shape it builds for.
+        scenario = Scenario(
+            name="property",
+            trace_factory=lambda seed: trace,
+            demand=demand,
+            config=config,
+            mu_estimate=rate,
+            heterogeneous=False,
+            n_nodes=n_servers,
+        )
+        name = kind.upper()
+        factory = standard_protocols(scenario, include=(name,))[name]
+        protocol = factory(
+            SimpleNamespace(n_nodes=n_servers, duration=DURATION), requests
+        )
     elif kind == "sparse":
         protocol = StaticAllocation(counts=SPARSE_COUNTS)
     else:
@@ -280,16 +306,29 @@ def test_matches_reference(workload):
     assert_bit_identical(expected, actual)
 
 
+def test_matches_reference_with_metrics(monkeypatch):
+    """The bit-identity property holds with metrics collection on
+    (``REPRO_METRICS=1``): aggregation only observes the loops."""
+    monkeypatch.setenv(obs_metrics.ENV_VAR, "1")
+    monkeypatch.setattr(obs_metrics, "_ENABLED", None)
+    obs_metrics.reset_registry()
+    try:
+        test_matches_reference()
+        assert len(obs_metrics.enabled_registry()) > 0
+    finally:
+        obs_metrics.reset_registry()
+
+
 @settings(max_examples=25, deadline=None)
 @given(workload=workloads())
 def test_static_protocols_share_one_stream(workload):
-    """Two static protocols on one prebuilt stream each match the
+    """Static protocols on one prebuilt stream each match the
     reference: the kernel's per-trial indexes, built on the first run,
-    carry nothing of its allocation into the second."""
+    carry nothing of its allocation into the later ones."""
     workload = (*workload[:8], "plain", *workload[9:])
     first = build(workload)
     stream = build_event_stream(first.trace, first.requests, first.config)
-    for kind in ("dom", "sparse"):
+    for kind in ("dom", "sparse", *SUITE_KINDS):
         run = (*workload[:5], kind, *workload[6:])
         sim = build(run, stream=stream)
         reference = build(run, ReferenceSimulation, stream=stream)
