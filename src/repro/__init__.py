@@ -65,7 +65,6 @@ from .protocols import (
     sqrt_protocol,
     uni_protocol,
 )
-from .faults import FaultEvent, FaultSchedule
 from .sim import Simulation, SimulationConfig, SimulationResult, simulate
 from .utility import (
     DelayUtility,
@@ -115,9 +114,6 @@ __all__ = [
     "prop_protocol",
     "dom_protocol",
     "opt_protocol",
-    # fault injection
-    "FaultEvent",
-    "FaultSchedule",
     # simulator
     "Simulation",
     "SimulationConfig",

@@ -1,8 +1,8 @@
 """RPA003/RPA004 — trace-event schema drift.
 
-The ``repro.obs.events`` registry is the contract between the emitters
-(engine, fault injector) and every consumer (trace
-CLI, replay comparators, the columnar pipeline's codecs).  Drift in
+The ``repro.obs.events`` registry is the contract between the emitter
+(the engine) and every consumer (trace CLI, replay comparators, the
+columnar pipeline's codecs).  Drift in
 either direction is a real bug that nothing catches at runtime until a
 trace is read back:
 

@@ -4,8 +4,7 @@
 can swallow :class:`~repro.errors.TraceFormatError` (a corrupt trace
 silently becomes an empty one) or checkpoint-corruption errors (a sweep
 quietly restarts from scratch).  Broad handlers are allowed only when
-the handler visibly re-raises — the crash-tolerant runner's
-``on_error="raise"`` passthrough is the sanctioned pattern.
+the handler visibly re-raises (``except Exception: cleanup(); raise``).
 """
 
 from __future__ import annotations

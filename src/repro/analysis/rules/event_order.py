@@ -1,10 +1,10 @@
 """RPL004 — stable event-stream ordering in the engine.
 
-The engine merges three individually time-sorted streams — faults,
-requests, contacts — with one stable ``np.lexsort`` keyed on
-``(kinds, times)``: primary key time, tie-break by kind code so that
-same-instant events apply fault → request → contact, and original order
-within each stream is preserved.  The parallel-determinism and
+The engine merges two individually time-sorted streams — requests and
+contacts — with one stable ``np.lexsort`` keyed on ``(kinds, times)``:
+primary key time, tie-break by kind code so that same-instant events
+apply request → contact, and original order within each stream is
+preserved.  The parallel-determinism and
 reference-equivalence guarantees assume exactly this order; an ad-hoc
 re-sort (default ``np.sort``/``np.argsort`` are unstable introsorts) or
 a lexsort with a different key silently reorders same-time events.
@@ -38,7 +38,7 @@ class EventOrderRule(Rule):
     name = "stable-event-order"
     summary = (
         "event-stream merges in sim/ must keep the stable "
-        "(kinds, times) lexsort key (fault -> request -> contact)"
+        "(kinds, times) lexsort key (request -> contact)"
     )
     hint = (
         "merge events with np.lexsort((kinds, times)) — time-primary, "
@@ -96,6 +96,6 @@ class EventOrderRule(Rule):
                 ctx,
                 call,
                 f"lexsort key ({', '.join(rendered)}) drops the stable "
-                "fault -> request -> contact order: the last (primary) "
+                "request -> contact order: the last (primary) "
                 "key must be the times, with a kind tie-break before it",
             )

@@ -1,8 +1,8 @@
 """RPL003 — protocol purity.
 
 Replication protocols react to engine events; the engine owns replica
-accounting (cache contents, replica counts, fault/online flags, the
-outstanding-request book).  A protocol that writes that state directly
+accounting (cache contents, replica counts, the outstanding-request
+book).  A protocol that writes that state directly
 desynchronizes the engine's metrics — welfare numbers stay plausible but
 stop matching Eq. 1 — so protocols may only create replicas through
 ``sim.insert_copy`` / ``sim.set_initial_allocation`` and may only mutate
@@ -24,12 +24,12 @@ __all__ = ["ProtocolPurityRule"]
 
 #: NodeState attributes owned by the engine; protocols read, never write.
 _ENGINE_OWNED_ATTRS = frozenset(
-    {"cache", "online", "outstanding", "counter", "created_at", "is_server", "is_client"}
+    {"cache", "outstanding", "counter", "created_at", "is_server", "is_client"}
 )
 
 #: Mutating Cache methods a protocol must never call directly.
 _CACHE_MUTATORS = frozenset(
-    {"insert", "add", "discard", "pin", "unpin", "fill_random", "pop", "clear"}
+    {"insert", "add", "discard", "pin", "fill_random", "pop", "clear"}
 )
 
 #: Engine-owned NodeState methods that mutate the request book.
@@ -78,7 +78,7 @@ class ProtocolPurityRule(Rule):
     def _check_store(
         self, ctx: FileContext, stmt: ast.AST, target: ast.AST
     ) -> Iterator[Finding]:
-        # x.cache = ... / del x.online / x.outstanding[i] = ...
+        # x.cache = ... / del x.cache / x.outstanding[i] = ...
         attr = _engine_owned_attr(target)
         if attr is not None and not self._is_self_store(target):
             yield self.finding(

@@ -4,8 +4,8 @@ A ``while`` loop that waits with ``time.sleep`` has no a-priori bound:
 when the condition never flips (a process that died, a file that never
 appears) the process spins forever with no one watching.  The one
 sanctioned shape for waiting is a bounded retry — a ``for attempt in
-range(attempts)`` loop with capped exponential backoff (the runner's
-attempt loop).  Only the ``benchmarks/`` harness is exempt.
+range(attempts)`` loop with capped exponential backoff.  Only the
+``benchmarks/`` harness is exempt.
 """
 
 from __future__ import annotations

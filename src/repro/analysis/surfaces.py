@@ -44,7 +44,7 @@ _ENGINE_METHODS = (
     "_run_dispatch",
     "_run_plain",
     "_run_static",
-    "_run_with_faults",
+    "_run_traced",
     "_settle_unfulfilled",
 )
 
@@ -117,7 +117,6 @@ def collect_surfaces(graph: CallGraph) -> List[Surface]:
         "event_stream",
         "trace_fingerprint",
         "requests_fingerprint",
-        "faults_fingerprint",
     ):
         add(
             f"{artifacts_cls}.{method}",

@@ -16,9 +16,6 @@ Subcommands:
     delay CDFs against the Lemma 1 exponential).
 ``repro allocate``
     Print the optimal allocation for a homogeneous scenario.
-``repro churn``
-    Run a crash-wave robustness scenario (QCR vs static OPT under fault
-    injection) and print recovery metrics plus a replica-count timeline.
 ``repro metrics``
     Dump or convert a metrics snapshot to Prometheus text exposition or
     pretty JSON: a run manifest from ``repro simulate --manifest-out``, a
@@ -64,7 +61,6 @@ from .contacts.synthetic import (
 from .contacts import homogeneous_poisson_trace
 from .demand import DemandModel, generate_requests
 from .errors import ConfigurationError, ReproError
-from .faults import FaultSchedule
 from .analysis.cli import add_analyze_arguments, cmd_analyze
 from .obs import Tracer
 from .obs.analysis import (
@@ -502,104 +498,6 @@ def _cmd_trace_cdf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
-    if not 0.0 < args.crash_fraction <= 1.0:
-        raise ConfigurationError(
-            f"--crash-fraction must be in (0, 1], got {args.crash_fraction}"
-        )
-    if not 0.0 <= args.crash_time < args.duration:
-        raise ConfigurationError(
-            "--crash-time must lie within the simulation horizon"
-        )
-    utility = _build_utility(args)
-    scenario = homogeneous_scenario(
-        utility,
-        n_nodes=args.nodes,
-        n_items=args.items,
-        rho=args.rho,
-        mu=args.mu,
-        duration=args.duration,
-        total_demand=args.demand,
-        record_interval=args.record_interval,
-    )
-    n_crashed = max(1, round(args.crash_fraction * args.nodes))
-    faults = FaultSchedule.crash_wave(
-        args.crash_time,
-        range(n_crashed),
-        recover_at=args.recover_time,
-        wipe_cache=not args.keep_caches,
-        sticky_survives=not args.lose_sticky,
-        drop_prob=args.drop_prob,
-    )
-    factories = standard_protocols(scenario, include=("OPT", "QCR"))
-    trace = scenario.trace_factory(args.seed)
-    requests = generate_requests(
-        scenario.demand, trace.n_nodes, trace.duration, seed=args.seed + 1
-    )
-    timelines = {}
-    rows = []
-    for name in ("OPT", "QCR"):
-        protocol = factories[name](trace, requests)
-        result = simulate(
-            trace,
-            requests,
-            scenario.config,
-            protocol,
-            seed=args.seed + 2,
-            faults=faults,
-        )
-        robustness = result.robustness_summary()
-        timelines[name] = (
-            result.snapshot_times,
-            result.snapshot_counts.sum(axis=1),
-        )
-        rows.append(
-            [
-                name,
-                f"{result.gain_rate:.4f}",
-                int(robustness["n_replicas_lost"]),
-                int(result.final_counts.sum()),
-                f"{robustness['total_downtime']:.0f}",
-                (
-                    f"{robustness['median_recovery_time']:.0f}"
-                    if robustness["n_loss_episodes_recovered"]
-                    else "never"
-                ),
-            ]
-        )
-    print(
-        render_table(
-            [
-                "protocol",
-                "utility/min",
-                "replicas lost",
-                "final replicas",
-                "downtime",
-                "median recovery",
-            ],
-            rows,
-            title=(
-                f"crash wave: {n_crashed}/{args.nodes} nodes at "
-                f"t={args.crash_time:g}"
-            ),
-        )
-    )
-    times, _ = timelines["QCR"]
-    timeline_rows = [
-        [f"{t:.0f}", int(timelines["OPT"][1][k]), int(timelines["QCR"][1][k])]
-        for k, t in enumerate(times)
-    ]
-    print()
-    print(
-        render_table(
-            ["time", "OPT replicas", "QCR replicas"],
-            timeline_rows,
-            title="replica-count timeline",
-        )
-    )
-    return 0
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .obs import metrics as obs_metrics
 
@@ -824,59 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="write the full comparison as JSON to this path"
     )
     trc_cdf.set_defaults(func=_cmd_trace_cdf)
-
-    churn = sub.add_parser(
-        "churn", help="run a crash-wave robustness scenario (QCR vs OPT)"
-    )
-    _add_utility_arguments(churn)
-    churn.add_argument("--nodes", type=int, default=N_NODES)
-    churn.add_argument("--items", type=int, default=N_ITEMS)
-    churn.add_argument("--rho", type=int, default=RHO)
-    churn.add_argument("--mu", type=float, default=MU)
-    churn.add_argument("--duration", type=float, default=2000.0)
-    churn.add_argument("--demand", type=float, default=TOTAL_DEMAND)
-    churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument(
-        "--crash-time",
-        type=float,
-        default=500.0,
-        help="when the crash wave hits (default: 500)",
-    )
-    churn.add_argument(
-        "--crash-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of nodes taken down (default: 0.5)",
-    )
-    churn.add_argument(
-        "--recover-time",
-        type=float,
-        default=None,
-        help="when crashed nodes come back (default: never)",
-    )
-    churn.add_argument(
-        "--keep-caches",
-        action="store_true",
-        help="crashed nodes keep their cache contents",
-    )
-    churn.add_argument(
-        "--lose-sticky",
-        action="store_true",
-        help="cache wipes destroy sticky replicas too (items can go extinct)",
-    )
-    churn.add_argument(
-        "--drop-prob",
-        type=float,
-        default=0.0,
-        help="probability any contact silently fails (default: 0)",
-    )
-    churn.add_argument(
-        "--record-interval",
-        type=float,
-        default=100.0,
-        help="replica-count snapshot cadence (default: 100)",
-    )
-    churn.set_defaults(func=_cmd_churn)
 
     bench = sub.add_parser(
         "bench", help="time the engine and the parallel runner"

@@ -10,7 +10,7 @@
 ``run_comparison(executor=...)`` is the one execution selector;
 :func:`resolve_executor` maps it to an instance.
 
-Whatever the executor or retry count, the statistics a sweep reports
+Whatever the executor, the statistics a sweep reports
 are bit-identical: executors only decide *where and when* units run,
 never *what* they compute — every backend runs each unit through
 :func:`repro.experiments.runner.run_unit`, per-unit seeds come from
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..contacts import ContactTrace
     from ..demand import DemandModel
     from ..experiments.artifacts import TrialArtifacts
-    from ..experiments.runner import FaultsLike, ProtocolFactory
+    from ..experiments.runner import ProtocolFactory
     from ..sim import SimulationConfig, SimulationResult
     from ..simcache import SimulationRunCache
 
@@ -70,7 +70,7 @@ class SweepSpec:
     """Everything an executor needs to run units.
 
     This is the full execution recipe of one sweep *minus* the unit
-    list: factories, config, failure policy, and cache.
+    list: factories, config, and cache.
     *latest_trial* is the executing process's cache of the last
     ``(trial, artifacts)`` pair :func:`~repro.experiments.runner.run_unit`
     built; it is never copied by :func:`dataclasses.replace`.
@@ -81,9 +81,6 @@ class SweepSpec:
     config: "SimulationConfig"
     protocols: Dict[str, "ProtocolFactory"]
     n_clients: Optional[int]
-    faults: Optional["FaultsLike"]
-    on_error: str
-    attempts_per_run: int
     profile_dir: Optional[str]
     cache: Optional["SimulationRunCache"]
     latest_trial: Optional[Tuple[int, "TrialArtifacts"]] = field(
@@ -94,12 +91,12 @@ class SweepSpec:
 class SweepExecutor(abc.ABC):
     """Strategy for executing a sweep's pending work units.
 
-    ``execute`` runs every unit, reporting each completed or failed one
-    through ``record`` — a callback with signature
-    ``record(trial, protocol, result, error, timing)`` owned by the
-    parent (results, telemetry, progress).  The optional return
-    value is merged into the sweep manifest (the pool reports the
-    worker count that actually ran there).
+    ``execute`` runs every unit, reporting each completed one through
+    ``record`` — a callback with signature
+    ``record(trial, protocol, result, timing)`` owned by the parent
+    (results, telemetry, progress); a failing unit raises.  The
+    optional return value is merged into the sweep manifest (the pool
+    reports the worker count that actually ran there).
     """
 
     #: Short name recorded in sweep manifests.
@@ -129,10 +126,8 @@ class SerialExecutor(SweepExecutor):
         from ..experiments.runner import run_unit
 
         for unit in units:
-            result, error, timing = run_unit(
-                unit, spec, profile_as="serial"
-            )
-            record(unit[0], unit[1], result, error, timing)
+            result, timing = run_unit(unit, spec, profile_as="serial")
+            record(unit[0], unit[1], result, timing)
         return None
 
 
@@ -145,15 +140,13 @@ _POOL_SPEC: Optional[SweepSpec] = None
 
 def _pool_unit(
     unit: WorkUnit,
-) -> Tuple[
-    WorkUnit, Optional["SimulationResult"], Optional[str], Dict[str, float]
-]:
+) -> Tuple[WorkUnit, "SimulationResult", Dict[str, float]]:
     """Execute one unit inside a pooled worker process."""
     from ..experiments.runner import run_unit
 
     assert _POOL_SPEC is not None, "pool workers must be forked by execute"
-    result, error, timing = run_unit(unit, _POOL_SPEC)
-    return unit, result, error, timing
+    result, timing = run_unit(unit, _POOL_SPEC)
+    return unit, result, timing
 
 
 class ProcessPoolExecutor(SweepExecutor):
@@ -220,17 +213,16 @@ class ProcessPoolExecutor(SweepExecutor):
                         remaining, return_when=futures.FIRST_EXCEPTION
                     )
                     for future in done:
-                        # Worker exceptions only escape run_unit under
-                        # on_error="raise"; propagate the first one
-                        # observed and drop the rest of the sweep, like
-                        # the serial walk aborting mid-sweep.
+                        # Propagate the first worker exception observed
+                        # and drop the rest of the sweep, like the
+                        # serial walk aborting mid-sweep.
                         try:
-                            unit, result, error, timing = future.result()
+                            unit, result, timing = future.result()
                         except BaseException:
                             for pending in remaining:
                                 pending.cancel()
                             raise
-                        record(unit[0], unit[1], result, error, timing)
+                        record(unit[0], unit[1], result, timing)
         finally:
             _POOL_SPEC = None
         return {"n_workers": workers}

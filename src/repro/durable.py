@@ -27,36 +27,12 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "fsync_directory",
-    "truncate_error_text",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 #: A bytes-like chunk: ``bytes``, ``bytearray`` or a ``memoryview``.
 Buffer = Union[bytes, bytearray, memoryview]
-
-#: Byte budget for persisted error strings (tracebacks, exception
-#: messages).  A recursive repr or a deeply nested traceback can reach
-#: megabytes; anything recorded (failure records, telemetry) is
-#: truncated to this budget at the source.
-MAX_ERROR_BYTES = 4096
-
-_TRUNCATION_MARKER = "... [truncated {dropped} bytes]"
-
-
-def truncate_error_text(text: str, budget: int = MAX_ERROR_BYTES) -> str:
-    """Bound *text* to *budget* UTF-8 bytes with an explicit marker.
-
-    Keeps the head of the message (the exception type and the first
-    frames carry the signal; the repeated tail of a recursive traceback
-    does not).  Strings within budget pass through unchanged.
-    """
-    encoded = text.encode("utf-8", errors="replace")
-    if len(encoded) <= budget:
-        return text
-    keep = max(budget - 64, 0)  # leave room for the marker
-    head = encoded[:keep].decode("utf-8", errors="ignore")
-    return head + _TRUNCATION_MARKER.format(dropped=len(encoded) - keep)
 
 
 def fsync_directory(path: PathLike) -> None:

@@ -1,7 +1,7 @@
 """Trial-scoped shared artifacts: realize once, reuse per protocol.
 
 A sweep compares P protocols over the *same* realized trial — the same
-contact trace, request schedule, and fault schedule.  Three per-trial
+contact trace and request schedule.  Three per-trial
 quantities are pure functions of those inputs and would otherwise be
 recomputed once per protocol:
 
@@ -9,7 +9,7 @@ recomputed once per protocol:
   is a full sha256 pass over every column — by far the dominant cache
   probe cost);
 * the **merged event stream** (the stable lexsort interleaving of
-  contacts, requests, and faults, plus the plain-mode payload columns);
+  contacts and requests, plus the plain-mode payload columns);
 * the **realized trace and requests themselves**.
 
 :class:`TrialArtifacts` carries all three with memoization: build it
@@ -35,11 +35,9 @@ from typing import TYPE_CHECKING, Optional, Protocol, Tuple
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
 from ..errors import ConfigurationError
-from ..faults import FaultSchedule
 from ..sim.config import SimulationConfig
 from ..sim.events import EventStream, build_event_stream
 from ..simcache import (
-    fingerprint_faults,
     fingerprint_request_recipe,
     fingerprint_requests,
     fingerprint_trace,
@@ -98,10 +96,7 @@ class TrialArtifacts:
     """One trial's shared inputs plus memoized derived artifacts.
 
     *trace*, *requests* and *sim_seed* are the trial's shared
-    randomness; *faults* is the trial's resolved fault schedule
-    (``None`` for fault-free trials) and must be the exact object later
-    passed to the engine — the prebuilt event stream is built from it
-    and validated by identity.
+    randomness.
 
     With a *recipe* and its *trace_seed*, the trial's trace fingerprint
     is the recipe's rather than a content hash, so keying never needs
@@ -123,10 +118,8 @@ class TrialArtifacts:
         "_request_recipe",
         "_request_seed",
         "sim_seed",
-        "faults",
         "_trace_fp",
         "_requests_fp",
-        "_faults_fp",
         "_config_fp",
         "_stream",
     )
@@ -137,7 +130,6 @@ class TrialArtifacts:
         requests: Optional[RequestSchedule],
         sim_seed: int,
         *,
-        faults: Optional[FaultSchedule] = None,
         recipe: Optional[TraceRecipe] = None,
         trace_seed: int = 0,
         request_recipe: Optional["RequestRecipe"] = None,
@@ -156,10 +148,8 @@ class TrialArtifacts:
         self._request_seed = request_seed
         self._requests = requests
         self.sim_seed = sim_seed
-        self.faults = faults
         self._trace_fp: Optional[str] = None
         self._requests_fp: Optional[str] = None
-        self._faults_fp: Optional[str] = None
         self._config_fp: Optional[Tuple[SimulationConfig, str]] = None
         self._stream: Optional[EventStream] = None
 
@@ -233,12 +223,6 @@ class TrialArtifacts:
                 self._requests_fp = fingerprint_requests(self.requests)
         return self._requests_fp
 
-    def faults_fingerprint(self) -> str:
-        """Memoized :func:`~repro.simcache.fingerprint_faults`."""
-        if self._faults_fp is None:
-            self._faults_fp = fingerprint_faults(self.faults)
-        return self._faults_fp
-
     def config_fingerprint(self, config: SimulationConfig) -> str:
         """*config*'s :meth:`~repro.sim.SimulationConfig.fingerprint`,
         memoized for this trial while the same config object is passed.
@@ -266,9 +250,7 @@ class TrialArtifacts:
             stream is None
             or stream.config_fingerprint != config.fingerprint()
         ):
-            stream = build_event_stream(
-                self.trace, self.requests, config, self.faults
-            )
+            stream = build_event_stream(self.trace, self.requests, config)
             self._stream = stream
         return stream
 

@@ -23,10 +23,10 @@ so the perf trajectory is tracked across PRs:
   serial — the recorded ``cpu_count`` says how to read the number.
 * **sweep amortization** — the trial-scoped sharing layer: a
   3-protocol sweep with the merged event stream built once per trial
-  versus once per protocol (plain and faulted), a traced run on a
-  prebuilt stream, and the memoized-fingerprint cache probe.  Every
-  sub-case asserts exact result equality; CI fails the quick run if
-  merge-once is not faster or any case diverges.
+  versus once per protocol, a traced run on a prebuilt stream, and
+  the memoized-fingerprint cache probe.  Every sub-case asserts exact
+  result equality; CI fails the quick run if merge-once is not faster
+  or any case diverges.
 * **allocation solver** — the lazy (CELF) heterogeneous greedy of
   :func:`~repro.allocation.greedy_heterogeneous` versus the textbook
   non-lazy greedy on a trace-sized instance.  Both must return the
@@ -55,7 +55,6 @@ from ..allocation.submodular import (
     greedy_heterogeneous,
 )
 from ..demand import DemandModel, generate_requests
-from ..faults import FaultSchedule
 from ..obs.sinks import MemorySink
 from ..obs.tracer import Tracer
 from ..sim._reference import ReferenceSimulation
@@ -82,7 +81,7 @@ __all__ = [
 
 BENCH_FILENAME = "BENCH_speed.json"
 _FORMAT = "repro-speed-benchmark"
-_VERSION = 2
+_VERSION = 3
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -286,17 +285,14 @@ def _bench_sweep_amortization(
 ) -> Dict[str, Any]:
     """The trial-scoped amortization layer, measured end to end.
 
-    Four sub-cases, every one gated on exact result equality:
+    Three sub-cases, every one gated on exact result equality:
 
     * **sweep** — a 3-protocol sweep merging per protocol (merge +
       payload pass per run under :func:`_merge_per_protocol`, the
       pre-amortization behaviour) versus once per trial (the default,
       reused read-only); interleaved best-of-*repeats* like the engine
       timer.
-    * **faulted_sweep** — the same comparison with node-churn faults,
-      where payload columns are forbidden and the shared stream carries
-      the fault events.
-    * **traced_run** — one faulted, fully traced run on a prebuilt
+    * **traced_run** — one fully traced run on a prebuilt
       stream versus a fresh inline merge; both the result and the
       emitted trace-event sequence must match exactly.
     * **fingerprint_probe** — a microbenchmark of the other amortized
@@ -337,46 +333,13 @@ def _bench_sweep_amortization(
         "bit_identical": _comparisons_identical(per_protocol, merged),
     }
 
-    # One realized trial for the faulted/traced/micro cases.
+    # One realized trial for the traced/micro cases.
     trace = scenario.trace_factory(base_seed + 100)
     requests = generate_requests(
         scenario.demand, trace.n_nodes, trace.duration, seed=base_seed + 101
     )
-    faults = FaultSchedule.node_churn(
-        trace.n_nodes,
-        crash_rate=0.002,
-        mean_downtime=trace.duration / 10.0,
-        duration=trace.duration,
-        seed=base_seed + 102,
-    )
-
-    fault_kwargs = dict(kwargs)
-    fault_kwargs["faults"] = faults
-    fault_plain_seconds = float("inf")
-    fault_shared_seconds = float("inf")
-    fault_plain = fault_shared = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        with _merge_per_protocol():
-            fault_plain = run_comparison(**fault_kwargs)
-        fault_plain_seconds = min(
-            fault_plain_seconds, time.perf_counter() - start
-        )
-        start = time.perf_counter()
-        fault_shared = run_comparison(**fault_kwargs)
-        fault_shared_seconds = min(
-            fault_shared_seconds, time.perf_counter() - start
-        )
-    faulted_case = {
-        "n_trials": n_trials,
-        "merge_per_protocol_seconds": fault_plain_seconds,
-        "merge_once_seconds": fault_shared_seconds,
-        "speedup": fault_plain_seconds / fault_shared_seconds,
-        "bit_identical": _comparisons_identical(fault_plain, fault_shared),
-    }
-
-    # Traced run: prebuilt stream vs. inline merge, faults + tracing on.
-    stream = build_event_stream(trace, requests, scenario.config, faults)
+    # Traced run: prebuilt stream vs. inline merge.
+    stream = build_event_stream(trace, requests, scenario.config)
     factory = protocols["UNI"]
 
     def traced(prebuilt):
@@ -387,7 +350,6 @@ def _bench_sweep_amortization(
             scenario.config,
             factory(trace, requests),
             seed=base_seed + 103,
-            faults=faults,
             tracer=Tracer(sink),
             prebuilt_events=prebuilt,
         )
@@ -435,7 +397,6 @@ def _bench_sweep_amortization(
 
     return {
         "sweep": sweep_case,
-        "faulted_sweep": faulted_case,
         "traced_run": traced_case,
         "fingerprint_probe": probe_case,
     }
@@ -635,7 +596,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     )
     amort = report["sweep_amortization"]
     sweep = amort["sweep"]
-    faulted = amort["faulted_sweep"]
     traced = amort["traced_run"]
     probe = amort["fingerprint_probe"]
     amort_table = render_table(
@@ -646,12 +606,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
                 f"{sweep['merge_per_protocol_seconds']:.2f}s per-protocol "
                 f"/ {sweep['merge_once_seconds']:.2f}s merge-once "
                 f"= {sweep['speedup']:.2f}x",
-            ],
-            [
-                "sweep (faults)",
-                f"{faulted['merge_per_protocol_seconds']:.2f}s / "
-                f"{faulted['merge_once_seconds']:.2f}s "
-                f"= {faulted['speedup']:.2f}x",
             ],
             [
                 "traced prebuilt run",
@@ -669,7 +623,7 @@ def render_speed_report(report: Dict[str, Any]) -> str:
                 "yes"
                 if all(
                     case["bit_identical"]
-                    for case in (sweep, faulted, traced, probe)
+                    for case in (sweep, traced, probe)
                 )
                 else "NO",
             ],

@@ -6,21 +6,10 @@ contact trace and request arrivals (paired comparison).  This module
 provides exactly that machinery, independent of which scenario or figure
 is being reproduced.
 
-Robustness features (all opt-in, defaults preserve the original
-behavior):
+A failing protocol factory or simulation raises out of the sweep: runs
+are deterministic, so a re-attempt could only fail the same way.
+Around that core:
 
-* *fault injection* — a :class:`~repro.faults.FaultSchedule` (or a
-  per-trial factory) shared by every protocol in a trial, so paired
-  comparisons stay paired under churn;
-* *per-trial fault isolation* — ``on_error`` decides what a failing
-  protocol factory or simulation does to the sweep: ``"raise"``
-  (propagate, the historical behavior), ``"skip"`` (record the failure
-  and keep going), or ``"retry"`` (re-attempt up to
-  :data:`MAX_RETRIES` times with capped exponential backoff, then
-  skip);
-* *partial results* — :class:`ComparisonResult` reports per-run
-  :class:`TrialFailure` records alongside the statistics of whatever
-  succeeded;
 * *resume* — with ``run_cache`` every completed run is stored by
   content key (atomically and durably, see :mod:`repro.simcache`), so
   an interrupted sweep resumes by running it again with the same
@@ -30,11 +19,10 @@ behavior):
   fork pool of ``K`` workers (capped at the machine's CPUs).  Every
   backend runs each unit through :func:`run_unit`, per-run seeds come
   from the same :class:`numpy.random.SeedSequence` walk, and completed
-  runs return to the parent, so the run cache and the ``on_error``
-  policies compose unchanged and all backends produce bit-identical
-  statistics;
+  runs return to the parent, so the run cache composes unchanged and
+  all backends produce bit-identical statistics;
 * *telemetry* — every run yields a :class:`RunTelemetry` record (stage
-  timings, attempts, outcome) merged into ``ComparisonResult.telemetry``
+  timings, outcome) merged into ``ComparisonResult.telemetry``
   in deterministic trial-major order regardless of worker completion
   order; ``progress`` enables a live reporter (structured log lines or
   a user callback) and ``profile_dir`` dumps per-process cProfile
@@ -46,7 +34,6 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import os
-import time
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -64,9 +51,8 @@ import numpy as np
 
 from ..contacts import ContactTrace
 from ..demand import DemandModel, RequestSchedule, generate_requests
-from ..durable import PathLike, truncate_error_text
-from ..errors import ConfigurationError, SimulationError
-from ..faults import FaultSchedule
+from ..durable import PathLike
+from ..errors import ConfigurationError
 from ..obs.log import get_logger
 from ..obs import metrics as obs_metrics
 from ..obs.manifest import environment_provenance
@@ -87,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only (dist imports us lazily)
 
 __all__ = [
     "RequestRecipe",
-    "TrialFailure",
     "AlgorithmStats",
     "ComparisonResult",
     "RunTelemetry",
@@ -147,9 +132,6 @@ RequestSource = Union[RequestSchedule, RequestRecipe]
 #: protocol never generates requests.
 ProtocolFactory = Callable[[TraceShape, RequestSource], ReplicationProtocol]
 
-#: Faults for a sweep: one shared schedule, or a per-trial factory.
-FaultsLike = Union[FaultSchedule, Callable[[int], FaultSchedule]]
-
 #: Live progress: ``True`` logs through ``repro.obs.log``; a callable
 #: receives one dict per completed run (completion order).
 ProgressLike = Union[bool, Callable[[Dict[str, Any]], None]]
@@ -163,13 +145,6 @@ RunCacheLike = Union[None, bool, str, "os.PathLike[str]", SimulationRunCache]
 #: inputs-not-fingerprintable.
 _CACHE_HIT, _CACHE_MISS, _CACHE_UNCACHEABLE = 1.0, 0.0, -1.0
 
-#: ``on_error="retry"`` re-attempts a failed run this many times, the
-#: first retry after :data:`RETRY_BACKOFF_S` seconds, doubling per
-#: attempt up to :data:`MAX_BACKOFF_S`.
-MAX_RETRIES = 2
-RETRY_BACKOFF_S = 0.1
-MAX_BACKOFF_S = 5.0
-
 
 @dataclass(frozen=True)
 class RunTelemetry:
@@ -178,9 +153,10 @@ class RunTelemetry:
     ``setup_wall_s`` is the trial-input realization cost *paid by this
     run* — the first run of a trial in a given process carries it (and
     the first one that simulates, the cost of realizing a recipe's trace
-    or requests), later runs reuse the cached inputs and report 0.  ``status`` is ``"ok"``,
-    ``"failed"`` (all attempts exhausted), or ``"cached"`` (a run-cache
-    hit, so no simulation ran and no timing was observed).
+    or requests), later runs reuse the cached inputs and report 0.
+    ``status`` is ``"ok"`` (``attempts`` 1), or ``"cached"`` (a
+    run-cache hit, so no simulation ran and no timing was observed;
+    ``attempts`` 0).
 
     Timings are host measurements and vary run to run; only the
     *ordering* of telemetry in :attr:`ComparisonResult.telemetry` is
@@ -243,24 +219,13 @@ class _ProgressReporter:
                 elapsed_s=f"{self._timer.wall:.1f}",
             )
 
-    def finish(self, n_failures: int) -> None:
+    def finish(self) -> None:
         if self._logger is not None:
             self._logger.info(
                 "sweep complete",
                 runs=self.total,
-                failures=n_failures,
                 elapsed_s=f"{self._timer.wall:.1f}",
             )
-
-
-@dataclass(frozen=True)
-class TrialFailure:
-    """One ``(trial, protocol)`` run that failed after all attempts."""
-
-    trial: int
-    protocol: str
-    error: str
-    attempts: int
 
 
 def percentile_interval(
@@ -270,8 +235,7 @@ def percentile_interval(
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ConfigurationError(
-            "percentile_interval needs at least one value (every trial "
-            "failed or was filtered out?)"
+            "percentile_interval needs at least one value"
         )
     if np.isnan(arr).all():
         raise ConfigurationError(
@@ -283,7 +247,7 @@ def percentile_interval(
 
 @dataclass(frozen=True)
 class AlgorithmStats:
-    """Per-algorithm aggregate over (successful) trials."""
+    """Per-algorithm aggregate over trials."""
 
     name: str
     gain_rates: FloatArray
@@ -317,16 +281,10 @@ class AlgorithmStats:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """All algorithms' stats plus normalized losses vs. the baseline.
-
-    ``failures`` lists every ``(trial, protocol)`` run that did not
-    complete (only possible with ``on_error="skip"``/``"retry"``);
-    algorithms whose runs *all* failed are absent from ``stats``.
-    """
+    """All algorithms' stats plus normalized losses vs. the baseline."""
 
     stats: Dict[str, AlgorithmStats]
     baseline: str
-    failures: Tuple[TrialFailure, ...] = ()
     n_trials: int = 0
     #: One record per ``(trial, protocol)`` run, trial-major order (the
     #: same deterministic walk as the statistics, regardless of worker
@@ -338,7 +296,9 @@ class ComparisonResult:
 
     @property
     def n_failures(self) -> int:
-        return len(self.failures)
+        # A failed run raises out of the sweep; kept for callers that
+        # count failed units.
+        return 0
 
     def normalized_loss(self, name: str) -> float:
         """The paper's ``(U - U_opt) / |U_opt|`` in percent (<= 0 usually)."""
@@ -373,20 +333,11 @@ class ComparisonResult:
                     f"{self.normalized_loss(stats.name):+.2f}%",
                 ]
             )
-        table = render_table(
+        return render_table(
             ["algorithm", "utility/min", "5-95%", "vs " + self.baseline],
             rows,
             title=title,
         )
-        if not self.failures:
-            return table
-        lines = [table, "", f"failed runs ({self.n_failures}):"]
-        lines.extend(
-            f"  trial {f.trial} {f.protocol}: {f.error} "
-            f"({f.attempts} attempt{'s' if f.attempts != 1 else ''})"
-            for f in self.failures
-        )
-        return "\n".join(lines)
 
 
 def _derive_trial_seeds(
@@ -410,18 +361,14 @@ def _execute_run(
     inputs: TrialArtifacts,
     config: SimulationConfig,
     *,
-    attempts_per_run: int,
-    on_error: str,
     cache: Optional[SimulationRunCache] = None,
-) -> Tuple[Optional[SimulationResult], Optional[str], Dict[str, float]]:
-    """One (trial, protocol) run with the retry/skip policy applied.
+) -> Tuple[SimulationResult, Dict[str, float]]:
+    """One (trial, protocol) run; a failing factory or simulation raises.
 
-    Returns ``(result, None, timing)`` on success and ``(None, error
-    string, timing)`` after all attempts failed; with
-    ``on_error="raise"`` the first failure propagates.  *timing* reports
-    the simulate stage's wall/CPU seconds (backoff sleeps excluded) and
-    the number of attempts actually made; with a *cache* it also
-    carries a ``"cache"`` marker (hit / miss / uncacheable).
+    Returns ``(result, timing)``.  *timing* reports the simulate stage's
+    wall/CPU seconds and ``attempts`` (1, or 0 for a cache hit); with a
+    *cache* it also carries a ``"cache"`` marker (hit / miss /
+    uncacheable).
 
     With a run cache, a content-key hit returns the stored result with
     zero attempts — no simulation happens; a completed miss is stored
@@ -431,45 +378,32 @@ def _execute_run(
     The run uses the trial's shared artifacts: the cache key reuses
     their memoized fingerprints instead of re-hashing per protocol (a
     trace or request recipe's needs nothing realized), and the simulation
-    reuses the trial's prebuilt event stream (built from
-    ``inputs.faults``) instead of re-merging — both substitutions are
-    byte-identical.  The protocol instance built
-    to fingerprint the cache key is reused for the first simulation
-    attempt rather than discarded and rebuilt (it is factory-fresh
-    either way; retries still rebuild).
+    reuses the trial's prebuilt event stream instead of re-merging —
+    both substitutions are byte-identical.  The protocol instance built
+    to fingerprint the cache key is the one simulated.
     """
     cache_key: Optional[str] = None
     cache_marker: Optional[float] = None
-    probe: Optional[ReplicationProtocol] = None
+    protocol: Optional[ReplicationProtocol] = None
     if cache is not None:
+        protocol = factory(inputs.shape, inputs.request_source)
         try:
-            probe = factory(inputs.shape, inputs.request_source)
-        # repro-lint: ignore[RPL007]
-        except Exception:
-            # A failing factory is the attempt loop's business (retry
-            # policy, error accounting) — never the cache's: the same
-            # error re-raises from the attempt loop below.
-            probe = None
-        if probe is not None:
-            try:
-                cache_key = run_key(
-                    config,
-                    probe,
-                    inputs.sim_seed,
-                    None,
-                    None,
-                    inputs.faults,
-                    config_fingerprint=inputs.config_fingerprint(config),
-                    trace_fingerprint=inputs.trace_fingerprint(),
-                    requests_fingerprint=inputs.requests_fingerprint(),
-                    faults_fingerprint=inputs.faults_fingerprint(),
-                )
-                cache_marker = _CACHE_MISS
-            except UncacheableRunError as error:
-                cache_marker = _CACHE_UNCACHEABLE
-                get_logger("repro.simcache").debug(
-                    "run not cacheable", error=str(error)
-                )
+            cache_key = run_key(
+                config,
+                protocol,
+                inputs.sim_seed,
+                None,
+                None,
+                config_fingerprint=inputs.config_fingerprint(config),
+                trace_fingerprint=inputs.trace_fingerprint(),
+                requests_fingerprint=inputs.requests_fingerprint(),
+            )
+            cache_marker = _CACHE_MISS
+        except UncacheableRunError as error:
+            cache_marker = _CACHE_UNCACHEABLE
+            get_logger("repro.simcache").debug(
+                "run not cacheable", error=str(error)
+            )
         if cache_key is not None:
             cached = cache.get(cache_key)
             if cached is not None:
@@ -479,84 +413,35 @@ def _execute_run(
                     "attempts": 0.0,
                     "cache": _CACHE_HIT,
                 }
-                return cached, None, hit_timing
-    # Realized here, as trial setup: outside the retried attempts, so a
-    # generator error propagates as it did when trials realized their
-    # inputs up front, and its time is this run's setup, not its wall.
+                return cached, hit_timing
+    # Realized here, as trial setup, so its time is this run's setup,
+    # not its wall.
     setup = Stopwatch()
     trace, requests = inputs.trace, inputs.requests
     setup.stop()
-    result: Optional[SimulationResult] = None
-    last_error: Optional[BaseException] = None
-    wall_s = 0.0
-    cpu_s = 0.0
-    attempts_made = 0
-    for attempt in range(attempts_per_run):
-        if attempt:
-            delay = min(
-                RETRY_BACKOFF_S * (2.0 ** (attempt - 1)), MAX_BACKOFF_S
-            )
-            if delay > 0:
-                time.sleep(delay)
-        attempts_made = attempt + 1
-        timer = Stopwatch()
-        try:
-            # The cache probe is a factory-fresh, never-run protocol —
-            # reuse it for the first attempt instead of building an
-            # identical twin.  Retries rebuild: a failed attempt may
-            # have mutated protocol state.
-            if attempt == 0 and probe is not None:
-                protocol = probe
-            else:
-                protocol = factory(inputs.shape, inputs.request_source)
-            result = simulate(
-                trace,
-                requests,
-                config,
-                protocol,
-                seed=inputs.sim_seed,
-                faults=inputs.faults,
-                prebuilt_events=inputs.event_stream(config),
-            )
-            timer.stop()
-            wall_s += timer.wall
-            cpu_s += timer.cpu
-            break
-        except Exception as error:
-            timer.stop()
-            wall_s += timer.wall
-            cpu_s += timer.cpu
-            if on_error == "raise":
-                raise
-            last_error = error
+    timer = Stopwatch()
+    if protocol is None:
+        protocol = factory(inputs.shape, inputs.request_source)
+    result = simulate(
+        trace,
+        requests,
+        config,
+        protocol,
+        seed=inputs.sim_seed,
+        prebuilt_events=inputs.event_stream(config),
+    )
+    timer.stop()
     timing: Dict[str, float] = {
-        "wall_s": wall_s,
-        "cpu_s": cpu_s,
-        "attempts": attempts_made,
+        "wall_s": timer.wall,
+        "cpu_s": timer.cpu,
+        "attempts": 1.0,
         "setup_wall_s": setup.wall,
     }
     if cache_marker is not None:
         timing["cache"] = cache_marker
-    if result is not None:
-        if cache is not None and cache_key is not None:
-            cache.put(cache_key, result)
-        return result, None, timing
-    error_text = f"{type(last_error).__name__}: {last_error}"
-    return None, error_text, timing
-
-
-def _run_status(
-    result: Optional[SimulationResult], timing: Dict[str, float]
-) -> str:
-    """Telemetry status of one executed unit.
-
-    ``"cached"`` marks a run-cache hit: no simulation was performed.
-    """
-    if result is None:
-        return "failed"
-    if timing.get("cache") == _CACHE_HIT:
-        return "cached"
-    return "ok"
+    if cache is not None and cache_key is not None:
+        cache.put(cache_key, result)
+    return result, timing
 
 
 def _count_cache_marker(
@@ -597,7 +482,7 @@ def _trial_artifacts(
 
     Only the latest trial's artifacts are kept (on *spec*, so they are
     freed with it): units arrive trial-major, so the trial's other
-    protocols reuse its trace, requests, fault schedule, memoized
+    protocols reuse its trace, requests, memoized
     fingerprints and premerged event stream, and a process never holds
     two trials' streams.  A trace recipe declares the trace's shape,
     so the trace is realized only when a run simulates; any other
@@ -609,7 +494,6 @@ def _trial_artifacts(
         return spec.latest_trial[1], 0.0
     spec.latest_trial = None  # release the previous trial's stream first
     timer = Stopwatch()
-    faults = spec.faults(trial) if callable(spec.faults) else spec.faults
     recipe = (
         spec.trace_factory
         if isinstance(spec.trace_factory, TraceRecipe)
@@ -629,7 +513,6 @@ def _trial_artifacts(
         trace,
         None,
         sim_seed,
-        faults=faults,
         recipe=recipe,
         trace_seed=trace_seed,
         request_recipe=request_recipe,
@@ -642,30 +525,27 @@ def _trial_artifacts(
 
 def run_unit(
     unit: "WorkUnit", spec: "SweepSpec", *, profile_as: str = "worker"
-) -> Tuple[Optional[SimulationResult], Optional[str], Dict[str, float]]:
+) -> Tuple[SimulationResult, Dict[str, float]]:
     """Execute one ``(trial, protocol)`` work unit of *spec*'s sweep.
 
     Every executor runs its units through here.  The trial's shared
-    inputs are built once per trial and process (a per-trial fault
-    factory is called once per trial); the unit that builds them
+    inputs are built once per trial and process; the unit that builds them
     reports the cost as ``timing["setup_wall_s"]`` (so does the first
     unit that realizes a recipe's trace or requests), later units 0.
     With ``spec.profile_dir`` the run is added to the process's
     cProfile, dumped to ``<profile_as>-<pid>.pstats`` after every unit
     so a crashed worker still leaves its latest snapshot behind.
-    Returns :func:`_execute_run`'s ``(result, error, timing)``.
+    Returns :func:`_execute_run`'s ``(result, timing)``.
     """
     inputs, setup_wall = _trial_artifacts(spec, unit)
     profiler = _process_profiler(spec.profile_dir)
     if profiler is not None:
         profiler.enable()
     try:
-        result, error, timing = _execute_run(
+        result, timing = _execute_run(
             spec.protocols[unit[1]],
             inputs,
             spec.config,
-            attempts_per_run=spec.attempts_per_run,
-            on_error=spec.on_error,
             cache=spec.cache,
         )
     finally:
@@ -678,16 +558,16 @@ def run_unit(
                 )
             )
     timing["setup_wall_s"] = setup_wall + timing.get("setup_wall_s", 0.0)
-    return result, error, timing
+    return result, timing
 
 
 class _SweepAccounting:
     """Per-unit bookkeeping shared by every executor.
 
     Executors report each finished unit through :meth:`record`; the
-    parent owns the outcome maps, live progress, the cache hit/miss
-    counters, and the failure-text byte bound — so all of those behave
-    identically whichever backend ran the unit.
+    parent owns the outcome maps, live progress and the cache hit/miss
+    counters — so all of those behave identically whichever backend ran
+    the unit.
     """
 
     def __init__(
@@ -695,46 +575,36 @@ class _SweepAccounting:
         *,
         reporter: Optional[_ProgressReporter],
         cache_counts: Dict[str, int],
-        attempts_per_run: int,
     ) -> None:
         self.results_map: Dict[Tuple[int, str], SimulationResult] = {}
-        self.failures_map: Dict[Tuple[int, str], TrialFailure] = {}
         self.telemetry_map: Dict[Tuple[int, str], RunTelemetry] = {}
         self.reporter = reporter
         self.cache_counts = cache_counts
-        self.attempts_per_run = attempts_per_run
 
     def record(
         self,
         trial: int,
         name: str,
-        result: Optional[SimulationResult],
-        error: Optional[str],
+        result: SimulationResult,
         timing: Dict[str, float],
     ) -> None:
-        """One finished ``(trial, protocol)`` unit, success or failure."""
-        _count_cache_marker(self.cache_counts, timing.get("cache"))
+        """One finished ``(trial, protocol)`` unit."""
+        marker = timing.get("cache")
+        _count_cache_marker(self.cache_counts, marker)
         telemetry = RunTelemetry(
             trial=trial,
             protocol=name,
-            status=_run_status(result, timing),
+            # "cached" marks a run-cache hit: no simulation was performed.
+            status="cached" if marker == _CACHE_HIT else "ok",
             wall_s=timing.get("wall_s", 0.0),
             cpu_s=timing.get("cpu_s", 0.0),
             setup_wall_s=timing.get("setup_wall_s", 0.0),
             attempts=int(timing.get("attempts", 0)),
-            gain_rate=result.gain_rate if result is not None else None,
+            gain_rate=result.gain_rate,
         )
         self.telemetry_map[(trial, name)] = telemetry
         if self.reporter is not None:
             self.reporter.report(telemetry)
-        if result is None:
-            self.failures_map[(trial, name)] = TrialFailure(
-                trial=trial,
-                protocol=name,
-                error=truncate_error_text(error or "unknown error"),
-                attempts=self.attempts_per_run,
-            )
-            return
         self.results_map[(trial, name)] = result
 
 
@@ -748,8 +618,6 @@ def run_comparison(
     base_seed: int = 0,
     baseline: str = "OPT",
     n_clients: Optional[int] = None,
-    faults: Optional[FaultsLike] = None,
-    on_error: str = "raise",
     progress: Optional[ProgressLike] = None,
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
@@ -774,17 +642,6 @@ def run_comparison(
         means every node of the trial's trace.
     baseline:
         The protocol whose mean gain rate anchors normalized losses.
-    faults:
-        Optional fault injection: a :class:`~repro.faults.FaultSchedule`
-        applied to every trial, or a callable ``trial -> FaultSchedule``
-        for per-trial variation.  Every protocol within a trial sees the
-        same faults (the comparison stays paired).
-    on_error:
-        ``"raise"`` propagates the first failure (historical behavior);
-        ``"skip"`` records it and continues; ``"retry"`` re-attempts up
-        to :data:`MAX_RETRIES` times with exponential backoff
-        (:data:`RETRY_BACKOFF_S` doubling per attempt, capped at
-        :data:`MAX_BACKOFF_S`), then records the failure and continues.
     progress:
         ``True`` logs one structured line per completed run (and a
         final summary) through ``repro.obs.log``; a callable receives a
@@ -817,9 +674,9 @@ def run_comparison(
         that runs serially when the cap is 1 or ``fork`` is missing; a
         :class:`~repro.dist.SweepExecutor` instance is used as-is.
         Per-run seeds come from one seed walk, so every backend
-        produces bit-identical statistics.  With ``on_error="raise"`` a
-        pool propagates the first *observed* failure, which is not
-        necessarily the earliest failing trial.
+        produces bit-identical statistics.  A pool propagates the first
+        *observed* failure, which is not necessarily the earliest
+        failing trial.
     """
     if n_trials <= 0:
         raise ConfigurationError(f"n_trials must be > 0, got {n_trials}")
@@ -831,10 +688,6 @@ def run_comparison(
         raise ConfigurationError(
             f"baseline {baseline!r} missing from protocols {sorted(protocols)}"
         )
-    if on_error not in ("raise", "skip", "retry"):
-        raise ConfigurationError(
-            f"on_error must be 'raise', 'skip', or 'retry', got {on_error!r}"
-        )
     profile_path: Optional[str] = None
     if profile_dir is not None:
         profile_path = os.fspath(profile_dir)
@@ -842,7 +695,6 @@ def run_comparison(
     cache = resolve_run_cache(run_cache)
     cache_counts: Dict[str, int] = {"hits": 0, "misses": 0, "uncacheable": 0}
     sweep_timer = Stopwatch()
-    attempts_per_run = 1 + (MAX_RETRIES if on_error == "retry" else 0)
     trial_seeds = _derive_trial_seeds(base_seed, n_trials)
 
     # The dist import happens lazily: repro.dist builds on this module,
@@ -856,13 +708,11 @@ def run_comparison(
         for name in protocols
     ]
     reporter = _ProgressReporter(len(units), progress) if progress else None
-    #: (trial, protocol) -> completed result / failure / telemetry,
-    #: assembled into trial-major order at the end (identical to the
-    #: serial walk) by the executor-agnostic accounting.
+    #: (trial, protocol) -> completed result / telemetry, assembled
+    #: into trial-major order at the end (identical to the serial walk)
+    #: by the executor-agnostic accounting.
     accounting = _SweepAccounting(
-        reporter=reporter,
-        cache_counts=cache_counts,
-        attempts_per_run=attempts_per_run,
+        reporter=reporter, cache_counts=cache_counts
     )
 
     spec = dist_executors.SweepSpec(
@@ -871,38 +721,24 @@ def run_comparison(
         config=config,
         protocols=dict(protocols),
         n_clients=n_clients,
-        faults=faults,
-        on_error=on_error,
-        attempts_per_run=attempts_per_run,
         profile_dir=profile_path,
         cache=cache,
     )
     executor_extras = executor_obj.execute(units, spec, accounting.record)
 
     results_map = accounting.results_map
-    failures_map = accounting.failures_map
     telemetry_map = accounting.telemetry_map
     collected: Dict[str, List[SimulationResult]] = {
         name: [] for name in protocols
     }
-    failures: List[TrialFailure] = []
     telemetry_records: List[RunTelemetry] = []
     for trial in range(n_trials):
         for name in protocols:
             key = (trial, name)
-            if key in telemetry_map:
-                telemetry_records.append(telemetry_map[key])
-            if key in results_map:
-                collected[name].append(results_map[key])
-            elif key in failures_map:
-                failures.append(failures_map[key])
+            telemetry_records.append(telemetry_map[key])
+            collected[name].append(results_map[key])
     if reporter is not None:
-        reporter.finish(len(failures))
-    if not any(collected.values()):
-        raise SimulationError(
-            f"every run failed across {n_trials} trial(s); "
-            f"first failure: {failures[0].protocol}: {failures[0].error}"
-        )
+        reporter.finish()
     stats = {
         name: AlgorithmStats(
             name=name,
@@ -910,7 +746,6 @@ def run_comparison(
             results=tuple(results),
         )
         for name, results in collected.items()
-        if results
     }
     sweep_timer.stop()
     sweep_manifest: Dict[str, Any] = {
@@ -921,7 +756,6 @@ def run_comparison(
         "executor": executor_obj.name or type(executor_obj).__name__,
         "n_workers": getattr(executor_obj, "n_workers", 1),
         "n_runs_executed": len(units),
-        "n_failures": len(failures),
         "wall_s": sweep_timer.wall,
         "cpu_s": sweep_timer.cpu,
         "environment": environment_provenance(),
@@ -941,7 +775,6 @@ def run_comparison(
     return ComparisonResult(
         stats=stats,
         baseline=baseline,
-        failures=tuple(failures),
         n_trials=n_trials,
         telemetry=tuple(telemetry_records),
         manifest=sweep_manifest,

@@ -7,8 +7,8 @@ observability layer without touching simulation semantics:
 
 * :class:`Tracer` + pluggable sinks (:class:`JsonlSink`,
   :class:`MemorySink`, :class:`NullSink`) — structured request-lifecycle
-  events (issued -> contact-seen -> fulfilled/abandoned/lost, plus
-  replication and fault events) emitted by the engine.  A ``None`` or
+  events (issued -> contact-seen -> fulfilled/abandoned, plus
+  replication events) emitted by the engine.  A ``None`` or
   :class:`NullSink` tracer costs the hot path nothing: the engine keeps
   the hook-free contact fast path and adds no per-event allocations.
 * :class:`RunManifest` — provenance of one run (config hash, seed,

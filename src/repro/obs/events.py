@@ -13,7 +13,6 @@ Request lifecycle (the paper's Section 6.1 semantics)::
        ├──► IMMEDIATE        (requester already caches the item)
        ├──► SKIPPED          (self_request_policy="skip")
        ├──► ABANDON          (request_timeout expired)
-       ├──► LOST             (requesting node crashed)
        └──► UNFULFILLED      (still outstanding at the horizon)
 
 ``SEEN`` is one *query* edge: outstanding requests for an item met a
@@ -23,9 +22,9 @@ trace volume.  Raw no-op contacts are deliberately *not* traced — they
 carry no lifecycle information and tracing them would defeat the
 engine's hook-free contact fast path.
 
-Replication and fault events (``REPLICA_ADD`` .. ``CONTACT_DROP``)
-record every cache mutation and fault-injection action, so a trace
-replays the full replica-count trajectory between snapshots.
+Replication events (``REPLICA_ADD``, ``REPLICA_DROP``) record every
+cache mutation, so a trace replays the full replica-count trajectory
+between snapshots.
 """
 
 from __future__ import annotations
@@ -38,17 +37,12 @@ __all__ = [
     "REQUEST",
     "IMMEDIATE",
     "SKIPPED",
-    "OFFLINE",
     "SEEN",
     "FULFILL",
     "ABANDON",
-    "LOST",
     "UNFULFILLED",
     "REPLICA_ADD",
     "REPLICA_DROP",
-    "CRASH",
-    "RECOVER",
-    "CONTACT_DROP",
     "RUN_END",
     "EVENT_FIELDS",
     "LIFECYCLE_KINDS",
@@ -64,19 +58,14 @@ RUN_END = "run_end"
 REQUEST = "request"
 IMMEDIATE = "immediate"
 SKIPPED = "skipped"
-OFFLINE = "offline"
 SEEN = "seen"
 FULFILL = "fulfill"
 ABANDON = "abandon"
-LOST = "lost"
 UNFULFILLED = "unfulfilled"
 
-#: Replication and faults.
+#: Replication.
 REPLICA_ADD = "replica_add"
 REPLICA_DROP = "replica_drop"
-CRASH = "crash"
-RECOVER = "recover"
-CONTACT_DROP = "contact_drop"
 
 #: kind -> required payload fields (beyond ``seq``/``kind``/``t``).
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
@@ -85,17 +74,12 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     REQUEST: ("item", "node"),
     IMMEDIATE: ("item", "node", "gain"),
     SKIPPED: ("item", "node"),
-    OFFLINE: ("item", "node"),
     SEEN: ("item", "node", "server", "n"),
     FULFILL: ("item", "node", "server", "delay", "gain", "counter"),
     ABANDON: ("item", "node", "created_at"),
-    LOST: ("item", "node", "created_at"),
     UNFULFILLED: ("item", "node", "created_at", "age"),
     REPLICA_ADD: ("node", "item", "evicted"),
     REPLICA_DROP: ("node", "item"),
-    CRASH: ("node", "n_requests_lost", "n_mandates_lost"),
-    RECOVER: ("node",),
-    CONTACT_DROP: ("a", "b"),
     RUN_END: ("summary",),
 }
 
@@ -104,11 +88,9 @@ LIFECYCLE_KINDS: Tuple[str, ...] = (
     REQUEST,
     IMMEDIATE,
     SKIPPED,
-    OFFLINE,
     SEEN,
     FULFILL,
     ABANDON,
-    LOST,
     UNFULFILLED,
 )
 

@@ -1,9 +1,9 @@
 """Frozen pre-optimization engine, kept as the perf baseline.
 
 :class:`ReferenceSimulation` preserves the event loop exactly as it was
-before the hot-path optimization pass (three-way head-of-stream merge
-with per-``run()`` ``.tolist()`` conversions, per-event attribute
-lookups, no hook-free fast path).  It exists for two reasons:
+before the hot-path optimization pass (head-of-stream merge with
+per-``run()`` ``.tolist()`` conversions, per-event attribute lookups,
+no hook-free fast path).  It exists for two reasons:
 
 * ``repro bench`` (:mod:`repro.experiments.benchmark`) times it against
   the optimized :class:`~repro.sim.engine.Simulation` so the engine
@@ -19,10 +19,8 @@ Do not "improve" this module: it is deliberately the slow version.
 from __future__ import annotations
 
 import math
-from typing import List
 
 from ..errors import SimulationError
-from ..faults import FaultEvent
 from .engine import Simulation
 from .metrics import SimulationResult
 from .node import NodeState, Request
@@ -42,35 +40,20 @@ class ReferenceSimulation(Simulation):
         request_items = self.requests.items.tolist()
         request_nodes = self.requests.nodes.tolist()
 
-        fault_events: List[FaultEvent] = (
-            [e for e in self.faults.events if e.time <= self.trace.duration]
-            if self.faults is not None
-            else []
-        )
-        fault_times = [e.time for e in fault_events]
-
         record_interval = self.config.record_interval
         next_snapshot = 0.0 if record_interval is not None else math.inf
 
-        ci, qi, fi = 0, 0, 0
+        ci, qi = 0, 0
         n_contacts, n_requests = len(contact_times), len(request_times)
-        n_faults = len(fault_events)
-        while ci < n_contacts or qi < n_requests or fi < n_faults:
+        while ci < n_contacts or qi < n_requests:
             t_request = request_times[qi] if qi < n_requests else math.inf
             t_contact = contact_times[ci] if ci < n_contacts else math.inf
-            t_fault = fault_times[fi] if fi < n_faults else math.inf
-            take_fault = t_fault <= t_request and t_fault <= t_contact
-            take_request = not take_fault and t_request <= t_contact
-            t = t_fault if take_fault else (
-                t_request if take_request else t_contact
-            )
+            take_request = t_request <= t_contact
+            t = t_request if take_request else t_contact
             while t >= next_snapshot:
                 self._take_snapshot(next_snapshot)
                 next_snapshot += record_interval  # type: ignore[operator]
-            if take_fault:
-                self._apply_fault(t, fault_events[fi])
-                fi += 1
-            elif take_request:
+            if take_request:
                 self._handle_request(
                     t, request_items[qi], request_nodes[qi]
                 )
@@ -86,9 +69,6 @@ class ReferenceSimulation(Simulation):
 
     def _handle_request(self, t: float, item: int, node_id: int) -> None:
         node = self.nodes[node_id]
-        if not node.online:
-            self.metrics.n_requests_offline += 1
-            return
         self.metrics.record_generated()
         if node.is_server and node.cache is not None and item in node.cache:
             if self.config.self_request_policy == "skip":
@@ -109,13 +89,6 @@ class ReferenceSimulation(Simulation):
     def _handle_contact(self, t: float, a: int, b: int) -> None:
         node_a = self.nodes[a]
         node_b = self.nodes[b]
-        if not (node_a.online and node_b.online):
-            self.metrics.n_contacts_blocked += 1
-            return
-        if self._drop_prob > 0.0 and self._fault_rng is not None:
-            if self._fault_rng.random() < self._drop_prob:
-                self.metrics.n_contacts_dropped += 1
-                return
         self._exchange(t, node_a, node_b)
         self._exchange(t, node_b, node_a)
         self.protocol.after_contact(self, t, node_a, node_b)

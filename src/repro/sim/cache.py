@@ -96,21 +96,6 @@ class Cache:
             self._evictable.remove(item)
         self._sticky = item
 
-    def unpin(self) -> Optional[int]:
-        """Release the sticky protection, demoting the entry to evictable.
-
-        Returns the formerly sticky item, or ``None`` when nothing was
-        pinned.  Used by fault injection when a crash is allowed to
-        destroy sticky replicas (``sticky_survives=False``).
-        """
-        item = self._sticky
-        if item is None:
-            return None
-        if item in self._items:
-            self._evictable.append(item)
-        self._sticky = None
-        return item
-
     def add(self, item: int) -> None:
         """Insert *item* into a non-full cache (seeding only)."""
         if item in self._items:

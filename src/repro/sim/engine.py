@@ -52,7 +52,6 @@ ENGINE_CODE_VERSION = "2026.08-array-core-1"
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
 from ..errors import ConfigurationError, SimulationError
-from ..faults import FaultEvent, FaultSchedule
 from ..obs import events as trace_events
 from ..obs import metrics as obs_metrics
 from ..obs.manifest import RunManifest
@@ -70,16 +69,7 @@ __all__ = ["Simulation", "simulate"]
 
 
 class Simulation:
-    """One simulation run binding trace, demand, config, and protocol.
-
-    *faults*, when given, is merged into the event loop as a third
-    stream alongside contacts and requests (see :mod:`repro.faults`):
-    offline nodes neither exchange content nor generate requests, cache
-    wipes and replica losses go through :meth:`remove_copy` so replica
-    accounting stays consistent, and all fault randomness comes from the
-    schedule's own RNG — a run with ``faults=None`` is bit-identical to
-    one before fault injection existed.
-    """
+    """One simulation run binding trace, demand, config, and protocol."""
 
     __slots__ = (
         "trace",
@@ -87,9 +77,6 @@ class Simulation:
         "config",
         "protocol",
         "rng",
-        "faults",
-        "_fault_rng",
-        "_drop_prob",
         "server_ids",
         "client_ids",
         "nodes",
@@ -133,7 +120,6 @@ class Simulation:
         config: SimulationConfig,
         protocol: ReplicationProtocol,
         seed: SeedLike = None,
-        faults: Optional[FaultSchedule] = None,
         tracer: Optional[Tracer] = None,
         collect_manifest: bool = False,
         prebuilt_events: Optional[EventStream] = None,
@@ -147,24 +133,6 @@ class Simulation:
         self.config = config
         self.protocol = protocol
         self.rng = as_rng(seed)
-        self.faults = faults
-        if faults is not None:
-            for event in faults.events:
-                if event.node is not None and event.node >= trace.n_nodes:
-                    raise ConfigurationError(
-                        f"fault event node {event.node} out of range "
-                        f"for a {trace.n_nodes}-node trace"
-                    )
-                if event.item is not None and event.item >= config.n_items:
-                    raise ConfigurationError(
-                        f"fault event item {event.item} out of range "
-                        f"for a {config.n_items}-item catalog"
-                    )
-            self._fault_rng = faults.runtime_rng()
-            self._drop_prob = faults.drop_prob
-        else:
-            self._fault_rng = None
-            self._drop_prob = 0.0
 
         n_nodes = trace.n_nodes
         self.server_ids = config.server_ids(n_nodes)
@@ -210,7 +178,7 @@ class Simulation:
         # Tracing: an inactive tracer (NullSink) resolves to None, and
         # run() then selects a plain loop with no emission sites at
         # all.  Traced runs take the instrumented loop, whose emission
-        # sites — like those outside the loops (replication, faults,
+        # sites — like those outside the loops (replication and
         # settlement) — are guarded inline.
         self.tracer: Optional[Tracer] = (
             tracer if tracer is not None and tracer.active else None
@@ -234,7 +202,7 @@ class Simulation:
             self._m_replica_drop: Optional[obs_metrics.Counter] = (
                 self._metrics_reg.counter(
                     "repro_sim_replica_drops_total",
-                    help="replica removals (evictions and fault losses)",
+                    help="replica removals (evictions and removals by hooks)",
                 )
             )
         else:
@@ -309,7 +277,7 @@ class Simulation:
         ]
         # Expiry floor: a lower bound on the creation time of each
         # node's outstanding requests.  Requests enter in time order and
-        # fulfilment, crashes and hooks only remove them, so the bound
+        # fulfilment and hooks only remove them, so the bound
         # survives every insertion site untouched; a scan is due only
         # when ``floor < t - timeout`` (see _expire_requests).
         self._expiry_floor: List[float] = [-math.inf] * n_nodes
@@ -337,10 +305,10 @@ class Simulation:
     def _build_event_stream(self, prebuilt: Optional[EventStream]) -> None:
         """Install this run's merged event stream.
 
-        The stream — contacts, requests, and faults interleaved by one
-        stable ``np.lexsort`` on ``(time, kind)``, preserving the
-        fault -> request -> contact same-time tie rule — is a pure
-        function of ``(trace, requests, faults, config)`` and lives in
+        The stream — contacts and requests interleaved by one stable
+        ``np.lexsort`` on ``(time, kind)``, preserving the
+        request -> contact same-time tie rule — is a pure function of
+        ``(trace, requests, config)`` and lives in
         :mod:`repro.sim.events`.  A *prebuilt* stream
         (``prebuilt_events=``) is validated by :meth:`_check_prebuilt`
         to belong to this very run's objects before being trusted —
@@ -348,7 +316,7 @@ class Simulation:
         protocol.  Otherwise the run builds its own, byte-for-byte the
         same.
         """
-        self._payload_needed = self.tracer is None and self.faults is None
+        self._payload_needed = self.tracer is None
         if prebuilt is not None:
             self._check_prebuilt(prebuilt)
             stream = prebuilt
@@ -357,19 +325,18 @@ class Simulation:
                 self.trace,
                 self.requests,
                 self.config,
-                self.faults,
                 payloads=self._payload_needed,
             )
-        #: The stream and its side state (fault list, requesting nodes,
-        #: all-servers flag); the static kernel builds its indexes on it
+        #: The stream and its side state (requesting nodes, all-servers
+        #: flag); the static kernel builds its indexes on it
         #: once and reuses them.
         self._stream = stream
 
     def _check_prebuilt(self, stream: EventStream) -> None:
         """A prebuilt stream is only trusted for this very run.
 
-        Identity — not equality — is required for the trace, request,
-        and fault objects: the stream's arrays index directly into
+        Identity — not equality — is required for the trace and
+        request objects: the stream's arrays index directly into
         them, and identity is exactly what the sweep runner's
         trial-scoped sharing provides.  The config check goes through
         the fingerprint so distinct-but-equivalent config objects (the
@@ -383,10 +350,6 @@ class Simulation:
             raise ConfigurationError(
                 "prebuilt_events was built from a different request schedule"
             )
-        if stream.faults is not self.faults:
-            raise ConfigurationError(
-                "prebuilt_events was built from a different fault schedule"
-            )
         if stream.config_fingerprint != self.config.fingerprint():
             raise ConfigurationError(
                 "prebuilt_events was built under a different configuration"
@@ -394,7 +357,7 @@ class Simulation:
         if self._payload_needed and not stream.payload_mode:
             raise ConfigurationError(
                 "prebuilt_events lacks the plain-mode payload columns "
-                "this untraced fault-free run consumes"
+                "this untraced run consumes"
             )
 
     def _iter_chunks(self) -> Iterator[_Chunk]:
@@ -547,8 +510,8 @@ class Simulation:
     def remove_copy(self, node: NodeState, item: int) -> bool:
         """Remove a (non-sticky) replica, keeping the counts consistent.
 
-        Not used by any protocol; exposed for failure-injection
-        experiments and tests.
+        Not used by any shipped protocol; part of the protocol-facing
+        mutation API beside :meth:`insert_copy`.
         """
         cache = node.cache
         if cache is None or not cache.discard(item):
@@ -580,8 +543,7 @@ class Simulation:
         timer = Stopwatch() if self._collect_manifest else None
         phases = self._phase_timer
         # Loop specialization instead of per-event branching: untraced
-        # fault-free runs take a fully inlined plain loop (no tracer,
-        # online, or drop-probability tests at all); fault injection or
+        # runs take a fully inlined plain loop (no tracer tests at all);
         # tracing takes the instrumented loop, which adds exactly those
         # tests back.  Every loop consumes the same pre-chunked event
         # stream, so snapshot instants and event order are identical by
@@ -628,7 +590,7 @@ class Simulation:
         """Select and run the event loop for this run, then credit its
         gains.
 
-        Faults or tracing take the instrumented loop.  Otherwise a
+        Tracing takes the instrumented loop.  Otherwise a
         protocol with neither contact nor fulfil hooks keeps its caches
         static, and :meth:`_run_static` resolves the run in closed form
         where it can; everything else takes the segmented plain loop.
@@ -637,8 +599,8 @@ class Simulation:
         and folded in log order (see
         :meth:`MetricsCollector.fold_fulfillments`).
         """
-        if self.tracer is not None or self.faults is not None:
-            self._run_with_faults()
+        if self.tracer is not None:
+            self._run_traced()
         elif not self._run_static():
             self._run_plain()
         metrics = self.metrics
@@ -688,11 +650,6 @@ class Simulation:
             "n_unfulfilled": n_unfulfilled,
             "total_gain": m.total_gain,
             "final_replicas": int(self.counts.sum()),
-            "n_crashes": m.n_crashes,
-            "n_recoveries": m.n_recoveries,
-            "n_replicas_lost": m.n_replicas_lost,
-            "n_contacts_blocked": m.n_contacts_blocked,
-            "n_contacts_dropped": m.n_contacts_dropped,
         }
 
     def _publish_run_metrics(
@@ -760,8 +717,8 @@ class Simulation:
     #
     # Two loops over the pre-chunked stream, selected once per run by
     # _run_dispatch when the static kernel does not apply: the
-    # segmented plain loop (untraced, fault-free) and the instrumented
-    # loop (fault injection, tracing, or both).  The plain loop inlines
+    # segmented plain loop (untraced) and the instrumented loop
+    # (traced).  The plain loop inlines
     # request bookkeeping and skips exchanges whose early-return guards
     # (non-server provider, empty outstanding table) are visible from
     # the flat state tables — those guards touch no state and no RNG,
@@ -769,7 +726,7 @@ class Simulation:
     # in tests/sim/ compare every path against sim/_reference.py.
     # ------------------------------------------------------------------
     def _run_plain(self) -> None:
-        """Untraced, fault-free: every node is permanently online.
+        """Untraced: the sweep path.
 
         Consumes the widened columnar layout: contacts carry each
         endpoint's precomputed inclusive server-meeting count (``-1``
@@ -991,18 +948,17 @@ class Simulation:
             if snap is not None:
                 self._take_snapshot(snap)
 
-    def _run_with_faults(self) -> None:
-        """The instrumented loop: fault injection, tracing, or both.
+    def _run_traced(self) -> None:
+        """The instrumented loop: a traced run.
 
-        Online and drop tests are restored, and blocked or dropped
-        contacts must not advance query counters, so the per-node
-        server-meeting counts are maintained here dynamically instead
-        of precomputed from the trace.  With a tracer, each emission
-        site sits right after the state change it reports: ``SEEN``
-        once per (item, requester) query edge after expiry, ``FULFILL``
-        inside ``_fulfill_hits``, and ``self._now`` tracks the event
-        time so replication events emitted from protocol hooks and
-        faults carry the right timestamp.
+        The stream carries no plain-mode payload columns, so the
+        per-node server-meeting counts are maintained here dynamically
+        instead of precomputed from the trace.  Each emission site sits
+        right after the state change it reports: ``SEEN`` once per
+        (item, requester) query edge after expiry, ``FULFILL`` inside
+        ``_fulfill_hits``, and ``self._now`` tracks the event time so
+        replication events emitted from protocol hooks carry the right
+        timestamp.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1021,10 +977,8 @@ class Simulation:
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        drop_prob = self._drop_prob
-        fault_rng = self._fault_rng
-        fault_events = self._stream.fault_events
         tracer = self.tracer
+        assert tracer is not None
         meet_counts = [0] * len(nodes)
         for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
             self._iter_chunks()
@@ -1040,20 +994,8 @@ class Simulation:
                     b = mb[p]
                     node_a = nodes[a]
                     node_b = nodes[b]
-                    if not (node_a.online and node_b.online):
-                        metrics.n_contacts_blocked += 1
-                        continue
                     t = mt[p]
-                    if drop_prob > 0.0 and fault_rng is not None:
-                        if fault_rng.random() < drop_prob:
-                            metrics.n_contacts_dropped += 1
-                            if tracer is not None:
-                                tracer.emit(
-                                    trace_events.CONTACT_DROP, t, a=a, b=b
-                                )
-                            continue
-                    if tracer is not None:
-                        self._now = t
+                    self._now = t
                     if is_server_tbl[b]:
                         count = meet_counts[a] + 1
                         meet_counts[a] = count
@@ -1061,12 +1003,11 @@ class Simulation:
                         if out:
                             if timed and floor_tbl[a] < t - timeout:
                                 expire_requests(node_a, t - timeout)
-                            if tracer is not None:
-                                for item, request_list in out.items():
-                                    tracer.emit(
-                                        trace_events.SEEN, t, item=item,
-                                        node=a, server=b, n=len(request_list),
-                                    )
+                            for item, request_list in out.items():
+                                tracer.emit(
+                                    trace_events.SEEN, t, item=item,
+                                    node=a, server=b, n=len(request_list),
+                                )
                             hits = out.keys() & cache_tbl[b]
                             if hits:
                                 fulfill_hits(t, a, b, count, out, hits)
@@ -1077,12 +1018,11 @@ class Simulation:
                         if out:
                             if timed and floor_tbl[b] < t - timeout:
                                 expire_requests(node_b, t - timeout)
-                            if tracer is not None:
-                                for item, request_list in out.items():
-                                    tracer.emit(
-                                        trace_events.SEEN, t, item=item,
-                                        node=b, server=a, n=len(request_list),
-                                    )
+                            for item, request_list in out.items():
+                                tracer.emit(
+                                    trace_events.SEEN, t, item=item,
+                                    node=b, server=a, n=len(request_list),
+                                )
                             hits = out.keys() & cache_tbl[a]
                             if hits:
                                 fulfill_hits(t, b, a, count, out, hits)
@@ -1090,35 +1030,24 @@ class Simulation:
                         not idle_hook or mandates_tbl[a] or mandates_tbl[b]
                     ):
                         after_contact(self, t, node_a, node_b)
-                elif kind == 1:  # EVENT_REQUEST: a = item, b = node
+                else:  # EVENT_REQUEST: a = item, b = node
                     item = ma[p]
                     node_id = mb[p]
                     t = mt[p]
-                    if not nodes[node_id].online:
-                        # The device is down; no request is generated.
-                        metrics.n_requests_offline += 1
-                        if tracer is not None:
-                            tracer.emit(
-                                trace_events.OFFLINE, t, item=item,
-                                node=node_id,
-                            )
-                        continue
                     metrics.n_generated += 1
                     if item in cache_tbl[node_id]:
                         if skip_self:
                             metrics.n_skipped_self += 1
-                            if tracer is not None:
-                                tracer.emit(
-                                    trace_events.SKIPPED, t, item=item,
-                                    node=node_id,
-                                )
+                            tracer.emit(
+                                trace_events.SKIPPED, t, item=item,
+                                node=node_id,
+                            )
                         elif h0_finite:
                             metrics.log_immediate(t)
-                            if tracer is not None:
-                                tracer.emit(
-                                    trace_events.IMMEDIATE, t, item=item,
-                                    node=node_id, gain=h0,
-                                )
+                            tracer.emit(
+                                trace_events.IMMEDIATE, t, item=item,
+                                node=node_id, gain=h0,
+                            )
                         else:
                             self._raise_infinite_h0(item, node_id)
                     else:
@@ -1132,15 +1061,10 @@ class Simulation:
                             request_list.append(
                                 Request(item, node_id, t, meet_counts[node_id])
                             )
-                        if tracer is not None:
-                            tracer.emit(
-                                trace_events.REQUEST, t, item=item,
-                                node=node_id,
-                            )
-                else:  # EVENT_FAULT: arg_a = fault index
-                    t = mt[p]
-                    self._now = t
-                    self._apply_fault(t, fault_events[ma[p]])
+                        tracer.emit(
+                            trace_events.REQUEST, t, item=item,
+                            node=node_id,
+                        )
             if snap is not None:
                 self._take_snapshot(snap)
 
@@ -1255,121 +1179,6 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-    def _apply_fault(self, t: float, event: FaultEvent) -> None:
-        if event.kind == "crash":
-            self._crash_node(t, event)
-        elif event.kind == "recover":
-            self._recover_node(t, event)
-        else:  # "replica_loss"
-            self._lose_replica(t, event)
-
-    def _crash_node(self, t: float, event: FaultEvent) -> None:
-        node = self.nodes[event.node]  # type: ignore[index]
-        if not node.online:
-            return  # already down; crash is idempotent
-        node.online = False
-        self.metrics.record_crash(t, node.node_id)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                trace_events.CRASH,
-                t,
-                node=node.node_id,
-                n_requests_lost=(
-                    node.n_outstanding() if node.outstanding else 0
-                ),
-                n_mandates_lost=(
-                    sum(node.mandates.values())
-                    if event.lose_mandates and node.mandates
-                    else 0
-                ),
-            )
-            for item, request_list in node.outstanding.items():
-                for request in request_list:
-                    tracer.emit(
-                        trace_events.LOST,
-                        t,
-                        item=item,
-                        node=node.node_id,
-                        created_at=request.created_at,
-                    )
-        if node.outstanding:
-            self.metrics.n_requests_lost += node.n_outstanding()
-            node.outstanding.clear()
-        if event.lose_mandates and node.mandates:
-            self.metrics.n_mandates_lost += sum(node.mandates.values())
-            node.mandates.clear()
-        if event.wipe_cache and node.cache is not None and len(node.cache):
-            assert self.faults is not None
-            count_before = int(self.counts.sum())
-            cache = node.cache
-            lost = 0
-            if not self.faults.sticky_survives and cache.sticky is not None:
-                item = cache.unpin()
-                if item is not None and self.sticky_owner is not None:
-                    # The network-wide no-extinction guarantee is gone
-                    # for this item; mandate routing stops favoring the
-                    # (now nonexistent) sticky node.
-                    self.sticky_owner[item] = -1
-            for item in sorted(cache.items()):
-                if self.remove_copy(node, item):
-                    lost += 1
-            self.metrics.record_replica_loss(t, lost, count_before)
-
-    def _recover_node(self, t: float, event: FaultEvent) -> None:
-        node = self.nodes[event.node]  # type: ignore[index]
-        if node.online:
-            return
-        node.online = True
-        self.metrics.record_recovery(t, node.node_id)
-        if self.tracer is not None:
-            self.tracer.emit(trace_events.RECOVER, t, node=node.node_id)
-
-    def _lose_replica(self, t: float, event: FaultEvent) -> None:
-        count_before = int(self.counts.sum())
-        if event.node is not None:
-            node = self.nodes[event.node]
-            item = event.item
-            if item is None:
-                item = self._pick_lossy_item(node)
-                if item is None:
-                    return
-            if self.remove_copy(node, item):
-                self.metrics.record_replica_loss(t, 1, count_before)
-            return
-        # Unresolved loss: destroy a uniformly random non-sticky
-        # replica anywhere in the network (schedule RNG, sorted
-        # candidate order — fully deterministic per schedule seed).
-        rng = self._fault_rng
-        assert rng is not None
-        candidates = [
-            (node, item)
-            for node in self.nodes
-            if node.cache is not None
-            for item in sorted(node.cache.items())
-            if item != node.cache.sticky
-        ]
-        if not candidates:
-            return
-        node, item = candidates[int(rng.integers(len(candidates)))]
-        if self.remove_copy(node, item):
-            self.metrics.record_replica_loss(t, 1, count_before)
-
-    def _pick_lossy_item(self, node: NodeState) -> Optional[int]:
-        """A random non-sticky cached item of *node*, or ``None``."""
-        cache = node.cache
-        if cache is None:
-            return None
-        rng = self._fault_rng
-        assert rng is not None
-        pool = [i for i in sorted(cache.items()) if i != cache.sticky]
-        if not pool:
-            return None
-        return pool[int(rng.integers(len(pool)))]
-
-    # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def _take_snapshot(self, t: float) -> None:
@@ -1414,7 +1223,6 @@ def simulate(
     config: SimulationConfig,
     protocol: ReplicationProtocol,
     seed: SeedLike = None,
-    faults: Optional[FaultSchedule] = None,
     tracer: Optional[Tracer] = None,
     manifest: bool = False,
     prebuilt_events: Optional[EventStream] = None,
@@ -1427,7 +1235,7 @@ def simulate(
     when given, reuses a
     trial-scoped merged stream built once by
     :func:`repro.sim.events.build_event_stream` over the very same
-    trace/requests/faults — validated on receipt, bit-identical to an
+    trace/requests — validated on receipt, bit-identical to an
     inline merge.
     """
     return Simulation(
@@ -1436,7 +1244,6 @@ def simulate(
         config,
         protocol,
         seed=seed,
-        faults=faults,
         tracer=tracer,
         collect_manifest=manifest,
         prebuilt_events=prebuilt_events,

@@ -1,7 +1,7 @@
 """Trial-scoped event-stream construction.
 
-The merged fault/request/contact stream consumed by the engine's hot
-loops is a pure function of ``(trace, requests, faults, config)`` — it
+The merged request/contact stream consumed by the engine's hot loops
+is a pure function of ``(trace, requests, config)`` — it
 does not depend on the protocol under test.  A sweep that compares P
 protocols over the same realized trial therefore pays P identical
 lexsort merges when each :class:`~repro.sim.engine.Simulation` builds
@@ -12,8 +12,8 @@ arrays to every protocol via ``Simulation(prebuilt_events=...)``.
 
 Nothing about the stream's *content* changes: the builder here is the
 exact code the engine ran inline, and the engine validates on receipt
-that a prebuilt stream belongs to the run's own trace, requests,
-faults, and config before trusting it.
+that a prebuilt stream belongs to the run's own trace, requests, and
+config before trusting it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ import numpy.typing as npt
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
 from ..errors import ConfigurationError
-from ..faults import FaultEvent, FaultSchedule
 from ..types import FloatArray, IntArray
 from .config import SimulationConfig
 
 __all__ = [
     "EVENT_CONTACT",
-    "EVENT_FAULT",
     "EVENT_REQUEST",
     "Chunk",
     "EventStream",
@@ -43,17 +41,14 @@ __all__ = [
 ]
 
 #: Kind codes of the pre-merged event stream.  The numeric order *is*
-#: the documented same-time tie rule: faults apply first (a node that
-#: crashes at t is already offline for a contact at t), then requests,
-#: then contacts.
-EVENT_FAULT = 0
+#: the documented same-time tie rule: requests apply before contacts.
 EVENT_REQUEST = 1
 EVENT_CONTACT = 2
 
 #: One pre-cut run of the merged stream, as consumed by the hot loops:
 #: ``(kinds, times, arg_a, arg_b, payload_x, payload_y, request_positions,
 #: snapshot)``.  The payload columns and request-position index exist only
-#: in plain (untraced, fault-free) mode; *snapshot*, when not ``None``, is
+#: in plain (untraced) mode; *snapshot*, when not ``None``, is
 #: the instant to record after the chunk's events.
 Chunk = Tuple[
     IntArray,
@@ -115,18 +110,17 @@ def server_slot_payloads(
     """Widened payload columns for the sorted stream, plus its
     server-slot key.
 
-    The plain (untraced, fault-free) loop consumes precomputed
-    query-counter state: a request's final query counter is the
-    number of direction slots in which its node met a server
-    between creation and fulfillment — in a fault-free run that is
-    a pure function of the contact trace, so per-event payloads
+    The plain (untraced) loop consumes precomputed query-counter
+    state: a request's final query counter is the number of
+    direction slots in which its node met a server between creation
+    and fulfillment — a pure function of the contact trace, so
+    per-event payloads
     replace all per-request counter bookkeeping.  Contacts carry
     each endpoint's inclusive server-meeting count (``-1`` when
     the peer is not a server, i.e. the direction is a no-op),
     requests carry the node's count at creation, and the counter
     at fulfillment is the difference (see ``_fulfill_hits``).
-    With faults, blocked and dropped contacts must not count, so
-    the fault loop maintains the same counts dynamically instead.
+    The traced loop maintains the same counts dynamically instead.
 
     The key lists every counted direction slot — a requesting node
     meeting a server — as ``node * len(kinds) + position``, sorted: by
@@ -304,7 +298,7 @@ class EventStream:
 
     Produced by :func:`build_event_stream` and accepted by
     ``Simulation(prebuilt_events=...)``.  The identity fields
-    (*trace*, *requests*, *faults*, *config_fingerprint*) are what the
+    (*trace*, *requests*, *config_fingerprint*) are what the
     engine validates on receipt: a prebuilt stream is only trusted for
     a run over the very same objects and an equivalent config.  All
     array fields are shared read-only — neither the builder nor the
@@ -313,16 +307,12 @@ class EventStream:
 
     trace: ContactTrace
     requests: RequestSchedule
-    faults: Optional[FaultSchedule]
     config_fingerprint: str
     #: Whether the plain-mode payload columns were materialized.  A
     #: payload-bearing stream also serves traced runs (the instrumented
-    #: loop ignores payloads); a fault schedule forbids payloads entirely.
+    #: loop ignores payloads).
     payload_mode: bool
     n_events: int
-    #: The faults at or before the horizon, indexed by fault rows'
-    #: ``event_a``.
-    fault_events: List[FaultEvent]
     #: The nodes of the requests, in schedule order.
     req_nodes: IntArray
     #: Whether every node is a server.
@@ -346,15 +336,14 @@ def build_event_stream(
     trace: ContactTrace,
     requests: RequestSchedule,
     config: SimulationConfig,
-    faults: Optional[FaultSchedule] = None,
     *,
-    payloads: Optional[bool] = None,
+    payloads: bool = True,
 ) -> EventStream:
-    """Merge contacts, requests, and faults into one sorted stream.
+    """Merge contacts and requests into one sorted stream.
 
     Each stream arrives individually time-sorted; a single stable
     ``np.lexsort`` on ``(time, kind)`` interleaves them while
-    preserving the fault -> request -> contact same-time tie rule
+    preserving the request -> contact same-time tie rule
     (kind codes are ordered that way) and the original order within
     each stream.  The merged stream stays columnar — flat NumPy
     arrays the hot loops index directly.
@@ -363,31 +352,15 @@ def build_event_stream(
     exactly as ``Simulation`` builds it for itself when no prebuilt
     stream is given.
 
-    *payloads* controls the plain-mode payload columns; the default
-    (``faults is None``) materializes them whenever valid.  Payloads
-    under a fault schedule are meaningless (blocked and dropped
-    contacts must not count) and requesting them raises.
+    *payloads* controls the plain-mode payload columns; only the
+    untraced loop reads them.
     """
-    if payloads is None:
-        payloads = faults is None
-    elif payloads and faults is not None:
-        raise ConfigurationError(
-            "plain-mode payloads are invalid under a fault schedule"
-        )
     if requests.duration > trace.duration + 1e-9:
         raise ConfigurationError(
             "request schedule extends past the contact trace"
         )
     horizon = trace.duration
     n_nodes = trace.n_nodes
-    fault_events: List[FaultEvent] = (
-        [e for e in faults.events if e.time <= horizon]
-        if faults is not None
-        else []
-    )
-    fault_times: FloatArray = np.asarray(
-        [e.time for e in fault_events], dtype=np.float64
-    )
     req_nodes: IntArray = np.ascontiguousarray(requests.nodes, dtype=np.int64)
     is_server = np.zeros(n_nodes, dtype=bool)
     server_ids = config.server_ids(n_nodes)
@@ -400,26 +373,22 @@ def build_event_stream(
     requester = np.zeros(n_nodes, dtype=bool)
     requester[req_nodes] = True
     snap_times = snapshot_instants(config.record_interval, horizon)
-    n_f = len(fault_events)
     n_q, n_c = len(requests.times), len(trace.times)
-    total = n_f + n_q + n_c
+    total = n_q + n_c
     times = np.empty(total, dtype=np.float64)
-    times[:n_f] = fault_times
-    times[n_f : n_f + n_q] = requests.times
-    times[n_f + n_q :] = trace.times
+    times[:n_q] = requests.times
+    times[n_q:] = trace.times
     kinds = np.empty(total, dtype=np.int64)
-    kinds[:n_f] = EVENT_FAULT
-    kinds[n_f : n_f + n_q] = EVENT_REQUEST
-    kinds[n_f + n_q :] = EVENT_CONTACT
-    # First/second payload slot per kind: fault index / unused,
-    # request item / requesting node, contact endpoints a / b.
-    arg_a = np.zeros(total, dtype=np.int64)
-    arg_a[:n_f] = np.arange(n_f)
-    arg_a[n_f : n_f + n_q] = requests.items
-    arg_a[n_f + n_q :] = trace.node_a
-    arg_b = np.zeros(total, dtype=np.int64)
-    arg_b[n_f : n_f + n_q] = requests.nodes
-    arg_b[n_f + n_q :] = trace.node_b
+    kinds[:n_q] = EVENT_REQUEST
+    kinds[n_q:] = EVENT_CONTACT
+    # First/second payload slot per kind: request item / requesting
+    # node, contact endpoints a / b.
+    arg_a = np.empty(total, dtype=np.int64)
+    arg_a[:n_q] = requests.items
+    arg_a[n_q:] = trace.node_a
+    arg_b = np.empty(total, dtype=np.int64)
+    arg_b[:n_q] = requests.nodes
+    arg_b[n_q:] = trace.node_b
     order = np.lexsort((kinds, times))
     sorted_times = times[order]
     sorted_kinds = kinds[order]
@@ -451,11 +420,9 @@ def build_event_stream(
     return EventStream(
         trace=trace,
         requests=requests,
-        faults=faults,
         config_fingerprint=config.fingerprint(),
         payload_mode=payloads,
         n_events=total,
-        fault_events=fault_events,
         req_nodes=req_nodes,
         all_servers=bool(is_server.all()),
         event_times=sorted_times,

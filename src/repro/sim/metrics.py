@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,19 +41,6 @@ class MetricsCollector:
         "_counts_buf",
         "_track_idx",
         "_tracked_buf",
-        "n_crashes",
-        "n_recoveries",
-        "n_replicas_lost",
-        "n_mandates_lost",
-        "n_requests_lost",
-        "n_requests_offline",
-        "n_contacts_blocked",
-        "n_contacts_dropped",
-        "total_downtime",
-        "fault_times",
-        "recovery_times",
-        "_offline_since",
-        "_pending_recoveries",
     )
 
     def __init__(
@@ -123,23 +110,6 @@ class MetricsCollector:
             if track_items
             else None
         )
-
-        # Fault-injection accounting (all zero on fault-free runs).
-        self.n_crashes = 0
-        self.n_recoveries = 0
-        self.n_replicas_lost = 0
-        self.n_mandates_lost = 0
-        self.n_requests_lost = 0
-        self.n_requests_offline = 0
-        self.n_contacts_blocked = 0
-        self.n_contacts_dropped = 0
-        self.total_downtime = 0.0
-        self.fault_times: List[float] = []
-        self.recovery_times: List[float] = []
-        #: node id -> time it went offline (open crash intervals).
-        self._offline_since: Dict[int, float] = {}
-        #: (loss time, pre-loss global replica count) awaiting recovery.
-        self._pending_recoveries: List[Tuple[float, int]] = []
 
     # ------------------------------------------------------------------
     # event hooks
@@ -289,52 +259,6 @@ class MetricsCollector:
         self._n_snapshots = index + 1
         if mandates is not None:
             self.snapshot_mandates.append(mandates.copy())
-        if self._pending_recoveries:
-            total = int(counts.sum())
-            unresolved = []
-            for loss_time, target in self._pending_recoveries:
-                if total >= target:
-                    self.recovery_times.append(t - loss_time)
-                else:
-                    unresolved.append((loss_time, target))
-            self._pending_recoveries = unresolved
-
-    # ------------------------------------------------------------------
-    # fault hooks
-    # ------------------------------------------------------------------
-    def record_crash(self, t: float, node_id: int) -> None:
-        self.n_crashes += 1
-        self._mark_fault_time(t)
-        self._offline_since.setdefault(node_id, t)
-
-    def record_recovery(self, t: float, node_id: int) -> None:
-        self.n_recoveries += 1
-        started = self._offline_since.pop(node_id, None)
-        if started is not None:
-            # Nodes still offline at the horizon are closed out in
-            # build_result().
-            self.total_downtime += t - started
-
-    def record_replica_loss(
-        self, t: float, lost: int, count_before: int
-    ) -> None:
-        """*lost* replicas vanished at *t*; track time-to-recover.
-
-        *count_before* is the global replica count immediately before the
-        loss — the recovery target: the first subsequent snapshot whose
-        total count re-attains it closes the episode and contributes one
-        time-to-recover sample (the material of recovery curves).
-        """
-        if lost <= 0:
-            return
-        self.n_replicas_lost += lost
-        self._mark_fault_time(t)
-        self._pending_recoveries.append((t, count_before))
-
-    def _mark_fault_time(self, t: float) -> None:
-        """Record a fault instant once (crash waves share one time)."""
-        if not self.fault_times or self.fault_times[-1] != t:
-            self.fault_times.append(t)
 
     # ------------------------------------------------------------------
     # finalization
@@ -346,10 +270,6 @@ class MetricsCollector:
         manifest: Optional[Dict[str, Any]] = None,
     ) -> "SimulationResult":
         delays = np.asarray(self.delays, dtype=float)
-        # Close open crash intervals at the horizon.
-        for started in self._offline_since.values():
-            self.total_downtime += self.duration - started
-        self._offline_since = {}
         return SimulationResult(
             delays=delays,
             duration=self.duration,
@@ -389,17 +309,6 @@ class MetricsCollector:
                 else None
             ),
             final_counts=final_counts.copy(),
-            n_crashes=self.n_crashes,
-            n_recoveries=self.n_recoveries,
-            n_replicas_lost=self.n_replicas_lost,
-            n_mandates_lost=self.n_mandates_lost,
-            n_requests_lost=self.n_requests_lost,
-            n_requests_offline=self.n_requests_offline,
-            n_contacts_blocked=self.n_contacts_blocked,
-            n_contacts_dropped=self.n_contacts_dropped,
-            total_downtime=self.total_downtime,
-            fault_times=np.asarray(self.fault_times, dtype=float),
-            recovery_times=np.asarray(self.recovery_times, dtype=float),
             manifest=manifest,
         )
 
@@ -435,29 +344,6 @@ class SimulationResult:
     snapshot_mandates: Optional[IntArray]
     snapshot_tracked: Optional[IntArray]
     final_counts: IntArray
-    # Fault-injection measurements (zero / empty on fault-free runs).
-    n_crashes: int = 0
-    n_recoveries: int = 0
-    #: Replicas destroyed by cache wipes and replica-loss events.
-    n_replicas_lost: int = 0
-    #: QCR mandates discarded on crashes.
-    n_mandates_lost: int = 0
-    #: Outstanding requests dropped when their node crashed.
-    n_requests_lost: int = 0
-    #: Requests that would have arrived at an offline node (not generated).
-    n_requests_offline: int = 0
-    #: Contacts skipped because an endpoint was offline.
-    n_contacts_blocked: int = 0
-    #: Contacts lost to the probabilistic drop process.
-    n_contacts_dropped: int = 0
-    #: Total offline node-time (summed over nodes), capped at the horizon.
-    total_downtime: float = 0.0
-    #: Distinct instants at which faults fired.
-    fault_times: FloatArray = field(default_factory=lambda: np.zeros(0))
-    #: Per loss episode: time until the global replica count re-attained
-    #: its pre-loss level (measured at snapshot resolution); episodes
-    #: never recovered within the horizon are absent.
-    recovery_times: FloatArray = field(default_factory=lambda: np.zeros(0))
     #: Run provenance (:class:`repro.obs.manifest.RunManifest` as a plain
     #: dict), populated when the run was traced or manifests requested.
     #: Carries host timings, so result-equality checks must ignore it.
@@ -486,22 +372,4 @@ class SimulationResult:
             "p95_delay": self.p95_delay,
             "n_generated": float(self.n_generated),
             "n_unfulfilled": float(self.n_unfulfilled),
-        }
-
-    def robustness_summary(self) -> Dict[str, float]:
-        """Headline fault/recovery metrics (all zero on fault-free runs)."""
-        recovered = self.recovery_times
-        return {
-            "n_crashes": float(self.n_crashes),
-            "n_recoveries": float(self.n_recoveries),
-            "n_replicas_lost": float(self.n_replicas_lost),
-            "n_mandates_lost": float(self.n_mandates_lost),
-            "n_requests_lost": float(self.n_requests_lost),
-            "n_contacts_blocked": float(self.n_contacts_blocked),
-            "n_contacts_dropped": float(self.n_contacts_dropped),
-            "total_downtime": self.total_downtime,
-            "n_loss_episodes_recovered": float(len(recovered)),
-            "median_recovery_time": (
-                float(np.median(recovered)) if len(recovered) else float("nan")
-            ),
         }

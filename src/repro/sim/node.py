@@ -41,7 +41,6 @@ class NodeState:
         "node_id",
         "is_server",
         "is_client",
-        "online",
         "cache",
         "outstanding",
         "mandates",
@@ -58,8 +57,6 @@ class NodeState:
         self.node_id = node_id
         self.is_server = is_server
         self.is_client = is_client
-        #: Fault-injection state: offline nodes skip contacts and requests.
-        self.online = True
         self.cache: Optional[Cache] = Cache(capacity) if is_server else None
         #: item -> outstanding requests for that item.
         self.outstanding: Dict[int, List[Request]] = {}

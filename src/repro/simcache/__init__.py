@@ -2,8 +2,8 @@
 
 A completed ``(trial, protocol)`` simulation is a pure function of its
 inputs: the realized contact trace and request schedule, the simulation
-configuration, the protocol instance, the simulation seed, the fault
-schedule, and the engine implementation itself.  This package hashes all
+configuration, the protocol instance, the simulation seed, and the
+engine implementation itself.  This package hashes all
 of those into one content key and stores the resulting
 :class:`~repro.sim.metrics.SimulationResult` on disk, so sweeps that
 revisit a configuration (``run_comparison``, ``figures``, ``repro
@@ -21,7 +21,6 @@ Enable via ``run_comparison(..., run_cache=...)``, the
 
 from .fingerprint import (
     UncacheableRunError,
-    fingerprint_faults,
     fingerprint_protocol,
     fingerprint_request_recipe,
     fingerprint_requests,
@@ -43,7 +42,6 @@ __all__ = [
     "RunCacheStats",
     "SimulationRunCache",
     "UncacheableRunError",
-    "fingerprint_faults",
     "fingerprint_protocol",
     "fingerprint_request_recipe",
     "fingerprint_requests",

@@ -22,13 +22,11 @@ import numpy as np
 from ..contacts import ContactTrace
 from ..demand import RequestSchedule
 from ..errors import ReproError
-from ..faults import FaultSchedule
 from ..protocols.base import ReplicationProtocol
 from ..sim.config import SimulationConfig
 
 __all__ = [
     "UncacheableRunError",
-    "fingerprint_faults",
     "fingerprint_protocol",
     "fingerprint_request_recipe",
     "fingerprint_requests",
@@ -238,14 +236,6 @@ def fingerprint_requests(requests: RequestSchedule) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_faults(faults: Optional[FaultSchedule]) -> str:
-    """Content hash of a fault schedule (``"none"`` when absent)."""
-    if faults is None:
-        return "none"
-    payload = json.dumps(_describe(faults), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def fingerprint_protocol(protocol: ReplicationProtocol) -> str:
     """Structural content hash of a freshly built protocol instance.
 
@@ -283,23 +273,20 @@ def run_key(
     sim_seed: int,
     trace: Optional[ContactTrace],
     requests: Optional[RequestSchedule],
-    faults: Optional[FaultSchedule] = None,
     *,
     config_fingerprint: Optional[str] = None,
     trace_fingerprint: Optional[str] = None,
     requests_fingerprint: Optional[str] = None,
-    faults_fingerprint: Optional[str] = None,
 ) -> str:
     """The content key of one simulation run.
 
     Any change to the configuration, the realized inputs, the protocol's
-    parameterization, the seed, the faults, or the engine code version
+    parameterization, the seed, or the engine code version
     yields a different key.
 
     The ``*_fingerprint`` keywords accept memoized values of
     :meth:`SimulationConfig.fingerprint` / :func:`fingerprint_trace` /
-    :func:`fingerprint_requests` / :func:`fingerprint_faults` over the
-    *same* inputs, substituting
+    :func:`fingerprint_requests` over the *same* inputs, substituting
     byte-identically for the inline hash passes.  A sweep computes each
     trial's content hashes once and probes the cache for every protocol
     with them — the trace hash (by far the dominant cost) would
@@ -333,11 +320,6 @@ def run_key(
             "sim_seed": int(sim_seed),
             "trace": trace_fingerprint,
             "requests": requests_fingerprint,
-            "faults": (
-                faults_fingerprint
-                if faults_fingerprint is not None
-                else fingerprint_faults(faults)
-            ),
             "protocol": fingerprint_protocol(protocol),
         },
         sort_keys=True,

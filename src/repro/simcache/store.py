@@ -16,7 +16,7 @@ This module owns the one on-disk format of a completed
 validated by :func:`read_entry`.  The run cache stores entries under
 content keys.
 
-A version-3 entry is one binary file:
+A version-4 entry is one binary file:
 
 * an 8-byte magic, ``b"RPSIMC"`` followed by the version as a
   little-endian u16;
@@ -36,8 +36,10 @@ writer produces: a wrong magic, format, version or key, a header that
 is not JSON or overruns the file, a dtype other than the field's
 canonical one, a byte count that does not fill the shape, an array out
 of place, or bytes past the last array make the entry a warned miss.
-Version-2 entries (one JSON file with base64 arrays, ``<key>.json``)
-are never read: their runs miss once and are stored anew.
+Entries of earlier versions — version 3 (this layout with other result
+fields) and version 2 (one JSON file with base64 arrays,
+``<key>.json``) — are never read: their runs miss once and are stored
+anew.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ DEFAULT_CACHE_ROOT = os.path.join(
 )
 
 _FORMAT = "repro-simcache-entry"
-_VERSION = 3
+_VERSION = 4
 _MAGIC_PREFIX = b"RPSIMC"
 _MAGIC = _MAGIC_PREFIX + _VERSION.to_bytes(2, "little")
 #: Magic, then the header length.
@@ -115,8 +117,6 @@ _ARRAY_DTYPES = {
             "delays",
             "window_gains",
             "snapshot_times",
-            "fault_times",
-            "recovery_times",
         ),
         np.dtype("<f8"),
     ),

@@ -6,7 +6,7 @@ class RoguePlacement:
 
     def on_fulfill(self, sim, t, requester, provider, item, counter):
         requester.cache.insert(item, sim.rng)
-        requester.online = False
+        requester.is_server = False
         provider.outstanding[item] = []
         del provider.outstanding[item]
         provider.outstanding.pop(item, None)

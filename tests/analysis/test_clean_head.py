@@ -29,9 +29,9 @@ def test_src_repro_is_analysis_clean(report):
     # Clean means *clean*: no errors, no dead-registry warnings either.
     assert not report.findings, rendered
     assert not report.parse_errors
-    # Five per-file (RPL005/007/008) suppressions and no whole-program
+    # Four per-file (RPL005/007/008) suppressions and no whole-program
     # one.
-    assert report.n_suppressed == 5
+    assert report.n_suppressed == 4
 
 
 def test_analysis_is_not_vacuous(report):

@@ -19,7 +19,7 @@ def _engine_loops():
 
 def test_every_engine_loop_is_a_declared_surface():
     loops = _engine_loops()
-    assert "_run_plain" in loops and "_run_with_faults" in loops
+    assert "_run_plain" in loops and "_run_traced" in loops
     assert sorted(loops - set(_ENGINE_METHODS)) == []
 
 

@@ -1,4 +1,4 @@
-"""Crash-durable file primitives: atomicity and error-text budgets."""
+"""Crash-durable file primitives: atomicity and durability."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ import pytest
 
 from repro import durable
 from repro.durable import (
-    MAX_ERROR_BYTES,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     fsync_directory,
-    truncate_error_text,
 )
 
 
@@ -87,27 +85,3 @@ class TestAtomicWriteBytes:
         atomic_write_bytes(tmp_path / "out.bin", [b"data"], fsync=fsync)
         # The file before its rename, then the directory holding it.
         assert synced == ([stat.S_IFREG, stat.S_IFDIR] if fsync else [])
-
-
-class TestTruncateErrorText:
-    def test_within_budget_passes_through(self):
-        assert truncate_error_text("short error") == "short error"
-
-    def test_over_budget_is_bounded_with_marker(self):
-        huge = "x" * (MAX_ERROR_BYTES * 10)
-        bounded = truncate_error_text(huge)
-        assert len(bounded.encode("utf-8")) <= MAX_ERROR_BYTES
-        assert "truncated" in bounded
-        assert bounded.startswith("x")
-
-    def test_multibyte_text_never_splits_a_codepoint(self):
-        huge = "é" * MAX_ERROR_BYTES  # 2 UTF-8 bytes each
-        bounded = truncate_error_text(huge)
-        assert len(bounded.encode("utf-8")) <= MAX_ERROR_BYTES
-        bounded.encode("utf-8").decode("utf-8")  # round-trips cleanly
-
-    def test_custom_budget(self):
-        bounded = truncate_error_text("y" * 500, budget=128)
-        assert len(bounded.encode("utf-8")) <= 128
-        assert "truncated" in bounded
-

@@ -17,11 +17,9 @@ from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
 from repro.experiments import TrialArtifacts, run_comparison
 from repro.experiments.benchmark import _merge_per_protocol
-from repro.faults import FaultSchedule
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
 from repro.simcache import (
-    fingerprint_faults,
     fingerprint_requests,
     fingerprint_trace,
     run_key,
@@ -66,14 +64,7 @@ def workload(demand):
 class TestFingerprintMemo:
     def test_one_hash_pass_per_artifact(self, workload, monkeypatch):
         trace, requests = workload
-        faults = FaultSchedule.node_churn(
-            trace.n_nodes,
-            crash_rate=0.01,
-            mean_downtime=10.0,
-            duration=trace.duration,
-            seed=5,
-        )
-        calls = {"trace": 0, "requests": 0, "faults": 0}
+        calls = {"trace": 0, "requests": 0}
 
         import repro.experiments.artifacts as artifacts_mod
 
@@ -94,17 +85,11 @@ class TestFingerprintMemo:
             "fingerprint_requests",
             counting("requests", fingerprint_requests),
         )
-        monkeypatch.setattr(
-            artifacts_mod,
-            "fingerprint_faults",
-            counting("faults", fingerprint_faults),
-        )
-        inputs = TrialArtifacts(trace, requests, 17, faults=faults)
+        inputs = TrialArtifacts(trace, requests, 17)
         for _ in range(5):  # one probe per protocol in a 5-protocol sweep
             inputs.trace_fingerprint()
             inputs.requests_fingerprint()
-            inputs.faults_fingerprint()
-        assert calls == {"trace": 1, "requests": 1, "faults": 1}
+        assert calls == {"trace": 1, "requests": 1}
 
     def test_memoized_run_key_is_byte_identical(
         self, workload, config, demand
@@ -200,36 +185,3 @@ class TestSweepSharing:
         assert len(builds) == 2  # every run merged inline instead
         assert_identical(shared, unshared)
 
-    def test_shared_with_faults(
-        self, demand, config, protocols, monkeypatch
-    ):
-        from repro.experiments import runner
-
-        factory_calls = []
-
-        def faults(trial):
-            factory_calls.append(trial)
-            return FaultSchedule.node_churn(
-                N,
-                crash_rate=0.01,
-                mean_downtime=10.0,
-                duration=DURATION,
-                seed=100 + trial,
-            )
-
-        prebuilt = []
-        simulate = runner.simulate
-
-        def recording_simulate(*args, **kwargs):
-            prebuilt.append(kwargs["prebuilt_events"] is not None)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "simulate", recording_simulate)
-        shared = sweep(demand, config, protocols, faults=faults)
-        # One fault schedule per trial, so every protocol of the trial
-        # runs on the trial's prebuilt stream.
-        assert factory_calls == [0, 1]
-        assert prebuilt == [True] * (2 * len(protocols))
-        with _merge_per_protocol():
-            unshared = sweep(demand, config, protocols, faults=faults)
-        assert_identical(shared, unshared)

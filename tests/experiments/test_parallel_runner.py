@@ -2,8 +2,8 @@
 
 Every backend is purely a wall-clock choice; every test here asserts
 *bit-identical* statistics between a pool and the serial path,
-including under per-trial fault schedules, skip-on-error sweeps, and
-resume through the run cache.
+including a failing run, which every backend raises, and resume
+through the run cache.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.dist import ProcessPoolExecutor
 from repro.dist import executors as dist_executors
 from repro.errors import ConfigurationError
 from repro.experiments import run_comparison
-from repro.faults import FaultSchedule
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
 from repro.utility import StepUtility
@@ -88,17 +87,11 @@ def assert_identical(a, b):
             assert np.array_equal(x.final_counts, y.final_counts)
 
 
-def faults_per_trial(trial):
-    return FaultSchedule.crash_wave(
-        DURATION / 2, range(trial + 1), wipe_cache=True
-    )
-
-
 def moody_protocols(demand):
     """The standard pair plus a factory that fails on one trial only.
 
     It fails deterministically from the trial's trace realization, so
-    every backend fails on the same runs.
+    every backend fails on the same run.
     """
 
     def moody(tr, rq):
@@ -121,33 +114,27 @@ class TestExecutorEquivalence:
             (ProcessPoolExecutor(2), "process", 2),
         ]
         results = []
+        errors = []
         for executor, name, workers in specs:
             result = sweep(
-                demand,
-                config,
-                moody_protocols(demand),
-                faults=faults_per_trial,
-                on_error="skip",
-                executor=executor,
+                demand, config, make_protocols(demand), executor=executor
             )
             assert result.manifest["executor"] == name, executor
             assert result.manifest["n_workers"] == workers, executor
             results.append(result)
+            # The seeds above do produce an odd trace, and every backend
+            # raises its run's error.
+            with pytest.raises(RuntimeError, match="dense trace") as error:
+                sweep(
+                    demand, config, moody_protocols(demand),
+                    executor=executor,
+                )
+            errors.append(str(error.value))
 
+        assert len(set(errors)) == 1
         reference = results[0]
-        assert reference.failures  # the seeds above do produce odd traces
-        assert len(reference.failures) < reference.n_trials
-        crashes = [r.n_crashes for r in reference.stats["UNI"].results]
-        assert crashes == [1, 2, 3]
         for result, (executor, _, _) in zip(results[1:], specs[1:]):
             assert_identical(reference, result)
-            assert [
-                (f.trial, f.protocol, f.error, f.attempts)
-                for f in result.failures
-            ] == [
-                (f.trial, f.protocol, f.error, f.attempts)
-                for f in reference.failures
-            ], executor
             assert [
                 (r.trial, r.protocol, r.status) for r in result.telemetry
             ] == [
@@ -169,22 +156,6 @@ class TestParallelDeterminism:
         assert_identical(serial, one)
         assert one.manifest["executor"] == "serial"
         assert one.manifest["n_workers"] == 1
-
-    def test_pool_matches_serial_under_per_trial_faults(self, setup):
-        demand, config = setup
-        serial = sweep(
-            demand, config, make_protocols(demand), faults=faults_per_trial
-        )
-        parallel = sweep(
-            demand,
-            config,
-            make_protocols(demand),
-            faults=faults_per_trial,
-            executor=4,
-        )
-        assert_identical(serial, parallel)
-        crashes = [r.n_crashes for r in parallel.stats["UNI"].results]
-        assert crashes == [1, 2, 3]
 
     def test_invalid_worker_count_rejected(self, setup):
         demand, config = setup
@@ -242,26 +213,6 @@ class TestWorkerCap:
 
 
 class TestParallelErrorPolicies:
-    def test_skip_reports_same_failures_as_serial(self, setup):
-        demand, config = setup
-        serial = sweep(
-            demand, config, moody_protocols(demand), on_error="skip"
-        )
-        parallel = sweep(
-            demand, config, moody_protocols(demand), on_error="skip",
-            executor=4,
-        )
-        assert serial.failures  # the seeds above do produce odd traces
-        assert len(serial.failures) < serial.n_trials
-        assert [
-            (f.trial, f.protocol, f.error, f.attempts)
-            for f in parallel.failures
-        ] == [
-            (f.trial, f.protocol, f.error, f.attempts)
-            for f in serial.failures
-        ]
-        assert_identical(serial, parallel)
-
     def test_raise_propagates_from_worker(self, setup):
         demand, config = setup
         protocols = make_protocols(demand)

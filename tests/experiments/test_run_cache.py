@@ -6,7 +6,7 @@ The cache contract has three legs:
   the one that was stored; a second identical sweep performs *zero*
   simulations;
 * **invalidation** — the key covers the engine code version, the config
-  fingerprint, the seed, and the trace/request/fault content, so
+  fingerprint, the seed, and the trace/request content, so
   changing any of them is a miss.  A scenario's trace is keyed by its
   recipe (generator parameters, seed, ``TRACE_CODE_VERSION`` and the
   numpy version) rather than its contacts, so a warm pass realizes no
@@ -69,7 +69,6 @@ from repro.experiments import figures as figures_mod
 from repro.experiments import runner as runner_mod
 from repro.experiments import scenarios as scenarios_mod
 from repro.experiments.profiles import EffortProfile
-from repro.faults import FaultSchedule
 from repro.obs.log import set_log_stream
 from repro.protocols import prop_protocol, uni_protocol
 from repro.protocols import static as static_mod
@@ -146,16 +145,12 @@ class TestRunKey:
         )
         assert key != run_key(other_cfg, protocol, 5, trace, requests)
 
-    def test_trace_and_fault_content_in_key(self):
+    def test_trace_content_in_key(self):
         demand, trace, requests = workload()
         protocol = prop_protocol(demand, N, RHO)
         key = run_key(config(), protocol, 5, trace, requests)
         _, other_trace, _ = workload(seed=8)
         assert key != run_key(config(), protocol, 5, other_trace, requests)
-        faults = FaultSchedule(drop_prob=0.2, seed=1)
-        assert key != run_key(
-            config(), protocol, 5, trace, requests, faults=faults
-        )
 
     def test_engine_version_bump_changes_key(self, monkeypatch):
         import repro.sim.engine as engine_mod
@@ -200,35 +195,13 @@ class TestRunKey:
             include=("OPT", "QCR", "SQRT", "PROP", "UNI", "DOM", "QCRWOM",
                      "PASSIVE"),
         )
-        # The fault schedules `repro churn` builds, across its flags.
-        churn = [None] + [
-            FaultSchedule.crash_wave(
-                trace.duration / 4,
-                range(2),
-                recover_at=recover_at,
-                wipe_cache=wipe,
-                sticky_survives=sticky,
-                drop_prob=drop_prob,
+        keys = {
+            run_key(
+                scenario.config, factory(trace, requests), 7, trace, requests
             )
-            for recover_at, wipe, sticky, drop_prob in [
-                (None, True, True, 0.0),
-                (trace.duration / 2, False, False, 0.2),
-            ]
-        ]
-        keys = set()
-        for name, factory in factories.items():
-            for faults in churn:
-                keys.add(
-                    run_key(
-                        scenario.config,
-                        factory(trace, requests),
-                        7,
-                        trace,
-                        requests,
-                        faults,
-                    )
-                )
-        assert len(keys) == len(factories) * len(churn)
+            for factory in factories.values()
+        }
+        assert len(keys) == len(factories)
 
     def test_callable_input_is_uncacheable(self):
         demand, trace, requests = workload()
@@ -621,7 +594,6 @@ def special_result():
         snapshot_mandates=np.asfortranarray(np.arange(8).reshape(2, 4)),
         snapshot_tracked=None,
         final_counts=np.array([INT64.min, INT64.max, 0, -1]),
-        recovery_times=np.array([1.5, -0.0]),
     )
 
 
@@ -684,11 +656,11 @@ class TestEntryFormat:
         path = tmp_path / "k.entry"
         write_entry(path, "k", original)
         magic, header, body = _split_entry(path)
-        assert magic == b"RPSIMC\x03\x00"
+        assert magic == b"RPSIMC\x04\x00"
         # The body starts 8-aligned.
         assert (path.stat().st_size - len(body)) % 8 == 0
         assert header["format"] == "repro-simcache-entry"
-        assert header["version"] == 3 and header["key"] == "k"
+        assert header["version"] == 4 and header["key"] == "k"
         cursor = 0
         for name, value in result_to_dict(original).items():
             if not (isinstance(value, dict) and "data" in value):
@@ -820,7 +792,7 @@ CORRUPTIONS = {
         "entry version 99",
     ),
     "wrong-version-magic": (
-        _edit_magic(b"RPSIMC\x02\x00"), "entry version 2"
+        _edit_magic(b"RPSIMC\x03\x00"), "entry version 3"
     ),
     "does-not-rebuild": (
         lambda path: _rewrite(path, _drop_required_field),
@@ -1024,7 +996,7 @@ class TestSweepCaching:
         assert cache.stats.hits == 0 and cache.stats.errors == 0
         assert cache.stats.misses == 8 and cache.stats.stores == 8
         for path in paths:
-            assert path.read_bytes()[:8] == b"RPSIMC\x03\x00"
+            assert path.read_bytes()[:8] == b"RPSIMC\x04\x00"
             assert path.with_suffix(".json").exists()
         assert cache.info()["n_entries"] == 8
 
@@ -1093,38 +1065,6 @@ class TestTraceOptSolves:
         self.sweep(False)
         assert solves["n"] == self.TRIALS
 
-    def test_retry_rebuilds_and_solves_again(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(runner_mod, "RETRY_BACKOFF_S", 0.0)
-        clean = self.sweep(False)
-        solves = counted_solves(monkeypatch)
-        real_simulate = runner_mod.simulate
-        calls = {"n": 0}
-
-        def fails_after_first_run(*args, **kwargs):
-            # The first attempt initializes (and so solves), then fails.
-            calls["n"] += 1
-            result = real_simulate(*args, **kwargs)
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return result
-
-        monkeypatch.setattr(runner_mod, "simulate", fails_after_first_run)
-        scenario = small_conference()
-        retried = run_comparison(
-            trace_factory=scenario.trace_factory,
-            demand=scenario.demand,
-            config=scenario.config,
-            protocols=standard_protocols(scenario, include=("OPT",)),
-            n_trials=1,
-            base_seed=5,
-            on_error="retry",
-            run_cache=SimulationRunCache(tmp_path / "cache"),
-        )
-        assert not retried.failures
-        assert retried.telemetry[0].attempts == 2
-        assert solves["n"] == 2
-        assert opt_result_bytes(retried) == opt_result_bytes(clean)[:1]
-
 
 #: The small recipes of the recipe key tests, one per scenario builder.
 SMALL_RECIPES = {
@@ -1167,9 +1107,6 @@ def trial_inputs(trace_factory, trace_seed=1):
         config=config(),
         protocols={},
         n_clients=None,
-        faults=None,
-        on_error="raise",
-        attempts_per_run=1,
         profile_dir=None,
         cache=None,
     )

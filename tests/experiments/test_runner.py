@@ -157,8 +157,8 @@ class TestRunComparison:
     def test_request_generation_error_is_not_a_failed_run(
         self, setup, monkeypatch
     ):
-        """Requests are generated before the retried attempts, so a
-        generator error propagates once instead of being retried."""
+        """Requests are generated as trial setup, so a generator error
+        propagates once."""
         demand, config = setup
         calls = []
 
@@ -176,7 +176,6 @@ class TestRunComparison:
                 config=config,
                 protocols=make_protocols(demand),
                 n_trials=1,
-                on_error="retry",
                 run_cache=False,
             )
         assert len(calls) == 1

@@ -135,7 +135,6 @@ class TestSweepManifest:
         assert manifest["n_trials"] == N_TRIALS
         assert manifest["protocols"] == ["OPT", "UNI"]
         assert manifest["n_runs_executed"] == N_TRIALS * 2
-        assert manifest["n_failures"] == 0
         assert manifest["wall_s"] >= 0.0
         assert "python" in manifest["environment"]
 

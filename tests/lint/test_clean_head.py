@@ -27,9 +27,9 @@ def test_src_repro_is_lint_clean() -> None:
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
     assert not report.parse_errors
-    # The five per-file suppressions (RPL005/007/008), among them the
+    # The four per-file suppressions (RPL005/007/008), among them the
     # three utility/ sentinel comparisons.
-    assert report.n_suppressed == 5
+    assert report.n_suppressed == 4
 
 
 def test_benchmarks_tree_is_lint_clean() -> None:

@@ -120,10 +120,10 @@ def test_tracer_to_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     with Tracer.to_jsonl(str(path)) as tracer:
         assert tracer.active
-        tracer.emit("recover", 3.0, node=4)
+        tracer.emit("replica_drop", 3.0, node=4, item=1)
     event = json.loads(path.read_text())
     events.validate_event(event)
-    assert event["kind"] == "recover"
+    assert event["kind"] == "replica_drop"
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Array-backed engine vs. frozen reference under full instrumentation.
 
-The optimized engine picks one of three hot loops at run time: plain
-(no tracer, no faults), faults-only, or fully traced.  Earlier identity
-tests pin tracing-only and faults-only; these pin the *combined* mode —
-a fault schedule (crashes, recoveries, drops, replica losses) active at
-the same time as JSONL tracing — which exercises the dynamic
-meeting-count bookkeeping and the tracer hooks together.  Every mode
-must match :class:`~repro.sim._reference.ReferenceSimulation` bit for
+The optimized engine picks its loop at run time: the plain loop (or the
+static kernel) without a tracer, the instrumented loop with one.  These
+pin JSONL tracing — the instrumented loop's dynamic meeting-count
+bookkeeping and its tracer hooks together — and an untraced timed run
+against :class:`~repro.sim._reference.ReferenceSimulation`, bit for
 bit.
 """
 
@@ -20,7 +18,6 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.faults import FaultEvent, FaultSchedule
 from repro.obs import Tracer
 from repro.protocols import QCR, PassiveReplication, prop_protocol
 from repro.sim import Simulation, SimulationConfig
@@ -47,17 +44,6 @@ def config(**overrides):
     return SimulationConfig(**params)
 
 
-def make_faults():
-    """A schedule mixing every fault kind plus random drops."""
-    events = (
-        FaultEvent(time=80.0, kind="crash", node=1),
-        FaultEvent(time=120.0, kind="recover", node=1),
-        FaultEvent(time=150.0, kind="crash", node=4),
-        FaultEvent(time=200.0, kind="replica_loss", node=2),
-    )
-    return FaultSchedule(events=events, drop_prob=0.2, seed=17)
-
-
 def assert_identical(a, b):
     """Field-by-field bitwise equality, ignoring the run manifest."""
     for f in dataclasses.fields(a):
@@ -82,7 +68,7 @@ BUILDERS = [
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_faults_and_jsonl_tracing_bit_identical(builder, tmp_path):
+def test_jsonl_tracing_bit_identical(builder, tmp_path):
     demand, trace, requests = workload()
 
     def run(cls, trace_path):
@@ -95,7 +81,6 @@ def test_faults_and_jsonl_tracing_bit_identical(builder, tmp_path):
                 config(),
                 builder(demand),
                 seed=7,
-                faults=make_faults(),
                 tracer=tracer,
             )
             return sim.run()
@@ -103,14 +88,13 @@ def test_faults_and_jsonl_tracing_bit_identical(builder, tmp_path):
     reference = run(ReferenceSimulation, tmp_path / "ref.jsonl")
     optimized = run(Simulation, tmp_path / "opt.jsonl")
     assert_identical(reference, optimized)
-    assert reference.n_crashes == optimized.n_crashes
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_faults_and_tracing_stream_is_deterministic(builder, tmp_path):
-    """Two identically-seeded faulted+traced runs write the same JSONL
-    stream, and the stream actually records the fault activity (the
-    combined mode is exercised, not silently routed past the tracer)."""
+def test_tracing_stream_is_deterministic(builder, tmp_path):
+    """Two identically-seeded traced runs write the same JSONL stream,
+    and the stream actually records request lifecycles (the run is not
+    silently routed past the tracer)."""
     demand, trace, requests = workload()
 
     def lines(name):
@@ -122,7 +106,6 @@ def test_faults_and_tracing_stream_is_deterministic(builder, tmp_path):
                 config(),
                 builder(demand),
                 seed=7,
-                faults=make_faults(),
                 tracer=tracer,
             ).run()
         with open(path, "r", encoding="utf-8") as handle:
@@ -132,12 +115,12 @@ def test_faults_and_tracing_stream_is_deterministic(builder, tmp_path):
     second = lines("second.jsonl")
     assert first == second
     kinds = {event["kind"] for event in first}
-    assert "fault" in kinds or "contact_drop" in kinds
+    assert {"request", "seen", "fulfill"} <= kinds
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_faults_only_bit_identical(builder):
-    """The faults-only loop (lazy meeting counts) matches the reference."""
+def test_untraced_timeout_bit_identical(builder):
+    """An untraced run with a request timeout matches the reference."""
     demand, trace, requests = workload(seed=9)
     results = []
     for cls in (ReferenceSimulation, Simulation):
@@ -147,15 +130,14 @@ def test_faults_only_bit_identical(builder):
             config(request_timeout=60.0),
             builder(demand),
             seed=11,
-            faults=make_faults(),
         )
         results.append(sim.run())
     assert_identical(results[0], results[1])
 
 
-def test_occupancy_consistent_after_faulted_run():
+def test_occupancy_consistent_after_run():
     """Replica counts derived from caches equal the engine's counters
-    after a run that crashed, recovered, and lost replicas."""
+    after a run that replicated and evicted."""
     demand, trace, requests = workload(seed=5)
     sim = Simulation(
         trace,
@@ -163,7 +145,6 @@ def test_occupancy_consistent_after_faulted_run():
         config(),
         QCR(UTILITY, 0.12),
         seed=7,
-        faults=make_faults(),
     )
     sim.run()
     recount = np.zeros(N_ITEMS, dtype=np.int64)

@@ -14,7 +14,6 @@ import pytest
 from repro.contacts import ContactTrace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults import FaultEvent, FaultSchedule
 from repro.obs import Tracer
 from repro.obs import events as trace_events
 from repro.protocols import StaticAllocation, dom_protocol
@@ -252,8 +251,8 @@ class _RecordingReference(ReferenceSimulation):
                 )
 
 
-# Expiry-floor edge cases: (contacts, requests, faults, expected
-# n_expired, expected n_fulfilled).  Timeout 20, item 0 cached at node
+# Expiry-floor edge cases: (contacts, requests, expected n_expired,
+# expected n_fulfilled).  Timeout 20, item 0 cached at node
 # 1 and item 1 at node 2; node 0 caches nothing and issues every
 # request.
 FLOOR_CASES = {
@@ -264,7 +263,6 @@ FLOOR_CASES = {
     "stale_floor_after_fulfilment": (
         [(8.0, 0, 1), (22.0, 0, 1), (26.0, 0, 2)],
         [(1.0, 0, 0), (5.0, 1, 0)],
-        None,
         1,
         1,
     ),
@@ -275,23 +273,7 @@ FLOOR_CASES = {
     "request_at_contact_after_emptied_backlog": (
         [(30.0, 0, 2), (35.0, 0, 2), (55.0, 0, 2), (56.0, 0, 1)],
         [(1.0, 0, 0), (35.0, 0, 0)],
-        None,
         2,
-        0,
-    ),
-    # A scan sets the floor to 1, a crash clears the backlog at t=10,
-    # and a request arrives after recovery.  It must survive the t=30
-    # scan (deadline 10) and expire at t=36 (deadline 16).
-    "crash_then_request_after_recovery": (
-        [(5.0, 0, 2), (30.0, 0, 2), (36.0, 0, 2), (40.0, 0, 1)],
-        [(1.0, 0, 0), (15.0, 0, 0)],
-        FaultSchedule(
-            events=(
-                FaultEvent(time=10.0, kind="crash", node=0),
-                FaultEvent(time=12.0, kind="recover", node=0),
-            )
-        ),
-        1,
         0,
     ),
 }
@@ -307,14 +289,13 @@ FLOOR_UTILITIES = {
 
 
 def run_floor_case(cls, name, utility, tracer=None):
-    contacts, requests, faults, _, _ = FLOOR_CASES[name]
+    contacts, requests, _, _ = FLOOR_CASES[name]
     sim = cls(
         trace_of(contacts),
         requests_of(requests),
         base_config(request_timeout=20.0, utility=utility),
         static_protocol([[0, 1, 0], [0, 0, 1]]),
         seed=1,
-        faults=faults,
         tracer=tracer,
     )
     return sim, sim.run()
@@ -375,9 +356,9 @@ class TestTimeout:
                 if e["kind"] == trace_events.ABANDON
             ]
         assert abandoned == reference.abandoned
-        assert len(abandoned) == FLOOR_CASES[name][3]
+        assert len(abandoned) == FLOOR_CASES[name][2]
 
-    @pytest.mark.parametrize("mode", ["plain", "faulted", "traced"])
+    @pytest.mark.parametrize("mode", ["plain", "traced"])
     def test_scan_count_bounded_by_requests(self, mode, monkeypatch):
         """Expiry scans scale with requests, not with contacts.
 
@@ -411,7 +392,6 @@ class TestTimeout:
             config,
             dom_protocol(demand, n_nodes, rho),
             seed=3,
-            faults=FaultSchedule(events=()) if mode == "faulted" else None,
             tracer=Tracer.in_memory() if mode == "traced" else None,
         ).run()
         assert result.n_expired > 0

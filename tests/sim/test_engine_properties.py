@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
 from repro.experiments import Scenario, standard_protocols
-from repro.faults import FaultSchedule
 from repro.obs import Tracer
 from repro.obs import metrics as obs_metrics
 from repro.protocols import (
@@ -85,11 +84,9 @@ def workloads(draw):
     # A negative never-fulfilled gain credits every expiry, through the
     # generic (non-step) fulfil path.
     abandon_gain = draw(st.sampled_from([0.0, -0.5]))
-    # Which engine loop runs: the plain loops (fault-free, untraced) or
-    # the instrumented loop, entered by fault injection, tracing, or both.
-    mode = draw(
-        st.sampled_from(["plain", "faulted", "traced", "traced-faulted"])
-    )
+    # Which engine loop runs: the plain loops (untraced) or the
+    # instrumented loop, entered by tracing.
+    mode = draw(st.sampled_from(["plain", "traced"]))
     # Step gains are 0/1 and sum exactly in any order; exponential and
     # power ``truncate`` gains do not, so they make settle order
     # visible.  Power gains are the paper's waiting costs (Fig. 4's
@@ -126,10 +123,10 @@ def workloads(draw):
 #: A short-timeout DOM workload with credited expiries, pinned so every
 #: run of the suite covers expiry whatever hypothesis draws.
 EXPIRING = (1, 2, 3, 0.2, 2.0, "dom", 2.0, -0.5, "plain", "step")
-#: Adaptive QCR (a contact hook that is never idle) under faults and
-#: tracing, pinned so the instrumented loop always meets that hook mode.
-ADAPTIVE_FAULTED = (4, 5, 6, 0.2, 1.5, "qcr-adaptive", 5.0, 0.0,
-                    "traced-faulted", "step")
+#: Adaptive QCR (a contact hook that is never idle) under tracing,
+#: pinned so the instrumented loop always meets that hook mode.
+ADAPTIVE_TRACED = (4, 5, 6, 0.2, 1.5, "qcr-adaptive", 5.0, 0.0, "traced",
+                   "step")
 #: Uncredited plain DOM runs, which the static kernel resolves: the
 #: requests for items DOM does not cache can never be served.  One
 #: without a timeout (every such request survives), one with a short
@@ -156,21 +153,6 @@ SPARSE_PARKED_EXPIRING = (10, 11, 12, 0.05, 2.0, "sparse", 6.0, 0.0,
 #: DOM's never-servable requests wait for settle.
 FIG4_ALPHA = (13, 14, 15, 0.2, 2.0, "dom", None, 0.0, "plain",
               ("power", 0.0))
-
-
-def fault_schedule(seed):
-    """Churn, random replica losses and contact drops over the run."""
-    churn = FaultSchedule.node_churn(
-        N_NODES,
-        crash_rate=0.01,
-        mean_downtime=15.0,
-        duration=DURATION,
-        seed=seed,
-        drop_prob=0.2,
-    )
-    return churn + FaultSchedule.replica_loss(
-        rate=0.03, duration=DURATION, seed=seed + 1
-    )
 
 
 def build(workload, cls=Simulation, stream=None):
@@ -270,11 +252,8 @@ def build(workload, cls=Simulation, stream=None):
         protocol = StaticAllocation(counts=SPARSE_COUNTS)
     else:
         protocol = uni_protocol(demand, n_servers, RHO)
-    faults = fault_schedule(sim_seed) if mode.endswith("faulted") else None
     tracer = (
-        Tracer.in_memory()
-        if mode.startswith("traced") and cls is Simulation
-        else None
+        Tracer.in_memory() if mode == "traced" and cls is Simulation else None
     )
     return cls(
         trace,
@@ -282,7 +261,6 @@ def build(workload, cls=Simulation, stream=None):
         config,
         protocol,
         seed=sim_seed,
-        faults=faults,
         tracer=tracer,
         prebuilt_events=stream,
     )
@@ -291,7 +269,7 @@ def build(workload, cls=Simulation, stream=None):
 @settings(max_examples=60, deadline=None)
 @given(workload=workloads())
 @example(workload=EXPIRING)
-@example(workload=ADAPTIVE_FAULTED)
+@example(workload=ADAPTIVE_TRACED)
 @example(workload=PARKED)
 @example(workload=PARKED_EXPIRING)
 @example(workload=PARKED_EXP)
@@ -468,8 +446,8 @@ def test_replica_accounting_consistent(workload):
 @example(workload=SPARSE_PARKED_EXP)
 @example(workload=SPARSE_PARKED_EXPIRING)
 def test_bookkeeping_identities(workload):
-    """Generated = fulfilled(non-immediate) + expired + outstanding +
-    skipped + lost to crashes; gains decompose over windows."""
+    """Generated = fulfilled + skipped + expired + outstanding; gains
+    decompose over windows."""
     sim = build(workload)
     result = sim.run()
     outstanding = sum(node.n_outstanding() for node in sim.nodes)
@@ -477,7 +455,6 @@ def test_bookkeeping_identities(workload):
         result.n_fulfilled
         + result.n_skipped_self
         + result.n_expired
-        + result.n_requests_lost
         + outstanding
     )
     assert result.n_unfulfilled == outstanding

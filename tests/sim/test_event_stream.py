@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.contacts import ContactTrace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
-from repro.faults import FaultEvent, FaultSchedule
 from repro.protocols import (
     QCR,
     PassiveReplication,
@@ -21,7 +20,6 @@ from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
 from repro.sim.events import (
     EVENT_CONTACT,
-    EVENT_FAULT,
     EVENT_REQUEST,
     server_slot_payloads,
 )
@@ -33,8 +31,8 @@ UTILITY = StepUtility(8.0)
 
 
 # ----------------------------------------------------------------------
-# property: the merged stream is the three sorted streams, interleaved
-# with the fault -> request -> contact tie rule
+# property: the merged stream is the two sorted streams, interleaved
+# with the request -> contact tie rule
 # ----------------------------------------------------------------------
 @st.composite
 def colliding_workloads(draw):
@@ -46,13 +44,10 @@ def colliding_workloads(draw):
     request_times = sorted(
         draw(st.lists(st.sampled_from(grid), min_size=0, max_size=15))
     )
-    fault_times = sorted(
-        draw(st.lists(st.sampled_from(grid), min_size=0, max_size=6))
-    )
-    return contact_times, request_times, fault_times
+    return contact_times, request_times
 
 
-def build_sim(contact_times, request_times, fault_times):
+def build_sim(contact_times, request_times):
     duration = 10.0
     trace = ContactTrace(
         times=np.array(contact_times),
@@ -67,40 +62,28 @@ def build_sim(contact_times, request_times, fault_times):
         nodes=np.full(len(request_times), 2, dtype=np.int64),
         duration=duration,
     )
-    faults = FaultSchedule(
-        events=tuple(
-            FaultEvent(time=t, kind="crash", node=3) for t in fault_times
-        )
-    )
     config = SimulationConfig(n_items=N_ITEMS, rho=RHO, utility=UTILITY)
-    return Simulation(
-        trace, requests, config, PassiveReplication(), seed=0, faults=faults
-    )
+    return Simulation(trace, requests, config, PassiveReplication(), seed=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(workload=colliding_workloads())
 def test_merged_stream_ordering(workload):
-    contact_times, request_times, fault_times = workload
+    contact_times, request_times = workload
     sim = build_sim(*workload)
     times = sim._stream.event_times
     kinds = sim._stream.event_kinds
 
     # Complete: every source event appears exactly once.
-    assert len(times) == len(contact_times) + len(request_times) + len(
-        fault_times
-    )
+    assert len(times) == len(contact_times) + len(request_times)
     assert [
         t for t, k in zip(times, kinds) if k == EVENT_CONTACT
     ] == contact_times
     assert [
         t for t, k in zip(times, kinds) if k == EVENT_REQUEST
     ] == request_times
-    assert [
-        t for t, k in zip(times, kinds) if k == EVENT_FAULT
-    ] == fault_times
 
-    # Sorted by time; ties resolved fault < request < contact.
+    # Sorted by time; ties resolved request < contact.
     for k in range(1, len(times)):
         assert times[k - 1] <= times[k]
         if times[k - 1] == times[k]:
@@ -120,9 +103,9 @@ class _OneCopyAtNode1(ReplicationProtocol):
         sim.set_initial_allocation(allocation)
 
 
-def test_same_time_fault_applies_before_contact():
-    # A crash at t=5 must pre-empt the t=5 contact: the crashed node
-    # cannot serve, so the request stays outstanding.
+def test_same_time_request_applies_before_contact():
+    # A request at t=5 precedes the t=5 contact, which serves it with
+    # zero delay.
     duration = 10.0
     trace = ContactTrace(
         times=np.array([5.0]),
@@ -132,27 +115,23 @@ def test_same_time_fault_applies_before_contact():
         duration=duration,
     )
     requests = RequestSchedule(
-        times=np.array([1.0]),
+        times=np.array([5.0]),
         items=np.array([0]),
         nodes=np.array([0]),
         duration=duration,
     )
     config = SimulationConfig(n_items=2, rho=1, utility=UTILITY)
-    faults = FaultSchedule(
-        events=(FaultEvent(time=5.0, kind="crash", node=1),)
-    )
-    sim = Simulation(
-        trace, requests, config, _OneCopyAtNode1(), seed=0, faults=faults
-    )
+    sim = Simulation(trace, requests, config, _OneCopyAtNode1(), seed=0)
     assert 0 in sim.nodes[1].cache
     result = sim.run()
-    assert result.n_fulfilled == 0
+    assert result.n_fulfilled == 1
+    assert list(result.delays) == [0.0]
 
 
 # ----------------------------------------------------------------------
 # the frozen pre-optimization engine stays bit-identical
 # ----------------------------------------------------------------------
-def run_both(protocol_builder, *, request_timeout=None, faults=None, seed=3):
+def run_both(protocol_builder, *, request_timeout=None, seed=3):
     demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=2.0)
     trace = homogeneous_poisson_trace(N_NODES, 0.15, 200.0, seed=seed)
     requests = generate_requests(demand, N_NODES, 200.0, seed=seed + 1)
@@ -166,9 +145,7 @@ def run_both(protocol_builder, *, request_timeout=None, faults=None, seed=3):
     results = []
     for cls in (Simulation, ReferenceSimulation):
         protocol = protocol_builder(demand)
-        sim = cls(
-            trace, requests, config, protocol, seed=seed + 2, faults=faults
-        )
+        sim = cls(trace, requests, config, protocol, seed=seed + 2)
         results.append(sim.run())
     return results
 
@@ -186,12 +163,9 @@ def test_reference_engine_equivalence(builder):
     assert result_to_dict(optimized) == result_to_dict(reference)
 
 
-def test_reference_engine_equivalence_with_timeout_and_faults():
-    faults = FaultSchedule.crash_wave(
-        100.0, [0, 1], recover_at=150.0, wipe_cache=True
-    )
+def test_reference_engine_equivalence_with_timeout():
     optimized, reference = run_both(
-        lambda d: QCR(UTILITY, 0.15), request_timeout=25.0, faults=faults
+        lambda d: QCR(UTILITY, 0.15), request_timeout=25.0
     )
     assert result_to_dict(optimized) == result_to_dict(reference)
 
@@ -232,13 +206,13 @@ def random_block(rng, n_nodes, pool, shape, n_events=4000):
     requesting), ``contacts`` (no request rows) or ``requests`` (no
     contact rows)."""
     probs = {
-        "mixed": [0.02, 0.18, 0.8],
-        "dedicated": [0.02, 0.18, 0.8],
-        "contacts": [0.0, 0.0, 1.0],
-        "requests": [0.0, 1.0, 0.0],
+        "mixed": [0.2, 0.8],
+        "dedicated": [0.2, 0.8],
+        "contacts": [0.0, 1.0],
+        "requests": [1.0, 0.0],
     }[shape]
     kinds = rng.choice(
-        [EVENT_FAULT, EVENT_REQUEST, EVENT_CONTACT], size=n_events, p=probs
+        [EVENT_REQUEST, EVENT_CONTACT], size=n_events, p=probs
     ).astype(np.int64)
     arg_a = rng.choice(pool, size=n_events)
     arg_b = rng.choice(pool, size=n_events)

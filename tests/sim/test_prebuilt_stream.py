@@ -1,11 +1,11 @@
 """Prebuilt (trial-shared) event streams: bit-identity and validation.
 
-The sweep amortization layer merges each trial's contact/request/fault
+The sweep amortization layer merges each trial's contact/request
 events once and hands the read-only stream to every protocol's run.
 The engine treats a prebuilt stream as untrusted input — it validates
 object identity and config equivalence before using it — and the
 results must be bit-identical to an inline merge in every mode: plain,
-faulted, traced (JSONL) and metrics-enabled.
+traced (in memory and JSONL) and metrics-enabled.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.demand import generate_requests
 from repro.errors import ConfigurationError
 from repro.experiments import homogeneous_scenario, standard_protocols
-from repro.faults import FaultSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.tracer import Tracer
@@ -46,22 +45,10 @@ def workload(scenario):
     return trace, requests
 
 
-@pytest.fixture(scope="module")
-def faults(workload):
-    trace, _ = workload
-    return FaultSchedule.node_churn(
-        trace.n_nodes,
-        crash_rate=0.01,
-        mean_downtime=15.0,
-        duration=trace.duration,
-        seed=9,
-    )
-
-
-def run_pair(scenario, trace, requests, name, *, faults=None, tracer=None):
+def run_pair(scenario, trace, requests, name, *, tracer=None):
     """One protocol run with a prebuilt stream and one without."""
     factory = standard_protocols(scenario, include=(name,))[name]
-    stream = build_event_stream(trace, requests, scenario.config, faults)
+    stream = build_event_stream(trace, requests, scenario.config)
 
     def once(prebuilt, trc):
         return simulate(
@@ -70,7 +57,6 @@ def run_pair(scenario, trace, requests, name, *, faults=None, tracer=None):
             scenario.config,
             factory(trace, requests),
             seed=7,
-            faults=faults,
             tracer=trc,
             prebuilt_events=prebuilt,
         )
@@ -94,15 +80,18 @@ def test_prebuilt_plain_bit_identical(scenario, workload, name):
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_prebuilt_faulted_bit_identical(scenario, workload, faults, name):
-    fresh, prebuilt = run_pair(scenario, *workload, name, faults=faults)
+def test_prebuilt_traced_bit_identical(scenario, workload, name):
+    sinks = (MemorySink(), MemorySink())
+    fresh, prebuilt = run_pair(
+        scenario, *workload, name, tracer=tuple(map(Tracer, sinks))
+    )
     assert_results_identical(fresh, prebuilt)
+    assert sinks[0].events == sinks[1].events
+    assert sinks[0].events  # the tracer actually saw the run
 
 
-def test_prebuilt_traced_jsonl_with_metrics(
-    scenario, workload, faults, tmp_path
-):
-    """The gnarliest mode: faults + JSONL tracing + metrics collection.
+def test_prebuilt_traced_jsonl_with_metrics(scenario, workload, tmp_path):
+    """The gnarliest mode: JSONL tracing + metrics collection.
 
     Both the results and the emitted JSONL event sequences must match
     byte for byte (modulo nothing — the tracer's view of the event
@@ -118,7 +107,6 @@ def test_prebuilt_traced_jsonl_with_metrics(
                 scenario,
                 *workload,
                 "QCR",
-                faults=faults,
                 tracer=(Tracer(JsonlSink(fh)), Tracer(JsonlSink(ph))),
             )
         assert_results_identical(fresh, prebuilt)
@@ -193,22 +181,6 @@ def test_prebuilt_rejects_foreign_requests(scenario, workload):
         make_sim(scenario, trace, requests, stream)
 
 
-def test_prebuilt_rejects_foreign_faults(scenario, workload, faults):
-    trace, requests = workload
-    stream = build_event_stream(trace, requests, scenario.config, faults)
-    factory = standard_protocols(scenario, include=("UNI",))["UNI"]
-    with pytest.raises(ConfigurationError, match="fault"):
-        Simulation(
-            trace,
-            requests,
-            scenario.config,
-            factory(trace, requests),
-            seed=7,
-            faults=None,
-            prebuilt_events=stream,
-        )
-
-
 def test_prebuilt_rejects_config_mismatch(scenario, workload):
     trace, requests = workload
     other_config = SimulationConfig(
@@ -243,10 +215,3 @@ def test_payloadless_stream_fine_for_traced_run(scenario, workload):
     sim.run()
     assert sink.n_emitted > 0
 
-
-def test_payload_stream_with_faults_is_an_error(scenario, workload, faults):
-    trace, requests = workload
-    with pytest.raises(ConfigurationError, match="payload"):
-        build_event_stream(
-            trace, requests, scenario.config, faults, payloads=True
-        )

@@ -18,7 +18,6 @@ import pytest
 
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
-from repro.faults import FaultSchedule
 from repro.obs import MemorySink, NullSink, Tracer, events
 from repro.protocols import QCR, uni_protocol
 from repro.sim import Simulation, SimulationConfig, simulate
@@ -45,7 +44,7 @@ def config(**overrides):
     return SimulationConfig(**params)
 
 
-def run_traced(protocol_builder, *, cfg=None, faults=None, seed=3):
+def run_traced(protocol_builder, *, cfg=None, seed=3):
     demand, trace, requests = workload(seed=seed)
     tracer = Tracer.in_memory()
     sim = Simulation(
@@ -54,7 +53,6 @@ def run_traced(protocol_builder, *, cfg=None, faults=None, seed=3):
         cfg or config(),
         protocol_builder(demand),
         seed=seed + 2,
-        faults=faults,
         tracer=tracer,
     )
     result = sim.run()
@@ -96,13 +94,9 @@ def kind_counts(trace_events):
 
 
 def test_lifecycle_counts_reconcile_with_metrics():
-    faults = FaultSchedule.crash_wave(
-        120.0, [0, 1], recover_at=180.0, wipe_cache=True
-    )
     result, trace_events, _ = run_traced(
         lambda d: QCR(UTILITY, 0.12),
         cfg=config(request_timeout=20.0),
-        faults=faults,
     )
     counts = kind_counts(trace_events)
     assert counts.get(events.FULFILL, 0) == (
@@ -111,16 +105,11 @@ def test_lifecycle_counts_reconcile_with_metrics():
     assert counts.get(events.IMMEDIATE, 0) == result.n_immediate
     assert counts.get(events.ABANDON, 0) == result.n_expired
     assert counts.get(events.UNFULFILLED, 0) == result.n_unfulfilled
-    assert counts.get(events.OFFLINE, 0) == result.n_requests_offline
-    assert counts.get(events.CRASH, 0) == result.n_crashes
-    assert counts.get(events.RECOVER, 0) == result.n_recoveries
-    assert counts.get(events.LOST, 0) == result.n_requests_lost
     # Every request left the system exactly one way.
     n_requests = counts.get(events.REQUEST, 0)
     assert n_requests == (
         counts.get(events.FULFILL, 0)
         + counts.get(events.ABANDON, 0)
-        + counts.get(events.LOST, 0)
         + counts.get(events.UNFULFILLED, 0)
     )
 

@@ -186,33 +186,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["trace"])
 
-    def test_churn(self, capsys):
-        assert main(
-            [
-                "churn",
-                "--nodes",
-                "10",
-                "--items",
-                "8",
-                "--duration",
-                "300",
-                "--crash-time",
-                "100",
-                "--recover-time",
-                "150",
-                "--record-interval",
-                "50",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "crash wave: 5/10 nodes at t=100" in out
-        assert "replica-count timeline" in out
-        assert "OPT" in out and "QCR" in out
-
-    def test_churn_bad_crash_fraction_rejected(self, capsys):
-        assert main(["churn", "--crash-fraction", "1.5"]) == 1
-        assert "--crash-fraction" in capsys.readouterr().err
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
