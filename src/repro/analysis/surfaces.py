@@ -39,8 +39,6 @@ __all__ = ["Surface", "collect_surfaces"]
 _ENGINE_METHODS = (
     "_build_event_stream",
     "_check_prebuilt",
-    "_iter_chunks",
-    "_iter_counted_chunks",
     "_run_dispatch",
     "_run_plain",
     "_run_static",

@@ -16,12 +16,6 @@ Subcommands:
     delay CDFs against the Lemma 1 exponential).
 ``repro allocate``
     Print the optimal allocation for a homogeneous scenario.
-``repro metrics``
-    Dump or convert a metrics snapshot to Prometheus text exposition or
-    pretty JSON: a run manifest from ``repro simulate --manifest-out``, a
-    sweep manifest saved from Python (``ComparisonResult.manifest``, which
-    embeds the registry snapshot under ``REPRO_METRICS=1``), or a raw
-    registry snapshot (see docs/observability.md).
 ``repro bench``
     Time the simulation engine against its frozen pre-optimization
     baseline and a serial vs. parallel sweep; write ``BENCH_speed.json``.
@@ -60,7 +54,7 @@ from .contacts.synthetic import (
 )
 from .contacts import homogeneous_poisson_trace
 from .demand import DemandModel, generate_requests
-from .errors import ConfigurationError, ReproError
+from .errors import ReproError
 from .analysis.cli import add_analyze_arguments, cmd_analyze
 from .obs import Tracer
 from .obs.analysis import (
@@ -498,36 +492,6 @@ def _cmd_trace_cdf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs import metrics as obs_metrics
-
-    with open(args.source, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError:
-            data = None
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{args.source} holds no metrics snapshot (expected a "
-            "registry snapshot or a manifest)"
-        )
-    try:
-        snapshot = obs_metrics.coerce_snapshot(data)
-    except ValueError as error:
-        raise ConfigurationError(f"{args.source}: {error}") from None
-    if args.format == "prometheus":
-        rendered = obs_metrics.render_prometheus(snapshot)
-    else:
-        rendered = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"wrote {args.format} snapshot to {args.output}")
-    else:
-        sys.stdout.write(rendered)
-    return 0
-
-
 def _cmd_allocate(args: argparse.Namespace) -> int:
     utility = _build_utility(args)
     demand = DemandModel.pareto(
@@ -789,36 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_analyze_arguments(analyze)
     analyze.set_defaults(func=cmd_analyze)
-
-    metrics_cmd = sub.add_parser(
-        "metrics",
-        help=(
-            "dump or convert a metrics snapshot (registry JSON or "
-            "manifest) to Prometheus text or JSON"
-        ),
-    )
-    metrics_cmd.add_argument(
-        "source",
-        help=(
-            "snapshot file: a run manifest (repro simulate "
-            "--manifest-out), a sweep manifest saved from Python "
-            "(ComparisonResult.manifest, with REPRO_METRICS=1), or a "
-            "raw registry snapshot JSON"
-        ),
-    )
-    metrics_cmd.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="output format (default: prometheus)",
-    )
-    metrics_cmd.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="write here instead of stdout",
-    )
-    metrics_cmd.set_defaults(func=_cmd_metrics)
 
     alloc = sub.add_parser("allocate", help="print the optimal allocation")
     _add_utility_arguments(alloc)

@@ -54,7 +54,6 @@ from ..demand import DemandModel, RequestSchedule, generate_requests
 from ..durable import PathLike
 from ..errors import ConfigurationError
 from ..obs.log import get_logger
-from ..obs import metrics as obs_metrics
 from ..obs.manifest import environment_provenance
 from ..obs.timing import Stopwatch
 from ..protocols.base import ReplicationProtocol
@@ -154,9 +153,8 @@ class RunTelemetry:
     run* — the first run of a trial in a given process carries it (and
     the first one that simulates, the cost of realizing a recipe's trace
     or requests), later runs reuse the cached inputs and report 0.
-    ``status`` is ``"ok"`` (``attempts`` 1), or ``"cached"`` (a
-    run-cache hit, so no simulation ran and no timing was observed;
-    ``attempts`` 0).
+    ``status`` is ``"ok"``, or ``"cached"`` (a run-cache hit, so no
+    simulation ran and no timing was observed).
 
     Timings are host measurements and vary run to run; only the
     *ordering* of telemetry in :attr:`ComparisonResult.telemetry` is
@@ -171,7 +169,6 @@ class RunTelemetry:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     setup_wall_s: float = 0.0
-    attempts: int = 0
     gain_rate: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -366,14 +363,12 @@ def _execute_run(
     """One (trial, protocol) run; a failing factory or simulation raises.
 
     Returns ``(result, timing)``.  *timing* reports the simulate stage's
-    wall/CPU seconds and ``attempts`` (1, or 0 for a cache hit); with a
-    *cache* it also carries a ``"cache"`` marker (hit / miss /
-    uncacheable).
+    wall/CPU seconds (0 for a cache hit); with a *cache* it also
+    carries a ``"cache"`` marker (hit / miss / uncacheable).
 
-    With a run cache, a content-key hit returns the stored result with
-    zero attempts — no simulation happens; a completed miss is stored
-    for next time.  Runs whose inputs cannot be fingerprinted execute
-    uncached.
+    With a run cache, a content-key hit returns the stored result and
+    no simulation happens; a completed miss is stored for next time.
+    Runs whose inputs cannot be fingerprinted execute uncached.
 
     The run uses the trial's shared artifacts: the cache key reuses
     their memoized fingerprints instead of re-hashing per protocol (a
@@ -410,7 +405,6 @@ def _execute_run(
                 hit_timing = {
                     "wall_s": 0.0,
                     "cpu_s": 0.0,
-                    "attempts": 0.0,
                     "cache": _CACHE_HIT,
                 }
                 return cached, hit_timing
@@ -434,7 +428,6 @@ def _execute_run(
     timing: Dict[str, float] = {
         "wall_s": timer.wall,
         "cpu_s": timer.cpu,
-        "attempts": 1.0,
         "setup_wall_s": setup.wall,
     }
     if cache_marker is not None:
@@ -599,7 +592,6 @@ class _SweepAccounting:
             wall_s=timing.get("wall_s", 0.0),
             cpu_s=timing.get("cpu_s", 0.0),
             setup_wall_s=timing.get("setup_wall_s", 0.0),
-            attempts=int(timing.get("attempts", 0)),
             gain_rate=result.gain_rate,
         )
         self.telemetry_map[(trial, name)] = telemetry
@@ -760,9 +752,6 @@ def run_comparison(
         "cpu_s": sweep_timer.cpu,
         "environment": environment_provenance(),
     }
-    metrics_reg = obs_metrics.enabled_registry()
-    if metrics_reg is not None:
-        sweep_manifest["metrics"] = metrics_reg.snapshot()
     if cache is not None:
         sweep_manifest["run_cache"] = {
             "root": cache.root,

@@ -12,7 +12,9 @@ observability layer without touching simulation semantics:
   :class:`NullSink` tracer costs the hot path nothing: the engine keeps
   the hook-free contact fast path and adds no per-event allocations.
 * :class:`RunManifest` — provenance of one run (config hash, seed,
-  git revision, package versions, wall/CPU timings) attached to
+  git revision, package versions, wall/CPU timings), its ``phases``
+  breakdown and its ``metrics`` counter summary (events, requests,
+  fulfilments, expiries, final replicas), attached to
   :class:`~repro.sim.metrics.SimulationResult` and run-cache entries.
 * :mod:`repro.obs.log` — a small structured logger for experiment
   progress/status output (CLI-facing ``render()`` prints stay prints).
@@ -28,7 +30,6 @@ runs are bit-identical too (manifests, which carry timings, are not).
 """
 
 from . import events
-from . import metrics
 from .analysis import (
     delay_cdf_comparison,
     filter_events,
@@ -41,27 +42,12 @@ from .analysis import (
 )
 from .log import ObsLogger, get_logger, set_log_level, set_log_stream
 from .manifest import RunManifest, environment_provenance
-from .metrics import (
-    MetricsRegistry,
-    enabled_registry,
-    metrics_enabled,
-    parse_prometheus,
-    registry,
-    render_prometheus,
-)
 from .sinks import JsonlSink, MemorySink, NullSink, TraceSink
 from .timing import Stopwatch
 from .tracer import Tracer
 
 __all__ = [
     "events",
-    "metrics",
-    "MetricsRegistry",
-    "registry",
-    "enabled_registry",
-    "metrics_enabled",
-    "render_prometheus",
-    "parse_prometheus",
     "Tracer",
     "TraceSink",
     "JsonlSink",

@@ -80,7 +80,8 @@ class RunManifest:
     from the :class:`~repro.obs.timing.Stopwatch` shim; ``phases`` is
     the named-section timing breakdown (merge/run/settle wall seconds
     from :meth:`Stopwatch.section`); ``metrics`` is the run's embedded
-    counter snapshot (see :mod:`repro.obs.metrics`); ``extra`` holds
+    counter snapshot (built from the run's
+    :class:`~repro.sim.metrics.MetricsCollector`); ``extra`` holds
     caller context (trial index, protocol name, sweep parameters, ...).
     """
 

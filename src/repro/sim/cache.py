@@ -131,8 +131,8 @@ class Cache:
     def discard(self, item: int) -> bool:
         """Remove *item* if present and not sticky; return whether removed.
 
-        Used for failure injection and test set-up; the replication
-        protocols themselves never remove content explicitly.
+        Used by :meth:`Simulation.remove_copy` and test set-up; the
+        shipped replication protocols never remove content explicitly.
         """
         if item not in self._items or item == self._sticky:
             return False

@@ -26,7 +26,6 @@ from typing import (
     AbstractSet,
     Collection,
     Dict,
-    Iterator,
     List,
     Optional,
 )
@@ -53,14 +52,13 @@ from ..contacts import ContactTrace
 from ..demand import RequestSchedule
 from ..errors import ConfigurationError, SimulationError
 from ..obs import events as trace_events
-from ..obs import metrics as obs_metrics
 from ..obs.manifest import RunManifest
 from ..obs.timing import Stopwatch
 from ..obs.tracer import Tracer
 from ..protocols.base import ReplicationProtocol
 from ..types import FloatArray, IntArray, SeedLike, as_rng
 from .config import SimulationConfig
-from .events import Chunk as _Chunk, EventStream, build_event_stream
+from .events import EventStream, build_event_stream
 from .metrics import MetricsCollector, SimulationResult
 from .node import NodeState, Request
 from .static import run_static
@@ -86,9 +84,6 @@ class Simulation:
         "sticky_owner",
         "_initialized",
         "tracer",
-        "_metrics_reg",
-        "_m_replica_add",
-        "_m_replica_drop",
         "_phase_timer",
         "_collect_manifest",
         "_seed_value",
@@ -183,31 +178,6 @@ class Simulation:
         self.tracer: Optional[Tracer] = (
             tracer if tracer is not None and tracer.active else None
         )
-        # Metrics follow the same resolve-once discipline: a disabled
-        # registry is None and every metrics site compiles down to the
-        # bare path (the chunk iterator stays unwrapped, replication
-        # sites skip one is-None test — same cost as the tracer guard).
-        # Per-event hot loops are never instrumented directly; chunk
-        # aggregation happens around them (see _iter_counted_chunks).
-        self._metrics_reg: Optional[obs_metrics.MetricsRegistry] = (
-            obs_metrics.enabled_registry()
-        )
-        if self._metrics_reg is not None:
-            self._m_replica_add: Optional[obs_metrics.Counter] = (
-                self._metrics_reg.counter(
-                    "repro_sim_replica_adds_total",
-                    help="replica insertions (evictions counted as drops)",
-                )
-            )
-            self._m_replica_drop: Optional[obs_metrics.Counter] = (
-                self._metrics_reg.counter(
-                    "repro_sim_replica_drops_total",
-                    help="replica removals (evictions and removals by hooks)",
-                )
-            )
-        else:
-            self._m_replica_add = None
-            self._m_replica_drop = None
         self._collect_manifest = collect_manifest or self.tracer is not None
         #: Phase timing breakdown for the manifest (None ⇒ not collected).
         self._phase_timer: Optional[Stopwatch] = (
@@ -360,49 +330,6 @@ class Simulation:
                 "this untraced run consumes"
             )
 
-    def _iter_chunks(self) -> Iterator[_Chunk]:
-        """The pre-cut chunks of the stream.
-
-        With metrics enabled the stream is wrapped in the counting
-        generator; the event loops themselves are byte-identical in
-        both modes — aggregation happens per *chunk*, never per event.
-        """
-        base: Iterator[_Chunk] = iter(self._stream.chunks)
-        if self._metrics_reg is None:
-            return base
-        return self._iter_counted_chunks(base)
-
-    def _iter_counted_chunks(self, base: Iterator[_Chunk]) -> Iterator[_Chunk]:
-        """Per-chunk metrics aggregation around the event stream.
-
-        Counts chunks and events and observes the chunk-size histogram
-        *between* chunks — pure arithmetic on registry state, no I/O,
-        no clock, no simulation-state reads — so chunk progress is
-        visible live (scrape the registry mid-run) without
-        touching the hot loops' bit-identity.
-        """
-        reg = self._metrics_reg
-        assert reg is not None
-        chunks_total = reg.counter(
-            "repro_sim_chunks_total",
-            help="event-stream chunks consumed by the run loops",
-        )
-        events_total = reg.counter(
-            "repro_sim_chunk_events_total",
-            help="merged events delivered to the run loops",
-        )
-        chunk_sizes = reg.histogram(
-            "repro_sim_chunk_events",
-            help="events per consumed chunk",
-            buckets=obs_metrics.exponential_buckets(1.0, 4.0, 12),
-        )
-        for chunk in base:
-            n = len(chunk[0])
-            chunks_total.inc()
-            events_total.inc(n)
-            chunk_sizes.observe(float(n))
-            yield chunk
-
     # ------------------------------------------------------------------
     # state manipulation (protocol-facing API)
     # ------------------------------------------------------------------
@@ -492,11 +419,6 @@ class Simulation:
             occupancy_row[victim] = False
         elif len(cache) == before:  # pragma: no cover - defensive
             raise SimulationError("cache bookkeeping out of sync")
-        if self._m_replica_add is not None:
-            self._m_replica_add.inc()
-            if victim is not None:
-                assert self._m_replica_drop is not None
-                self._m_replica_drop.inc()
         if self.tracer is not None:
             self.tracer.emit(
                 trace_events.REPLICA_ADD,
@@ -518,8 +440,6 @@ class Simulation:
             return False
         self.counts[item] -= 1
         self.occupancy[node.node_id, item] = False
-        if self._m_replica_drop is not None:
-            self._m_replica_drop.inc()
         if self.tracer is not None:
             self.tracer.emit(
                 trace_events.REPLICA_DROP,
@@ -570,8 +490,6 @@ class Simulation:
                 phases=dict(phases.sections),
                 metrics=self._metrics_snapshot(n_unfulfilled),
             ).to_dict()
-        if self._metrics_reg is not None:
-            self._publish_run_metrics(n_unfulfilled, timer)
         result = self.metrics.build_result(
             self.counts, n_unfulfilled, manifest=manifest
         )
@@ -635,9 +553,8 @@ class Simulation:
         """The manifest's embedded metrics snapshot (counters only).
 
         Always built from the :class:`MetricsCollector` aggregates when
-        a manifest is collected — present whether or not the process
-        registry is enabled, so every manifest answers "how much work
-        did this run do" without a metrics-enabled rerun.
+        a manifest is collected, so every manifest answers "how much
+        work did this run do" without a rerun.
         """
         m = self.metrics
         return {
@@ -651,66 +568,6 @@ class Simulation:
             "total_gain": m.total_gain,
             "final_replicas": int(self.counts.sum()),
         }
-
-    def _publish_run_metrics(
-        self, n_unfulfilled: int, timer: Optional[Stopwatch]
-    ) -> None:
-        """Push end-of-run aggregates into the process registry.
-
-        One batch of counter increments per *run* (never per event):
-        the hot loops stay untouched, and a sweep process accumulates
-        fleet-wide totals across all its runs.
-        """
-        reg = self._metrics_reg
-        assert reg is not None
-        m = self.metrics
-        labels = {"protocol": self.protocol.name}
-        reg.counter(
-            "repro_sim_runs_total",
-            help="simulation runs completed",
-            labels=labels,
-        ).inc()
-        reg.counter(
-            "repro_sim_events_total",
-            help="merged events processed",
-            labels=labels,
-        ).inc(float(self._stream.n_events))
-        reg.counter(
-            "repro_sim_requests_total",
-            help="requests generated",
-            labels=labels,
-        ).inc(float(m.n_generated))
-        reg.counter(
-            "repro_sim_fulfillments_total",
-            help="requests fulfilled via a contact",
-            labels=labels,
-        ).inc(float(m.n_fulfilled))
-        reg.counter(
-            "repro_sim_immediate_fulfillments_total",
-            help="requests fulfilled from the requester's own cache",
-            labels=labels,
-        ).inc(float(m.n_immediate))
-        reg.counter(
-            "repro_sim_abandonments_total",
-            help="requests expired by the request timeout",
-            labels=labels,
-        ).inc(float(m.n_expired))
-        reg.counter(
-            "repro_sim_unfulfilled_total",
-            help="requests still outstanding at the horizon",
-            labels=labels,
-        ).inc(float(n_unfulfilled))
-        reg.gauge(
-            "repro_sim_final_replicas",
-            help="total replicas at the end of the latest run",
-            labels=labels,
-        ).set(float(self.counts.sum()))
-        if timer is not None:
-            reg.histogram(
-                "repro_sim_run_wall_seconds",
-                help="wall seconds per simulation run",
-                labels=labels,
-            ).observe(timer.wall)
 
     # ------------------------------------------------------------------
     # event loops
@@ -801,7 +658,7 @@ class Simulation:
             for out in outstanding_tbl
         ]
         for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
-            self._iter_chunks()
+            self._stream.chunks
         ):
             n = len(kinds_b)
             assert px is not None and py is not None and req_pos is not None
@@ -981,7 +838,7 @@ class Simulation:
         assert tracer is not None
         meet_counts = [0] * len(nodes)
         for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
-            self._iter_chunks()
+            self._stream.chunks
         ):
             mk = memoryview(kinds_b)
             mt = memoryview(times_b)

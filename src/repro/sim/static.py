@@ -302,7 +302,7 @@ def run_static(sim: "Simulation", stream: EventStream) -> bool:
                 out[item_id] = [request]
             else:
                 request_list.append(request)
-    for chunk in sim._iter_chunks():
+    for chunk in stream.chunks:
         if chunk[7] is not None:
             sim._take_snapshot(chunk[7])
     return True

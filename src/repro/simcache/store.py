@@ -54,7 +54,6 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..durable import atomic_write_bytes
-from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..sim.metrics import SimulationResult
 
@@ -368,21 +367,6 @@ class SimulationRunCache:
         self.root = os.fspath(root)
         self.stats = RunCacheStats()
         self._logger = get_logger("repro.simcache")
-        # Tracer-style resolve: one is-None test per cache *operation*
-        # (never per event) mirrors the per-instance stats into the
-        # process registry so sweeps expose a live hit rate.
-        self._metrics_reg = obs_metrics.enabled_registry()
-
-    def _count(self, outcome: str) -> None:
-        """Mirror one get/put outcome into the process metrics registry."""
-        reg = self._metrics_reg
-        if reg is None:
-            return
-        reg.counter(
-            "repro_simcache_ops_total",
-            help="simulation run-cache operations by outcome",
-            labels={"outcome": outcome},
-        ).inc()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulationRunCache(root={self.root!r})"
@@ -408,13 +392,11 @@ class SimulationRunCache:
             result = read_entry(path, key)
         except FileNotFoundError:
             self.stats.misses += 1
-            self._count("miss")
             return None
         except CorruptEntryError as error:
             self._warn_corrupt(path, str(error))
             return None
         self.stats.hits += 1
-        self._count("hit")
         return result
 
     def put(
@@ -429,13 +411,11 @@ class SimulationRunCache:
             write_entry(path, key, result)
         except OSError as error:
             self.stats.errors += 1
-            self._count("write_error")
             self._logger.warning(
                 "cache write failed", path=path, error=str(error)
             )
             return
         self.stats.stores += 1
-        self._count("store")
 
     # ------------------------------------------------------------------
     # maintenance
@@ -487,7 +467,6 @@ class SimulationRunCache:
     def _warn_corrupt(self, path: str, reason: str) -> None:
         self.stats.errors += 1
         self.stats.misses += 1
-        self._count("corrupt")
         self._logger.warning(
             "skipping corrupted cache entry", path=path, reason=reason
         )

@@ -495,53 +495,33 @@ class TestStore:
         assert cache.get("ff" + "0" * 62) is None
         assert cache.stats.misses == 1 and cache.stats.errors == 0
 
-    def test_metrics_counters_mirror_stats(self, tmp_path):
-        from repro.obs import metrics as obs_metrics
+    def test_stats_count_every_outcome(self, tmp_path):
+        demand, trace, requests = workload()
+        result = simulate(
+            trace, requests, config(), prop_protocol(demand, N, RHO),
+            seed=5,
+        )
+        cache = SimulationRunCache(tmp_path / "cache")
+        key = "ab" + "0" * 62
 
-        obs_metrics.reset_registry()
-        obs_metrics.set_enabled(True)
+        def counts():
+            return cache.stats.to_dict()
+
+        cache.get(key)  # miss
+        assert counts() == {"hits": 0, "misses": 1, "stores": 0, "errors": 0}
+        cache.put(key, result)  # store
+        assert counts() == {"hits": 0, "misses": 1, "stores": 1, "errors": 0}
+        cache.get(key)  # hit
+        assert counts() == {"hits": 1, "misses": 1, "stores": 1, "errors": 0}
+        with open(cache._entry_path(key), "w", encoding="utf-8") as fh:
+            fh.write("{ torn")
+        stream = io.StringIO()
+        set_log_stream(stream)
         try:
-            demand, trace, requests = workload()
-            result = simulate(
-                trace, requests, config(), prop_protocol(demand, N, RHO),
-                seed=5,
-            )
-            cache = SimulationRunCache(tmp_path / "cache")
-            key = "ab" + "0" * 62
-            cache.get(key)  # miss
-            cache.put(key, result)  # store
-            cache.get(key)  # hit
-            with open(cache._entry_path(key), "w", encoding="utf-8") as fh:
-                fh.write("{ torn")
-            stream = io.StringIO()
-            set_log_stream(stream)
-            try:
-                cache.get(key)  # corrupt
-            finally:
-                set_log_stream(None)
-            snap = obs_metrics.registry().snapshot()
-            by_outcome = {
-                entry["labels"]["outcome"]: entry["value"]
-                for entry in snap["repro_simcache_ops_total"]["series"]
-            }
-            assert by_outcome == {"miss": 1.0, "store": 1.0, "hit": 1.0,
-                                  "corrupt": 1.0}
+            cache.get(key)  # corrupt: an error that also counts as a miss
         finally:
-            obs_metrics.set_enabled(None)
-            obs_metrics.reset_registry()
-
-    def test_metrics_disabled_registry_untouched(self, tmp_path):
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.reset_registry()
-        obs_metrics.set_enabled(False)
-        try:
-            cache = SimulationRunCache(tmp_path / "cache")
-            assert cache.get("ff" + "0" * 62) is None
-            assert len(obs_metrics.registry()) == 0
-            assert cache.stats.misses == 1  # local stats still count
-        finally:
-            obs_metrics.set_enabled(None)
+            set_log_stream(None)
+        assert counts() == {"hits": 1, "misses": 2, "stores": 1, "errors": 1}
 
     def test_clear_and_info(self, tmp_path):
         demand, trace, requests = workload()

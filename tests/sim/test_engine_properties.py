@@ -14,7 +14,6 @@ from repro.contacts import bernoulli_slot_trace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
 from repro.experiments import Scenario, standard_protocols
 from repro.obs import Tracer
-from repro.obs import metrics as obs_metrics
 from repro.protocols import (
     QCR,
     PassiveReplication,
@@ -282,19 +281,6 @@ def test_matches_reference(workload):
     expected = build(workload, ReferenceSimulation).run()
     actual = build(workload).run()
     assert_bit_identical(expected, actual)
-
-
-def test_matches_reference_with_metrics(monkeypatch):
-    """The bit-identity property holds with metrics collection on
-    (``REPRO_METRICS=1``): aggregation only observes the loops."""
-    monkeypatch.setenv(obs_metrics.ENV_VAR, "1")
-    monkeypatch.setattr(obs_metrics, "_ENABLED", None)
-    obs_metrics.reset_registry()
-    try:
-        test_matches_reference()
-        assert len(obs_metrics.enabled_registry()) > 0
-    finally:
-        obs_metrics.reset_registry()
 
 
 @settings(max_examples=25, deadline=None)

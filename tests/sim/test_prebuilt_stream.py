@@ -4,13 +4,12 @@ The sweep amortization layer merges each trial's contact/request
 events once and hands the read-only stream to every protocol's run.
 The engine treats a prebuilt stream as untrusted input — it validates
 object identity and config equivalence before using it — and the
-results must be bit-identical to an inline merge in every mode: plain,
-traced (in memory and JSONL) and metrics-enabled.
+results must be bit-identical to an inline merge in every mode: plain
+and traced (in memory and JSONL).
 """
 
 from __future__ import annotations
 
-import json
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from repro.demand import generate_requests
 from repro.errors import ConfigurationError
 from repro.experiments import homogeneous_scenario, standard_protocols
-from repro.obs import metrics as obs_metrics
 from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.tracer import Tracer
 from repro.sim import SimulationConfig, build_event_stream, simulate
@@ -90,37 +88,23 @@ def test_prebuilt_traced_bit_identical(scenario, workload, name):
     assert sinks[0].events  # the tracer actually saw the run
 
 
-def test_prebuilt_traced_jsonl_with_metrics(scenario, workload, tmp_path):
-    """The gnarliest mode: JSONL tracing + metrics collection.
-
-    Both the results and the emitted JSONL event sequences must match
-    byte for byte (modulo nothing — the tracer's view of the event
+def test_prebuilt_traced_jsonl_identical(scenario, workload, tmp_path):
+    """JSONL tracing: both the results and the emitted JSONL event
+    sequences must match byte for byte (the tracer's view of the event
     order is exactly what the prebuilt merge must reproduce).
     """
-    obs_metrics.reset_registry()
-    obs_metrics.set_enabled(True)
-    try:
-        fresh_path = tmp_path / "fresh.jsonl"
-        pre_path = tmp_path / "prebuilt.jsonl"
-        with open(fresh_path, "w") as fh, open(pre_path, "w") as ph:
-            fresh, prebuilt = run_pair(
-                scenario,
-                *workload,
-                "QCR",
-                tracer=(Tracer(JsonlSink(fh)), Tracer(JsonlSink(ph))),
-            )
-        assert_results_identical(fresh, prebuilt)
-        fresh_events = [
-            json.loads(line) for line in fresh_path.read_text().splitlines()
-        ]
-        pre_events = [
-            json.loads(line) for line in pre_path.read_text().splitlines()
-        ]
-        assert fresh_events == pre_events
-        assert fresh_events  # the tracer actually saw the run
-    finally:
-        obs_metrics.reset_registry()
-        obs_metrics.set_enabled(None)
+    fresh_path = tmp_path / "fresh.jsonl"
+    pre_path = tmp_path / "prebuilt.jsonl"
+    with open(fresh_path, "w") as fh, open(pre_path, "w") as ph:
+        fresh, prebuilt = run_pair(
+            scenario,
+            *workload,
+            "QCR",
+            tracer=(Tracer(JsonlSink(fh)), Tracer(JsonlSink(ph))),
+        )
+    assert_results_identical(fresh, prebuilt)
+    assert fresh_path.read_bytes() == pre_path.read_bytes()
+    assert fresh_path.read_text().splitlines()  # the tracer saw the run
 
 
 def test_prebuilt_stream_is_reusable_and_read_only(scenario, workload):

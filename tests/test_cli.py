@@ -215,61 +215,3 @@ class TestCli:
         assert status == (0 if identical else 1)
         assert ("non-bit-identical cases: allocation" in err) != identical
 
-
-class TestSweepCli:
-    def test_sweep_manifest_metrics_convert(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """``repro metrics`` converts a sweep manifest's embedded snapshot.
-
-        No command writes a sweep manifest: it is saved from Python as
-        ``ComparisonResult.manifest``, as here."""
-        from repro.experiments import homogeneous_scenario, run_scenario
-        from repro.obs import metrics as obs_metrics
-        from repro.utility import StepUtility
-
-        scenario = homogeneous_scenario(
-            StepUtility(5.0),
-            n_nodes=6,
-            n_items=4,
-            rho=2,
-            duration=60.0,
-            record_interval=None,
-        )
-        monkeypatch.setenv(obs_metrics.ENV_VAR, "1")
-        obs_metrics.reset_registry()
-        try:
-            result = run_scenario(
-                scenario,
-                n_trials=2,
-                base_seed=3,
-                include=("OPT", "UNI"),
-                run_cache=False,
-            )
-        finally:
-            obs_metrics.reset_registry()
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(result.manifest))
-
-        assert main(["metrics", str(manifest), "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_sim_runs_total counter" in out
-        assert 'repro_sim_runs_total{protocol="UNI"} 2' in out
-        # The export is the sweep's registry snapshot, sample for sample.
-        assert out == obs_metrics.render_prometheus(result.manifest["metrics"])
-        assert main(["metrics", str(manifest)]) == 0
-        assert capsys.readouterr().out == out
-
-        converted = tmp_path / "snap.prom"
-        assert main(["metrics", str(manifest), "-o", str(converted)]) == 0
-        assert "wrote prometheus snapshot" in capsys.readouterr().out
-        assert "# TYPE repro_sim_runs_total counter" in converted.read_text()
-        assert main(["metrics", str(manifest), "--format", "json"]) == 0
-        parsed = json.loads(capsys.readouterr().out)
-        assert parsed["repro_sim_runs_total"]["kind"] == "counter"
-
-    def test_metrics_on_non_snapshot_fails(self, capsys, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"nested": {"not": "metrics"}}')
-        assert main(["metrics", str(path)]) == 1
-        assert "metrics snapshot" in capsys.readouterr().err
