@@ -21,10 +21,8 @@ is assembled by the parent in deterministic trial-major order.
 from __future__ import annotations
 
 import abc
-import multiprocessing
 import os
 import warnings
-from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -140,13 +138,27 @@ _POOL_SPEC: Optional[SweepSpec] = None
 
 def _pool_unit(
     unit: WorkUnit,
-) -> Tuple[WorkUnit, "SimulationResult", Dict[str, float]]:
-    """Execute one unit inside a pooled worker process."""
+) -> Tuple[
+    WorkUnit, "SimulationResult", Dict[str, float], Optional[Dict[str, int]]
+]:
+    """Execute one unit inside a pooled worker process.
+
+    Besides the unit's result and timing, returns what the unit added
+    to the worker's copy of the run-cache counters, for the parent to
+    add to its own (``None`` without a cache).
+    """
     from ..experiments.runner import run_unit
 
     assert _POOL_SPEC is not None, "pool workers must be forked by execute"
+    cache = _POOL_SPEC.cache
+    if cache is None:
+        result, timing = run_unit(unit, _POOL_SPEC)
+        return unit, result, timing, None
+    before = cache.stats.to_dict()
     result, timing = run_unit(unit, _POOL_SPEC)
-    return unit, result, timing
+    after = cache.stats.to_dict()
+    counted = {name: after[name] - before[name] for name in after}
+    return unit, result, timing, counted
 
 
 class ProcessPoolExecutor(SweepExecutor):
@@ -179,6 +191,10 @@ class ProcessPoolExecutor(SweepExecutor):
         record: Callable[..., None],
     ) -> Optional[Dict[str, Any]]:
         global _POOL_SPEC
+        # Imported here so that a serial sweep never loads them.
+        import multiprocessing
+        from concurrent import futures
+
         cpus = os.cpu_count() or 1
         workers = min(self.n_workers, cpus, len(units))
         if workers < self.n_workers:
@@ -217,11 +233,15 @@ class ProcessPoolExecutor(SweepExecutor):
                         # and drop the rest of the sweep, like the
                         # serial walk aborting mid-sweep.
                         try:
-                            unit, result, timing = future.result()
+                            unit, result, timing, counted = future.result()
                         except BaseException:
                             for pending in remaining:
                                 pending.cancel()
                             raise
+                        if counted is not None:
+                            # The worker counted on its forked copy.
+                            assert spec.cache is not None
+                            spec.cache.stats.add(counted)
                         record(unit[0], unit[1], result, timing)
         finally:
             _POOL_SPEC = None

@@ -309,8 +309,10 @@ class QCR(ReplicationProtocol):
             # both are no-ops (no state, no RNG) without mandates — the
             # common case on the vast majority of contacts.
             return
-        self._execute(sim, a, b)
-        self._execute(sim, b, a)
+        if a.mandates:
+            self._execute(sim, a, b)
+        if b.mandates:
+            self._execute(sim, b, a)
         if self._routing:
             self._route(sim, a, b)
 
@@ -345,20 +347,23 @@ class QCR(ReplicationProtocol):
         "No rewriting": if the would-be receiver already holds the item
         nothing happens and the mandate is retained — which is exactly
         why, without routing, mandates for items the owner neither holds
-        nor encounters pile up (Figure 3).
+        nor encounters pile up (Figure 3).  Holdings are read from the
+        engine's flat cache table, the live sets the caches mutate.
         """
-        if not owner.mandates:
-            return
         budget = self.config.max_replications_per_contact
+        pull = self.config.pull_execution
+        cache_tbl = sim._cache_tbl
+        owned = cache_tbl[owner.node_id]
+        met = cache_tbl[peer.node_id]
         executed: Optional[List[int]] = None
         for item, count in owner.mandates.items():
             if budget is not None and budget <= 0:
                 break
             if count <= 0:
                 continue
-            if owner.has_item(item):
+            if item in owned:
                 created = sim.insert_copy(peer, item)
-            elif self.config.pull_execution and peer.has_item(item):
+            elif pull and item in met:
                 created = sim.insert_copy(owner, item)
             else:
                 continue
@@ -394,6 +399,8 @@ class QCR(ReplicationProtocol):
         items = set(a.mandates)
         items.update(b.mandates)
         rng = sim.rng
+        held_a = sim._cache_tbl[a.node_id]
+        held_b = sim._cache_tbl[b.node_id]
         # Sorted so the per-item RNG draws below happen in a fixed
         # order; bare set iteration would tie the trajectory to hash
         # layout (flagged by RPA001).
@@ -403,8 +410,8 @@ class QCR(ReplicationProtocol):
             total = count_a + count_b
             if total == 0:
                 continue
-            has_a = a.has_item(item)
-            has_b = b.has_item(item)
+            has_a = item in held_a
+            has_b = item in held_b
             if has_a and not has_b:
                 new_a, new_b = total, 0
             elif has_b and not has_a:

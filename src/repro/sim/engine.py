@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import (
     AbstractSet,
-    Collection,
     Dict,
     List,
     Optional,
@@ -405,11 +404,16 @@ class Simulation:
         insertion and any eviction.
         """
         cache = node.cache
-        if cache is None or item in cache:
+        if cache is None:
             return False
-        before = len(cache)
+        # Membership and size on the cache's live set, without a Cache
+        # method call each; ``Cache.insert`` keeps the policy.
+        held = cache.live_view()
+        if item in held:
+            return False
+        before = len(held)
         victim = cache.insert(item, self.rng)
-        if item not in cache:
+        if item not in held:
             return False  # refused: all slots sticky
         self.counts[item] += 1
         occupancy_row = self.occupancy[node.node_id]
@@ -417,7 +421,7 @@ class Simulation:
         if victim is not None:
             self.counts[victim] -= 1
             occupancy_row[victim] = False
-        elif len(cache) == before:  # pragma: no cover - defensive
+        elif len(held) == before:  # pragma: no cover - defensive
             raise SimulationError("cache bookkeeping out of sync")
         if self.tracer is not None:
             self.tracer.emit(
@@ -617,7 +621,6 @@ class Simulation:
         cache_tbl = self._cache_tbl
         mandates_tbl = self._mandates_tbl
         metrics = self.metrics
-        fulfill_hits = self._fulfill_hits
         expire_requests = self._expire_requests
         floor_tbl = self._expiry_floor
         after_contact = self.protocol.after_contact
@@ -640,10 +643,9 @@ class Simulation:
         timed = self._timeout is not None
         timeout = self._timeout if self._timeout is not None else 0.0
         x_always = self._stream.all_servers
-        # Immediate and single-item fulfils — the dominant fulfil
-        # shapes — are inlined below as ``_fulfill_hits`` does them: log
-        # each delay and time, gains come after the loop.  Several items
-        # route through ``_fulfill_hits``.
+        # Every fulfil is inlined below as ``_fulfill_hits`` does it in
+        # the traced loop: log each delay and time, in the requester's
+        # insertion order; gains come after the loop.
         log_delay = metrics.delays.append
         log_time = metrics.fulfill_times.append
         notify = not self._hook_free_fulfill
@@ -716,9 +718,25 @@ class Simulation:
                                 hits = out_a.keys() & cache_tbl[b]
                                 if hits:
                                     hit = True
-                                    fulfill_hits(
-                                        mt[p], a, b, mx[p], out_a, hits
-                                    )
+                                    t_ev = mt[p]
+                                    meet = mx[p]
+                                    for item in (
+                                        [i for i in out_a if i in hits]
+                                        if len(hits) < len(out_a)
+                                        else list(out_a)
+                                    ):
+                                        for request in out_a.pop(item):
+                                            log_delay(t_ev - request.created_at)
+                                            log_time(t_ev)
+                                            if notify:
+                                                on_fulfill(
+                                                    self,
+                                                    t_ev,
+                                                    nodes[a],
+                                                    nodes[b],
+                                                    item,
+                                                    meet - request.counter,
+                                                )
                                     if len(out_a) == 1:
                                         for item in out_a:
                                             break
@@ -754,9 +772,25 @@ class Simulation:
                                 hits = out_b.keys() & cache_tbl[a]
                                 if hits:
                                     hit = True
-                                    fulfill_hits(
-                                        mt[p], b, a, my[p], out_b, hits
-                                    )
+                                    t_ev = mt[p]
+                                    meet = my[p]
+                                    for item in (
+                                        [i for i in out_b if i in hits]
+                                        if len(hits) < len(out_b)
+                                        else list(out_b)
+                                    ):
+                                        for request in out_b.pop(item):
+                                            log_delay(t_ev - request.created_at)
+                                            log_time(t_ev)
+                                            if notify:
+                                                on_fulfill(
+                                                    self,
+                                                    t_ev,
+                                                    nodes[b],
+                                                    nodes[a],
+                                                    item,
+                                                    meet - request.counter,
+                                                )
                                     if len(out_b) == 1:
                                         for item in out_b:
                                             break
@@ -940,15 +974,13 @@ class Simulation:
         provider_id: int,
         meet_count: int,
         outstanding: Dict[int, List[Request]],
-        hits: Collection[int],
+        hits: AbstractSet[int],
     ) -> None:
-        """Fulfill the *hits* items, in the requester's insertion order.
+        """Fulfill the *hits* items, in the requester's insertion order:
+        the traced loop's fulfil (the plain loop inlines the same).
 
-        *hits* is any collection supporting ``len`` and membership —
-        the hot loops pass a one-element tuple when the requester has a
-        single outstanding item, sparing the set intersection.  Each
-        request's delay is logged (its gain is credited after the loop);
-        traced runs evaluate that gain now for the ``FULFILL`` event,
+        Each request's delay is logged (its gain is credited after the
+        loop) and its gain is evaluated now for the ``FULFILL`` event,
         emitted after the log entry and before ``on_fulfill``.
         """
         if len(hits) < len(outstanding):
@@ -957,6 +989,7 @@ class Simulation:
             fulfilled = list(outstanding)
         metrics = self.metrics
         tracer = self.tracer
+        assert tracer is not None
         notify = not self._hook_free_fulfill
         on_fulfill = self.protocol.on_fulfill
         requester = self.nodes[requester_id]
@@ -969,14 +1002,13 @@ class Simulation:
                 delay = t - request.created_at
                 log_delay(delay)
                 log_time(t)
-                if tracer is not None:
-                    gain = float(self._gains(np.array([delay]))[0])
-                    tracer.emit(
-                        trace_events.FULFILL, t, item=item,
-                        node=requester_id, server=provider_id,
-                        delay=delay, gain=gain,
-                        counter=meet_count - request.counter,
-                    )
+                gain = float(self._gains(np.array([delay]))[0])
+                tracer.emit(
+                    trace_events.FULFILL, t, item=item,
+                    node=requester_id, server=provider_id,
+                    delay=delay, gain=gain,
+                    counter=meet_count - request.counter,
+                )
                 if notify:
                     on_fulfill(
                         self,
@@ -1051,7 +1083,7 @@ class Simulation:
         created: List[float] = []
         # Outstanding requests can only live on nodes that issued one,
         # so settle visits those, not every node.
-        for node_id in np.unique(self._stream.req_nodes):
+        for node_id in self._stream.requesting_nodes.tolist():
             node = self.nodes[node_id]
             for item, request_list in node.outstanding.items():
                 for request in request_list:

@@ -313,8 +313,8 @@ class EventStream:
     #: loop ignores payloads).
     payload_mode: bool
     n_events: int
-    #: The nodes of the requests, in schedule order.
-    req_nodes: IntArray
+    #: The nodes that issue at least one request, ascending.
+    requesting_nodes: IntArray
     #: Whether every node is a server.
     all_servers: bool
     event_times: FloatArray
@@ -327,7 +327,7 @@ class EventStream:
     server_slots: Optional[IntArray] = None
     #: Protocol-independent indexes derived from the stream on first
     #: use (see :mod:`repro.sim.static`), so they live and die with it.
-    memo: Dict[str, Any] = field(
+    memo: Dict[Any, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -361,7 +361,6 @@ def build_event_stream(
         )
     horizon = trace.duration
     n_nodes = trace.n_nodes
-    req_nodes: IntArray = np.ascontiguousarray(requests.nodes, dtype=np.int64)
     is_server = np.zeros(n_nodes, dtype=bool)
     server_ids = config.server_ids(n_nodes)
     if len(server_ids):
@@ -371,7 +370,7 @@ def build_event_stream(
     # nowhere else, so payload slots are computed for these nodes
     # only (see ``server_slot_payloads``).
     requester = np.zeros(n_nodes, dtype=bool)
-    requester[req_nodes] = True
+    requester[requests.nodes] = True
     snap_times = snapshot_instants(config.record_interval, horizon)
     n_q, n_c = len(requests.times), len(trace.times)
     total = n_q + n_c
@@ -423,7 +422,7 @@ def build_event_stream(
         config_fingerprint=config.fingerprint(),
         payload_mode=payloads,
         n_events=total,
-        req_nodes=req_nodes,
+        requesting_nodes=np.flatnonzero(requester),
         all_servers=bool(is_server.all()),
         event_times=sorted_times,
         event_kinds=sorted_kinds,

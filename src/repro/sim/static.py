@@ -185,6 +185,36 @@ def _first_expiries(
     return np.where((found >= due) & (found < n_events), found, n_events)
 
 
+def _request_columns(
+    stream: EventStream,
+) -> Tuple[IntArray, IntArray, IntArray, FloatArray]:
+    """Every request's stream position, item, node and birth time, in
+    stream order: built once per stream, shared by its static runs."""
+    columns = stream.memo.get("requests")
+    if columns is None:
+        req_pos = np.flatnonzero(stream.event_kinds == EVENT_REQUEST)
+        columns = (
+            req_pos,
+            stream.event_a[req_pos],
+            stream.event_b[req_pos],
+            stream.event_times[req_pos],
+        )
+        stream.memo["requests"] = columns
+    return columns
+
+
+def _request_expiries(stream: EventStream, timeout: float) -> IntArray:
+    """:func:`_first_expiries` of every request, once per stream and
+    timeout: a request's expiry does not depend on the allocation."""
+    key = ("expiries", timeout)
+    expiries = stream.memo.get(key)
+    if expiries is None:
+        _, _, nodes, born = _request_columns(stream)
+        expiries = _first_expiries(stream, nodes, born, timeout)
+        stream.memo[key] = expiries
+    return expiries
+
+
 def run_static(sim: "Simulation", stream: EventStream) -> bool:
     """Resolve *sim*'s run in closed form from its eager *stream*.
 
@@ -196,9 +226,7 @@ def run_static(sim: "Simulation", stream: EventStream) -> bool:
     """
     n_events = stream.n_events
     times = stream.event_times
-    req_pos = np.flatnonzero(stream.event_kinds == EVENT_REQUEST)
-    items = stream.event_a[req_pos]
-    nodes = stream.event_b[req_pos]
+    req_pos, items, nodes, req_times = _request_columns(stream)
     cached = sim.occupancy[nodes, items]
     pending = np.flatnonzero(~cached)
     # An expanded request-holder entry costs about what the loop spends
@@ -222,11 +250,11 @@ def run_static(sim: "Simulation", stream: EventStream) -> bool:
     pos = req_pos[pending]
     node = nodes[pending]
     item = items[pending]
-    born = times[pos]
+    born = req_times[pending]
     fulfil = _first_holder_contacts(stream, sim.occupancy, pos, node, item)
     timeout = sim._timeout
     expire = (
-        _first_expiries(stream, node, born, timeout)
+        _request_expiries(stream, timeout)[pending]
         if timeout is not None
         else np.full(len(pos), n_events, dtype=np.int64)
     )

@@ -349,7 +349,11 @@ def read_entry(path: PathLike, key: str) -> SimulationResult:
 
 @dataclasses.dataclass
 class RunCacheStats:
-    """Hit/miss counters of one cache instance (this process only)."""
+    """Hit/miss counters of one cache instance.
+
+    A pooled sweep adds what its forked workers counted to the
+    caller's instance, so serial and pooled sweeps count alike.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -358,6 +362,11 @@ class RunCacheStats:
 
     def to_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
+
+    def add(self, counts: Dict[str, int]) -> None:
+        """Add *counts* (a :meth:`to_dict` of the same fields)."""
+        for name, value in counts.items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 class SimulationRunCache:

@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import run_comparison
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
+from repro.simcache import SimulationRunCache
 from repro.utility import StepUtility
 
 N, I, RHO = 8, 6, 2
@@ -181,7 +182,7 @@ class TestWorkerCap:
             return real_pool(*args, max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(
-            dist_executors.futures, "ProcessPoolExecutor", recording_pool
+            concurrent.futures, "ProcessPoolExecutor", recording_pool
         )
         demand, config = setup
         result = sweep(
@@ -196,7 +197,7 @@ class TestWorkerCap:
 
     def test_missing_fork_falls_back_to_serial(self, setup, monkeypatch):
         monkeypatch.setattr(
-            dist_executors.multiprocessing,
+            multiprocessing,
             "get_all_start_methods",
             lambda: ["spawn"],
         )
@@ -279,3 +280,26 @@ class TestParallelCheckpoint:
         assert_identical(first, reloaded)
         assert reloaded.manifest["run_cache"]["hits"] == 6
         assert all(r.status == "cached" for r in reloaded.telemetry)
+
+    def test_pool_counts_cache_traffic_in_the_callers_stats(
+        self, setup, tmp_path
+    ):
+        """Forked workers count on their own copies of the cache; the
+        pool adds their counts to the caller's, as the serial walk
+        counts there directly."""
+        demand, config = setup
+        counts = {}
+        for executor in ("serial", 4):
+            cache = SimulationRunCache(tmp_path / str(executor))
+            passes = []
+            for _ in range(2):
+                sweep(
+                    demand, config, make_protocols(demand),
+                    run_cache=cache, executor=executor,
+                )
+                passes.append(cache.stats.to_dict())
+            counts[executor] = passes
+        assert counts[4] == counts["serial"]
+        assert counts[4][-1] == {
+            "hits": 6, "misses": 6, "stores": 6, "errors": 0,
+        }

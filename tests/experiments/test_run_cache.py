@@ -25,6 +25,7 @@ The cache contract has three legs:
 from __future__ import annotations
 
 import base64
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -1492,7 +1493,7 @@ class TestWorkerCap:
             raise AssertionError("pool must not be used with 1 worker")
 
         monkeypatch.setattr(
-            dist_executors.futures, "ProcessPoolExecutor", no_pool
+            concurrent.futures, "ProcessPoolExecutor", no_pool
         )
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
         result = sweep(demand, config(), None, executor=4)

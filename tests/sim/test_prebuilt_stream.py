@@ -111,6 +111,7 @@ def test_prebuilt_stream_is_reusable_and_read_only(scenario, workload):
     """One stream serves many runs; event columns are not mutated."""
     trace, requests = workload
     stream = build_event_stream(trace, requests, scenario.config)
+    assert np.array_equal(stream.requesting_nodes, np.unique(requests.nodes))
     before = stream.event_times.copy()
     results = []
     for name in ("OPT", "UNI"):

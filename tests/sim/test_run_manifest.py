@@ -71,14 +71,6 @@ def test_manifest_carries_phases_and_metrics():
     assert summary["final_replicas"] == int(result.final_counts.sum())
 
 
-def test_manifest_summary_present_even_when_metrics_disabled():
-    # An untraced run still embeds its counter summary: it rides the
-    # manifest (provenance), not any opt-in collection.
-    result = build_sim().run()
-    assert result.manifest["metrics"]["n_fulfilled"] == result.n_fulfilled
-    assert result.manifest["phases"]
-
-
 @pytest.mark.parametrize("protocol", [QCR, _DroppingQCR])
 @pytest.mark.parametrize("seed", [5, 8])
 def test_replica_events_account_for_final_replicas(seed, protocol):

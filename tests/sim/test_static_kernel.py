@@ -1,6 +1,6 @@
 """The static kernel's own edges: its guard, both pair-rank lookups,
-blocked expansion, the 16-bit pair sort, and the int64 key range at a
-million nodes.
+blocked expansion, the per-stream memo, the 16-bit pair sort, and the
+int64 key range at a million nodes.
 
 Everything else about it — bit-identity with the reference engine and
 the plain loop's dict order — is pinned by ``test_engine_properties``
@@ -9,11 +9,14 @@ and ``test_engine``, whose static runs all take the kernel.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.contacts import ContactTrace, homogeneous_poisson_trace
 from repro.demand import DemandModel, RequestSchedule, generate_requests
+from repro.experiments import homogeneous_scenario, standard_protocols
 from repro.protocols import StaticAllocation, uni_protocol
 from repro.sim import Simulation, SimulationConfig, static
 from repro.sim._reference import ReferenceSimulation
@@ -84,6 +87,11 @@ def test_small_expansion_blocks(monkeypatch):
     sim, result = run_both(trace, requests, config, factory)
     assert verdicts == [True]
     assert result.n_fulfilled > 0 and result.n_expired > 0
+    # Only clients request: settle visits exactly those nodes.
+    assert np.array_equal(
+        sim._stream.requesting_nodes, np.unique(requests.nodes)
+    )
+    assert sim._stream.requesting_nodes[0] == 20
 
 
 @pytest.mark.parametrize("rate", [0.0004, 0.05])
@@ -106,6 +114,48 @@ def test_both_pair_rank_lookups(rate, monkeypatch):
     dense = n_nodes * n_nodes <= len(trace.times)
     assert bool(len(ranks)) == dense
     assert result.n_fulfilled > 0
+
+
+@pytest.mark.parametrize("timeout", [None, 15.0])
+def test_static_runs_on_one_stream_match_fresh_streams(timeout, monkeypatch):
+    """The kernel memoizes the request columns and every request's
+    expiry on the stream.  Each static protocol run on one shared
+    stream, whose memo earlier runs filled, gives the same delays,
+    abandonment log, outstanding order and counts as on a fresh one."""
+    verdicts = spy_static_kernel(monkeypatch)
+    names = ("OPT", "SQRT", "PROP", "UNI", "DOM")
+    scenario = homogeneous_scenario(
+        UTILITY, n_nodes=20, n_items=10, rho=2, duration=400.0,
+        record_interval=100.0,
+    )
+    config = dataclasses.replace(scenario.config, request_timeout=timeout)
+    trace = scenario.trace_factory(31)
+    requests = generate_requests(
+        scenario.demand, trace.n_nodes, trace.duration, seed=32
+    )
+    factories = standard_protocols(scenario, include=names)
+    shared = build_event_stream(trace, requests, config)
+    expired = 0
+    for name in names:
+        (warm, warm_result), (fresh, fresh_result) = [
+            (sim, sim.run())
+            for sim in (
+                Simulation(
+                    trace, requests, config, factories[name](trace, requests),
+                    seed=3, prebuilt_events=stream,
+                )
+                for stream in (
+                    shared, build_event_stream(trace, requests, config)
+                )
+            )
+        ]
+        assert_bit_identical(warm_result, fresh_result)
+        assert warm.metrics._abandon_log == fresh.metrics._abandon_log
+        assert outstanding_order(warm) == outstanding_order(fresh)
+        expired += warm_result.n_expired
+    assert verdicts == [True] * 2 * len(names)
+    assert (expired > 0) == (timeout is not None)
+    assert (("expiries", timeout) in shared.memo) == (timeout is not None)
 
 
 @pytest.mark.parametrize("n_nodes", [256, 257])

@@ -1,4 +1,5 @@
-"""A figure sweep must not load SciPy's integrators or their dependencies.
+"""A figure sweep must not load SciPy's integrators, their dependencies
+or a process pool.
 
 ``scipy.integrate`` pulls in ``scipy.special``, ``scipy.optimize`` and
 ``scipy.sparse`` (about half a second and 40 MB per process), yet no figure
@@ -6,7 +7,9 @@ sweep calls an integrator.  The three functions that do --
 ``replica_dynamics`` (``solve_ivp``), ``DelayUtility._expected_gain_numeric``
 and ``DifferentialMeasure._integrate_density`` (``quad``) -- import it where
 they call it.  Top-level ``scipy`` stays allowed: the run manifest records
-its version.
+its version.  ``multiprocessing`` and ``concurrent.futures`` are imported
+only when a sweep actually forks a pool, so a serial sweep does not pay
+for them.
 
 The checks run in one fresh interpreter, since the test session itself
 has long since imported SciPy.
@@ -54,6 +57,10 @@ tiny = EffortProfile(
 figure4(tiny, executor="serial", run_cache=False)
 figure5(tiny, executor="serial", run_cache=False)
 out["after_figures"] = loaded()
+out["pool_modules"] = sorted(
+    name for name in ("multiprocessing", "concurrent.futures")
+    if name in sys.modules
+)
 
 from repro.allocation import replica_dynamics
 from repro.demand import DemandModel
@@ -90,6 +97,10 @@ def test_importing_the_package_loads_no_integrator(probe):
 
 def test_figure_sweeps_load_no_integrator(probe):
     assert probe["after_figures"] == []
+
+
+def test_serial_sweeps_load_no_pool(probe):
+    assert probe["pool_modules"] == []
 
 
 def test_integrators_load_at_their_call_sites_with_unchanged_results(probe):
