@@ -14,18 +14,13 @@ effects at all:
 
     @declared_effects()
     def integrate(self, weight, upper=math.inf): ...
-
-``@deterministic_surface`` adds a function to the declared-
-deterministic surface checked by RPA001, alongside the built-in
-surface (engine hot loops, protocol hooks, run-key construction,
-allocation solvers — see :mod:`repro.analysis.surfaces`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, TypeVar
 
-__all__ = ["declared_effects", "deterministic_surface"]
+__all__ = ["declared_effects"]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -42,12 +37,3 @@ def declared_effects(*effects: str) -> Callable[[F], F]:
         return func
 
     return decorate
-
-
-def deterministic_surface(func: F) -> F:
-    """Mark a function as a declared-deterministic surface (RPA001 root).
-
-    Does nothing at runtime; the analyzer collects the marker from the
-    AST.
-    """
-    return func

@@ -78,10 +78,9 @@ AMBIENT_METHOD_NAMES: FrozenSet[str] = frozenset(
     }
 )
 
-#: Decorator names the builder interprets (matched on the last dotted
+#: The decorator name the builder interprets (matched on the last dotted
 #: component, so any import alias works).
 _DECL_EFFECTS = "declared_effects"
-_DET_SURFACE = "deterministic_surface"
 
 
 def own_body_nodes(
@@ -129,8 +128,6 @@ class FunctionInfo:
     decorators: Tuple[str, ...] = ()
     #: Effect names from ``@declared_effects`` (None = infer).
     declared: Optional[FrozenSet[str]] = None
-    #: ``@deterministic_surface`` marker.
-    surface_marked: bool = False
 
     @property
     def display(self) -> str:
@@ -296,7 +293,6 @@ def _function_info(
         local = node.name
     decorators = []
     declared: Optional[FrozenSet[str]] = None
-    surface = False
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         name = dotted_name(target)
@@ -312,8 +308,6 @@ def _function_info(
                 and isinstance(arg.value, str)
             ]
             declared = frozenset(n for n in names if n != "PURE")
-        elif tail == _DET_SURFACE:
-            surface = True
     return FunctionInfo(
         qname=f"{module.name}:{local}",
         module=module.name,
@@ -324,7 +318,6 @@ def _function_info(
         lineno=node.lineno,
         decorators=tuple(decorators),
         declared=declared,
-        surface_marked=surface,
     )
 
 

@@ -4,13 +4,11 @@ Effects are plain strings; a function's summary is a ``frozenset`` of
 them, so the lattice join is set union — finite and monotone, which is
 what lets :mod:`repro.analysis.inference` run a fixed point.
 
-* ``SEEDED_RNG`` — randomness drawn from an explicitly seeded source
-  (``random.Random(seed)``, ``numpy.random.default_rng(seed)``).
-  Deterministic by construction; recorded so the boundary is visible.
 * ``UNSEEDED_RNG`` — global/OS entropy (``random.random``, the
   ``numpy.random.*`` module-level globals, argless ``default_rng()``,
-  ``secrets``, ``uuid.uuid4``, ``os.urandom``).
-* ``WALL_CLOCK`` — host-clock reads (:data:`CLOCK_CALLS`, shared with RPL002).
+  ``secrets``, ``uuid.uuid4``, ``os.urandom``).  A seeded
+  ``default_rng(seed)`` or ``Random(seed)`` is no effect.
+* ``WALL_CLOCK`` — host-clock reads (:data:`CLOCK_CALLS`).
 * ``DICT_ORDER`` — observable iteration order of a ``set`` (string
   hashing is randomized per process) or an unsorted directory listing.
 * ``FS_WRITE`` — raw filesystem mutation: ``open`` with a writing (or
@@ -21,15 +19,15 @@ what lets :mod:`repro.analysis.inference` run a fixed point.
   (``os.remove``/``unlink``/``link``/``mkdir``/``makedirs``) and
   everything defined inside :mod:`repro.durable` itself, whose whole
   purpose is to package raw writes behind an atomic protocol.
-* ``FORK`` — process creation.
-* ``ENV_READ`` — host-environment reads (``os.environ``, ``platform``,
-  hostname).
 * ``DYNAMIC`` — conservative TOP marker: the function makes a call the
   graph could not resolve (call through a parameter, computed callee),
   so *any* effect may hide behind it.  The determinism checker treats
   it as an error at surfaces; the durability checker ignores it (raw
   write primitives are syntactically visible, so ``FS_WRITE`` never
   hides exclusively behind a dynamic call).
+
+:func:`classify_external_call` is the one place that decides which
+callee is a hazard: the per-file rules RPL001/RPL002 ask it too.
 """
 
 from __future__ import annotations
@@ -38,51 +36,32 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from .astutil import dotted_name
 from .callgraph import CallGraph, FunctionInfo, own_body_nodes
 
 __all__ = [
-    "ALL_EFFECTS",
     "CLOCK_CALLS",
     "DICT_ORDER",
     "DYNAMIC",
-    "ENV_READ",
-    "FORK",
     "FS_WRITE",
     "FS_WRITE_ATOMIC",
     "Leaf",
     "PURE",
-    "SEEDED_RNG",
     "UNSEEDED_RNG",
     "WALL_CLOCK",
+    "classify_external_call",
     "function_leaf_effects",
 ]
 
-SEEDED_RNG = "SEEDED_RNG"
 UNSEEDED_RNG = "UNSEEDED_RNG"
 WALL_CLOCK = "WALL_CLOCK"
 DICT_ORDER = "DICT_ORDER"
 FS_WRITE = "FS_WRITE"
 FS_WRITE_ATOMIC = "FS_WRITE_ATOMIC"
-FORK = "FORK"
-ENV_READ = "ENV_READ"
 DYNAMIC = "DYNAMIC"
 
 #: The bottom of the lattice: no effects.
 PURE: FrozenSet[str] = frozenset()
-
-ALL_EFFECTS: FrozenSet[str] = frozenset(
-    {
-        SEEDED_RNG,
-        UNSEEDED_RNG,
-        WALL_CLOCK,
-        DICT_ORDER,
-        FS_WRITE,
-        FS_WRITE_ATOMIC,
-        FORK,
-        ENV_READ,
-        DYNAMIC,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -98,9 +77,8 @@ class Leaf:
 # external-callee tables
 # ---------------------------------------------------------------------------
 
-#: Host-clock reads.  RPL002 checks the same table per file, so a clock
-#: call it flags taints the same functions here.  ``time.sleep`` is
-#: absent on purpose: a backoff waits, it never *reads* time.
+#: Host-clock reads.  ``time.sleep`` is absent on purpose: a backoff
+#: waits, it never *reads* time.
 CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -122,7 +100,8 @@ CLOCK_CALLS = frozenset(
     }
 )
 
-#: Module-level global-RNG / OS-entropy callees.
+#: Module-level global-RNG / OS-entropy callees, including the calls
+#: that read or reseed numpy's hidden global ``RandomState``.
 _UNSEEDED_CALLS = frozenset(
     {
         "random.random",
@@ -139,18 +118,25 @@ _UNSEEDED_CALLS = frozenset(
         "random.betavariate",
         "random.getrandbits",
         "random.SystemRandom",
+        "numpy.random.seed",
+        "numpy.random.get_state",
+        "numpy.random.set_state",
         "numpy.random.rand",
         "numpy.random.randn",
         "numpy.random.randint",
         "numpy.random.random",
         "numpy.random.random_sample",
+        "numpy.random.ranf",
+        "numpy.random.sample",
         "numpy.random.choice",
         "numpy.random.shuffle",
         "numpy.random.permutation",
         "numpy.random.uniform",
         "numpy.random.normal",
+        "numpy.random.standard_normal",
         "numpy.random.exponential",
         "numpy.random.poisson",
+        "numpy.random.binomial",
         "secrets.token_bytes",
         "secrets.token_hex",
         "secrets.token_urlsafe",
@@ -159,18 +145,6 @@ _UNSEEDED_CALLS = frozenset(
         "uuid.uuid1",
         "uuid.uuid4",
         "os.urandom",
-    }
-)
-
-#: Explicit seeding — deterministic by construction, tracked so the
-#: seeded/unseeded boundary shows up in summaries.
-_SEEDED_CALLS = frozenset(
-    {
-        "random.seed",
-        "numpy.random.seed",
-        "numpy.random.Generator",
-        "numpy.random.PCG64",
-        "numpy.random.SeedSequence",
     }
 )
 
@@ -233,45 +207,6 @@ _FS_ATOMIC_METHODS = frozenset(
 #: but only when the receiver is opaque — internal methods named
 #: ``rename`` resolve through the call graph first.
 _FS_WRITE_RENAME_METHODS = frozenset({"rename", "replace"})
-
-_FORK_CALLS = frozenset(
-    {
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-        "multiprocessing.Pool",
-        "multiprocessing.Process",
-        "multiprocessing.get_context",
-        "os.fork",
-        "os.forkpty",
-        "subprocess.run",
-        "subprocess.Popen",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-    }
-)
-
-_ENV_CALLS = frozenset(
-    {
-        "os.getenv",
-        "os.environ.get",
-        "os.environ.items",
-        "os.environ.keys",
-        "os.environ.copy",
-        "os.getcwd",
-        "os.uname",
-        "os.cpu_count",
-        "platform.platform",
-        "platform.node",
-        "platform.system",
-        "platform.release",
-        "platform.machine",
-        "platform.python_version",
-        "platform.python_implementation",
-        "socket.gethostname",
-        "getpass.getuser",
-    }
-)
 
 #: Directory listings with filesystem-dependent order.  Flagged only
 #: when not directly wrapped in ``sorted(...)`` — see the syntactic
@@ -336,15 +271,9 @@ def classify_external_call(
         return (WALL_CLOCK, f"'{dotted}' reads the host clock")
     if dotted in _UNSEEDED_CALLS:
         return (UNSEEDED_RNG, f"'{dotted}' draws unseeded randomness")
-    if dotted in _SEEDED_CALLS:
-        return (SEEDED_RNG, f"'{dotted}' seeds / uses explicit RNG state")
-    if tail == "default_rng" or dotted == "numpy.random.default_rng":
-        if call.args or call.keywords:
-            return (SEEDED_RNG, f"'{dotted}(seed)' constructs a seeded generator")
-        return (UNSEEDED_RNG, f"argless '{dotted}()' seeds from OS entropy")
-    if dotted in ("random.Random",) or dotted.endswith(".Random"):
-        if call.args or call.keywords:
-            return (SEEDED_RNG, f"'{dotted}(seed)' constructs a seeded RNG")
+    if (tail == "default_rng" or dotted.endswith(".Random")) and not (
+        call.args or call.keywords
+    ):
         return (UNSEEDED_RNG, f"argless '{dotted}()' seeds from OS entropy")
     if dotted in ("open", "io.open", "gzip.open", "bz2.open", "lzma.open"):
         effect = _open_effect(call)
@@ -363,10 +292,6 @@ def classify_external_call(
             FS_WRITE_ATOMIC,
             f"'{dotted}' is a single-syscall atomic metadata mutation",
         )
-    if dotted in _FORK_CALLS:
-        return (FORK, f"'{dotted}' spawns a process")
-    if dotted in _ENV_CALLS or dotted.startswith("os.environ."):
-        return (ENV_READ, f"'{dotted}' reads the host environment")
     if dotted.startswith("<receiver>."):
         if tail in _FS_WRITE_METHODS or tail in _FS_WRITE_RENAME_METHODS:
             return (FS_WRITE, f"'.{tail}(...)' mutates the filesystem")
@@ -390,7 +315,7 @@ def function_leaf_effects(
 
     Combines the resolved call sites (external-table classification,
     dynamic-call TOP) with a syntactic pass for the effects that are
-    not calls: ``os.environ`` reads and set-order-dependent iteration.
+    not calls: set-order-dependent iteration and unsorted listings.
     Everything defined in ``<package>.durable`` has raw ``FS_WRITE``
     relabeled ``FS_WRITE_ATOMIC`` — that module *is* the blessed
     channel the durability checker steers writes into.
@@ -415,7 +340,7 @@ def function_leaf_effects(
             classified = classify_external_call(dotted, site.node)
             if classified is not None:
                 leaves.append(Leaf(classified[0], site.line, classified[1]))
-    leaves.extend(_syntactic_leaves(graph, info))
+    leaves.extend(_syntactic_leaves(info))
     durable_module = graph.program.package + ".durable"
     if info.module == durable_module:
         leaves = [
@@ -430,7 +355,7 @@ def function_leaf_effects(
     return [deduped[key] for key in sorted(deduped)]
 
 
-def _syntactic_leaves(graph: CallGraph, info: FunctionInfo) -> List[Leaf]:
+def _syntactic_leaves(info: FunctionInfo) -> List[Leaf]:
     node = info.node
     assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     leaves: List[Leaf] = []
@@ -445,19 +370,6 @@ def _syntactic_leaves(graph: CallGraph, info: FunctionInfo) -> List[Leaf]:
         return _is_set_expr(expr, set_vars)
 
     for item in body_nodes:
-        # os.environ reads that are not call-shaped (subscript, `in`).
-        if isinstance(item, ast.Attribute):
-            dotted = _attr_dotted(item)
-            if dotted == "os.environ" and not _is_environ_call(
-                item, parents
-            ):
-                leaves.append(
-                    Leaf(
-                        ENV_READ,
-                        item.lineno,
-                        "'os.environ' reads the host environment",
-                    )
-                )
         if isinstance(item, ast.For) and is_set_expr(item.iter):
             leaves.append(
                 Leaf(
@@ -512,31 +424,6 @@ def _syntactic_leaves(graph: CallGraph, info: FunctionInfo) -> List[Leaf]:
     return leaves
 
 
-def _attr_dotted(node: ast.Attribute) -> Optional[str]:
-    parts = [node.attr]
-    current: ast.AST = node.value
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
-def _is_environ_call(node: ast.Attribute, parents: Dict[int, ast.AST]) -> bool:
-    """True when this ``os.environ`` is the base of a method call.
-
-    ``os.environ.get(...)`` is classified through the external-call
-    table; counting the attribute read too would double-report.
-    """
-    parent = parents.get(id(node))
-    if isinstance(parent, ast.Attribute):
-        grand = parents.get(id(parent))
-        return isinstance(grand, ast.Call) and grand.func is parent
-    return False
-
-
 def _call_tail(call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Name):
         return call.func.id
@@ -550,7 +437,7 @@ def _is_unsorted_listing(
 ) -> bool:
     dotted = None
     if isinstance(call.func, ast.Attribute):
-        dotted = _attr_dotted(call.func)
+        dotted = dotted_name(call.func)
         tail = call.func.attr
     elif isinstance(call.func, ast.Name):
         dotted = call.func.id

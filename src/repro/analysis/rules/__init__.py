@@ -11,7 +11,7 @@ from typing import Tuple
 
 from .base import FileContext, Rule
 from .broad_except import BroadExceptRule
-from .determinism import DeterminismRule
+from .determinism import UnseededRngRule, WallClockRule
 from .event_literals import EventLiteralRule
 from .event_order import EventOrderRule
 from .float_compare import FloatCompareRule
@@ -20,7 +20,6 @@ from .mutable_defaults import MutableDefaultRule
 from .no_print import NoPrintRule
 from .protocol_purity import ProtocolPurityRule
 from .retry_sleep import RetrySleepRule
-from .wallclock import WallClockRule
 
 __all__ = ["FileContext", "RULES", "Rule"]
 
@@ -29,7 +28,6 @@ RULES: Tuple[Rule, ...] = tuple(
     sorted(
         (
             BroadExceptRule(),
-            DeterminismRule(),
             EventLiteralRule(),
             EventOrderRule(),
             FloatCompareRule(),
@@ -38,6 +36,7 @@ RULES: Tuple[Rule, ...] = tuple(
             NoPrintRule(),
             ProtocolPurityRule(),
             RetrySleepRule(),
+            UnseededRngRule(),
             WallClockRule(),
         ),
         key=lambda rule: rule.code,

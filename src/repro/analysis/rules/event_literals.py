@@ -5,15 +5,15 @@ Every trace event kind lives in the :mod:`repro.obs.events` registry
 through the registry's constants (``trace_events.DELIVER``,
 ``ev.REPLICA_ADD``, ...).  A string literal at an emit site bypasses
 that single source of truth: a typo mints a kind the registry has never
-heard of, readers silently skip it, and the whole-program schema-drift
-checker (``repro analyze`` RPA003/RPA004) is the only thing left to
-notice — after the trace is already written.
+heard of, and readers silently skip it.
 
-This rule catches the drift at the file level, before it compiles into
-a trace: any ``*.emit("literal", ...)`` or ``*.log_event("literal",
-...)`` outside :mod:`repro.obs` itself is flagged.  The registry module
-and its neighbours are exempt — that is where the literals are
-*defined* and where sinks forward fully-formed event records.
+The whole-program schema check RPA003 flags an *unregistered* kind at
+its emit site statically, whether it is spelled as a literal or not.
+This rule is the only check that flags a *registered* kind spelled as
+a literal: any ``*.emit("literal", ...)`` outside :mod:`repro.obs`
+itself.  The registry module and its neighbours are exempt — that is
+where the literals are *defined* and where sinks forward fully-formed
+event records.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from ..findings import Finding
 from .base import FileContext, Rule
 
 __all__ = ["EventLiteralRule"]
-
-#: Method tails that take an event kind as their first argument.
-_EMIT_TAILS = ("emit", "log_event")
 
 
 class EventLiteralRule(Rule):
@@ -52,9 +49,7 @@ class EventLiteralRule(Rule):
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         for call, name in iter_calls(tree):
-            if name is None or "." not in name:
-                continue
-            if name.rsplit(".", 1)[-1] not in _EMIT_TAILS:
+            if name is None or not name.endswith(".emit"):
                 continue
             if not call.args:
                 continue

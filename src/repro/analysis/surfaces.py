@@ -20,8 +20,7 @@ reference-equivalence tests and the simcache rest on:
   engine's and cache's own computations across every protocol in a
   trial;
 * public module-level functions of ``repro.allocation`` (the solvers
-  the paper's optimization results depend on);
-* anything marked ``@deterministic_surface``.
+  the paper's optimization results depend on).
 
 The collection is name-based and tolerant: entries that do not exist in
 the analyzed program (fixture packages in tests) are simply absent.
@@ -30,7 +29,7 @@ the analyzed program (fixture packages in tests) are simply absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from .callgraph import CallGraph
 
@@ -51,6 +50,31 @@ _PROTOCOL_HOOKS = (
     "on_fulfill",
     "after_contact",
     "mandate_totals",
+)
+
+#: Surfaces looked up by name: (qualified-name prefix below the
+#: package, names, reason).
+_NAMED_SURFACES: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
+    (
+        "simcache.fingerprint:",
+        ("run_key",),
+        "simcache run key — nondeterminism poisons the cache",
+    ),
+    (
+        "sim.events:",
+        ("build_event_stream", "cut_chunks", "server_slot_payloads"),
+        "trial-scoped event-stream builder — shared across protocols",
+    ),
+    (
+        "sim.static:",
+        ("run_static", "pair_index"),
+        "static kernel — stands in for the engine loop bit for bit",
+    ),
+    (
+        "experiments.artifacts:TrialArtifacts.",
+        ("event_stream", "trace_fingerprint", "requests_fingerprint"),
+        "trial artifact memo — substitutes bit-identically per protocol",
+    ),
 )
 
 
@@ -92,34 +116,9 @@ def collect_surfaces(graph: CallGraph) -> List[Surface]:
                         method.qname,
                         "protocol hook — invoked inside the engine loop",
                     )
-    add(
-        f"{pkg}.simcache.fingerprint:run_key",
-        "simcache run key — nondeterminism poisons the cache",
-    )
-    for name in (
-        "build_event_stream",
-        "cut_chunks",
-        "server_slot_payloads",
-    ):
-        add(
-            f"{pkg}.sim.events:{name}",
-            "trial-scoped event-stream builder — shared across protocols",
-        )
-    for name in ("run_static", "pair_index"):
-        add(
-            f"{pkg}.sim.static:{name}",
-            "static kernel — stands in for the engine loop bit for bit",
-        )
-    artifacts_cls = f"{pkg}.experiments.artifacts:TrialArtifacts"
-    for method in (
-        "event_stream",
-        "trace_fingerprint",
-        "requests_fingerprint",
-    ):
-        add(
-            f"{artifacts_cls}.{method}",
-            "trial artifact memo — substitutes bit-identically per protocol",
-        )
+    for prefix, names, reason in _NAMED_SURFACES:
+        for name in names:
+            add(f"{pkg}.{prefix}{name}", reason)
     allocation_prefix = f"{pkg}.allocation"
     for info in graph.iter_functions():
         if (
@@ -129,7 +128,5 @@ def collect_surfaces(graph: CallGraph) -> List[Surface]:
             and not info.name.startswith("_")
         ):
             add(info.qname, "allocation solver — paper-facing optimizer")
-        if info.surface_marked:
-            add(info.qname, "marked @deterministic_surface")
     surfaces.sort(key=lambda s: s.qname)
     return surfaces

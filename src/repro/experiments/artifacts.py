@@ -253,8 +253,3 @@ class TrialArtifacts:
             stream = build_event_stream(self.trace, self.requests, config)
             self._stream = stream
         return stream
-
-    def drop_event_stream(self) -> None:
-        """Release the memoized stream (pool workers bound memory with
-        this when they move on to another trial)."""
-        self._stream = None

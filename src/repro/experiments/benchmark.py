@@ -124,19 +124,6 @@ def _merge_per_protocol() -> Iterator[None]:
         setattr(TrialArtifacts, "event_stream", shared)
 
 
-def _time_run(build: Callable[[], Simulation], repeats: int) -> Tuple[float, Any]:
-    """Best-of-*repeats* wall time of one ``Simulation.run()``."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        sim = build()
-        start = time.perf_counter()
-        result = sim.run()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
-
-
 def _time_run_pair(
     build_ref: Callable[[], Simulation],
     build_opt: Callable[[], Simulation],

@@ -9,10 +9,13 @@ the end record why the per-file RPL001/RPL002/RPL011 rules are kept
 next to the whole-program RPA001/RPA003 checks.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import effects
+from repro.analysis.astutil import dotted_name
 from repro.analysis.runner import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -205,3 +208,153 @@ def test_clock_read_off_surface_is_rpl002_only(overlap_report):
 def test_registered_kind_literal_is_rpl011_only(overlap_report):
     assert located(overlap_report, "RPL011") == [("engine.py", "RPL011")]
     assert located(overlap_report, "RPA003") == []
+
+
+# ----------------------------------------------------------------------
+# agreement: RPL001/RPL002 and RPA001 read one hazard table
+# ----------------------------------------------------------------------
+#: Every callee of the effect tables' unseeded-randomness set.
+_UNSEEDED_CALLEES = (
+    "random.random",
+    "random.randint",
+    "random.randrange",
+    "random.choice",
+    "random.choices",
+    "random.shuffle",
+    "random.sample",
+    "random.uniform",
+    "random.gauss",
+    "random.normalvariate",
+    "random.expovariate",
+    "random.betavariate",
+    "random.getrandbits",
+    "random.SystemRandom",
+    "numpy.random.seed",
+    "numpy.random.get_state",
+    "numpy.random.set_state",
+    "numpy.random.rand",
+    "numpy.random.randn",
+    "numpy.random.randint",
+    "numpy.random.random",
+    "numpy.random.random_sample",
+    "numpy.random.ranf",
+    "numpy.random.sample",
+    "numpy.random.choice",
+    "numpy.random.shuffle",
+    "numpy.random.permutation",
+    "numpy.random.uniform",
+    "numpy.random.normal",
+    "numpy.random.standard_normal",
+    "numpy.random.exponential",
+    "numpy.random.poisson",
+    "numpy.random.binomial",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.token_urlsafe",
+    "secrets.randbelow",
+    "secrets.choice",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "os.urandom",
+)
+
+_HAZARD_IMPORTS = """\
+import os
+import random
+import secrets
+import uuid
+
+import numpy as np
+
+"""
+
+
+def test_every_unseeded_callee_is_one_rpl001_per_line(tmp_path):
+    assert set(_UNSEEDED_CALLEES) == effects._UNSEEDED_CALLS
+    calls = [
+        name.replace("numpy.", "np.", 1) + "()" for name in _UNSEEDED_CALLEES
+    ] + ["np.random.default_rng()", "random.Random()"]
+    loose = tmp_path / "hazards.py"
+    loose.write_text(_HAZARD_IMPORTS + "\n".join(calls) + "\n")
+    first_call = _HAZARD_IMPORTS.count("\n") + 1
+    import_random = 2
+    report = run_analysis([str(loose)], select=["RPL001"])
+    assert report.graph is None
+    assert [f.line for f in report.findings] == [import_random] + list(
+        range(first_call, first_call + len(calls))
+    ), [f.render() for f in report.findings]
+
+
+_SEEDED_FORMS = (
+    "np.random.default_rng(0)",
+    "random.Random(1)",
+    "np.random.Generator(np.random.PCG64(2))",
+)
+
+
+def test_seeded_generators_are_no_hazard(tmp_path):
+    loose = tmp_path / "seeded.py"
+    loose.write_text(_HAZARD_IMPORTS + "\n".join(_SEEDED_FORMS) + "\n")
+    report = run_analysis([str(loose)], select=["RPL001"])
+    # Only the stdlib import itself is flagged.
+    assert [f.line for f in report.findings] == [2]
+    for form in _SEEDED_FORMS:
+        for node in ast.walk(ast.parse(form)):
+            if isinstance(node, ast.Call):
+                dotted = dotted_name(node.func).replace("np.", "numpy.")
+                assert effects.classify_external_call(dotted, node) is None
+
+
+def _splice_before_return(relpath, function, lines):
+    """*relpath*'s source with *lines* inserted before *function*'s last
+    statement, and the line number of the last inserted line."""
+    source = (SRC / relpath).read_text("utf-8")
+    func = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    last = func.body[-1]
+    rows = source.splitlines(keepends=True)
+    at = last.lineno - 1
+    rows[at:at] = [" " * last.col_offset + line + "\n" for line in lines]
+    return "".join(rows), at + len(lines)
+
+
+def test_hazard_on_a_surface_raises_rpa001_and_rpl001():
+    exponent, rng_line = _splice_before_return(
+        "allocation/closed_form.py",
+        "power_allocation_exponent",
+        ["import numpy as np", "np.random.standard_normal()"],
+    )
+    fingerprint, uuid_line = _splice_before_return(
+        "simcache/fingerprint.py", "run_key", ["import uuid", "uuid.uuid4()"]
+    )
+    report = analyze(
+        {
+            "repro.allocation.closed_form": exponent,
+            "repro.simcache.fingerprint": fingerprint,
+        },
+        "RPL001",
+        "RPA001",
+    )
+    rendered = [f.render() for f in report.findings]
+    spliced = {("closed_form.py", rng_line), ("fingerprint.py", uuid_line)}
+    assert {
+        (Path(f.path).name, f.line)
+        for f in report.findings
+        if f.code == "RPL001"
+    } == spliced, rendered
+    rpa = [f for f in report.findings if f.code == "RPA001"]
+    # Every RPA001 finding traces back to one of the two spliced calls.
+    assert {
+        (Path(f.trace[-1].path).name, f.trace[-1].line) for f in rpa
+    } == spliced, rendered
+    surfaces = {
+        f.message.split("deterministic surface ")[1].split(" ")[0]: f
+        for f in rpa
+    }
+    rng = surfaces["repro.allocation.closed_form.power_allocation_exponent"]
+    assert "numpy.random.standard_normal" in rng.trace[-1].note
+    key = surfaces["repro.simcache.fingerprint.run_key"]
+    assert "uuid.uuid4" in key.trace[-1].note

@@ -127,14 +127,6 @@ class TestEventStreamMemo:
             assert inputs.event_stream(config) is None
         assert inputs.event_stream(config) is not None
 
-    def test_drop_releases_the_memo(self, workload, config):
-        trace, requests = workload
-        inputs = TrialArtifacts(trace, requests, 17)
-        first = inputs.event_stream(config)
-        inputs.drop_event_stream()
-        rebuilt = inputs.event_stream(config)
-        assert rebuilt is not None and rebuilt is not first
-
 
 # ----------------------------------------------------------------------
 # sweep-level bit-identity: shared vs. unshared

@@ -1,10 +1,10 @@
 """Per-file rule, packaging and type-check gates for the shipped tree.
 
 The per-file ``RPL`` rules of ``repro analyze`` are clean on
-``src/repro`` and on ``benchmarks`` taken one tree at a time (the
-whole-program run over both is in ``tests/analysis/test_clean_head.py``),
-the PEP 561 marker ships, and (when mypy is installed) ``mypy`` is clean
-under the pyproject config.
+``src/repro``, ``benchmarks`` and ``examples`` taken one tree at a time
+(the whole-program run over the first two is in
+``tests/analysis/test_clean_head.py``), the PEP 561 marker ships, and
+(when mypy is installed) ``mypy`` is clean under the pyproject config.
 """
 
 import shutil
@@ -37,6 +37,14 @@ def test_benchmarks_tree_is_lint_clean() -> None:
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
     assert report.n_modules == len(list((REPO_ROOT / "benchmarks").rglob("*.py")))
+
+
+def test_examples_tree_is_lint_clean() -> None:
+    examples = REPO_ROOT / "examples"
+    report = run_analysis([str(examples)], select=RPL_CODES)
+    rendered = "\n".join(f.render() for f in report.findings)
+    assert report.ok, f"repro analyze found violations at HEAD:\n{rendered}"
+    assert report.n_modules == len(list(examples.rglob("*.py"))) >= 6
 
 
 def test_py_typed_marker_ships() -> None:
