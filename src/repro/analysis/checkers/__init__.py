@@ -10,7 +10,6 @@ the leaf operation or the ``def`` line of the checked root (see
 from __future__ import annotations
 
 from .determinism import check_determinism
-from .durability import check_durability
 from .schema import check_schema
 
-__all__ = ["check_determinism", "check_durability", "check_schema"]
+__all__ = ["check_determinism", "check_schema"]

@@ -11,20 +11,10 @@ what lets :mod:`repro.analysis.inference` run a fixed point.
 * ``WALL_CLOCK`` — host-clock reads (:data:`CLOCK_CALLS`).
 * ``DICT_ORDER`` — observable iteration order of a ``set`` (string
   hashing is randomized per process) or an unsorted directory listing.
-* ``FS_WRITE`` — raw filesystem mutation: ``open`` with a writing (or
-  statically unknown) mode, ``json.dump``/``pickle.dump``,
-  ``os.rename``/``os.replace``, ``shutil`` transfers.  The durability
-  checker requires these to live in :mod:`repro.durable`.
-* ``FS_WRITE_ATOMIC`` — single-syscall metadata mutations
-  (``os.remove``/``unlink``/``link``/``mkdir``/``makedirs``) and
-  everything defined inside :mod:`repro.durable` itself, whose whole
-  purpose is to package raw writes behind an atomic protocol.
 * ``DYNAMIC`` — conservative TOP marker: the function makes a call the
   graph could not resolve (call through a parameter, computed callee),
   so *any* effect may hide behind it.  The determinism checker treats
-  it as an error at surfaces; the durability checker ignores it (raw
-  write primitives are syntactically visible, so ``FS_WRITE`` never
-  hides exclusively behind a dynamic call).
+  it as an error at surfaces.
 
 :func:`classify_external_call` is the one place that decides which
 callee is a hazard: the per-file rules RPL001/RPL002 ask it too.
@@ -43,8 +33,6 @@ __all__ = [
     "CLOCK_CALLS",
     "DICT_ORDER",
     "DYNAMIC",
-    "FS_WRITE",
-    "FS_WRITE_ATOMIC",
     "Leaf",
     "PURE",
     "UNSEEDED_RNG",
@@ -56,8 +44,6 @@ __all__ = [
 UNSEEDED_RNG = "UNSEEDED_RNG"
 WALL_CLOCK = "WALL_CLOCK"
 DICT_ORDER = "DICT_ORDER"
-FS_WRITE = "FS_WRITE"
-FS_WRITE_ATOMIC = "FS_WRITE_ATOMIC"
 DYNAMIC = "DYNAMIC"
 
 #: The bottom of the lattice: no effects.
@@ -77,8 +63,8 @@ class Leaf:
 # external-callee tables
 # ---------------------------------------------------------------------------
 
-#: Host-clock reads.  ``time.sleep`` is absent on purpose: a backoff
-#: waits, it never *reads* time.
+#: Host-clock reads.  ``time.sleep`` is absent on purpose: it waits,
+#: it never *reads* time.
 CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -89,14 +75,10 @@ CLOCK_CALLS = frozenset(
         "time.perf_counter_ns",
         "time.process_time",
         "time.process_time_ns",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
         "datetime.datetime.now",
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
-        "date.today",
     }
 )
 
@@ -148,111 +130,15 @@ _UNSEEDED_CALLS = frozenset(
     }
 )
 
-#: Raw filesystem mutations (exact dotted names).
-_FS_WRITE_CALLS = frozenset(
-    {
-        "json.dump",
-        "pickle.dump",
-        "marshal.dump",
-        "numpy.save",
-        "numpy.savez",
-        "numpy.savez_compressed",
-        "numpy.savetxt",
-        "os.rename",
-        "os.replace",
-        "os.truncate",
-        "os.ftruncate",
-        "os.write",
-        "shutil.copy",
-        "shutil.copy2",
-        "shutil.copyfile",
-        "shutil.copytree",
-        "shutil.move",
-        "shutil.rmtree",
-        "tempfile.mkstemp",
-        "tempfile.NamedTemporaryFile",
-    }
-)
-
-#: Single-syscall atomic metadata mutations.  ``os.link`` is here on
-#: purpose: a hard link either appears whole or not at all, so a
-#: link-based lockfile is atomic by design and classifying it raw would
-#: force a suppression onto a correct pattern.
-_FS_ATOMIC_CALLS = frozenset(
-    {
-        "os.remove",
-        "os.unlink",
-        "os.link",
-        "os.symlink",
-        "os.mkdir",
-        "os.makedirs",
-        "os.rmdir",
-        "os.removedirs",
-        "os.utime",
-        "os.chmod",
-        # Scratch-dir creation is an atomic mkdir; the content written
-        # into it is visible to analysis at its own write sites.
-        "tempfile.mkdtemp",
-        "tempfile.TemporaryDirectory",
-    }
-)
-
-#: Receiver-method tails (``path.write_text(...)`` on an untyped
-#: receiver) that are filesystem mutations.
-_FS_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-_FS_ATOMIC_METHODS = frozenset(
-    {"mkdir", "rmdir", "touch", "unlink", "hardlink_to", "symlink_to"}
-)
-#: ``Path.rename``/``Path.replace`` are raw like their os counterparts,
-#: but only when the receiver is opaque — internal methods named
-#: ``rename`` resolve through the call graph first.
-_FS_WRITE_RENAME_METHODS = frozenset({"rename", "replace"})
-
 #: Directory listings with filesystem-dependent order.  Flagged only
 #: when not directly wrapped in ``sorted(...)`` — see the syntactic
 #: pass below, which owns these so it can check the wrapper.
 _LISTING_CALLS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"})
 _LISTING_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
-#: Mode strings passed to ``open`` that mutate the filesystem.
-_WRITE_MODE_CHARS = frozenset("wax+")
-
 #: Callables whose call consumes an iterable in order (iterating a set
 #: through one of these leaks hash order).
 _ORDER_SENSITIVE_WRAPPERS = frozenset({"list", "tuple", "iter", "enumerate"})
-
-
-def _open_effect(call: ast.Call) -> Optional[str]:
-    """Effect of an ``open``-family call, from its mode argument."""
-    mode_node: Optional[ast.AST] = None
-    if len(call.args) >= 2:
-        mode_node = call.args[1]
-    else:
-        for keyword in call.keywords:
-            if keyword.arg == "mode":
-                mode_node = keyword.value
-                break
-    if mode_node is None:
-        return None  # default "r"
-    if isinstance(mode_node, ast.Constant) and isinstance(
-        mode_node.value, str
-    ):
-        if any(ch in _WRITE_MODE_CHARS for ch in mode_node.value):
-            return FS_WRITE
-        return None
-    # Statically unknown mode: assume the worst.
-    return FS_WRITE
-
-
-def _os_open_effect(call: ast.Call) -> Optional[str]:
-    """``os.open`` writes when its flags name a writing O_ constant."""
-    writing = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
-    for node in ast.walk(call):
-        if isinstance(node, ast.Attribute) and node.attr in writing:
-            return FS_WRITE
-        if isinstance(node, ast.Name) and node.id in writing:
-            return FS_WRITE
-    return None
 
 
 def classify_external_call(
@@ -275,31 +161,6 @@ def classify_external_call(
         call.args or call.keywords
     ):
         return (UNSEEDED_RNG, f"argless '{dotted}()' seeds from OS entropy")
-    if dotted in ("open", "io.open", "gzip.open", "bz2.open", "lzma.open"):
-        effect = _open_effect(call)
-        if effect is not None:
-            return (effect, f"'{dotted}' opened with a writing mode")
-        return None
-    if dotted == "os.open":
-        effect = _os_open_effect(call)
-        if effect is not None:
-            return (effect, "'os.open' with writing flags")
-        return None
-    if dotted in _FS_WRITE_CALLS:
-        return (FS_WRITE, f"'{dotted}' mutates the filesystem")
-    if dotted in _FS_ATOMIC_CALLS:
-        return (
-            FS_WRITE_ATOMIC,
-            f"'{dotted}' is a single-syscall atomic metadata mutation",
-        )
-    if dotted.startswith("<receiver>."):
-        if tail in _FS_WRITE_METHODS or tail in _FS_WRITE_RENAME_METHODS:
-            return (FS_WRITE, f"'.{tail}(...)' mutates the filesystem")
-        if tail in _FS_ATOMIC_METHODS:
-            return (
-                FS_WRITE_ATOMIC,
-                f"'.{tail}(...)' is an atomic metadata mutation",
-            )
     return None
 
 
@@ -316,9 +177,6 @@ def function_leaf_effects(
     Combines the resolved call sites (external-table classification,
     dynamic-call TOP) with a syntactic pass for the effects that are
     not calls: set-order-dependent iteration and unsorted listings.
-    Everything defined in ``<package>.durable`` has raw ``FS_WRITE``
-    relabeled ``FS_WRITE_ATOMIC`` — that module *is* the blessed
-    channel the durability checker steers writes into.
     """
     leaves: List[Leaf] = []
     for site in graph.calls.get(info.qname, ()):
@@ -341,14 +199,6 @@ def function_leaf_effects(
             if classified is not None:
                 leaves.append(Leaf(classified[0], site.line, classified[1]))
     leaves.extend(_syntactic_leaves(info))
-    durable_module = graph.program.package + ".durable"
-    if info.module == durable_module:
-        leaves = [
-            Leaf(FS_WRITE_ATOMIC, leaf.line, leaf.note + " (inside the durable channel)")
-            if leaf.effect == FS_WRITE
-            else leaf
-            for leaf in leaves
-        ]
     deduped: Dict[Tuple[str, int], Leaf] = {}
     for leaf in leaves:
         deduped.setdefault((leaf.effect, leaf.line), leaf)

@@ -43,8 +43,8 @@ class Finding:
     """One violation at a source location.
 
     ``col`` is 1-based; whole-program findings anchor a line and use 0.
-    ``trace[0]`` is the checked root (surface / durability root /
-    emission site) and the last step is the leaf operation.
+    ``trace[0]`` is the checked root (surface or emission site) and the
+    last step is the leaf operation.
     """
 
     path: str

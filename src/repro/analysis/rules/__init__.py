@@ -19,7 +19,6 @@ from .fork_safety import ForkSafetyRule
 from .mutable_defaults import MutableDefaultRule
 from .no_print import NoPrintRule
 from .protocol_purity import ProtocolPurityRule
-from .retry_sleep import RetrySleepRule
 
 __all__ = ["FileContext", "RULES", "Rule"]
 
@@ -35,7 +34,6 @@ RULES: Tuple[Rule, ...] = tuple(
             MutableDefaultRule(),
             NoPrintRule(),
             ProtocolPurityRule(),
-            RetrySleepRule(),
             UnseededRngRule(),
             WallClockRule(),
         ),

@@ -30,7 +30,7 @@ from typing import (
 
 from ..errors import ConfigurationError
 from .callgraph import CallGraph, build_call_graph
-from .checkers import check_determinism, check_durability, check_schema
+from .checkers import check_determinism, check_schema
 from .findings import Finding
 from .inference import EffectSummary, infer_effects
 from .program import Program
@@ -47,12 +47,6 @@ CHECKS: Dict[str, Tuple[str, str]] = {
         "determinism-boundary",
         "unseeded RNG, host-clock reads, hash-order iteration, and "
         "dynamic calls must not reach a declared-deterministic surface",
-    ),
-    "RPA002": (
-        "durability",
-        "raw filesystem writes reachable from the sweep executors "
-        "(repro.dist) or the run cache (repro.simcache) must go "
-        "through repro.durable",
     ),
     "RPA003": (
         "schema-unknown-kind",
@@ -76,7 +70,6 @@ Checker = Callable[
 #: Whole-program checkers and the codes each one reports.
 _CHECKERS: Tuple[Tuple[FrozenSet[str], Checker], ...] = (
     (frozenset({"RPA001"}), check_determinism),
-    (frozenset({"RPA002"}), check_durability),
     (frozenset({"RPA003", "RPA004"}), check_schema),
 )
 

@@ -25,8 +25,8 @@ Subcommands:
 ``repro analyze``
     Run the repo's static analysis: the per-file rules (seeded
     determinism, sim invariants, fork safety, ...) and the
-    whole-program determinism-boundary, durability, and
-    trace-schema-drift checks (see docs/static_analysis.md).
+    whole-program determinism-boundary and trace-schema-drift checks
+    (see docs/static_analysis.md).
 """
 
 from __future__ import annotations
@@ -748,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help=(
             "run the repo's static analysis (per-file rules and "
-            "whole-program determinism, durability, schema drift)"
+            "whole-program determinism, schema drift)"
         ),
     )
     add_analyze_arguments(analyze)

@@ -8,26 +8,20 @@ is:
 * *atomicity* — readers only ever observe the old file or the complete
   new file, never a partial write (temp file in the same directory +
   ``os.replace``);
-* *durability* — with ``fsync=True`` (the default) the file's bytes are
-  flushed to stable storage **before** the rename, and the parent
-  directory entry is flushed after it, so a power loss cannot leave a
-  truncated-but-renamed file behind.  Filesystems that do not
-  support directory fsync (some network mounts) degrade gracefully —
-  durability weakens, atomicity does not.
+* *durability* — the file's bytes are flushed to stable storage
+  **before** the rename, and the parent directory entry is flushed
+  after it, so a power loss cannot leave a truncated-but-renamed file
+  behind.  Filesystems that do not support directory fsync (some
+  network mounts) degrade gracefully — durability weakens, atomicity
+  does not.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Iterable, Union
+from typing import Iterable, Union
 
-__all__ = [
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
-    "fsync_directory",
-]
+__all__ = ["atomic_write_bytes", "fsync_directory"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -54,11 +48,9 @@ def fsync_directory(path: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(
-    path: PathLike, chunks: Iterable[Buffer], *, fsync: bool = True
-) -> None:
-    """Atomically (and, by default, durably) replace *path* with the
-    concatenation of *chunks*, written in order.
+def atomic_write_bytes(path: PathLike, chunks: Iterable[Buffer]) -> None:
+    """Atomically and durably replace *path* with the concatenation of
+    *chunks*, written in order.
 
     The temp file lives in the target directory so the final
     ``os.replace`` never crosses a filesystem boundary.  Errors (an
@@ -71,9 +63,8 @@ def atomic_write_bytes(
         with open(tmp_path, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, target)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -82,19 +73,4 @@ def atomic_write_bytes(
             except OSError:  # pragma: no cover - best effort
                 pass
         raise
-    if fsync:
-        fsync_directory(os.path.dirname(target) or ".")
-
-
-def atomic_write_text(
-    path: PathLike, text: str, *, fsync: bool = True
-) -> None:
-    """Atomically write *text* to *path* as UTF-8 (see above)."""
-    atomic_write_bytes(path, (text.encode("utf-8"),), fsync=fsync)
-
-
-def atomic_write_json(
-    path: PathLike, payload: Any, *, fsync: bool = True
-) -> None:
-    """Atomically serialize *payload* as JSON to *path* (see above)."""
-    atomic_write_text(path, json.dumps(payload), fsync=fsync)
+    fsync_directory(os.path.dirname(target) or ".")

@@ -239,7 +239,7 @@ def write_entry(
     ).encode("utf-8")
     header += b" " * (-(_PREAMBLE.size + len(header)) % _ALIGN)
     atomic_write_bytes(
-        path, [_PREAMBLE.pack(_MAGIC, len(header)), header, *body], fsync=True
+        path, [_PREAMBLE.pack(_MAGIC, len(header)), header, *body]
     )
 
 

@@ -46,15 +46,6 @@ class WallClockProtocol(ReplicationProtocol):
         stamp()
 '''
 
-_RAW_SINK = '''\
-import json
-
-
-def dump_state(path, payload):
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-'''
-
 _BOGUS_EMIT = '''\
 from ..obs.tracer import Tracer
 
@@ -102,31 +93,6 @@ def test_rpa001_clock_in_protocol_hook_crosses_modules():
         assert "_fx_clock" in f.trace[-1].path, f.render()
 
 
-def test_rpa002_raw_write_in_dist():
-    report = analyze({"repro.dist._fx_sink": _RAW_SINK}, "RPA002")
-    assert len(report.findings) == 1, [
-        f.render() for f in report.findings
-    ]
-    finding = report.findings[0]
-    assert finding.code == "RPA002"
-    assert "_fx_sink" in finding.path
-    assert "raw filesystem write" in finding.message
-
-
-def test_rpa002_raw_write_in_simcache_store():
-    """The run cache is the one persistence path: its store is a root."""
-    store_py = SRC / "simcache" / "store.py"
-    spliced = store_py.read_text(encoding="utf-8") + "\n\n" + _RAW_SINK
-    report = analyze({"repro.simcache.store": spliced}, "RPA002")
-    assert len(report.findings) == 1, [
-        f.render() for f in report.findings
-    ]
-    finding = report.findings[0]
-    assert finding.code == "RPA002"
-    assert finding.path.endswith("store.py")
-    assert "raw filesystem write" in finding.message
-
-
 def test_rpa003_unknown_event_kind():
     report = analyze({"repro.sim._fx_emit": _BOGUS_EMIT}, "RPA003")
     assert len(report.findings) == 1, [
@@ -140,19 +106,24 @@ def test_rpa003_unknown_event_kind():
 
 def test_injected_defects_do_not_leak_into_other_checks():
     # The injections are defect-specific: each trips exactly its own
-    # checks and nothing else.  The bogus emit passes its kind as a
-    # string literal, which is also the per-file RPL011 finding.
+    # checks and nothing else.  The clock read is RPL002 where it is
+    # made and RPA001 at every surface it reaches; the bogus emit passes
+    # its kind as a string literal, which is also the per-file RPL011
+    # finding.
     report = run_analysis(
         [str(SRC)],
         source_overrides={
-            "repro.dist._fx_sink": _RAW_SINK,
+            "repro.protocols._fx_clock": _CLOCK_HELPER,
+            "repro.protocols._fx_proto": _CLOCK_PROTOCOL,
             "repro.sim._fx_emit": _BOGUS_EMIT,
         },
     )
-    codes = sorted(f.code for f in report.findings)
-    assert codes == ["RPA002", "RPA003", "RPL011"], [
-        f.render() for f in report.findings
-    ]
+    rendered = [f.render() for f in report.findings]
+    codes = sorted(f.code for f in report.findings if f.code != "RPA001")
+    assert codes == ["RPA003", "RPL002", "RPL011"], rendered
+    rpa001 = [f for f in report.findings if f.code == "RPA001"]
+    assert rpa001, rendered
+    assert all("_fx_clock" in f.trace[-1].path for f in rpa001), rendered
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +274,29 @@ def test_seeded_generators_are_no_hazard(tmp_path):
             if isinstance(node, ast.Call):
                 dotted = dotted_name(node.func).replace("np.", "numpy.")
                 assert effects.classify_external_call(dotted, node) is None
+
+
+#: Each import spelling resolves to the full ``datetime.*`` name, which
+#: is what ``effects.CLOCK_CALLS`` lists.
+_DATETIME_SPELLINGS = """\
+import datetime as dt
+from datetime import date, datetime
+
+datetime.now()
+dt.date.today()
+date.today()
+"""
+
+
+def test_datetime_import_spellings_are_one_rpl002_per_line(tmp_path):
+    loose = tmp_path / "clocks.py"
+    loose.write_text(_DATETIME_SPELLINGS)
+    report = run_analysis([str(loose)], select=["RPL002"])
+    assert [(f.code, f.line) for f in report.findings] == [
+        ("RPL002", 4),
+        ("RPL002", 5),
+        ("RPL002", 6),
+    ], [f.render() for f in report.findings]
 
 
 def _splice_before_return(relpath, function, lines):

@@ -43,9 +43,8 @@ def test_analysis_is_not_vacuous(report):
     surfaces = collect_surfaces(report.graph)
     assert len(surfaces) >= 30
     # Spot-check two load-bearing summaries: the engine hot loop is
-    # pure, and the durable write primitive is atomic (not raw).
+    # pure, and the provenance stopwatch does read the host clock.
     run_plain = report.summaries["repro.sim.engine:Simulation._run_plain"]
     assert run_plain.effects == frozenset()
-    atomic = report.summaries["repro.durable:atomic_write_text"]
-    assert "FS_WRITE_ATOMIC" in atomic.effects
-    assert "FS_WRITE" not in atomic.effects
+    section = report.summaries["repro.obs.timing:_Section.__enter__"]
+    assert section.effects == frozenset({"WALL_CLOCK"})

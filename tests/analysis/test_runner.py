@@ -75,11 +75,11 @@ def parse_args(argv):
 
 
 def test_cli_clean_run_exits_zero(capsys):
-    # The fixture package has no surfaces, dist tree, or event
-    # registry, so every whole-program checker comes back clean (its
+    # The fixture package has no surfaces or event registry, so every
+    # whole-program checker comes back clean (its
     # deliberate clock reads are per-file RPL002 findings).
     code = cmd_analyze(
-        parse_args([str(FIXPKG), "--select", "RPA001,RPA002,RPA003,RPA004"])
+        parse_args([str(FIXPKG), "--select", "RPA001,RPA003,RPA004"])
     )
     assert code == 0
     assert "0 error(s)" in capsys.readouterr().out
@@ -89,7 +89,7 @@ def test_cli_list_checks(capsys):
     code = cmd_analyze(parse_args(["--list-rules"]))
     assert code == 0
     out = capsys.readouterr().out
-    assert len(CHECKS) == 15
+    assert len(CHECKS) == 13
     for check in CHECKS:
         assert check in out
 

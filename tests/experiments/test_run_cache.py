@@ -524,6 +524,39 @@ class TestStore:
             set_log_stream(None)
         assert counts() == {"hits": 1, "misses": 2, "stores": 1, "errors": 1}
 
+    def test_failed_put_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        """A write that fails before its rename leaves the stored entry
+        whole and no temp file behind."""
+        demand, trace, requests = workload()
+        old, new = (
+            simulate(
+                trace, requests, config(), prop_protocol(demand, N, RHO),
+                seed=seed,
+            )
+            for seed in (5, 6)
+        )
+        assert comparable(old) != comparable(new)
+        cache = SimulationRunCache(tmp_path / "cache")
+        key = "ab" + "0" * 62
+        cache.put(key, old)
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        set_log_stream(io.StringIO())
+        try:
+            cache.put(key, new)
+        finally:
+            set_log_stream(None)
+        monkeypatch.undo()
+        assert cache.stats.errors == 1 and cache.stats.stores == 1
+        loaded = cache.get(key)
+        assert loaded is not None
+        assert comparable(loaded) == comparable(old)
+        path = cache._entry_path(key)
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+
     def test_clear_and_info(self, tmp_path):
         demand, trace, requests = workload()
         result = simulate(

@@ -33,7 +33,6 @@ RULE_FIXTURES = {
         "experiments/rpl009_good.py",
         4,
     ),
-    "RPL010": ("rpl010_bad.py", "rpl010_good.py", 3),
     "RPL011": ("rpl011_bad.py", "rpl011_good.py", 4),
 }
 
@@ -74,11 +73,6 @@ def test_good_fixture_fully_clean(code: str) -> None:
 def test_wallclock_exempt_paths() -> None:
     assert codes_in(FIXTURES / "benchmarks" / "rpl002_exempt.py") == []
     assert codes_in(FIXTURES / "experiments" / "benchmark.py") == []
-
-
-def test_retry_sleep_checked_under_dist() -> None:
-    """dist/ has no RPL010 carve-out: a sleep-polling loop there is flagged."""
-    assert codes_in(FIXTURES / "dist" / "rpl010_polling.py") == ["RPL010"]
 
 
 def test_no_print_silent_outside_experiments() -> None:
