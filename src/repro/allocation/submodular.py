@@ -179,8 +179,8 @@ def greedy_heterogeneous(
     toward the smallest ``(item, server)`` pair — the same order the
     lazy heap uses).  Both variants pick the true argmax each step, so
     they return identical allocations; they differ only in
-    ``evaluations``, which is what ``repro bench`` measures.  (A binding
-    ``rate_floor`` is the exception; see the module docstring.)
+    ``evaluations``, which ``benchmarks/bench_speed.py`` measures.  (A
+    binding ``rate_floor`` is the exception; see the module docstring.)
     """
     demand = problem.demand
     utility = problem.utility

@@ -102,22 +102,18 @@ class WallClockRule(Rule):
     name = "no-wall-clock"
     summary = (
         "simulation logic must be driven by event time, never the host "
-        "clock (exempt: benchmarks/, experiments/benchmark.py, "
-        "obs/timing.py)"
+        "clock (exempt: benchmarks/, obs/timing.py)"
     )
     hint = (
         "use the simulation's event time; wall-clock timing belongs in "
-        "benchmarks/, the experiments/benchmark.py shim, or the "
-        "obs/timing.py provenance stopwatch"
+        "benchmarks/ or the obs/timing.py provenance stopwatch"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # Timing is legitimate only in the benchmark harness, the
-        # runner's timing shim, and the telemetry stopwatch, whose
-        # measurements land in manifests, never in simulation state.
+        # Timing is legitimate only in the benchmarks and the telemetry
+        # stopwatch, whose measurements land in manifests, never in
+        # simulation state.
         if ctx.in_directory("benchmarks") or ctx.parts[:1] == ("benchmarks",):
-            return False
-        if ctx.matches("experiments", "benchmark.py"):
             return False
         return not ctx.matches("obs", "timing.py")
 

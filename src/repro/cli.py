@@ -16,9 +16,6 @@ Subcommands:
     delay CDFs against the Lemma 1 exponential).
 ``repro allocate``
     Print the optimal allocation for a homogeneous scenario.
-``repro bench``
-    Time the simulation engine against its frozen pre-optimization
-    baseline and a serial vs. parallel sweep; write ``BENCH_speed.json``.
 ``repro cache``
     Inspect (``info``) or prune (``clear``) the content-addressed
     simulation run cache (see ``REPRO_SIM_CACHE`` and docs/performance.md).
@@ -67,7 +64,6 @@ from .obs.analysis import (
     write_events_jsonl,
 )
 from .experiments import (
-    BENCH_FILENAME,
     current_profile,
     figure1,
     figure2,
@@ -75,9 +71,7 @@ from .experiments import (
     figure4,
     figure5,
     figure6,
-    render_speed_report,
     render_table,
-    run_speed_benchmark,
     verify_table1,
 )
 from .experiments.scenarios import (
@@ -175,62 +169,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     }
     result = builders[args.number]()
     print(result.render())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    report = run_speed_benchmark(
-        quick=args.quick,
-        n_workers=args.workers,
-        repeats=args.repeats,
-        output=args.output,
-    )
-    print(render_speed_report(report))
-    print(f"\nwrote {args.output}")
-    if args.min_speedup is not None:
-        failed = False
-        observed = float(report["engine"]["min_speedup"])
-        if observed < args.min_speedup:
-            print(
-                f"FAIL: engine min_speedup {observed:.3f}x is below the "
-                f"required {args.min_speedup:.3f}x",
-                file=sys.stderr,
-            )
-            failed = True
-        unfaithful = [
-            f"{case['protocol']} ({case['utility']})"
-            for case in report["engine"]["cases"]
-            if not case["bit_identical"]
-        ]
-        amort = report["sweep_amortization"]
-        unfaithful.extend(
-            f"sweep_amortization.{name}"
-            for name, case in sorted(amort.items())
-            if not case["bit_identical"]
-        )
-        if not report["allocation"]["identical_allocation"]:
-            unfaithful.append("allocation")
-        if unfaithful:
-            print(
-                "FAIL: non-bit-identical cases: " + ", ".join(unfaithful),
-                file=sys.stderr,
-            )
-            failed = True
-        amort_speedup = float(amort["sweep"]["speedup"])
-        if amort_speedup < 1.0:
-            print(
-                f"FAIL: merge-once sweep is not faster than "
-                f"merge-per-protocol ({amort_speedup:.3f}x < 1.0x)",
-                file=sys.stderr,
-            )
-            failed = True
-        if failed:
-            return 1
-        print(
-            f"perf gate passed: engine min_speedup {observed:.3f}x >= "
-            f"{args.min_speedup:.3f}x, all cases bit-identical, "
-            f"sweep amortization {amort_speedup:.2f}x"
-        )
     return 0
 
 
@@ -686,42 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="write the full comparison as JSON to this path"
     )
     trc_cdf.set_defaults(func=_cmd_trace_cdf)
-
-    bench = sub.add_parser(
-        "bench", help="time the engine and the parallel runner"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced horizons/trials for CI smoke runs",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="process-pool width for the parallel sweep (default: 4)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="engine timing repeats, best-of (default: 1 quick, 3 full)",
-    )
-    bench.add_argument(
-        "--output",
-        default=BENCH_FILENAME,
-        help=f"report path (default: {BENCH_FILENAME})",
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help=(
-            "fail (exit 1) when the measured engine min_speedup falls "
-            "below this threshold (CI regression gate)"
-        ),
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the simulation run cache"

@@ -168,11 +168,10 @@ class ProcessPoolExecutor(SweepExecutor):
     :class:`concurrent.futures.ProcessPoolExecutor` (which it uses
     underneath, with an explicitly pinned ``fork`` start method).  The
     pool is capped at the CPU count and the number of units: more
-    workers than cores only add fork and IPC overhead
-    (``BENCH_speed.json`` showed 4 workers on one CPU running slower
-    than serial).  A cap of 1, or a platform without ``fork``, runs the
-    serial walk instead, and the sweep manifest records the executor
-    and worker count that actually ran.
+    workers than cores only add fork and IPC overhead (4 workers on one
+    CPU measured slower than serial).  A cap of 1, or a platform without
+    ``fork``, runs the serial walk instead, and the sweep manifest
+    records the executor and worker count that actually ran.
     """
 
     name = "process"

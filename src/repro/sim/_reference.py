@@ -5,7 +5,7 @@ before the hot-path optimization pass (head-of-stream merge with
 per-``run()`` ``.tolist()`` conversions, per-event attribute lookups,
 no hook-free fast path).  It exists for two reasons:
 
-* ``repro bench`` (:mod:`repro.experiments.benchmark`) times it against
+* the speed harness (``benchmarks/bench_speed.py``) times it against
   the optimized :class:`~repro.sim.engine.Simulation` so the engine
   speedup is *measured*, not asserted, and is tracked in
   ``BENCH_speed.json`` across PRs;

@@ -16,7 +16,6 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.demand import DemandModel, generate_requests
 from repro.experiments import TrialArtifacts, run_comparison
-from repro.experiments.benchmark import _merge_per_protocol
 from repro.protocols import prop_protocol, uni_protocol
 from repro.sim import SimulationConfig
 from repro.simcache import (
@@ -118,15 +117,6 @@ class TestEventStreamMemo:
         assert first is not None
         assert inputs.event_stream(config) is first
 
-    def test_sharing_disabled_returns_none(self, workload, config):
-        """The benchmark's merge-per-protocol baseline withholds the
-        shared stream, and only while it is active."""
-        trace, requests = workload
-        inputs = TrialArtifacts(trace, requests, 17)
-        with _merge_per_protocol():
-            assert inputs.event_stream(config) is None
-        assert inputs.event_stream(config) is not None
-
 
 # ----------------------------------------------------------------------
 # sweep-level bit-identity: shared vs. unshared
@@ -172,8 +162,10 @@ class TestSweepSharing:
         monkeypatch.setattr(artifacts, "build_event_stream", counting_build)
         shared = sweep(demand, config, protocols)
         assert len(builds) == 2  # one merge per trial, not per protocol
-        with _merge_per_protocol():
-            unshared = sweep(demand, config, protocols)
+        monkeypatch.setattr(
+            TrialArtifacts, "event_stream", lambda self, config: None
+        )
+        unshared = sweep(demand, config, protocols)
         assert len(builds) == 2  # every run merged inline instead
         assert_identical(shared, unshared)
 

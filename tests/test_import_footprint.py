@@ -9,7 +9,8 @@ and ``DifferentialMeasure._integrate_density`` (``quad``) -- import it where
 they call it.  Top-level ``scipy`` stays allowed: the run manifest records
 its version.  ``multiprocessing`` and ``concurrent.futures`` are imported
 only when a sweep actually forks a pool, so a serial sweep does not pay
-for them.
+for them.  The speed harness's frozen reference engine and ``tracemalloc``
+live with it under ``benchmarks/``, outside every figure's import path.
 
 The checks run in one fresh interpreter, since the test session itself
 has long since imported SciPy.
@@ -61,6 +62,10 @@ out["pool_modules"] = sorted(
     name for name in ("multiprocessing", "concurrent.futures")
     if name in sys.modules
 )
+out["harness_modules"] = sorted(
+    name for name in ("repro.sim._reference", "tracemalloc")
+    if name in sys.modules
+)
 
 from repro.allocation import replica_dynamics
 from repro.demand import DemandModel
@@ -101,6 +106,10 @@ def test_figure_sweeps_load_no_integrator(probe):
 
 def test_serial_sweeps_load_no_pool(probe):
     assert probe["pool_modules"] == []
+
+
+def test_figure_sweeps_load_no_speed_harness(probe):
+    assert probe["harness_modules"] == []
 
 
 def test_integrators_load_at_their_call_sites_with_unchanged_results(probe):
